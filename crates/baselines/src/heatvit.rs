@@ -12,7 +12,7 @@
 //! head-level predictors learn: low-energy tokens carry little evidence.
 
 use pivot_tensor::Matrix;
-use pivot_vit::VisionTransformer;
+use pivot_vit::PreparedModel;
 
 /// Progressive pruning schedule: `(first_encoder, cumulative_prune_ratio)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +66,8 @@ impl HeatVitConfig {
     }
 }
 
-/// HeatViT-style inference wrapper around a trained [`VisionTransformer`].
+/// HeatViT-style inference wrapper around a trained model's
+/// [`PreparedModel`] view.
 ///
 /// # Example
 ///
@@ -75,7 +76,7 @@ impl HeatVitConfig {
 /// use pivot_tensor::{Matrix, Rng};
 /// use pivot_vit::{VisionTransformer, VitConfig};
 ///
-/// let model = VisionTransformer::new(&VitConfig::tiny(), &mut Rng::new(0));
+/// let model = VisionTransformer::new(&VitConfig::tiny(), &mut Rng::new(0)).prepare();
 /// let heatvit = HeatVit::new(HeatVitConfig::deit_s(), 12);
 /// let logits = heatvit.infer(&model, &Matrix::zeros(32, 32));
 /// ```
@@ -109,7 +110,7 @@ impl HeatVit {
     /// Runs token-pruned inference: at each stage boundary the lowest-score
     /// patch tokens are merged into a single package token; the class token
     /// is always kept.
-    pub fn infer(&self, model: &VisionTransformer, image: &Matrix) -> Matrix {
+    pub fn infer(&self, model: &PreparedModel, image: &Matrix) -> Matrix {
         let mut tokens = model.embed_tokens(image);
         let original_patches = tokens.rows() - 1;
         let mut has_package = false;
@@ -202,7 +203,7 @@ fn prune_and_package(tokens: &Matrix, keep: usize, has_package: bool) -> (Matrix
 mod tests {
     use super::*;
     use pivot_tensor::Rng;
-    use pivot_vit::VitConfig;
+    use pivot_vit::{VisionTransformer, VitConfig};
 
     #[test]
     fn schedule_scaling_preserves_order() {
@@ -249,7 +250,7 @@ mod tests {
     #[test]
     fn inference_produces_valid_logits() {
         let cfg = VitConfig::test_small();
-        let model = VisionTransformer::new(&cfg, &mut Rng::new(2));
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(2)).prepare();
         let hv = HeatVit::new(HeatVitConfig::deit_s(), cfg.depth);
         let mut rng = Rng::new(3);
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng);
@@ -261,7 +262,7 @@ mod tests {
     #[test]
     fn pruned_inference_differs_from_dense() {
         let cfg = VitConfig::tiny();
-        let model = VisionTransformer::new(&cfg, &mut Rng::new(4));
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(4)).prepare();
         let hv = HeatVit::new(HeatVitConfig::deit_s(), cfg.depth);
         let mut rng = Rng::new(5);
         let img = Matrix::rand_uniform(32, 32, 0.0, 1.0, &mut rng);

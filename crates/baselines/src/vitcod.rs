@@ -5,10 +5,10 @@
 //! and builds a dedicated accelerator to exploit the sparsity. Functionally,
 //! inference keeps only the strongest ~10% of attention links per query —
 //! which is what this wrapper reproduces on top of
-//! [`pivot_nn::MultiHeadAttention::infer_sparse`].
+//! [`pivot_nn::PreparedAttention::infer_sparse`].
 
 use pivot_tensor::Matrix;
-use pivot_vit::VisionTransformer;
+use pivot_vit::PreparedModel;
 
 /// ViTCOD-style sparse-attention inference wrapper.
 ///
@@ -19,7 +19,7 @@ use pivot_vit::VisionTransformer;
 /// use pivot_tensor::{Matrix, Rng};
 /// use pivot_vit::{VisionTransformer, VitConfig};
 ///
-/// let model = VisionTransformer::new(&VitConfig::tiny(), &mut Rng::new(0));
+/// let model = VisionTransformer::new(&VitConfig::tiny(), &mut Rng::new(0)).prepare();
 /// let vitcod = VitCod::new(0.9);
 /// let logits = vitcod.infer(&model, &Matrix::zeros(32, 32));
 /// ```
@@ -50,13 +50,13 @@ impl VitCod {
         1.0 - self.sparsity
     }
 
-    /// Runs sparse-attention inference on a trained model.
-    pub fn infer(&self, model: &VisionTransformer, image: &Matrix) -> Matrix {
+    /// Runs sparse-attention inference on a trained model's view.
+    pub fn infer(&self, model: &PreparedModel, image: &Matrix) -> Matrix {
         model.infer_sparse_attention(image, self.density())
     }
 
     /// Classification accuracy over labeled samples.
-    pub fn accuracy(&self, model: &VisionTransformer, samples: &[pivot_data::Sample]) -> f32 {
+    pub fn accuracy(&self, model: &PreparedModel, samples: &[pivot_data::Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
@@ -72,12 +72,12 @@ impl VitCod {
 mod tests {
     use super::*;
     use pivot_tensor::Rng;
-    use pivot_vit::VitConfig;
+    use pivot_vit::{VisionTransformer, VitConfig};
 
     #[test]
     fn zero_sparsity_matches_dense() {
         let cfg = VitConfig::test_small();
-        let model = VisionTransformer::new(&cfg, &mut Rng::new(0));
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(0)).prepare();
         let mut rng = Rng::new(1);
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng);
         let dense = model.infer(&img);
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn high_sparsity_changes_output() {
         let cfg = VitConfig::test_small();
-        let model = VisionTransformer::new(&cfg, &mut Rng::new(2));
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(2)).prepare();
         let mut rng = Rng::new(3);
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng);
         let dense = model.infer(&img);
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn milder_sparsity_stays_closer_to_dense() {
         let cfg = VitConfig::tiny();
-        let model = VisionTransformer::new(&cfg, &mut Rng::new(4));
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(4)).prepare();
         let mut rng = Rng::new(5);
         let mut dist_mild = 0.0;
         let mut dist_hard = 0.0;

@@ -5,8 +5,8 @@
 //!
 //! Always asserts the numeric contracts — every benched product inside
 //! the documented fused-accumulation tolerance, and cascade predictions
-//! through the prepared views argmax-identical to the gate replayed from
-//! unprepared per-sample inference — plus the no-regression timing
+//! argmax-identical to the gate replayed by hand from per-sample
+//! inference — plus the no-regression timing
 //! contract (dispatched never slower than naive at any benched shape;
 //! this is the point of dispatching, and it holds on scalar hosts too,
 //! where the chosen arm is the same loop as naive). `f32_speedup smoke`
@@ -23,7 +23,7 @@ fn main() {
     );
     assert!(
         report.argmax_identical(),
-        "prepared cascade diverged from the unprepared gate: {}/{} agree",
+        "cascade diverged from the hand-replayed gate: {}/{} agree",
         report.cascade_agree,
         report.cascade_total
     );

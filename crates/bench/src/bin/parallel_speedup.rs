@@ -1,14 +1,9 @@
 //! Measures the parallel evaluation engine against sequential execution:
-//! cascade `evaluate` over 1000 samples (batched vs. the per-sample PR 1
-//! path, and sequential vs. the worker pool), `Phase2Search::run`, and
-//! the cached vs. uncached threshold sweep (see DESIGN.md, "The
-//! evaluation engine"). Needs no trained models — throughput and
-//! bit-identity do not depend on weights.
+//! cascade `evaluate` over 1000 samples (sequential vs. the worker pool),
+//! `Phase2Search::run`, and the cached vs. uncached threshold sweep (see
+//! DESIGN.md, "The evaluation engine"). Needs no trained models —
+//! throughput and bit-identity do not depend on weights.
 fn main() {
     let report = pivot_bench::experiments::parallel_speedup(1000);
     assert!(report.bit_identical, "determinism contract violated");
-    println!(
-        "\nbatched cascade evaluation: {:.2}x over the per-sample path",
-        report.batch_speedup()
-    );
 }

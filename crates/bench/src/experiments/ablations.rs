@@ -6,7 +6,7 @@
 use super::pvds50;
 use crate::harness::Reproduction;
 use crate::Table;
-use pivot_core::{EffortLadder, MultiEffortVit, PathConfig};
+use pivot_core::{EffortLadder, MultiEffortVit, Parallelism, PathConfig};
 use pivot_nn::{normalized_entropy, QuantMode};
 use pivot_sim::{AcceleratorConfig, Dataflow, Simulator, VitGeometry};
 use pivot_vit::{TrainConfig, Trainer};
@@ -87,6 +87,7 @@ pub fn ablation_entropy_regularizer(repro: &Reproduction) -> ((f64, f64), (f64, 
             seed: 66,
         })
         .train(&mut model, Some(teacher), &repro.dataset);
+        let model = model.prepare();
         let mut total_entropy = 0.0f64;
         let mut below = 0usize;
         for s in &repro.dataset.test {
@@ -236,7 +237,7 @@ pub fn ablation_ladder(repro: &Reproduction) -> Vec<(String, f64, f64)> {
             three,
         ),
     ] {
-        let stats = ladder.evaluate(test);
+        let stats = ladder.evaluate_batched(test, Parallelism::Auto);
         table.row_owned(vec![
             name.clone(),
             format!("{:.1}", stats.accuracy() * 100.0),

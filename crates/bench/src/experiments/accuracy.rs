@@ -142,7 +142,7 @@ pub struct ComparisonRow {
 pub fn table4(repro: &Reproduction) -> Vec<ComparisonRow> {
     println!("\n=== Table 4: comparison with ViTCOD and HeatViT ===");
     println!("paper: ViTCOD 78.1% < HeatViT 79.1% < PIVOT 79.4%; only PIVOT is GPP-compatible\n");
-    let teacher = &repro.deit.artifacts.teacher;
+    let teacher = &repro.deit.artifacts.teacher.prepare();
     let test = &repro.dataset.test;
 
     let vitcod = VitCod::new(0.9);

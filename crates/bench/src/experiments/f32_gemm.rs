@@ -15,10 +15,10 @@
 //!   the dispatched arms are bit-identical to `matmul_naive`,
 //!
 //! plus the end-to-end consequence the rest of the stack relies on:
-//! cascade predictions through the prepared (prepacked-weight) views are
-//! argmax-identical to a gate replayed from per-sample unprepared
-//! inference — bitwise, not statistically, because every dispatch arm is
-//! batch-invariant and `prepare` only hoists the pack out of the call.
+//! cascade predictions through the batched guarded sweep are
+//! argmax-identical to a gate replayed by hand from per-sample inference
+//! on independently prepared views — bitwise, not statistically, because
+//! every dispatch arm is batch-invariant.
 
 use crate::Table;
 use pivot_core::{batched_logits, stays_low, MultiEffortVit, Parallelism};
@@ -75,8 +75,8 @@ pub struct F32Speedup {
     /// `2k * eps * max(|A||B|, 1)` elementwise. `<= 1.0` means every
     /// element was inside the tolerance; exactly `0.0` on scalar hosts.
     pub max_tolerance_ratio: f32,
-    /// Cascade predictions through the prepared views agreeing with the
-    /// gate replayed from per-sample unprepared inference.
+    /// Cascade predictions agreeing with the gate replayed by hand from
+    /// per-sample inference.
     pub cascade_agree: usize,
     /// Size of the fixed cascade eval set.
     pub cascade_total: usize,
@@ -105,8 +105,8 @@ impl F32Speedup {
         self.max_tolerance_ratio <= 1.0
     }
 
-    /// Whether the prepared-view cascade predicted identically to the
-    /// unprepared reference gate on every eval sample.
+    /// Whether the cascade predicted identically to the hand-replayed
+    /// reference gate on every eval sample.
     pub fn argmax_identical(&self) -> bool {
         self.cascade_agree == self.cascade_total
     }
@@ -147,15 +147,15 @@ const CASCADE_EVAL_PER_CLASS: usize = 24;
 
 /// Measures dispatched vs. naive f32 GEMM at [`F32_BENCH_SHAPES`]
 /// (min over `iters` calls per shape), checks the fused-accumulation
-/// tolerance at each shape, and replays the cascade gate from unprepared
-/// per-sample inference to pin argmax identity of the prepared views.
+/// tolerance at each shape, and replays the cascade gate by hand from
+/// per-sample inference to pin argmax identity of the batched sweep.
 /// Prints a report.
 ///
 /// Untrained models suffice for the cascade check: unlike the int8
-/// experiment, the prepared path here is *bit-identical* to unprepared
-/// inference (same kernel, pack hoisted), so identity is exact rather
-/// than a margin statement — training would only slow the experiment
-/// without strengthening the assertion.
+/// experiment, both sides here run the same kernel on the same weights
+/// (batched vs per-sample, shared vs private store), so identity is exact
+/// rather than a margin statement — training would only slow the
+/// experiment without strengthening the assertion.
 pub fn f32_speedup(iters: usize) -> F32Speedup {
     println!("\n=== Dispatched f32 GEMM vs. naive reference ===");
     let simd = f32_simd_available();
@@ -193,10 +193,10 @@ pub fn f32_speedup(iters: usize) -> F32Speedup {
         });
     }
 
-    // Cascade argmax identity: replay the gate from *unprepared*
-    // per-sample inference (public `normalized_entropy` + `stays_low`)
-    // and compare against `MultiEffortVit::infer`, which runs entirely on
-    // the prepared (prepacked-weight) views. The threshold sits at the
+    // Cascade argmax identity: replay the gate from per-sample inference
+    // on independently prepared views (public `normalized_entropy` +
+    // `stays_low`) and compare against `MultiEffortVit::infer`, which
+    // runs the guarded sweep over its shared-store views. The threshold sits at the
     // median low-effort entropy so both efforts answer real traffic; a
     // knife-edge threshold would still be safe — both sides compute the
     // same entropy bits — but a mid-distribution one makes the check
@@ -217,19 +217,20 @@ pub fn f32_speedup(iters: usize) -> F32Speedup {
     low.set_active_attentions(&[0]);
     let high = VisionTransformer::new(&cfg, &mut Rng::new(10));
 
-    let low_logits: Vec<Matrix> = eval.iter().map(|s| low.infer(&s.image)).collect();
+    let (low_view, high_view) = (low.prepare(), high.prepare());
+    let low_logits: Vec<Matrix> = eval.iter().map(|s| low_view.infer(&s.image)).collect();
     let mut entropies: Vec<f32> = low_logits.iter().map(normalized_entropy).collect();
     entropies.sort_by(f32::total_cmp);
     let threshold = entropies[entropies.len() / 2].clamp(0.0, 1.0);
 
     let cascade = MultiEffortVit::new(low.clone(), high.clone(), threshold);
-    // The prepared batched evaluator must reproduce the per-sample
-    // unprepared logits bit-for-bit — the batch-invariance contract of
-    // the microkernel surfacing at the model level.
-    let batched = batched_logits(&low.prepare(), &eval, Parallelism::Auto);
+    // The batched evaluator must reproduce the per-sample logits
+    // bit-for-bit — the batch-invariance contract of the microkernel
+    // surfacing at the model level.
+    let batched = batched_logits(&low_view, &eval, Parallelism::Auto);
     assert_eq!(
         batched, low_logits,
-        "batched prepared logits must be bit-identical to per-sample unprepared inference"
+        "batched logits must be bit-identical to per-sample inference"
     );
 
     let cascade_agree = eval
@@ -239,7 +240,7 @@ pub fn f32_speedup(iters: usize) -> F32Speedup {
             let reference = if stays_low(normalized_entropy(logits), threshold) {
                 logits.row_argmax(0)
             } else {
-                let high_logits = high.infer(&s.image);
+                let high_logits = high_view.infer(&s.image);
                 if high_logits.as_slice().iter().all(|v| v.is_finite()) {
                     high_logits.row_argmax(0)
                 } else {
@@ -293,7 +294,7 @@ mod tests {
         );
         assert!(
             report.argmax_identical(),
-            "prepared cascade diverged from the unprepared gate: {}/{} agree",
+            "cascade diverged from the hand-replayed gate: {}/{} agree",
             report.cascade_agree,
             report.cascade_total
         );

@@ -70,6 +70,7 @@ fn build_models(seed: u64) -> (VisionTransformer, VisionTransformer) {
 /// Baseline evaluation of one (possibly faulted) model: non-finite logits
 /// have no meaningful prediction, so those samples count as wrong.
 fn baseline_accuracy(model: &VisionTransformer, samples: &[Sample]) -> (f64, usize) {
+    let model = model.prepare();
     let mut correct = 0usize;
     let mut non_finite = 0usize;
     for s in samples {

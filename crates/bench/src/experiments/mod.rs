@@ -15,7 +15,6 @@ mod gpp;
 mod int8;
 mod ladder_memory;
 mod parallel;
-mod prepared;
 mod serve;
 
 pub use ablations::{
@@ -34,7 +33,6 @@ pub use gpp::{fig1c, fig7, GppMethodResult};
 pub use int8::{int8_speedup, Int8Speedup, INT8_LOGIT_TOL};
 pub use ladder_memory::{ladder_memory, LadderMemory, LadderMemoryRow, LADDER_DEPTH};
 pub use parallel::{parallel_speedup, ParallelSpeedup};
-pub use prepared::{prepared_speedup, PreparedSpeedup};
 pub use serve::{serve_bench, ServeBench, ServeScenario};
 
 use crate::harness::{FamilyArtifacts, Reproduction};

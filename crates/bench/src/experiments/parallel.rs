@@ -28,12 +28,6 @@ pub struct ParallelSpeedup {
     pub evaluate_seq_ms: f64,
     /// Parallel cascade `evaluate` over the same set (ms).
     pub evaluate_par_ms: f64,
-    /// Per-sample cascade evaluation — the PR 1 reference path, one
-    /// `infer` call per sample on the worker pool (ms).
-    pub evaluate_per_sample_ms: f64,
-    /// Batched cascade evaluation — `forward_batch` chunks on the worker
-    /// pool, same parallelism as the per-sample run (ms).
-    pub evaluate_batched_ms: f64,
     /// Sequential `Phase2Search::run` (ms).
     pub phase2_seq_ms: f64,
     /// Parallel `Phase2Search::run` (ms).
@@ -58,13 +52,6 @@ impl ParallelSpeedup {
         self.phase2_seq_ms / self.phase2_par_ms.max(1e-9)
     }
 
-    /// Per-sample-over-batched speedup of cascade evaluation — what the
-    /// wide-GEMM batch dimension buys over the PR 1 path at identical
-    /// parallelism.
-    pub fn batch_speedup(&self) -> f64 {
-        self.evaluate_per_sample_ms / self.evaluate_batched_ms.max(1e-9)
-    }
-
     /// Uncached-over-cached speedup of the threshold sweep.
     pub fn sweep_speedup(&self) -> f64 {
         self.sweep_uncached_ms / self.sweep_cached_ms.max(1e-9)
@@ -78,9 +65,7 @@ fn build_efforts(depth: usize, efforts: &[usize], seed: u64) -> Vec<EffortModel>
     };
     let mut base = VisionTransformer::new(&cfg, &mut Rng::new(seed));
     // Deployment numerics: the paper runs every effort 8-bit quantized
-    // (Section 4.1), so the throughput comparison uses Int8 weights —
-    // each Linear materializes a fake-quantized effective weight per
-    // forward call, the per-call cost batching amortizes.
+    // (Section 4.1), so the throughput comparison uses Int8 weights.
     base.set_quant_mode(QuantMode::Int8);
     efforts
         .iter()
@@ -108,10 +93,8 @@ fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
 /// Measures sequential vs. parallel wall-clock of the evaluation engine
 /// on `n_samples` synthetic inputs and prints a report. On a single-core
 /// host the thread speedups hover around 1.0x (the pool degenerates to
-/// the sequential path) but the batched-vs-per-sample row still wins —
-/// batching amortizes per-call weight materialization and allocations
-/// regardless of core count. On >= 4 cores the thread rows land >= 2x
-/// as well.
+/// the sequential path); only the cache-sweep row wins regardless of core
+/// count. On >= 4 cores the thread rows land >= 2x.
 pub fn parallel_speedup(n_samples: usize) -> ParallelSpeedup {
     println!("\n=== Parallel evaluation engine: sequential vs. worker pool ===");
     let workers = Parallelism::Auto.workers(usize::MAX);
@@ -134,14 +117,6 @@ pub fn parallel_speedup(n_samples: usize) -> ParallelSpeedup {
     let (evaluate_par_ms, stats_par) =
         time_ms(|| cascade.evaluate_with(samples, Parallelism::Auto));
     identical &= stats_seq == stats_par;
-
-    // 1b. Batched vs per-sample cascade evaluation at identical
-    // parallelism: what the wide-GEMM batch dimension buys on its own.
-    let (evaluate_per_sample_ms, stats_ps) =
-        time_ms(|| cascade.evaluate_per_sample_with(samples, Parallelism::Auto));
-    let (evaluate_batched_ms, stats_batched) =
-        time_ms(|| cascade.evaluate_with(samples, Parallelism::Auto));
-    identical &= stats_ps == stats_batched && stats_batched == stats_par;
 
     // 2. Phase-2 hardware-in-the-loop search.
     let sim = Simulator::new(AcceleratorConfig::zcu102());
@@ -188,8 +163,6 @@ pub fn parallel_speedup(n_samples: usize) -> ParallelSpeedup {
         workers,
         evaluate_seq_ms,
         evaluate_par_ms,
-        evaluate_per_sample_ms,
-        evaluate_batched_ms,
         phase2_seq_ms,
         phase2_par_ms,
         sweep_uncached_ms,
@@ -203,12 +176,6 @@ pub fn parallel_speedup(n_samples: usize) -> ParallelSpeedup {
         format!("{evaluate_seq_ms:.1}"),
         format!("{evaluate_par_ms:.1}"),
         format!("{:.2}x", out.evaluate_speedup()),
-    ]);
-    table.row_owned(vec![
-        "cascade evaluate: per-sample vs batched".to_string(),
-        format!("{evaluate_per_sample_ms:.1}"),
-        format!("{evaluate_batched_ms:.1}"),
-        format!("{:.2}x", out.batch_speedup()),
     ]);
     table.row_owned(vec![
         format!("Phase2Search::run ({} calib)", calibration.len()),
@@ -258,10 +225,9 @@ mod tests {
         assert!(report.sweep_cached_ms < report.sweep_uncached_ms);
     }
 
-    /// Multi-core throughput smoke test (`cargo test -- --ignored`):
-    /// at 1000 samples the batched cascade evaluation must still beat
-    /// the PR 1 per-sample path, and on hosts with >= 4 cores the
-    /// multi-worker evaluation must beat sequential by >= 2x. Ignored by
+    /// Multi-core throughput smoke test (`cargo test -- --ignored`): on
+    /// hosts with >= 4 cores the multi-worker evaluation at 1000 samples
+    /// must beat sequential by >= 2x. Ignored by
     /// default because it takes tens of seconds and its timing assertions
     /// are load-sensitive. The thread-scaling assertion self-skips on
     /// small hosts (it cannot hold on 1–3 cores), so the test can be
@@ -273,16 +239,6 @@ mod tests {
         assert!(
             report.bit_identical,
             "parallel results must be bit-identical"
-        );
-        // The wide-GEMM batching win was ~3.5x against the scalar f32
-        // kernel; the SIMD microkernel (DESIGN.md §4f) sped the narrow
-        // per-sample GEMMs up more than the wide ones, so the measured
-        // edge is now ~1.2x. The floor asserts batching never *loses*,
-        // with slack for a loaded machine.
-        assert!(
-            report.batch_speedup() >= 1.05,
-            "batched cascade evaluation only {:.2}x faster than per-sample",
-            report.batch_speedup()
         );
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         if cores >= 4 {

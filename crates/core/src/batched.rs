@@ -13,16 +13,11 @@
 //! chunk boundaries only decide which rows share a GEMM — so the returned
 //! logits are bit-identical to the per-sample path for every chunk size,
 //! worker count, and scheduling.
-//!
-//! [`batched_logits_rematerializing`] keeps the old per-chunk path (each
-//! chunk refits quantizers and rematerializes weights inside the unprepared
-//! model) as the benchmark baseline; it produces bit-identical logits,
-//! just slower.
 
 use crate::parallel::{par_map, Parallelism};
 use pivot_data::Sample;
 use pivot_tensor::Matrix;
-use pivot_vit::{PreparedModel, VisionTransformer};
+use pivot_vit::PreparedModel;
 
 /// Samples per `forward_batch` call.
 ///
@@ -53,35 +48,6 @@ pub fn batched_logits(model: &PreparedModel, samples: &[Sample], par: Parallelis
     batched_logits_with(model, samples, |s| &s.image, par)
 }
 
-/// The pre-`PreparedModel` evaluation path, kept as a benchmark baseline
-/// and differential-test oracle: identical chunking and worker scheduling,
-/// but each chunk runs the unprepared model, so every `Linear` refits its
-/// quantizer and rematerializes its effective weight once per chunk.
-/// Bit-identical to [`batched_logits_with`] on a view prepared from the
-/// same model.
-pub fn batched_logits_rematerializing_with<T: Sync>(
-    model: &VisionTransformer,
-    items: &[T],
-    image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
-    par: Parallelism,
-) -> Vec<Matrix> {
-    let ranges = chunk_ranges(items.len());
-    let chunks = par_map(&ranges, par, |_, &(start, end)| {
-        let images: Vec<&Matrix> = items[start..end].iter().map(&image).collect();
-        model.forward_batch(&images)
-    });
-    split_rows(&chunks)
-}
-
-/// [`batched_logits_rematerializing_with`] over labeled samples.
-pub fn batched_logits_rematerializing(
-    model: &VisionTransformer,
-    samples: &[Sample],
-    par: Parallelism,
-) -> Vec<Matrix> {
-    batched_logits_rematerializing_with(model, samples, |s| &s.image, par)
-}
-
 fn chunk_ranges(len: usize) -> Vec<(usize, usize)> {
     (0..len)
         .step_by(EVAL_BATCH)
@@ -101,12 +67,11 @@ mod tests {
     use super::*;
     use pivot_data::{Dataset, DatasetConfig};
     use pivot_tensor::Rng;
-    use pivot_vit::VitConfig;
+    use pivot_vit::{VisionTransformer, VitConfig};
 
     #[test]
     fn batched_logits_are_bit_identical_to_per_sample_infer() {
-        let model = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(0));
-        let prepared = model.prepare();
+        let prepared = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(0)).prepare();
         // More samples than one chunk, with a ragged tail.
         let samples = Dataset::generate_difficulty_stripes(
             &DatasetConfig::small(),
@@ -119,34 +84,11 @@ mod tests {
             let logits = batched_logits(&prepared, &samples, par);
             assert_eq!(logits.len(), samples.len());
             for (i, s) in samples.iter().enumerate() {
-                assert_eq!(logits[i], model.infer(&s.image), "sample {i} under {par:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_path_matches_rematerializing_baseline() {
-        // Satellite contract: the clone-free prepared path is bit-identical
-        // to the old per-chunk rematerializing path, for both quant modes
-        // and across worker counts.
-        for quant in [pivot_nn::QuantMode::None, pivot_nn::QuantMode::Int8] {
-            let mut model = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(3));
-            model.set_quant_mode(quant);
-            let prepared = model.prepare();
-            let samples = Dataset::generate_difficulty_stripes(
-                &DatasetConfig::small(),
-                &[0.3, 0.7],
-                EVAL_BATCH / 2 + 2,
-                4,
-            );
-            for par in [
-                Parallelism::Off,
-                Parallelism::Fixed(2),
-                Parallelism::Fixed(7),
-            ] {
-                let new = batched_logits(&prepared, &samples, par);
-                let old = batched_logits_rematerializing(&model, &samples, par);
-                assert_eq!(new, old, "{quant:?} under {par:?}");
+                assert_eq!(
+                    logits[i],
+                    prepared.infer(&s.image),
+                    "sample {i} under {par:?}"
+                );
             }
         }
     }
@@ -155,6 +97,5 @@ mod tests {
     fn empty_set_yields_no_logits() {
         let model = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(2));
         assert!(batched_logits(&model.prepare(), &[], Parallelism::Auto).is_empty());
-        assert!(batched_logits_rematerializing(&model, &[], Parallelism::Auto).is_empty());
     }
 }

@@ -1,134 +1,33 @@
-//! Entropy cache: low-effort logits computed once, served everywhere.
+//! Entropy cache: low-effort inference observed once, served everywhere.
 //!
 //! Phase 2's threshold iteration and the cascade's `F_L` queries all need
 //! the same quantity — the normalized entropy of the **low-effort** logits
 //! of every calibration sample. Re-running low-effort inference per probed
 //! threshold makes a sweep O(thresholds x N x forward-pass);
-//! [`CascadeCache`] computes the logits once (on the
-//! [`par_map`](crate::parallel::par_map) worker pool), derives entropies
-//! and argmax predictions, and then answers every threshold query in O(N)
-//! with no model in the loop.
+//! [`CascadeCache`] observes the low effort once (batched, on the worker
+//! pool), keeps each sample's entropy, argmax and finiteness flag, and then
+//! answers every threshold query in O(N) with no model in the loop.
+//!
+//! For evaluation it is the guarded sweep's memo
+//! ([`crate::guarded`]) pre-filled at level 0: only escalated samples run
+//! the high effort, and gating plus fault accounting are the sweep's.
 //!
 //! ## Invariants
 //!
-//! * `low_logits[i]`, `entropies[i]` and `low_predictions[i]` all describe
-//!   sample `i` of the set the cache was built from, in input order.
-//! * `entropies[i]` is exactly `normalized_entropy(&low_logits[i])` — the
-//!   cache stores derived values, it never re-derives them differently.
+//! * `entropies[i]` and `low_prediction(i)` describe sample `i` of the set
+//!   the cache was built from, in input order; no logit rows are kept.
 //! * A cache is tied to one (model, sample set) pair; callers index it
 //!   with the same sample slice they built it from (checked by length).
 //! * Queries are pure reads: building with any [`Parallelism`] yields
 //!   bit-identical contents, so every downstream result is deterministic.
 
-use crate::batched::{batched_logits, batched_logits_with};
-use crate::cascade::{stays_low, CascadeStats};
+use crate::cascade::CascadeStats;
+use crate::guarded::{
+    observe_level, stays_low, threshold_grid_walk, DegradationReport, LadderCache, LevelObs,
+};
 use crate::parallel::Parallelism;
 use pivot_data::Sample;
-use pivot_nn::normalized_entropies;
-use pivot_tensor::Matrix;
 use pivot_vit::{PreparedModel, PreparedStore, VisionTransformer};
-
-/// One sample that produced non-finite values during a guarded evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationEvent {
-    /// Index of the affected sample, in evaluation order.
-    pub sample: usize,
-    /// Effort level whose logits were non-finite (0 = low, 1 = high for
-    /// the two-level cascade; ladder levels for [`LadderCache`]).
-    ///
-    /// [`LadderCache`]: crate::multilevel::LadderCache
-    pub level: usize,
-    /// The effort level whose prediction was served instead, or `None`
-    /// when no fallback prediction was substituted — either the faulty
-    /// level was not the serving one (a faulted low effort whose sample
-    /// escalated to a healthy high effort), or every visited level was
-    /// faulty and the exit level's own prediction stood.
-    pub served_by: Option<usize>,
-}
-
-/// Fault accounting for one guarded evaluation: which samples hit
-/// non-finite values, at which effort level, and who served them instead.
-///
-/// An empty report means the evaluation was fault-free and its statistics
-/// are bit-identical to the unguarded path (DESIGN.md §5).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DegradationReport {
-    /// Every degradation event, in sample order.
-    pub events: Vec<DegradationEvent>,
-}
-
-impl DegradationReport {
-    /// Whether the evaluation was completely fault-free.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total number of degradation events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Number of samples served by a fallback prediction (the faulty level
-    /// was the serving one and an earlier level's prediction stood in).
-    pub fn fallbacks(&self) -> usize {
-        self.events.iter().filter(|e| e.served_by.is_some()).count()
-    }
-
-    /// Number of events whose non-finite logits came from `level`.
-    pub fn non_finite_at(&self, level: usize) -> usize {
-        self.events.iter().filter(|e| e.level == level).count()
-    }
-
-    /// Number of samples that escalated because of a fault rather than an
-    /// entropy gate (events with `served_by: None` below the exit level).
-    pub fn escalations(&self) -> usize {
-        self.events.iter().filter(|e| e.served_by.is_none()).count()
-    }
-
-    /// Appends every event of `other`, preserving `other`'s internal
-    /// order after the events already present.
-    ///
-    /// This is the aggregation primitive for long-lived consumers (the
-    /// serving engine's health counters, multi-evaluation sweeps): each
-    /// per-request/per-batch report merges into one running report whose
-    /// counters ([`Self::fallbacks`], [`Self::non_finite_at`], ...) then
-    /// describe the whole history. Sample indices stay *local* to the
-    /// evaluation that produced them — a merged report counts events, it
-    /// does not re-index samples across evaluations.
-    pub fn merge(&mut self, other: DegradationReport) {
-        self.events.extend(other.events);
-    }
-}
-
-impl std::iter::Sum for DegradationReport {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        let mut total = DegradationReport::default();
-        for report in iter {
-            total.merge(report);
-        }
-        total
-    }
-}
-
-impl std::fmt::Display for DegradationReport {
-    /// One-line health summary, e.g.
-    /// `3 degradation events (1 fault escalation, 2 fallbacks)`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_empty() {
-            return write!(f, "no degradation events");
-        }
-        write!(
-            f,
-            "{} degradation event{} ({} fault escalation{}, {} fallback{})",
-            self.len(),
-            if self.len() == 1 { "" } else { "s" },
-            self.escalations(),
-            if self.escalations() == 1 { "" } else { "s" },
-            self.fallbacks(),
-            if self.fallbacks() == 1 { "" } else { "s" },
-        )
-    }
-}
 
 /// Cached low-effort inference over one sample set.
 ///
@@ -149,15 +48,15 @@ impl std::fmt::Display for DegradationReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CascadeCache {
-    low_logits: Vec<Matrix>,
+    level0: Vec<LevelObs>,
+    /// `level0[i].entropy`, contiguous for [`Self::entropies`].
     entropies: Vec<f32>,
-    low_predictions: Vec<usize>,
 }
 
 impl CascadeCache {
     /// Runs low-effort inference over `samples` — batched through
     /// [`PreparedModel::forward_batch`] on the worker pool — and caches
-    /// logits, normalized entropies and argmax predictions.
+    /// normalized entropies and argmax predictions.
     ///
     /// Prepares the model internally (weights materialized once for the
     /// whole build). Callers that already hold a prepared view should use
@@ -168,8 +67,8 @@ impl CascadeCache {
 
     /// [`CascadeCache::build`] on the packed int8 inference path: the
     /// low-effort model is [prepared as
-    /// int8](VisionTransformer::prepare_int8) and every cached logit row
-    /// comes from the integer GEMM. Entropies and predictions track the
+    /// int8](VisionTransformer::prepare_int8) and every observation comes
+    /// from the integer GEMM. Entropies and predictions track the
     /// fake-quant [`CascadeCache::build`] within the documented int8
     /// tolerance.
     pub fn build_int8(low: &VisionTransformer, samples: &[Sample], par: Parallelism) -> Self {
@@ -203,14 +102,9 @@ impl CascadeCache {
 
     /// [`CascadeCache::build`] against an already-prepared inference view.
     pub fn build_prepared(low: &PreparedModel, samples: &[Sample], par: Parallelism) -> Self {
-        let low_logits = batched_logits(low, samples, par);
-        let entropies = normalized_entropies(&low_logits);
-        let low_predictions = low_logits.iter().map(|l| l.row_argmax(0)).collect();
-        Self {
-            low_logits,
-            entropies,
-            low_predictions,
-        }
+        let level0 = observe_level(low, samples, |s| &s.image, par);
+        let entropies = level0.iter().map(|o| o.entropy).collect();
+        Self { level0, entropies }
     }
 
     /// Number of cached samples.
@@ -223,37 +117,6 @@ impl CascadeCache {
         self.entropies.is_empty()
     }
 
-    /// The cached low-effort logits, in sample order. Empty after
-    /// [`Self::compact`].
-    pub fn low_logits(&self) -> &[Matrix] {
-        &self.low_logits
-    }
-
-    /// Approximate heap bytes held by the cached logits — the part of the
-    /// cache that scales with `num_classes` per sample and dominates its
-    /// footprint. Entropies and predictions are a few bytes per sample.
-    pub fn logits_bytes(&self) -> usize {
-        self.low_logits
-            .iter()
-            .map(|m| m.len() * std::mem::size_of::<f32>())
-            .sum()
-    }
-
-    /// Drops the cached per-sample logit rows, keeping only the derived
-    /// entropies and argmax predictions.
-    ///
-    /// Every query the cascade engines use — [`Self::f_low_at`],
-    /// [`Self::escalated`], [`Self::threshold_reaching`],
-    /// [`Self::evaluate_guarded_prepared`] and friends — reads only the
-    /// derived values, so evaluation results are unchanged by compaction;
-    /// only [`Self::low_logits`] (empty afterwards) observes it. This is
-    /// the memory-bounding API for long-lived servers that build one cache
-    /// per calibration window: a compacted cache holds O(N) floats instead
-    /// of O(N x num_classes) logit rows.
-    pub fn compact(&mut self) {
-        self.low_logits = Vec::new();
-    }
-
     /// The cached normalized entropies, in sample order.
     pub fn entropies(&self) -> &[f32] {
         &self.entropies
@@ -261,7 +124,7 @@ impl CascadeCache {
 
     /// The cached low-effort argmax prediction of sample `i`.
     pub fn low_prediction(&self, i: usize) -> usize {
-        self.low_predictions[i]
+        self.level0[i].prediction as usize
     }
 
     /// Fraction of cached samples the low effort would classify at
@@ -296,24 +159,13 @@ impl CascadeCache {
 
     /// Phase 2's incremental threshold iteration on cached entropies: the
     /// smallest multiple of `step` (capped at 1.0) whose `F_L` reaches
-    /// `lec`. Because the top boundary is inclusive, `F_L(1.0) = 1.0` and
-    /// the iteration always terminates at or before 1.0.
-    ///
-    /// Every probe is clamped to at most 1.0 *inside* the loop: a step that
-    /// does not divide 1.0 (e.g. 0.03) accumulates to 0.99999994 rather
-    /// than 1.0 in `f32`, and probing that value would miss the inclusive
-    /// `Th = 1.0` gate — the final probe must be exactly `1.0` bitwise.
+    /// `lec` (see [`threshold_grid_walk`]).
     ///
     /// # Panics
     ///
     /// Panics if `step` is not strictly positive.
     pub fn threshold_reaching(&self, lec: f64, step: f32) -> f32 {
-        assert!(step > 0.0, "threshold step must be positive");
-        let mut threshold = step.min(1.0);
-        while self.f_low_at(threshold) < lec && threshold < 1.0 {
-            threshold = (threshold + step).min(1.0);
-        }
-        threshold
+        threshold_grid_walk(lec, step, |th| self.f_low_at(th))
     }
 
     /// Evaluates the cascade against ground-truth labels at `threshold`:
@@ -326,17 +178,6 @@ impl CascadeCache {
     ///
     /// Panics if `samples` is not the set the cache was built from (length
     /// check).
-    pub fn evaluate(
-        &self,
-        high: &VisionTransformer,
-        samples: &[Sample],
-        threshold: f32,
-        par: Parallelism,
-    ) -> CascadeStats {
-        self.evaluate_guarded(high, samples, threshold, par).0
-    }
-
-    /// [`Self::evaluate`] against an already-prepared high-effort view.
     pub fn evaluate_prepared(
         &self,
         high: &PreparedModel,
@@ -348,9 +189,8 @@ impl CascadeCache {
             .0
     }
 
-    /// [`Self::evaluate`] with fault accounting (DESIGN.md §5).
-    ///
-    /// Degradation contract:
+    /// [`Self::evaluate_prepared`] with the sweep's fault accounting
+    /// (DESIGN.md §5), in two-level terms:
     ///
     /// * A **low-effort fault** surfaces as a non-finite cached entropy;
     ///   [`stays_low`] escalates it at every threshold, so the high effort
@@ -361,28 +201,6 @@ impl CascadeCache {
     ///   `served_by: Some(0)`). The sample stays counted under `n_high` —
     ///   the high-effort cost was spent — with the fallback prediction's
     ///   correctness, so `n_high == c_high + i_high` still holds.
-    ///
-    /// For healthy models the report is empty and the statistics are
-    /// bit-identical to the unguarded history of this engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is not the set the cache was built from (length
-    /// check).
-    pub fn evaluate_guarded(
-        &self,
-        high: &VisionTransformer,
-        samples: &[Sample],
-        threshold: f32,
-        par: Parallelism,
-    ) -> (CascadeStats, DegradationReport) {
-        self.evaluate_guarded_prepared(&high.prepare(), samples, threshold, par)
-    }
-
-    /// [`Self::evaluate_guarded`] against an already-prepared high-effort
-    /// view — the form the cascade engines and Phase-2 sweeps use so the
-    /// high model's weights are materialized once per model instead of once
-    /// per evaluation call.
     ///
     /// # Panics
     ///
@@ -400,68 +218,20 @@ impl CascadeCache {
             self.len(),
             "cache built from a different sample set"
         );
-        let escalated = self.escalated(threshold);
-        let escalated_samples: Vec<&Sample> = escalated.iter().map(|&i| &samples[i]).collect();
-        let high_logits = batched_logits_with(high, &escalated_samples, |s| &s.image, par);
-        let high_finite: Vec<bool> = high_logits.iter().map(|l| l.is_all_finite()).collect();
-        let high_correct: Vec<bool> = escalated
-            .iter()
-            .zip(&high_logits)
-            .zip(&high_finite)
-            .map(|((&i, logits), &finite)| {
-                if finite {
-                    logits.row_argmax(0) == samples[i].label
-                } else {
-                    // Graceful degradation: serve the cached low-effort
-                    // prediction instead of garbage argmax over NaNs.
-                    self.low_predictions[i] == samples[i].label
-                }
-            })
-            .collect();
-
-        let mut stats = CascadeStats::default();
-        let mut report = DegradationReport::default();
-        let mut next_escalated = 0;
-        for (i, sample) in samples.iter().enumerate() {
-            if next_escalated < escalated.len() && escalated[next_escalated] == i {
-                if !self.entropies[i].is_finite() {
-                    report.events.push(DegradationEvent {
-                        sample: i,
-                        level: 0,
-                        served_by: None,
-                    });
-                }
-                if !high_finite[next_escalated] {
-                    report.events.push(DegradationEvent {
-                        sample: i,
-                        level: 1,
-                        served_by: Some(0),
-                    });
-                }
-                stats.n_high += 1;
-                if high_correct[next_escalated] {
-                    stats.c_high += 1;
-                } else {
-                    stats.i_high += 1;
-                }
-                next_escalated += 1;
-            } else {
-                stats.n_low += 1;
-                if self.low_predictions[i] == sample.label {
-                    stats.c_low += 1;
-                } else {
-                    stats.i_low += 1;
-                }
-            }
-        }
-        (stats, report)
+        // Level 0 is fully memoized, so the sweep only ever asks for the
+        // high effort's observations.
+        let (outcomes, report) =
+            LadderCache::prefilled(&self.level0).sweep(&[threshold], 1, |_, escalated| {
+                let reached: Vec<&Sample> = escalated.iter().map(|&i| &samples[i]).collect();
+                observe_level(high, &reached, |s| &s.image, par)
+            });
+        (CascadeStats::from_outcomes(&outcomes, samples), report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MultiEffortVit;
     use pivot_data::{Dataset, DatasetConfig};
     use pivot_nn::normalized_entropy;
     use pivot_tensor::Rng;
@@ -479,12 +249,11 @@ mod tests {
 
     #[test]
     fn cache_matches_direct_inference() {
-        let low = model(0, &[0]);
+        let low = model(0, &[0]).prepare();
         let set = samples(12, 1);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
+        let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
         for (i, s) in set.iter().enumerate() {
             let logits = low.infer(&s.image);
-            assert!(cache.low_logits()[i].approx_eq(&logits, 0.0));
             assert_eq!(
                 cache.entropies()[i].to_bits(),
                 normalized_entropy(&logits).to_bits()
@@ -494,32 +263,25 @@ mod tests {
     }
 
     #[test]
-    fn build_is_identical_across_parallelism() {
+    fn build_is_identical_across_parallelism_and_weight_store() {
         let low = model(2, &[0, 1]);
         let set = samples(14, 3);
         let seq = CascadeCache::build(&low, &set, Parallelism::Off);
-        for par in [
-            Parallelism::Auto,
-            Parallelism::Fixed(3),
-            Parallelism::Fixed(16),
-        ] {
-            let p = CascadeCache::build(&low, &set, par);
+        let store = PreparedStore::new();
+        let builds = [
+            CascadeCache::build(&low, &set, Parallelism::Auto),
+            CascadeCache::build(&low, &set, Parallelism::Fixed(3)),
+            CascadeCache::build(&low, &set, Parallelism::Fixed(16)),
+            CascadeCache::build_in(&low, &set, Parallelism::Off, &store),
+            // A second build through the store hits every layer.
+            CascadeCache::build_in(&low, &set, Parallelism::Fixed(2), &store),
+        ];
+        assert!(store.stats().hits > 0);
+        for p in &builds {
             for i in 0..seq.len() {
                 assert_eq!(seq.entropies()[i].to_bits(), p.entropies()[i].to_bits());
-                assert!(seq.low_logits()[i].approx_eq(&p.low_logits()[i], 0.0));
+                assert_eq!(seq.low_prediction(i), p.low_prediction(i));
             }
-        }
-    }
-
-    #[test]
-    fn f_low_agrees_with_multi_effort_vit() {
-        let low = model(4, &[0]);
-        let high = model(5, &[0, 1]);
-        let set = samples(20, 6);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        let cascade = MultiEffortVit::new(low, high, 0.5);
-        for th in [0.0, 0.3, 0.62, 0.97, 1.0] {
-            assert_eq!(cache.f_low_at(th), cascade.f_low_at(&set, th), "Th={th}");
         }
     }
 
@@ -576,111 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn prepared_build_and_evaluate_match_unprepared() {
-        let low = model(28, &[0]);
-        let high = model(29, &[0, 1]);
-        let set = samples(14, 30);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        let cache_p = CascadeCache::build_prepared(&low.prepare(), &set, Parallelism::Fixed(3));
-        for i in 0..cache.len() {
-            assert_eq!(
-                cache.entropies()[i].to_bits(),
-                cache_p.entropies()[i].to_bits()
-            );
-            assert_eq!(cache.low_logits()[i], cache_p.low_logits()[i]);
-        }
-        let high_p = high.prepare();
-        for th in [0.0, 0.5, 1.0] {
-            assert_eq!(
-                cache.evaluate(&high, &set, th, Parallelism::Off),
-                cache_p.evaluate_prepared(&high_p, &set, th, Parallelism::Fixed(3)),
-                "Th={th}"
-            );
-        }
-    }
-
-    #[test]
-    fn evaluate_matches_cascade_evaluate() {
+    fn evaluation_escalates_exactly_the_gated_samples() {
         let low = model(10, &[0]);
-        let high = model(11, &[0, 1]);
+        let high = model(11, &[0, 1]).prepare();
         let set = samples(16, 12);
         let cache = CascadeCache::build(&low, &set, Parallelism::Off);
         for th in [0.0, 0.4, 0.8, 1.0] {
-            let cascade = MultiEffortVit::new(low.clone(), high.clone(), th);
-            let direct = cascade.evaluate(&set);
-            let cached = cache.evaluate(&high, &set, th, Parallelism::Fixed(3));
-            assert_eq!(direct, cached, "Th={th}");
-        }
-    }
-
-    #[test]
-    fn guarded_evaluation_is_fault_free_on_healthy_models() {
-        let low = model(15, &[0]);
-        let high = model(16, &[0, 1]);
-        let set = samples(16, 17);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        for th in [0.0, 0.5, 1.0] {
-            let (stats, report) = cache.evaluate_guarded(&high, &set, th, Parallelism::Off);
+            let (stats, report) =
+                cache.evaluate_guarded_prepared(&high, &set, th, Parallelism::Fixed(3));
             assert!(report.is_empty(), "healthy models must not degrade");
-            assert_eq!(stats, cache.evaluate(&high, &set, th, Parallelism::Off));
+            assert_eq!(stats.n_high, cache.escalated(th).len(), "Th={th}");
+            assert_eq!(stats.f_low(), cache.f_low_at(th), "Th={th}");
+            assert_eq!(stats.n_low, stats.c_low + stats.i_low);
+            assert_eq!(stats.n_high, stats.c_high + stats.i_high);
         }
-    }
-
-    #[test]
-    fn faulted_high_effort_falls_back_to_cached_low_predictions() {
-        let low = model(18, &[0]);
-        let mut high = model(19, &[0, 1]);
-        crate::faults::FaultInjector::new(20).inject_params(
-            &mut high,
-            crate::faults::FaultKind::StuckNan,
-            10_000,
-        );
-        let set = samples(12, 21);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        // Th = 0 escalates everything into the faulted high effort.
-        let (stats, report) = cache.evaluate_guarded(&high, &set, 0.0, Parallelism::Off);
-        assert_eq!(stats.n_high, set.len());
-        assert_eq!(stats.n_high, stats.c_high + stats.i_high);
-        assert_eq!(report.fallbacks(), set.len(), "every sample must fall back");
-        assert_eq!(report.non_finite_at(1), set.len());
-        assert_eq!(report.non_finite_at(0), 0);
-        // The served accuracy is exactly the low effort's accuracy — the
-        // fallback predictions are the cached ones.
-        let low_correct = set
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| cache.low_prediction(*i) == s.label)
-            .count();
-        assert_eq!(stats.c_high, low_correct);
-        for e in &report.events {
-            assert_eq!(e.served_by, Some(0));
-        }
-    }
-
-    #[test]
-    fn faulted_low_effort_escalates_and_is_reported() {
-        let mut low = model(22, &[0]);
-        crate::faults::FaultInjector::new(23).inject_params(
-            &mut low,
-            crate::faults::FaultKind::StuckNan,
-            10_000,
-        );
-        let high = model(24, &[0, 1]);
-        let set = samples(10, 25);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        assert!(cache.entropies().iter().all(|e| !e.is_finite()));
-        // Even at the inclusive Th = 1.0 boundary, faulted samples escalate
-        // so the healthy high effort can serve them.
-        let (stats, report) = cache.evaluate_guarded(&high, &set, 1.0, Parallelism::Off);
-        assert_eq!(stats.n_high, set.len());
-        assert_eq!(report.non_finite_at(0), set.len());
-        assert_eq!(report.fallbacks(), 0, "escalation is the recovery");
-        // The healthy high effort serves its own (real) predictions.
-        let high_correct = set
-            .iter()
-            .filter(|s| high.infer(&s.image).row_argmax(0) == s.label)
-            .count();
-        assert_eq!(stats.c_high, high_correct);
     }
 
     #[test]
@@ -697,168 +368,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_sum_aggregate_reports() {
-        let mut a = DegradationReport {
-            events: vec![DegradationEvent {
-                sample: 0,
-                level: 0,
-                served_by: None,
-            }],
-        };
-        let b = DegradationReport {
-            events: vec![
-                DegradationEvent {
-                    sample: 1,
-                    level: 1,
-                    served_by: Some(0),
-                },
-                DegradationEvent {
-                    sample: 2,
-                    level: 1,
-                    served_by: Some(0),
-                },
-            ],
-        };
-        a.merge(b.clone());
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.escalations(), 1);
-        assert_eq!(a.fallbacks(), 2);
-        assert_eq!(a.non_finite_at(1), 2);
-        // Merging an empty report is a no-op; merging into an empty report
-        // reproduces the source.
-        let before = a.clone();
-        a.merge(DegradationReport::default());
-        assert_eq!(a, before);
-        let summed: DegradationReport =
-            vec![before.clone(), DegradationReport::default(), b.clone()]
-                .into_iter()
-                .sum();
-        assert_eq!(summed.len(), before.len() + b.len());
-        assert_eq!(summed.fallbacks(), before.fallbacks() + b.fallbacks());
-    }
-
-    #[test]
-    fn report_display_summarizes_counts() {
-        assert_eq!(
-            DegradationReport::default().to_string(),
-            "no degradation events"
-        );
-        let report = DegradationReport {
-            events: vec![
-                DegradationEvent {
-                    sample: 0,
-                    level: 0,
-                    served_by: None,
-                },
-                DegradationEvent {
-                    sample: 1,
-                    level: 1,
-                    served_by: Some(0),
-                },
-            ],
-        };
-        assert_eq!(
-            report.to_string(),
-            "2 degradation events (1 fault escalation, 1 fallback)"
-        );
-    }
-
-    #[test]
-    fn compacted_cache_evaluates_identically_with_bounded_memory() {
-        let low = model(40, &[0]);
-        let high = model(41, &[0, 1]);
-        let set = samples(16, 42);
-        let full = CascadeCache::build(&low, &set, Parallelism::Off);
-        let mut compacted = full.clone();
-        assert!(compacted.logits_bytes() > 0);
-        compacted.compact();
-        // The heavy per-sample logit rows are gone...
-        assert_eq!(compacted.logits_bytes(), 0);
-        assert!(compacted.low_logits().is_empty());
-        // ...and every cascade-facing query is unchanged.
-        assert_eq!(compacted.len(), full.len());
-        let high_p = high.prepare();
-        for th in [0.0, 0.4, 0.8, 1.0] {
-            assert_eq!(compacted.f_low_at(th), full.f_low_at(th));
-            assert_eq!(compacted.escalated(th), full.escalated(th));
-            let (stats, report) =
-                compacted.evaluate_guarded_prepared(&high_p, &set, th, Parallelism::Off);
-            let (full_stats, full_report) =
-                full.evaluate_guarded_prepared(&high_p, &set, th, Parallelism::Off);
-            assert_eq!(stats, full_stats, "Th={th}");
-            assert_eq!(report, full_report, "Th={th}");
-        }
-        assert_eq!(
-            compacted.threshold_reaching(0.5, 0.02),
-            full.threshold_reaching(0.5, 0.02)
-        );
-    }
-
-    #[test]
-    fn int8_guarded_prepared_degrades_on_faulted_high_effort() {
-        // Satellite contract: PR 3's guarded tests predate the packed-int8
-        // path. A stuck-NaN-faulted high effort prepared as Int8 must
-        // surface non-finite logits through the integer GEMM (poisoned
-        // weight columns) and fall back to the cached low predictions with
-        // full accounting, exactly like the f32 path.
-        let low = model(44, &[0]);
-        let mut high = model(45, &[0, 1]);
-        crate::faults::FaultInjector::new(46).inject_params(
-            &mut high,
-            crate::faults::FaultKind::StuckNan,
-            10_000,
-        );
-        let set = samples(12, 47);
-        let cache = CascadeCache::build_int8(&low, &set, Parallelism::Off);
-        let high_int8 = high.prepare_int8();
-        assert!(high_int8.is_int8());
-        // Th = 0 escalates everything into the faulted int8 high effort.
-        let (stats, report) =
-            cache.evaluate_guarded_prepared(&high_int8, &set, 0.0, Parallelism::Off);
-        assert_eq!(stats.n_high, set.len());
-        assert_eq!(stats.n_high, stats.c_high + stats.i_high);
-        assert_eq!(report.fallbacks(), set.len(), "every sample must fall back");
-        assert_eq!(report.non_finite_at(1), set.len());
-        assert_eq!(report.non_finite_at(0), 0);
-        // Served accuracy is exactly the int8 low effort's cached accuracy.
-        let low_correct = set
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| cache.low_prediction(*i) == s.label)
-            .count();
-        assert_eq!(stats.c_high, low_correct);
-    }
-
-    #[test]
-    fn int8_guarded_prepared_escalates_on_faulted_low_effort() {
-        // Int8 mirror of the faulted-low contract: NaN-poisoned low weights
-        // must produce non-finite cached entropies through the packed
-        // kernel, so every sample escalates to the healthy int8 high
-        // effort even at the inclusive Th = 1.0 boundary.
-        let mut low = model(48, &[0]);
-        crate::faults::FaultInjector::new(49).inject_params(
-            &mut low,
-            crate::faults::FaultKind::StuckNan,
-            10_000,
-        );
-        let high = model(50, &[0, 1]);
-        let set = samples(10, 51);
-        let cache = CascadeCache::build_int8(&low, &set, Parallelism::Off);
-        assert!(
-            cache.entropies().iter().all(|e| !e.is_finite()),
-            "int8 packing must not launder NaN weights to finite entropies"
-        );
-        let high_int8 = high.prepare_int8();
-        let (stats, report) =
-            cache.evaluate_guarded_prepared(&high_int8, &set, 1.0, Parallelism::Off);
-        assert_eq!(stats.n_high, set.len());
-        assert_eq!(report.non_finite_at(0), set.len());
-        assert_eq!(report.fallbacks(), 0, "escalation is the recovery");
-        let high_correct = set
-            .iter()
-            .filter(|s| high_int8.infer(&s.image).row_argmax(0) == s.label)
-            .count();
-        assert_eq!(stats.c_high, high_correct);
+    #[should_panic(expected = "different sample set")]
+    fn evaluation_rejects_a_different_sample_set() {
+        let low = model(30, &[0]);
+        let set = samples(8, 31);
+        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
+        cache.evaluate_prepared(&low.prepare(), &set[1..], 0.5, Parallelism::Off);
     }
 
     #[test]

@@ -1,46 +1,13 @@
-//! The entropy-gated multi-effort inference engine (paper Fig. 2a).
+//! The entropy-gated multi-effort inference engine (paper Fig. 2a): the
+//! two-level typed front-end of the guarded sweep ([`crate::guarded`]).
 
-use crate::batched::batched_logits_with;
 use crate::cache::CascadeCache;
-use crate::parallel::{par_map, Parallelism};
+use crate::guarded::{evaluate_guarded_slice, observe_level, DegradationReport, GuardedOutcome};
+use crate::multilevel::EffortLadder;
+use crate::parallel::Parallelism;
 use pivot_data::Sample;
-use pivot_nn::normalized_entropy;
 use pivot_tensor::Matrix;
-use pivot_vit::{PreparedModel, PreparedStore, StoreStats, VisionTransformer};
-
-/// The entropy gate of Fig. 2a: `true` when a sample with normalized
-/// entropy `entropy` stays at the low effort under threshold `threshold`.
-///
-/// The gate is the paper's strict `E(x) < Th` everywhere except the top
-/// boundary: at `Th = 1.0` it is inclusive, so `F_L = 1` holds even for
-/// exactly uniform logits whose normalized entropy is 1.0 (or a float ulp
-/// above). A **non-finite** entropy — the fault signature of corrupted
-/// low-effort logits (see [`pivot_nn::normalized_entropy`]) — never stays
-/// low, even at `Th = 1.0`: a faulted low effort must escalate so the high
-/// effort gets a chance to serve the sample. Every gating site —
-/// [`MultiEffortVit::infer`], [`MultiEffortVit::f_low_at`],
-/// [`CascadeCache`](crate::CascadeCache) and Phase 2's threshold iteration
-/// — uses this one function, so the boundary semantics cannot drift apart.
-pub fn stays_low(entropy: f32, threshold: f32) -> bool {
-    entropy.is_finite() && (entropy < threshold || threshold >= 1.0)
-}
-
-/// Outcome of one cascaded inference.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CascadeOutcome {
-    /// Predicted class.
-    pub prediction: usize,
-    /// Normalized entropy of the low-effort logits (paper Eq. 3).
-    pub entropy_low: f32,
-    /// Whether the high effort had to re-infer this input.
-    pub used_high: bool,
-    /// Whether the high effort produced non-finite logits and the cascade
-    /// fell back to the already-computed low-effort prediction (graceful
-    /// degradation; see DESIGN.md §5).
-    pub degraded: bool,
-    /// Logits of whichever effort produced the prediction.
-    pub logits: Matrix,
-}
+use pivot_vit::{PreparedModel, VisionTransformer};
 
 /// Aggregate statistics of a cascaded evaluation, in the paper's notation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -95,34 +62,37 @@ impl CascadeStats {
         }
     }
 
-    /// Accumulates one outcome in sample order (used by the evaluation
-    /// engine's deterministic reduction).
-    fn record(&mut self, used_high: bool, correct: bool) {
-        if used_high {
-            self.n_high += 1;
-            if correct {
-                self.c_high += 1;
-            } else {
-                self.i_high += 1;
-            }
-        } else {
-            self.n_low += 1;
-            if correct {
-                self.c_low += 1;
-            } else {
-                self.i_low += 1;
-            }
+    /// Folds the sweep's per-sample outcomes over their labels: level 0 is
+    /// "low", every level above is "high" (so an N-level ladder collapses
+    /// to the paper's two-level view), and a fault-fallback prediction
+    /// counts under the level whose cost was spent.
+    pub(crate) fn from_outcomes(outcomes: &[GuardedOutcome], samples: &[Sample]) -> Self {
+        let mut stats = Self::default();
+        for (o, s) in outcomes.iter().zip(samples) {
+            stats.record(o.level > 0, o.prediction == s.label);
         }
+        stats
+    }
+
+    fn record(&mut self, used_high: bool, correct: bool) {
+        let (n, c, i) = if used_high {
+            (&mut self.n_high, &mut self.c_high, &mut self.i_high)
+        } else {
+            (&mut self.n_low, &mut self.c_low, &mut self.i_low)
+        };
+        *n += 1;
+        *(if correct { c } else { i }) += 1;
     }
 }
 
 /// A two-effort ViT: all inputs run the low effort; those with logit
 /// entropy above the threshold re-run the high effort.
 ///
-/// Batch evaluations (`evaluate`, `evaluate_with_oracle`, `f_low_at`) run
-/// on a deterministic worker pool sized by the cascade's [`Parallelism`]
-/// (default [`Parallelism::Auto`]); results are bit-identical to
-/// sequential execution for every setting.
+/// This is the `N = 2` [`EffortLadder`] under the paper's names, plus the
+/// [`Parallelism`] its batch evaluations use (default
+/// [`Parallelism::Auto`]; results are bit-identical to sequential
+/// execution for every setting). Walking, gating and fault accounting are
+/// [`evaluate_guarded_slice`]'s.
 ///
 /// # Example
 ///
@@ -138,117 +108,54 @@ impl CascadeStats {
 /// let high = low.clone();
 /// let cascade = MultiEffortVit::new(low, high, 0.5);
 /// let out = cascade.infer(&Matrix::zeros(16, 16));
-/// assert!(out.prediction < 4);
+/// assert!(out.prediction < 4 && out.level <= 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiEffortVit {
-    low: VisionTransformer,
-    high: VisionTransformer,
-    low_prepared: PreparedModel,
-    high_prepared: PreparedModel,
-    threshold: f32,
+    ladder: EffortLadder,
     parallelism: Parallelism,
-    share_stats: StoreStats,
 }
 
 impl MultiEffortVit {
     /// Creates a cascade from a low- and a high-effort model and an entropy
-    /// threshold `Th`.
-    ///
-    /// Both efforts are [prepared](VisionTransformer::prepare) here, once,
-    /// through a shared content-addressed [`PreparedStore`]: every layer
-    /// whose weights and quantization parameters are identical between the
-    /// two efforts (all of them, when both derive from one backbone via
-    /// attention skipping) is materialized once and Arc-shared between the
-    /// frozen views (see [`Self::unique_weight_bytes`]). All inference —
-    /// [`Self::infer`] and every batch evaluation — runs against those
-    /// views. `MultiEffortVit` exposes no weight-mutating API, so the
-    /// shared views cannot go stale, and the deduplicated cascade is
-    /// bit-identical to preparing each effort independently.
+    /// threshold `Th` (see [`EffortLadder::new`]: both efforts are prepared
+    /// once through one shared weight store and only the frozen views are
+    /// kept).
     ///
     /// # Panics
     ///
     /// Panics if the threshold is not in `[0, 1]` or the models disagree on
     /// class count.
     pub fn new(low: VisionTransformer, high: VisionTransformer, threshold: f32) -> Self {
-        Self::with_kernel(low, high, threshold, false)
+        Self::over(EffortLadder::new(vec![low, high], vec![threshold]))
     }
 
-    /// [`Self::new`] on the packed int8 inference path: both efforts are
-    /// [prepared as int8](VisionTransformer::prepare_int8), so every batch
-    /// evaluation and single-image inference runs the integer GEMM at a
-    /// quarter of the weight memory traffic. The fake-quant [`Self::new`]
-    /// cascade stays the accuracy reference; predictions track it within
-    /// the documented int8 tolerance (argmax-identical away from
+    /// [`Self::new`] on the packed int8 inference path (see
+    /// [`EffortLadder::new_int8`]). The fake-quant [`Self::new`] cascade
+    /// stays the accuracy reference; predictions track it within the
+    /// documented int8 tolerance (argmax-identical away from
     /// quantization-noise ties — asserted over the full synthetic eval set
     /// by the `int8_speedup` experiment).
     pub fn new_int8(low: VisionTransformer, high: VisionTransformer, threshold: f32) -> Self {
-        Self::with_kernel(low, high, threshold, true)
+        Self::over(EffortLadder::new_int8(vec![low, high], vec![threshold]))
     }
 
-    fn with_kernel(
-        low: VisionTransformer,
-        high: VisionTransformer,
-        threshold: f32,
-        int8: bool,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0, 1]"
-        );
-        assert_eq!(
-            low.config().num_classes,
-            high.config().num_classes,
-            "efforts must share the class space"
-        );
-        let store = PreparedStore::new();
-        let (low_prepared, high_prepared) = if int8 {
-            (low.prepare_int8_in(&store), high.prepare_int8_in(&store))
-        } else {
-            (low.prepare_in(&store), high.prepare_in(&store))
-        };
-        let share_stats = store.stats();
+    fn over(ladder: EffortLadder) -> Self {
         Self {
-            low,
-            high,
-            low_prepared,
-            high_prepared,
-            threshold,
+            ladder,
             parallelism: Parallelism::Auto,
-            share_stats,
         }
     }
 
-    /// Hit/miss and byte accounting of the content-addressed weight store
-    /// both efforts were prepared through. Same-backbone efforts share
-    /// every layer: the low effort misses, the high effort hits.
-    pub fn share_stats(&self) -> StoreStats {
-        self.share_stats
-    }
-
-    /// Total prepared weight bytes of both efforts as if each held an
-    /// independent copy (the pre-sharing footprint).
-    pub fn weight_bytes(&self) -> usize {
-        self.low_prepared.weight_bytes() + self.high_prepared.weight_bytes()
-    }
-
-    /// Prepared weight bytes actually resident, counting every layer
-    /// Arc-shared between the two efforts once.
-    pub fn unique_weight_bytes(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        self.low_prepared.unique_weight_bytes_into(&mut seen)
-            + self.high_prepared.unique_weight_bytes_into(&mut seen)
-    }
-
-    /// Whether the cascade runs on the packed int8 kernel (built by
-    /// [`Self::new_int8`]).
-    pub fn is_int8(&self) -> bool {
-        self.low_prepared.is_int8() && self.high_prepared.is_int8()
+    /// The two-level ladder underneath: its prepared views, weight-sharing
+    /// statistics and resident-byte accounting.
+    pub fn ladder(&self) -> &EffortLadder {
+        &self.ladder
     }
 
     /// The entropy threshold `Th`.
     pub fn threshold(&self) -> f32 {
-        self.threshold
+        self.ladder.thresholds()[0]
     }
 
     /// Updates the entropy threshold.
@@ -257,11 +164,7 @@ impl MultiEffortVit {
     ///
     /// Panics if the threshold is not in `[0, 1]`.
     pub fn set_threshold(&mut self, threshold: f32) {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0, 1]"
-        );
-        self.threshold = threshold;
+        self.ladder.set_thresholds(vec![threshold]);
     }
 
     /// The parallelism used by batch evaluations.
@@ -269,86 +172,39 @@ impl MultiEffortVit {
         self.parallelism
     }
 
-    /// Sets the parallelism used by batch evaluations.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// Builder-style [`Self::set_parallelism`].
+    /// Builder-style parallelism override.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// The low-effort model.
-    pub fn low(&self) -> &VisionTransformer {
-        &self.low
-    }
-
-    /// The high-effort model.
-    pub fn high(&self) -> &VisionTransformer {
-        &self.high
-    }
-
     /// The frozen inference view of the low effort, prepared at
     /// construction.
     pub fn low_prepared(&self) -> &PreparedModel {
-        &self.low_prepared
+        &self.ladder.prepared_levels()[0]
     }
 
     /// The frozen inference view of the high effort, prepared at
     /// construction.
     pub fn high_prepared(&self) -> &PreparedModel {
-        &self.high_prepared
+        &self.ladder.prepared_levels()[1]
     }
 
-    /// Runs the input-difficulty-aware inference of Fig. 2a on one image.
-    ///
-    /// The cascade degrades gracefully: if the high-effort re-inference
-    /// yields non-finite logits (a faulted model), the already-computed
-    /// low-effort prediction is served instead and the outcome is marked
-    /// [`degraded`](CascadeOutcome::degraded). Healthy models never take
-    /// this path, so results are bit-identical to the pre-degradation
-    /// engine.
-    pub fn infer(&self, image: &Matrix) -> CascadeOutcome {
-        let logits_low = self.low_prepared.infer(image);
-        let entropy_low = normalized_entropy(&logits_low);
-        if stays_low(entropy_low, self.threshold) {
-            CascadeOutcome {
-                prediction: logits_low.row_argmax(0),
-                entropy_low,
-                used_high: false,
-                degraded: false,
-                logits: logits_low,
-            }
-        } else {
-            let logits_high = self.high_prepared.infer(image);
-            if logits_high.is_all_finite() {
-                CascadeOutcome {
-                    prediction: logits_high.row_argmax(0),
-                    entropy_low,
-                    used_high: true,
-                    degraded: false,
-                    logits: logits_high,
-                }
-            } else {
-                CascadeOutcome {
-                    prediction: logits_low.row_argmax(0),
-                    entropy_low,
-                    used_high: true,
-                    degraded: true,
-                    logits: logits_low,
-                }
-            }
-        }
+    /// Runs the input-difficulty-aware inference of Fig. 2a on one image:
+    /// the guarded sweep over a slice of one. `level` is 1 when the high
+    /// effort re-inferred the input, `low_entropy` is the gate's input, and
+    /// a faulted high effort degrades to the already-computed low-effort
+    /// prediction (`fault_fallback == Some(0)`; see DESIGN.md §5).
+    pub fn infer(&self, image: &Matrix) -> GuardedOutcome {
+        self.ladder.infer(image)
     }
 
-    /// Builds the entropy cache for `samples`: low-effort logits,
-    /// normalized entropies and predictions, computed once on the worker
-    /// pool. Threshold sweeps and repeated `F_L` queries should go
-    /// through the cache instead of re-running inference per threshold.
+    /// Builds the entropy cache for `samples`: low-effort entropies and
+    /// predictions, computed once on the worker pool. Threshold sweeps and
+    /// repeated `F_L` queries should go through the cache instead of
+    /// re-running inference per threshold.
     pub fn cache(&self, samples: &[Sample]) -> CascadeCache {
-        CascadeCache::build_prepared(&self.low_prepared, samples, self.parallelism)
+        CascadeCache::build_prepared(self.low_prepared(), samples, self.parallelism)
     }
 
     /// Evaluates the cascade on labeled samples, producing the paper's
@@ -358,108 +214,65 @@ impl MultiEffortVit {
         self.evaluate_with(samples, self.parallelism)
     }
 
-    /// [`Self::evaluate`] with an explicit parallelism.
-    ///
-    /// Runs the batched pipeline: one chunked
-    /// [`forward_batch`](VisionTransformer::forward_batch) sweep of the
-    /// low effort over all samples, then one batched high-effort sweep
-    /// over the escalated subset. Statistics are reduced in sample order,
-    /// and `forward_batch` matches per-sample inference bitwise, so the
-    /// result is bit-identical to [`Self::evaluate_per_sample_with`] for
-    /// every `par` and batch split.
+    /// [`Self::evaluate`] with an explicit parallelism: one chunked
+    /// `forward_batch` sweep of the low effort over all samples, then one
+    /// batched high-effort sweep over the escalated subset. Statistics are
+    /// reduced in sample order and `forward_batch` matches per-sample
+    /// inference bitwise, so the result is the same for every `par` and
+    /// batch split.
     pub fn evaluate_with(&self, samples: &[Sample], par: Parallelism) -> CascadeStats {
-        CascadeCache::build_prepared(&self.low_prepared, samples, par).evaluate_prepared(
-            &self.high_prepared,
-            samples,
-            self.threshold,
-            par,
-        )
+        self.evaluate_guarded_with(samples, par).0
     }
 
     /// [`Self::evaluate`] with fault accounting: returns the statistics
-    /// together with a [`DegradationReport`](crate::DegradationReport)
-    /// describing every sample that produced non-finite values and how it
-    /// was served. For healthy models the report is empty and the
-    /// statistics are bit-identical to [`Self::evaluate`].
-    pub fn evaluate_guarded(
-        &self,
-        samples: &[Sample],
-    ) -> (CascadeStats, crate::cache::DegradationReport) {
-        CascadeCache::build_prepared(&self.low_prepared, samples, self.parallelism)
-            .evaluate_guarded_prepared(
-                &self.high_prepared,
-                samples,
-                self.threshold,
-                self.parallelism,
-            )
+    /// together with a [`DegradationReport`] describing every sample that
+    /// produced non-finite values and how it was served. For healthy models
+    /// the report is empty.
+    pub fn evaluate_guarded(&self, samples: &[Sample]) -> (CascadeStats, DegradationReport) {
+        self.evaluate_guarded_with(samples, self.parallelism)
     }
 
-    /// The pre-batching reference path: one [`Self::infer`] per sample on
-    /// the worker pool, no wide GEMMs and no entropy cache.
-    ///
-    /// Kept as the differential-testing oracle for
-    /// [`Self::evaluate_with`] and as the baseline the
-    /// `parallel_speedup` experiment measures batching against.
-    pub fn evaluate_per_sample_with(&self, samples: &[Sample], par: Parallelism) -> CascadeStats {
-        let outcomes = par_map(samples, par, |_, sample| {
-            let outcome = self.infer(&sample.image);
-            (outcome.used_high, outcome.prediction == sample.label)
-        });
-        let mut stats = CascadeStats::default();
-        for (used_high, correct) in outcomes {
-            stats.record(used_high, correct);
-        }
-        stats
+    fn evaluate_guarded_with(
+        &self,
+        samples: &[Sample],
+        par: Parallelism,
+    ) -> (CascadeStats, DegradationReport) {
+        let images: Vec<&Matrix> = samples.iter().map(|s| &s.image).collect();
+        let (outcomes, report) = evaluate_guarded_slice(
+            self.ladder.prepared_levels(),
+            self.ladder.thresholds(),
+            1,
+            &images,
+            par,
+        );
+        (CascadeStats::from_outcomes(&outcomes, samples), report)
     }
 
     /// Ablation: routes by **ground-truth difficulty** instead of entropy —
     /// samples with `difficulty < difficulty_threshold` take the low
     /// effort. This is the oracle upper bound on input-aware gating; the
     /// synthetic dataset's difficulty labels make it measurable (ImageNet
-    /// has no such labels, so the paper cannot report this).
+    /// has no such labels, so the paper cannot report this). The difficulty
+    /// partition is known up front, so each side runs as one batched sweep.
     pub fn evaluate_with_oracle(
         &self,
         samples: &[Sample],
         difficulty_threshold: f32,
     ) -> CascadeStats {
-        self.evaluate_with_oracle_par(samples, difficulty_threshold, self.parallelism)
-    }
-
-    /// [`Self::evaluate_with_oracle`] with an explicit parallelism. The
-    /// difficulty partition is known up front, so each side runs as one
-    /// batched sweep; statistics are still reduced in sample order.
-    pub fn evaluate_with_oracle_par(
-        &self,
-        samples: &[Sample],
-        difficulty_threshold: f32,
-        par: Parallelism,
-    ) -> CascadeStats {
-        let mut easy_samples = Vec::new();
-        let mut hard_samples = Vec::new();
-        let mut is_easy = Vec::with_capacity(samples.len());
-        for sample in samples {
-            let easy = sample.difficulty < difficulty_threshold;
-            is_easy.push(easy);
-            if easy {
-                easy_samples.push(sample);
-            } else {
-                hard_samples.push(sample);
-            }
-        }
-        let easy_logits = batched_logits_with(&self.low_prepared, &easy_samples, |s| &s.image, par);
-        let hard_logits =
-            batched_logits_with(&self.high_prepared, &hard_samples, |s| &s.image, par);
+        let (easy, hard): (Vec<&Sample>, Vec<&Sample>) = samples
+            .iter()
+            .partition(|s| s.difficulty < difficulty_threshold);
         let mut stats = CascadeStats::default();
-        let (mut next_easy, mut next_hard) = (0, 0);
-        for (i, sample) in samples.iter().enumerate() {
-            let (logits, used_high) = if is_easy[i] {
-                next_easy += 1;
-                (&easy_logits[next_easy - 1], false)
-            } else {
-                next_hard += 1;
-                (&hard_logits[next_hard - 1], true)
-            };
-            stats.record(used_high, logits.row_argmax(0) == sample.label);
+        for (level, group) in [easy, hard].iter().enumerate() {
+            let observed = observe_level(
+                &self.ladder.prepared_levels()[level],
+                group,
+                |s| &s.image,
+                self.parallelism,
+            );
+            for (obs, sample) in observed.iter().zip(group) {
+                stats.record(level == 1, obs.prediction as usize == sample.label);
+            }
         }
         stats
     }
@@ -479,6 +292,7 @@ impl MultiEffortVit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_nn::normalized_entropy;
     use pivot_tensor::Rng;
     use pivot_vit::VitConfig;
 
@@ -548,7 +362,7 @@ mod tests {
 
         let cascade = MultiEffortVit::new(low, high, 1.0);
         let out = cascade.infer(&set[0].image);
-        assert!(!out.used_high, "uniform logits must stay low at Th = 1.0");
+        assert_eq!(out.level, 0, "uniform logits must stay low at Th = 1.0");
         let stats = cascade.evaluate(&set);
         assert_eq!(stats.n_high, 0);
         assert_eq!(stats.f_low(), 1.0);
@@ -557,28 +371,7 @@ mod tests {
         // Just below the boundary the same samples all escalate.
         let mut strict = cascade.clone();
         strict.set_threshold(0.999);
-        assert!(strict.infer(&set[0].image).used_high);
-    }
-
-    #[test]
-    fn gate_is_strict_below_the_boundary() {
-        assert!(stays_low(0.39, 0.4));
-        assert!(!stays_low(0.4, 0.4));
-        assert!(!stays_low(0.41, 0.4));
-        assert!(!stays_low(0.0, 0.0));
-        assert!(stays_low(1.0, 1.0));
-        assert!(stays_low(1.0 + f32::EPSILON, 1.0));
-    }
-
-    #[test]
-    fn non_finite_entropy_always_escalates() {
-        // A NaN entropy is the fault signature of corrupted low-effort
-        // logits; the gate must escalate it at every threshold, including
-        // the otherwise-inclusive Th = 1.0.
-        for th in [0.0, 0.5, 1.0] {
-            assert!(!stays_low(f32::NAN, th), "NaN stayed low at Th={th}");
-            assert!(!stays_low(f32::INFINITY, th), "inf stayed low at Th={th}");
-        }
+        assert_eq!(strict.infer(&set[0].image).level, 1);
     }
 
     #[test]
@@ -597,13 +390,12 @@ mod tests {
         let set = samples(10, 52);
         for s in &set {
             let out = degraded.infer(&s.image);
-            assert!(out.used_high, "Th=0 must escalate");
-            assert!(out.degraded, "NaN high logits must mark degradation");
+            assert_eq!(out.level, 1, "Th=0 must escalate");
+            assert_eq!(out.fault_fallback, Some(0), "NaN high logits degrade");
             // The served prediction is the low effort's, not garbage.
             assert_eq!(out.prediction, low.infer(&s.image).row_argmax(0));
-            assert!(out.logits.is_all_finite());
             // A healthy cascade on the same input does not degrade.
-            assert!(!healthy.infer(&s.image).degraded);
+            assert_eq!(healthy.infer(&s.image).fault_fallback, None);
         }
     }
 
@@ -646,18 +438,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_evaluate_matches_per_sample_reference() {
-        // The batched pipeline (wide GEMMs + entropy cache) must agree
-        // with the one-infer-per-sample reference exactly, for every
-        // threshold and parallelism.
+    fn batched_evaluate_matches_single_image_infer() {
+        // Batched vs single at the cascade level: one sweep over the whole
+        // set must agree with one sweep per image, for every threshold and
+        // parallelism.
         let (low, high) = models(40);
         let set = samples(26, 41);
         for th in [0.0, 0.5, 1.0] {
             let cascade = MultiEffortVit::new(low.clone(), high.clone(), th);
+            let singles: Vec<GuardedOutcome> =
+                set.iter().map(|s| cascade.infer(&s.image)).collect();
+            let reference = CascadeStats::from_outcomes(&singles, &set);
             for par in [Parallelism::Off, Parallelism::Fixed(3)] {
                 assert_eq!(
                     cascade.evaluate_with(&set, par),
-                    cascade.evaluate_per_sample_with(&set, par),
+                    reference,
                     "Th={th} under {par:?}"
                 );
             }
@@ -677,76 +472,26 @@ mod tests {
         ] {
             assert_eq!(seq, cascade.evaluate_with(&set, par), "under {par:?}");
         }
-        let oracle_seq = cascade.evaluate_with_oracle_par(&set, 0.5, Parallelism::Off);
+        let oracle = |par| {
+            cascade
+                .clone()
+                .with_parallelism(par)
+                .evaluate_with_oracle(&set, 0.5)
+        };
         for par in [Parallelism::Auto, Parallelism::Fixed(3)] {
             assert_eq!(
-                oracle_seq,
-                cascade.evaluate_with_oracle_par(&set, 0.5, par),
+                oracle(Parallelism::Off),
+                oracle(par),
                 "oracle under {par:?}"
             );
         }
     }
 
     #[test]
-    fn outcome_reports_matching_logits() {
-        let (low, high) = models(8);
-        let cascade = MultiEffortVit::new(low.clone(), high.clone(), 0.5);
-        let set = samples(10, 9);
-        for s in &set {
-            let out = cascade.infer(&s.image);
-            let expected = if out.used_high {
-                high.infer(&s.image)
-            } else {
-                low.infer(&s.image)
-            };
-            assert!(out.logits.approx_eq(&expected, 1e-6));
-            assert_eq!(out.prediction, expected.row_argmax(0));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be in")]
+    #[should_panic(expected = "out of [0, 1]")]
     fn invalid_threshold_panics() {
         let (low, high) = models(10);
         let _ = MultiEffortVit::new(low, high, 1.5);
-    }
-
-    #[test]
-    fn same_backbone_efforts_share_one_weight_copy() {
-        let cfg = VitConfig::test_small();
-        let base = VisionTransformer::new(&cfg, &mut Rng::new(60));
-        let mut low = base.clone();
-        low.set_active_attentions(&[0]);
-        let mut high = base.clone();
-        high.set_active_attentions(&[0, 1, 2, 3]);
-        let cascade = MultiEffortVit::new(low.clone(), high.clone(), 0.5);
-
-        // Attention skipping only flags modules inactive — the weights are
-        // identical — so the high effort hits the store on every layer.
-        let single = cascade.low_prepared().weight_bytes();
-        assert_eq!(cascade.weight_bytes(), 2 * single);
-        assert_eq!(cascade.unique_weight_bytes(), single);
-        let stats = cascade.share_stats();
-        assert_eq!(stats.hits, stats.misses);
-        assert_eq!(stats.unique_bytes, single);
-
-        // Sharing must not change inference: compare against efforts
-        // prepared independently of any store.
-        let set = samples(10, 61);
-        let (ind_low, ind_high) = (low.prepare(), high.prepare());
-        for s in &set {
-            let shared_out = cascade.infer(&s.image);
-            let e_low = normalized_entropy(&ind_low.infer(&s.image));
-            assert_eq!(shared_out.entropy_low.to_bits(), e_low.to_bits());
-            let expected = if shared_out.used_high {
-                ind_high.infer(&s.image)
-            } else {
-                ind_low.infer(&s.image)
-            };
-            for (a, b) in shared_out.logits.as_slice().iter().zip(expected.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -755,8 +500,9 @@ mod tests {
         // dedupe, and the accounting must say so.
         let (low, high) = models(62);
         let cascade = MultiEffortVit::new(low, high, 0.5);
-        assert_eq!(cascade.share_stats().hits, 0);
-        assert_eq!(cascade.unique_weight_bytes(), cascade.weight_bytes());
+        let ladder = cascade.ladder();
+        assert_eq!(ladder.share_stats().hits, 0);
+        assert_eq!(ladder.unique_weight_bytes(), ladder.weight_bytes());
     }
 
     #[test]
@@ -764,21 +510,21 @@ mod tests {
         let (low, high) = models(12);
         let reference = MultiEffortVit::new(low.clone(), high.clone(), 0.6);
         let int8 = MultiEffortVit::new_int8(low, high, 0.6);
-        assert!(int8.is_int8());
-        assert!(!reference.is_int8());
+        assert!(int8.ladder().is_int8());
+        assert!(!reference.ladder().is_int8());
         let set = samples(20, 13);
         let mut agree = 0;
         for s in &set {
             let r = reference.infer(&s.image);
             let q = int8.infer(&s.image);
-            assert!(q.entropy_low.is_finite());
+            assert!(q.low_entropy.is_finite());
             assert!(
-                (q.entropy_low - r.entropy_low).abs() < 0.05,
+                (q.low_entropy - r.low_entropy).abs() < 0.05,
                 "int8 entropy {} vs fake-quant {}",
-                q.entropy_low,
-                r.entropy_low
+                q.low_entropy,
+                r.low_entropy
             );
-            if q.prediction == r.prediction && q.used_high == r.used_high {
+            if q.prediction == r.prediction && q.level == r.level {
                 agree += 1;
             }
         }

@@ -401,13 +401,11 @@ mod tests {
         let mut m = model(42);
         m.set_quant_mode(pivot_nn::QuantMode::Int8);
         FaultInjector::new(43).inject_params(&mut m, FaultKind::StuckNan, 10_000);
-        let logits = m.infer(&Matrix::zeros(16, 16));
+        let prepared = m.prepare();
         assert!(
-            !logits.is_all_finite(),
+            !prepared.infer(&Matrix::zeros(16, 16)).is_all_finite(),
             "Int8 fake-quant must not launder stuck-NaN faults to finite logits"
         );
-        let prepared = m.prepare();
-        assert!(!prepared.infer(&Matrix::zeros(16, 16)).is_all_finite());
         assert!(
             prepared.total_weight_saturation() > 0,
             "NaN weights must register as saturation in the prepared params"
@@ -418,13 +416,18 @@ mod tests {
     fn saturation_counters_localize_int8_faults() {
         let mut m = model(6);
         m.set_quant_mode(pivot_nn::QuantMode::Int8);
-        assert_eq!(m.total_weight_saturation(), 0);
+        assert_eq!(m.prepare().total_weight_saturation(), 0);
         FaultInjector::new(8).inject_params(&mut m, FaultKind::StuckNan, 12);
-        let total = m.total_weight_saturation();
+        let prepared = m.prepare();
+        let total = prepared.total_weight_saturation();
         assert!(total > 0, "injected NaNs must register as saturation");
         assert!(total <= 12);
         // The per-layer report pins the damage to specific layers.
-        let layered: usize = m.quant_saturation_report().iter().map(|(_, n)| n).sum();
+        let layered: usize = prepared
+            .quant_saturation_report()
+            .iter()
+            .map(|(_, n)| n)
+            .sum();
         assert_eq!(layered, total);
     }
 
@@ -436,7 +439,7 @@ mod tests {
         FaultInjector::new(11).inject_params(&mut faulty, FaultKind::StuckNan, 10_000);
         let images: Vec<Matrix> = (0..8).map(|_| Matrix::zeros(16, 16)).collect();
 
-        let faulty_ref = &faulty;
+        let faulty_ref = &faulty.prepare();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par_map(&images, Parallelism::Fixed(4), |_, img| {
                 let logits = faulty_ref.infer(img);
@@ -450,7 +453,7 @@ mod tests {
 
         // The pool is still alive: a healthy workload completes and matches
         // the sequential reference.
-        let healthy = model(10);
+        let healthy = model(10).prepare();
         let healthy_ref = &healthy;
         let par = par_map(&images, Parallelism::Fixed(4), |_, img| {
             healthy_ref.infer(img).row_argmax(0)

@@ -1,44 +1,190 @@
-//! Guarded prepared evaluation over a slice of raw images — the
-//! per-request form of the cascade that online consumers (the `pivot-serve`
-//! engine) build on.
+//! The guarded sweep: the one place that walks effort levels, applies the
+//! entropy gate and does the fault accounting of DESIGN.md §5.
 //!
-//! [`CascadeCache::evaluate_guarded_prepared`](crate::CascadeCache::evaluate_guarded_prepared)
-//! answers the *offline* question: given a calibration set with labels and
-//! a pre-built entropy cache, what are the cascade's aggregate statistics?
-//! A server answers a different question per batch: given a transient slice
-//! of unlabeled images that will never be seen again, what does the cascade
-//! *predict* for each — under an effort cap the overload controller may
-//! have imposed — and which predictions were degraded by faults?
+//! PIVOT is one mechanism — run the low effort, gate on normalized entropy,
+//! re-infer at a higher effort (paper Fig. 2a). Every front-end in this
+//! crate is that mechanism with a different memo:
 //!
-//! [`evaluate_guarded_slice`] is that primitive. It reuses the exact
-//! machinery of the offline path — [`batched_logits_with`] chunked GEMMs on
-//! the worker pool, the [`stays_low`] gate, non-finite-aware fallback — so
-//! on healthy models its per-sample predictions and entropies are
-//! **bit-identical** to what the offline cache-based evaluation computes
-//! for the same images, for every batch split and [`Parallelism`].
+//! * [`evaluate_guarded_slice`] — an empty memo over a transient slice of
+//!   unlabeled images (what the `pivot-serve` engine runs per batch);
+//! * [`CascadeCache`](crate::CascadeCache) — a two-level memo pre-filled at
+//!   level 0, so a threshold sweep re-runs no low-effort inference;
+//! * [`LadderCache`] — the memo itself, kept by the caller and filled lazily
+//!   at every level across evaluations;
+//! * [`MultiEffortVit`](crate::MultiEffortVit) (N = 2) and
+//!   [`EffortLadder`](crate::EffortLadder) — typed holders of the prepared
+//!   levels whose statistics are folds over [`GuardedOutcome`] + labels.
+//!
+//! A memo holds only level observations — entropy, argmax and a finiteness
+//! flag, 12 bytes — never logit rows. Inference goes through
+//! [`batched_logits_with`] chunked GEMMs on the worker pool, whose rows are
+//! bit-identical to per-sample inference, so outcomes do not depend on the
+//! batch split, the [`Parallelism`] or what the memo already held.
 //!
 //! ## Gate and degradation contract
 //!
 //! Levels are ordered low → high effort, with `levels - 1` thresholds.
 //! A sample ascends while `!stays_low(entropy, threshold[level])` and the
 //! level is below `max_level` (the effort cap); the cap level accepts
-//! everything. With two levels and `max_level = 1` the routing is exactly
-//! the paper cascade's. Faults follow DESIGN.md §5, per sample:
+//! everything, whatever the gate says. With two levels and `max_level = 1`
+//! the routing is exactly the paper cascade's. Faults, per sample:
 //!
 //! * a non-finite entropy at a gate level never stays low, so a faulted
 //!   level auto-escalates (event with `served_by: None`);
 //! * non-finite logits at the *exit* level are served by the deepest
 //!   earlier visited level with finite logits (event with `served_by:
-//!   Some(level)`); if every visited level is faulty the exit level's own
-//!   argmax stands (event with `served_by: None`).
+//!   Some(level)`), while the sample stays attributed to the exit level —
+//!   its cost was spent; if every visited level is faulty the exit level's
+//!   own argmax stands (event with `served_by: None`).
 
 use crate::batched::batched_logits_with;
-use crate::cache::{DegradationEvent, DegradationReport};
-use crate::cascade::stays_low;
 use crate::parallel::Parallelism;
 use pivot_nn::normalized_entropy;
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
+
+/// The entropy gate of Fig. 2a: `true` when a sample with normalized
+/// entropy `entropy` stays at the low effort under threshold `threshold`.
+///
+/// The gate is the paper's strict `E(x) < Th` everywhere except the top
+/// boundary: at `Th = 1.0` it is inclusive, so `F_L = 1` holds even for
+/// exactly uniform logits whose normalized entropy is 1.0 (or a float ulp
+/// above). A **non-finite** entropy — the fault signature of corrupted
+/// logits (see [`pivot_nn::normalized_entropy`]) — never stays low, even at
+/// `Th = 1.0`: a faulted level must escalate so a higher effort gets a
+/// chance to serve the sample. This is the only gate comparison in the
+/// workspace: the sweep, [`CascadeCache`](crate::CascadeCache)'s `F_L`
+/// queries and the serving threshold controller all call it, so the
+/// boundary semantics cannot drift apart.
+pub fn stays_low(entropy: f32, threshold: f32) -> bool {
+    entropy.is_finite() && (entropy < threshold || threshold >= 1.0)
+}
+
+/// The smallest threshold on the grid `step, 2·step, …` (capped at 1.0)
+/// whose low-effort fraction `f_low(threshold)` reaches `lec` — Phase 2's
+/// incremental threshold iteration, shared by the offline
+/// [`CascadeCache::threshold_reaching`](crate::CascadeCache::threshold_reaching)
+/// and the online threshold controller so a stationary stream converges to
+/// the offline `Th` bitwise. Because [`stays_low`] is inclusive at the top,
+/// `f_low(1.0) = 1.0` for any non-faulted set and the walk ends at or
+/// before 1.0.
+///
+/// Every probe is clamped to at most 1.0 *inside* the loop: a step that
+/// does not divide 1.0 (e.g. 0.03) accumulates to 0.99999994 rather than
+/// 1.0 in `f32`, and probing that value would miss the inclusive `Th = 1.0`
+/// gate — the final probe must be exactly `1.0` bitwise.
+///
+/// # Panics
+///
+/// Panics if `step` is not strictly positive.
+pub fn threshold_grid_walk(lec: f64, step: f32, f_low: impl Fn(f32) -> f64) -> f32 {
+    assert!(step > 0.0, "threshold step must be positive");
+    let mut threshold = step.min(1.0);
+    while f_low(threshold) < lec && threshold < 1.0 {
+        threshold = (threshold + step).min(1.0);
+    }
+    threshold
+}
+
+/// One sample that produced non-finite values during a guarded evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DegradationEvent {
+    /// Index of the affected sample, in evaluation order.
+    pub sample: usize,
+    /// Effort level whose logits were non-finite (0 = low, 1 = high for
+    /// the two-level cascade).
+    pub level: usize,
+    /// The effort level whose prediction was served instead, or `None`
+    /// when no fallback prediction was substituted — either the faulty
+    /// level was not the serving one (a faulted low effort whose sample
+    /// escalated to a healthy high effort), or every visited level was
+    /// faulty and the exit level's own prediction stood.
+    pub served_by: Option<usize>,
+}
+
+/// Fault accounting for one guarded evaluation: which samples hit
+/// non-finite values, at which effort level, and who served them instead.
+///
+/// An empty report means the evaluation was fault-free (DESIGN.md §5).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DegradationReport {
+    /// Every degradation event, in sample order.
+    pub events: Vec<DegradationEvent>,
+}
+
+impl DegradationReport {
+    /// Whether the evaluation was completely fault-free.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Total number of degradation events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Number of samples served by a fallback prediction (the faulty level
+    /// was the serving one and an earlier level's prediction stood in).
+    pub fn fallbacks(&self) -> usize {
+        self.events.iter().filter(|e| e.served_by.is_some()).count()
+    }
+
+    /// Number of events whose non-finite logits came from `level`.
+    pub fn non_finite_at(&self, level: usize) -> usize {
+        self.events.iter().filter(|e| e.level == level).count()
+    }
+
+    /// Number of events without a substituted prediction: fault escalations
+    /// below the exit level, plus exits where every visited level was
+    /// faulty.
+    pub fn escalations(&self) -> usize {
+        self.events.iter().filter(|e| e.served_by.is_none()).count()
+    }
+
+    /// Appends every event of `other`, preserving `other`'s internal
+    /// order after the events already present.
+    ///
+    /// This is the aggregation primitive for long-lived consumers (the
+    /// serving engine's health counters, multi-evaluation sweeps): each
+    /// per-request/per-batch report merges into one running report whose
+    /// counters ([`Self::fallbacks`], [`Self::non_finite_at`], ...) then
+    /// describe the whole history. Sample indices stay *local* to the
+    /// evaluation that produced them — a merged report counts events, it
+    /// does not re-index samples across evaluations.
+    pub fn merge(&mut self, other: DegradationReport) {
+        self.events.extend(other.events);
+    }
+}
+
+impl std::iter::Sum for DegradationReport {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        let mut total = DegradationReport::default();
+        for report in iter {
+            total.merge(report);
+        }
+        total
+    }
+}
+
+impl std::fmt::Display for DegradationReport {
+    /// One-line health summary, e.g.
+    /// `3 degradation events (1 fault escalation, 2 fallbacks)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.is_empty() {
+            return write!(f, "no degradation events");
+        }
+        write!(
+            f,
+            "{} degradation event{} ({} fault escalation{}, {} fallback{})",
+            self.len(),
+            if self.len() == 1 { "" } else { "s" },
+            self.escalations(),
+            if self.escalations() == 1 { "" } else { "s" },
+            self.fallbacks(),
+            if self.fallbacks() == 1 { "" } else { "s" },
+        )
+    }
+}
 
 /// What one sample's guarded cascade walk produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,12 +216,211 @@ pub struct GuardedOutcome {
     pub fault_fallback: Option<usize>,
 }
 
-/// Per-level observation retained while a sample ascends.
-#[derive(Debug, Clone, Copy)]
-struct LevelObs {
-    entropy: f32,
-    prediction: usize,
-    finite: bool,
+/// What the sweep keeps of one forward pass: one sample at one level.
+/// `Option<LevelObs>` is 12 bytes (the `bool` carries the niche).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LevelObs {
+    pub(crate) entropy: f32,
+    pub(crate) prediction: u32,
+    pub(crate) finite: bool,
+}
+
+/// Observes `model` over the images of `items`: one chunked batched sweep
+/// on the worker pool, reduced to one [`LevelObs`] per item.
+pub(crate) fn observe_level<T: Sync>(
+    model: &PreparedModel,
+    items: &[T],
+    image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
+    par: Parallelism,
+) -> Vec<LevelObs> {
+    batched_logits_with(model, items, image, par)
+        .iter()
+        .map(|logits| LevelObs {
+            entropy: normalized_entropy(logits),
+            prediction: logits.row_argmax(0) as u32,
+            finite: logits.is_all_finite(),
+        })
+        .collect()
+}
+
+/// The sweep's memo: one level observation per (level, sample), filled as
+/// samples escalate and never changed afterwards.
+///
+/// Kept across evaluations it is the N-level extension of
+/// [`CascadeCache`](crate::CascadeCache): a threshold sweep over a ladder
+/// re-runs no inference for levels a sample already visited — only samples
+/// newly escalated past a gate infer at the next level up. The memo is
+/// keyed by `(level, sample index)`; callers must pass the same sample
+/// slice it was sized for (checked by length). It only decides *what is
+/// re-run*, never the results: cold, warm and pre-filled memos yield
+/// identical outcomes. A memo over `n` samples and `L` levels holds at most
+/// `n·L` 12-byte observations.
+#[derive(Debug, Clone)]
+pub struct LadderCache {
+    obs: Vec<Vec<Option<LevelObs>>>,
+}
+
+impl LadderCache {
+    /// Creates an empty memo for `levels` ladder levels and `n_samples`
+    /// samples.
+    pub fn new(levels: usize, n_samples: usize) -> Self {
+        Self {
+            obs: vec![vec![None; n_samples]; levels],
+        }
+    }
+
+    /// A two-level memo whose level 0 is already observed.
+    pub(crate) fn prefilled(level0: &[LevelObs]) -> Self {
+        Self {
+            obs: vec![
+                level0.iter().copied().map(Some).collect(),
+                vec![None; level0.len()],
+            ],
+        }
+    }
+
+    /// Number of ladder levels the memo is sized for.
+    pub fn depth(&self) -> usize {
+        self.obs.len()
+    }
+
+    /// Number of samples the memo is sized for.
+    pub fn len(&self) -> usize {
+        self.obs.first().map_or(0, Vec::len)
+    }
+
+    /// Whether the memo is sized for zero samples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// How many samples have memoized inference at `level`.
+    pub fn cached_count(&self, level: usize) -> usize {
+        self.obs[level].iter().filter(|e| e.is_some()).count()
+    }
+
+    /// The memoized normalized entropy of sample `i` at `level`, if that
+    /// level was ever reached by that sample.
+    pub fn entropy(&self, level: usize, i: usize) -> Option<f32> {
+        self.obs[level][i].map(|o| o.entropy)
+    }
+
+    /// Walks every sample up the ladder under `thresholds`, capping ascent
+    /// at `max_level`, and accounts for faults (module docs). `observe`
+    /// is asked for the observations of `(level, sample indices)` the memo
+    /// lacks — one call per level, only when some are missing — so each
+    /// level's inference is one batched sweep over exactly the samples that
+    /// reach it for the first time.
+    ///
+    /// This is the only function that constructs a [`DegradationEvent`].
+    pub(crate) fn sweep(
+        &mut self,
+        thresholds: &[f32],
+        max_level: usize,
+        mut observe: impl FnMut(usize, &[usize]) -> Vec<LevelObs>,
+    ) -> (Vec<GuardedOutcome>, DegradationReport) {
+        let depth = self.depth();
+        assert!(depth > 0, "need at least one effort level");
+        assert_eq!(
+            thresholds.len(),
+            depth - 1,
+            "need one threshold per gate (levels - 1)"
+        );
+        assert!(max_level < depth, "effort cap beyond ladder top");
+
+        let n = self.len();
+        let mut exit = vec![0usize; n];
+        let mut active: Vec<usize> = (0..n).collect();
+        for (level, row) in self.obs.iter_mut().enumerate().take(max_level + 1) {
+            if active.is_empty() {
+                break;
+            }
+            let missing: Vec<usize> = active
+                .iter()
+                .copied()
+                .filter(|&i| row[i].is_none())
+                .collect();
+            if !missing.is_empty() {
+                for (&i, obs) in missing.iter().zip(observe(level, &missing)) {
+                    row[i] = Some(obs);
+                }
+            }
+            active.retain(|&i| {
+                let obs = row[i].expect("observed above");
+                let exits = level == max_level || stays_low(obs.entropy, thresholds[level]);
+                if exits {
+                    exit[i] = level;
+                }
+                !exits
+            });
+        }
+
+        let visited = |level: usize, i: usize| self.obs[level][i].expect("visited by the walk");
+        let mut outcomes = Vec::with_capacity(n);
+        let mut report = DegradationReport::default();
+        for (i, &exit_level) in exit.iter().enumerate() {
+            let mut fault = |level, served_by| {
+                report.events.push(DegradationEvent {
+                    sample: i,
+                    level,
+                    served_by,
+                });
+            };
+            for level in 0..exit_level {
+                if !visited(level, i).entropy.is_finite() {
+                    fault(level, None);
+                }
+            }
+            let top = visited(exit_level, i);
+            let mut fault_fallback = None;
+            let mut prediction = top.prediction;
+            if !top.finite {
+                fault_fallback = (0..exit_level).rev().find(|&l| visited(l, i).finite);
+                fault(exit_level, fault_fallback);
+                if let Some(l) = fault_fallback {
+                    prediction = visited(l, i).prediction;
+                }
+            }
+            outcomes.push(GuardedOutcome {
+                prediction: prediction as usize,
+                level: exit_level,
+                entropy: top.entropy,
+                low_entropy: visited(0, i).entropy,
+                capped: exit_level == max_level
+                    && max_level < depth - 1
+                    && !stays_low(top.entropy, thresholds[max_level]),
+                exit_finite: top.finite,
+                fault_fallback,
+            });
+        }
+        (outcomes, report)
+    }
+
+    /// [`Self::sweep`] observing missing entries by running `levels` over
+    /// `images` — the form every front-end that holds its models uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the level or image counts do not match the memo's.
+    pub(crate) fn sweep_models(
+        &mut self,
+        levels: &[PreparedModel],
+        thresholds: &[f32],
+        max_level: usize,
+        images: &[&Matrix],
+        par: Parallelism,
+    ) -> (Vec<GuardedOutcome>, DegradationReport) {
+        assert_eq!(levels.len(), self.depth(), "level count mismatch");
+        assert_eq!(
+            images.len(),
+            self.len(),
+            "cache sized for a different sample set"
+        );
+        self.sweep(thresholds, max_level, |level, missing| {
+            let reached: Vec<&Matrix> = missing.iter().map(|&i| images[i]).collect();
+            observe_level(&levels[level], &reached, |m| *m, par)
+        })
+    }
 }
 
 /// Runs the guarded cascade over a slice of images against prepared
@@ -105,86 +450,8 @@ pub fn evaluate_guarded_slice(
     images: &[&Matrix],
     par: Parallelism,
 ) -> (Vec<GuardedOutcome>, DegradationReport) {
-    assert!(!levels.is_empty(), "need at least one effort level");
-    assert_eq!(
-        thresholds.len(),
-        levels.len() - 1,
-        "need one threshold per gate (levels - 1)"
-    );
-    assert!(max_level < levels.len(), "effort cap beyond ladder top");
-
-    let n = images.len();
-    let mut visited: Vec<Vec<LevelObs>> = vec![Vec::new(); n];
-    let mut exit = vec![0usize; n];
-    let mut active: Vec<usize> = (0..n).collect();
-    for (level, model) in levels.iter().enumerate().take(max_level + 1) {
-        if active.is_empty() {
-            break;
-        }
-        let level_images: Vec<&Matrix> = active.iter().map(|&i| images[i]).collect();
-        let logits = batched_logits_with(model, &level_images, |m| *m, par);
-        for (&i, logits) in active.iter().zip(&logits) {
-            visited[i].push(LevelObs {
-                entropy: normalized_entropy(logits),
-                prediction: logits.row_argmax(0),
-                finite: logits.is_all_finite(),
-            });
-        }
-        let is_cap = level == max_level;
-        active.retain(|&i| {
-            let obs = visited[i].last().expect("pushed above");
-            if is_cap || stays_low(obs.entropy, thresholds[level]) {
-                exit[i] = level;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    let mut outcomes = Vec::with_capacity(n);
-    let mut report = DegradationReport::default();
-    for (i, walk) in visited.iter().enumerate() {
-        let exit_level = exit[i];
-        for (level, obs) in walk.iter().enumerate().take(exit_level) {
-            if !obs.entropy.is_finite() {
-                report.events.push(DegradationEvent {
-                    sample: i,
-                    level,
-                    served_by: None,
-                });
-            }
-        }
-        let top = walk[exit_level];
-        let mut fault_fallback = None;
-        let prediction = if top.finite {
-            top.prediction
-        } else {
-            fault_fallback = (0..exit_level).rev().find(|&l| walk[l].finite);
-            report.events.push(DegradationEvent {
-                sample: i,
-                level: exit_level,
-                served_by: fault_fallback,
-            });
-            match fault_fallback {
-                Some(l) => walk[l].prediction,
-                None => top.prediction,
-            }
-        };
-        let capped = exit_level == max_level
-            && max_level < levels.len() - 1
-            && !stays_low(top.entropy, thresholds[max_level]);
-        outcomes.push(GuardedOutcome {
-            prediction,
-            level: exit_level,
-            entropy: top.entropy,
-            low_entropy: walk[0].entropy,
-            capped,
-            exit_finite: top.finite,
-            fault_fallback,
-        });
-    }
-    (outcomes, report)
+    LadderCache::new(levels.len(), images.len())
+        .sweep_models(levels, thresholds, max_level, images, par)
 }
 
 #[cfg(test)]
@@ -196,6 +463,7 @@ mod tests {
     use pivot_data::{Dataset, DatasetConfig, Sample};
     use pivot_tensor::Rng;
     use pivot_vit::{VisionTransformer, VitConfig};
+    use proptest::prelude::*;
 
     fn model(seed: u64, active: &[usize]) -> VisionTransformer {
         let mut m = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(seed));
@@ -211,58 +479,247 @@ mod tests {
         set.iter().map(|s| &s.image).collect()
     }
 
-    /// Folds slice outcomes into offline-style [`CascadeStats`] using the
-    /// ground-truth labels (level 0 = low, everything above = high).
-    fn to_cascade_stats(outcomes: &[GuardedOutcome], set: &[Sample]) -> CascadeStats {
-        let mut stats = CascadeStats::default();
-        for (o, s) in outcomes.iter().zip(set) {
-            let correct = o.prediction == s.label;
-            if o.level == 0 {
-                stats.n_low += 1;
-                stats.c_low += correct as usize;
-                stats.i_low += !correct as usize;
-            } else {
-                stats.n_high += 1;
-                stats.c_high += correct as usize;
-                stats.i_high += !correct as usize;
-            }
-        }
-        stats
+    #[test]
+    fn gate_is_strict_below_the_boundary() {
+        assert!(stays_low(0.39, 0.4));
+        assert!(!stays_low(0.4, 0.4));
+        assert!(!stays_low(0.41, 0.4));
+        assert!(!stays_low(0.0, 0.0));
+        assert!(stays_low(1.0, 1.0));
+        assert!(stays_low(1.0 + f32::EPSILON, 1.0));
     }
 
     #[test]
-    fn healthy_two_level_slice_is_bit_identical_to_offline_cache_path() {
-        let low = model(0, &[0]);
-        let high = model(1, &[0, 1]);
-        let set = samples(18, 2);
-        let (low_p, high_p) = (low.prepare(), high.prepare());
-        let cache = CascadeCache::build_prepared(&low_p, &set, Parallelism::Off);
-        for th in [0.0, 0.35, 0.7, 1.0] {
-            let (outcomes, report) = evaluate_guarded_slice(
-                &[low_p.clone(), high_p.clone()],
-                &[th],
-                1,
-                &images(&set),
-                Parallelism::Off,
-            );
-            assert!(report.is_empty(), "healthy models must not degrade");
-            let (offline_stats, offline_report) =
-                cache.evaluate_guarded_prepared(&high_p, &set, th, Parallelism::Off);
-            assert!(offline_report.is_empty());
-            assert_eq!(to_cascade_stats(&outcomes, &set), offline_stats, "Th={th}");
-            // Per-sample routing and low-level entropies agree bitwise
-            // with the offline cache.
-            for (i, o) in outcomes.iter().enumerate() {
-                let escalated = !crate::cascade::stays_low(cache.entropies()[i], th);
-                assert_eq!(o.level, escalated as usize, "sample {i} Th={th}");
-                assert!(!o.capped);
-                assert!(o.exit_finite);
-                if o.level == 0 {
-                    assert_eq!(o.entropy.to_bits(), cache.entropies()[i].to_bits());
-                    assert_eq!(o.prediction, cache.low_prediction(i));
+    fn non_finite_entropy_always_escalates() {
+        // A NaN entropy is the fault signature of corrupted low-effort
+        // logits; the gate must escalate it at every threshold, including
+        // the otherwise-inclusive Th = 1.0.
+        for th in [0.0, 0.5, 1.0] {
+            assert!(!stays_low(f32::NAN, th), "NaN stayed low at Th={th}");
+            assert!(!stays_low(f32::INFINITY, th), "inf stayed low at Th={th}");
+        }
+    }
+
+    /// The single reference the sweep is checked against: one sample's walk
+    /// up a table of per-level observations, written as the contract reads
+    /// (module docs) with its own gate comparison.
+    fn reference_walk(
+        table: &[Vec<LevelObs>],
+        i: usize,
+        ths: &[f32],
+        cap: usize,
+    ) -> (GuardedOutcome, Vec<DegradationEvent>) {
+        let gate = |l: usize| {
+            let e = table[l][i].entropy;
+            e.is_finite() && (e < ths[l] || ths[l] >= 1.0)
+        };
+        let mut exit = 0;
+        while exit < cap && !gate(exit) {
+            exit += 1;
+        }
+        let mut events: Vec<DegradationEvent> = (0..exit)
+            .filter(|&l| !table[l][i].entropy.is_finite())
+            .map(|level| DegradationEvent {
+                sample: i,
+                level,
+                served_by: None,
+            })
+            .collect();
+        let top = table[exit][i];
+        let fallback = (0..exit).rev().find(|&l| table[l][i].finite);
+        if !top.finite {
+            events.push(DegradationEvent {
+                sample: i,
+                level: exit,
+                served_by: fallback,
+            });
+        }
+        let served = if top.finite {
+            exit
+        } else {
+            fallback.unwrap_or(exit)
+        };
+        let outcome = GuardedOutcome {
+            prediction: table[served][i].prediction as usize,
+            level: exit,
+            entropy: top.entropy,
+            low_entropy: table[0][i].entropy,
+            capped: exit == cap && cap < ths.len() && !gate(cap),
+            exit_finite: top.finite,
+            fault_fallback: if top.finite { None } else { fallback },
+        };
+        (outcome, events)
+    }
+
+    /// Bitwise outcome equality (`PartialEq` would reject NaN == NaN).
+    fn same(a: &GuardedOutcome, b: &GuardedOutcome) -> bool {
+        let key = |o: &GuardedOutcome| {
+            (
+                o.prediction,
+                o.level,
+                o.entropy.to_bits(),
+                o.low_entropy.to_bits(),
+                o.capped,
+                o.exit_finite,
+                o.fault_fallback,
+            )
+        };
+        key(a) == key(b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sweep against the per-sample reference walk, over ladder
+        /// depths, non-decreasing thresholds that hit 0.0 and 1.0, every
+        /// cap, NaN and all-`-inf` fault patterns at any level, and a random
+        /// memo prefill — which must change what is observed, never the
+        /// result.
+        #[test]
+        fn sweep_matches_the_per_sample_reference_walk(
+            seed in 0u64..100_000,
+            depth in 2usize..=4,
+            n in 0usize..24,
+        ) {
+            let mut rng = Rng::new(seed);
+            let table: Vec<Vec<LevelObs>> = (0..depth)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| match rng.below(8) {
+                            // NaN logits: no entropy, no usable argmax.
+                            0 => LevelObs { entropy: f32::NAN, prediction: 0, finite: false },
+                            // All -inf logits: entropy clamps to 1.0 yet the
+                            // row is not finite.
+                            1 => LevelObs { entropy: 1.0, prediction: 0, finite: false },
+                            // Exactly uniform logits.
+                            2 => LevelObs { entropy: 1.0, prediction: 0, finite: true },
+                            _ => LevelObs {
+                                entropy: rng.uniform(0.0, 1.0),
+                                prediction: rng.below(10) as u32,
+                                finite: true,
+                            },
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut ths: Vec<f32> = (0..depth - 1)
+                .map(|_| match rng.below(4) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.uniform(0.0, 1.0),
+                })
+                .collect();
+            ths.sort_by(f32::total_cmp);
+
+            for cap in 0..depth {
+                let mut memo = LadderCache::new(depth, n);
+                for (level, row) in table.iter().enumerate() {
+                    for (i, &obs) in row.iter().enumerate() {
+                        if rng.chance(0.3) {
+                            memo.obs[level][i] = Some(obs);
+                        }
+                    }
                 }
+                let prefilled = memo.clone();
+                let mut asked = Vec::new();
+                let (outcomes, report) = memo.sweep(&ths, cap, |level, missing| {
+                    asked.extend(missing.iter().map(|&i| (level, i)));
+                    missing.iter().map(|&i| table[level][i]).collect()
+                });
+
+                let mut expected_events = Vec::new();
+                for (i, got) in outcomes.iter().enumerate() {
+                    let (want, events) = reference_walk(&table, i, &ths, cap);
+                    prop_assert!(same(got, &want), "cap {cap} sample {i}: {got:?} vs {want:?}");
+                    expected_events.extend(events);
+                }
+                prop_assert_eq!(outcomes.len(), n);
+                prop_assert_eq!(&report.events, &expected_events);
+                // Observed exactly the visited entries the prefill lacked,
+                // each once; nothing beyond a sample's exit level.
+                let mut want_asked = Vec::new();
+                for level in 0..depth {
+                    for (i, o) in outcomes.iter().enumerate() {
+                        if level <= o.level && prefilled.obs[level][i].is_none() {
+                            want_asked.push((level, i));
+                        }
+                    }
+                }
+                prop_assert_eq!(&asked, &want_asked);
             }
         }
+    }
+
+    #[test]
+    fn non_finite_exit_at_level_zero_is_reported() {
+        // All -inf low-effort logits have entropy 1.0, which the inclusive
+        // Th = 1.0 gate keeps low: the exit level itself is faulty with no
+        // earlier level to fall back on, so its own argmax stands and the
+        // event says so.
+        let level0 = [LevelObs {
+            entropy: 1.0,
+            prediction: 2,
+            finite: false,
+        }];
+        let (outcomes, report) = LadderCache::prefilled(&level0)
+            .sweep(&[1.0], 1, |_, _| unreachable!("nothing escalates"));
+        assert_eq!((outcomes[0].level, outcomes[0].prediction), (0, 2));
+        assert!(!outcomes[0].exit_finite);
+        assert_eq!(
+            report.events,
+            [DegradationEvent {
+                sample: 0,
+                level: 0,
+                served_by: None
+            }]
+        );
+    }
+
+    #[test]
+    fn cold_warm_and_prefilled_memos_agree_across_a_threshold_sweep() {
+        // One mechanism, three memos: the per-request slice (cold), a
+        // `LadderCache` kept across the sweep (warm), and `CascadeCache`
+        // (level 0 pre-filled) — healthy, with a faulted high effort and
+        // with a faulted low effort.
+        let (mut faulty_low, mut faulty_high) = (model(0, &[0]), model(1, &[0, 1]));
+        let (low, high) = (faulty_low.prepare(), faulty_high.prepare());
+        FaultInjector::new(12).inject_params(&mut faulty_low, FaultKind::StuckNan, 10_000);
+        FaultInjector::new(13).inject_params(&mut faulty_high, FaultKind::StuckNan, 10_000);
+        let set = samples(18, 2);
+        for (low, high) in [
+            (low.clone(), high.clone()),
+            (low, faulty_high.prepare()),
+            (faulty_low.prepare(), high),
+        ] {
+            let levels = [low.clone(), high.clone()];
+            let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
+            let mut warm = LadderCache::new(2, set.len());
+            let mut high_runs = 0;
+            for th in [1.0, 0.7, 0.35, 0.0, 0.35] {
+                let (cold, cold_report) =
+                    evaluate_guarded_slice(&levels, &[th], 1, &images(&set), Parallelism::Off);
+                let (warmed, warm_report) =
+                    warm.sweep_models(&levels, &[th], 1, &images(&set), Parallelism::Fixed(3));
+                assert_eq!(cold_report, warm_report, "Th={th}");
+                assert!(cold.iter().zip(&warmed).all(|(a, b)| same(a, b)), "Th={th}");
+                let (stats, report) =
+                    cache.evaluate_guarded_prepared(&high, &set, th, Parallelism::Off);
+                assert_eq!(report, cold_report, "Th={th}");
+                assert_eq!(stats, CascadeStats::from_outcomes(&cold, &set), "Th={th}");
+                // The warm memo only ever grows: a looser threshold reuses
+                // what a tighter one observed.
+                assert!(warm.cached_count(1) >= high_runs);
+                high_runs = warm.cached_count(1);
+                assert_eq!(warm.cached_count(0), set.len());
+                for (i, o) in cold.iter().enumerate() {
+                    assert_eq!(o.low_entropy.to_bits(), cache.entropies()[i].to_bits());
+                    assert_eq!(o.level, !stays_low(cache.entropies()[i], th) as usize);
+                }
+            }
+            assert_eq!(high_runs, set.len(), "Th = 0 escalates everything");
+        }
+        // (The last configuration's reports were non-empty: every sample's
+        // NaN level-0 entropy escalates at every threshold.)
     }
 
     #[test]
@@ -277,16 +734,12 @@ mod tests {
             let (par_out, par_report) =
                 evaluate_guarded_slice(&levels, &[0.5], 1, &images(&set), par);
             assert_eq!(par_report, seq_report);
-            for (a, b) in seq.iter().zip(&par_out) {
-                assert_eq!(a.prediction, b.prediction);
-                assert_eq!(a.level, b.level);
-                assert_eq!(a.entropy.to_bits(), b.entropy.to_bits());
-            }
+            assert!(seq.iter().zip(&par_out).all(|(a, b)| same(a, b)));
         }
     }
 
     #[test]
-    fn effort_cap_zero_serves_everything_low_and_flags_capped() {
+    fn effort_cap_outranks_the_gate_and_flags_capped() {
         let low = model(6, &[0]);
         let high = model(7, &[0, 1]);
         let set = samples(16, 8);
@@ -305,8 +758,7 @@ mod tests {
             assert_eq!(c.capped, f.level == 1);
             would_escalate += c.capped as usize;
             if f.level == 0 {
-                assert_eq!(c.prediction, f.prediction);
-                assert_eq!(c.entropy.to_bits(), f.entropy.to_bits());
+                assert!(same(c, f));
             }
         }
         assert!(would_escalate > 0, "test set must exercise escalation");
@@ -332,83 +784,98 @@ mod tests {
     }
 
     #[test]
-    fn faulted_high_effort_falls_back_with_cascade_identical_accounting() {
-        let low = model(11, &[0]);
-        let mut high = model(12, &[0, 1]);
-        FaultInjector::new(13).inject_params(&mut high, FaultKind::StuckNan, 10_000);
-        let set = samples(12, 14);
-        let (low_p, high_p) = (low.prepare(), high.prepare());
-        let cache = CascadeCache::build_prepared(&low_p, &set, Parallelism::Off);
-        // Th = 0 escalates everything into the faulted high effort.
-        let (outcomes, report) = evaluate_guarded_slice(
-            &[low_p, high_p.clone()],
-            &[0.0],
-            1,
-            &images(&set),
-            Parallelism::Off,
-        );
-        let (offline_stats, offline_report) =
-            cache.evaluate_guarded_prepared(&high_p, &set, 0.0, Parallelism::Off);
-        assert_eq!(to_cascade_stats(&outcomes, &set), offline_stats);
-        assert_eq!(report, offline_report);
-        assert_eq!(report.fallbacks(), set.len());
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.level, 1);
-            assert!(!o.exit_finite);
-            assert_eq!(o.fault_fallback, Some(0));
-            assert_eq!(o.prediction, cache.low_prediction(i));
+    fn faulted_high_effort_falls_back_to_the_low_prediction() {
+        for int8 in [false, true] {
+            let low = model(11, &[0]);
+            let mut high = model(12, &[0, 1]);
+            FaultInjector::new(13).inject_params(&mut high, FaultKind::StuckNan, 10_000);
+            let set = samples(12, 14);
+            let (low_p, high_p) = if int8 {
+                (low.prepare_int8(), high.prepare_int8())
+            } else {
+                (low.prepare(), high.prepare())
+            };
+            // Th = 0 escalates everything into the faulted high effort.
+            let (outcomes, report) = evaluate_guarded_slice(
+                &[low_p.clone(), high_p],
+                &[0.0],
+                1,
+                &images(&set),
+                Parallelism::Off,
+            );
+            assert_eq!(report.fallbacks(), set.len(), "int8={int8}");
+            assert_eq!(report.non_finite_at(1), set.len());
+            assert_eq!(report.non_finite_at(0), 0);
+            for (o, s) in outcomes.iter().zip(&set) {
+                assert_eq!(o.level, 1, "the high-effort cost was spent");
+                assert!(!o.exit_finite);
+                assert_eq!(o.fault_fallback, Some(0));
+                assert_eq!(o.prediction, low_p.infer(&s.image).row_argmax(0));
+            }
         }
     }
 
     #[test]
     fn faulted_low_effort_escalates_to_healthy_high() {
-        let mut low = model(15, &[0]);
-        FaultInjector::new(16).inject_params(&mut low, FaultKind::StuckNan, 10_000);
-        let high = model(17, &[0, 1]);
-        let set = samples(10, 18);
-        let (low_p, high_p) = (low.prepare(), high.prepare());
-        // Even at the inclusive Th = 1.0 boundary, NaN entropies escalate.
-        let (outcomes, report) = evaluate_guarded_slice(
-            &[low_p, high_p.clone()],
-            &[1.0],
-            1,
-            &images(&set),
-            Parallelism::Off,
-        );
-        assert_eq!(report.non_finite_at(0), set.len());
-        assert_eq!(report.fallbacks(), 0, "escalation is the recovery");
-        for (o, s) in outcomes.iter().zip(&set) {
-            assert_eq!(o.level, 1);
-            assert!(o.exit_finite);
-            assert_eq!(o.prediction, high_p.infer(&s.image).row_argmax(0));
+        for int8 in [false, true] {
+            let mut low = model(15, &[0]);
+            FaultInjector::new(16).inject_params(&mut low, FaultKind::StuckNan, 10_000);
+            let high = model(17, &[0, 1]);
+            let set = samples(10, 18);
+            let (low_p, high_p) = if int8 {
+                (low.prepare_int8(), high.prepare_int8())
+            } else {
+                (low.prepare(), high.prepare())
+            };
+            // Even at the inclusive Th = 1.0 boundary, NaN entropies
+            // escalate (int8 packing must not launder NaN weights).
+            let (outcomes, report) = evaluate_guarded_slice(
+                &[low_p, high_p.clone()],
+                &[1.0],
+                1,
+                &images(&set),
+                Parallelism::Off,
+            );
+            assert_eq!(report.non_finite_at(0), set.len(), "int8={int8}");
+            assert_eq!(report.fallbacks(), 0, "escalation is the recovery");
+            for (o, s) in outcomes.iter().zip(&set) {
+                assert_eq!(o.level, 1);
+                assert!(o.exit_finite && o.low_entropy.is_nan());
+                assert_eq!(o.prediction, high_p.infer(&s.image).row_argmax(0));
+            }
         }
     }
 
-    /// `low_entropy` is always the level-0 observation: bit-equal to
-    /// `entropy` for samples that exit low, and bit-equal to the offline
-    /// cache's low-effort entropy for every sample regardless of exit.
     #[test]
-    fn low_entropy_is_the_level_zero_observation_for_every_exit() {
-        let low = model(23, &[0]);
-        let high = model(24, &[0, 1]);
+    fn outcomes_carry_the_observed_entropies_of_direct_inference() {
+        let low = model(23, &[0]).prepare();
+        let high = model(24, &[0, 1]).prepare();
         let set = samples(20, 25);
-        let low_p = low.prepare();
-        let cache = CascadeCache::build_prepared(&low_p, &set, Parallelism::Off);
         let (outcomes, _) = evaluate_guarded_slice(
-            &[low_p, high.prepare()],
+            &[low.clone(), high.clone()],
             &[0.5],
             1,
             &images(&set),
             Parallelism::Off,
         );
         let mut escalated = 0;
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.low_entropy.to_bits(), cache.entropies()[i].to_bits());
-            if o.level == 0 {
-                assert_eq!(o.low_entropy.to_bits(), o.entropy.to_bits());
+        for (o, s) in outcomes.iter().zip(&set) {
+            let low_logits = low.infer(&s.image);
+            assert_eq!(
+                o.low_entropy.to_bits(),
+                normalized_entropy(&low_logits).to_bits()
+            );
+            let exit_logits = if o.level == 0 {
+                low_logits
             } else {
                 escalated += 1;
-            }
+                high.infer(&s.image)
+            };
+            assert_eq!(
+                o.entropy.to_bits(),
+                normalized_entropy(&exit_logits).to_bits()
+            );
+            assert_eq!(o.prediction, exit_logits.row_argmax(0));
         }
         assert!(escalated > 0, "test set must exercise escalation");
     }
@@ -439,6 +906,63 @@ mod tests {
             2,
             &[],
             Parallelism::Off,
+        );
+    }
+
+    #[test]
+    fn merge_and_sum_aggregate_reports() {
+        let event = |sample, level, served_by| DegradationEvent {
+            sample,
+            level,
+            served_by,
+        };
+        let mut a = DegradationReport {
+            events: vec![event(0, 0, None)],
+        };
+        let b = DegradationReport {
+            events: vec![event(1, 1, Some(0)), event(2, 1, Some(0))],
+        };
+        a.merge(b.clone());
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.escalations(), 1);
+        assert_eq!(a.fallbacks(), 2);
+        assert_eq!(a.non_finite_at(1), 2);
+        // Merging an empty report is a no-op; merging into an empty report
+        // reproduces the source.
+        let before = a.clone();
+        a.merge(DegradationReport::default());
+        assert_eq!(a, before);
+        let summed: DegradationReport =
+            vec![before.clone(), DegradationReport::default(), b.clone()]
+                .into_iter()
+                .sum();
+        assert_eq!(summed.len(), before.len() + b.len());
+        assert_eq!(summed.fallbacks(), before.fallbacks() + b.fallbacks());
+    }
+
+    #[test]
+    fn report_display_summarizes_counts() {
+        assert_eq!(
+            DegradationReport::default().to_string(),
+            "no degradation events"
+        );
+        let report = DegradationReport {
+            events: vec![
+                DegradationEvent {
+                    sample: 0,
+                    level: 0,
+                    served_by: None,
+                },
+                DegradationEvent {
+                    sample: 1,
+                    level: 1,
+                    served_by: Some(0),
+                },
+            ],
+        };
+        assert_eq!(
+            report.to_string(),
+            "2 degradation events (1 fault escalation, 1 fallback)"
         );
     }
 }

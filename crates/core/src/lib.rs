@@ -7,18 +7,20 @@
 //! * [`score`] — the Path-Score of Algorithm 1, computed from a
 //!   [`pivot_cka::CkaMatrix`].
 //! * [`phase1`] — optimal-path selection per effort (Fig. 2b).
-//! * [`cascade`] — the entropy-gated low/high effort inference engine
-//!   (Fig. 2a) and its accuracy calculator (`C_L`, `I_L`, `C_H`, `I_H`,
-//!   `F_L`, `F_H`).
-//! * [`cache`] — the entropy cache: low-effort logits computed once per
+//! * [`guarded`] — the guarded sweep: the one memoised N-level walk that
+//!   applies the entropy gate ([`stays_low`]) and the fault accounting of
+//!   DESIGN.md §5. [`evaluate_guarded_slice`] is its per-request form (what
+//!   `pivot-serve` runs per batch, under an effort cap); everything below
+//!   is a typed front-end over it.
+//! * [`cascade`] — the two-level low/high effort engine (Fig. 2a) and its
+//!   accuracy calculator (`C_L`, `I_L`, `C_H`, `I_H`, `F_L`, `F_H`).
+//! * [`multilevel`] — N-level effort ladders.
+//! * [`cache`] — the entropy cache: the low effort observed once per
 //!   sample set, serving `F_L` queries and threshold sweeps in O(N).
 //! * [`batched`] — chunked `forward_batch` inference over sample sets
 //!   against a [`pivot_vit::PreparedModel`] view (weights materialized
 //!   once per sweep): one wide GEMM per layer per chunk, bit-identical to
 //!   per-sample inference.
-//! * [`guarded`] — guarded prepared evaluation over raw image slices with
-//!   an effort cap: the per-request cascade primitive online serving
-//!   (`pivot-serve`) builds on.
 //! * [`parallel`] — the deterministic persistent worker pool behind
 //!   every batched evaluation ([`Parallelism`], [`par_map`]).
 //! * [`phase2`] — the hardware-in-the-loop search for the optimal effort
@@ -52,16 +54,16 @@ pub mod score;
 pub mod search_space;
 pub mod train_cost;
 
-pub use batched::{
-    batched_logits, batched_logits_rematerializing, batched_logits_rematerializing_with,
-    batched_logits_with, EVAL_BATCH,
-};
-pub use cache::{CascadeCache, DegradationEvent, DegradationReport};
-pub use cascade::{stays_low, CascadeOutcome, CascadeStats, MultiEffortVit};
+pub use batched::{batched_logits, batched_logits_with, EVAL_BATCH};
+pub use cache::CascadeCache;
+pub use cascade::{CascadeStats, MultiEffortVit};
 pub use error::PivotError;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
-pub use guarded::{evaluate_guarded_slice, GuardedOutcome};
-pub use multilevel::{EffortLadder, LadderCache, LadderOutcome, LadderStats};
+pub use guarded::{
+    evaluate_guarded_slice, stays_low, threshold_grid_walk, DegradationEvent, DegradationReport,
+    GuardedOutcome, LadderCache,
+};
+pub use multilevel::{EffortLadder, LadderStats};
 pub use parallel::{par_map, Parallelism};
 pub use path::PathConfig;
 pub use phase1::{select_optimal_path, select_optimal_path_with, Phase1Result, ScoredPath};

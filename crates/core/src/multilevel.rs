@@ -4,28 +4,17 @@
 //!
 //! An [`EffortLadder`] holds `N >= 2` efforts with `N - 1` increasing
 //! entropy thresholds: an input ascends the ladder until its entropy at
-//! some level falls below that level's threshold (the last level accepts
+//! some level stays under that level's threshold (the last level accepts
 //! everything). With `N = 2` this is exactly the paper's low/high cascade.
+//! The ladder is a typed holder of the prepared levels; the walk, the gate
+//! ([`stays_low`](crate::stays_low), inclusive at `Th = 1.0`) and the fault
+//! accounting are the guarded sweep's ([`crate::guarded`]).
 
-use crate::batched::batched_logits_with;
-use crate::cache::{DegradationEvent, DegradationReport};
-use crate::cascade::CascadeStats;
+use crate::guarded::{evaluate_guarded_slice, DegradationReport, GuardedOutcome, LadderCache};
 use crate::parallel::Parallelism;
 use pivot_data::Sample;
-use pivot_nn::normalized_entropy;
 use pivot_tensor::Matrix;
 use pivot_vit::{PreparedModel, PreparedStore, StoreStats, VisionTransformer};
-
-/// Outcome of one multi-level inference.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LadderOutcome {
-    /// Index of the level that produced the prediction.
-    pub level: usize,
-    /// Predicted class.
-    pub prediction: usize,
-    /// Entropy observed at each visited level.
-    pub entropies: Vec<f32>,
-}
 
 /// Per-level statistics of a ladder evaluation.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -35,6 +24,18 @@ pub struct LadderStats {
 }
 
 impl LadderStats {
+    /// Folds the sweep's per-sample outcomes over their labels. A
+    /// fault-fallback prediction counts under the exit level — its cost
+    /// was spent.
+    fn from_outcomes(outcomes: &[GuardedOutcome], samples: &[Sample], depth: usize) -> Self {
+        let mut per_level = vec![(0, 0); depth];
+        for (o, s) in outcomes.iter().zip(samples) {
+            per_level[o.level].0 += 1;
+            per_level[o.level].1 += (o.prediction == s.label) as usize;
+        }
+        Self { per_level }
+    }
+
     /// Total inputs evaluated.
     pub fn total(&self) -> usize {
         self.per_level.iter().map(|&(n, _)| n).sum()
@@ -98,7 +99,6 @@ impl LadderStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EffortLadder {
-    levels: Vec<VisionTransformer>,
     prepared: Vec<PreparedModel>,
     thresholds: Vec<f32>,
     share_stats: StoreStats,
@@ -114,16 +114,17 @@ impl EffortLadder {
     /// (in PIVOT's cascades, *every* layer — the levels differ only in
     /// their attention-skip mask) are materialized once and Arc-shared, so
     /// an `N`-level ladder holds ~1x the backbone weights instead of `N`x
-    /// (see [`Self::unique_weight_bytes`] and [`Self::share_stats`]). The
-    /// ladder exposes no weight-mutating API, so the shared views cannot
-    /// go stale, and deduplicated inference is bit-identical to preparing
-    /// each level independently.
+    /// (see [`Self::unique_weight_bytes`] and [`Self::share_stats`]). Only
+    /// the views are kept — the trainable models (weights plus gradients)
+    /// are dropped — and the ladder exposes no weight-mutating API, so the
+    /// shared views cannot go stale, and deduplicated inference is
+    /// bit-identical to preparing each level independently.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two levels are given, the threshold count is
-    /// not `levels - 1`, a threshold is outside `[0, 1]`, or thresholds are
-    /// not non-decreasing (a later gate must not be stricter: otherwise an
+    /// Panics if fewer than two levels are given, the levels disagree on
+    /// class count, the threshold count is not `levels - 1`, a threshold is
+    /// outside `[0, 1]`, or thresholds are not non-decreasing (a later gate must not be stricter: otherwise an
     /// input could bypass a level it would have accepted).
     pub fn new(levels: Vec<VisionTransformer>, thresholds: Vec<f32>) -> Self {
         Self::with_kernel(levels, thresholds, false)
@@ -140,17 +141,12 @@ impl EffortLadder {
 
     fn with_kernel(levels: Vec<VisionTransformer>, thresholds: Vec<f32>, int8: bool) -> Self {
         assert!(levels.len() >= 2, "a ladder needs at least two levels");
-        assert_eq!(
-            thresholds.len(),
-            levels.len() - 1,
-            "need one threshold per gate (levels - 1)"
+        assert!(
+            levels
+                .iter()
+                .all(|m| m.config().num_classes == levels[0].config().num_classes),
+            "efforts must share the class space"
         );
-        let mut prev = 0.0f32;
-        for &t in &thresholds {
-            assert!((0.0..=1.0).contains(&t), "threshold {t} out of [0, 1]");
-            assert!(t >= prev, "thresholds must be non-decreasing");
-            prev = t;
-        }
         let store = PreparedStore::new();
         let prepared = levels
             .iter()
@@ -162,13 +158,29 @@ impl EffortLadder {
                 }
             })
             .collect();
-        let share_stats = store.stats();
-        Self {
-            levels,
+        let mut ladder = Self {
             prepared,
-            thresholds,
-            share_stats,
+            thresholds: Vec::new(),
+            share_stats: store.stats(),
+        };
+        ladder.set_thresholds(thresholds);
+        ladder
+    }
+
+    /// Replaces the gate thresholds, under the constructor's checks.
+    pub(crate) fn set_thresholds(&mut self, thresholds: Vec<f32>) {
+        assert_eq!(
+            thresholds.len(),
+            self.depth() - 1,
+            "need one threshold per gate (levels - 1)"
+        );
+        let mut prev = 0.0f32;
+        for &t in &thresholds {
+            assert!((0.0..=1.0).contains(&t), "threshold {t} out of [0, 1]");
+            assert!(t >= prev, "thresholds must be non-decreasing");
+            prev = t;
         }
+        self.thresholds = thresholds;
     }
 
     /// Hit/miss and byte accounting of the content-addressed weight store
@@ -202,16 +214,11 @@ impl EffortLadder {
 
     /// Number of levels.
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.prepared.len()
     }
 
-    /// The level models, low to high effort.
-    pub fn levels(&self) -> &[VisionTransformer] {
-        &self.levels
-    }
-
-    /// The frozen inference views of the levels, prepared at construction
-    /// (same order as [`Self::levels`]).
+    /// The frozen inference views of the levels, low to high effort,
+    /// prepared at construction.
     pub fn prepared_levels(&self) -> &[PreparedModel] {
         &self.prepared
     }
@@ -221,51 +228,29 @@ impl EffortLadder {
         &self.thresholds
     }
 
-    /// Ascends the ladder until a level is confident enough (or the last
-    /// level is reached).
-    pub fn infer(&self, image: &Matrix) -> LadderOutcome {
-        let mut entropies = Vec::new();
-        for (i, model) in self.prepared.iter().enumerate() {
-            let logits = model.infer(image);
-            let entropy = normalized_entropy(&logits);
-            entropies.push(entropy);
-            let is_last = i == self.prepared.len() - 1;
-            if is_last || entropy < self.thresholds[i] {
-                return LadderOutcome {
-                    level: i,
-                    prediction: logits.row_argmax(0),
-                    entropies,
-                };
-            }
-        }
-        unreachable!("last level always accepts");
-    }
-
-    /// Evaluates the ladder on labeled samples, one [`Self::infer`] per
-    /// sample (the sequential reference; see [`Self::evaluate_cached`] for
-    /// the batched, memoized path).
-    pub fn evaluate(&self, samples: &[Sample]) -> LadderStats {
-        let mut stats = LadderStats {
-            per_level: vec![(0, 0); self.levels.len()],
-        };
-        for s in samples {
-            let out = self.infer(&s.image);
-            let entry = &mut stats.per_level[out.level];
-            entry.0 += 1;
-            entry.1 += (out.prediction == s.label) as usize;
-        }
-        stats
+    /// Ascends the ladder with one image until a level is confident enough
+    /// (or the last level is reached): the guarded sweep over a slice of
+    /// one.
+    pub fn infer(&self, image: &Matrix) -> GuardedOutcome {
+        let (outcomes, _) = evaluate_guarded_slice(
+            &self.prepared,
+            &self.thresholds,
+            self.depth() - 1,
+            &[image],
+            Parallelism::Off,
+        );
+        outcomes[0]
     }
 
     /// Creates an empty [`LadderCache`] sized for this ladder and
     /// `n_samples` calibration samples.
     pub fn cache(&self, n_samples: usize) -> LadderCache {
-        LadderCache::new(self.levels.len(), n_samples)
+        LadderCache::new(self.depth(), n_samples)
     }
 
     /// Batched ladder evaluation through a [`LadderCache`]: level-by-level
     /// wide GEMM sweeps, inferring only samples that reach a level and are
-    /// not already memoized there. Bit-identical to [`Self::evaluate`].
+    /// not already memoized there.
     pub fn evaluate_cached(
         &self,
         samples: &[Sample],
@@ -275,10 +260,9 @@ impl EffortLadder {
         cache.evaluate(&self.prepared, samples, &self.thresholds, par)
     }
 
-    /// [`Self::evaluate`] through the batched pipeline without keeping the
-    /// memo around.
+    /// [`Self::evaluate_cached`] without keeping the memo around.
     pub fn evaluate_batched(&self, samples: &[Sample], par: Parallelism) -> LadderStats {
-        self.evaluate_cached(samples, &mut self.cache(samples.len()), par)
+        self.evaluate_guarded(samples, par).0
     }
 
     /// [`Self::evaluate_batched`] with fault accounting (DESIGN.md §5):
@@ -292,143 +276,13 @@ impl EffortLadder {
         self.cache(samples.len())
             .evaluate_guarded(&self.prepared, samples, &self.thresholds, par)
     }
-
-    /// Collapses the ladder into the paper's two-level [`CascadeStats`],
-    /// treating level 0 as "low" and everything above as "high" (useful to
-    /// compare against [`crate::MultiEffortVit`]).
-    pub fn evaluate_as_two_level(&self, samples: &[Sample]) -> CascadeStats {
-        let ladder = self.evaluate(samples);
-        let mut stats = CascadeStats::default();
-        for (i, &(n, c)) in ladder.per_level.iter().enumerate() {
-            if i == 0 {
-                stats.n_low += n;
-                stats.c_low += c;
-                stats.i_low += n - c;
-            } else {
-                stats.n_high += n;
-                stats.c_high += c;
-                stats.i_high += n - c;
-            }
-        }
-        stats
-    }
-}
-
-/// One memoized inference: a sample's logits at one ladder level.
-#[derive(Debug, Clone)]
-struct LevelEntry {
-    logits: Matrix,
-    entropy: f32,
-    prediction: usize,
-    /// Whether the logits are all finite — a fault flag for the
-    /// degradation contract of DESIGN.md §5.
-    finite: bool,
-}
-
-/// N-level extension of [`CascadeCache`](crate::CascadeCache): per-level
-/// logits, entropies and predictions memoized per sample, filled lazily as
-/// samples escalate.
-///
-/// A threshold sweep over a ladder re-runs no inference for levels a
-/// sample already visited — only samples newly escalated past a gate
-/// re-infer at the next level up. The memo is keyed by `(level, sample
-/// index)`; callers must pass the same sample slice the cache was sized
-/// for (checked by length).
-///
-/// ## Invariants
-///
-/// * `entries[l][i]`, when filled, holds exactly the level-`l` model's
-///   logits for sample `i` (bit-identical to `levels[l].infer`), with
-///   `entropy`/`prediction` derived from those logits.
-/// * Entries are only ever added, never changed: two evaluations that
-///   route a sample through the same levels observe the same memo.
-/// * Gates use the ladder's strict `entropy < threshold` rule, so cached
-///   and uncached evaluation agree bitwise.
-#[derive(Debug, Clone)]
-pub struct LadderCache {
-    entries: Vec<Vec<Option<LevelEntry>>>,
 }
 
 impl LadderCache {
-    /// Creates an empty cache for `levels` ladder levels and `n_samples`
-    /// samples.
-    pub fn new(levels: usize, n_samples: usize) -> Self {
-        Self {
-            entries: vec![vec![None; n_samples]; levels],
-        }
-    }
-
-    /// Number of ladder levels the cache is sized for.
-    pub fn depth(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of samples the cache is sized for.
-    pub fn len(&self) -> usize {
-        self.entries.first().map_or(0, Vec::len)
-    }
-
-    /// Whether the cache is sized for zero samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many samples have memoized inference at `level`.
-    pub fn cached_count(&self, level: usize) -> usize {
-        self.entries[level].iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Approximate heap bytes held by the memoized logit rows — the part
-    /// of the cache that grows as samples ascend the ladder.
-    pub fn logits_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.logits.len() * std::mem::size_of::<f32>())
-            .sum()
-    }
-
-    /// Clears every memoized entry in place, keeping the cache's level and
-    /// sample dimensions (and its slot allocation) for reuse.
-    ///
-    /// This is the memory-bounding API for long-lived consumers: a cache
-    /// sized for one calibration window can be reset between windows
-    /// instead of reallocated, and resetting guarantees the memo never
-    /// outgrows `levels x n_samples` entries no matter how many
-    /// evaluations run through it. A reset cache behaves exactly like a
-    /// freshly constructed one (the memo only affects *what is re-run*,
-    /// never the results — see the evaluation invariants above).
-    pub fn reset(&mut self) {
-        for level in &mut self.entries {
-            for slot in level.iter_mut() {
-                *slot = None;
-            }
-        }
-    }
-
-    /// The memoized logits of sample `i` at `level`, if that level was
-    /// ever reached by that sample.
-    pub fn logits(&self, level: usize, i: usize) -> Option<&Matrix> {
-        self.entries[level][i].as_ref().map(|e| &e.logits)
-    }
-
-    /// The memoized normalized entropy of sample `i` at `level`, if
-    /// available.
-    pub fn entropy(&self, level: usize, i: usize) -> Option<f32> {
-        self.entries[level][i].as_ref().map(|e| e.entropy)
-    }
-
-    /// Evaluates an effort ladder against `thresholds`, batching each
-    /// level's sweep over exactly the samples that reach it and are not
-    /// yet memoized.
-    ///
-    /// The gate matches [`EffortLadder::infer`] — strict `entropy <
-    /// thresholds[level]`, last level accepts everything — and inference
-    /// goes through [`forward_batch`](PreparedModel::forward_batch) on the
-    /// prepared level views, so the statistics are bit-identical to the
-    /// sequential [`EffortLadder::evaluate`] for every parallelism, batch
-    /// split and prior cache state.
+    /// Evaluates an effort ladder against `thresholds` through this memo,
+    /// batching each level's sweep over exactly the samples that reach it
+    /// and are not yet memoized. The statistics are the same for every
+    /// parallelism, batch split and prior memo state.
     ///
     /// # Panics
     ///
@@ -444,22 +298,10 @@ impl LadderCache {
         self.evaluate_guarded(levels, samples, thresholds, par).0
     }
 
-    /// [`Self::evaluate`] with fault accounting (DESIGN.md §5).
-    ///
-    /// Degradation contract for the ladder:
-    ///
-    /// * A non-finite entropy at a gated level never passes the strict
-    ///   `entropy < threshold` gate, so a faulted level auto-escalates
-    ///   (event with `served_by: None` — escalation was the recovery).
-    /// * If the **exit** level's logits are non-finite, the prediction of
-    ///   the deepest earlier level with finite logits is served instead
-    ///   (event with `served_by: Some(level)`), while the sample stays
-    ///   attributed to the faulty exit level in the statistics — its cost
-    ///   was spent. Only when *every* visited level is faulty does the
-    ///   exit level's own prediction stand (event with `served_by: None`).
-    ///
-    /// For healthy models the report is empty and the statistics are
-    /// bit-identical to [`EffortLadder::evaluate`].
+    /// [`Self::evaluate`] with the sweep's fault accounting (see
+    /// [`crate::guarded`]): a faulted gate level auto-escalates, a faulted
+    /// exit level is served by the deepest earlier finite level while
+    /// staying attributed to the exit level in the statistics.
     ///
     /// # Panics
     ///
@@ -472,101 +314,13 @@ impl LadderCache {
         thresholds: &[f32],
         par: Parallelism,
     ) -> (LadderStats, DegradationReport) {
-        assert_eq!(levels.len(), self.depth(), "level count mismatch");
-        assert_eq!(
-            thresholds.len(),
-            levels.len() - 1,
-            "need one threshold per gate (levels - 1)"
-        );
-        assert_eq!(
-            samples.len(),
-            self.len(),
-            "cache sized for a different sample set"
-        );
-
-        let mut active: Vec<usize> = (0..samples.len()).collect();
-        let mut exit_level = vec![0usize; samples.len()];
-        for (level, model) in levels.iter().enumerate() {
-            if active.is_empty() {
-                break;
-            }
-            let missing: Vec<usize> = active
-                .iter()
-                .copied()
-                .filter(|&i| self.entries[level][i].is_none())
-                .collect();
-            if !missing.is_empty() {
-                let images: Vec<&Sample> = missing.iter().map(|&i| &samples[i]).collect();
-                let logits = batched_logits_with(model, &images, |s| &s.image, par);
-                for (&i, logits) in missing.iter().zip(logits) {
-                    self.entries[level][i] = Some(LevelEntry {
-                        entropy: normalized_entropy(&logits),
-                        prediction: logits.row_argmax(0),
-                        finite: logits.is_all_finite(),
-                        logits,
-                    });
-                }
-            }
-            let is_last = level == levels.len() - 1;
-            let mut still_active = Vec::new();
-            for &i in &active {
-                let entry = self.entries[level][i].as_ref().expect("filled above");
-                // A NaN entropy fails the strict `<` gate, so faulted
-                // levels escalate without a special case.
-                if is_last || entry.entropy < thresholds[level] {
-                    exit_level[i] = level;
-                } else {
-                    still_active.push(i);
-                }
-            }
-            active = still_active;
-        }
-
-        // Correctness and fault accounting, in sample order. Every sample
-        // visited exactly levels `0..=exit_level[i]` this evaluation.
-        let mut report = DegradationReport::default();
-        let mut correct = vec![false; samples.len()];
-        for (i, sample) in samples.iter().enumerate() {
-            let exit = exit_level[i];
-            for level in 0..exit {
-                let entry = self.entries[level][i].as_ref().expect("visited");
-                if !entry.entropy.is_finite() {
-                    report.events.push(DegradationEvent {
-                        sample: i,
-                        level,
-                        served_by: None,
-                    });
-                }
-            }
-            let entry = self.entries[exit][i].as_ref().expect("visited");
-            if entry.finite {
-                correct[i] = entry.prediction == sample.label;
-            } else {
-                let fallback = (0..exit)
-                    .rev()
-                    .find(|&l| self.entries[l][i].as_ref().is_some_and(|e| e.finite));
-                let prediction = match fallback {
-                    Some(l) => self.entries[l][i].as_ref().expect("found").prediction,
-                    None => entry.prediction,
-                };
-                correct[i] = prediction == sample.label;
-                report.events.push(DegradationEvent {
-                    sample: i,
-                    level: exit,
-                    served_by: fallback,
-                });
-            }
-        }
-
-        let mut stats = LadderStats {
-            per_level: vec![(0, 0); levels.len()],
-        };
-        for i in 0..samples.len() {
-            let entry = &mut stats.per_level[exit_level[i]];
-            entry.0 += 1;
-            entry.1 += correct[i] as usize;
-        }
-        (stats, report)
+        let images: Vec<&Matrix> = samples.iter().map(|s| &s.image).collect();
+        let (outcomes, report) =
+            self.sweep_models(levels, thresholds, levels.len() - 1, &images, par);
+        (
+            LadderStats::from_outcomes(&outcomes, samples, levels.len()),
+            report,
+        )
     }
 }
 
@@ -595,21 +349,46 @@ mod tests {
     }
 
     #[test]
-    fn two_level_ladder_matches_multi_effort_vit() {
-        let ms = models(0);
-        let ladder = EffortLadder::new(vec![ms[0].clone(), ms[2].clone()], vec![0.6]);
-        let cascade = crate::MultiEffortVit::new(ms[0].clone(), ms[2].clone(), 0.6);
-        let set = samples(1);
-        let a = ladder.evaluate_as_two_level(&set);
-        let b = cascade.evaluate(&set);
-        assert_eq!(a, b);
+    fn uniform_logits_exit_at_level_zero_at_threshold_one() {
+        // Regression: the ladder used to gate on a strict `entropy < th`,
+        // so a sample with exactly uniform logits (normalized entropy 1.0)
+        // climbed to the top even at Th = 1.0, where `MultiEffortVit`, the
+        // caches and the serve engine (all on `stays_low`, inclusive at the
+        // top boundary) keep it low.
+        let mut ms = models(50);
+        for m in &mut ms {
+            let n = m.params_mut().len();
+            // Head weight + bias come last: zero them for uniform logits.
+            for p in m.params_mut().into_iter().skip(n - 2) {
+                p.value.map_in_place(|_| 0.0);
+            }
+        }
+        let set = samples(51);
+        for depth in [2, 3] {
+            let ladder = EffortLadder::new(ms[..depth].to_vec(), vec![1.0; depth - 1]);
+            let out = ladder.infer(&set[0].image);
+            assert!((out.entropy - 1.0).abs() < 1e-6, "entropy {}", out.entropy);
+            assert_eq!(out.level, 0, "{depth} levels: infer escalated");
+            let mut all_low = vec![(0, 0); depth];
+            all_low[0].0 = set.len();
+            let stats = ladder.evaluate_batched(&set, Parallelism::Off);
+            assert_eq!(stats.mean_inferences(), 1.0, "{depth} levels: {stats:?}");
+            // A memo warmed by an all-escalating sweep must not matter.
+            let mut cache = ladder.cache(set.len());
+            let zeros = vec![0.0; depth - 1];
+            cache.evaluate(ladder.prepared_levels(), &set, &zeros, Parallelism::Off);
+            assert_eq!(cache.cached_count(depth - 1), set.len());
+            let warm = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
+            assert_eq!(warm, stats, "{depth} levels: warm memo diverged");
+            assert_eq!(warm.per_level[0].0, set.len());
+        }
     }
 
     #[test]
     fn every_input_is_classified_exactly_once() {
         let ladder = EffortLadder::new(models(2), vec![0.3, 0.6]);
         let set = samples(3);
-        let stats = ladder.evaluate(&set);
+        let stats = ladder.evaluate_batched(&set, Parallelism::Off);
         assert_eq!(stats.total(), set.len());
         let fractions = stats.level_fractions();
         assert!((fractions.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -618,7 +397,7 @@ mod tests {
     #[test]
     fn zero_thresholds_send_everything_to_the_top() {
         let ladder = EffortLadder::new(models(4), vec![0.0, 0.0]);
-        let stats = ladder.evaluate(&samples(5));
+        let stats = ladder.evaluate_batched(&samples(5), Parallelism::Off);
         assert_eq!(stats.per_level[0].0, 0);
         assert_eq!(stats.per_level[1].0, 0);
         assert!(stats.per_level[2].0 > 0);
@@ -628,7 +407,7 @@ mod tests {
     #[test]
     fn unit_thresholds_stop_at_the_bottom() {
         let ladder = EffortLadder::new(models(6), vec![1.0, 1.0]);
-        let stats = ladder.evaluate(&samples(7));
+        let stats = ladder.evaluate_batched(&samples(7), Parallelism::Off);
         assert_eq!(stats.per_level[0].0, stats.total());
         assert_eq!(stats.mean_inferences(), 1.0);
     }
@@ -636,18 +415,19 @@ mod tests {
     #[test]
     fn mean_inferences_between_one_and_depth() {
         let ladder = EffortLadder::new(models(8), vec![0.5, 0.8]);
-        let stats = ladder.evaluate(&samples(9));
+        let stats = ladder.evaluate_batched(&samples(9), Parallelism::Off);
         let m = stats.mean_inferences();
         assert!((1.0..=3.0).contains(&m), "mean inferences {m}");
     }
 
     #[test]
-    fn cached_evaluation_matches_sequential_reference() {
+    fn batched_evaluation_matches_single_image_infer() {
         let ms = models(12);
         let set = samples(13);
         for ths in [[0.0, 0.0], [0.4, 0.7], [1.0, 1.0]] {
             let ladder = EffortLadder::new(ms.clone(), ths.to_vec());
-            let reference = ladder.evaluate(&set);
+            let singles: Vec<GuardedOutcome> = set.iter().map(|s| ladder.infer(&s.image)).collect();
+            let reference = LadderStats::from_outcomes(&singles, &set, 3);
             for par in [Parallelism::Off, Parallelism::Fixed(3)] {
                 let batched = ladder.evaluate_batched(&set, par);
                 assert_eq!(reference, batched, "thresholds {ths:?} under {par:?}");
@@ -659,7 +439,7 @@ mod tests {
     fn cache_memoizes_across_threshold_sweep() {
         let ms = models(14);
         let set = samples(15);
-        let ladder = EffortLadder::new(ms, vec![0.5, 0.8]);
+        let ladder = EffortLadder::new(ms.clone(), vec![0.5, 0.8]);
         let mut cache = ladder.cache(set.len());
         assert_eq!(cache.depth(), 3);
         assert_eq!(cache.len(), set.len());
@@ -671,8 +451,8 @@ mod tests {
             &[1.0, 1.0],
             Parallelism::Off,
         );
-        let loose_ladder = EffortLadder::new(ladder.levels().to_vec(), vec![1.0, 1.0]);
-        assert_eq!(loose, loose_ladder.evaluate(&set));
+        let loose_ladder = EffortLadder::new(ms.clone(), vec![1.0, 1.0]);
+        assert_eq!(loose, loose_ladder.evaluate_batched(&set, Parallelism::Off));
         assert_eq!(cache.cached_count(0), set.len());
         assert_eq!(cache.cached_count(1), 0);
 
@@ -687,8 +467,8 @@ mod tests {
             &[0.0, 0.0],
             Parallelism::Off,
         );
-        let tight_ladder = EffortLadder::new(ladder.levels().to_vec(), vec![0.0, 0.0]);
-        assert_eq!(tight, tight_ladder.evaluate(&set));
+        let tight_ladder = EffortLadder::new(ms, vec![0.0, 0.0]);
+        assert_eq!(tight, tight_ladder.evaluate_batched(&set, Parallelism::Off));
         assert_eq!(cache.cached_count(1), set.len());
         assert_eq!(cache.cached_count(2), set.len());
         for (i, &bits) in level0_bits.iter().enumerate() {
@@ -717,10 +497,9 @@ mod tests {
             ladder.thresholds(),
             Parallelism::Fixed(2),
         );
-        for (level, model) in ladder.levels().iter().enumerate() {
+        for (level, model) in ladder.prepared_levels().iter().enumerate() {
             for (i, s) in set.iter().enumerate() {
                 let direct = model.infer(&s.image);
-                assert_eq!(cache.logits(level, i), Some(&direct));
                 assert_eq!(
                     cache.entropy(level, i).expect("filled").to_bits(),
                     pivot_nn::normalized_entropy(&direct).to_bits()
@@ -735,7 +514,7 @@ mod tests {
         let set = samples(21);
         let (stats, report) = ladder.evaluate_guarded(&set, Parallelism::Off);
         assert!(report.is_empty());
-        assert_eq!(stats, ladder.evaluate(&set));
+        assert_eq!(stats, ladder.evaluate_batched(&set, Parallelism::Fixed(3)));
     }
 
     #[test]
@@ -776,54 +555,6 @@ mod tests {
             .filter(|s| ms[1].infer(&s.image).row_argmax(0) == s.label)
             .count();
         assert_eq!(stats.per_level[2].1, mid_correct);
-    }
-
-    #[test]
-    fn reset_cache_is_bounded_and_behaves_like_fresh() {
-        let ms = models(40);
-        let set = samples(41);
-        let ladder = EffortLadder::new(ms, vec![0.0, 0.0]);
-        let mut cache = ladder.cache(set.len());
-        let first = cache.evaluate(
-            ladder.prepared_levels(),
-            &set,
-            ladder.thresholds(),
-            Parallelism::Off,
-        );
-        let filled_bytes = cache.logits_bytes();
-        assert!(filled_bytes > 0);
-        assert_eq!(cache.cached_count(2), set.len());
-
-        // Reset keeps the dimensions but frees every memoized entry...
-        cache.reset();
-        assert_eq!(cache.depth(), 3);
-        assert_eq!(cache.len(), set.len());
-        assert_eq!(cache.logits_bytes(), 0);
-        for level in 0..3 {
-            assert_eq!(cache.cached_count(level), 0);
-        }
-
-        // ...and re-evaluating reproduces the fresh-cache results exactly,
-        // with the footprint returning to the same bound instead of
-        // growing across reuse cycles.
-        let again = cache.evaluate(
-            ladder.prepared_levels(),
-            &set,
-            ladder.thresholds(),
-            Parallelism::Off,
-        );
-        assert_eq!(first, again);
-        assert_eq!(cache.logits_bytes(), filled_bytes);
-        for _ in 0..3 {
-            cache.reset();
-            cache.evaluate(
-                ladder.prepared_levels(),
-                &set,
-                ladder.thresholds(),
-                Parallelism::Off,
-            );
-            assert_eq!(cache.logits_bytes(), filled_bytes, "memo must not grow");
-        }
     }
 
     #[test]
@@ -902,12 +633,12 @@ mod tests {
         assert!(ladder.is_int8());
         assert!(!reference.is_int8());
         let set = samples(22);
-        let stats = ladder.evaluate(&set);
+        let stats = ladder.evaluate_batched(&set, Parallelism::Off);
         assert_eq!(stats.total(), set.len());
         // Same-grid weights: the int8 ladder's per-level routing can only
         // drift from the fake-quant reference by samples whose gate
         // entropy sits inside the quantization-noise band.
-        let ref_stats = reference.evaluate(&set);
+        let ref_stats = reference.evaluate_batched(&set, Parallelism::Off);
         let drift: usize = stats
             .per_level
             .iter()
@@ -930,8 +661,8 @@ mod tests {
 
             /// The deduplication contract of the content-addressed store:
             /// a ladder whose levels Arc-share one backbone copy is
-            /// bit-identical — logits, entropies, predictions, statistics
-            /// and degradation report — to the same levels each prepared
+            /// bit-identical — entropies, predictions, statistics and
+            /// degradation report — to the same levels each prepared
             /// independently, across kernels, skip patterns, thresholds,
             /// ragged batch sizes and parallelism.
             #[test]
@@ -1008,10 +739,6 @@ mod tests {
                 prop_assert_eq!(shared_report, ind_report);
                 for level in 0..ms.len() {
                     for i in 0..set.len() {
-                        prop_assert_eq!(
-                            shared_cache.logits(level, i),
-                            ind_cache.logits(level, i)
-                        );
                         prop_assert_eq!(
                             shared_cache.entropy(level, i).map(f32::to_bits),
                             ind_cache.entropy(level, i).map(f32::to_bits)

@@ -229,9 +229,10 @@ impl<'a> Phase2Search<'a> {
     /// Evaluates one effort pair: iterate `Th` until `F_L >= LEC`, then
     /// check the simulated delay against the constraint.
     ///
-    /// Builds a fresh [`CascadeCache`] for the low effort; when probing
-    /// several pairs that share a low effort, build the cache once and use
-    /// [`Self::evaluate_pair_cached`] (as [`Self::run`] does internally).
+    /// Builds a fresh [`CascadeCache`] for the low effort and prepares the
+    /// high effort; when probing several pairs that share an effort, build
+    /// each once and use [`Self::evaluate_pair_prepared`] (as [`Self::run`]
+    /// does internally).
     pub fn evaluate_pair(
         &self,
         low: &EffortModel,
@@ -239,42 +240,23 @@ impl<'a> Phase2Search<'a> {
         cfg: &Phase2Config,
         max_delay_ms: f64,
     ) -> Option<Phase2Result> {
-        let cache = self.build_cache(&low.model);
-        self.evaluate_pair_cached(low, high, &cache, cfg, max_delay_ms)
-    }
-
-    /// [`Self::evaluate_pair`] serving low-effort logits and entropies
-    /// from a pre-built cache: the incremental threshold iteration runs on
-    /// cached entropies in O(N) per step, and only the escalated samples
-    /// are re-inferred with the high effort (on the worker pool, reduced
-    /// in sample order for bit-identical statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was not built from this searcher's calibration
-    /// batch (length check).
-    pub fn evaluate_pair_cached(
-        &self,
-        low: &EffortModel,
-        high: &EffortModel,
-        cache: &CascadeCache,
-        cfg: &Phase2Config,
-        max_delay_ms: f64,
-    ) -> Option<Phase2Result> {
         self.evaluate_pair_prepared(
             low,
             high,
             &self.prepare_model(&high.model),
-            cache,
+            &self.build_cache(&low.model),
             cfg,
             max_delay_ms,
         )
     }
 
-    /// [`Self::evaluate_pair_cached`] against an already-prepared
-    /// high-effort view — the innermost form [`Self::run`] uses so each
-    /// distinct high effort's weights are materialized once and reused
-    /// across every pair sharing it.
+    /// [`Self::evaluate_pair`] serving low-effort entropies from a
+    /// pre-built cache against an already-prepared high-effort view — the
+    /// form [`Self::run`] uses so each distinct effort is inferred /
+    /// materialized once and reused across every pair sharing it. The
+    /// incremental threshold iteration runs on cached entropies in O(N)
+    /// per step, and only the escalated samples are re-inferred with the
+    /// high effort.
     ///
     /// # Panics
     ///
@@ -455,27 +437,6 @@ mod tests {
             assert_eq!(seq.stats, p.stats);
             assert_eq!(seq.perf.delay_ms.to_bits(), p.perf.delay_ms.to_bits());
             assert_eq!(seq.perf.energy_j().to_bits(), p.perf.energy_j().to_bits());
-        }
-    }
-
-    #[test]
-    fn evaluate_pair_reuses_cache_consistently() {
-        let sim = Simulator::new(AcceleratorConfig::zcu102());
-        let geom = VitGeometry::deit_s();
-        let efforts = make_efforts(12, &[3, 6, 12], 12);
-        let calib = calibration(13);
-        let search = Phase2Search::new(&sim, &geom, &efforts, &calib);
-        let cfg = Phase2Config::default();
-        // One low-effort cache served to two different high efforts gives
-        // the same results as building per-pair caches.
-        let cache = crate::CascadeCache::build(&efforts[0].model, &calib, Parallelism::Off);
-        for high in &efforts[1..] {
-            let direct = search.evaluate_pair(&efforts[0], high, &cfg, f64::INFINITY);
-            let cached =
-                search.evaluate_pair_cached(&efforts[0], high, &cache, &cfg, f64::INFINITY);
-            let (d, c) = (direct.expect("feasible"), cached.expect("feasible"));
-            assert_eq!(d.stats, c.stats);
-            assert_eq!(d.threshold.to_bits(), c.threshold.to_bits());
         }
     }
 

@@ -66,20 +66,20 @@ proptest! {
         let threshold = th_tenths as f32 / 10.0;
         let engine = cascade(seed.wrapping_add(31));
         let set = samples(n, seed.wrapping_add(53));
-        let seq = CascadeCache::build(engine.low(), &set, Parallelism::Off);
-        let par = CascadeCache::build(engine.low(), &set, Parallelism::Fixed(threads));
+        let low = engine.low_prepared();
+        let seq = CascadeCache::build_prepared(low, &set, Parallelism::Off);
+        let par = CascadeCache::build_prepared(low, &set, Parallelism::Fixed(threads));
         prop_assert_eq!(seq.len(), par.len());
         for i in 0..seq.len() {
             prop_assert_eq!(seq.entropies()[i].to_bits(), par.entropies()[i].to_bits());
             prop_assert_eq!(seq.low_prediction(i), par.low_prediction(i));
-            prop_assert!(seq.low_logits()[i].approx_eq(&par.low_logits()[i], 0.0));
         }
         prop_assert_eq!(seq.f_low_at(threshold), par.f_low_at(threshold));
         prop_assert_eq!(seq.f_low_at(threshold), engine.f_low_at(&set, threshold));
-        let stats_seq =
-            seq.evaluate(engine.high(), &set, threshold, Parallelism::Off);
+        let high = engine.high_prepared();
+        let stats_seq = seq.evaluate_prepared(high, &set, threshold, Parallelism::Off);
         let stats_par =
-            par.evaluate(engine.high(), &set, threshold, Parallelism::Fixed(threads));
+            par.evaluate_prepared(high, &set, threshold, Parallelism::Fixed(threads));
         prop_assert_eq!(stats_seq, stats_par);
     }
 

@@ -133,133 +133,10 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Total quantization-saturated weights across all four projections
-    /// (see [`Linear::weight_saturation`]).
-    pub fn weight_saturation(&self) -> usize {
-        self.wq.weight_saturation()
-            + self.wk.weight_saturation()
-            + self.wv.weight_saturation()
-            + self.proj.weight_saturation()
-    }
-
-    /// Inference-only forward without caching.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let (out, _) = self.attend(&self.wq.infer(x), &self.wk.infer(x), &self.wv.infer(x));
-        self.proj.infer(&out)
-    }
-
-    /// Batched inference over `x.rows() / tokens` samples stacked along rows
-    /// (`tokens` rows each).
-    ///
-    /// The Q/K/V projections and the output projection each run as one wide
-    /// GEMM over the whole stack, so the effective (fake-quantized) weight is
-    /// materialized once per batch instead of once per sample. Attention
-    /// itself is computed per sample on row slices — scores cannot mix
-    /// samples — reusing one caller-owned score/output scratch buffer across
-    /// samples and heads.
-    ///
-    /// Every kernel involved is row-wise with a fixed accumulation order, so
-    /// the result is bit-identical to running [`Self::infer`] per sample and
-    /// restacking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
-    pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
-        assert!(
-            tokens > 0 && x.rows().is_multiple_of(tokens),
-            "batch rows {} not divisible by tokens {tokens}",
-            x.rows()
-        );
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let n = x.rows() / tokens;
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut out = Matrix::zeros(x.rows(), self.dim());
-        // Scratch reused across samples and heads.
-        let mut scores = Matrix::zeros(tokens, tokens);
-        let mut oh = Matrix::zeros(tokens, dh);
-        for s in 0..n {
-            let (r0, r1) = (s * tokens, (s + 1) * tokens);
-            let qs = q.slice_rows(r0, r1);
-            let ks = k.slice_rows(r0, r1);
-            let vs = v.slice_rows(r0, r1);
-            for h in 0..self.heads {
-                let (lo, hi) = (h * dh, (h + 1) * dh);
-                let qh = qs.slice_cols(lo, hi);
-                let kh = ks.slice_cols(lo, hi);
-                let vh = vs.slice_cols(lo, hi);
-                qh.matmul_transpose_b_into(&kh, &mut scores);
-                scores.scale_in_place(scale);
-                for r in 0..tokens {
-                    let soft = softmax_row(scores.row(r));
-                    scores.row_mut(r).copy_from_slice(&soft);
-                }
-                scores.matmul_into(&vh, &mut oh);
-                for r in 0..tokens {
-                    out.row_mut(r0 + r)[lo..hi].copy_from_slice(oh.row(r));
-                }
-            }
-        }
-        self.proj.infer(&out)
-    }
-
-    /// Inference with ViTCOD-style attention sparsification: in each head,
-    /// only the `density` fraction of highest-magnitude pre-softmax scores
-    /// per row survive; the rest are masked to `-inf` before the softmax.
-    ///
-    /// At least one entry per row is always kept. Used by the
-    /// `pivot-baselines` ViTCOD re-implementation (90% sparsity = density
-    /// 0.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
-        assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let t = x.rows();
-        let keep = ((t as f32 * density).ceil() as usize).max(1);
-        let mut out = Matrix::zeros(t, self.dim());
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qh = q.slice_cols(lo, hi);
-            let kh = k.slice_cols(lo, hi);
-            let vh = v.slice_cols(lo, hi);
-            let mut scores = qh.matmul_transpose_b(&kh);
-            scores.scale_in_place(scale);
-            for r in 0..t {
-                // Keep the top-`keep` scores of this row, mask the rest.
-                let row = scores.row(r).to_vec();
-                let mut order: Vec<usize> = (0..t).collect();
-                order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite scores"));
-                let kept: std::collections::HashSet<usize> = order.into_iter().take(keep).collect();
-                for (c, val) in scores.row_mut(r).iter_mut().enumerate() {
-                    if !kept.contains(&c) {
-                        *val = f32::NEG_INFINITY;
-                    }
-                }
-                let soft = softmax_row(scores.row(r));
-                scores.row_mut(r).copy_from_slice(&soft);
-            }
-            let oh = scores.matmul(&vh);
-            for r in 0..t {
-                for c in 0..dh {
-                    out[(r, lo + c)] = oh[(r, c)];
-                }
-            }
-        }
-        self.proj.infer(&out)
-    }
-
-    /// Core scaled-dot-product attention over already-projected Q/K/V.
-    /// Returns the concatenated head outputs and the per-head probabilities.
+    /// Training's scaled-dot-product attention over already-projected
+    /// Q/K/V: returns the concatenated head outputs and the per-head
+    /// probabilities [`Layer::backward`] needs. Inference runs
+    /// [`crate::PreparedAttention`], which keeps no probabilities.
     fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, Vec<Matrix>) {
         let dh = self.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
@@ -389,37 +266,11 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn prepared_infer_matches_training_forward() {
         let mut rng = Rng::new(1);
         let mut attn = MultiHeadAttention::new(8, 2, QuantMode::Int8, &mut rng);
         let x = Matrix::randn(4, 8, 1.0, &mut rng);
-        assert!(attn.infer(&x).approx_eq(&attn.forward(&x), 1e-6));
-    }
-
-    #[test]
-    fn infer_batch_is_bit_identical_to_per_sample_infer() {
-        let mut rng = Rng::new(8);
-        for quant in [QuantMode::None, QuantMode::Int8] {
-            let attn = MultiHeadAttention::new(8, 2, quant, &mut rng);
-            let samples: Vec<Matrix> = (0..3).map(|_| Matrix::randn(5, 8, 1.0, &mut rng)).collect();
-            let stacked = samples[0].vcat(&samples[1]).vcat(&samples[2]);
-            let batched = attn.infer_batch(&stacked, 5);
-            for (i, s) in samples.iter().enumerate() {
-                assert_eq!(
-                    batched.slice_rows(i * 5, (i + 1) * 5),
-                    attn.infer(s),
-                    "sample {i} diverged under {quant:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn infer_batch_indivisible_rows_panics() {
-        let mut rng = Rng::new(9);
-        let attn = MultiHeadAttention::new(8, 2, QuantMode::None, &mut rng);
-        let _ = attn.infer_batch(&Matrix::zeros(7, 8), 5);
+        assert!(attn.prepare().infer(&x).approx_eq(&attn.forward(&x), 1e-6));
     }
 
     #[test]
@@ -464,7 +315,7 @@ mod tests {
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
         let target = Matrix::randn(3, 4, 1.0, &mut rng);
         let loss = |m: &MultiHeadAttention, x: &Matrix| {
-            0.5 * (&m.infer(x) - &target).frobenius_norm().powi(2)
+            0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2)
         };
 
         let y = attn.forward(&x);
@@ -492,7 +343,7 @@ mod tests {
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
         let target = Matrix::randn(3, 4, 1.0, &mut rng);
         let loss = |m: &MultiHeadAttention, x: &Matrix| {
-            0.5 * (&m.infer(x) - &target).frobenius_norm().powi(2)
+            0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2)
         };
 
         let y = attn.forward(&x);

@@ -3,8 +3,9 @@
 use crate::{Layer, LayerNorm, Mlp, MultiHeadAttention, Param, QuantMode};
 use pivot_tensor::{Matrix, Rng};
 
-/// Intermediate activations captured by [`EncoderBlock::infer_traced`],
-/// used by `pivot-cka` to build the CKA matrix of the paper's Fig. 3a.
+/// Intermediate activations captured by
+/// [`crate::PreparedEncoderBlock::infer_traced`], used by `pivot-cka` to
+/// build the CKA matrix of the paper's Fig. 3a.
 #[derive(Debug, Clone)]
 pub struct EncoderTrace {
     /// Residual stream right after the attention sub-block (`A_i` in the
@@ -82,16 +83,6 @@ impl EncoderBlock {
         self.mlp.set_quant_mode(quant);
     }
 
-    /// Total quantization-saturated weights across the attention and MLP
-    /// sub-layers (see [`crate::Linear::weight_saturation`]).
-    ///
-    /// Counts the attention projections even when the attention sub-block is
-    /// currently skipped: the weights still live in (simulated) SRAM and a
-    /// corrupted value there matters as soon as the effort level rises.
-    pub fn weight_saturation(&self) -> usize {
-        self.attn.weight_saturation() + self.mlp.weight_saturation()
-    }
-
     /// Freezes the block into an immutable inference view (attention and
     /// MLP prepared once, layer norms and the skip switch snapshotted; see
     /// [`crate::Linear::prepare`]).
@@ -143,80 +134,6 @@ impl EncoderBlock {
             mlp: self.mlp.prepare_int8_in(store),
             attention_active: self.attention_active,
         }
-    }
-
-    /// Inference-only forward, also returning the trace for CKA capture.
-    pub fn infer_traced(&self, x: &Matrix) -> EncoderTrace {
-        let after_attn = if self.attention_active {
-            let mut a = self.attn.infer(&self.ln1.infer(x));
-            a.add_scaled_in_place(x, 1.0);
-            a
-        } else {
-            x.clone()
-        };
-        let mut out = self.mlp.infer(&self.ln2.infer(&after_attn));
-        out.add_scaled_in_place(&after_attn, 1.0);
-        EncoderTrace {
-            attention_out: after_attn,
-            mlp_out: out,
-        }
-    }
-
-    /// Inference-only forward without caching.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_traced(x).mlp_out
-    }
-
-    /// Batched inference over samples stacked along rows (`tokens` rows
-    /// each). Layer norms and the MLP are row-wise and run directly on the
-    /// stack; attention goes through
-    /// [`MultiHeadAttention::infer_batch`]. Bit-identical to per-sample
-    /// [`EncoderBlock::infer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
-    pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
-        let after_attn = if self.attention_active {
-            let mut a = self.attn.infer_batch(&self.ln1.infer(x), tokens);
-            a.add_scaled_in_place(x, 1.0);
-            a
-        } else {
-            x.clone()
-        };
-        let mut out = self.mlp.infer(&self.ln2.infer(&after_attn));
-        out.add_scaled_in_place(&after_attn, 1.0);
-        out
-    }
-
-    /// Inference with ViTCOD-style sparsified attention (see
-    /// [`MultiHeadAttention::infer_sparse`]). Honors the skip switch: a
-    /// skipped attention stays skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
-        let after_attn = if self.attention_active {
-            let mut a = self.attn.infer_sparse(&self.ln1.infer(x), density);
-            a.add_scaled_in_place(x, 1.0);
-            a
-        } else {
-            x.clone()
-        };
-        let mut out = self.mlp.infer(&self.ln2.infer(&after_attn));
-        out.add_scaled_in_place(&after_attn, 1.0);
-        out
-    }
-
-    /// The attention sub-block (read-only, for analysis and baselines).
-    pub fn attention(&self) -> &MultiHeadAttention {
-        &self.attn
-    }
-
-    /// The MLP sub-block (read-only).
-    pub fn mlp(&self) -> &Mlp {
-        &self.mlp
     }
 }
 
@@ -270,48 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn skipped_attention_trace_forwards_input() {
-        let mut enc = block(0);
-        enc.set_attention_active(false);
-        let mut rng = Rng::new(1);
-        let x = Matrix::randn(4, 6, 1.0, &mut rng);
-        let trace = enc.infer_traced(&x);
-        assert_eq!(trace.attention_out, x);
-    }
-
-    #[test]
-    fn active_block_differs_from_skipped() {
-        let mut enc = block(0);
-        let mut rng = Rng::new(1);
-        let x = Matrix::randn(4, 6, 1.0, &mut rng);
-        let with_attn = enc.infer(&x);
-        enc.set_attention_active(false);
-        let without = enc.infer(&x);
-        assert!(!with_attn.approx_eq(&without, 1e-6));
-    }
-
-    #[test]
-    fn infer_batch_matches_per_sample_both_modes() {
-        for active in [true, false] {
-            let mut enc = block(7);
-            enc.set_attention_active(active);
-            let mut rng = Rng::new(8);
-            let a = Matrix::randn(4, 6, 1.0, &mut rng);
-            let b = Matrix::randn(4, 6, 1.0, &mut rng);
-            let batched = enc.infer_batch(&a.vcat(&b), 4);
-            assert_eq!(batched.slice_rows(0, 4), enc.infer(&a), "active={active}");
-            assert_eq!(batched.slice_rows(4, 8), enc.infer(&b), "active={active}");
-        }
-    }
-
-    #[test]
-    fn infer_matches_forward_both_modes() {
+    fn prepared_infer_matches_training_forward_both_modes() {
         for active in [true, false] {
             let mut enc = block(2);
             enc.set_attention_active(active);
             let mut rng = Rng::new(3);
             let x = Matrix::randn(4, 6, 1.0, &mut rng);
-            assert!(enc.infer(&x).approx_eq(&enc.forward(&x), 1e-6));
+            assert!(enc.prepare().infer(&x).approx_eq(&enc.forward(&x), 1e-6));
         }
     }
 
@@ -324,7 +206,7 @@ mod tests {
             let x = Matrix::randn(3, 6, 1.0, &mut rng);
             let target = Matrix::randn(3, 6, 1.0, &mut rng);
             let loss = |m: &EncoderBlock, x: &Matrix| {
-                0.5 * (&m.infer(x) - &target).frobenius_norm().powi(2)
+                0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2)
             };
 
             let y = enc.forward(&x);

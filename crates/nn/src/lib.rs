@@ -11,9 +11,11 @@
 //! parameter gradients into [`Param::grad`]. Gradients of every layer are
 //! verified against central finite differences in the test suite.
 //!
-//! Models process one sample (a `tokens x dim` [`Matrix`]) at a time;
+//! Training processes one sample (a `tokens x dim` [`Matrix`]) at a time;
 //! batching is a loop with gradient accumulation, which is exact and fast at
-//! the model scales used in this reproduction.
+//! the model scales used in this reproduction. Inference is not on these
+//! layers at all: `prepare()` freezes each into a `Prepared*` view, the only
+//! inference code, which batches samples along rows.
 //!
 //! [`Matrix`]: pivot_tensor::Matrix
 
@@ -34,8 +36,7 @@ pub use attention::MultiHeadAttention;
 pub use encoder::{EncoderBlock, EncoderTrace};
 pub use linear::{Linear, QuantMode};
 pub use losses::{
-    cross_entropy, distillation_mse, entropy_regularizer, normalized_entropies, normalized_entropy,
-    LossValue,
+    cross_entropy, distillation_mse, entropy_regularizer, normalized_entropy, LossValue,
 };
 pub use mlp::Mlp;
 pub use norm::LayerNorm;

@@ -95,18 +95,11 @@ impl Linear {
         }
     }
 
-    /// Inference-only forward that does not touch the backward cache.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.effective_weight())
-            .add_row_broadcast(self.bias.value.row(0))
-    }
-
     /// Freezes the layer into an immutable inference view: fits the
     /// quantizer once, materializes the effective weight once and computes
-    /// the saturation count from those same parameters. The view is
-    /// bit-identical to [`Linear::infer`] but does zero per-call weight
-    /// work; it snapshots the current weights, so any later mutation of the
-    /// layer requires re-preparing.
+    /// the saturation count from those same parameters. The view does zero
+    /// per-call weight work; it snapshots the current weights, so any later
+    /// mutation of the layer requires re-preparing.
     pub fn prepare(&self) -> crate::PreparedLinear {
         crate::PreparedLinear::from_weights(&self.weight.value, &self.bias.value, self.quant)
     }
@@ -144,20 +137,6 @@ impl Linear {
     /// (see [`crate::PreparedLinear::content_key`]).
     fn content_key(&self, int8: bool) -> u128 {
         crate::PreparedLinear::content_key(&self.weight.value, &self.bias.value, self.quant, int8)
-    }
-
-    /// Number of weights this layer's quantizer cannot represent in-range.
-    ///
-    /// In `Int8` mode the symmetric fit ignores non-finite weights, so a
-    /// healthy layer reports 0 and any corrupted (NaN/±inf) weight counts as
-    /// saturated — a cheap per-layer fault indicator. Always 0 in
-    /// full-precision mode, where no quantizer is applied.
-    pub fn weight_saturation(&self) -> usize {
-        match self.quant {
-            QuantMode::None => 0,
-            QuantMode::Int8 => QuantParams::fit_symmetric(&self.weight.value)
-                .saturation_count(self.weight.value.as_slice()),
-        }
     }
 }
 
@@ -231,7 +210,8 @@ mod tests {
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd = (loss(&lin.infer(&xp)) - loss(&lin.infer(&xm))) / (2.0 * h);
+            let fd =
+                (loss(&lin.prepare().infer(&xp)) - loss(&lin.prepare().infer(&xm))) / (2.0 * h);
             assert!((dx.as_slice()[i] - fd).abs() < 1e-2, "input grad {i}");
         }
 
@@ -242,11 +222,11 @@ mod tests {
             let mut wp = w0.clone();
             wp.as_mut_slice()[i] += h;
             lin.params_mut()[0].value = wp;
-            let lp = loss(&lin.infer(&x));
+            let lp = loss(&lin.prepare().infer(&x));
             let mut wm = w0.clone();
             wm.as_mut_slice()[i] -= h;
             lin.params_mut()[0].value = wm;
-            let lm = loss(&lin.infer(&x));
+            let lm = loss(&lin.prepare().infer(&x));
             let fd = (lp - lm) / (2.0 * h);
             assert!(
                 (analytic.as_slice()[i] - fd).abs() < 1e-2,
@@ -284,10 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn prepared_infer_matches_training_forward() {
         let mut rng = Rng::new(4);
-        let mut lin = Linear::new(6, 3, QuantMode::Int8, &mut rng);
-        let x = Matrix::randn(5, 6, 1.0, &mut rng);
-        assert!(lin.infer(&x).approx_eq(&lin.forward(&x), 1e-6));
+        for quant in [QuantMode::None, QuantMode::Int8] {
+            let mut lin = Linear::new(6, 3, quant, &mut rng);
+            let x = Matrix::randn(5, 6, 1.0, &mut rng);
+            assert_eq!(lin.prepare().infer(&x), lin.forward(&x), "{quant:?}");
+        }
     }
 }

@@ -114,21 +114,6 @@ pub fn normalized_entropy(logits: &Matrix) -> f32 {
     (raw / (k as f32).ln()).clamp(0.0, 1.0)
 }
 
-/// Normalized entropies of a batch of cached logit rows.
-///
-/// This is the batched entropy API `pivot-core`'s `CascadeCache` evaluates
-/// over logits it computed once per sample set: entropies for every sample
-/// in input order, each exactly [`normalized_entropy`] of the
-/// corresponding row.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`normalized_entropy`] on any
-/// element.
-pub fn normalized_entropies(logits: &[Matrix]) -> Vec<f32> {
-    logits.iter().map(normalized_entropy).collect()
-}
-
 /// The entropy regularizer `L_En` and its gradient with respect to the
 /// logits.
 ///

@@ -40,11 +40,6 @@ impl Mlp {
         self.fc1.out_dim()
     }
 
-    /// Inference-only forward without caching.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fc2.infer(&self.fc1.infer(x).map(gelu))
-    }
-
     /// Freezes the block into an immutable inference view (both projections
     /// prepared once; see [`Linear::prepare`]).
     pub fn prepare(&self) -> crate::PreparedMlp {
@@ -87,12 +82,6 @@ impl Mlp {
         self.fc1.set_quant_mode(quant);
         self.fc2.set_quant_mode(quant);
     }
-
-    /// Total quantization-saturated weights across both projections
-    /// (see [`Linear::weight_saturation`]).
-    pub fn weight_saturation(&self) -> usize {
-        self.fc1.weight_saturation() + self.fc2.weight_saturation()
-    }
 }
 
 impl Layer for Mlp {
@@ -134,11 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn prepared_infer_matches_training_forward() {
         let mut rng = Rng::new(1);
         let mut mlp = Mlp::new(4, 8, QuantMode::Int8, &mut rng);
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
-        assert!(mlp.infer(&x).approx_eq(&mlp.forward(&x), 1e-6));
+        assert!(mlp.prepare().infer(&x).approx_eq(&mlp.forward(&x), 1e-6));
     }
 
     #[test]
@@ -152,7 +141,8 @@ mod tests {
         let d_out = &y - &target;
         let dx = mlp.backward(&d_out);
 
-        let loss = |m: &Mlp, x: &Matrix| 0.5 * (&m.infer(x) - &target).frobenius_norm().powi(2);
+        let loss =
+            |m: &Mlp, x: &Matrix| 0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2);
         let h = 1e-3;
         for i in 0..x.len() {
             let mut xp = x.clone();
@@ -170,7 +160,8 @@ mod tests {
         let mut mlp = Mlp::new(3, 5, QuantMode::None, &mut rng);
         let x = Matrix::randn(2, 3, 1.0, &mut rng);
         let target = Matrix::randn(2, 3, 1.0, &mut rng);
-        let loss = |m: &Mlp, x: &Matrix| 0.5 * (&m.infer(x) - &target).frobenius_norm().powi(2);
+        let loss =
+            |m: &Mlp, x: &Matrix| 0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2);
 
         let y = mlp.forward(&x);
         mlp.backward(&(&y - &target));

@@ -1,20 +1,19 @@
 //! Frozen inference views: quantization fitted once, weights materialized
 //! once, then reused for every forward.
 //!
-//! [`crate::Linear::infer`] refits [`QuantParams`] and materializes a full
-//! fake-quantized weight copy on *every* call — once per layer per 32-sample
-//! chunk in the batched evaluator, thousands of times per Phase-2 sweep. The
-//! `Prepared*` structs in this module are the amortized counterpart: built
-//! once from a trained layer by the `prepare()` methods, they hold the
-//! effective weight (and the quantizer that produced it) as plain immutable
-//! data, so repeated inference does zero per-call weight work and the whole
-//! view is `Send + Sync` for free sharing across the worker pool.
+//! The `Prepared*` structs in this module are the only inference code of
+//! the crate (the trainable layers keep just their caching `forward` /
+//! `backward`): built once from a trained layer by the `prepare()` methods,
+//! they hold the effective weight (and the quantizer that produced it) as
+//! plain immutable data, so repeated inference does zero per-call weight
+//! work and the whole view is `Send + Sync` for free sharing across the
+//! worker pool.
 //!
 //! A prepared view is a *snapshot*: any mutation of the source layer
 //! (training steps, `set_quant_mode`, fault injection into the latent
 //! weights) invalidates it and requires calling `prepare()` again.
 
-use crate::{LayerNorm, QuantMode};
+use crate::{EncoderTrace, LayerNorm, QuantMode};
 use pivot_tensor::{
     gelu, matmul_quantized, softmax_row, ContentHasher, Matrix, PackedF32, PackedInt8, QuantParams,
 };
@@ -164,8 +163,7 @@ impl PreparedLinear {
 
     /// Inference forward `y = x W_eff + b`.
     ///
-    /// On the `F32` kernel this is bit-identical to [`crate::Linear::infer`]
-    /// on the layer this view was prepared from. On the `Int8` kernel the
+    /// The `F32` kernel is the accuracy reference. On the `Int8` kernel the
     /// weight grid is the same symmetric fit, and the additional per-row
     /// activation quantization keeps outputs within the documented
     /// int8-vs-fake-quant tolerance (see `pivot_tensor::matmul_quantized`).
@@ -319,45 +317,57 @@ impl PreparedAttention {
             + self.proj.unique_weight_bytes_into(seen)
     }
 
-    /// Per-sample inference; bit-identical to
-    /// [`crate::MultiHeadAttention::infer`] on the source block.
+    /// Per-sample inference: [`Self::infer_batch`] over a batch of one.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let t = x.rows();
-        let mut out = Matrix::zeros(t, self.dim());
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qh = q.slice_cols(lo, hi);
-            let kh = k.slice_cols(lo, hi);
-            let vh = v.slice_cols(lo, hi);
-            let mut scores = qh.matmul_transpose_b(&kh);
-            scores.scale_in_place(scale);
-            for r in 0..t {
-                let soft = softmax_row(scores.row(r));
-                scores.row_mut(r).copy_from_slice(&soft);
-            }
-            let oh = scores.matmul(&vh);
-            for r in 0..t {
-                for c in 0..dh {
-                    out[(r, lo + c)] = oh[(r, c)];
-                }
-            }
-        }
-        self.proj.infer(&out)
+        self.infer_batch(x, x.rows())
     }
 
-    /// Batched inference over samples stacked along rows (`tokens` rows
-    /// each); bit-identical to [`crate::MultiHeadAttention::infer_batch`] on
-    /// the source block.
+    /// Batched inference over `x.rows() / tokens` samples stacked along rows
+    /// (`tokens` rows each).
+    ///
+    /// The Q/K/V projections and the output projection each run as one wide
+    /// GEMM over the whole stack. Attention itself is computed per sample on
+    /// row slices — scores cannot mix samples — reusing one score/output
+    /// scratch buffer across samples and heads. Every kernel involved is
+    /// row-wise with a fixed accumulation order, so each sample's rows are
+    /// bit-identical to running it alone.
     ///
     /// # Panics
     ///
     /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
     pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
+        self.attend(x, tokens, |_| {})
+    }
+
+    /// Inference with ViTCOD-style attention sparsification: in each head,
+    /// only the `density` fraction of highest pre-softmax scores per row
+    /// survive; the rest are masked to `-inf` before the softmax.
+    ///
+    /// At least one entry per row is always kept. Used by the
+    /// `pivot-baselines` ViTCOD re-implementation (90% sparsity = density
+    /// 0.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is not in `(0, 1]`.
+    pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
+        assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
+        let t = x.rows();
+        let keep = ((t as f32 * density).ceil() as usize).max(1);
+        self.attend(x, t, |row| {
+            let mut order: Vec<usize> = (0..row.len()).collect();
+            order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite scores"));
+            for &c in &order[keep..] {
+                row[c] = f32::NEG_INFINITY;
+            }
+        })
+    }
+
+    /// The one per-(sample, head) `QK^T -> scale -> softmax -> SM x V` loop
+    /// of inference. `mask_row` sees each scaled score row before its
+    /// softmax; the dense path instantiates it as a no-op that the
+    /// monomorphised copy compiles away.
+    fn attend(&self, x: &Matrix, tokens: usize, mask_row: impl Fn(&mut [f32])) -> Matrix {
         assert!(
             tokens > 0 && x.rows().is_multiple_of(tokens),
             "batch rows {} not divisible by tokens {tokens}",
@@ -385,6 +395,7 @@ impl PreparedAttention {
                 qh.matmul_transpose_b_into(&kh, &mut scores);
                 scores.scale_in_place(scale);
                 for r in 0..tokens {
+                    mask_row(scores.row_mut(r));
                     let soft = softmax_row(scores.row(r));
                     scores.row_mut(r).copy_from_slice(&soft);
                 }
@@ -451,8 +462,7 @@ impl PreparedMlp {
         self.fc1.unique_weight_bytes_into(seen) + self.fc2.unique_weight_bytes_into(seen)
     }
 
-    /// Inference forward; bit-identical to [`crate::Mlp::infer`] on the
-    /// source block.
+    /// Inference forward `fc2(gelu(fc1(x)))`, row-wise.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         self.fc2.infer(&self.fc1.infer(x).map(gelu))
     }
@@ -524,9 +534,9 @@ impl PreparedEncoderBlock {
         self.attn.dim()
     }
 
-    /// Total saturated weights; like
-    /// [`crate::EncoderBlock::weight_saturation`], skipped attentions still
-    /// count — their weights stay resident in (simulated) SRAM.
+    /// Total saturated weights. Skipped attentions still count — their
+    /// weights stay resident in (simulated) SRAM and a corrupted value there
+    /// matters as soon as the effort level rises.
     pub fn weight_saturation(&self) -> usize {
         self.attn.weight_saturation() + self.mlp.weight_saturation()
     }
@@ -549,11 +559,11 @@ impl PreparedEncoderBlock {
         self.attn.unique_weight_bytes_into(seen) + self.mlp.unique_weight_bytes_into(seen)
     }
 
-    /// Traced per-sample inference; bit-identical to
-    /// [`crate::EncoderBlock::infer_traced`] on the source block.
-    pub fn infer_traced(&self, x: &Matrix) -> crate::EncoderTrace {
+    /// The block body, `x += MHSA(LN(x))` (unless skipped) then
+    /// `x += MLP(LN(x))`, around whichever attention variant `attend` is.
+    fn forward_with(&self, x: &Matrix, attend: impl FnOnce(&Matrix) -> Matrix) -> EncoderTrace {
         let after_attn = if self.attention_active {
-            let mut a = self.attn.infer(&self.ln1.infer(x));
+            let mut a = attend(&self.ln1.infer(x));
             a.add_scaled_in_place(x, 1.0);
             a
         } else {
@@ -561,107 +571,135 @@ impl PreparedEncoderBlock {
         };
         let mut out = self.mlp.infer(&self.ln2.infer(&after_attn));
         out.add_scaled_in_place(&after_attn, 1.0);
-        crate::EncoderTrace {
+        EncoderTrace {
             attention_out: after_attn,
             mlp_out: out,
         }
     }
 
-    /// Per-sample inference; bit-identical to [`crate::EncoderBlock::infer`]
-    /// on the source block.
+    /// Per-sample inference, also returning the trace for CKA capture.
+    pub fn infer_traced(&self, x: &Matrix) -> EncoderTrace {
+        self.forward_with(x, |h| self.attn.infer(h))
+    }
+
+    /// Per-sample inference.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         self.infer_traced(x).mlp_out
     }
 
-    /// Batched inference over samples stacked along rows; bit-identical to
-    /// [`crate::EncoderBlock::infer_batch`] on the source block.
+    /// Batched inference over samples stacked along rows (`tokens` rows
+    /// each). Layer norms and the MLP are row-wise and run directly on the
+    /// stack; attention goes through [`PreparedAttention::infer_batch`].
+    /// Each sample's rows are bit-identical to [`Self::infer`] on it alone.
     ///
     /// # Panics
     ///
     /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
     pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
-        let after_attn = if self.attention_active {
-            let mut a = self.attn.infer_batch(&self.ln1.infer(x), tokens);
-            a.add_scaled_in_place(x, 1.0);
-            a
-        } else {
-            x.clone()
-        };
-        let mut out = self.mlp.infer(&self.ln2.infer(&after_attn));
-        out.add_scaled_in_place(&after_attn, 1.0);
-        out
+        self.forward_with(x, |h| self.attn.infer_batch(h, tokens))
+            .mlp_out
+    }
+
+    /// Per-sample inference with ViTCOD-style sparsified attention (see
+    /// [`PreparedAttention::infer_sparse`]). Honors the skip switch: a
+    /// skipped attention stays skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is not in `(0, 1]`.
+    pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
+        self.forward_with(x, |h| self.attn.infer_sparse(h, density))
+            .mlp_out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EncoderBlock, Layer, Linear, Mlp, MultiHeadAttention, QuantMode};
+    use crate::{EncoderBlock, Layer, Linear, MultiHeadAttention, QuantMode};
     use pivot_tensor::Rng;
 
     #[test]
-    fn prepared_linear_is_bit_identical() {
-        let mut rng = Rng::new(20);
-        for quant in [QuantMode::None, QuantMode::Int8] {
-            let lin = Linear::new(6, 4, quant, &mut rng);
-            let prepared = lin.prepare();
-            let x = Matrix::randn(3, 6, 1.0, &mut rng);
-            assert_eq!(prepared.infer(&x), lin.infer(&x), "{quant:?}");
-        }
-    }
-
-    #[test]
-    fn prepared_linear_saturation_matches_refit() {
+    fn prepared_linear_saturation_counts_corrupted_weights() {
         let mut rng = Rng::new(21);
         let mut lin = Linear::new(5, 5, QuantMode::Int8, &mut rng);
+        assert_eq!(lin.prepare().weight_saturation(), 0);
         lin.params_mut()[0].value.as_mut_slice()[7] = f32::NAN;
-        assert_eq!(lin.prepare().weight_saturation(), lin.weight_saturation());
         assert_eq!(lin.prepare().weight_saturation(), 1);
+        lin.set_quant_mode(QuantMode::None);
+        assert_eq!(lin.prepare().weight_saturation(), 0, "no quantizer");
     }
 
     #[test]
-    fn prepared_attention_matches_both_entry_points() {
-        let mut rng = Rng::new(22);
+    fn attention_batch_rows_are_bit_identical_to_per_sample_infer() {
+        let mut rng = Rng::new(8);
         for quant in [QuantMode::None, QuantMode::Int8] {
-            let attn = MultiHeadAttention::new(8, 2, quant, &mut rng);
-            let prepared = attn.prepare();
-            let x = Matrix::randn(5, 8, 1.0, &mut rng);
-            assert_eq!(prepared.infer(&x), attn.infer(&x), "{quant:?}");
-            let stacked = x.vcat(&x);
-            assert_eq!(
-                prepared.infer_batch(&stacked, 5),
-                attn.infer_batch(&stacked, 5),
-                "{quant:?} batched"
-            );
+            let attn = MultiHeadAttention::new(8, 2, quant, &mut rng).prepare();
+            let samples: Vec<Matrix> = (0..3).map(|_| Matrix::randn(5, 8, 1.0, &mut rng)).collect();
+            let stacked = samples[0].vcat(&samples[1]).vcat(&samples[2]);
+            let batched = attn.infer_batch(&stacked, 5);
+            for (i, s) in samples.iter().enumerate() {
+                assert_eq!(
+                    batched.slice_rows(i * 5, (i + 1) * 5),
+                    attn.infer(s),
+                    "sample {i} diverged under {quant:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn prepared_mlp_is_bit_identical() {
-        let mut rng = Rng::new(23);
-        let mlp = Mlp::new(6, 12, QuantMode::Int8, &mut rng);
-        let x = Matrix::randn(4, 6, 1.0, &mut rng);
-        assert_eq!(mlp.prepare().infer(&x), mlp.infer(&x));
+    #[should_panic(expected = "not divisible")]
+    fn attention_batch_indivisible_rows_panics() {
+        let mut rng = Rng::new(9);
+        let attn = MultiHeadAttention::new(8, 2, QuantMode::None, &mut rng).prepare();
+        let _ = attn.infer_batch(&Matrix::zeros(7, 8), 5);
     }
 
     #[test]
-    fn prepared_encoder_matches_active_and_skipped() {
+    fn sparse_attention_at_full_density_is_dense_and_diverges_below() {
+        let mut rng = Rng::new(22);
+        let attn = MultiHeadAttention::new(8, 2, QuantMode::Int8, &mut rng).prepare();
+        let x = Matrix::randn(6, 8, 1.0, &mut rng);
+        let dense = attn.infer(&x);
+        // Keeping every score masks nothing: the hook is the only
+        // difference between the two entry points.
+        assert_eq!(attn.infer_sparse(&x, 1.0), dense);
+        let sparse = attn.infer_sparse(&x, 0.1);
+        assert!(sparse.is_all_finite(), "one score per row always survives");
+        assert!(!sparse.approx_eq(&dense, 1e-6));
+    }
+
+    #[test]
+    fn encoder_batch_rows_match_per_sample_both_modes() {
         for active in [true, false] {
             let mut rng = Rng::new(24);
             let mut enc = EncoderBlock::new(6, 2, 12, QuantMode::Int8, &mut rng);
             enc.set_attention_active(active);
             let prepared = enc.prepare();
             assert_eq!(prepared.attention_active(), active);
-            let x = Matrix::randn(4, 6, 1.0, &mut rng);
-            assert_eq!(prepared.infer(&x), enc.infer(&x), "active={active}");
-            let stacked = x.vcat(&x);
-            assert_eq!(
-                prepared.infer_batch(&stacked, 4),
-                enc.infer_batch(&stacked, 4),
-                "active={active} batched"
-            );
-            assert_eq!(prepared.weight_saturation(), enc.weight_saturation());
+            let a = Matrix::randn(4, 6, 1.0, &mut rng);
+            let b = Matrix::randn(4, 6, 1.0, &mut rng);
+            let batched = prepared.infer_batch(&a.vcat(&b), 4);
+            assert_eq!(batched.slice_rows(0, 4), prepared.infer(&a), "{active}");
+            assert_eq!(batched.slice_rows(4, 8), prepared.infer(&b), "{active}");
+            // Full-density sparse attention is the dense block.
+            assert_eq!(prepared.infer_sparse(&a, 1.0), prepared.infer(&a));
         }
+    }
+
+    #[test]
+    fn skipped_attention_forwards_input_and_changes_output() {
+        let mut rng = Rng::new(25);
+        let mut enc = EncoderBlock::new(6, 2, 12, QuantMode::None, &mut rng);
+        let x = Matrix::randn(4, 6, 1.0, &mut rng);
+        let with_attn = enc.prepare().infer(&x);
+        enc.set_attention_active(false);
+        let skipped = enc.prepare();
+        assert_eq!(skipped.infer_traced(&x).attention_out, x);
+        assert!(!with_attn.approx_eq(&skipped.infer(&x), 1e-6));
+        // The re-view under the other switch is the re-prepared block.
+        assert_eq!(skipped.with_attention_active(true).infer(&x), with_attn);
     }
 
     #[test]

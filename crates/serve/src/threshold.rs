@@ -30,7 +30,7 @@
 //!   `Th` while the cap is already shedding effort would double-degrade
 //!   and fight the cap's hysteresis. Retuning resumes at full effort.
 
-use pivot_core::stays_low;
+use pivot_core::{stays_low, threshold_grid_walk};
 use std::collections::VecDeque;
 
 /// Tuning of the adaptive threshold control loop.
@@ -175,16 +175,17 @@ impl ThresholdController {
         self.th
     }
 
-    /// Phase 2's grid walk over the *window*: the smallest multiple of
-    /// `step` (final probe clamped bitwise to 1.0, exactly like
-    /// `CascadeCache::threshold_reaching`) whose windowed `F_L` reaches
-    /// `lec`, clamped into `[floor, ceil]`.
+    /// Phase 2's grid walk over the *window*
+    /// ([`threshold_grid_walk`], the very function
+    /// `CascadeCache::threshold_reaching` runs): the smallest multiple of
+    /// `step` whose windowed `F_L` reaches `lec`, clamped into
+    /// `[floor, ceil]`.
     fn retune(&mut self) {
         self.scratch.clear();
         self.scratch.extend(self.window.iter().copied());
         self.scratch.sort_by(f32::total_cmp);
-        let n = self.scratch.len();
-        let f_low_at = |scratch: &[f32], th: f32| -> f64 {
+        let scratch = &self.scratch;
+        let th = threshold_grid_walk(self.policy.lec, self.policy.step, |th| {
             // Sorted scratch: the stays_low count is a partition point.
             // The inclusive top boundary (Th = 1.0 admits e == 1.0)
             // matches the gate's semantics bit for bit.
@@ -194,12 +195,8 @@ impl ThresholdController {
                 scratch.partition_point(|&e| e < th)
             };
             debug_assert_eq!(below, scratch.iter().filter(|&&e| stays_low(e, th)).count());
-            below as f64 / n as f64
-        };
-        let mut th = self.policy.step.min(1.0);
-        while f_low_at(&self.scratch, th) < self.policy.lec && th < 1.0 {
-            th = (th + self.policy.step).min(1.0);
-        }
+            below as f64 / scratch.len() as f64
+        });
         self.th = th.clamp(self.policy.floor, self.policy.ceil);
         self.retunes += 1;
     }

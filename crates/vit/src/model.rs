@@ -2,7 +2,7 @@
 
 use crate::VitConfig;
 use pivot_nn::{EncoderBlock, Layer, LayerNorm, Linear, Param, QuantMode};
-use pivot_tensor::{Batch, Matrix, Rng};
+use pivot_tensor::{Matrix, Rng};
 
 /// Activations captured during a traced forward pass.
 ///
@@ -145,10 +145,10 @@ impl VisionTransformer {
     /// Freezes the model into an immutable [`crate::PreparedModel`]
     /// inference view: every [`Linear`] (patch embed, Q/K/V, projections,
     /// MLPs, head) fits its quantizer and materializes its effective weight
-    /// exactly once. The view is bit-identical to this model's
-    /// `infer`/`infer_traced`/`forward_batch` but does zero per-call weight
-    /// work, and it is `Send + Sync` so one instance can serve the whole
-    /// worker pool.
+    /// exactly once. The view is the inference implementation (this model's
+    /// own [`Self::infer`]/[`Self::infer_traced`]/[`Self::accuracy`] prepare
+    /// one and delegate); it does zero per-call weight work and is
+    /// `Send + Sync`, so one instance can serve the whole worker pool.
     ///
     /// The view snapshots the current weights, quantization mode and
     /// attention-skip pattern; any mutation of the model afterwards
@@ -226,164 +226,33 @@ impl VisionTransformer {
         }
     }
 
-    fn embed(&self, image: &Matrix) -> (Matrix, Matrix) {
-        let patches = self.patchify(image);
-        let embedded = self.patch_embed.infer(&patches);
-        let tokens = self.cls_token.value.vcat(&embedded);
-        (&tokens + &self.pos_embed.value, patches)
-    }
-
     /// Embeds an image into the token matrix the encoder stack consumes
-    /// (class token + patch embeddings + positional embeddings).
-    ///
-    /// Exposed so baselines (token pruning, attention sparsification) can
-    /// run modified encoder schedules.
+    /// (class token + patch embeddings + positional embeddings), through a
+    /// view of the patch-embedding layer alone.
     pub fn embed_tokens(&self, image: &Matrix) -> Matrix {
-        self.embed(image).0
-    }
-
-    /// The encoder blocks (read-only, for custom schedules and analysis).
-    pub fn encoder_blocks(&self) -> &[pivot_nn::EncoderBlock] {
-        &self.blocks
-    }
-
-    /// Per-layer quantization-saturation counters, labeled by layer.
-    ///
-    /// Each entry is `(layer, count)` where `count` is the number of weights
-    /// the layer's int8 quantizer cannot represent in-range (see
-    /// `pivot_nn::Linear::weight_saturation`). A healthy Int8 model reports
-    /// 0 everywhere; non-zero counts localize corrupted weights (bit flips,
-    /// stuck-at faults) to a specific layer. Full-precision layers always
-    /// report 0.
-    pub fn quant_saturation_report(&self) -> Vec<(String, usize)> {
-        let mut report = vec![(
-            "patch_embed".to_string(),
-            self.patch_embed.weight_saturation(),
-        )];
-        for (i, block) in self.blocks.iter().enumerate() {
-            report.push((format!("enc{i}"), block.weight_saturation()));
-        }
-        report.push(("head".to_string(), self.head.weight_saturation()));
-        report
-    }
-
-    /// Sum of [`VisionTransformer::quant_saturation_report`] over all layers.
-    pub fn total_weight_saturation(&self) -> usize {
-        self.quant_saturation_report().iter().map(|(_, n)| n).sum()
-    }
-
-    /// Applies the final norm and classifier head to an encoder-stack
-    /// output, reading the class token (row 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` has no rows or the wrong width.
-    pub fn classify_tokens(&self, tokens: &Matrix) -> Matrix {
-        let normed = self.norm.infer(tokens);
-        self.head.infer(&normed.slice_rows(0, 1))
+        crate::prepared::embed_batch(
+            &self.config,
+            &self.patch_embed.prepare(),
+            &self.cls_token.value,
+            &self.pos_embed.value,
+            &[image],
+        )
     }
 
     /// Inference-only forward returning logits (`1 x num_classes`).
+    ///
+    /// Prepares a view per call; callers inferring more than once should
+    /// hold one [`Self::prepare`] view and call it directly.
     pub fn infer(&self, image: &Matrix) -> Matrix {
-        self.infer_traced(image).logits
-    }
-
-    /// Batched inference: runs every image through the encoder stack at
-    /// once, returning one logits row per image (`images.len() x
-    /// num_classes`).
-    ///
-    /// Samples are stacked along rows ([`Batch`]), so the patch embedding,
-    /// Q/K/V and output projections, MLPs and classifier head each run as
-    /// one wide GEMM per layer instead of one GEMM per sample — the
-    /// effective (fake-quantized) weight of each [`pivot_nn::Linear`] is
-    /// materialized once per batch rather than once per sample. Attention
-    /// scores are still computed per sample (they must not mix samples).
-    ///
-    /// Every kernel on the batched path is row-wise with a fixed
-    /// accumulation order, so row `i` of the result is bit-identical to
-    /// `self.infer(&images[i])` — for any batch size, including ragged
-    /// tails and a batch of one. Takes `&self`: one model instance can be
-    /// shared across worker threads without cloning.
-    ///
-    /// Accepts both owned rows (`&[Matrix]`) and borrowed rows
-    /// (`&[&Matrix]`), so callers batching over a larger dataset can pass
-    /// references instead of cloning every image into the batch.
-    pub fn forward_batch<M: std::borrow::Borrow<Matrix>>(&self, images: &[M]) -> Matrix {
-        let n = images.len();
-        let dim = self.config.dim;
-        if n == 0 {
-            return Matrix::zeros(0, self.config.num_classes);
-        }
-        let t = self.config.tokens();
-        // One wide patch-embed GEMM over all images' patches.
-        let patches: Vec<Matrix> = images.iter().map(|im| self.patchify(im.borrow())).collect();
-        let embedded = self
-            .patch_embed
-            .infer(Batch::from_samples(&patches).as_matrix());
-        // Interleave class token + patch embeddings, then add positional
-        // embeddings, exactly as `embed` does per sample.
-        let mut x = Matrix::zeros(n * t, dim);
-        for s in 0..n {
-            let base = s * t;
-            x.row_mut(base).copy_from_slice(self.cls_token.value.row(0));
-            x.rows_mut(base + 1, base + t)
-                .copy_from_slice(embedded.rows_slice(s * (t - 1), (s + 1) * (t - 1)));
-            for r in 0..t {
-                for (o, &p) in x
-                    .row_mut(base + r)
-                    .iter_mut()
-                    .zip(self.pos_embed.value.row(r))
-                {
-                    *o += p;
-                }
-            }
-        }
-        for block in &self.blocks {
-            x = block.infer_batch(&x, t);
-        }
-        // Gather each sample's class token, then norm + head as one batch.
-        let mut cls = Matrix::zeros(n, dim);
-        for s in 0..n {
-            cls.row_mut(s).copy_from_slice(x.row(s * t));
-        }
-        self.head.infer(&self.norm.infer(&cls))
-    }
-
-    /// Inference with ViTCOD-style attention sparsification in every active
-    /// attention (see [`pivot_nn::MultiHeadAttention::infer_sparse`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    pub fn infer_sparse_attention(&self, image: &Matrix, density: f32) -> Matrix {
-        let mut x = self.embed_tokens(image);
-        for block in &self.blocks {
-            x = block.infer_sparse(&x, density);
-        }
-        self.classify_tokens(&x)
+        self.prepare().infer(image)
     }
 
     /// Inference-only forward capturing the per-encoder activations needed
-    /// by the CKA analysis and the distillation feature.
+    /// by the CKA analysis and the distillation feature (see
+    /// [`crate::PreparedModel::infer_traced`]; same per-call prepare as
+    /// [`Self::infer`]).
     pub fn infer_traced(&self, image: &Matrix) -> ForwardTrace {
-        let (mut x, _) = self.embed(image);
-        let mut attention_out = Vec::with_capacity(self.blocks.len());
-        let mut mlp_out = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let trace = block.infer_traced(&x);
-            x = trace.mlp_out.clone();
-            attention_out.push(trace.attention_out);
-            mlp_out.push(trace.mlp_out);
-        }
-        let normed = self.norm.infer(&x);
-        let cls_feature = normed.slice_rows(0, 1);
-        let logits = self.head.infer(&cls_feature);
-        ForwardTrace {
-            attention_out,
-            mlp_out,
-            cls_feature,
-            logits,
-        }
+        self.prepare().infer_traced(image)
     }
 
     /// Training forward pass; caches intermediates for [`Self::backward`].
@@ -458,22 +327,16 @@ impl VisionTransformer {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Classification accuracy over labeled samples.
+    /// Classification accuracy over labeled samples, through one prepared
+    /// view.
     pub fn accuracy(&self, samples: &[pivot_data::Sample]) -> f32 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let correct = samples
-            .iter()
-            .filter(|s| self.infer(&s.image).row_argmax(0) == s.label)
-            .count();
-        correct as f32 / samples.len() as f32
+        self.prepare().accuracy(samples)
     }
 }
 
 /// Shared patchify kernel: splits an image into flattened patches, one patch
-/// per row. Used by both [`VisionTransformer`] and [`crate::PreparedModel`]
-/// so the two views cannot diverge.
+/// per row. Used by both the training forward of [`VisionTransformer`] and
+/// [`crate::PreparedModel`] so the two cannot diverge.
 ///
 /// # Panics
 ///
@@ -547,74 +410,6 @@ mod tests {
     fn out_of_range_attention_index_panics() {
         let mut model = tiny_model(1);
         model.set_active_attentions(&[99]);
-    }
-
-    #[test]
-    fn trace_has_one_entry_per_encoder() {
-        let model = tiny_model(3);
-        let img = Matrix::zeros(16, 16);
-        let trace = model.infer_traced(&img);
-        assert_eq!(trace.attention_out.len(), 4);
-        assert_eq!(trace.mlp_out.len(), 4);
-        assert_eq!(trace.cls_feature.shape(), (1, 32));
-    }
-
-    #[test]
-    fn forward_batch_is_bit_identical_to_per_sample_infer() {
-        let mut model = tiny_model(10);
-        model.set_active_attentions(&[0, 2]);
-        let mut rng = Rng::new(11);
-        // A "full" batch of 4, a ragged tail of 3, and a batch of 1 all
-        // must reproduce per-sample inference exactly.
-        for batch_size in [4usize, 3, 1] {
-            let images: Vec<Matrix> = (0..batch_size)
-                .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
-                .collect();
-            let logits = model.forward_batch(&images);
-            assert_eq!(logits.shape(), (batch_size, 4));
-            for (i, img) in images.iter().enumerate() {
-                assert_eq!(
-                    logits.slice_rows(i, i + 1),
-                    model.infer(img),
-                    "sample {i} of batch {batch_size} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn forward_batch_within_tolerance_of_infer() {
-        // The ISSUE-level contract is 1e-5 agreement; bit-identity (above)
-        // implies it, but keep the tolerance assertion as the stable
-        // regression surface.
-        let model = tiny_model(12);
-        let mut rng = Rng::new(13);
-        let images: Vec<Matrix> = (0..5)
-            .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
-            .collect();
-        let logits = model.forward_batch(&images);
-        for (i, img) in images.iter().enumerate() {
-            assert!(logits
-                .slice_rows(i, i + 1)
-                .approx_eq(&model.infer(img), 1e-5));
-        }
-    }
-
-    #[test]
-    fn forward_batch_empty_is_empty() {
-        let model = tiny_model(10);
-        assert_eq!(model.forward_batch::<Matrix>(&[]).shape(), (0, 4));
-    }
-
-    #[test]
-    fn forward_batch_borrowed_rows_match_owned() {
-        let model = tiny_model(14);
-        let mut rng = Rng::new(15);
-        let images: Vec<Matrix> = (0..3)
-            .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
-            .collect();
-        let borrowed: Vec<&Matrix> = images.iter().collect();
-        assert_eq!(model.forward_batch(&borrowed), model.forward_batch(&images));
     }
 
     #[test]

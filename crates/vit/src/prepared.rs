@@ -1,12 +1,13 @@
 //! The frozen whole-model inference view.
 //!
-//! [`PreparedModel`] is the amortized counterpart of
-//! [`VisionTransformer`](crate::VisionTransformer)'s inference methods: built once by
-//! [`VisionTransformer::prepare`](crate::VisionTransformer::prepare), it holds every layer's effective
-//! (fake-quantized) weight as immutable data, so repeated inference —
-//! batched evaluation sweeps, cascade calibration, CKA scoring — does zero
-//! per-call quantizer fitting or weight materialization. All entry points
-//! are bit-identical to the unprepared model they were prepared from.
+//! [`PreparedModel`] is the only inference implementation of the crate
+//! ([`VisionTransformer`](crate::VisionTransformer) keeps the training
+//! `forward`/`backward` and delegates its inference conveniences to a view):
+//! built once by [`VisionTransformer::prepare`](crate::VisionTransformer::prepare),
+//! it holds every layer's effective (fake-quantized) weight as immutable
+//! data, so repeated inference — batched evaluation sweeps, cascade
+//! calibration, CKA scoring — does zero per-call quantizer fitting or
+//! weight materialization.
 
 use crate::model::patchify_image;
 use crate::{ForwardTrace, VitConfig};
@@ -143,24 +144,44 @@ impl PreparedModel {
         }
     }
 
-    fn embed(&self, image: &Matrix) -> Matrix {
-        let patches = patchify_image(&self.config, image);
-        let embedded = self.patch_embed.infer(&patches);
-        let tokens = self.cls_token.vcat(&embedded);
-        &tokens + &self.pos_embed
+    /// Embeds an image into the token matrix the encoder stack consumes
+    /// (class token + patch embeddings + positional embeddings).
+    ///
+    /// Exposed so baselines (token pruning) can run modified encoder
+    /// schedules.
+    pub fn embed_tokens(&self, image: &Matrix) -> Matrix {
+        self.embed(&[image])
     }
 
-    /// Inference returning logits (`1 x num_classes`); bit-identical to
-    /// [`VisionTransformer::infer`](crate::VisionTransformer::infer) on the source model.
+    fn embed<M: std::borrow::Borrow<Matrix>>(&self, images: &[M]) -> Matrix {
+        embed_batch(
+            &self.config,
+            &self.patch_embed,
+            &self.cls_token,
+            &self.pos_embed,
+            images,
+        )
+    }
+
+    /// Applies the final norm and classifier head to an encoder-stack
+    /// output, reading the class token (row 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` has no rows or the wrong width.
+    pub fn classify_tokens(&self, tokens: &Matrix) -> Matrix {
+        self.head.infer(&self.norm.infer(tokens).slice_rows(0, 1))
+    }
+
+    /// Inference returning logits (`1 x num_classes`).
     pub fn infer(&self, image: &Matrix) -> Matrix {
         self.infer_traced(image).logits
     }
 
-    /// Traced inference capturing per-encoder activations for CKA analysis;
-    /// bit-identical to [`VisionTransformer::infer_traced`](crate::VisionTransformer::infer_traced) on the source
-    /// model.
+    /// Traced inference capturing the per-encoder activations needed by the
+    /// CKA analysis and the distillation feature.
     pub fn infer_traced(&self, image: &Matrix) -> ForwardTrace {
-        let mut x = self.embed(image);
+        let mut x = self.embed_tokens(image);
         let mut attention_out = Vec::with_capacity(self.blocks.len());
         let mut mlp_out = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
@@ -180,9 +201,34 @@ impl PreparedModel {
         }
     }
 
-    /// Batched inference: one logits row per image, bit-identical to
-    /// [`VisionTransformer::forward_batch`](crate::VisionTransformer::forward_batch) on the source model (and hence
-    /// to per-sample [`PreparedModel::infer`]).
+    /// Inference with ViTCOD-style attention sparsification in every active
+    /// attention (see [`pivot_nn::PreparedAttention::infer_sparse`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is not in `(0, 1]`.
+    pub fn infer_sparse_attention(&self, image: &Matrix, density: f32) -> Matrix {
+        let mut x = self.embed_tokens(image);
+        for block in &self.blocks {
+            x = block.infer_sparse(&x, density);
+        }
+        self.classify_tokens(&x)
+    }
+
+    /// Batched inference: runs every image through the encoder stack at
+    /// once, returning one logits row per image (`images.len() x
+    /// num_classes`).
+    ///
+    /// Samples are stacked along rows ([`Batch`]), so the patch embedding,
+    /// Q/K/V and output projections, MLPs and classifier head each run as
+    /// one wide GEMM per layer instead of one GEMM per sample. Attention
+    /// scores are still computed per sample (they must not mix samples).
+    ///
+    /// Every kernel on the batched path is row-wise with a fixed
+    /// accumulation order, so row `i` of the result is bit-identical to
+    /// `self.infer(&images[i])` — for any batch size, including ragged
+    /// tails and a batch of one. Takes `&self`: one view can be shared
+    /// across worker threads without cloning.
     ///
     /// Accepts owned (`&[Matrix]`) or borrowed (`&[&Matrix]`) rows, so
     /// chunked evaluators can pass references into their dataset instead of
@@ -194,28 +240,11 @@ impl PreparedModel {
             return Matrix::zeros(0, self.config.num_classes);
         }
         let t = self.config.tokens();
-        let patches: Vec<Matrix> = images
-            .iter()
-            .map(|im| patchify_image(&self.config, im.borrow()))
-            .collect();
-        let embedded = self
-            .patch_embed
-            .infer(Batch::from_samples(&patches).as_matrix());
-        let mut x = Matrix::zeros(n * t, dim);
-        for s in 0..n {
-            let base = s * t;
-            x.row_mut(base).copy_from_slice(self.cls_token.row(0));
-            x.rows_mut(base + 1, base + t)
-                .copy_from_slice(embedded.rows_slice(s * (t - 1), (s + 1) * (t - 1)));
-            for r in 0..t {
-                for (o, &p) in x.row_mut(base + r).iter_mut().zip(self.pos_embed.row(r)) {
-                    *o += p;
-                }
-            }
-        }
+        let mut x = self.embed(images);
         for block in &self.blocks {
             x = block.infer_batch(&x, t);
         }
+        // Gather each sample's class token, then norm + head as one batch.
         let mut cls = Matrix::zeros(n, dim);
         for s in 0..n {
             cls.row_mut(s).copy_from_slice(x.row(s * t));
@@ -223,10 +252,15 @@ impl PreparedModel {
         self.head.infer(&self.norm.infer(&cls))
     }
 
-    /// Per-layer quantization-saturation counters, labeled exactly like
-    /// [`VisionTransformer::quant_saturation_report`](crate::VisionTransformer::quant_saturation_report) — but computed once at
-    /// prepare time from the *same* [`pivot_tensor::QuantParams`] the
+    /// Per-layer quantization-saturation counters, labeled by layer.
+    ///
+    /// Each entry is `(layer, count)` where `count` is the number of weights
+    /// the layer's int8 quantizer cannot represent in-range, computed once
+    /// at prepare time from the *same* [`pivot_tensor::QuantParams`] the
     /// forward pass runs on, so health checks and numerics cannot disagree.
+    /// A healthy Int8 model reports 0 everywhere; non-zero counts localize
+    /// corrupted weights (bit flips, stuck-at faults) to a specific layer.
+    /// Full-precision layers always report 0.
     pub fn quant_saturation_report(&self) -> Vec<(String, usize)> {
         let mut report = vec![(
             "patch_embed".to_string(),
@@ -258,13 +292,46 @@ impl PreparedModel {
     }
 }
 
+/// The embedding stage shared by every entry point: one wide patch-embed
+/// GEMM over all images' patches, then per sample the class token and its
+/// patch embeddings interleaved with the positional embeddings added. Takes
+/// the stage's operands rather than a whole view so
+/// [`VisionTransformer::embed_tokens`](crate::VisionTransformer::embed_tokens)
+/// can run it over a view of the one layer it needs.
+pub(crate) fn embed_batch<M: std::borrow::Borrow<Matrix>>(
+    config: &VitConfig,
+    patch_embed: &PreparedLinear,
+    cls_token: &Matrix,
+    pos_embed: &Matrix,
+    images: &[M],
+) -> Matrix {
+    let t = config.tokens();
+    let patches: Vec<Matrix> = images
+        .iter()
+        .map(|im| patchify_image(config, im.borrow()))
+        .collect();
+    let embedded = patch_embed.infer(Batch::from_samples(&patches).as_matrix());
+    let mut x = Matrix::zeros(images.len() * t, config.dim);
+    for s in 0..images.len() {
+        let base = s * t;
+        x.row_mut(base).copy_from_slice(cls_token.row(0));
+        x.rows_mut(base + 1, base + t)
+            .copy_from_slice(embedded.rows_slice(s * (t - 1), (s + 1) * (t - 1)));
+        for r in 0..t {
+            for (o, &p) in x.row_mut(base + r).iter_mut().zip(pos_embed.row(r)) {
+                *o += p;
+            }
+        }
+    }
+    x
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::VisionTransformer;
     use pivot_nn::QuantMode;
     use pivot_tensor::Rng;
-    use proptest::prelude::*;
 
     pub(crate) fn model(seed: u64, quant: QuantMode, active: &[usize]) -> VisionTransformer {
         let cfg = VitConfig {
@@ -277,70 +344,76 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn prepared_infer_is_bit_identical() {
+    fn forward_batch_is_bit_identical_to_per_sample_infer() {
         for quant in [QuantMode::None, QuantMode::Int8] {
-            let m = model(30, quant, &[0, 2]);
-            let prepared = m.prepare();
-            let mut rng = Rng::new(31);
-            for _ in 0..4 {
-                let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng);
-                assert_eq!(prepared.infer(&img), m.infer(&img), "{quant:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_trace_is_bit_identical() {
-        let m = model(32, QuantMode::Int8, &[1, 3]);
-        let prepared = m.prepare();
-        let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(33));
-        let a = prepared.infer_traced(&img);
-        let b = m.infer_traced(&img);
-        assert_eq!(a.logits, b.logits);
-        assert_eq!(a.cls_feature, b.cls_feature);
-        assert_eq!(a.attention_out, b.attention_out);
-        assert_eq!(a.mlp_out, b.mlp_out);
-    }
-
-    #[test]
-    fn prepared_forward_batch_is_bit_identical() {
-        for quant in [QuantMode::None, QuantMode::Int8] {
-            let m = model(34, quant, &[0, 1, 2, 3]);
-            let prepared = m.prepare();
+            let prepared = model(34, quant, &[0, 2]).prepare();
             let mut rng = Rng::new(35);
+            // A "full" batch of 4, a ragged tail of 3, and a batch of 1 all
+            // must reproduce per-sample inference exactly, from owned and
+            // from borrowed rows.
             for batch_size in [4usize, 3, 1] {
                 let images: Vec<Matrix> = (0..batch_size)
                     .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
                     .collect();
                 let borrowed: Vec<&Matrix> = images.iter().collect();
-                assert_eq!(
-                    prepared.forward_batch(&borrowed),
-                    m.forward_batch(&images),
-                    "{quant:?} batch {batch_size}"
-                );
+                let logits = prepared.forward_batch(&borrowed);
+                assert_eq!(logits, prepared.forward_batch(&images));
+                assert_eq!(logits.shape(), (batch_size, 4));
+                for (i, img) in images.iter().enumerate() {
+                    assert_eq!(
+                        logits.slice_rows(i, i + 1),
+                        prepared.infer(img),
+                        "{quant:?}: sample {i} of batch {batch_size} diverged"
+                    );
+                }
             }
-            assert_eq!(
-                prepared.forward_batch::<Matrix>(&[]).shape(),
-                (0, m.config().num_classes)
-            );
+            assert_eq!(prepared.forward_batch::<Matrix>(&[]).shape(), (0, 4));
         }
     }
 
     #[test]
-    fn prepared_saturation_matches_per_call_refit() {
-        let mut m = model(36, QuantMode::Int8, &[0, 2]);
-        // Corrupt one weight so the counters are non-trivial.
-        m.params_mut()[0].value.as_mut_slice()[11] = f32::NAN;
+    fn source_model_delegates_to_a_view() {
+        let m = model(30, QuantMode::Int8, &[1, 3]);
         let prepared = m.prepare();
+        let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(33));
+        assert_eq!(m.infer(&img), prepared.infer(&img));
+        assert_eq!(m.embed_tokens(&img), prepared.embed_tokens(&img));
+        let (a, b) = (m.infer_traced(&img), prepared.infer_traced(&img));
+        assert_eq!(a.cls_feature, b.cls_feature);
+        assert_eq!(a.attention_out, b.attention_out);
+        assert_eq!(a.mlp_out, b.mlp_out);
+        assert_eq!(a.attention_out.len(), 4);
+        assert_eq!(a.cls_feature.shape(), (1, 32));
+    }
+
+    #[test]
+    fn custom_schedule_pieces_compose_to_infer() {
+        // embed_tokens -> blocks -> classify_tokens is what baselines with
+        // modified encoder schedules run; unmodified it is `infer`, and
+        // full-density sparse attention masks nothing.
+        let prepared = model(31, QuantMode::None, &[0, 2]).prepare();
+        let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(32));
+        let mut x = prepared.embed_tokens(&img);
+        for block in prepared.encoder_blocks() {
+            x = block.infer(&x);
+        }
+        assert_eq!(prepared.classify_tokens(&x), prepared.infer(&img));
         assert_eq!(
-            prepared.quant_saturation_report(),
-            m.quant_saturation_report()
+            prepared.infer_sparse_attention(&img, 1.0),
+            prepared.infer(&img)
         );
-        assert_eq!(
-            prepared.total_weight_saturation(),
-            m.total_weight_saturation()
-        );
-        assert!(prepared.total_weight_saturation() >= 1);
+    }
+
+    #[test]
+    fn saturation_report_localizes_a_corrupted_weight() {
+        let mut m = model(36, QuantMode::Int8, &[0, 2]);
+        assert_eq!(m.prepare().total_weight_saturation(), 0);
+        // Param 0 is the patch-embedding weight.
+        m.params_mut()[0].value.as_mut_slice()[11] = f32::NAN;
+        let report = m.prepare().quant_saturation_report();
+        assert_eq!(report[0], ("patch_embed".to_string(), 1));
+        assert!(report[1..].iter().all(|(_, n)| *n == 0));
+        assert_eq!(m.prepare().total_weight_saturation(), 1);
     }
 
     #[test]
@@ -365,7 +438,7 @@ pub(crate) mod tests {
         assert_eq!(prepared.effort(), m.effort());
         assert_eq!(prepared.active_attentions(), m.active_attentions());
         assert_eq!(prepared.config().dim, m.config().dim);
-        assert_eq!(prepared.encoder_blocks().len(), m.encoder_blocks().len());
+        assert_eq!(prepared.encoder_blocks().len(), m.config().depth);
     }
 
     #[test]
@@ -416,34 +489,6 @@ pub(crate) mod tests {
     fn with_active_attentions_rejects_out_of_range() {
         let m = model(63, QuantMode::None, &[0]);
         let _ = m.prepare().with_active_attentions(&[99]);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// The tentpole contract: prepared and unprepared inference agree
-        /// bitwise across quant modes, skip patterns and ragged batch sizes.
-        #[test]
-        fn prop_prepared_bit_identical(
-            seed in 0u64..1000,
-            quant_int8 in 0u32..2,
-            batch in 1usize..6,
-        ) {
-            let quant = if quant_int8 == 1 { QuantMode::Int8 } else { QuantMode::None };
-            let active: &[usize] = if seed % 2 == 0 { &[0, 2] } else { &[0, 1, 2, 3] };
-            let m = model(seed, quant, active);
-            let prepared = m.prepare();
-            let mut rng = Rng::new(seed ^ 0xABCD);
-            let images: Vec<Matrix> = (0..batch)
-                .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
-                .collect();
-            let borrowed: Vec<&Matrix> = images.iter().collect();
-            let batched = prepared.forward_batch(&borrowed);
-            for (i, img) in images.iter().enumerate() {
-                prop_assert_eq!(&batched.slice_rows(i, i + 1), &m.infer(img));
-                prop_assert_eq!(&prepared.infer(img), &m.infer(img));
-            }
-        }
     }
 }
 

@@ -104,6 +104,11 @@ impl Trainer {
             ..Default::default()
         });
         let mut stats = Vec::with_capacity(cfg.epochs);
+        // The teacher is frozen for the whole fit: one view serves every
+        // sample's distillation target.
+        let teacher = teacher
+            .filter(|_| cfg.distill_weight > 0.0)
+            .map(VisionTransformer::prepare);
 
         let batches_per_epoch = data.train.len().div_ceil(cfg.batch_size).max(1);
         let total_steps = (cfg.epochs * batches_per_epoch) as f32;
@@ -133,7 +138,7 @@ impl Trainer {
                         d_logits.add_scaled_in_place(&en.grad, cfg.entropy_weight);
                     }
 
-                    let d_feature = teacher.filter(|_| cfg.distill_weight > 0.0).map(|t| {
+                    let d_feature = teacher.as_ref().map(|t| {
                         let t_feat = t.infer_traced(&sample.image).cls_feature;
                         let dl = distillation_mse(&cls_feature, &t_feat);
                         loss += cfg.distill_weight * dl.loss;
@@ -279,6 +284,7 @@ mod tests {
         .train(&mut regularized, None, &data);
 
         let mean_entropy = |m: &VisionTransformer| {
+            let m = m.prepare();
             data.test
                 .iter()
                 .map(|s| normalized_entropy(&m.infer(&s.image)))
@@ -307,7 +313,9 @@ mod tests {
         .train(&mut teacher, None, &data);
 
         // Students: same init, one with and one without distillation.
+        let teacher_view = teacher.prepare();
         let feature_gap = |student: &VisionTransformer| {
+            let (student, teacher) = (student.prepare(), &teacher_view);
             data.test
                 .iter()
                 .map(|s| {

@@ -56,8 +56,8 @@ fn main() {
         let mut correct = 0usize;
         for s in &stripe {
             let out = cascade.infer(&s.image);
-            escalated += out.used_high as usize;
-            entropy_sum += out.entropy_low;
+            escalated += (out.level == 1) as usize;
+            entropy_sum += out.low_entropy;
             correct += (out.prediction == s.label) as usize;
         }
         let n = stripe.len() as f32;

@@ -44,6 +44,7 @@ fn trained_model_and_data() -> (VisionTransformer, Dataset) {
 #[test]
 fn baseline_accuracy_ordering_on_trained_model() {
     let (model, data) = trained_model_and_data();
+    let model = model.prepare();
     let dense_acc = model.accuracy(&data.test) as f64;
     assert!(dense_acc > 0.5, "model must be trained (acc {dense_acc})");
 

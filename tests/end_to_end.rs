@@ -121,9 +121,10 @@ fn cascade_escalates_more_on_harder_inputs() {
 
     // Core input-awareness property: the low-effort entropy is higher on
     // harder inputs.
+    let low_view = low.prepare();
     let mean_entropy = |set: &[pivot::data::Sample]| {
         set.iter()
-            .map(|s| normalized_entropy(&low.infer(&s.image)))
+            .map(|s| normalized_entropy(&low_view.infer(&s.image)))
             .sum::<f32>()
             / set.len() as f32
     };
