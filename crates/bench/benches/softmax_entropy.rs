@@ -1,7 +1,8 @@
-//! Microbenchmarks of the non-linear kernels: softmax, entropy, GELU.
+//! Microbenchmarks of the non-GEMM kernels: softmax, entropy, GELU,
+//! LayerNorm.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pivot_nn::normalized_entropy;
+use pivot_nn::{normalized_entropy, LayerNorm};
 use pivot_tensor::{gelu, softmax_row, Matrix, Rng};
 
 fn bench_nonlinear(c: &mut Criterion) {
@@ -28,6 +29,16 @@ fn bench_nonlinear(c: &mut Criterion) {
     group.bench_function("gelu map (17x128)", |b| {
         b.iter(|| black_box(&acts).map(gelu))
     });
+
+    // The two LayerNorm shapes of the benchmark's workloads: a batch of 16
+    // at 17 tokens x 64, and a batch of 2 at DeiT-S's 197 tokens x 384.
+    for (rows, dim) in [(272usize, 64usize), (394, 384)] {
+        let norm = LayerNorm::new(dim);
+        let x = Matrix::randn(rows, dim, 1.0, &mut rng);
+        group.bench_function(format!("LayerNorm::infer ({rows}x{dim})"), |b| {
+            b.iter(|| norm.infer(black_box(&x)))
+        });
+    }
 
     group.finish();
 }

@@ -3,6 +3,7 @@
 //! speedup (no special kernels required).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pivot_nn::{MultiHeadAttention, QuantMode};
 use pivot_tensor::{Matrix, Rng};
 use pivot_vit::{VisionTransformer, VitConfig};
 
@@ -30,6 +31,18 @@ fn bench_forward(c: &mut Criterion) {
     group.bench_function("tiny-deit traced forward", |b| {
         b.iter(|| full.infer_traced(black_box(&image)))
     });
+
+    // The attention branch alone at the benchmark's two geometries: a
+    // serving batch of 16 at 17 tokens, and 2 samples at DeiT-S's 197.
+    for (cfg, batch) in [(VitConfig::tiny(), 16usize), (VitConfig::deit_s(), 2)] {
+        let (tokens, dim) = (cfg.tokens(), cfg.dim);
+        let attn = MultiHeadAttention::new(dim, cfg.heads, QuantMode::None, &mut rng).prepare();
+        let x = Matrix::randn(batch * tokens, dim, 1.0, &mut rng);
+        group.bench_function(
+            format!("PreparedAttention::infer_batch ({tokens} tok x{batch})"),
+            |b| b.iter(|| attn.infer_batch(black_box(&x), tokens)),
+        );
+    }
 
     group.finish();
 }

@@ -68,9 +68,67 @@ impl LayerNorm {
         self.gamma.value.cols()
     }
 
-    /// Inference-only forward without caching.
+    /// Inference-only forward without caching: one pass over row slices
+    /// that writes only `y` (training's [`Layer::forward`] also
+    /// materializes `x_hat` for `backward`). Bit-identical to it: each
+    /// row's mean and variance are the same sequential chains, four rows'
+    /// chains merely run interleaved to hide the add latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != self.dim()`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.normalize(x).0
+        let d = self.dim();
+        assert_eq!(x.cols(), d, "layer-norm input width");
+        // Appended row by row, so the output is written exactly once.
+        let mut y = Vec::with_capacity(x.len());
+        if d > 0 {
+            let mut groups = x.as_slice().chunks_exact(4 * d);
+            for x4 in &mut groups {
+                self.infer_rows::<4>(x4, &mut y);
+            }
+            for x1 in groups.remainder().chunks_exact(d) {
+                self.infer_rows::<1>(x1, &mut y);
+            }
+        }
+        Matrix::from_vec(x.rows(), d, y)
+    }
+
+    /// Appends the normalization of the `R` consecutive rows in `x` to
+    /// `y`, their reductions interleaved. Each row's sums are still one
+    /// sequential chain in column order starting from `Iterator::sum`'s
+    /// own identity, exactly what [`Self::normalize`] computes.
+    // `c` walks one column of all `R` rows in lockstep.
+    #[allow(clippy::needless_range_loop)]
+    fn infer_rows<const R: usize>(&self, x: &[f32], y: &mut Vec<f32>) {
+        let d = self.dim();
+        let n = d as f32;
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * d..(r + 1) * d]);
+        let identity: f32 = std::iter::empty::<f32>().sum();
+        let mut sum = [identity; R];
+        for c in 0..d {
+            for r in 0..R {
+                sum[r] += rows[r][c];
+            }
+        }
+        let mean = sum.map(|s| s / n);
+        let mut sq = [identity; R];
+        for c in 0..d {
+            for r in 0..R {
+                let dv = rows[r][c] - mean[r];
+                sq[r] += dv * dv;
+            }
+        }
+        let scale_shift = self.gamma.value.row(0).iter().zip(self.beta.value.row(0));
+        for r in 0..R {
+            let (mean, inv_std) = (mean[r], 1.0 / (sq[r] / n + self.eps).sqrt());
+            y.extend(
+                rows[r]
+                    .iter()
+                    .zip(scale_shift.clone())
+                    .map(|(&v, (&g, &b))| g * ((v - mean) * inv_std) + b),
+            );
+        }
     }
 
     fn normalize(&self, x: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
@@ -209,6 +267,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn infer_is_bit_identical_to_training_forward() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng::new(9);
+        // Every `rows % 4` (the interleaved reductions take four rows at a
+        // time), one column, and rows that tell the reductions' starting
+        // value apart: all `-0.0` (mean `-0.0` only if the sum starts where
+        // `Iterator::sum` does; a `-0.0` beta keeps the sign visible), NaN.
+        for (rows, dim) in [(4, 8), (5, 8), (6, 3), (7, 64), (1, 5), (9, 1), (0, 4)] {
+            let mut ln = LayerNorm::new(dim);
+            ln.gamma.value = Matrix::randn(1, dim, 1.0, &mut rng);
+            ln.beta.value = Matrix::filled(1, dim, -0.0);
+            let mut x = Matrix::randn(rows, dim, 2.0, &mut rng);
+            if rows > 0 {
+                x.row_mut(0).fill(-0.0);
+                x.row_mut(rows - 1)[0] = f32::NAN;
+            }
+            let inferred = ln.infer(&x);
+            assert_eq!(bits(&inferred), bits(&ln.forward(&x)), "{rows}x{dim}");
+            if rows > 1 {
+                assert!(inferred.row(rows - 1).iter().all(|v| v.is_nan()));
+                assert!(inferred.row(0).iter().all(|v| v.is_finite()));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "layer-norm input width")]
+    fn infer_rejects_a_mismatched_width() {
+        let _ = LayerNorm::new(4).infer(&Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -15,17 +15,24 @@
 
 use crate::{EncoderTrace, LayerNorm, QuantMode};
 use pivot_tensor::{
-    gelu, matmul_quantized, softmax_row, ContentHasher, Matrix, PackedF32, PackedInt8, QuantParams,
+    gelu, matmul_quantized, softmax_row_in_place, ContentHasher, Matrix, PackedF32, PackedInt8,
+    QuantParams,
 };
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The GEMM backend a [`PreparedLinear`] runs on: `F32` is the accuracy
-/// reference (full precision or fake-quantized effective weight), `Int8`
-/// is the deployment path storing packed `i8` panels (a quarter of the
-/// weight memory traffic) and driving the integer GEMM.
+/// The GEMM backend a [`PreparedLinear`] runs on: the two `F32` arms are
+/// the accuracy reference (full precision or fake-quantized effective
+/// weight), `Int8` is the deployment path storing packed `i8` panels (a
+/// quarter of the weight memory traffic) and driving the integer GEMM.
 ///
-/// Both payloads sit behind `Arc` so a [`crate::PreparedStore`] can share
+/// Exactly one copy of the weight is resident per view, in the layout the
+/// host's GEMM reads: which `F32` arm a view holds is decided once, at
+/// prepare time, by [`pivot_tensor::f32_simd_available`] — a property of
+/// the machine, so every view in a process takes the same arm.
+///
+/// Every payload sits behind `Arc` so a [`crate::PreparedStore`] can share
 /// one materialized weight across every effort level whose layer is
 /// bit-identical — the sharing is safe because no API mutates a prepared
 /// payload (there is no `&mut` accessor to the `Arc` contents anywhere in
@@ -33,18 +40,15 @@ use std::sync::Arc;
 /// while another still reads it.
 #[derive(Debug, Clone)]
 pub(crate) enum PreparedKernel {
-    /// `f32` effective weight — full precision, or fake-quantized in `Int8`
-    /// quant mode. The reference path. On AVX2+FMA machines `panels` holds
-    /// the weight pre-packed for the SIMD microkernel
-    /// ([`pivot_tensor::PackedF32`]), so repeated forwards skip the
-    /// per-call pack `matmul` would do; it is `None` when the runtime
-    /// dispatch would take a scalar arm anyway. Using the cached pack is
-    /// bit-identical to `matmul` against `w_eff` — the kernel is the same,
+    /// The `f32` effective weight pre-packed for the SIMD microkernel
+    /// ([`pivot_tensor::PackedF32`]) on AVX2+FMA machines, so repeated
+    /// forwards skip the per-call pack `matmul` would do. Bit-identical
+    /// to `matmul` against the dense weight — the kernel is the same,
     /// packing is the only work hoisted out.
-    F32 {
-        w_eff: Arc<Matrix>,
-        panels: Option<Arc<PackedF32>>,
-    },
+    F32Panels(Arc<PackedF32>),
+    /// The dense `f32` effective weight, where the runtime dispatch takes
+    /// a scalar arm.
+    F32Dense(Arc<Matrix>),
     /// Packed `i8` weight panels on the integer GEMM
     /// ([`pivot_tensor::matmul_quantized`]).
     Int8 { packed: Arc<PackedInt8> },
@@ -72,25 +76,29 @@ impl PreparedLinear {
     /// fits the quantizer once, materializes the effective weight once and
     /// computes the saturation count from those same parameters.
     pub fn from_weights(weight: &Matrix, bias: &Matrix, quant: QuantMode) -> Self {
-        let (w_eff, params) = match quant {
-            QuantMode::None => (weight.clone(), None),
+        // Full precision runs on the latent weight itself; only the
+        // fake-quantized grid has to be materialized.
+        let (fake_quant, params) = match quant {
+            QuantMode::None => (None, None),
             QuantMode::Int8 => {
                 let qp = QuantParams::fit_symmetric(weight);
-                (qp.fake_quant_matrix(weight), Some(qp))
+                (Some(qp.fake_quant_matrix(weight)), Some(qp))
             }
         };
         let saturation = params
             .map(|qp| qp.saturation_count(weight.as_slice()))
             .unwrap_or(0);
-        // Pre-pack the weight for the SIMD microkernel when the runtime
-        // dispatch would use it, hoisting the per-call pack out of every
-        // forward. Bit-identical either way — same kernel.
-        let panels = pivot_tensor::f32_simd_available().then(|| Arc::new(PackedF32::pack(&w_eff)));
+        let kernel = if pivot_tensor::f32_simd_available() {
+            // Pack for the SIMD microkernel, hoisting the per-call pack
+            // out of every forward; the dense copy is not kept.
+            PreparedKernel::F32Panels(Arc::new(PackedF32::pack(
+                fake_quant.as_ref().unwrap_or(weight),
+            )))
+        } else {
+            PreparedKernel::F32Dense(Arc::new(fake_quant.unwrap_or_else(|| weight.clone())))
+        };
         Self {
-            kernel: PreparedKernel::F32 {
-                w_eff: Arc::new(w_eff),
-                panels,
-            },
+            kernel,
             bias: bias.clone(),
             params,
             saturation,
@@ -151,7 +159,8 @@ impl PreparedLinear {
     /// minimizes.
     pub fn unique_weight_bytes_into(&self, seen: &mut HashSet<usize>) -> usize {
         let ptr = match &self.kernel {
-            PreparedKernel::F32 { w_eff, .. } => Arc::as_ptr(w_eff) as usize,
+            PreparedKernel::F32Panels(panels) => Arc::as_ptr(panels) as usize,
+            PreparedKernel::F32Dense(w_eff) => Arc::as_ptr(w_eff) as usize,
             PreparedKernel::Int8 { packed } => Arc::as_ptr(packed) as usize,
         };
         if seen.insert(ptr) {
@@ -169,12 +178,10 @@ impl PreparedLinear {
     /// int8-vs-fake-quant tolerance (see `pivot_tensor::matmul_quantized`).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         match &self.kernel {
-            PreparedKernel::F32 {
-                panels: Some(p), ..
-            } => x.matmul_prepacked(p).add_row_broadcast(self.bias.row(0)),
-            PreparedKernel::F32 { w_eff, panels: _ } => {
-                x.matmul(w_eff).add_row_broadcast(self.bias.row(0))
-            }
+            PreparedKernel::F32Panels(panels) => x
+                .matmul_prepacked(panels)
+                .add_row_broadcast(self.bias.row(0)),
+            PreparedKernel::F32Dense(w_eff) => x.matmul(w_eff).add_row_broadcast(self.bias.row(0)),
             PreparedKernel::Int8 { packed } => {
                 matmul_quantized(x, packed).add_row_broadcast(self.bias.row(0))
             }
@@ -190,9 +197,11 @@ impl PreparedLinear {
     /// weight on the `F32` kernel, 1 on the packed `Int8` kernel.
     pub fn weight_bytes(&self) -> usize {
         match &self.kernel {
-            // The cached SIMD pack is a layout copy, not extra streamed
-            // weight data, so it does not count here.
-            PreparedKernel::F32 { w_eff, .. } => w_eff.len() * std::mem::size_of::<f32>(),
+            // The logical `k x n` weight on either f32 arm: panel padding
+            // is layout, not streamed weight data.
+            PreparedKernel::F32Panels(_) | PreparedKernel::F32Dense(_) => {
+                self.in_dim() * self.out_dim() * std::mem::size_of::<f32>()
+            }
             PreparedKernel::Int8 { packed } => packed.size_bytes(),
         }
     }
@@ -200,7 +209,8 @@ impl PreparedLinear {
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         match &self.kernel {
-            PreparedKernel::F32 { w_eff, .. } => w_eff.rows(),
+            PreparedKernel::F32Panels(panels) => panels.k(),
+            PreparedKernel::F32Dense(w_eff) => w_eff.rows(),
             PreparedKernel::Int8 { packed } => packed.in_dim(),
         }
     }
@@ -208,7 +218,8 @@ impl PreparedLinear {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         match &self.kernel {
-            PreparedKernel::F32 { w_eff, .. } => w_eff.cols(),
+            PreparedKernel::F32Panels(panels) => panels.n(),
+            PreparedKernel::F32Dense(w_eff) => w_eff.cols(),
             PreparedKernel::Int8 { packed } => packed.out_dim(),
         }
     }
@@ -354,9 +365,21 @@ impl PreparedAttention {
         assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
         let t = x.rows();
         let keep = ((t as f32 * density).ceil() as usize).max(1);
+        let mut order: Vec<usize> = Vec::with_capacity(t);
         self.attend(x, t, |row| {
-            let mut order: Vec<usize> = (0..row.len()).collect();
-            order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite scores"));
+            order.clear();
+            order.extend(0..row.len());
+            // A NaN score ranks first whatever its sign bit, so a fault is
+            // kept and poisons its softmax row instead of being masked
+            // away (or panicking the sort).
+            let rank = |c: usize| {
+                if row[c].is_nan() {
+                    f32::INFINITY
+                } else {
+                    row[c]
+                }
+            };
+            order.sort_by(|&a, &b| rank(b).total_cmp(&rank(a)));
             for &c in &order[keep..] {
                 row[c] = f32::NEG_INFINITY;
             }
@@ -364,10 +387,18 @@ impl PreparedAttention {
     }
 
     /// The one per-(sample, head) `QK^T -> scale -> softmax -> SM x V` loop
-    /// of inference. `mask_row` sees each scaled score row before its
-    /// softmax; the dense path instantiates it as a no-op that the
-    /// monomorphised copy compiles away.
-    fn attend(&self, x: &Matrix, tokens: usize, mask_row: impl Fn(&mut [f32])) -> Matrix {
+    /// of inference, run in place on the stacked projections: scores come
+    /// from the head's column block of `Q` and `K` at row stride `dim`, and
+    /// each head's output lands directly in its block of the context
+    /// matrix — no slice copies, no per-row or per-head allocation.
+    /// `mask_row` sees each scaled score row before its softmax; the dense
+    /// path instantiates it as a no-op that the monomorphised copy
+    /// compiles away.
+    ///
+    /// Every stage keeps the accumulation order of the copying loop it
+    /// replaced (see the strided entry points in `pivot_tensor::Matrix`),
+    /// so outputs are bit-identical to it and to training's `forward`.
+    fn attend(&self, x: &Matrix, tokens: usize, mut mask_row: impl FnMut(&mut [f32])) -> Matrix {
         assert!(
             tokens > 0 && x.rows().is_multiple_of(tokens),
             "batch rows {} not divisible by tokens {tokens}",
@@ -376,37 +407,42 @@ impl PreparedAttention {
         let q = self.wq.infer(x);
         let k = self.wk.infer(x);
         let v = self.wv.infer(x);
-        let n = x.rows() / tokens;
         let dh = self.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut out = Matrix::zeros(x.rows(), self.dim());
-        let mut scores = Matrix::zeros(tokens, tokens);
-        let mut oh = Matrix::zeros(tokens, dh);
-        for s in 0..n {
-            let (r0, r1) = (s * tokens, (s + 1) * tokens);
-            let qs = q.slice_rows(r0, r1);
-            let ks = k.slice_rows(r0, r1);
-            let vs = v.slice_rows(r0, r1);
-            for h in 0..self.heads {
-                let (lo, hi) = (h * dh, (h + 1) * dh);
-                let qh = qs.slice_cols(lo, hi);
-                let kh = ks.slice_cols(lo, hi);
-                let vh = vs.slice_cols(lo, hi);
-                qh.matmul_transpose_b_into(&kh, &mut scores);
-                scores.scale_in_place(scale);
-                for r in 0..tokens {
-                    mask_row(scores.row_mut(r));
-                    let soft = softmax_row(scores.row(r));
-                    scores.row_mut(r).copy_from_slice(&soft);
-                }
-                scores.matmul_into(&vh, &mut oh);
-                for r in 0..tokens {
-                    out.row_mut(r0 + r)[lo..hi].copy_from_slice(oh.row(r));
+        let mut context = Matrix::zeros(x.rows(), self.dim());
+        ATTEND_SCRATCH.with_borrow_mut(|(scores, panel)| {
+            scores.resize(tokens * tokens, 0.0);
+            for r0 in (0..x.rows()).step_by(tokens) {
+                let rows = r0..r0 + tokens;
+                for h in 0..self.heads {
+                    let cols = h * dh..(h + 1) * dh;
+                    q.matmul_transpose_b_block_into(&k, rows.clone(), cols.clone(), scores);
+                    for row in scores.chunks_exact_mut(tokens) {
+                        for s in row.iter_mut() {
+                            *s *= scale;
+                        }
+                        mask_row(row);
+                        softmax_row_in_place(row);
+                    }
+                    Matrix::matmul_block_into(scores, &v, rows.clone(), cols, panel, &mut context);
                 }
             }
-        }
-        self.proj.infer(&out)
+        });
+        self.proj.infer(&context)
     }
+}
+
+thread_local! {
+    /// Per-thread scratch of [`PreparedAttention::attend`]: one `tokens²`
+    /// score buffer and one `V_h` panel buffer, whose allocations grow to
+    /// the largest size the thread has seen. Overwrite-before-read: the score GEMM
+    /// writes all `tokens²` scores and `pack_block` every panel lane before
+    /// anything reads them, so no value survives from one (sample, head) —
+    /// or one call — to the next, and worker threads cannot alias each
+    /// other's. Borrowed for the whole head loop, so a `mask_row` hook must
+    /// not re-enter `attend` (the two in this file do not).
+    static ATTEND_SCRATCH: RefCell<(Vec<f32>, PackedF32)> =
+        RefCell::new((Vec::new(), PackedF32::default()));
 }
 
 /// Frozen inference view of a [`crate::Mlp`] block.
@@ -668,6 +704,32 @@ mod tests {
         let sparse = attn.infer_sparse(&x, 0.1);
         assert!(sparse.is_all_finite(), "one score per row always survives");
         assert!(!sparse.approx_eq(&dense, 1e-6));
+    }
+
+    #[test]
+    fn sparse_attention_propagates_nan_scores_instead_of_panicking() {
+        let mut rng = Rng::new(23);
+        let attn = MultiHeadAttention::new(8, 2, QuantMode::None, &mut rng).prepare();
+        let mut x = Matrix::randn(6, 8, 1.0, &mut rng);
+        // A poisoned token (what a stuck-NaN weight upstream produces):
+        // its own scores are all NaN and every other row has one NaN score.
+        // Both NaN signs: the sign bit must not decide whether the top-k
+        // mask keeps the fault.
+        for nan in [f32::NAN, -f32::NAN] {
+            x.row_mut(2).fill(nan);
+            for density in [0.1, 0.5, 1.0] {
+                let sparse = attn.infer_sparse(&x, density);
+                for r in 0..6 {
+                    assert!(
+                        sparse.row(r).iter().all(|v| !v.is_finite()),
+                        "row {r} laundered the fault at density {density}"
+                    );
+                }
+            }
+            // Keeping every score is still the dense path, NaN bits and all.
+            let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(attn.infer_sparse(&x, 1.0)), bits(attn.infer(&x)));
+        }
     }
 
     #[test]

@@ -39,7 +39,10 @@ pub use health::NonFiniteError;
 pub use int8::{matmul_quantized, matmul_quantized_into, PackedInt8};
 pub use matrix::{Matrix, MATMUL_TILE};
 pub use microkernel::{f32_simd_available, PackedF32, PANEL_WIDTH};
-pub use ops::{erf, gelu, gelu_derivative, log_softmax_row, softmax_row, stable_softmax_in_place};
+pub use ops::{
+    erf, gelu, gelu_derivative, log_softmax_row, softmax_row, softmax_row_in_place,
+    stable_softmax_in_place,
+};
 pub use quant::{QuantParams, Quantized};
 pub use rng::Rng;
 

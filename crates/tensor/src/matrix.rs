@@ -1,9 +1,9 @@
 //! Row-major dense `f32` matrix.
 
-use crate::microkernel::{f32_simd_available, LhsView, PackedF32};
+use crate::microkernel::{f32_simd_available, LhsView, PackedF32, StridedRows};
 use crate::rng::Rng;
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Range, Sub};
 
 /// Tile edge used by the tiled scalar matmul fallback.
 ///
@@ -370,7 +370,13 @@ impl Matrix {
         #[cfg(target_arch = "x86_64")]
         if f32_simd_available() {
             let packed = PackedF32::pack(rhs);
-            crate::microkernel::gemm_packed(self.lhs_view(), self.rows, &packed, &mut out.data);
+            crate::microkernel::gemm_packed(
+                self.lhs_view(),
+                self.rows,
+                &packed,
+                &mut out.data,
+                rhs.cols,
+            );
             return;
         }
         self.matmul_into_scalar(rhs, out);
@@ -382,6 +388,16 @@ impl Matrix {
             base: &self.data,
             row_stride: self.cols,
             k_stride: 1,
+        }
+    }
+
+    /// The rows of this matrix from flat offset `at` on, at its own row
+    /// stride: `at = 0` is the whole matrix, `at = r * cols + c` the block
+    /// whose top-left element is `(r, c)`.
+    fn strided_rows(&self, at: usize) -> StridedRows<'_> {
+        StridedRows {
+            base: &self.data[at..],
+            stride: self.cols,
         }
     }
 
@@ -399,18 +415,13 @@ impl Matrix {
     /// Untiled scalar ikj arm — the [`Self::matmul_naive`] loop writing
     /// into a reused buffer.
     fn matmul_into_scalar_untiled(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.data.fill(0.0);
-        let n = rhs.cols;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                let b_row = &rhs.data[k * n..(k + 1) * n];
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
-                }
-            }
-        }
+        gemm_scalar_strided(
+            &self.data,
+            (self.rows, self.cols, rhs.cols),
+            rhs.strided_rows(0),
+            &mut out.data,
+            rhs.cols,
+        );
     }
 
     /// Tiled scalar arm: output rows and the reduction tiled at
@@ -479,7 +490,13 @@ impl Matrix {
         );
         #[cfg(target_arch = "x86_64")]
         if f32_simd_available() {
-            crate::microkernel::gemm_packed(self.lhs_view(), self.rows, packed, &mut out.data);
+            crate::microkernel::gemm_packed(
+                self.lhs_view(),
+                self.rows,
+                packed,
+                &mut out.data,
+                packed.n(),
+            );
             return;
         }
         crate::microkernel::gemm_panels_unfused(self.lhs_view(), self.rows, packed, &mut out.data);
@@ -535,7 +552,12 @@ impl Matrix {
         );
         #[cfg(target_arch = "x86_64")]
         if f32_simd_available() {
-            crate::microkernel::gemm_transpose_b(self, rhs, out);
+            crate::microkernel::gemm_transpose_b(
+                self.strided_rows(0),
+                rhs.strided_rows(0),
+                (self.rows, self.cols, rhs.rows),
+                &mut out.data,
+            );
             return;
         }
         self.matmul_transpose_b_into_scalar(rhs, out);
@@ -553,18 +575,12 @@ impl Matrix {
 
     /// Untiled scalar arm of the transposed-B product.
     fn matmul_transpose_b_scalar_untiled(&self, rhs: &Matrix, out: &mut Matrix) {
-        let n = rhs.rows;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..n {
-                let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
+        gemm_transpose_b_scalar_strided(
+            self.strided_rows(0),
+            rhs.strided_rows(0),
+            (self.rows, self.cols, rhs.rows),
+            &mut out.data,
+        );
     }
 
     /// Tiled scalar arm of the transposed-B product — same per-element dot
@@ -588,6 +604,121 @@ impl Matrix {
                 }
             }
         }
+    }
+
+    /// Flat offset of the `rows x cols` block `self` shares with `other`
+    /// (the strided kernels read and write such blocks in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` differs from `self` in shape or the block is not
+    /// inside them.
+    fn block_offset(&self, other: &Matrix, rows: &Range<usize>, cols: &Range<usize>) -> usize {
+        assert_eq!(
+            other.shape(),
+            self.shape(),
+            "block operands differ in shape"
+        );
+        assert!(
+            rows.start <= rows.end && rows.end <= self.rows,
+            "block rows {rows:?} out of {:?}",
+            self.shape()
+        );
+        assert!(
+            cols.start <= cols.end && cols.end <= self.cols,
+            "block cols {cols:?} out of {:?}",
+            self.shape()
+        );
+        rows.start * self.cols + cols.start
+    }
+
+    /// `self[rows, cols] * rhs[rows, cols]^T` into the dense
+    /// `rows.len() x rows.len()` buffer `out`, reading both blocks in place
+    /// at the matrices' own row stride — the attention scores of one
+    /// (sample, head) straight from the stacked `Q` and `K`, with no
+    /// `slice_rows` / `slice_cols` copies.
+    ///
+    /// Bit-identical to [`Self::matmul_transpose_b_into`] on the two copied
+    /// blocks, on every machine: the SIMD arm runs the same lane-split dot
+    /// kernels on the same runs, the scalar arm the same ascending-`k`
+    /// chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs` differs from `self` in shape, the block is not
+    /// inside them, or `out.len() != rows.len() * rows.len()`.
+    pub fn matmul_transpose_b_block_into(
+        &self,
+        rhs: &Matrix,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        out: &mut [f32],
+    ) {
+        let at = self.block_offset(rhs, &rows, &cols);
+        let (t, k) = (rows.len(), cols.len());
+        assert_eq!(out.len(), t * t, "block score buffer is not {t}x{t}");
+        if t == 0 {
+            return;
+        }
+        let (a, b) = (self.strided_rows(at), rhs.strided_rows(at));
+        #[cfg(target_arch = "x86_64")]
+        if f32_simd_available() {
+            crate::microkernel::gemm_transpose_b(a, b, (t, k, t), out);
+            return;
+        }
+        gemm_transpose_b_scalar_strided(a, b, (t, k, t), out);
+    }
+
+    /// `out[rows, cols] = lhs * rhs[rows, cols]` for a dense
+    /// `rows.len() x rows.len()` `lhs`, reading the `rhs` block and writing
+    /// the `out` block in place at the matrices' own row stride — one
+    /// head's `softmax(QK^T) V` landing directly in the context matrix.
+    /// The rest of `out` is left untouched.
+    ///
+    /// Bit-identical to [`Self::matmul_into`] on the copied block, on every
+    /// machine: the SIMD arm repacks the block into `panel` (the caller's
+    /// reusable buffer, see [`PackedF32::pack_block`]) and runs the same
+    /// register tile with an output stride; the scalar arm runs the same
+    /// ascending-`k` chain and leaves `panel` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` differs from `rhs` in shape, the block is not inside
+    /// them, or `lhs.len() != rows.len() * rows.len()`.
+    pub fn matmul_block_into(
+        lhs: &[f32],
+        rhs: &Matrix,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        panel: &mut PackedF32,
+        out: &mut Matrix,
+    ) {
+        let at = rhs.block_offset(out, &rows, &cols);
+        let (t, n, stride) = (rows.len(), cols.len(), rhs.cols);
+        assert_eq!(lhs.len(), t * t, "block lhs is not {t}x{t}");
+        if t == 0 {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if f32_simd_available() {
+            panel.pack_block(rhs, rows, cols);
+            let view = LhsView {
+                base: lhs,
+                row_stride: t,
+                k_stride: 1,
+            };
+            crate::microkernel::gemm_packed(view, t, panel, &mut out.data[at..], stride);
+            return;
+        }
+        // The scalar arm reads the block where it lies.
+        let _ = panel;
+        gemm_scalar_strided(
+            lhs,
+            (t, t, n),
+            rhs.strided_rows(at),
+            &mut out.data[at..],
+            stride,
+        );
     }
 
     /// Matrix product `self.transpose() * rhs` without materializing the
@@ -636,7 +767,7 @@ impl Matrix {
                 row_stride: 1,
                 k_stride: self.cols,
             };
-            crate::microkernel::gemm_packed(view, self.cols, &packed, &mut out.data);
+            crate::microkernel::gemm_packed(view, self.cols, &packed, &mut out.data, rhs.cols);
             return;
         }
         self.matmul_transpose_a_into_scalar(rhs, out);
@@ -966,6 +1097,49 @@ impl Default for Matrix {
     }
 }
 
+/// The scalar ikj product over strided rows: row `i` of the `m x n`
+/// output, at `out[i * out_stride]`, accumulates `a[i * k + kk] * b.run(kk, n)`
+/// in ascending `kk` from `0.0` with one accumulator per element — the
+/// [`Matrix::matmul_naive`] chain. `a` is dense `m x k`.
+fn gemm_scalar_strided(
+    a: &[f32],
+    (m, k, n): (usize, usize, usize),
+    b: StridedRows<'_>,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    for i in 0..m {
+        let out_row = &mut out[i * out_stride..i * out_stride + n];
+        out_row.fill(0.0);
+        for (kk, &a_ik) in a[i * k..(i + 1) * k].iter().enumerate() {
+            for (o, &b_kj) in out_row.iter_mut().zip(b.run(kk, n)) {
+                *o += a_ik * b_kj;
+            }
+        }
+    }
+}
+
+/// The scalar `A * B^T` over strided rows: `out[i * n + j]` of the dense
+/// `m x n` output is the single-accumulator ascending-`k` dot of
+/// `a.run(i, k)` and `b.run(j, k)`.
+fn gemm_transpose_b_scalar_strided(
+    a: StridedRows<'_>,
+    b: StridedRows<'_>,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    for i in 0..m {
+        let a_row = a.run(i, k);
+        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (&x, &y) in a_row.iter().zip(b.run(j, k)) {
+                acc += x * y;
+            }
+            *o = acc;
+        }
+    }
+}
+
 /// Worst elementwise deviation of `got` from `a.matmul_naive(b)`, as a
 /// fraction of the documented fused-rounding envelope
 /// `2k · ε · max(|A|·|B|, 1)` (see [`crate::microkernel`]); `<= 1.0`
@@ -1244,6 +1418,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "block cols")]
+    fn block_kernels_reject_a_block_outside_the_matrix() {
+        let q = Matrix::zeros(4, 6);
+        q.matmul_transpose_b_block_into(&q, 0..4, 4..8, &mut [0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in shape")]
+    fn block_kernels_reject_mismatched_operands() {
+        let mut out = Matrix::zeros(4, 5);
+        Matrix::matmul_block_into(
+            &[0.0; 16],
+            &Matrix::zeros(4, 6),
+            0..4,
+            0..3,
+            &mut PackedF32::default(),
+            &mut out,
+        );
+    }
+
+    #[test]
     fn transpose_involution() {
         let mut rng = Rng::new(1);
         let a = Matrix::randn(5, 3, 1.0, &mut rng);
@@ -1434,6 +1629,84 @@ mod prop_tests {
             } else {
                 prop_assert_eq!(&got, &naive);
             }
+        }
+
+        #[test]
+        fn prop_block_kernels_match_the_copying_path_bitwise(
+            // One (sample, head) block of stacked Q/K/V per case, against
+            // `slice_rows` + `slice_cols` copies through the dense entry
+            // points — on the dispatched arm and, by name, the scalar one.
+            tokens_ix in 0usize..4,
+            head_dim in 3usize..=64,
+            heads in 1usize..=6,
+            pick in 0usize..12,
+            poison in 0usize..4,
+            seed in 0u64..1u64 << 32,
+        ) {
+            let t = [1usize, 5, 17, 197][tokens_ix];
+            let (samples, dim) = (2, heads * head_dim);
+            let (s, h) = (pick % samples, pick / samples % heads);
+            let (rows, cols) = (s * t..(s + 1) * t, h * head_dim..(h + 1) * head_dim);
+            let mut rng = Rng::new(seed);
+            let mut q = Matrix::randn(samples * t, dim, 1.0, &mut rng);
+            let mut k = Matrix::randn(samples * t, dim, 1.0, &mut rng);
+            let mut v = Matrix::randn(samples * t, dim, 1.0, &mut rng);
+            if poison > 0 {
+                // A whole non-finite token row inside the block.
+                let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][poison - 1];
+                let r = rows.start + seed as usize % t;
+                for m in [&mut q, &mut k, &mut v] {
+                    m.row_mut(r).fill(bad);
+                }
+            }
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            let block = |m: &Matrix| {
+                m.slice_rows(rows.start, rows.end).slice_cols(cols.start, cols.end)
+            };
+            let (qh, kh, vh) = (block(&q), block(&k), block(&v));
+            let at = rows.start * dim + cols.start;
+
+            // Scores: Q_h K_h^T read in place.
+            let mut want = Matrix::zeros(t, t);
+            qh.matmul_transpose_b_into(&kh, &mut want);
+            let mut got = vec![f32::NAN; t * t];
+            q.matmul_transpose_b_block_into(&k, rows.clone(), cols.clone(), &mut got);
+            prop_assert_eq!(bits(&got), bits(want.as_slice()));
+            qh.matmul_transpose_b_into_scalar(&kh, &mut want);
+            gemm_transpose_b_scalar_strided(
+                q.strided_rows(at),
+                k.strided_rows(at),
+                (t, head_dim, t),
+                &mut got,
+            );
+            prop_assert_eq!(bits(&got), bits(want.as_slice()));
+
+            // Context: P V_h written in place, through a dirty, larger
+            // panel buffer, into a sentinel-filled output.
+            let probs = Matrix::randn(t, t, 1.0, &mut rng);
+            let mut want = Matrix::zeros(t, head_dim);
+            probs.matmul_into(&vh, &mut want);
+            let mut panel = PackedF32::pack(&Matrix::filled(200, 70, f32::NAN));
+            let sentinel = 12345.0f32;
+            let mut out = Matrix::filled(samples * t, dim, sentinel);
+            Matrix::matmul_block_into(
+                probs.as_slice(), &v, rows.clone(), cols.clone(), &mut panel, &mut out,
+            );
+            prop_assert_eq!(bits(block(&out).as_slice()), bits(want.as_slice()));
+            let untouched = out.as_slice().iter().filter(|x| x.to_bits() == sentinel.to_bits());
+            prop_assert_eq!(untouched.count(), samples * t * dim - t * head_dim);
+            if f32_simd_available() {
+                prop_assert_eq!(panel.content_hash(), PackedF32::pack(&vh).content_hash());
+            }
+            probs.matmul_into_scalar(&vh, &mut want);
+            gemm_scalar_strided(
+                probs.as_slice(),
+                (t, t, head_dim),
+                v.strided_rows(at),
+                &mut out.as_mut_slice()[at..],
+                dim,
+            );
+            prop_assert_eq!(bits(block(&out).as_slice()), bits(want.as_slice()));
         }
 
         #[test]

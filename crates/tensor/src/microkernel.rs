@@ -38,6 +38,7 @@
 //! workspace's batch-invariance `assert_eq!` contracts rely on.
 
 use crate::Matrix;
+use std::ops::Range;
 
 /// Column-panel width of [`PackedF32`]: 16 f32 lanes = two AVX2 registers,
 /// giving the 6×16 register tile (12 accumulators) that keeps enough
@@ -81,7 +82,7 @@ pub fn f32_simd_available() -> bool {
 /// // Bit-identical to x.matmul(&w): same kernel, packing hoisted out.
 /// assert_eq!(x.matmul_prepacked(&packed), x.matmul(&w));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedF32 {
     k: usize,
     n: usize,
@@ -93,19 +94,63 @@ impl PackedF32 {
     /// Packs a matrix (the `rhs` of `Matrix::matmul`) into column panels.
     pub fn pack(rhs: &Matrix) -> Self {
         let (k, n) = rhs.shape();
-        let n_panels = n.div_ceil(PANEL_WIDTH);
-        let mut data = vec![0.0f32; n_panels * k * PANEL_WIDTH];
+        // Allocated zeroed in one go (not `default()` + `pack_block`, whose
+        // `resize` would write the zeros a second time over megabytes).
+        let mut packed = Self {
+            k,
+            n,
+            data: vec![0.0f32; n.div_ceil(PANEL_WIDTH) * k * PANEL_WIDTH],
+        };
+        packed.fill_from(rhs, 0, 0);
+        packed
+    }
+
+    /// Repacks `self` with the `rows x cols` block of `rhs`, reusing the
+    /// panel storage (it grows to the largest block seen and is never
+    /// shrunk) — for operands that change every call, like one head's `V`
+    /// in attention, where [`Self::pack`] would allocate per call. Every
+    /// lane of the new panels is written, padding included, so nothing of
+    /// the previous contents survives; the result equals
+    /// `PackedF32::pack(&rhs.slice_rows(..).slice_cols(..))`.
+    /// `PackedF32::default()` is the empty buffer to start from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not inside `rhs`.
+    pub fn pack_block(&mut self, rhs: &Matrix, rows: Range<usize>, cols: Range<usize>) {
+        assert!(
+            rows.start <= rows.end && rows.end <= rhs.rows(),
+            "pack_block rows {rows:?} out of {:?}",
+            rhs.shape()
+        );
+        assert!(
+            cols.start <= cols.end && cols.end <= rhs.cols(),
+            "pack_block cols {cols:?} out of {:?}",
+            rhs.shape()
+        );
+        (self.k, self.n) = (rows.len(), cols.len());
+        self.data
+            .resize(self.n.div_ceil(PANEL_WIDTH) * self.k * PANEL_WIDTH, 0.0);
+        self.fill_from(rhs, rows.start, cols.start);
+    }
+
+    /// Writes every lane of the `k x n` panels from the block of `rhs`
+    /// whose top-left element is `(r0, c0)`.
+    fn fill_from(&mut self, rhs: &Matrix, r0: usize, c0: usize) {
+        let (k, n, stride) = (self.k, self.n, rhs.cols());
+        if k == 0 {
+            return;
+        }
         let src = rhs.as_slice();
-        for p in 0..n_panels {
+        for (p, panel) in self.data.chunks_exact_mut(k * PANEL_WIDTH).enumerate() {
             let j0 = p * PANEL_WIDTH;
             let width = (n - j0).min(PANEL_WIDTH);
-            let panel = &mut data[p * k * PANEL_WIDTH..(p + 1) * k * PANEL_WIDTH];
-            for kk in 0..k {
-                panel[kk * PANEL_WIDTH..kk * PANEL_WIDTH + width]
-                    .copy_from_slice(&src[kk * n + j0..kk * n + j0 + width]);
+            for (kk, lanes) in panel.chunks_exact_mut(PANEL_WIDTH).enumerate() {
+                let at = (r0 + kk) * stride + c0 + j0;
+                lanes[..width].copy_from_slice(&src[at..at + width]);
+                lanes[width..].fill(0.0);
             }
         }
-        Self { k, n, data }
     }
 
     /// Reduction length (rows of the packed operand).
@@ -174,6 +219,23 @@ impl LhsView<'_> {
     }
 }
 
+/// Rows of a row-major buffer read in place: row `i` starts at
+/// `base[i * stride]`. How the dot-product kernels see one head's
+/// columns of a wider matrix without a copy.
+#[derive(Clone, Copy)]
+pub(crate) struct StridedRows<'a> {
+    pub base: &'a [f32],
+    pub stride: usize,
+}
+
+impl<'a> StridedRows<'a> {
+    /// The `k`-long run of row `i`.
+    #[inline]
+    pub fn run(&self, i: usize, k: usize) -> &'a [f32] {
+        &self.base[i * self.stride..i * self.stride + k]
+    }
+}
+
 /// Scalar mirror of the AVX2 packed kernel: the identical per-element
 /// chain `acc = a_ik.mul_add(b_kj, acc)` in ascending `k` with a single
 /// accumulator. `f32::mul_add` is the IEEE fused multiply-add (one
@@ -215,20 +277,42 @@ pub(crate) fn gemm_panels_unfused(a: LhsView<'_>, m: usize, packed: &PackedF32, 
     }
 }
 
-/// Runs the packed GEMM on the SIMD path.
+/// Runs the packed GEMM on the SIMD path, writing row `i` of the product
+/// at `out[i * out_stride..][..packed.n()]` — `out_stride == packed.n()`
+/// is a dense output, a larger stride lands the product in a column block
+/// of a wider matrix (one attention head inside the context matrix).
+/// Must only be called when [`f32_simd_available`] is true.
 ///
 /// # Panics
 ///
-/// Panics (in the caller's shape asserts) unless `out.len() == m * packed.n()`
-/// and the lhs view spans `m x packed.k()`. Must only be called when
-/// [`f32_simd_available`] is true.
+/// Panics if the lhs view does not span `m x packed.k()` or `out` does not
+/// hold `m` rows at `out_stride`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn gemm_packed(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mut [f32]) {
+pub(crate) fn gemm_packed(
+    a: LhsView<'_>,
+    m: usize,
+    packed: &PackedF32,
+    out: &mut [f32],
+    out_stride: usize,
+) {
     debug_assert!(f32_simd_available());
-    // SAFETY: the caller verified AVX2+FMA support at runtime; slice
-    // bounds are enforced by the debug asserts and the callers' shape
-    // checks.
-    unsafe { avx2::gemm(a, m, packed, out) }
+    let (k, n) = (packed.k, packed.n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(
+        out_stride >= n && (m - 1) * out_stride + n <= out.len(),
+        "gemm_packed output of {} floats cannot hold {m} rows of {n} at stride {out_stride}",
+        out.len()
+    );
+    assert!(
+        k == 0 || (m - 1) * a.row_stride + (k - 1) * a.k_stride < a.base.len(),
+        "gemm_packed lhs view does not span {m}x{k}"
+    );
+    // SAFETY: the caller verified AVX2+FMA support at runtime; the two
+    // asserts above bound every lhs read and every output write, and
+    // `PackedF32` holds `ceil(n/16)` whole panels of `k * 16` floats.
+    unsafe { avx2::gemm(a, m, packed, out, out_stride) }
 }
 
 /// Scalar mirror of the AVX2 row-dot kernel used by
@@ -266,46 +350,33 @@ pub(crate) fn dot_mirror(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// `A · B^T` on the SIMD path: each output element is one lane-split
-/// fused dot product of two contiguous rows (see [`dot_mirror`] for the
-/// exact order). Must only be called when [`f32_simd_available`] is true.
+/// `A · B^T` on the SIMD path over strided rows: element `(i, j)` of the
+/// dense `m x n` output is one lane-split fused dot product (see
+/// [`dot_mirror`] for the exact order) of the `k`-long runs `a.run(i, k)`
+/// and `b.run(j, k)`. A stride of `k` is a dense operand; a larger one
+/// reads a column block of a wider matrix in place (one attention head of
+/// the stacked `Q` or `K`). Must only be called when
+/// [`f32_simd_available`] is true.
+///
+/// # Panics
+///
+/// Panics if a run leaves its operand or `out` is shorter than `m * n`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn gemm_transpose_b(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
+pub(crate) fn gemm_transpose_b(
+    a: StridedRows<'_>,
+    b: StridedRows<'_>,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
     debug_assert!(f32_simd_available());
-    let (m, k) = a.shape();
-    let n = rhs.rows();
-    let (a_s, b_s) = (a.as_slice(), rhs.as_slice());
-    let out_s = out.as_mut_slice();
-    for i in 0..m {
-        let a_row = &a_s[i * k..(i + 1) * k];
-        let out_row = &mut out_s[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            // SAFETY: AVX2+FMA verified by the caller; the four rhs rows
-            // and the output quad are in bounds.
-            unsafe {
-                avx2::dot4(
-                    a_row,
-                    &b_s[j * k..(j + 1) * k],
-                    &b_s[(j + 1) * k..(j + 2) * k],
-                    &b_s[(j + 2) * k..(j + 3) * k],
-                    &b_s[(j + 3) * k..(j + 4) * k],
-                    &mut out_row[j..j + 4],
-                )
-            };
-            j += 4;
-        }
-        while j < n {
-            // SAFETY: AVX2+FMA verified by the caller.
-            out_row[j] = unsafe { avx2::dot1(a_row, &b_s[j * k..(j + 1) * k]) };
-            j += 1;
-        }
-    }
+    // SAFETY: AVX2+FMA verified by the caller; every slice access inside
+    // is bounds-checked.
+    unsafe { avx2::gemm_transpose_b(a, b, (m, k, n), out) }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{LhsView, PackedF32, PANEL_WIDTH};
+    use super::{LhsView, PackedF32, StridedRows, PANEL_WIDTH};
     use std::arch::x86_64::*;
 
     /// One register tile: `MR` output rows by one 16-column panel, the
@@ -369,10 +440,17 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2+FMA support; `out` must hold
-    /// `m * packed.n()` elements and the lhs view must span `m x packed.k()`.
+    /// Caller must have verified AVX2+FMA support; `out` must hold `m`
+    /// rows of `packed.n()` elements at `out_stride` and the lhs view must
+    /// span `m x packed.k()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mut [f32]) {
+    pub unsafe fn gemm(
+        a: LhsView<'_>,
+        m: usize,
+        packed: &PackedF32,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
         let (k, n) = (packed.k(), packed.n());
         let a_ptr = a.base.as_ptr();
         let out_ptr = out.as_mut_ptr();
@@ -397,8 +475,8 @@ mod avx2 {
                     a.k_stride,
                     packed.panel(p).as_ptr(),
                     k,
-                    out_ptr.add(i * n + j0),
-                    n,
+                    out_ptr.add(i * out_stride + j0),
+                    out_stride,
                     cols,
                 );
                 match mr {
@@ -420,6 +498,42 @@ mod avx2 {
         }
     }
 
+    /// The `A · B^T` sweep of [`super::gemm_transpose_b`]: four rhs rows
+    /// per [`dot4`], the tail by [`dot1`]. It lives inside the feature
+    /// gate so both dots inline into it.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2+FMA support.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_transpose_b(
+        a: StridedRows<'_>,
+        b: StridedRows<'_>,
+        (m, k, n): (usize, usize, usize),
+        out: &mut [f32],
+    ) {
+        for i in 0..m {
+            let a_row = a.run(i, k);
+            let out_row = &mut out[i * n..(i + 1) * n];
+            let mut j = 0;
+            while j + 4 <= n {
+                dot4(
+                    a_row,
+                    b.run(j, k),
+                    b.run(j + 1, k),
+                    b.run(j + 2, k),
+                    b.run(j + 3, k),
+                    &mut out_row[j..j + 4],
+                );
+                j += 4;
+            }
+            while j < n {
+                out_row[j] = dot1(a_row, b.run(j, k));
+                j += 1;
+            }
+        }
+    }
+
     /// Fixed-tree horizontal sum of eight f32 lanes:
     /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — mirrored exactly by the
     /// scalar fold in [`super::dot_mirror`].
@@ -438,6 +552,7 @@ mod avx2 {
     /// # Safety
     ///
     /// Caller must have verified AVX2+FMA support; `a.len() == b.len()`.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot1(a: &[f32], b: &[f32]) -> f32 {
         let k = a.len();
@@ -467,6 +582,7 @@ mod avx2 {
     ///
     /// Caller must have verified AVX2+FMA support; all row slices have
     /// `a.len()` elements and `out.len() == 4`.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], out: &mut [f32]) {
         let k = a.len();
@@ -534,6 +650,27 @@ mod tests {
     }
 
     #[test]
+    fn pack_block_reuses_one_buffer_and_equals_packing_the_copy() {
+        let mut rng = Rng::new(7);
+        let src = Matrix::randn(40, 70, 1.0, &mut rng);
+        let mut panel = PackedF32::default();
+        // Grow, shrink to a ragged panel, an empty block, grow again: no
+        // lane of an earlier, larger pack may survive into a later one.
+        for (rows, cols) in [
+            (0..40, 0..70),
+            (3..20, 16..35),
+            (5..5, 0..9),
+            (1..2, 69..70),
+        ] {
+            panel.pack_block(&src, rows.clone(), cols.clone());
+            let copy = src
+                .slice_rows(rows.start, rows.end)
+                .slice_cols(cols.start, cols.end);
+            assert_eq!(panel, PackedF32::pack(&copy), "{rows:?} x {cols:?}");
+        }
+    }
+
+    #[test]
     fn mirror_tracks_naive_within_fused_rounding() {
         let mut rng = Rng::new(2);
         for &(m, k, n) in &[(3, 5, 4), (17, 64, 64), (13, 31, 19)] {
@@ -589,7 +726,7 @@ mod tests {
                 let packed = PackedF32::pack(&b);
                 let mut simd = vec![0.0f32; m * n];
                 let mut mirror = vec![0.0f32; m * n];
-                gemm_packed(lhs(&a), m, &packed, &mut simd);
+                gemm_packed(lhs(&a), m, &packed, &mut simd, n);
                 gemm_mirror(lhs(&a), m, &packed, &mut mirror);
                 assert_eq!(simd, mirror, "kernel diverged from mirror at {m}x{k}x{n}");
             }
@@ -640,10 +777,10 @@ mod tests {
             let b = Matrix::randn(64, 64, 1.0, &mut rng);
             let packed = PackedF32::pack(&b);
             let mut wide = vec![0.0f32; 544 * 64];
-            gemm_packed(lhs(&big), 544, &packed, &mut wide);
+            gemm_packed(lhs(&big), 544, &packed, &mut wide, 64);
             let small = big.slice_rows(0, 17);
             let mut narrow = vec![0.0f32; 17 * 64];
-            gemm_packed(lhs(&small), 17, &packed, &mut narrow);
+            gemm_packed(lhs(&small), 17, &packed, &mut narrow, 64);
             assert_eq!(&wide[..17 * 64], &narrow[..]);
         }
     }

@@ -46,13 +46,35 @@ pub fn gelu_derivative(x: f32) -> f32 {
 /// Returns a vector of the same length summing to 1. An empty input returns
 /// an empty vector.
 pub fn softmax_row(row: &[f32]) -> Vec<f32> {
-    if row.is_empty() {
-        return Vec::new();
+    let max = row_max(row);
+    let mut out: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
+    normalize_exps(&mut out);
+    out
+}
+
+/// [`softmax_row`] overwriting its input, for callers that own the row
+/// (the attention core's score buffer, [`stable_softmax_in_place`]). The
+/// two differ only in where `exp(x - max)` is written; the max fold and
+/// the sum-and-divide are the same functions, so they agree bit for bit.
+pub fn softmax_row_in_place(row: &mut [f32]) {
+    let max = row_max(row);
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
     }
-    let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
+    normalize_exps(row);
+}
+
+/// The softmax shift: the row maximum, `-inf` for an empty row.
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+}
+
+/// Divides `exp(x - max)` values by their sequential sum.
+fn normalize_exps(exps: &mut [f32]) {
     let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for e in exps.iter_mut() {
+        *e /= sum;
+    }
 }
 
 /// Numerically stable log-softmax of one row.
@@ -62,7 +84,7 @@ pub fn log_softmax_row(row: &[f32]) -> Vec<f32> {
     if row.is_empty() {
         return Vec::new();
     }
-    let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    let max = row_max(row);
     let log_sum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
     row.iter().map(|&x| x - max - log_sum).collect()
 }
@@ -70,8 +92,7 @@ pub fn log_softmax_row(row: &[f32]) -> Vec<f32> {
 /// Applies the stable softmax to every row of a matrix in place.
 pub fn stable_softmax_in_place(m: &mut crate::Matrix) {
     for r in 0..m.rows() {
-        let soft = softmax_row(m.row(r));
-        m.row_mut(r).copy_from_slice(&soft);
+        softmax_row_in_place(m.row_mut(r));
     }
 }
 
@@ -85,6 +106,27 @@ mod tests {
         let s = softmax_row(&[1.0, 2.0, 3.0]);
         assert!((s.iter().sum::<f32>() - 1.0).abs() < 1e-6);
         assert!(s[2] > s[1] && s[1] > s[0]);
+    }
+
+    #[test]
+    fn every_softmax_entry_point_is_the_same_bits() {
+        // Finite, masked (-inf), degenerate (all -inf) and NaN rows.
+        let rows: [&[f32]; 5] = [
+            &[0.3, -1.5, 2.25, 0.0, -0.0],
+            &[1.0, f32::NEG_INFINITY, 0.5, 7.0, -3.0],
+            &[f32::NEG_INFINITY; 5],
+            &[0.0, f32::NAN, 1.0, 2.0, 3.0],
+            &[88.0, -88.0, 0.1, 0.2, 0.3],
+        ];
+        let mut m = crate::Matrix::from_rows(&rows);
+        stable_softmax_in_place(&mut m);
+        for (r, row) in rows.iter().enumerate() {
+            let mut in_place = row.to_vec();
+            softmax_row_in_place(&mut in_place);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&softmax_row(row)), bits(&in_place), "row {r}");
+            assert_eq!(bits(m.row(r)), bits(&in_place), "row {r}");
+        }
     }
 
     #[test]

@@ -372,6 +372,42 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn concurrent_forward_batches_still_equal_per_sample_infer() {
+        // The attention scratch is per thread: two workers inside
+        // `forward_batch` at the same moment, on different images and
+        // batch sizes, must each reproduce single-threaded `infer`.
+        let prepared = model(36, QuantMode::None, &[0, 1, 3]).prepare();
+        let mut rng = Rng::new(37);
+        let batches: Vec<Vec<Matrix>> = [5usize, 2]
+            .iter()
+            .map(|&n| {
+                (0..n)
+                    .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
+                    .collect()
+            })
+            .collect();
+        let want: Vec<Vec<Matrix>> = batches
+            .iter()
+            .map(|b| b.iter().map(|img| prepared.infer(img)).collect())
+            .collect();
+        let barrier = std::sync::Barrier::new(batches.len());
+        std::thread::scope(|scope| {
+            for (batch, want) in batches.iter().zip(&want) {
+                let (prepared, barrier) = (&prepared, &barrier);
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        barrier.wait();
+                        let logits = prepared.forward_batch(batch);
+                        for (i, w) in want.iter().enumerate() {
+                            assert_eq!(&logits.slice_rows(i, i + 1), w);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn source_model_delegates_to_a_view() {
         let m = model(30, QuantMode::Int8, &[1, 3]);
         let prepared = m.prepare();
