@@ -817,9 +817,20 @@ mod tests {
 
     #[test]
     fn faulted_low_effort_escalates_to_healthy_high() {
-        for int8 in [false, true] {
+        // Every weight stuck at NaN, and a single stuck-NaN cell in the
+        // first MLP's `fc1` weight: that one reaches the logits only
+        // through GELU, whose vector form must not launder it.
+        for (int8, one_fc1_cell) in [(false, false), (true, false), (false, true)] {
             let mut low = model(15, &[0]);
-            FaultInjector::new(16).inject_params(&mut low, FaultKind::StuckNan, 10_000);
+            if one_fc1_cell {
+                let cfg = VitConfig::test_small();
+                let fc1 = (cfg.dim, cfg.mlp_hidden());
+                let mut params = low.params_mut();
+                let weight = params.iter_mut().find(|p| p.value.shape() == fc1);
+                weight.expect("an fc1 weight").value.as_mut_slice()[5] = f32::NAN;
+            } else {
+                FaultInjector::new(16).inject_params(&mut low, FaultKind::StuckNan, 10_000);
+            }
             let high = model(17, &[0, 1]);
             let set = samples(10, 18);
             let (low_p, high_p) = if int8 {
@@ -827,6 +838,7 @@ mod tests {
             } else {
                 (low.prepare(), high.prepare())
             };
+            assert!(!low_p.infer(&set[0].image).is_all_finite());
             // Even at the inclusive Th = 1.0 boundary, NaN entropies
             // escalate (int8 packing must not launder NaN weights).
             let (outcomes, report) = evaluate_guarded_slice(
@@ -836,7 +848,8 @@ mod tests {
                 &images(&set),
                 Parallelism::Off,
             );
-            assert_eq!(report.non_finite_at(0), set.len(), "int8={int8}");
+            let what = format!("int8={int8}, one_fc1_cell={one_fc1_cell}");
+            assert_eq!(report.non_finite_at(0), set.len(), "{what}");
             assert_eq!(report.fallbacks(), 0, "escalation is the recovery");
             for (o, s) in outcomes.iter().zip(&set) {
                 assert_eq!(o.level, 1);

@@ -1,7 +1,7 @@
 //! The two-layer MLP (feed-forward) block of a transformer encoder.
 
 use crate::{Layer, Linear, Param, QuantMode};
-use pivot_tensor::{gelu, gelu_derivative, Matrix, Rng};
+use pivot_tensor::{gelu_backward_in_place, gelu_in_place, Matrix, Rng};
 
 /// `Linear(dim -> hidden) -> GELU -> Linear(hidden -> dim)`.
 ///
@@ -87,18 +87,19 @@ impl Mlp {
 impl Layer for Mlp {
     fn forward(&mut self, x: &Matrix) -> Matrix {
         let pre = self.fc1.forward(x);
-        let act = pre.map(gelu);
+        let mut act = pre.clone();
+        gelu_in_place(act.as_mut_slice());
         self.cache_pre_act = Some(pre);
         self.fc2.forward(&act)
     }
 
     fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let d_act = self.fc2.backward(d_out);
+        let mut d_pre = self.fc2.backward(d_out);
         let pre = self
             .cache_pre_act
             .as_ref()
             .expect("backward before forward");
-        let d_pre = d_act.zip_map(pre, |g, x| g * gelu_derivative(x));
+        gelu_backward_in_place(d_pre.as_mut_slice(), pre.as_slice());
         self.fc1.backward(&d_pre)
     }
 

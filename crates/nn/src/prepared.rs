@@ -15,8 +15,8 @@
 
 use crate::{EncoderTrace, LayerNorm, QuantMode};
 use pivot_tensor::{
-    gelu, matmul_quantized, softmax_row_in_place, ContentHasher, Matrix, PackedF32, PackedInt8,
-    QuantParams,
+    gelu_in_place, matmul_quantized, softmax_row_in_place, ContentHasher, Matrix, PackedF32,
+    PackedInt8, QuantParams,
 };
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -500,7 +500,9 @@ impl PreparedMlp {
 
     /// Inference forward `fc2(gelu(fc1(x)))`, row-wise.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fc2.infer(&self.fc1.infer(x).map(gelu))
+        let mut hidden = self.fc1.infer(x);
+        gelu_in_place(hidden.as_mut_slice());
+        self.fc2.infer(&hidden)
     }
 }
 

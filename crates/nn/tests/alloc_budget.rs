@@ -1,10 +1,10 @@
-//! Allocation budget of the lean attention branch: warm inference
-//! allocates only its outputs, whatever the batch and head count.
+//! Allocation budget of the lean forward: warm inference allocates only
+//! its outputs, whatever the batch and head count.
 //!
 //! The counter is thread-local, so the test harness's other threads
 //! cannot disturb a reading.
 
-use pivot_nn::{LayerNorm, PreparedAttention, PreparedLinear, QuantMode};
+use pivot_nn::{LayerNorm, PreparedAttention, PreparedLinear, PreparedMlp, QuantMode};
 use pivot_tensor::{Matrix, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -48,14 +48,16 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> usize {
     after - before
 }
 
+fn linear(rows: usize, cols: usize, rng: &mut Rng) -> PreparedLinear {
+    PreparedLinear::from_weights(
+        &Matrix::randn(rows, cols, 0.05, rng),
+        &Matrix::zeros(1, cols),
+        QuantMode::None,
+    )
+}
+
 fn attention(dim: usize, heads: usize, rng: &mut Rng) -> PreparedAttention {
-    let mut linear = || {
-        PreparedLinear::from_weights(
-            &Matrix::randn(dim, dim, 0.05, rng),
-            &Matrix::zeros(1, dim),
-            QuantMode::None,
-        )
-    };
+    let mut linear = || linear(dim, dim, rng);
     PreparedAttention::from_parts(linear(), linear(), linear(), linear(), heads)
 }
 
@@ -83,6 +85,20 @@ fn warm_attention_allocates_only_its_outputs_for_any_batch_and_head_count() {
     assert!((1..=9).contains(&budget), "budget {budget}");
     for (heads, batch, n) in counts {
         assert_eq!(n, budget, "heads {heads}, batch {batch}");
+    }
+}
+
+#[test]
+fn warm_mlp_allocates_two_blocks_per_projection_for_any_batch() {
+    let (tokens, dim, hidden) = (17, 64, 128);
+    let mut rng = Rng::new(3);
+    let mlp = PreparedMlp::from_parts(linear(dim, hidden, &mut rng), linear(hidden, dim, &mut rng));
+    for batch in [1, 16] {
+        let x = Matrix::randn(batch * tokens, dim, 1.0, &mut rng);
+        let _ = mlp.infer(&x);
+        // Product and bias add per projection; GELU runs in place on
+        // `fc1`'s output.
+        assert_eq!(allocations_of(|| mlp.infer(&x)), 4, "batch {batch}");
     }
 }
 
