@@ -1,6 +1,6 @@
 //! Effort-ladder resident memory and checkpoint cold start (see
 //! DESIGN.md, "Content-addressed weight sharing"): 2/4/8-level ladders
-//! over one backbone, f32 and int8, measuring what the shared
+//! over one backbone, measuring what the shared
 //! `PreparedStore` keeps resident versus naive per-level preparation,
 //! and `load_prepared`'s checkpoint-to-first-inference latency versus
 //! the load-then-prepare path. Writes the report to `BENCH_ladder.json`
@@ -21,9 +21,8 @@ fn main() {
     for row in &report.rows {
         assert!(
             row.unique_ratio() <= 1.1,
-            "{}-level {} ladder holds {:.2}x a single backbone (limit 1.1x)",
+            "{}-level ladder holds {:.2}x a single backbone (limit 1.1x)",
             row.levels,
-            row.kernel,
             row.unique_ratio()
         );
     }
@@ -31,9 +30,8 @@ fn main() {
         for row in &report.rows {
             assert!(
                 row.cold_start_speedup() >= 1.0,
-                "{}-level {} cold start slower than load+prepare: {:.2}x",
+                "{}-level cold start slower than load+prepare: {:.2}x",
                 row.levels,
-                row.kernel,
                 row.cold_start_speedup()
             );
         }

@@ -151,11 +151,10 @@ const CASCADE_EVAL_PER_CLASS: usize = 24;
 /// per-sample inference to pin argmax identity of the batched sweep.
 /// Prints a report.
 ///
-/// Untrained models suffice for the cascade check: unlike the int8
-/// experiment, both sides here run the same kernel on the same weights
-/// (batched vs per-sample, shared vs private store), so identity is exact
-/// rather than a margin statement — training would only slow the
-/// experiment without strengthening the assertion.
+/// Untrained models suffice for the cascade check: both sides run the same
+/// kernel on the same weights (batched vs per-sample, shared vs private
+/// store), so identity is exact rather than a margin statement — training
+/// would only slow the experiment without strengthening the assertion.
 pub fn f32_speedup(iters: usize) -> F32Speedup {
     println!("\n=== Dispatched f32 GEMM vs. naive reference ===");
     let simd = f32_simd_available();

@@ -6,8 +6,8 @@
 //! logically needs ~1x the backbone weights — but a naive implementation
 //! prepares each level independently and holds `N`x. The experiment
 //! measures what the content-addressed [`pivot_vit::PreparedStore`]
-//! actually keeps resident for 2/4/8-level ladders (f32 and int8), and
-//! the checkpoint-to-first-inference cold-start latency of
+//! actually keeps resident for 2/4/8-level ladders, and the
+//! checkpoint-to-first-inference cold-start latency of
 //! [`pivot_vit::VisionTransformer::load_prepared`] (parse once, build the
 //! frozen view directly, re-view per level) against the classic
 //! load -> clone -> mask -> prepare-per-level path. Both paths must be
@@ -23,13 +23,11 @@ use std::time::Instant;
 /// ladder with a distinct effort per level.
 pub const LADDER_DEPTH: usize = 8;
 
-/// Memory and cold-start measurements for one `(levels, kernel)` ladder.
+/// Memory and cold-start measurements for one ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderMemoryRow {
     /// Number of ladder levels.
     pub levels: usize,
-    /// `"f32"` or `"int8"`.
-    pub kernel: &'static str,
     /// Prepared weight bytes of a single level (the backbone footprint).
     pub single_weight_bytes: usize,
     /// Naive per-level sum — what independent preparation would hold.
@@ -67,10 +65,10 @@ impl LadderMemoryRow {
     }
 }
 
-/// Full report: one row per `(levels, kernel)` combination.
+/// Full report: one row per ladder size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderMemory {
-    /// Rows for 2/4/8 levels, f32 and int8 each.
+    /// Rows for 2/4/8 levels.
     pub rows: Vec<LadderMemoryRow>,
     /// Whether the fast cold-start path produced logits bit-identical to
     /// load-then-prepare at every level of every ladder.
@@ -83,14 +81,13 @@ impl LadderMemory {
         let mut out = String::from("[\n");
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(&format!(
-                "  {{\"levels\": {}, \"kernel\": \"{}\", \
+                "  {{\"levels\": {}, \
                  \"single_weight_bytes\": {}, \"total_weight_bytes\": {}, \
                  \"unique_weight_bytes\": {}, \"unique_ratio\": {:.4}, \
                  \"memory_reduction\": {:.2}, \"cold_prepared_ms\": {:.3}, \
                  \"cold_baseline_ms\": {:.3}, \"cold_start_speedup\": {:.2}, \
                  \"bit_identical\": {}}}{}\n",
                 r.levels,
-                r.kernel,
                 r.single_weight_bytes,
                 r.total_weight_bytes,
                 r.unique_weight_bytes,
@@ -150,90 +147,70 @@ pub fn ladder_memory(reps: usize) -> LadderMemory {
     let mut rows = Vec::new();
     let mut bit_identical = true;
     for &n in &[2usize, 4, 8] {
-        for &int8 in &[false, true] {
-            let kernel = if int8 { "int8" } else { "f32" };
-            // Resident-memory accounting through the ladder's shared store.
-            let levels: Vec<VisionTransformer> = level_efforts(n)
+        // Resident-memory accounting through the ladder's shared store.
+        let levels: Vec<VisionTransformer> = level_efforts(n)
+            .iter()
+            .map(|&e| {
+                let mut m = backbone.clone();
+                m.set_active_attentions(&active(e));
+                m
+            })
+            .collect();
+        let ladder = EffortLadder::new(levels, vec![0.5; n - 1]);
+        let stats = ladder.share_stats();
+
+        // Cold start A: parse the checkpoint once into a prepared
+        // view, derive every level as a cheap Arc re-view, first
+        // inference at each level.
+        let (cold_prepared_ms, fast_logits) = time_best_ms(reps, || {
+            let base = VisionTransformer::load_prepared(&ckpt).expect("load_prepared");
+            level_efforts(n)
+                .iter()
+                .map(|&e| base.with_active_attentions(&active(e)).infer(&image))
+                .collect::<Vec<Matrix>>()
+        });
+
+        // Cold start B: the classic path — load the mutable model,
+        // then clone + mask + prepare per level.
+        let (cold_baseline_ms, slow_logits) = time_best_ms(reps, || {
+            let model = VisionTransformer::load(&ckpt).expect("load");
+            let views: Vec<PreparedModel> = level_efforts(n)
                 .iter()
                 .map(|&e| {
-                    let mut m = backbone.clone();
+                    let mut m = model.clone();
                     m.set_active_attentions(&active(e));
-                    m
+                    m.prepare()
                 })
                 .collect();
-            let thresholds = vec![0.5; n - 1];
-            let ladder = if int8 {
-                EffortLadder::new_int8(levels, thresholds)
-            } else {
-                EffortLadder::new(levels, thresholds)
-            };
-            let stats = ladder.share_stats();
+            views
+                .iter()
+                .map(|v| v.infer(&image))
+                .collect::<Vec<Matrix>>()
+        });
 
-            // Cold start A: parse the checkpoint once into a prepared
-            // view, derive every level as a cheap Arc re-view, first
-            // inference at each level.
-            let (cold_prepared_ms, fast_logits) = time_best_ms(reps, || {
-                let base = if int8 {
-                    VisionTransformer::load_prepared_int8(&ckpt)
-                } else {
-                    VisionTransformer::load_prepared(&ckpt)
-                }
-                .expect("load_prepared");
-                let logits: Vec<Matrix> = level_efforts(n)
-                    .iter()
-                    .map(|&e| base.with_active_attentions(&active(e)).infer(&image))
-                    .collect();
-                logits
-            });
-
-            // Cold start B: the classic path — load the mutable model,
-            // then clone + mask + prepare per level.
-            let (cold_baseline_ms, slow_logits) = time_best_ms(reps, || {
-                let model = VisionTransformer::load(&ckpt).expect("load");
-                let views: Vec<PreparedModel> = level_efforts(n)
-                    .iter()
-                    .map(|&e| {
-                        let mut m = model.clone();
-                        m.set_active_attentions(&active(e));
-                        if int8 {
-                            m.prepare_int8()
-                        } else {
-                            m.prepare()
-                        }
-                    })
-                    .collect();
-                views
-                    .iter()
-                    .map(|v| v.infer(&image))
-                    .collect::<Vec<Matrix>>()
-            });
-
-            for (a, b) in fast_logits.iter().zip(&slow_logits) {
-                bit_identical &= a
-                    .as_slice()
-                    .iter()
-                    .zip(b.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-            }
-
-            rows.push(LadderMemoryRow {
-                levels: n,
-                kernel,
-                single_weight_bytes: ladder.prepared_levels()[0].weight_bytes(),
-                total_weight_bytes: ladder.weight_bytes(),
-                unique_weight_bytes: ladder.unique_weight_bytes(),
-                store_hits: stats.hits,
-                store_misses: stats.misses,
-                cold_prepared_ms,
-                cold_baseline_ms,
-            });
+        for (a, b) in fast_logits.iter().zip(&slow_logits) {
+            bit_identical &= a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
         }
+
+        rows.push(LadderMemoryRow {
+            levels: n,
+            single_weight_bytes: ladder.prepared_levels()[0].weight_bytes(),
+            total_weight_bytes: ladder.weight_bytes(),
+            unique_weight_bytes: ladder.unique_weight_bytes(),
+            store_hits: stats.hits,
+            store_misses: stats.misses,
+            cold_prepared_ms,
+            cold_baseline_ms,
+        });
     }
     std::fs::remove_file(&ckpt).ok();
 
     let mut table = Table::new(&[
         "Levels",
-        "Kernel",
         "Naive (KiB)",
         "Resident (KiB)",
         "Ratio vs 1 level",
@@ -243,7 +220,6 @@ pub fn ladder_memory(reps: usize) -> LadderMemory {
     for r in &rows {
         table.row_owned(vec![
             format!("{}", r.levels),
-            r.kernel.to_string(),
             format!("{:.1}", r.total_weight_bytes as f64 / 1024.0),
             format!("{:.1}", r.unique_weight_bytes as f64 / 1024.0),
             format!("{:.2}x", r.unique_ratio()),
@@ -275,7 +251,7 @@ mod tests {
     fn ladder_memory_meets_the_sharing_and_identity_contract() {
         let report = ladder_memory(1);
         assert!(report.bit_identical, "cold-start paths must agree bitwise");
-        assert_eq!(report.rows.len(), 6, "2/4/8 levels x f32/int8");
+        assert_eq!(report.rows.len(), 3, "2/4/8 levels");
         for r in &report.rows {
             // Naive footprint is exactly N independent copies...
             assert_eq!(r.total_weight_bytes, r.levels * r.single_weight_bytes);
@@ -292,13 +268,6 @@ mod tests {
             assert_eq!(r.store_hits, (r.levels - 1) * r.store_misses);
             assert!(r.cold_prepared_ms > 0.0 && r.cold_baseline_ms > 0.0);
         }
-        // int8 packs weights at a quarter of the f32 footprint.
-        let f32_row = &report.rows[0];
-        let int8_row = &report.rows[1];
-        assert_eq!(
-            f32_row.single_weight_bytes,
-            4 * int8_row.single_weight_bytes
-        );
     }
 
     #[test]
@@ -306,7 +275,6 @@ mod tests {
         let report = LadderMemory {
             rows: vec![LadderMemoryRow {
                 levels: 2,
-                kernel: "f32",
                 single_weight_bytes: 100,
                 total_weight_bytes: 200,
                 unique_weight_bytes: 100,

@@ -12,7 +12,6 @@ mod drift;
 mod f32_gemm;
 mod faults;
 mod gpp;
-mod int8;
 mod ladder_memory;
 mod parallel;
 mod serve;
@@ -30,7 +29,6 @@ pub use drift::{
 pub use f32_gemm::{f32_speedup, F32Speedup, ShapeTiming, F32_BENCH_SHAPES, F32_TIMING_SLACK};
 pub use faults::{fault_injection, FaultReport, FaultSweepPoint};
 pub use gpp::{fig1c, fig7, GppMethodResult};
-pub use int8::{int8_speedup, Int8Speedup, INT8_LOGIT_TOL};
 pub use ladder_memory::{ladder_memory, LadderMemory, LadderMemoryRow, LADDER_DEPTH};
 pub use parallel::{parallel_speedup, ParallelSpeedup};
 pub use serve::{serve_bench, ServeBench, ServeScenario};

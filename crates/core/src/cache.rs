@@ -65,16 +65,6 @@ impl CascadeCache {
         Self::build_prepared(&low.prepare(), samples, par)
     }
 
-    /// [`CascadeCache::build`] on the packed int8 inference path: the
-    /// low-effort model is [prepared as
-    /// int8](VisionTransformer::prepare_int8) and every observation comes
-    /// from the integer GEMM. Entropies and predictions track the
-    /// fake-quant [`CascadeCache::build`] within the documented int8
-    /// tolerance.
-    pub fn build_int8(low: &VisionTransformer, samples: &[Sample], par: Parallelism) -> Self {
-        Self::build_prepared(&low.prepare_int8(), samples, par)
-    }
-
     /// [`CascadeCache::build`] with the low effort prepared through a
     /// shared content-addressed `store`: layers already materialized by
     /// another participant (an earlier cache, a prepared high effort) are
@@ -87,17 +77,6 @@ impl CascadeCache {
         store: &PreparedStore,
     ) -> Self {
         Self::build_prepared(&low.prepare_in(store), samples, par)
-    }
-
-    /// [`CascadeCache::build_int8`] through a shared content-addressed
-    /// `store` (see [`CascadeCache::build_in`]).
-    pub fn build_int8_in(
-        low: &VisionTransformer,
-        samples: &[Sample],
-        par: Parallelism,
-        store: &PreparedStore,
-    ) -> Self {
-        Self::build_prepared(&low.prepare_int8_in(store), samples, par)
     }
 
     /// [`CascadeCache::build`] against an already-prepared inference view.
@@ -374,18 +353,5 @@ mod tests {
         let set = samples(8, 31);
         let cache = CascadeCache::build(&low, &set, Parallelism::Off);
         cache.evaluate_prepared(&low.prepare(), &set[1..], 0.5, Parallelism::Off);
-    }
-
-    #[test]
-    fn int8_cache_tracks_fake_quant_entropies() {
-        let low = model(15, &[0]);
-        let set = samples(16, 16);
-        let reference = CascadeCache::build(&low, &set, Parallelism::Off);
-        let int8 = CascadeCache::build_int8(&low, &set, Parallelism::Off);
-        assert_eq!(int8.len(), reference.len());
-        for (q, r) in int8.entropies().iter().zip(reference.entropies()) {
-            assert!(q.is_finite());
-            assert!((q - r).abs() < 0.05, "int8 entropy {q} vs fake-quant {r}");
-        }
     }
 }

@@ -69,8 +69,7 @@ pub use path::PathConfig;
 pub use phase1::{select_optimal_path, select_optimal_path_with, Phase1Result, ScoredPath};
 pub use phase2::{EffortModel, Phase2Config, Phase2Result, Phase2Search};
 pub use pipeline::{
-    compute_cka_matrix, compute_cka_matrix_int8, compute_cka_matrix_prepared, PipelineConfig,
-    PivotArtifacts, PivotPipeline,
+    compute_cka_matrix, compute_cka_matrix_prepared, PipelineConfig, PivotArtifacts, PivotPipeline,
 };
 pub use score::path_score;
 pub use train_cost::TrainCostModel;

@@ -127,19 +127,6 @@ impl EffortLadder {
     /// outside `[0, 1]`, or thresholds are not non-decreasing (a later gate must not be stricter: otherwise an
     /// input could bypass a level it would have accepted).
     pub fn new(levels: Vec<VisionTransformer>, thresholds: Vec<f32>) -> Self {
-        Self::with_kernel(levels, thresholds, false)
-    }
-
-    /// [`Self::new`] on the packed int8 inference path: every level is
-    /// [prepared as int8](VisionTransformer::prepare_int8), so ladder
-    /// ascents and batched evaluations run the integer GEMM at a quarter
-    /// of the weight memory traffic. The fake-quant [`Self::new`] ladder
-    /// stays the accuracy reference.
-    pub fn new_int8(levels: Vec<VisionTransformer>, thresholds: Vec<f32>) -> Self {
-        Self::with_kernel(levels, thresholds, true)
-    }
-
-    fn with_kernel(levels: Vec<VisionTransformer>, thresholds: Vec<f32>, int8: bool) -> Self {
         assert!(levels.len() >= 2, "a ladder needs at least two levels");
         assert!(
             levels
@@ -148,16 +135,7 @@ impl EffortLadder {
             "efforts must share the class space"
         );
         let store = PreparedStore::new();
-        let prepared = levels
-            .iter()
-            .map(|m| {
-                if int8 {
-                    m.prepare_int8_in(&store)
-                } else {
-                    m.prepare_in(&store)
-                }
-            })
-            .collect();
+        let prepared = levels.iter().map(|m| m.prepare_in(&store)).collect();
         let mut ladder = Self {
             prepared,
             thresholds: Vec::new(),
@@ -204,12 +182,6 @@ impl EffortLadder {
             .iter()
             .map(|m| m.unique_weight_bytes_into(&mut seen))
             .sum()
-    }
-
-    /// Whether every level runs on the packed int8 kernel (built by
-    /// [`Self::new_int8`]).
-    pub fn is_int8(&self) -> bool {
-        self.prepared.iter().all(PreparedModel::is_int8)
     }
 
     /// Number of levels.
@@ -583,20 +555,16 @@ mod tests {
     fn same_backbone_levels_share_one_weight_copy() {
         // All three levels derive from one backbone via attention skipping,
         // so every layer deduplicates: the ladder holds 1x the backbone
-        // weights instead of 3x, in both kernels.
-        for (ladder, label) in [
-            (EffortLadder::new(models(30), vec![0.4, 0.7]), "f32"),
-            (EffortLadder::new_int8(models(30), vec![0.4, 0.7]), "int8"),
-        ] {
-            let single = ladder.prepared_levels()[0].weight_bytes();
-            assert_eq!(ladder.weight_bytes(), 3 * single, "{label}");
-            assert_eq!(ladder.unique_weight_bytes(), single, "{label}");
-            let stats = ladder.share_stats();
-            assert_eq!(stats.hits, 2 * stats.misses, "{label}");
-            assert_eq!(stats.unique_bytes, single, "{label}");
-            assert_eq!(stats.hit_bytes, 2 * single, "{label}");
-            assert_eq!(stats.total_bytes(), ladder.weight_bytes(), "{label}");
-        }
+        // weights instead of 3x.
+        let ladder = EffortLadder::new(models(30), vec![0.4, 0.7]);
+        let single = ladder.prepared_levels()[0].weight_bytes();
+        assert_eq!(ladder.weight_bytes(), 3 * single);
+        assert_eq!(ladder.unique_weight_bytes(), single);
+        let stats = ladder.share_stats();
+        assert_eq!(stats.hits, 2 * stats.misses);
+        assert_eq!(stats.unique_bytes, single);
+        assert_eq!(stats.hit_bytes, 2 * single);
+        assert_eq!(stats.total_bytes(), ladder.weight_bytes());
     }
 
     #[test]
@@ -626,32 +594,6 @@ mod tests {
         assert_eq!(shared_report, ind_report);
     }
 
-    #[test]
-    fn int8_ladder_classifies_every_input_once() {
-        let reference = EffortLadder::new(models(21), vec![0.3, 0.6]);
-        let ladder = EffortLadder::new_int8(models(21), vec![0.3, 0.6]);
-        assert!(ladder.is_int8());
-        assert!(!reference.is_int8());
-        let set = samples(22);
-        let stats = ladder.evaluate_batched(&set, Parallelism::Off);
-        assert_eq!(stats.total(), set.len());
-        // Same-grid weights: the int8 ladder's per-level routing can only
-        // drift from the fake-quant reference by samples whose gate
-        // entropy sits inside the quantization-noise band.
-        let ref_stats = reference.evaluate_batched(&set, Parallelism::Off);
-        let drift: usize = stats
-            .per_level
-            .iter()
-            .zip(&ref_stats.per_level)
-            .map(|(&(n, _), &(rn, _))| n.abs_diff(rn))
-            .sum();
-        assert!(
-            drift <= set.len() / 4,
-            "routing drift {drift}/{}",
-            set.len()
-        );
-    }
-
     mod sharing_proptests {
         use super::*;
         use proptest::prelude::*;
@@ -663,18 +605,16 @@ mod tests {
             /// a ladder whose levels Arc-share one backbone copy is
             /// bit-identical — entropies, predictions, statistics and
             /// degradation report — to the same levels each prepared
-            /// independently, across kernels, skip patterns, thresholds,
-            /// ragged batch sizes and parallelism.
+            /// independently, across skip patterns, thresholds, ragged
+            /// batch sizes and parallelism.
             #[test]
             fn shared_store_ladder_is_bit_identical_to_independent_levels(
                 seed in 0u64..1_000,
-                int8_sel in 0usize..2,
                 efforts_sel in 0usize..6,
                 raw_ths in collection::vec(0.0f32..=1.0, 3usize),
                 n_pairs in 1usize..8,
                 par_sel in 0usize..3,
             ) {
-                let int8 = int8_sel == 1;
                 let efforts: &[usize] = [
                     &[1usize, 2][..],
                     &[1, 4],
@@ -699,11 +639,7 @@ mod tests {
                 let mut ths: Vec<f32> = raw_ths[..ms.len() - 1].to_vec();
                 ths.sort_by(f32::total_cmp);
 
-                let ladder = if int8 {
-                    EffortLadder::new_int8(ms.clone(), ths.clone())
-                } else {
-                    EffortLadder::new(ms.clone(), ths.clone())
-                };
+                let ladder = EffortLadder::new(ms.clone(), ths.clone());
                 // Same backbone: every level past the first hits the store
                 // and the resident footprint stays below the naive sum.
                 prop_assert!(ladder.share_stats().hits > 0);
@@ -713,10 +649,7 @@ mod tests {
                     ladder.prepared_levels()[0].weight_bytes()
                 );
 
-                let independent: Vec<PreparedModel> = ms
-                    .iter()
-                    .map(|m| if int8 { m.prepare_int8() } else { m.prepare() })
-                    .collect();
+                let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
                 let set = Dataset::generate_difficulty_stripes(
                     &DatasetConfig::small(),
                     &[0.2, 0.8],

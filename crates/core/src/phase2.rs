@@ -77,7 +77,6 @@ pub struct Phase2Search<'a> {
     efforts: &'a [EffortModel],
     calibration: &'a [Sample],
     parallelism: Parallelism,
-    int8: bool,
     /// One content-addressed store for the whole search: the distinct
     /// efforts all derive from one backbone, so every low-effort cache and
     /// every prepared high effort across all probed pairs Arc-shares one
@@ -122,7 +121,6 @@ impl<'a> Phase2Search<'a> {
             efforts,
             calibration,
             parallelism: Parallelism::Auto,
-            int8: false,
             store: PreparedStore::new(),
         }
     }
@@ -145,35 +143,8 @@ impl<'a> Phase2Search<'a> {
         self
     }
 
-    /// Whether calibration inference runs on the packed int8 kernel.
-    pub fn int8(&self) -> bool {
-        self.int8
-    }
-
-    /// Builder-style int8 switch: calibration caches and high-effort views
-    /// are built with [`VisionTransformer::prepare_int8`], so the whole
-    /// threshold sweep runs the integer GEMM. The default fake-quant sweep
-    /// stays the accuracy reference; thresholds and statistics track it
-    /// within the documented int8 tolerance.
-    pub fn with_int8(mut self, int8: bool) -> Self {
-        self.int8 = int8;
-        self
-    }
-
-    fn prepare_model(&self, model: &VisionTransformer) -> PreparedModel {
-        if self.int8 {
-            model.prepare_int8_in(&self.store)
-        } else {
-            model.prepare_in(&self.store)
-        }
-    }
-
     fn build_cache(&self, model: &VisionTransformer) -> CascadeCache {
-        if self.int8 {
-            CascadeCache::build_int8_in(model, self.calibration, self.parallelism, &self.store)
-        } else {
-            CascadeCache::build_in(model, self.calibration, self.parallelism, &self.store)
-        }
+        CascadeCache::build_in(model, self.calibration, self.parallelism, &self.store)
     }
 
     /// Runs the search. Returns `None` when no combination meets the delay
@@ -216,7 +187,7 @@ impl<'a> Phase2Search<'a> {
                 .or_insert_with(|| self.build_cache(&low.model));
             let high_prepared = prepared_highs
                 .entry(hi)
-                .or_insert_with(|| self.prepare_model(&high.model));
+                .or_insert_with(|| high.model.prepare_in(&self.store));
             if let Some(result) =
                 self.evaluate_pair_prepared(low, high, high_prepared, cache, cfg, max_delay)
             {
@@ -243,7 +214,7 @@ impl<'a> Phase2Search<'a> {
         self.evaluate_pair_prepared(
             low,
             high,
-            &self.prepare_model(&high.model),
+            &high.model.prepare_in(&self.store),
             &self.build_cache(&low.model),
             cfg,
             max_delay_ms,
@@ -474,28 +445,5 @@ mod tests {
         let efforts = make_efforts(12, &[12], 8);
         let calib = calibration(9);
         let _ = Phase2Search::new(&sim, &geom, &efforts, &calib);
-    }
-
-    #[test]
-    fn int8_search_finds_the_same_pair_as_fake_quant() {
-        let sim = Simulator::new(AcceleratorConfig::zcu102());
-        let geom = VitGeometry::deit_s();
-        let efforts = make_efforts(12, &[3, 6, 9, 12], 14);
-        let calib = calibration(15);
-        let reference = Phase2Search::new(&sim, &geom, &efforts, &calib);
-        let search = Phase2Search::new(&sim, &geom, &efforts, &calib).with_int8(true);
-        assert!(search.int8());
-        assert!(!reference.int8());
-        let cfg = Phase2Config {
-            delay_constraint_ms: 80.0,
-            ..Default::default()
-        };
-        let r = reference.run(&cfg).expect("feasible");
-        let q = search.run(&cfg).expect("feasible under int8 kernels");
-        // The latency model sees identical efforts either way, and the
-        // calibration entropies differ only by quantization noise, so the
-        // selected pair matches the fake-quant search.
-        assert_eq!((q.low_effort, q.high_effort), (r.low_effort, r.high_effort));
-        assert!((q.threshold - r.threshold).abs() <= 0.1);
     }
 }

@@ -88,47 +88,24 @@ impl MultiHeadAttention {
     /// Freezes the block into an immutable inference view (all four
     /// projections prepared once; see [`Linear::prepare`]).
     pub fn prepare(&self) -> crate::PreparedAttention {
-        crate::PreparedAttention {
-            wq: self.wq.prepare(),
-            wk: self.wk.prepare(),
-            wv: self.wv.prepare(),
-            proj: self.proj.prepare(),
-            heads: self.heads,
-        }
-    }
-
-    /// Freezes the block into an immutable int8 inference view (all four
-    /// projections on packed `i8` panels; see [`Linear::prepare_int8`]).
-    pub fn prepare_int8(&self) -> crate::PreparedAttention {
-        crate::PreparedAttention {
-            wq: self.wq.prepare_int8(),
-            wk: self.wk.prepare_int8(),
-            wv: self.wv.prepare_int8(),
-            proj: self.proj.prepare_int8(),
-            heads: self.heads,
-        }
+        self.prepare_with(None)
     }
 
     /// Like [`MultiHeadAttention::prepare`], with each projection
     /// deduplicated through `store` (see [`Linear::prepare_in`]).
     pub fn prepare_in(&self, store: &crate::PreparedStore) -> crate::PreparedAttention {
-        crate::PreparedAttention {
-            wq: self.wq.prepare_in(store),
-            wk: self.wk.prepare_in(store),
-            wv: self.wv.prepare_in(store),
-            proj: self.proj.prepare_in(store),
-            heads: self.heads,
-        }
+        self.prepare_with(Some(store))
     }
 
-    /// Like [`MultiHeadAttention::prepare_int8`], with each projection
-    /// deduplicated through `store` (see [`Linear::prepare_int8_in`]).
-    pub fn prepare_int8_in(&self, store: &crate::PreparedStore) -> crate::PreparedAttention {
+    pub(crate) fn prepare_with(
+        &self,
+        store: Option<&crate::PreparedStore>,
+    ) -> crate::PreparedAttention {
         crate::PreparedAttention {
-            wq: self.wq.prepare_int8_in(store),
-            wk: self.wk.prepare_int8_in(store),
-            wv: self.wv.prepare_int8_in(store),
-            proj: self.proj.prepare_int8_in(store),
+            wq: self.wq.prepare_with(store),
+            wk: self.wk.prepare_with(store),
+            wv: self.wv.prepare_with(store),
+            proj: self.proj.prepare_with(store),
             heads: self.heads,
         }
     }

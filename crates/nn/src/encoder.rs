@@ -87,51 +87,22 @@ impl EncoderBlock {
     /// MLP prepared once, layer norms and the skip switch snapshotted; see
     /// [`crate::Linear::prepare`]).
     pub fn prepare(&self) -> crate::PreparedEncoderBlock {
-        crate::PreparedEncoderBlock {
-            ln1: self.ln1.clone(),
-            attn: self.attn.prepare(),
-            ln2: self.ln2.clone(),
-            mlp: self.mlp.prepare(),
-            attention_active: self.attention_active,
-        }
-    }
-
-    /// Freezes the block into an immutable int8 inference view: attention
-    /// and MLP projections on packed `i8` panels, layer norms (which have
-    /// no quantized weights) and the skip switch snapshotted as in
-    /// [`EncoderBlock::prepare`].
-    pub fn prepare_int8(&self) -> crate::PreparedEncoderBlock {
-        crate::PreparedEncoderBlock {
-            ln1: self.ln1.clone(),
-            attn: self.attn.prepare_int8(),
-            ln2: self.ln2.clone(),
-            mlp: self.mlp.prepare_int8(),
-            attention_active: self.attention_active,
-        }
+        self.prepare_with(None)
     }
 
     /// Like [`EncoderBlock::prepare`], with every projection deduplicated
     /// through `store` (see [`crate::Linear::prepare_in`]). Layer norms
-    /// are tiny (two rows) and cloned as before.
+    /// are tiny (two rows) and cloned either way.
     pub fn prepare_in(&self, store: &crate::PreparedStore) -> crate::PreparedEncoderBlock {
-        crate::PreparedEncoderBlock {
-            ln1: self.ln1.clone(),
-            attn: self.attn.prepare_in(store),
-            ln2: self.ln2.clone(),
-            mlp: self.mlp.prepare_in(store),
-            attention_active: self.attention_active,
-        }
+        self.prepare_with(Some(store))
     }
 
-    /// Like [`EncoderBlock::prepare_int8`], with every projection
-    /// deduplicated through `store` (see
-    /// [`crate::Linear::prepare_int8_in`]).
-    pub fn prepare_int8_in(&self, store: &crate::PreparedStore) -> crate::PreparedEncoderBlock {
+    fn prepare_with(&self, store: Option<&crate::PreparedStore>) -> crate::PreparedEncoderBlock {
         crate::PreparedEncoderBlock {
             ln1: self.ln1.clone(),
-            attn: self.attn.prepare_int8_in(store),
+            attn: self.attn.prepare_with(store),
             ln2: self.ln2.clone(),
-            mlp: self.mlp.prepare_int8_in(store),
+            mlp: self.mlp.prepare_with(store),
             attention_active: self.attention_active,
         }
     }

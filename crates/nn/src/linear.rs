@@ -101,7 +101,7 @@ impl Linear {
     /// per-call weight work; it snapshots the current weights, so any later
     /// mutation of the layer requires re-preparing.
     pub fn prepare(&self) -> crate::PreparedLinear {
-        crate::PreparedLinear::from_weights(&self.weight.value, &self.bias.value, self.quant)
+        self.prepare_with(None)
     }
 
     /// Like [`Linear::prepare`], but deduplicated through a
@@ -110,33 +110,25 @@ impl Linear {
     /// `Arc`-shared view is returned instead of materializing another
     /// copy. Bit-identical to [`Linear::prepare`] either way.
     pub fn prepare_in(&self, store: &crate::PreparedStore) -> crate::PreparedLinear {
-        store.get_or_prepare(self.content_key(false), || self.prepare())
+        self.prepare_with(Some(store))
     }
 
-    /// Freezes the layer into an immutable *int8* inference view: the
-    /// weight is quantized once with the same symmetric fit the fake-quant
-    /// path uses, but stored as packed `i8` panels
-    /// ([`pivot_tensor::PackedInt8`]) driving the integer GEMM — a quarter
-    /// of the weight memory traffic of [`Linear::prepare`].
-    ///
-    /// The weight grid is identical to `Int8`-mode [`Linear::prepare`]
-    /// regardless of the layer's current [`QuantMode`]; outputs differ from
-    /// the fake-quant reference only by the per-row activation
-    /// quantization, within the documented tolerance.
-    pub fn prepare_int8(&self) -> crate::PreparedLinear {
-        crate::PreparedLinear::from_weights_int8(&self.weight.value, &self.bias.value)
-    }
-
-    /// Like [`Linear::prepare_int8`], but deduplicated through a
-    /// [`crate::PreparedStore`] (see [`Linear::prepare_in`]).
-    pub fn prepare_int8_in(&self, store: &crate::PreparedStore) -> crate::PreparedLinear {
-        store.get_or_prepare(self.content_key(true), || self.prepare_int8())
-    }
-
-    /// The [`crate::PreparedStore`] key for this layer's prepared view
-    /// (see [`crate::PreparedLinear::content_key`]).
-    fn content_key(&self, int8: bool) -> u128 {
-        crate::PreparedLinear::content_key(&self.weight.value, &self.bias.value, self.quant, int8)
+    /// The one preparation body: a private view without a store (no
+    /// content hash is computed), the store's entry under this layer's
+    /// [`content key`](crate::PreparedLinear::content_key) with one.
+    pub(crate) fn prepare_with(
+        &self,
+        store: Option<&crate::PreparedStore>,
+    ) -> crate::PreparedLinear {
+        let (weight, bias) = (&self.weight.value, &self.bias.value);
+        let fresh = || crate::PreparedLinear::from_weights(weight, bias, self.quant);
+        match store {
+            None => fresh(),
+            Some(store) => store.get_or_prepare(
+                crate::PreparedLinear::content_key(weight, bias, self.quant),
+                fresh,
+            ),
+        }
     }
 }
 

@@ -43,37 +43,19 @@ impl Mlp {
     /// Freezes the block into an immutable inference view (both projections
     /// prepared once; see [`Linear::prepare`]).
     pub fn prepare(&self) -> crate::PreparedMlp {
-        crate::PreparedMlp {
-            fc1: self.fc1.prepare(),
-            fc2: self.fc2.prepare(),
-        }
-    }
-
-    /// Freezes the block into an immutable int8 inference view (both
-    /// projections on packed `i8` panels; see
-    /// [`crate::Linear::prepare_int8`]).
-    pub fn prepare_int8(&self) -> crate::PreparedMlp {
-        crate::PreparedMlp {
-            fc1: self.fc1.prepare_int8(),
-            fc2: self.fc2.prepare_int8(),
-        }
+        self.prepare_with(None)
     }
 
     /// Like [`Mlp::prepare`], with each projection deduplicated through
     /// `store` (see [`crate::Linear::prepare_in`]).
     pub fn prepare_in(&self, store: &crate::PreparedStore) -> crate::PreparedMlp {
-        crate::PreparedMlp {
-            fc1: self.fc1.prepare_in(store),
-            fc2: self.fc2.prepare_in(store),
-        }
+        self.prepare_with(Some(store))
     }
 
-    /// Like [`Mlp::prepare_int8`], with each projection deduplicated
-    /// through `store` (see [`crate::Linear::prepare_int8_in`]).
-    pub fn prepare_int8_in(&self, store: &crate::PreparedStore) -> crate::PreparedMlp {
+    pub(crate) fn prepare_with(&self, store: Option<&crate::PreparedStore>) -> crate::PreparedMlp {
         crate::PreparedMlp {
-            fc1: self.fc1.prepare_int8_in(store),
-            fc2: self.fc2.prepare_int8_in(store),
+            fc1: self.fc1.prepare_with(store),
+            fc2: self.fc2.prepare_with(store),
         }
     }
 

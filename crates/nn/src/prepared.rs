@@ -4,10 +4,12 @@
 //! The `Prepared*` structs in this module are the only inference code of
 //! the crate (the trainable layers keep just their caching `forward` /
 //! `backward`): built once from a trained layer by the `prepare()` methods,
-//! they hold the effective weight (and the quantizer that produced it) as
-//! plain immutable data, so repeated inference does zero per-call weight
-//! work and the whole view is `Send + Sync` for free sharing across the
-//! worker pool.
+//! they hold the `f32` effective weight — the latent weight, or under
+//! [`QuantMode::Int8`] its snap to the 8-bit fake-quant grid — and the
+//! quantizer that produced it as plain immutable data, so repeated
+//! inference does zero per-call weight work and the whole view is
+//! `Send + Sync` for free sharing across the worker pool. Every view runs
+//! the `f32` GEMM; there is no integer compute path.
 //!
 //! A prepared view is a *snapshot*: any mutation of the source layer
 //! (training steps, `set_quant_mode`, fault injection into the latent
@@ -15,22 +17,19 @@
 
 use crate::{EncoderTrace, LayerNorm, QuantMode};
 use pivot_tensor::{
-    gelu_in_place, matmul_quantized, softmax_row_in_place, ContentHasher, Matrix, PackedF32,
-    PackedInt8, QuantParams,
+    gelu_in_place, softmax_row_in_place, ContentHasher, Matrix, PackedF32, QuantParams,
 };
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The GEMM backend a [`PreparedLinear`] runs on: the two `F32` arms are
-/// the accuracy reference (full precision or fake-quantized effective
-/// weight), `Int8` is the deployment path storing packed `i8` panels (a
-/// quarter of the weight memory traffic) and driving the integer GEMM.
+/// The layout a [`PreparedLinear`] holds its `f32` effective weight (full
+/// precision or fake-quantized) in.
 ///
 /// Exactly one copy of the weight is resident per view, in the layout the
-/// host's GEMM reads: which `F32` arm a view holds is decided once, at
-/// prepare time, by [`pivot_tensor::f32_simd_available`] — a property of
-/// the machine, so every view in a process takes the same arm.
+/// host's GEMM reads: which arm a view holds is decided once, at prepare
+/// time, by [`pivot_tensor::f32_simd_available`] — a property of the
+/// machine, so every view in a process takes the same arm.
 ///
 /// Every payload sits behind `Arc` so a [`crate::PreparedStore`] can share
 /// one materialized weight across every effort level whose layer is
@@ -49,15 +48,11 @@ pub(crate) enum PreparedKernel {
     /// The dense `f32` effective weight, where the runtime dispatch takes
     /// a scalar arm.
     F32Dense(Arc<Matrix>),
-    /// Packed `i8` weight panels on the integer GEMM
-    /// ([`pivot_tensor::matmul_quantized`]).
-    Int8 { packed: Arc<PackedInt8> },
 }
 
 /// Frozen inference view of a [`crate::Linear`] layer.
 ///
-/// Holds the effective weight (as `f32`, or packed `i8` panels when built
-/// by [`crate::Linear::prepare_int8`]), the bias row, the quantizer that
+/// Holds the `f32` effective weight, the bias row, the quantizer that
 /// produced the weight and the saturation count computed from those same
 /// parameters — so health checks report exactly what the forward pass runs
 /// on.
@@ -70,12 +65,25 @@ pub struct PreparedLinear {
 }
 
 impl PreparedLinear {
-    /// Builds the f32 (reference) view directly from a latent weight and
-    /// bias — the single implementation behind [`crate::Linear::prepare`]
-    /// and the checkpoint cold-start path, so the two can never diverge:
-    /// fits the quantizer once, materializes the effective weight once and
-    /// computes the saturation count from those same parameters.
+    /// Builds the view directly from a latent weight and bias — the single
+    /// implementation behind [`crate::Linear::prepare`] and the checkpoint
+    /// cold-start path, so the two can never diverge: fits the quantizer
+    /// once, materializes the effective weight once and computes the
+    /// saturation count from those same parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` is not a single row as wide as `weight` — here, not
+    /// at the first [`Self::infer`] of a view that may by then be shared
+    /// through a [`crate::PreparedStore`].
     pub fn from_weights(weight: &Matrix, bias: &Matrix, quant: QuantMode) -> Self {
+        assert!(
+            bias.shape() == (1, weight.cols()),
+            "bias is {:?}, expected (1, {}) for a {:?} weight",
+            bias.shape(),
+            weight.cols(),
+            weight.shape()
+        );
         // Full precision runs on the latent weight itself; only the
         // fake-quantized grid has to be materialized.
         let (fake_quant, params) = match quant {
@@ -105,45 +113,18 @@ impl PreparedLinear {
         }
     }
 
-    /// Builds the packed-int8 view directly from a latent weight and bias —
-    /// the single implementation behind [`crate::Linear::prepare_int8`] and
-    /// the checkpoint cold-start path. The weight grid is the same
-    /// symmetric fit the fake-quant reference uses, regardless of the
-    /// layer's training-time [`QuantMode`].
-    pub fn from_weights_int8(weight: &Matrix, bias: &Matrix) -> Self {
-        let qp = QuantParams::fit_symmetric(weight);
-        let packed = PackedInt8::pack_with(weight, qp);
-        Self {
-            kernel: PreparedKernel::Int8 {
-                packed: Arc::new(packed),
-            },
-            bias: bias.clone(),
-            params: Some(qp),
-            saturation: qp.saturation_count(weight.as_slice()),
-        }
-    }
-
     /// Content key for the [`crate::PreparedStore`]: a 128-bit structural
-    /// hash of everything [`Self::from_weights`]/[`Self::from_weights_int8`]
-    /// consumes — kernel choice, quant mode, shape, weight bits and bias
-    /// bits. Preparation is a pure function of exactly these inputs, so
-    /// equal keys imply bit-identical prepared views (see
-    /// [`pivot_tensor::ContentHasher`] for the collision argument).
-    pub fn content_key(weight: &Matrix, bias: &Matrix, quant: QuantMode, int8: bool) -> u128 {
+    /// hash of everything [`Self::from_weights`] consumes — quant mode,
+    /// shape, weight bits and bias bits. Preparation is a pure function of
+    /// exactly these inputs, so equal keys imply bit-identical prepared
+    /// views (see [`pivot_tensor::ContentHasher`] for the collision
+    /// argument).
+    pub fn content_key(weight: &Matrix, bias: &Matrix, quant: QuantMode) -> u128 {
         let mut h = ContentHasher::new();
-        h.write_u64(u64::from(int8));
-        // `from_weights_int8` ignores the training-time quant mode, so the
-        // int8 key normalizes it away — levels differing only in that flag
-        // still share one pack.
-        let quant_tag = if int8 {
-            1
-        } else {
-            match quant {
-                QuantMode::None => 0,
-                QuantMode::Int8 => 1,
-            }
-        };
-        h.write_u64(quant_tag);
+        h.write_u64(match quant {
+            QuantMode::None => 0,
+            QuantMode::Int8 => 1,
+        });
         h.write_usize(weight.rows());
         h.write_usize(weight.cols());
         h.write_f32_slice(weight.as_slice());
@@ -161,7 +142,6 @@ impl PreparedLinear {
         let ptr = match &self.kernel {
             PreparedKernel::F32Panels(panels) => Arc::as_ptr(panels) as usize,
             PreparedKernel::F32Dense(w_eff) => Arc::as_ptr(w_eff) as usize,
-            PreparedKernel::Int8 { packed } => Arc::as_ptr(packed) as usize,
         };
         if seen.insert(ptr) {
             self.weight_bytes()
@@ -171,39 +151,20 @@ impl PreparedLinear {
     }
 
     /// Inference forward `y = x W_eff + b`.
-    ///
-    /// The `F32` kernel is the accuracy reference. On the `Int8` kernel the
-    /// weight grid is the same symmetric fit, and the additional per-row
-    /// activation quantization keeps outputs within the documented
-    /// int8-vs-fake-quant tolerance (see `pivot_tensor::matmul_quantized`).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         match &self.kernel {
             PreparedKernel::F32Panels(panels) => x
                 .matmul_prepacked(panels)
                 .add_row_broadcast(self.bias.row(0)),
             PreparedKernel::F32Dense(w_eff) => x.matmul(w_eff).add_row_broadcast(self.bias.row(0)),
-            PreparedKernel::Int8 { packed } => {
-                matmul_quantized(x, packed).add_row_broadcast(self.bias.row(0))
-            }
         }
     }
 
-    /// Whether this view runs on the packed int8 kernel.
-    pub fn is_int8(&self) -> bool {
-        matches!(self.kernel, PreparedKernel::Int8 { .. })
-    }
-
-    /// Bytes of weight storage the forward pass streams per call: 4 per
-    /// weight on the `F32` kernel, 1 on the packed `Int8` kernel.
+    /// Bytes of weight storage the forward pass streams per call: the
+    /// logical `k x n` `f32` weight on either arm — panel padding is
+    /// layout, not streamed weight data.
     pub fn weight_bytes(&self) -> usize {
-        match &self.kernel {
-            // The logical `k x n` weight on either f32 arm: panel padding
-            // is layout, not streamed weight data.
-            PreparedKernel::F32Panels(_) | PreparedKernel::F32Dense(_) => {
-                self.in_dim() * self.out_dim() * std::mem::size_of::<f32>()
-            }
-            PreparedKernel::Int8 { packed } => packed.size_bytes(),
-        }
+        self.in_dim() * self.out_dim() * std::mem::size_of::<f32>()
     }
 
     /// Input dimensionality.
@@ -211,7 +172,6 @@ impl PreparedLinear {
         match &self.kernel {
             PreparedKernel::F32Panels(panels) => panels.k(),
             PreparedKernel::F32Dense(w_eff) => w_eff.rows(),
-            PreparedKernel::Int8 { packed } => packed.in_dim(),
         }
     }
 
@@ -220,7 +180,6 @@ impl PreparedLinear {
         match &self.kernel {
             PreparedKernel::F32Panels(panels) => panels.n(),
             PreparedKernel::F32Dense(w_eff) => w_eff.cols(),
-            PreparedKernel::Int8 { packed } => packed.out_dim(),
         }
     }
 
@@ -304,11 +263,6 @@ impl PreparedAttention {
     /// Total saturated weights across the four projections.
     pub fn weight_saturation(&self) -> usize {
         self.wq.saturation + self.wk.saturation + self.wv.saturation + self.proj.saturation
-    }
-
-    /// Whether all four projections run on the packed int8 kernel.
-    pub fn is_int8(&self) -> bool {
-        self.wq.is_int8() && self.wk.is_int8() && self.wv.is_int8() && self.proj.is_int8()
     }
 
     /// Weight bytes streamed per forward across the four projections.
@@ -482,11 +436,6 @@ impl PreparedMlp {
         self.fc1.saturation + self.fc2.saturation
     }
 
-    /// Whether both projections run on the packed int8 kernel.
-    pub fn is_int8(&self) -> bool {
-        self.fc1.is_int8() && self.fc2.is_int8()
-    }
-
     /// Weight bytes streamed per forward across both projections.
     pub fn weight_bytes(&self) -> usize {
         self.fc1.weight_bytes() + self.fc2.weight_bytes()
@@ -577,12 +526,6 @@ impl PreparedEncoderBlock {
     /// matters as soon as the effort level rises.
     pub fn weight_saturation(&self) -> usize {
         self.attn.weight_saturation() + self.mlp.weight_saturation()
-    }
-
-    /// Whether every projection in the block runs on the packed int8
-    /// kernel.
-    pub fn is_int8(&self) -> bool {
-        self.attn.is_int8() && self.mlp.is_int8()
     }
 
     /// Weight bytes resident for the block (skipped attentions included —
@@ -767,65 +710,23 @@ mod tests {
     }
 
     #[test]
-    fn int8_prepared_linear_tracks_fake_quant_reference() {
-        let mut rng = Rng::new(30);
-        let lin = Linear::new(16, 8, QuantMode::Int8, &mut rng);
-        let reference = lin.prepare();
-        let int8 = lin.prepare_int8();
-        assert!(int8.is_int8() && !reference.is_int8());
-        // Same fit, a quarter of the weight bytes.
-        assert_eq!(int8.quant_params(), reference.quant_params());
-        assert_eq!(int8.weight_bytes() * 4, reference.weight_bytes());
-        assert_eq!(int8.weight_saturation(), reference.weight_saturation());
-        assert_eq!((int8.in_dim(), int8.out_dim()), (16, 8));
-        let x = Matrix::randn(5, 16, 1.0, &mut rng);
-        let y8 = int8.infer(&x);
-        let yf = reference.infer(&x);
-        // Weight grids are identical; only the per-row activation
-        // quantization separates the two paths.
-        let tol = 0.05 * yf.max_abs().max(1.0);
-        assert!(y8.approx_eq(&yf, tol), "int8 linear too far from reference");
+    #[should_panic(expected = "bias is (1, 3), expected (1, 4) for a (6, 4) weight")]
+    fn from_weights_rejects_a_wrong_width_bias() {
+        let _ = PreparedLinear::from_weights(
+            &Matrix::zeros(6, 4),
+            &Matrix::zeros(1, 3),
+            QuantMode::None,
+        );
     }
 
     #[test]
-    fn int8_prepared_views_poison_on_corrupted_weights() {
-        let mut rng = Rng::new(31);
-        let mut lin = Linear::new(6, 4, QuantMode::Int8, &mut rng);
-        lin.params_mut()[0].value[(2, 1)] = f32::NAN;
-        let int8 = lin.prepare_int8();
-        let y = int8.infer(&Matrix::randn(3, 6, 1.0, &mut rng));
-        // The fault surfaces as NaN in the fed output column, never a
-        // laundered finite value.
-        for i in 0..3 {
-            assert!(y[(i, 1)].is_nan(), "poisoned column must stay visible");
-            assert!(y[(i, 0)].is_finite());
-        }
-    }
-
-    #[test]
-    fn int8_prepared_encoder_tracks_reference_and_reports_memory() {
-        let mut rng = Rng::new(32);
-        let mut enc = EncoderBlock::new(8, 2, 16, QuantMode::Int8, &mut rng);
-        for active in [true, false] {
-            enc.set_attention_active(active);
-            let int8 = enc.prepare_int8();
-            let reference = enc.prepare();
-            assert!(int8.is_int8());
-            assert_eq!(int8.attention_active(), active);
-            assert_eq!(int8.weight_bytes() * 4, reference.weight_bytes());
-            assert_eq!(int8.weight_saturation(), reference.weight_saturation());
-            let x = Matrix::randn(4, 8, 1.0, &mut rng);
-            let y8 = int8.infer(&x);
-            let yf = reference.infer(&x);
-            let tol = 0.1 * yf.max_abs().max(1.0);
-            assert!(y8.approx_eq(&yf, tol), "active={active}");
-            let stacked = x.vcat(&x);
-            assert_eq!(
-                int8.infer_batch(&stacked, 4).slice_rows(0, 4),
-                y8,
-                "active={active}: batching must not change int8 results"
-            );
-        }
+    #[should_panic(expected = "bias is (2, 4), expected (1, 4) for a (6, 4) weight")]
+    fn from_weights_rejects_a_multi_row_bias() {
+        let _ = PreparedLinear::from_weights(
+            &Matrix::zeros(6, 4),
+            &Matrix::zeros(2, 4),
+            QuantMode::Int8,
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: either exact or a range.
+    /// Length specification for [`vec()`]: either exact or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -191,7 +191,7 @@ pub fn matmul_quantized(x: &Matrix, w: &PackedInt8) -> Matrix {
 /// rather than `round(x / step)`: the divide + half-away-from-zero round
 /// sequence costs more than the integer GEMM itself on the baseline target,
 /// while the reciprocal-multiply form stays within one code of the
-/// [`QuantParams::quantize`] grid (see [`quantize_activation`]) — noise
+/// [`QuantParams::quantize`] grid (see `quantize_activation`) — noise
 /// already inside the documented int8-vs-fake-quant tolerance.
 ///
 /// Two kernels compute the dot products, following the same two-path

@@ -296,7 +296,7 @@ impl Matrix {
     /// in ascending-`k` order with one scalar accumulator (round after
     /// every multiply, no fusing): the scalar arms of [`Self::matmul_into`]
     /// reproduce it bit for bit, and the SIMD arm is pinned to it within
-    /// the fused-rounding tolerance documented in [`crate::microkernel`].
+    /// the fused-rounding tolerance documented in `crate::microkernel`.
     ///
     /// # Panics
     ///
@@ -331,11 +331,11 @@ impl Matrix {
     ///
     /// 1. **SIMD** — on x86-64 with AVX2+FMA ([`crate::f32_simd_available`]),
     ///    `rhs` is packed into [`PackedF32`] column panels and the
-    ///    register-tiled fused kernel in [`crate::microkernel`] runs. Hot
+    ///    register-tiled fused kernel in `crate::microkernel` runs. Hot
     ///    loops that reuse the same `rhs` should pack once and call
     ///    [`Self::matmul_prepacked_into`] to skip the per-call pack.
     /// 2. **Untiled scalar** — when `rhs` is cache-resident
-    ///    ([`SMALL_GEMM_RHS_BYTES`]), the plain ikj loop: tiling an operand
+    ///    (`SMALL_GEMM_RHS_BYTES`), the plain ikj loop: tiling an operand
     ///    that already fits in cache only adds loop overhead.
     /// 3. **Tiled scalar** — output rows and the reduction tiled at
     ///    [`MATMUL_TILE`] so a `MATMUL_TILE`-row panel of `rhs` is streamed
@@ -346,7 +346,7 @@ impl Matrix {
     /// [`Self::matmul_naive`]. The SIMD arm keeps the same per-element
     /// chain but fuses each multiply-add (one rounding per term), so it
     /// matches naive within the documented tolerance — see
-    /// [`crate::microkernel`] — while staying a pure function of
+    /// `crate::microkernel` — while staying a pure function of
     /// `(a_row, rhs)`: results never depend on the output's row count, on
     /// batching, or on how callers parallelize around the kernel.
     ///
@@ -520,9 +520,9 @@ impl Matrix {
     /// no packing is needed; the dispatch ladder is:
     ///
     /// 1. **SIMD** — AVX2+FMA lane-split fused dot kernel (exact
-    ///    accumulation order documented in [`crate::microkernel`]).
+    ///    accumulation order documented in `crate::microkernel`).
     /// 2. **Untiled scalar** — when `rhs` is cache-resident
-    ///    ([`SMALL_GEMM_RHS_BYTES`]), plain row-pair dot products: the
+    ///    (`SMALL_GEMM_RHS_BYTES`), plain row-pair dot products: the
     ///    attention-score GEMM (`17x16 * (17x16)^T`, ~1 KiB rhs) lives
     ///    here and previously paid the tile-loop overhead for nothing.
     /// 3. **Tiled scalar** — output rows and `rhs` rows tiled at

@@ -1,19 +1,18 @@
 //! Packed-panel f32 SIMD microkernel (AVX2+FMA) behind runtime dispatch.
 //!
-//! This is the f32 counterpart of the packed int8 path in [`crate::int8`]:
-//! the streamed operand `B` of `A·B` is repacked once into contiguous
-//! column panels ([`PackedF32`]), then an unrolled register-tiled kernel
-//! sweeps the reduction with fused multiply-adds — AVX2+FMA via
-//! `core::arch`, selected by `is_x86_feature_detected!` exactly like the
-//! int8 kernel. Weight operands can be packed once and reused across calls
-//! (`Matrix::matmul_prepacked_into`, cached by `pivot_nn::PreparedLinear`).
+//! The GEMM every model forward runs on: the streamed operand `B` of
+//! `A·B` is repacked once into contiguous column panels ([`PackedF32`]),
+//! then an unrolled register-tiled kernel sweeps the reduction with fused
+//! multiply-adds — AVX2+FMA via `core::arch`, selected by
+//! `is_x86_feature_detected!`. Weight operands can be packed once and
+//! reused across calls (`Matrix::matmul_prepacked_into`, cached by
+//! `pivot_nn::PreparedLinear`).
 //!
 //! # Numerics contract
 //!
-//! Unlike the int8 kernel (integer accumulation, exact), fusing the
-//! multiply and add changes f32 rounding: the SIMD path is **not**
-//! bit-identical to `Matrix::matmul_naive`. The contract instead has two
-//! layers, both pinned by tests:
+//! Fusing the multiply and add changes f32 rounding: the SIMD path is
+//! **not** bit-identical to `Matrix::matmul_naive`. The contract instead
+//! has two layers, both pinned by tests:
 //!
 //! * **Exact accumulation order.** Every output element is one ascending-`k`
 //!   chain `acc = fma(a_ik, b_kj, acc)` with a single accumulator — the

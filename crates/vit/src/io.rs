@@ -25,11 +25,10 @@
 //! Legacy `PVIT1` checkpoints (identical layout without the trailing CRC)
 //! still load, without checksum verification.
 //!
-//! For inference-only consumers, [`VisionTransformer::load_prepared`] and
-//! [`VisionTransformer::load_prepared_int8`] run the same validation once
-//! and assemble the immutable prepared view directly from the parsed
-//! tensors, skipping the mutable model and its random initialization (the
-//! fast cold-start path).
+//! For inference-only consumers, [`VisionTransformer::load_prepared`] runs
+//! the same validation once and assembles the immutable prepared view
+//! directly from the parsed tensors, skipping the mutable model and its
+//! random initialization (the fast cold-start path).
 
 use crate::config::ConfigError;
 use crate::{VisionTransformer, VitConfig};
@@ -353,20 +352,7 @@ impl VisionTransformer {
     ///
     /// Same as [`VisionTransformer::load`].
     pub fn load_prepared(path: impl AsRef<Path>) -> Result<crate::PreparedModel, CheckpointError> {
-        Ok(build_prepared(read_checkpoint(path)?, false))
-    }
-
-    /// Like [`VisionTransformer::load_prepared`], but packing every linear
-    /// layer into int8 panels; bit-identical to
-    /// `VisionTransformer::load(path)?.prepare_int8()`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`VisionTransformer::load`].
-    pub fn load_prepared_int8(
-        path: impl AsRef<Path>,
-    ) -> Result<crate::PreparedModel, CheckpointError> {
-        Ok(build_prepared(read_checkpoint(path)?, true))
+        Ok(build_prepared(read_checkpoint(path)?))
     }
 }
 
@@ -526,19 +512,11 @@ fn take(params: &mut std::vec::IntoIter<Matrix>) -> Matrix {
     params.next().expect("shape-validated parameter stream")
 }
 
-/// Pops a (weight, bias) pair and prepares it as f32 or int8.
-fn take_linear(
-    params: &mut std::vec::IntoIter<Matrix>,
-    quant: QuantMode,
-    int8: bool,
-) -> PreparedLinear {
+/// Pops a (weight, bias) pair and prepares it.
+fn take_linear(params: &mut std::vec::IntoIter<Matrix>, quant: QuantMode) -> PreparedLinear {
     let w = take(params);
     let b = take(params);
-    if int8 {
-        PreparedLinear::from_weights_int8(&w, &b)
-    } else {
-        PreparedLinear::from_weights(&w, &b, quant)
-    }
+    PreparedLinear::from_weights(&w, &b, quant)
 }
 
 /// Pops a (gamma, beta) pair into a [`LayerNorm`].
@@ -552,26 +530,26 @@ fn take_norm(params: &mut std::vec::IntoIter<Matrix>) -> LayerNorm {
 /// tensors, consuming them in [`param_shapes`] order. `read_checkpoint`
 /// already validated every shape, so the constructors' assertions are
 /// unreachable here.
-fn build_prepared(raw: RawCheckpoint, int8: bool) -> crate::PreparedModel {
+fn build_prepared(raw: RawCheckpoint) -> crate::PreparedModel {
     let RawCheckpoint {
         config,
         active,
         params,
     } = raw;
     let mut it = params.into_iter();
-    let patch_embed = take_linear(&mut it, config.quant, int8);
+    let patch_embed = take_linear(&mut it, config.quant);
     let cls_token = take(&mut it);
     let pos_embed = take(&mut it);
     let blocks = (0..config.depth)
         .map(|i| {
             let ln1 = take_norm(&mut it);
-            let wq = take_linear(&mut it, config.quant, int8);
-            let wk = take_linear(&mut it, config.quant, int8);
-            let wv = take_linear(&mut it, config.quant, int8);
-            let proj = take_linear(&mut it, config.quant, int8);
+            let wq = take_linear(&mut it, config.quant);
+            let wk = take_linear(&mut it, config.quant);
+            let wv = take_linear(&mut it, config.quant);
+            let proj = take_linear(&mut it, config.quant);
             let ln2 = take_norm(&mut it);
-            let fc1 = take_linear(&mut it, config.quant, int8);
-            let fc2 = take_linear(&mut it, config.quant, int8);
+            let fc1 = take_linear(&mut it, config.quant);
+            let fc2 = take_linear(&mut it, config.quant);
             PreparedEncoderBlock::from_parts(
                 ln1,
                 PreparedAttention::from_parts(wq, wk, wv, proj, config.heads),
@@ -582,7 +560,7 @@ fn build_prepared(raw: RawCheckpoint, int8: bool) -> crate::PreparedModel {
         })
         .collect();
     let norm = take_norm(&mut it);
-    let head = take_linear(&mut it, config.quant, int8);
+    let head = take_linear(&mut it, config.quant);
     debug_assert!(it.next().is_none(), "parameter stream not fully consumed");
     crate::PreparedModel {
         config,
@@ -762,23 +740,18 @@ mod tests {
         model.save(&path).expect("save");
 
         let via_load = VisionTransformer::load(&path).expect("load");
-        let slow_f32 = via_load.prepare();
-        let slow_int8 = via_load.prepare_int8();
-        let fast_f32 = VisionTransformer::load_prepared(&path).expect("load_prepared");
-        let fast_int8 = VisionTransformer::load_prepared_int8(&path).expect("load_prepared_int8");
+        let slow = via_load.prepare();
+        let fast = VisionTransformer::load_prepared(&path).expect("load_prepared");
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(fast_f32.config(), slow_f32.config());
-        assert_eq!(fast_f32.weight_bytes(), slow_f32.weight_bytes());
-        assert_eq!(fast_int8.weight_bytes(), slow_int8.weight_bytes());
+        assert_eq!(fast.config(), slow.config());
+        assert_eq!(fast.weight_bytes(), slow.weight_bytes());
         let img = Matrix::from_fn(16, 16, |r, c| ((r * 7 + c) as f32) / 97.0 - 0.4);
-        for (fast, slow) in [(&fast_f32, &slow_f32), (&fast_int8, &slow_int8)] {
-            let a = fast.infer(&img);
-            let b = slow.infer(&img);
-            assert_eq!(a.shape(), b.shape());
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "logits must be bit-identical");
-            }
+        let a = fast.infer(&img);
+        let b = slow.infer(&img);
+        assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "logits must be bit-identical");
         }
     }
 

@@ -155,37 +155,7 @@ impl VisionTransformer {
     /// (training, `set_quant_mode`, `set_active_attentions`, fault
     /// injection) requires calling `prepare()` again.
     pub fn prepare(&self) -> crate::PreparedModel {
-        crate::PreparedModel {
-            config: self.config.clone(),
-            patch_embed: self.patch_embed.prepare(),
-            cls_token: self.cls_token.value.clone(),
-            pos_embed: self.pos_embed.value.clone(),
-            blocks: self.blocks.iter().map(|b| b.prepare()).collect(),
-            norm: self.norm.clone(),
-            head: self.head.prepare(),
-        }
-    }
-
-    /// Freezes the model into an *int8* [`crate::PreparedModel`]: every
-    /// [`Linear`] stores packed `i8` weight panels driving the integer GEMM
-    /// instead of a `f32` effective weight — a quarter of the weight memory
-    /// traffic of [`VisionTransformer::prepare`], with the identical
-    /// symmetric weight grid. Logits track the fake-quant reference within
-    /// the documented tolerance (see `pivot_tensor::matmul_quantized`); the
-    /// `prepare()` view stays the accuracy reference path.
-    ///
-    /// The same snapshot rule applies: any mutation of the model
-    /// afterwards requires calling `prepare_int8()` again.
-    pub fn prepare_int8(&self) -> crate::PreparedModel {
-        crate::PreparedModel {
-            config: self.config.clone(),
-            patch_embed: self.patch_embed.prepare_int8(),
-            cls_token: self.cls_token.value.clone(),
-            pos_embed: self.pos_embed.value.clone(),
-            blocks: self.blocks.iter().map(|b| b.prepare_int8()).collect(),
-            norm: self.norm.clone(),
-            head: self.head.prepare_int8(),
-        }
+        self.prepare_with(None)
     }
 
     /// Like [`VisionTransformer::prepare`], with every [`Linear`]
@@ -196,33 +166,22 @@ impl VisionTransformer {
     /// copy. Bit-identical to [`VisionTransformer::prepare`] either way —
     /// the store key covers every input preparation consumes.
     pub fn prepare_in(&self, store: &pivot_nn::PreparedStore) -> crate::PreparedModel {
-        crate::PreparedModel {
-            config: self.config.clone(),
-            patch_embed: self.patch_embed.prepare_in(store),
-            cls_token: self.cls_token.value.clone(),
-            pos_embed: self.pos_embed.value.clone(),
-            blocks: self.blocks.iter().map(|b| b.prepare_in(store)).collect(),
-            norm: self.norm.clone(),
-            head: self.head.prepare_in(store),
-        }
+        self.prepare_with(Some(store))
     }
 
-    /// Like [`VisionTransformer::prepare_int8`], with every [`Linear`]
-    /// deduplicated through `store` (see
-    /// [`VisionTransformer::prepare_in`]).
-    pub fn prepare_int8_in(&self, store: &pivot_nn::PreparedStore) -> crate::PreparedModel {
+    /// The one preparation body. The sub-layers' own bodies are private to
+    /// `pivot-nn`, so each is reached through its public forwarder.
+    fn prepare_with(&self, store: Option<&pivot_nn::PreparedStore>) -> crate::PreparedModel {
+        let linear = |l: &Linear| store.map_or_else(|| l.prepare(), |s| l.prepare_in(s));
+        let block = |b: &EncoderBlock| store.map_or_else(|| b.prepare(), |s| b.prepare_in(s));
         crate::PreparedModel {
             config: self.config.clone(),
-            patch_embed: self.patch_embed.prepare_int8_in(store),
+            patch_embed: linear(&self.patch_embed),
             cls_token: self.cls_token.value.clone(),
             pos_embed: self.pos_embed.value.clone(),
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| b.prepare_int8_in(store))
-                .collect(),
+            blocks: self.blocks.iter().map(block).collect(),
             norm: self.norm.clone(),
-            head: self.head.prepare_int8_in(store),
+            head: linear(&self.head),
         }
     }
 

@@ -71,14 +71,7 @@ impl PreparedModel {
         &self.blocks
     }
 
-    /// Whether every linear layer runs on the packed int8 kernel (built by
-    /// [`VisionTransformer::prepare_int8`](crate::VisionTransformer::prepare_int8)).
-    pub fn is_int8(&self) -> bool {
-        self.patch_embed.is_int8() && self.head.is_int8() && self.blocks.iter().all(|b| b.is_int8())
-    }
-
-    /// Weight bytes resident across all linear layers: 4 per weight on the
-    /// f32 view, 1 on the int8 view.
+    /// Weight bytes resident across all linear layers (4 per weight).
     ///
     /// This is the per-model *streamed* footprint; layers `Arc`-shared
     /// with other views (a [`pivot_nn::PreparedStore`] ladder) are counted
@@ -345,29 +338,34 @@ pub(crate) mod tests {
 
     #[test]
     fn forward_batch_is_bit_identical_to_per_sample_infer() {
+        // Every skip pattern a ladder uses (partial, full, none), each on
+        // its own weights, in both quant modes.
+        let patterns: [(u64, &[usize]); 3] = [(34, &[0, 2]), (50, &[0, 1, 2, 3]), (51, &[])];
         for quant in [QuantMode::None, QuantMode::Int8] {
-            let prepared = model(34, quant, &[0, 2]).prepare();
-            let mut rng = Rng::new(35);
-            // A "full" batch of 4, a ragged tail of 3, and a batch of 1 all
-            // must reproduce per-sample inference exactly, from owned and
-            // from borrowed rows.
-            for batch_size in [4usize, 3, 1] {
-                let images: Vec<Matrix> = (0..batch_size)
-                    .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
-                    .collect();
-                let borrowed: Vec<&Matrix> = images.iter().collect();
-                let logits = prepared.forward_batch(&borrowed);
-                assert_eq!(logits, prepared.forward_batch(&images));
-                assert_eq!(logits.shape(), (batch_size, 4));
-                for (i, img) in images.iter().enumerate() {
-                    assert_eq!(
-                        logits.slice_rows(i, i + 1),
-                        prepared.infer(img),
-                        "{quant:?}: sample {i} of batch {batch_size} diverged"
-                    );
+            for (seed, active) in patterns {
+                let prepared = model(seed, quant, active).prepare();
+                let mut rng = Rng::new(35);
+                // A "full" batch of 4, a ragged tail of 3, and a batch of 1
+                // all must reproduce per-sample inference exactly, from
+                // owned and from borrowed rows.
+                for batch_size in [4usize, 3, 1] {
+                    let images: Vec<Matrix> = (0..batch_size)
+                        .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
+                        .collect();
+                    let borrowed: Vec<&Matrix> = images.iter().collect();
+                    let logits = prepared.forward_batch(&borrowed);
+                    assert_eq!(logits, prepared.forward_batch(&images));
+                    assert_eq!(logits.shape(), (batch_size, 4));
+                    for (i, img) in images.iter().enumerate() {
+                        assert_eq!(
+                            logits.slice_rows(i, i + 1),
+                            prepared.infer(img),
+                            "{quant:?}, seed {seed}: sample {i} of batch {batch_size} diverged"
+                        );
+                    }
                 }
+                assert_eq!(prepared.forward_batch::<Matrix>(&[]).shape(), (0, 4));
             }
-            assert_eq!(prepared.forward_batch::<Matrix>(&[]).shape(), (0, 4));
         }
     }
 
@@ -525,116 +523,5 @@ pub(crate) mod tests {
     fn with_active_attentions_rejects_out_of_range() {
         let m = model(63, QuantMode::None, &[0]);
         let _ = m.prepare().with_active_attentions(&[99]);
-    }
-}
-
-#[cfg(test)]
-mod int8_tests {
-    use super::tests::model;
-    use crate::{CheckpointError, VisionTransformer};
-    use pivot_nn::QuantMode;
-    use pivot_tensor::{Matrix, Rng};
-    use proptest::prelude::*;
-
-    /// The documented int8-vs-fake-quant logit tolerance for the test-small
-    /// configuration: per-row activation quantization is the only numeric
-    /// divergence between the two paths (the weight grids are identical),
-    /// and it stays within a few percent of the logit range (empirically
-    /// ~2%; asserted at 5% for headroom). See DESIGN.md §4e.
-    const INT8_LOGIT_TOL: f32 = 0.05;
-
-    #[test]
-    fn int8_model_metadata_and_memory() {
-        let m = model(50, QuantMode::Int8, &[0, 2]);
-        let int8 = m.prepare_int8();
-        let reference = m.prepare();
-        assert!(int8.is_int8() && !reference.is_int8());
-        assert_eq!(int8.weight_bytes() * 4, reference.weight_bytes());
-        assert_eq!(int8.effort(), reference.effort());
-        assert_eq!(
-            int8.quant_saturation_report(),
-            reference.quant_saturation_report()
-        );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// The tentpole contract: int8 logits stay within the documented
-        /// tolerance of the fake-quant reference, and predictions agree
-        /// whenever the reference's top-2 margin exceeds the observed
-        /// deviation (an argmax flip inside that margin is quantization
-        /// noise on a near-tie, not a kernel defect) — across seeds, skip
-        /// patterns and ragged batch sizes.
-        #[test]
-        fn prop_int8_matches_fakequant(
-            seed in 0u64..1000,
-            pattern in 0usize..3,
-            batch in 1usize..6,
-        ) {
-            let active: &[usize] = match pattern {
-                0 => &[0, 1, 2, 3],
-                1 => &[0, 2],
-                _ => &[],
-            };
-            let m = model(seed, QuantMode::Int8, active);
-            let reference = m.prepare();
-            let int8 = m.prepare_int8();
-            let mut rng = Rng::new(seed ^ 0x1517);
-            let images: Vec<Matrix> = (0..batch)
-                .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
-                .collect();
-            let yf = reference.forward_batch(&images);
-            let y8 = int8.forward_batch(&images);
-            for (i, image) in images.iter().enumerate() {
-                let rf = yf.slice_rows(i, i + 1);
-                let r8 = y8.slice_rows(i, i + 1);
-                let tol = INT8_LOGIT_TOL * rf.max_abs().max(0.5);
-                let diff = (&rf - &r8).max_abs();
-                prop_assert!(diff <= tol, "image {i}: diff {diff} > tol {tol}");
-                let mut sorted: Vec<f32> = rf.row(0).to_vec();
-                sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                // An argmax flip outside the quantization-noise margin
-                // would be a kernel defect, not a near-tie artifact.
-                if sorted[0] - sorted[1] > 2.0 * diff {
-                    prop_assert_eq!(rf.row_argmax(0), r8.row_argmax(0));
-                }
-                // Batched int8 inference is bit-identical to per-sample:
-                // the integer GEMM is exact, so batching cannot change
-                // results.
-                prop_assert_eq!(&r8, &int8.infer(image));
-            }
-        }
-    }
-
-    #[test]
-    fn int8_round_trips_through_pvit2_checkpoint() {
-        let path =
-            std::env::temp_dir().join(format!("pivot_int8_roundtrip_{}.bin", std::process::id()));
-        let m = model(51, QuantMode::Int8, &[1, 3]);
-        m.save(&path).expect("save");
-        let loaded = VisionTransformer::load(&path).expect("load");
-        // The loaded model prepares to the identical int8 view: packing is
-        // a pure function of the weights, which PVIT2 stores exactly.
-        let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(52));
-        assert_eq!(
-            loaded.prepare_int8().infer(&img),
-            m.prepare_int8().infer(&img)
-        );
-        // CRC corruption still surfaces as a typed error, never a silently
-        // mis-packed int8 model: flip one weight byte mid-file.
-        let mut bytes = std::fs::read(&path).expect("read");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("write");
-        let err = VisionTransformer::load(&path).expect_err("corrupt load must fail");
-        assert!(
-            matches!(
-                err,
-                CheckpointError::ChecksumMismatch { .. } | CheckpointError::Corrupt(_)
-            ),
-            "expected a typed corruption error, got {err:?}"
-        );
-        let _ = std::fs::remove_file(&path);
     }
 }
