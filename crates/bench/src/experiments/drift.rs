@@ -27,7 +27,7 @@
 //! ([`LadderEnergy`]). The headline `ramp` scenario hardens 0.05 → 0.95;
 //! the acceptance bar is the issue's: adaptive back-half `F_L` within
 //! ±5% of the LEC while static degrades ≥ 15%, at equal or better
-//! energy-per-request. Writes `BENCH_drift.json`.
+//! energy-per-request.
 
 use crate::Table;
 use pivot_core::{CascadeCache, Parallelism};
@@ -114,44 +114,6 @@ impl DriftBench {
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("no scenario named {name}"))
-    }
-
-    /// Serializes the report as a JSON array (for `BENCH_drift.json`).
-    pub fn to_json(&self) -> String {
-        fn run(r: &DriftPolicyRun) -> String {
-            format!(
-                "{{\"f_low\": {:.4}, \"back_f_low\": {:.4}, \
-                 \"mean_energy_j\": {:.6}, \"mean_delay_ms\": {:.4}, \
-                 \"final_th\": {:.3}, \"retunes\": {}, \"accounted\": {}}}",
-                r.f_low,
-                r.back_f_low,
-                r.mean_energy_j,
-                r.mean_delay_ms,
-                r.final_th,
-                r.retunes,
-                r.accounted,
-            )
-        }
-        let mut out = String::from("[\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str(&format!(
-                "  {{\"scenario\": \"{}\", \"requests\": {}, \"lec\": {:.2}, \
-                 \"static_th\": {:.3}, \"static\": {}, \"adaptive\": {}}}{}\n",
-                s.name,
-                s.requests,
-                self.lec,
-                s.static_th,
-                run(&s.static_run),
-                run(&s.adaptive_run),
-                if i + 1 == self.scenarios.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        out.push_str("]\n");
-        out
     }
 }
 
@@ -288,9 +250,8 @@ fn run_scenario(
 
 /// Runs the drift benchmark: trains the ladder once, then replays every
 /// drift schedule under both threshold policies and prints the
-/// comparison. `smoke` shrinks the stream and skips the secondary
-/// schedules for CI.
-pub fn drift_bench(smoke: bool) -> DriftBench {
+/// comparison.
+pub fn drift_bench() -> DriftBench {
     println!("\n=== Serving under difficulty drift (static vs adaptive Th) ===");
     let dcfg = DatasetConfig {
         classes: 4,
@@ -309,65 +270,55 @@ pub fn drift_bench(smoke: bool) -> DriftBench {
         costs.request_delay_ms(1),
     );
 
-    let n = if smoke { 480 } else { 1280 };
-    let hardening = DriftSchedule::Ramp {
-        from: 0.05,
-        to: 0.95,
-        start: 0.0,
-        end: 1.0,
-    };
-    let mut scenarios = vec![
-        run_scenario("ramp", &dcfg, &levels, &costs, &hardening, n, 70),
-        run_scenario(
+    let schedules = [
+        (
+            "ramp",
+            DriftSchedule::Ramp {
+                from: 0.05,
+                to: 0.95,
+                start: 0.0,
+                end: 1.0,
+            },
+            70,
+        ),
+        (
             "stationary",
-            &dcfg,
-            &levels,
-            &costs,
-            &DriftSchedule::Stationary { difficulty: 0.5 },
-            n,
+            DriftSchedule::Stationary { difficulty: 0.5 },
             74,
         ),
-    ];
-    if !smoke {
-        scenarios.push(run_scenario(
+        (
             "step",
-            &dcfg,
-            &levels,
-            &costs,
-            &DriftSchedule::Step {
+            DriftSchedule::Step {
                 before: 0.2,
                 after: 0.8,
                 at: 0.5,
             },
-            n,
             71,
-        ));
-        scenarios.push(run_scenario(
+        ),
+        (
             "sinusoid",
-            &dcfg,
-            &levels,
-            &costs,
-            &DriftSchedule::Sinusoid {
+            DriftSchedule::Sinusoid {
                 base: 0.5,
                 amplitude: 0.4,
                 periods: 2.0,
             },
-            n,
             72,
-        ));
-        scenarios.push(run_scenario(
+        ),
+        (
             "regimes",
-            &dcfg,
-            &levels,
-            &costs,
-            &DriftSchedule::RegimeSwitch {
+            DriftSchedule::RegimeSwitch {
                 difficulties: vec![0.1, 0.8, 0.3, 0.9],
                 dwell: 0.25,
             },
-            n,
             73,
-        ));
-    }
+        ),
+    ];
+    let scenarios = schedules
+        .into_iter()
+        .map(|(name, schedule, seed)| {
+            run_scenario(name, &dcfg, &levels, &costs, &schedule, 1280, seed)
+        })
+        .collect();
     let report = DriftBench {
         lec: LEC,
         scenarios,
@@ -426,10 +377,10 @@ mod tests {
     /// stationary control shows the adaptive policy changes nothing when
     /// there is no drift to chase. Runs the full-size streams: the whole
     /// replay is a ServeClock-scripted pure function, so the numbers
-    /// asserted here are the numbers `BENCH_drift.json` reports.
+    /// asserted here are the numbers `experiment drift` prints.
     #[test]
     fn drift_bench_meets_the_acceptance_bar() {
-        let report = drift_bench(false);
+        let report = drift_bench();
         for s in &report.scenarios {
             assert!(s.static_run.accounted, "{}: static ledger leaked", s.name);
             assert!(
@@ -485,35 +436,5 @@ mod tests {
             flat.adaptive_run.back_f_low,
             flat.static_run.back_f_low
         );
-    }
-
-    #[test]
-    fn report_serializes_to_json() {
-        let run = |policy, th| DriftPolicyRun {
-            policy,
-            f_low: 0.5,
-            back_f_low: 0.5,
-            mean_energy_j: 0.1,
-            mean_delay_ms: 25.0,
-            final_th: th,
-            retunes: if policy == "adaptive" { 7 } else { 0 },
-            accounted: true,
-        };
-        let report = DriftBench {
-            lec: LEC,
-            scenarios: vec![DriftScenario {
-                name: "ramp",
-                requests: 480,
-                static_th: 0.43,
-                static_run: run("static", 0.43),
-                adaptive_run: run("adaptive", 0.51),
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"scenario\": \"ramp\""));
-        assert!(json.contains("\"static_th\": 0.430"));
-        assert!(json.contains("\"retunes\": 7"));
-        assert!(json.trim_end().ends_with(']'));
     }
 }

@@ -254,6 +254,18 @@ mod tests {
             assert_eq!(p.cascade_fallbacks, 0);
             assert_eq!(p.baseline_non_finite, 0);
         }
+        // Wherever the baseline loses samples to non-finite logits, the
+        // cascade falls back and never does worse.
+        for p in report.points.iter().filter(|p| p.baseline_non_finite > 0) {
+            let at = format!("{} x{}", p.kind.label(), p.n_faults);
+            assert!(p.cascade_fallbacks > 0, "{at}: the cascade never fell back");
+            assert!(
+                p.cascade_accuracy >= p.baseline_accuracy,
+                "{at}: degraded cascade ({:.3}) below baseline ({:.3})",
+                p.cascade_accuracy,
+                p.baseline_accuracy
+            );
+        }
         // Saturating NaN faults: the baseline loses every sample, the
         // cascade falls back for every escalated sample and keeps the
         // low effort's accuracy (far above zero).

@@ -9,12 +9,8 @@ mod accuracy;
 mod analysis;
 mod delay;
 mod drift;
-mod f32_gemm;
 mod faults;
 mod gpp;
-mod ladder_memory;
-mod parallel;
-mod serve;
 
 pub use ablations::{
     ablation_dataflow, ablation_entropy_regularizer, ablation_gating, ablation_ladder,
@@ -26,12 +22,8 @@ pub use delay::{fig1b, fig6a, fig6b, DelayShare, EnergyReduction};
 pub use drift::{
     drift_bench, DriftBench, DriftPolicyRun, DriftScenario, BATCH, CALIBRATION, LEC, STEP, WINDOW,
 };
-pub use f32_gemm::{f32_speedup, F32Speedup, ShapeTiming, F32_BENCH_SHAPES, F32_TIMING_SLACK};
 pub use faults::{fault_injection, FaultReport, FaultSweepPoint};
 pub use gpp::{fig1c, fig7, GppMethodResult};
-pub use ladder_memory::{ladder_memory, LadderMemory, LadderMemoryRow, LADDER_DEPTH};
-pub use parallel::{parallel_speedup, ParallelSpeedup};
-pub use serve::{serve_bench, ServeBench, ServeScenario};
 
 use crate::harness::{FamilyArtifacts, Reproduction};
 use pivot_core::{Phase2Config, Phase2Result, Phase2Search};

@@ -4,7 +4,7 @@ use pivot_core::{compute_cka_matrix, EffortModel, PipelineConfig, PivotArtifacts
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_sim::{AcceleratorConfig, Simulator, VitGeometry};
 use pivot_vit::{TrainConfig, VisionTransformer, VitConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Experiment scale, selected with `PIVOT_PROFILE=fast|full` (default
 /// `fast`). `full` trains larger stand-ins for longer and prepares the
@@ -244,8 +244,9 @@ fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> 
     let dir = cache_dir(profile);
     let tag = family.cache_tag();
     let teacher_path = dir.join(format!("{tag}_teacher.bin"));
-    let efforts = profile.efforts(family);
-    let effort_paths: Vec<PathBuf> = efforts
+    let config = profile.pipeline_config(family, dataset.config.classes);
+    let effort_paths: Vec<PathBuf> = config
+        .efforts
         .iter()
         .map(|e| dir.join(format!("{tag}_effort_{e}.bin")))
         .collect();
@@ -256,14 +257,13 @@ fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> 
             "[harness] loading cached {tag} family from {}",
             dir.display()
         );
-        rebuild_from_cache(&teacher_path, &effort_paths, &efforts, dataset)
+        rebuild_from_cache(&teacher_path, &effort_paths, &config, dataset)
     } else {
         eprintln!(
             "[harness] training {tag} family (profile {})...",
             profile.name()
         );
-        let pipeline = PivotPipeline::new(profile.pipeline_config(family, dataset.config.classes));
-        let artifacts = pipeline.run(dataset);
+        let artifacts = PivotPipeline::new(config).run(dataset);
         std::fs::create_dir_all(&dir).ok();
         if artifacts.teacher.save(&teacher_path).is_err() {
             eprintln!("[harness] warning: could not cache teacher");
@@ -283,23 +283,25 @@ fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> 
 
 /// Rebuilds pipeline artifacts from cached checkpoints: models are loaded,
 /// the CKA matrix and Phase-1 rankings are recomputed (cheap) from the
-/// cached teacher.
+/// cached teacher over the same `config.cka_batch` training images the
+/// training run used, so a warm run reproduces the cold one.
 fn rebuild_from_cache(
-    teacher_path: &PathBuf,
+    teacher_path: &Path,
     effort_paths: &[PathBuf],
-    efforts: &[usize],
+    config: &PipelineConfig,
     dataset: &Dataset,
 ) -> PivotArtifacts {
     let teacher = VisionTransformer::load(teacher_path).expect("cached teacher readable");
-    let batch: Vec<&Sample> = dataset.train.iter().take(96).collect();
+    let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
     let cka = compute_cka_matrix(&teacher, &batch);
-    let phase1: Vec<_> = efforts
+    let phase1: Vec<_> = config
+        .efforts
         .iter()
         .map(|&e| pivot_core::select_optimal_path(e, &cka))
         .collect();
     let effort_models: Vec<EffortModel> = effort_paths
         .iter()
-        .zip(efforts)
+        .zip(&config.efforts)
         .map(|(path, &effort)| {
             let model = VisionTransformer::load(path).expect("cached effort readable");
             let mask: Vec<bool> = (0..model.config().depth)
@@ -352,5 +354,50 @@ mod tests {
                 profile.pipeline_config(family, 8).validate();
             }
         }
+    }
+
+    #[test]
+    fn warm_rebuild_recomputes_cka_over_the_profiles_batch() {
+        // Full's CKA batch (256) exceeds the 96 images a warm run once
+        // hard-coded, so a mismatch shows up as a different matrix.
+        let vit = VitConfig::test_small();
+        let config = PipelineConfig {
+            vit: vit.clone(),
+            efforts: vec![2, 4],
+            ..Profile::Full.pipeline_config(Family::Deit, vit.num_classes)
+        };
+        let dataset = Dataset::generate(
+            &DatasetConfig {
+                classes: vit.num_classes,
+                image_size: vit.image_size,
+                train_per_class: 70,
+                test_per_class: 1,
+                difficulty: (0.0, 1.0),
+            },
+            3,
+        );
+        assert!(config.cka_batch > 96 && dataset.train.len() > config.cka_batch);
+
+        let dir = std::env::temp_dir().join(format!("pivot_harness_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let teacher = VisionTransformer::new(&vit, &mut pivot_tensor::Rng::new(5));
+        let teacher_path = dir.join("teacher.bin");
+        teacher.save(&teacher_path).expect("save teacher");
+        let effort_paths: Vec<PathBuf> = config
+            .efforts
+            .iter()
+            .map(|&e| {
+                let mut model = teacher.clone();
+                model.set_active_attentions(&(0..e).collect::<Vec<_>>());
+                let path = dir.join(format!("effort_{e}.bin"));
+                model.save(&path).expect("save effort");
+                path
+            })
+            .collect();
+        let rebuilt = rebuild_from_cache(&teacher_path, &effort_paths, &config, &dataset);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
+        assert_eq!(rebuilt.cka, compute_cka_matrix(&teacher, &batch));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Each experiment is a function in [`experiments`] that takes the shared
 //! [`Reproduction`] state and prints a paper-style report (with the paper's
-//! reference values alongside). The binaries in `src/bin/` are thin
-//! wrappers; `all_experiments` runs everything against one shared state and
-//! is what `EXPERIMENTS.md` is produced from.
+//! reference values alongside). The one binary, `experiment`, runs them by
+//! name; `experiment all` runs everything against one shared state and is
+//! what `EXPERIMENTS.md` is produced from.
 //!
 //! Trained models are checkpointed under `target/pivot-cache/` so repeated
 //! runs skip the (single-core) training.

@@ -5,8 +5,7 @@
 //! routine. This module corrupts weights, activations and checkpoint bytes
 //! *reproducibly* — every fault position and pattern derives from the
 //! in-tree xoshiro [`Rng`], so an accuracy-under-fault curve (see the
-//! `fault_injection` experiment in `pivot-bench`) is replayable from a
-//! single seed.
+//! `faults` experiment in `pivot-bench`) is replayable from a single seed.
 //!
 //! The injector is deliberately model-agnostic: it mutates `Matrix` buffers
 //! and parameter lists, and the degradation machinery in

@@ -21,8 +21,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Deterministic chaos injected into the engine, for tests and the
-/// `serve_bench` fault scenarios. Default is no chaos.
+/// Deterministic chaos injected into the engine, for the stall and
+/// panic-isolation tests. Default is no chaos.
 #[derive(Debug, Default)]
 pub struct ChaosConfig {
     /// Per-batch stall faults: each batch draws from the schedule and, on

@@ -3,7 +3,7 @@
 //! The offline crates answer "what accuracy does this cascade buy per
 //! FLOP?"; this crate answers the production question: "what happens when
 //! requests arrive faster than the cascade can run?" Its answer is the
-//! robustness contract the `serve_bench` smoke audits:
+//! robustness contract the `server`/`engine` tests pin:
 //!
 //! * **Bounded admission** — a full queue sheds at the door with a typed
 //!   [`SubmitError::Rejected`] carrying the observed depth. Overload is

@@ -5,7 +5,7 @@
 //! timed out, or failed — and every rejected submission gets a synchronous
 //! typed [`SubmitError`]. There is no fifth path: the accounting identity
 //! `submitted == shed + completed + degraded + timed_out + failed` is the
-//! engine's liveness contract (asserted by the `serve_bench` smoke).
+//! engine's liveness contract (asserted by the `server` and `engine` tests).
 
 use std::error::Error;
 use std::fmt;

@@ -95,7 +95,7 @@ impl Server {
     }
 
     /// Spawns a server with an explicit clock and chaos schedule — the
-    /// entry point deterministic tests and the fault-scenario benches use.
+    /// entry point deterministic and fault-scenario tests use.
     pub fn spawn_with(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
@@ -226,7 +226,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ServeOutcome;
+    use crate::request::{ServeError, ServeOutcome};
     use pivot_core::evaluate_guarded_slice;
     use pivot_data::{Dataset, DatasetConfig, Sample};
     use pivot_tensor::Rng;
@@ -342,6 +342,38 @@ mod tests {
         for t in tickets {
             assert!(t.wait().is_some(), "responses survive shutdown");
         }
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_typed_and_the_worker_keeps_serving() {
+        let (levels, thresholds) = ladder();
+        let chaos = ChaosConfig {
+            panic_batches: vec![0],
+            ..ChaosConfig::default()
+        };
+        let server = Server::spawn_with(levels, thresholds, config(), ServeClock::wall(), chaos);
+        let set = samples(8);
+        let first = server
+            .submit(set[0].image.clone(), Duration::from_secs(30))
+            .expect("capacity");
+        assert_eq!(
+            first.wait().expect("drain contract").outcome,
+            ServeOutcome::Failed(ServeError::BatchPanicked { batch: 0 })
+        );
+        let tickets: Vec<_> = set
+            .iter()
+            .map(|s| {
+                server
+                    .submit(s.image.clone(), Duration::from_secs(30))
+                    .expect("capacity")
+            })
+            .collect();
+        for t in tickets {
+            assert!(t.wait().expect("drain contract").outcome.served().is_some());
+        }
+        let h = server.shutdown();
+        assert_eq!(h.panics, 1);
+        assert!(h.accounted(), "ledger must balance: {h}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! one simulated [`EffortPerf`] per ladder level; [`EnergyLedger`]
 //! accumulates charges by exit level so a whole request stream folds into
 //! mean energy-per-request, mean delay and the realized `F_L` — the
-//! quantities `BENCH_drift.json` compares between the static and adaptive
-//! threshold policies.
+//! quantities `pivot-bench`'s `drift` experiment compares between the
+//! static and adaptive threshold policies.
 //!
 //! For a two-level ladder the ledger's means agree exactly with
 //! `combine_efforts` at the realized `F_L` (pinned by test): a level-1
