@@ -1,13 +1,13 @@
 //! Microbenchmarks of the dense matmul kernels under `pivot-tensor`,
 //! at the shapes the tiny ViTs actually execute: naive reference vs. the
-//! dispatched kernel (packed SIMD microkernel on AVX2+FMA hosts, scalar
-//! untiled/tiled otherwise) vs. one wide batched GEMM over a stacked
-//! batch, plus the prepacked-weight path and the packed-int8 quantized
-//! GEMM against the f32 kernels on the same shapes. Results are written
-//! to `BENCH_matmul.json` at the workspace root.
+//! dispatched f32 GEMM (pack → the host's one kernel: the AVX2+FMA
+//! microkernel, or the scalar panel kernel elsewhere) vs. one wide GEMM
+//! over a stacked batch, plus the prepacked-weight path and the
+//! packed-int8 quantized GEMM against the f32 kernels on the same shapes.
+//! Results are written to `BENCH_matmul.json` at the workspace root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pivot_tensor::{matmul_quantized_into, Batch, Matrix, PackedF32, PackedInt8, Rng};
+use pivot_tensor::{matmul_quantized_into, Matrix, PackedF32, PackedInt8, Rng};
 
 /// Samples stacked into the wide-GEMM comparison (matches
 /// `pivot_core::EVAL_BATCH`).
@@ -37,8 +37,7 @@ fn bench_matmul(c: &mut Criterion) {
         b.iter(|| black_box(&x17).matmul(black_box(&w_up)))
     });
 
-    // A multi-tile square GEMM — the shape where the old tiled kernel
-    // regressed below naive.
+    // A square GEMM wider than the batched shapes' reduction and output.
     let sq = 96;
     let a_sq = Matrix::randn(sq, sq, 1.0, &mut rng);
     let b_sq = Matrix::randn(sq, sq, 1.0, &mut rng);
@@ -54,7 +53,11 @@ fn bench_matmul(c: &mut Criterion) {
     let samples: Vec<Matrix> = (0..BATCH)
         .map(|_| Matrix::randn(17, 64, 1.0, &mut rng))
         .collect();
-    let stacked = Batch::from_samples(&samples);
+    let stacked = Matrix::from_vec(
+        BATCH * 17,
+        64,
+        samples.iter().flat_map(|s| s.as_slice()).copied().collect(),
+    );
     group.bench_function(format!("per-sample {BATCH} x (17x64 * 64x64)"), |b| {
         b.iter(|| {
             for s in black_box(&samples) {
@@ -64,19 +67,19 @@ fn bench_matmul(c: &mut Criterion) {
     });
     group.bench_function(
         format!("batched {}x64 * 64x64 (one GEMM)", BATCH * 17),
-        |b| b.iter(|| black_box(stacked.as_matrix()).matmul(black_box(&w64))),
+        |b| b.iter(|| black_box(&stacked).matmul(black_box(&w64))),
     );
 
     // Buffer-reusing variant: no output allocation per call.
     let mut out = Matrix::zeros(BATCH * 17, 64);
     group.bench_function(
         format!("batched {}x64 * 64x64 (matmul_into)", BATCH * 17),
-        |b| b.iter(|| black_box(stacked.as_matrix()).matmul_into(black_box(&w64), &mut out)),
+        |b| b.iter(|| black_box(&stacked).matmul_into(black_box(&w64), &mut out)),
     );
     // Naive reference at the batched shape — the ISSUE-7 speedup target
     // and the floor the dispatched kernel must never fall below.
     group.bench_function(format!("naive {}x64 * 64x64 (batched)", BATCH * 17), |b| {
-        b.iter(|| black_box(stacked.as_matrix()).matmul_naive(black_box(&w64)))
+        b.iter(|| black_box(&stacked).matmul_naive(black_box(&w64)))
     });
     // Weight prepacked once (the PreparedLinear fast path): the same
     // kernel as matmul_into with the per-call pack hoisted out.
@@ -86,12 +89,7 @@ fn bench_matmul(c: &mut Criterion) {
             "prepacked {}x64 * 64x64 (matmul_prepacked_into)",
             BATCH * 17
         ),
-        |b| {
-            b.iter(|| {
-                black_box(stacked.as_matrix())
-                    .matmul_prepacked_into(black_box(&packed_f32), &mut out)
-            })
-        },
+        |b| b.iter(|| black_box(&stacked).matmul_prepacked_into(black_box(&packed_f32), &mut out)),
     );
     group.bench_function("pack 64x64 weights (f32 panels)", |b| {
         b.iter(|| black_box(PackedF32::pack(black_box(&w64))))
@@ -108,11 +106,7 @@ fn bench_matmul(c: &mut Criterion) {
     });
     group.bench_function(
         format!("int8 {}x64 * 64x64 (quantized batched)", BATCH * 17),
-        |b| {
-            b.iter(|| {
-                matmul_quantized_into(black_box(stacked.as_matrix()), black_box(&packed), &mut out)
-            })
-        },
+        |b| b.iter(|| matmul_quantized_into(black_box(&stacked), black_box(&packed), &mut out)),
     );
     group.bench_function("pack 64x64 weights (int8 panels)", |b| {
         b.iter(|| black_box(PackedInt8::pack(black_box(&w64))))

@@ -5,11 +5,12 @@
 //! the crate (the trainable layers keep just their caching `forward` /
 //! `backward`): built once from a trained layer by the `prepare()` methods,
 //! they hold the `f32` effective weight — the latent weight, or under
-//! [`QuantMode::Int8`] its snap to the 8-bit fake-quant grid — and the
-//! quantizer that produced it as plain immutable data, so repeated
-//! inference does zero per-call weight work and the whole view is
-//! `Send + Sync` for free sharing across the worker pool. Every view runs
-//! the `f32` GEMM; there is no integer compute path.
+//! [`QuantMode::Int8`] its snap to the 8-bit fake-quant grid — packed once
+//! into the panel layout of the `f32` GEMM, and the quantizer that produced
+//! it, as plain immutable data: repeated inference does zero per-call
+//! weight work and the whole view is `Send + Sync` for free sharing across
+//! the worker pool. Every view runs the one `f32` GEMM of the host; there
+//! is no integer compute path and no second weight layout.
 //!
 //! A prepared view is a *snapshot*: any mutation of the source layer
 //! (training steps, `set_quant_mode`, fault injection into the latent
@@ -23,42 +24,24 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The layout a [`PreparedLinear`] holds its `f32` effective weight (full
-/// precision or fake-quantized) in.
-///
-/// Exactly one copy of the weight is resident per view, in the layout the
-/// host's GEMM reads: which arm a view holds is decided once, at prepare
-/// time, by [`pivot_tensor::f32_simd_available`] — a property of the
-/// machine, so every view in a process takes the same arm.
-///
-/// Every payload sits behind `Arc` so a [`crate::PreparedStore`] can share
-/// one materialized weight across every effort level whose layer is
-/// bit-identical — the sharing is safe because no API mutates a prepared
-/// payload (there is no `&mut` accessor to the `Arc` contents anywhere in
-/// the crate), so a shared panel can never go stale under one consumer
-/// while another still reads it.
-#[derive(Debug, Clone)]
-pub(crate) enum PreparedKernel {
-    /// The `f32` effective weight pre-packed for the SIMD microkernel
-    /// ([`pivot_tensor::PackedF32`]) on AVX2+FMA machines, so repeated
-    /// forwards skip the per-call pack `matmul` would do. Bit-identical
-    /// to `matmul` against the dense weight — the kernel is the same,
-    /// packing is the only work hoisted out.
-    F32Panels(Arc<PackedF32>),
-    /// The dense `f32` effective weight, where the runtime dispatch takes
-    /// a scalar arm.
-    F32Dense(Arc<Matrix>),
-}
-
 /// Frozen inference view of a [`crate::Linear`] layer.
 ///
-/// Holds the `f32` effective weight, the bias row, the quantizer that
-/// produced the weight and the saturation count computed from those same
-/// parameters — so health checks report exactly what the forward pass runs
-/// on.
+/// Holds the `f32` effective weight (full precision or fake-quantized), the
+/// bias row, the quantizer that produced the weight and the saturation
+/// count computed from those same parameters — so health checks report
+/// exactly what the forward pass runs on.
+///
+/// The weight is resident once, pre-packed into the panel layout the GEMM
+/// reads ([`pivot_tensor::PackedF32`]), so repeated forwards skip the
+/// per-call pack `matmul` would do. It sits behind `Arc` so a
+/// [`crate::PreparedStore`] can share one packed weight across every
+/// effort level whose layer is bit-identical — safe because no API
+/// mutates a prepared payload (there is no `&mut` accessor to the `Arc`
+/// contents anywhere in the crate), so a shared panel can never go stale
+/// under one consumer while another still reads it.
 #[derive(Debug, Clone)]
 pub struct PreparedLinear {
-    pub(crate) kernel: PreparedKernel,
+    pub(crate) panels: Arc<PackedF32>,
     pub(crate) bias: Matrix,
     pub(crate) params: Option<QuantParams>,
     pub(crate) saturation: usize,
@@ -96,17 +79,11 @@ impl PreparedLinear {
         let saturation = params
             .map(|qp| qp.saturation_count(weight.as_slice()))
             .unwrap_or(0);
-        let kernel = if pivot_tensor::f32_simd_available() {
-            // Pack for the SIMD microkernel, hoisting the per-call pack
-            // out of every forward; the dense copy is not kept.
-            PreparedKernel::F32Panels(Arc::new(PackedF32::pack(
-                fake_quant.as_ref().unwrap_or(weight),
-            )))
-        } else {
-            PreparedKernel::F32Dense(Arc::new(fake_quant.unwrap_or_else(|| weight.clone())))
-        };
+        // Packed once, hoisting the per-call pack out of every forward;
+        // the dense copy is not kept.
+        let panels = Arc::new(PackedF32::pack(fake_quant.as_ref().unwrap_or(weight)));
         Self {
-            kernel,
+            panels,
             bias: bias.clone(),
             params,
             saturation,
@@ -139,11 +116,7 @@ impl PreparedLinear {
     /// *unique* resident weight bytes, the number the shared store
     /// minimizes.
     pub fn unique_weight_bytes_into(&self, seen: &mut HashSet<usize>) -> usize {
-        let ptr = match &self.kernel {
-            PreparedKernel::F32Panels(panels) => Arc::as_ptr(panels) as usize,
-            PreparedKernel::F32Dense(w_eff) => Arc::as_ptr(w_eff) as usize,
-        };
-        if seen.insert(ptr) {
+        if seen.insert(Arc::as_ptr(&self.panels) as usize) {
             self.weight_bytes()
         } else {
             0
@@ -152,35 +125,25 @@ impl PreparedLinear {
 
     /// Inference forward `y = x W_eff + b`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        match &self.kernel {
-            PreparedKernel::F32Panels(panels) => x
-                .matmul_prepacked(panels)
-                .add_row_broadcast(self.bias.row(0)),
-            PreparedKernel::F32Dense(w_eff) => x.matmul(w_eff).add_row_broadcast(self.bias.row(0)),
-        }
+        x.matmul_prepacked(&self.panels)
+            .add_row_broadcast(self.bias.row(0))
     }
 
     /// Bytes of weight storage the forward pass streams per call: the
-    /// logical `k x n` `f32` weight on either arm — panel padding is
-    /// layout, not streamed weight data.
+    /// logical `k x n` `f32` weight — panel padding is layout, not
+    /// streamed weight data.
     pub fn weight_bytes(&self) -> usize {
         self.in_dim() * self.out_dim() * std::mem::size_of::<f32>()
     }
 
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
-        match &self.kernel {
-            PreparedKernel::F32Panels(panels) => panels.k(),
-            PreparedKernel::F32Dense(w_eff) => w_eff.rows(),
-        }
+        self.panels.k()
     }
 
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
-        match &self.kernel {
-            PreparedKernel::F32Panels(panels) => panels.n(),
-            PreparedKernel::F32Dense(w_eff) => w_eff.cols(),
-        }
+        self.panels.n()
     }
 
     /// The quantizer the effective weight was materialized with (`None` in

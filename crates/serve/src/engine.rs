@@ -13,6 +13,7 @@ use crate::health::HealthStats;
 use crate::overload::OverloadController;
 use crate::queue::Pending;
 use crate::request::{ServeError, ServeOutcome, ServeResponse, Served};
+use crate::server::ServeConfig;
 use crate::threshold::ThresholdController;
 use pivot_core::{evaluate_guarded_slice, Parallelism, StallSchedule};
 use pivot_tensor::Matrix;
@@ -34,7 +35,10 @@ pub struct ChaosConfig {
     pub panic_batches: Vec<u64>,
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `mutex`, recovering the data from a poisoned lock: every value
+/// the crate guards (the health ledger, the admission queue) stays
+/// consistent across a panic, so poisoning carries no information here.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -52,30 +56,59 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    // The engine genuinely owns this many collaborators; bundling them
-    // into a one-use struct would only rename the argument list.
-    #[allow(clippy::too_many_arguments)]
+    /// Validates the ladder and builds the engine over it, returning the
+    /// core and its health ledger — seeded with the full effort cap and
+    /// the first gate's threshold — for the caller to share. `config`'s
+    /// overload, threshold and parallelism fields are honored; its queue
+    /// fields are the caller's business.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` is empty, thresholds don't match the gate count,
+    /// a threshold is outside `[0, 1]`, or adaptive threshold control is
+    /// requested on a gateless (single-level) ladder.
     pub fn new(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
-        controller: OverloadController,
-        tuner: Option<ThresholdController>,
-        par: Parallelism,
+        config: &ServeConfig,
         chaos: ChaosConfig,
         clock: ServeClock,
-        health: Arc<Mutex<HealthStats>>,
-    ) -> Self {
-        Self {
+    ) -> (Self, Arc<Mutex<HealthStats>>) {
+        assert!(!levels.is_empty(), "need at least one effort level");
+        assert_eq!(
+            thresholds.len(),
+            levels.len() - 1,
+            "need one threshold per gate (levels - 1)"
+        );
+        assert!(
+            thresholds.iter().all(|t| (0.0..=1.0).contains(t)),
+            "entropy thresholds live in [0, 1]"
+        );
+        assert!(
+            config.threshold.is_none() || !thresholds.is_empty(),
+            "adaptive threshold control needs at least one gate (two levels)"
+        );
+        let top = levels.len() - 1;
+        let initial_th = thresholds.first().copied().unwrap_or(1.0);
+        let health = Arc::new(Mutex::new(HealthStats {
+            effort_cap: top,
+            threshold: initial_th,
+            ..HealthStats::default()
+        }));
+        let core = Self {
             levels,
             thresholds,
-            controller,
-            tuner,
-            par,
+            controller: OverloadController::new(top, config.overload),
+            tuner: config
+                .threshold
+                .map(|policy| ThresholdController::new(initial_th, policy)),
+            par: config.parallelism,
             chaos,
             clock,
-            health,
+            health: Arc::clone(&health),
             batch_index: 0,
-        }
+        };
+        (core, health)
     }
 
     /// Executes one coalesced batch to full resolution: every request in
@@ -256,19 +289,12 @@ mod tests {
         policy: OverloadPolicy,
     ) -> (EngineCore, Arc<Mutex<HealthStats>>) {
         let (lv, th) = levels();
-        let health = Arc::new(Mutex::new(HealthStats::default()));
-        let controller = OverloadController::new(lv.len() - 1, policy);
-        let core = EngineCore::new(
-            lv,
-            th,
-            controller,
-            None,
-            Parallelism::Off,
-            chaos,
-            clock,
-            Arc::clone(&health),
-        );
-        (core, health)
+        let config = ServeConfig {
+            parallelism: Parallelism::Off,
+            overload: policy,
+            ..ServeConfig::default()
+        };
+        EngineCore::new(lv, th, &config, chaos, clock)
     }
 
     fn enqueue(

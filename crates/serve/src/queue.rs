@@ -10,11 +10,12 @@
 //! arrivals share one `forward_batch`-wide GEMM.
 
 use crate::clock::ServeClock;
+use crate::engine::lock;
 use crate::request::{ServeResponse, SubmitError};
 use pivot_tensor::Matrix;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One admitted request waiting for (or undergoing) execution.
@@ -36,10 +37,6 @@ pub(crate) struct Pending {
 struct Inner {
     queue: VecDeque<Pending>,
     open: bool,
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Bounded MPSC admission queue with condvar-driven batch formation.

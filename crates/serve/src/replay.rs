@@ -14,22 +14,16 @@
 //! (ladder, config, request stream, clock script).
 
 use crate::clock::ServeClock;
-use crate::engine::{ChaosConfig, EngineCore};
+use crate::engine::{lock, ChaosConfig, EngineCore};
 use crate::health::HealthStats;
-use crate::overload::OverloadController;
 use crate::queue::Pending;
 use crate::request::ServeResponse;
 use crate::server::ServeConfig;
-use crate::threshold::ThresholdController;
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A synchronous, deterministic engine: batches in, typed responses out,
 /// on a virtual clock the caller scripts.
@@ -58,41 +52,8 @@ impl ReplayEngine {
         config: ServeConfig,
         chaos: ChaosConfig,
     ) -> Self {
-        assert!(!levels.is_empty(), "need at least one effort level");
-        assert_eq!(
-            thresholds.len(),
-            levels.len() - 1,
-            "need one threshold per gate (levels - 1)"
-        );
-        assert!(
-            thresholds.iter().all(|t| (0.0..=1.0).contains(t)),
-            "entropy thresholds live in [0, 1]"
-        );
-        assert!(
-            config.threshold.is_none() || !thresholds.is_empty(),
-            "adaptive threshold control needs at least one gate (two levels)"
-        );
         let clock = ServeClock::manual();
-        let initial_th = thresholds.first().copied().unwrap_or(1.0);
-        let health = Arc::new(Mutex::new(HealthStats {
-            effort_cap: levels.len() - 1,
-            threshold: initial_th,
-            ..HealthStats::default()
-        }));
-        let controller = OverloadController::new(levels.len() - 1, config.overload);
-        let tuner = config
-            .threshold
-            .map(|policy| ThresholdController::new(initial_th, policy));
-        let core = EngineCore::new(
-            levels,
-            thresholds,
-            controller,
-            tuner,
-            config.parallelism,
-            chaos,
-            clock.clone(),
-            Arc::clone(&health),
-        );
+        let (core, health) = EngineCore::new(levels, thresholds, &config, chaos, clock.clone());
         Self {
             core,
             clock,

@@ -8,18 +8,18 @@
 //! balanced [`HealthStats`] ledger.
 
 use crate::clock::ServeClock;
-use crate::engine::{ChaosConfig, EngineCore};
+use crate::engine::{lock, ChaosConfig, EngineCore};
 use crate::health::HealthStats;
-use crate::overload::{OverloadController, OverloadPolicy};
+use crate::overload::OverloadPolicy;
 use crate::queue::{AdmissionQueue, Pending};
 use crate::request::{SubmitError, Ticket};
-use crate::threshold::{ThresholdController, ThresholdPolicy};
+use crate::threshold::ThresholdPolicy;
 use pivot_core::Parallelism;
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -61,10 +61,6 @@ impl Default for ServeConfig {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Handle to a running serving engine.
 #[derive(Debug)]
 pub struct Server {
@@ -103,43 +99,9 @@ impl Server {
         clock: ServeClock,
         chaos: ChaosConfig,
     ) -> Self {
-        assert!(!levels.is_empty(), "need at least one effort level");
-        assert_eq!(
-            thresholds.len(),
-            levels.len() - 1,
-            "need one threshold per gate (levels - 1)"
-        );
-        assert!(
-            thresholds.iter().all(|t| (0.0..=1.0).contains(t)),
-            "entropy thresholds live in [0, 1]"
-        );
         assert!(config.max_batch >= 1, "max_batch must be >= 1");
-        assert!(
-            config.threshold.is_none() || !thresholds.is_empty(),
-            "adaptive threshold control needs at least one gate (two levels)"
-        );
-
+        let (mut core, health) = EngineCore::new(levels, thresholds, &config, chaos, clock.clone());
         let queue = Arc::new(AdmissionQueue::new(config.queue_capacity));
-        let initial_th = thresholds.first().copied().unwrap_or(1.0);
-        let health = Arc::new(Mutex::new(HealthStats {
-            effort_cap: levels.len() - 1,
-            threshold: initial_th,
-            ..HealthStats::default()
-        }));
-        let controller = OverloadController::new(levels.len() - 1, config.overload);
-        let tuner = config
-            .threshold
-            .map(|policy| ThresholdController::new(initial_th, policy));
-        let mut core = EngineCore::new(
-            levels,
-            thresholds,
-            controller,
-            tuner,
-            config.parallelism,
-            chaos,
-            clock.clone(),
-            Arc::clone(&health),
-        );
         let worker = {
             let queue = Arc::clone(&queue);
             let worker_clock = clock.clone();

@@ -23,7 +23,6 @@
 
 #![deny(missing_docs)]
 
-mod batch;
 mod hash;
 mod health;
 mod int8;
@@ -33,17 +32,16 @@ mod ops;
 mod quant;
 mod rng;
 
-pub use batch::Batch;
 pub use hash::ContentHasher;
 pub use health::NonFiniteError;
 pub use int8::{matmul_quantized, matmul_quantized_into, PackedInt8};
-pub use matrix::{Matrix, MATMUL_TILE};
+pub use matrix::Matrix;
 pub use microkernel::{f32_simd_available, PackedF32, PANEL_WIDTH};
 pub use ops::{
     erf, exp, gelu, gelu_backward_in_place, gelu_derivative, gelu_in_place, log_softmax_row,
     softmax_row, softmax_row_in_place, stable_softmax_in_place,
 };
-pub use quant::{QuantParams, Quantized};
+pub use quant::QuantParams;
 pub use rng::Rng;
 
 #[cfg(test)]
@@ -52,11 +50,9 @@ mod thread_safety {
 
     #[test]
     fn core_types_are_send_and_sync() {
-        assert_send_sync::<crate::Batch>();
         assert_send_sync::<crate::Matrix>();
         assert_send_sync::<crate::PackedInt8>();
         assert_send_sync::<crate::QuantParams>();
-        assert_send_sync::<crate::Quantized>();
         assert_send_sync::<crate::Rng>();
     }
 }

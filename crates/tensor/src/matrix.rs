@@ -1,32 +1,9 @@
 //! Row-major dense `f32` matrix.
 
-use crate::microkernel::{f32_simd_available, LhsView, PackedF32, StridedRows};
+use crate::microkernel::{gemm, gemm_transpose_b, LhsView, PackedF32, StridedRows};
 use crate::rng::Rng;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Range, Sub};
-
-/// Tile edge used by the tiled scalar matmul fallback.
-///
-/// 32 rows of f32 at ViT widths (64–1536 columns) keep one tile of the
-/// streamed operand plus a block of output rows inside a typical 256 KiB
-/// L2 while staying comfortably under L1 for the small test configs. The
-/// accumulation order of every kernel is independent of this constant
-/// (ascending `k` per output element), so changing it cannot change
-/// results — only speed.
-pub const MATMUL_TILE: usize = 32;
-
-/// `rhs` footprint (bytes) below which the scalar matmul arms skip tiling.
-///
-/// When the whole streamed operand is cache-resident (L2 on any machine
-/// this targets), blocking saves no memory traffic — every `rhs` row is a
-/// hit anyway — and the extra tile loops only cost overhead. The earlier
-/// 16 KiB (half-of-L1) threshold was too conservative: `BENCH_matmul.json`
-/// showed the tiled path *losing* to naive at 96x96x96 (36 KiB rhs), so
-/// the cutoff now admits anything up to 128 KiB and tiling is reserved
-/// for operands that genuinely spill (large MLP expansions). Both scalar
-/// paths share the same ascending-`k` accumulation order, so this
-/// dispatch can never change results.
-const SMALL_GEMM_RHS_BYTES: usize = 128 * 1024;
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -276,11 +253,7 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Delegates to the dispatched kernel ([`Self::matmul_into`]): the
-    /// packed SIMD microkernel on AVX2+FMA hosts, the scalar
-    /// untiled/tiled ladder elsewhere.
+    /// Matrix product `self * rhs` (see [`Self::matmul_into`]).
     ///
     /// # Panics
     ///
@@ -294,9 +267,10 @@ impl Matrix {
     /// Reference ikj matmul with no blocking — the ground truth every
     /// other kernel is validated against. Accumulates each output element
     /// in ascending-`k` order with one scalar accumulator (round after
-    /// every multiply, no fusing): the scalar arms of [`Self::matmul_into`]
-    /// reproduce it bit for bit, and the SIMD arm is pinned to it within
-    /// the fused-rounding tolerance documented in `crate::microkernel`.
+    /// every multiply, no fusing): the scalar kernel behind
+    /// [`Self::matmul_into`] reproduces it bit for bit, and the SIMD kernel
+    /// is pinned to it within the fused-rounding tolerance documented in
+    /// `crate::microkernel`.
     ///
     /// # Panics
     ///
@@ -327,26 +301,16 @@ impl Matrix {
     /// loops (batched forwards, attention scores) can reuse one allocation
     /// across calls.
     ///
-    /// Dispatch ladder, decided per call:
+    /// Packs `rhs` into [`PackedF32`] column panels and runs the one f32
+    /// GEMM kernel of the host (see `crate::microkernel`). Hot loops that
+    /// reuse the same `rhs` should pack once and call
+    /// [`Self::matmul_prepacked_into`] to skip the per-call pack.
     ///
-    /// 1. **SIMD** — on x86-64 with AVX2+FMA ([`crate::f32_simd_available`]),
-    ///    `rhs` is packed into [`PackedF32`] column panels and the
-    ///    register-tiled fused kernel in `crate::microkernel` runs. Hot
-    ///    loops that reuse the same `rhs` should pack once and call
-    ///    [`Self::matmul_prepacked_into`] to skip the per-call pack.
-    /// 2. **Untiled scalar** — when `rhs` is cache-resident
-    ///    (`SMALL_GEMM_RHS_BYTES`), the plain ikj loop: tiling an operand
-    ///    that already fits in cache only adds loop overhead.
-    /// 3. **Tiled scalar** — output rows and the reduction tiled at
-    ///    [`MATMUL_TILE`] so a `MATMUL_TILE`-row panel of `rhs` is streamed
-    ///    once per row block.
-    ///
-    /// Both scalar arms accumulate each element in ascending-`k` order with
-    /// one scalar accumulator and are **bit-identical** to
-    /// [`Self::matmul_naive`]. The SIMD arm keeps the same per-element
-    /// chain but fuses each multiply-add (one rounding per term), so it
-    /// matches naive within the documented tolerance — see
-    /// `crate::microkernel` — while staying a pure function of
+    /// Every element is one ascending-`k` chain with a single accumulator.
+    /// Without AVX2+FMA the chain is unfused and **bit-identical** to
+    /// [`Self::matmul_naive`]; the SIMD kernel fuses each multiply-add (one
+    /// rounding per term), so it matches naive within the documented
+    /// tolerance. Either way each row is a pure function of
     /// `(a_row, rhs)`: results never depend on the output's row count, on
     /// batching, or on how callers parallelize around the kernel.
     ///
@@ -367,19 +331,8 @@ impl Matrix {
             (self.rows, rhs.cols),
             "matmul_into output shape mismatch"
         );
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            let packed = PackedF32::pack(rhs);
-            crate::microkernel::gemm_packed(
-                self.lhs_view(),
-                self.rows,
-                &packed,
-                &mut out.data,
-                rhs.cols,
-            );
-            return;
-        }
-        self.matmul_into_scalar(rhs, out);
+        let packed = PackedF32::pack(rhs);
+        gemm(self.lhs_view(), self.rows, &packed, &mut out.data, rhs.cols);
     }
 
     /// Row-major [`LhsView`] of this matrix for the packed kernels.
@@ -388,6 +341,15 @@ impl Matrix {
             base: &self.data,
             row_stride: self.cols,
             k_stride: 1,
+        }
+    }
+
+    /// [`LhsView`] of this matrix's transpose, read in place.
+    fn transposed_view(&self) -> LhsView<'_> {
+        LhsView {
+            base: &self.data,
+            row_stride: 1,
+            k_stride: self.cols,
         }
     }
 
@@ -401,63 +363,14 @@ impl Matrix {
         }
     }
 
-    /// The scalar dispatch of [`Self::matmul_into`]: untiled when `rhs` is
-    /// cache-resident, tiled otherwise. Both arms are bit-identical to
-    /// [`Self::matmul_naive`].
-    fn matmul_into_scalar(&self, rhs: &Matrix, out: &mut Matrix) {
-        if rhs.data.len() * std::mem::size_of::<f32>() <= SMALL_GEMM_RHS_BYTES {
-            self.matmul_into_scalar_untiled(rhs, out);
-        } else {
-            self.matmul_into_scalar_tiled(rhs, out);
-        }
-    }
-
-    /// Untiled scalar ikj arm — the [`Self::matmul_naive`] loop writing
-    /// into a reused buffer.
-    fn matmul_into_scalar_untiled(&self, rhs: &Matrix, out: &mut Matrix) {
-        gemm_scalar_strided(
-            &self.data,
-            (self.rows, self.cols, rhs.cols),
-            rhs.strided_rows(0),
-            &mut out.data,
-            rhs.cols,
-        );
-    }
-
-    /// Tiled scalar arm: output rows and the reduction tiled at
-    /// [`MATMUL_TILE`]. Ascending-`k` per element, bit-identical to the
-    /// untiled arm — tiling only reorders *which rows* are in flight,
-    /// never the reduction order within an element.
-    fn matmul_into_scalar_tiled(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.data.fill(0.0);
-        let n = rhs.cols;
-        for ii in (0..self.rows).step_by(MATMUL_TILE) {
-            let i_end = (ii + MATMUL_TILE).min(self.rows);
-            for kk in (0..self.cols).step_by(MATMUL_TILE) {
-                let k_end = (kk + MATMUL_TILE).min(self.cols);
-                for i in ii..i_end {
-                    let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
-                    for (k, &a_ik) in a_row[kk..k_end].iter().enumerate() {
-                        let b_row = &rhs.data[(kk + k) * n..(kk + k + 1) * n];
-                        for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                            *o += a_ik * b_kj;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Matrix product against an operand packed once with
     /// [`PackedF32::pack`] — the panel-cached fast path for weight
     /// operands that are reused across many calls (see
     /// `pivot_nn::PreparedLinear`).
     ///
     /// Bit-identical to [`Self::matmul`] against the unpacked operand on
-    /// every machine: the SIMD arm runs the identical kernel (packing is
-    /// the only work hoisted out), and the non-SIMD fallback replays the
-    /// scalar unfused accumulation order through the panel layout.
+    /// every machine: it is the same kernel, and packing is the only work
+    /// hoisted out.
     ///
     /// # Panics
     ///
@@ -488,18 +401,13 @@ impl Matrix {
             (self.rows, packed.n()),
             "matmul_prepacked_into output shape mismatch"
         );
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            crate::microkernel::gemm_packed(
-                self.lhs_view(),
-                self.rows,
-                packed,
-                &mut out.data,
-                packed.n(),
-            );
-            return;
-        }
-        crate::microkernel::gemm_panels_unfused(self.lhs_view(), self.rows, packed, &mut out.data);
+        gemm(
+            self.lhs_view(),
+            self.rows,
+            packed,
+            &mut out.data,
+            packed.n(),
+        );
     }
 
     /// Matrix product `self * rhs.transpose()` without materializing the
@@ -517,21 +425,11 @@ impl Matrix {
     /// [`Self::matmul_transpose_b`] into a caller-owned output buffer.
     ///
     /// Each output element is one dot product of two contiguous rows, so
-    /// no packing is needed; the dispatch ladder is:
-    ///
-    /// 1. **SIMD** — AVX2+FMA lane-split fused dot kernel (exact
-    ///    accumulation order documented in `crate::microkernel`).
-    /// 2. **Untiled scalar** — when `rhs` is cache-resident
-    ///    (`SMALL_GEMM_RHS_BYTES`), plain row-pair dot products: the
-    ///    attention-score GEMM (`17x16 * (17x16)^T`, ~1 KiB rhs) lives
-    ///    here and previously paid the tile-loop overhead for nothing.
-    /// 3. **Tiled scalar** — output rows and `rhs` rows tiled at
-    ///    [`MATMUL_TILE`] so a block of `rhs` rows stays cache-resident
-    ///    across a block of `self` rows.
-    ///
-    /// Both scalar arms are single ascending-`k` accumulator chains and
-    /// bit-identical to each other (and to `matmul_naive` against the
-    /// materialized transpose).
+    /// no packing is needed: the host's dot kernel runs directly — the
+    /// AVX2+FMA lane-split fused dots (exact accumulation order documented
+    /// in `crate::microkernel`), or elsewhere one ascending-`k`
+    /// single-accumulator chain, bit-identical to `matmul_naive` against
+    /// the materialized transpose.
     ///
     /// # Panics
     ///
@@ -550,60 +448,12 @@ impl Matrix {
             (self.rows, rhs.rows),
             "matmul_transpose_b_into output shape mismatch"
         );
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            crate::microkernel::gemm_transpose_b(
-                self.strided_rows(0),
-                rhs.strided_rows(0),
-                (self.rows, self.cols, rhs.rows),
-                &mut out.data,
-            );
-            return;
-        }
-        self.matmul_transpose_b_into_scalar(rhs, out);
-    }
-
-    /// The scalar dispatch of [`Self::matmul_transpose_b_into`]: untiled
-    /// row-pair dots when `rhs` is cache-resident, tiled otherwise.
-    fn matmul_transpose_b_into_scalar(&self, rhs: &Matrix, out: &mut Matrix) {
-        if rhs.data.len() * std::mem::size_of::<f32>() <= SMALL_GEMM_RHS_BYTES {
-            self.matmul_transpose_b_scalar_untiled(rhs, out);
-        } else {
-            self.matmul_transpose_b_scalar_tiled(rhs, out);
-        }
-    }
-
-    /// Untiled scalar arm of the transposed-B product.
-    fn matmul_transpose_b_scalar_untiled(&self, rhs: &Matrix, out: &mut Matrix) {
-        gemm_transpose_b_scalar_strided(
+        gemm_transpose_b(
             self.strided_rows(0),
             rhs.strided_rows(0),
             (self.rows, self.cols, rhs.rows),
             &mut out.data,
         );
-    }
-
-    /// Tiled scalar arm of the transposed-B product — same per-element dot
-    /// as the untiled arm, reordered across elements only.
-    fn matmul_transpose_b_scalar_tiled(&self, rhs: &Matrix, out: &mut Matrix) {
-        let n = rhs.rows;
-        for ii in (0..self.rows).step_by(MATMUL_TILE) {
-            let i_end = (ii + MATMUL_TILE).min(self.rows);
-            for jj in (0..n).step_by(MATMUL_TILE) {
-                let j_end = (jj + MATMUL_TILE).min(n);
-                for i in ii..i_end {
-                    let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    for j in jj..j_end {
-                        let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                        let mut acc = 0.0;
-                        for (&a, &b) in a_row.iter().zip(b_row) {
-                            acc += a * b;
-                        }
-                        out.data[i * n + j] = acc;
-                    }
-                }
-            }
-        }
     }
 
     /// Flat offset of the `rows x cols` block `self` shares with `other`
@@ -639,9 +489,7 @@ impl Matrix {
     /// `slice_rows` / `slice_cols` copies.
     ///
     /// Bit-identical to [`Self::matmul_transpose_b_into`] on the two copied
-    /// blocks, on every machine: the SIMD arm runs the same lane-split dot
-    /// kernels on the same runs, the scalar arm the same ascending-`k`
-    /// chain.
+    /// blocks, on every machine: the same dot kernel runs on the same runs.
     ///
     /// # Panics
     ///
@@ -660,13 +508,7 @@ impl Matrix {
         if t == 0 {
             return;
         }
-        let (a, b) = (self.strided_rows(at), rhs.strided_rows(at));
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            crate::microkernel::gemm_transpose_b(a, b, (t, k, t), out);
-            return;
-        }
-        gemm_transpose_b_scalar_strided(a, b, (t, k, t), out);
+        gemm_transpose_b(self.strided_rows(at), rhs.strided_rows(at), (t, k, t), out);
     }
 
     /// `out[rows, cols] = lhs * rhs[rows, cols]` for a dense
@@ -676,10 +518,9 @@ impl Matrix {
     /// The rest of `out` is left untouched.
     ///
     /// Bit-identical to [`Self::matmul_into`] on the copied block, on every
-    /// machine: the SIMD arm repacks the block into `panel` (the caller's
-    /// reusable buffer, see [`PackedF32::pack_block`]) and runs the same
-    /// register tile with an output stride; the scalar arm runs the same
-    /// ascending-`k` chain and leaves `panel` alone.
+    /// machine: the block is repacked into `panel` (the caller's reusable
+    /// buffer, see [`PackedF32::pack_block`]) and the same kernel runs with
+    /// an output stride.
     ///
     /// # Panics
     ///
@@ -694,31 +535,18 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         let at = rhs.block_offset(out, &rows, &cols);
-        let (t, n, stride) = (rows.len(), cols.len(), rhs.cols);
+        let t = rows.len();
         assert_eq!(lhs.len(), t * t, "block lhs is not {t}x{t}");
         if t == 0 {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            panel.pack_block(rhs, rows, cols);
-            let view = LhsView {
-                base: lhs,
-                row_stride: t,
-                k_stride: 1,
-            };
-            crate::microkernel::gemm_packed(view, t, panel, &mut out.data[at..], stride);
-            return;
-        }
-        // The scalar arm reads the block where it lies.
-        let _ = panel;
-        gemm_scalar_strided(
-            lhs,
-            (t, t, n),
-            rhs.strided_rows(at),
-            &mut out.data[at..],
-            stride,
-        );
+        panel.pack_block(rhs, rows, cols);
+        let view = LhsView {
+            base: lhs,
+            row_stride: t,
+            k_stride: 1,
+        };
+        gemm(view, t, panel, &mut out.data[at..], rhs.cols);
     }
 
     /// Matrix product `self.transpose() * rhs` without materializing the
@@ -735,12 +563,10 @@ impl Matrix {
 
     /// [`Self::matmul_transpose_a`] into a caller-owned output buffer.
     ///
-    /// On AVX2+FMA machines this packs `rhs` and runs the same fused
-    /// packed kernel as [`Self::matmul_into`] with a column-strided view
-    /// of `self` — the transpose is never materialized. The scalar
-    /// fallback runs the reduction over `self` rows in ascending order
-    /// (dense inner loops, untiled: the weight-gradient shapes this serves
-    /// keep `rhs` cache-resident), bit-identical to `transpose().matmul_naive(rhs)`.
+    /// Packs `rhs` and runs the same kernel as [`Self::matmul_into`] with
+    /// a column-strided view of `self` — the transpose is never
+    /// materialized, and the results equal `transpose().matmul(rhs)` bit
+    /// for bit.
     ///
     /// # Panics
     ///
@@ -759,34 +585,14 @@ impl Matrix {
             (self.cols, rhs.cols),
             "matmul_transpose_a_into output shape mismatch"
         );
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            let packed = PackedF32::pack(rhs);
-            let view = LhsView {
-                base: &self.data,
-                row_stride: 1,
-                k_stride: self.cols,
-            };
-            crate::microkernel::gemm_packed(view, self.cols, &packed, &mut out.data, rhs.cols);
-            return;
-        }
-        self.matmul_transpose_a_into_scalar(rhs, out);
-    }
-
-    /// Scalar arm of the transposed-A product (k-major accumulation,
-    /// ascending `k` per element).
-    fn matmul_transpose_a_into_scalar(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.data.fill(0.0);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a_ki) in a_row.iter().enumerate() {
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ki * b_kj;
-                }
-            }
-        }
+        let packed = PackedF32::pack(rhs);
+        gemm(
+            self.transposed_view(),
+            self.cols,
+            &packed,
+            &mut out.data,
+            rhs.cols,
+        );
     }
 
     /// Applies `f` to every element, returning a new matrix.
@@ -1097,49 +903,6 @@ impl Default for Matrix {
     }
 }
 
-/// The scalar ikj product over strided rows: row `i` of the `m x n`
-/// output, at `out[i * out_stride]`, accumulates `a[i * k + kk] * b.run(kk, n)`
-/// in ascending `kk` from `0.0` with one accumulator per element — the
-/// [`Matrix::matmul_naive`] chain. `a` is dense `m x k`.
-fn gemm_scalar_strided(
-    a: &[f32],
-    (m, k, n): (usize, usize, usize),
-    b: StridedRows<'_>,
-    out: &mut [f32],
-    out_stride: usize,
-) {
-    for i in 0..m {
-        let out_row = &mut out[i * out_stride..i * out_stride + n];
-        out_row.fill(0.0);
-        for (kk, &a_ik) in a[i * k..(i + 1) * k].iter().enumerate() {
-            for (o, &b_kj) in out_row.iter_mut().zip(b.run(kk, n)) {
-                *o += a_ik * b_kj;
-            }
-        }
-    }
-}
-
-/// The scalar `A * B^T` over strided rows: `out[i * n + j]` of the dense
-/// `m x n` output is the single-accumulator ascending-`k` dot of
-/// `a.run(i, k)` and `b.run(j, k)`.
-fn gemm_transpose_b_scalar_strided(
-    a: StridedRows<'_>,
-    b: StridedRows<'_>,
-    (m, k, n): (usize, usize, usize),
-    out: &mut [f32],
-) {
-    for i in 0..m {
-        let a_row = a.run(i, k);
-        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b.run(j, k)) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
-    }
-}
-
 /// Worst elementwise deviation of `got` from `a.matmul_naive(b)`, as a
 /// fraction of the documented fused-rounding envelope
 /// `2k · ε · max(|A|·|B|, 1)` (see [`crate::microkernel`]); `<= 1.0`
@@ -1161,6 +924,7 @@ pub(crate) fn max_fused_violation(got: &Matrix, a: &Matrix, b: &Matrix) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::f32_simd_available;
 
     #[test]
     fn zeros_and_shape() {
@@ -1195,46 +959,6 @@ mod tests {
         let c = Matrix::randn(4, 3, 1.0, &mut rng);
         let direct2 = a.transpose().matmul(&c);
         assert!(a.matmul_transpose_a(&c).approx_eq(&direct2, 1e-5));
-    }
-
-    #[test]
-    fn scalar_arms_are_bit_identical_to_naive() {
-        let mut rng = Rng::new(42);
-        // Sizes straddling the tile edge: smaller, equal, off-by-one, multi-tile.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 2),
-            (MATMUL_TILE, MATMUL_TILE, MATMUL_TILE),
-            (MATMUL_TILE + 1, MATMUL_TILE - 1, 2 * MATMUL_TILE + 3),
-            (70, 65, 33),
-        ] {
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let naive = a.matmul_naive(&b);
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_into_scalar_untiled(&b, &mut out);
-            assert_eq!(naive, out, "untiled arm differs from naive at {m}x{k}x{n}");
-            a.matmul_into_scalar_tiled(&b, &mut out);
-            assert_eq!(naive, out, "tiled arm differs from naive at {m}x{k}x{n}");
-            a.matmul_into_scalar(&b, &mut out);
-            assert_eq!(naive, out, "scalar dispatch differs at {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn scalar_dispatch_is_bit_identical_across_the_threshold() {
-        // rhs footprints straddling SMALL_GEMM_RHS_BYTES (128 KiB):
-        // 256x126 f32 = 126 KiB takes the untiled arm, 256x130 = 130 KiB
-        // the tiled arm. Dispatch must never change results.
-        let mut rng = Rng::new(77);
-        for &(m, k, n) in &[(8, 256, 126), (8, 256, 130)] {
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let naive = a.matmul_naive(&b);
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_into_scalar(&b, &mut out);
-            assert_eq!(out, naive, "scalar dispatch changed results at {m}x{k}x{n}");
-        }
     }
 
     #[test]
@@ -1275,32 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_scalar_arms_are_bit_identical_to_naive() {
-        let mut rng = Rng::new(80);
-        // Attention-score shape (17x16 * (17x16)^T) plus tile-straddling.
-        for &(m, k, n) in &[(17, 16, 17), (40, 33, 37), (5, 70, 64)] {
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let bt = Matrix::randn(n, k, 1.0, &mut rng);
-            let naive = a.matmul_naive(&bt.transpose());
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_transpose_b_scalar_untiled(&bt, &mut out);
-            assert_eq!(out, naive, "tb untiled arm differs at {m}x{k}x{n}");
-            a.matmul_transpose_b_scalar_tiled(&bt, &mut out);
-            assert_eq!(out, naive, "tb tiled arm differs at {m}x{k}x{n}");
-            a.matmul_transpose_b_into_scalar(&bt, &mut out);
-            assert_eq!(out, naive, "tb scalar dispatch differs at {m}x{k}x{n}");
-
-            // transpose_a: the k-major scalar arm accumulates each element
-            // in the same ascending-k order as naive on the transpose.
-            let c = Matrix::randn(m, n, 1.0, &mut rng);
-            let naive_ta = a.transpose().matmul_naive(&c);
-            let mut out_ta = Matrix::zeros(k, n);
-            a.matmul_transpose_a_into_scalar(&c, &mut out_ta);
-            assert_eq!(out_ta, naive_ta, "ta scalar arm differs at {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
     fn dispatched_transpose_kernels_track_naive() {
         let mut rng = Rng::new(81);
         for &(m, k, n) in &[(17, 16, 17), (40, 33, 37)] {
@@ -1325,7 +1023,9 @@ mod tests {
     fn non_finite_inputs_propagate_on_every_arm() {
         // Fault-visibility contract: a poisoned lhs element must poison its
         // whole output row, a poisoned rhs element its whole output column,
-        // and nothing else — on the dispatched path and both scalar arms.
+        // and nothing else — through every entry point of the host's
+        // kernels (the scalar kernels are pinned by name in
+        // `prop_scalar_kernels_are_bit_identical_to_naive`).
         // (±inf may legitimately become NaN through inf−inf, so the
         // assertion is non-finiteness, not exact value.)
         let (m, k, n) = (9, 11, 18);
@@ -1346,11 +1046,6 @@ mod tests {
                 }
             };
             check_row(&a.matmul(&b), "dispatched");
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_into_scalar_untiled(&b, &mut out);
-            check_row(&out, "untiled");
-            a.matmul_into_scalar_tiled(&b, &mut out);
-            check_row(&out, "tiled");
             check_row(&a.matmul_prepacked(&PackedF32::pack(&b)), "prepacked");
 
             let a2 = Matrix::randn(m, k, 1.0, &mut rng);
@@ -1368,16 +1063,9 @@ mod tests {
                 }
             };
             check_col(&a2.matmul(&b2), "dispatched");
-            a2.matmul_into_scalar_untiled(&b2, &mut out);
-            check_col(&out, "untiled");
-            a2.matmul_into_scalar_tiled(&b2, &mut out);
-            check_col(&out, "tiled");
             check_col(&a2.matmul_prepacked(&PackedF32::pack(&b2)), "prepacked");
             // transposed-B: same poisoned operand through the dot kernels.
             check_col(&a2.matmul_transpose_b(&b2.transpose()), "dispatched tb");
-            let mut out_tb = Matrix::zeros(m, n);
-            a2.matmul_transpose_b_into_scalar(&b2.transpose(), &mut out_tb);
-            check_col(&out_tb, "scalar tb");
         }
     }
 
@@ -1501,11 +1189,106 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::f32_simd_available;
+    use crate::microkernel::{gemm_panels_unfused, gemm_transpose_b_unfused};
     use proptest::prelude::*;
 
     fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         proptest::collection::vec(-5.0f32..5.0, rows * cols)
             .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+    }
+
+    /// Pins the two scalar kernels by name (a SIMD host never dispatches
+    /// to them) bit for bit against `matmul_naive` on every geometry they
+    /// serve. With `poison > 0` one lhs and one rhs element are non-finite,
+    /// which must poison exactly their output row and column.
+    fn check_scalar_kernels(m: usize, k: usize, n: usize, poison: usize, seed: u64) {
+        let mut rng = Rng::new(seed);
+        let mut a = Matrix::randn(m, k, 1.0, &mut rng);
+        let mut b = Matrix::randn(k, n, 1.0, &mut rng);
+        let s = seed as usize;
+        let poisoned = (poison > 0 && m * k * n > 0).then(|| {
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][poison - 1];
+            let (row, col) = (s % m, s / 7 % n);
+            a[(row, s % k)] = bad;
+            b[(s / 3 % k, col)] = bad;
+            (row, col)
+        });
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let naive = a.matmul_naive(&b);
+        let want = bits(naive.as_slice());
+        if let Some((row, col)) = poisoned {
+            for i in 0..m {
+                for j in 0..n {
+                    let finite = naive[(i, j)].is_finite();
+                    assert_eq!(finite, i != row && j != col, "({i},{j}) of {m}x{k}x{n}");
+                }
+            }
+        }
+        let geometry = format!("{m}x{k}x{n}, poison {poison}, seed {seed}");
+
+        // The row-major view (`matmul_into`, `matmul_prepacked_into`).
+        let packed = PackedF32::pack(&b);
+        let mut out = vec![f32::NAN; m * n];
+        gemm_panels_unfused(a.lhs_view(), m, &packed, &mut out, n);
+        assert_eq!(bits(&out), want, "row-major view at {geometry}");
+
+        // The transposed view (`matmul_transpose_a_into`).
+        let at = a.transpose();
+        let mut out = vec![f32::NAN; m * n];
+        gemm_panels_unfused(at.transposed_view(), m, &packed, &mut out, n);
+        assert_eq!(bits(&out), want, "transposed view at {geometry}");
+
+        // A strided output block (`matmul_block_into`): the rhs packed in
+        // place from a wider matrix, the product landing at (1, 2) of a
+        // sentinel-filled matrix whose other lanes stay untouched.
+        let mut panel = PackedF32::default();
+        panel.pack_block(&Matrix::filled(k, 2, f32::NAN).hcat(&b), 0..k, 2..n + 2);
+        let (sentinel, stride) = (12345.0f32, n + 3);
+        let mut out = Matrix::filled(m + 2, stride, sentinel);
+        gemm_panels_unfused(a.lhs_view(), m, &panel, &mut out.data[stride + 2..], stride);
+        let block = out.slice_rows(1, m + 1).slice_cols(2, n + 2);
+        assert_eq!(bits(block.as_slice()), want, "strided block at {geometry}");
+        let untouched = out
+            .data
+            .iter()
+            .filter(|x| x.to_bits() == sentinel.to_bits());
+        assert_eq!(untouched.count(), (m + 2) * stride - m * n, "{geometry}");
+
+        // The dots (`matmul_transpose_b_into` and its block form), on dense
+        // runs and on runs strided inside wider matrices whose extra
+        // columns are NaN, so a read past `k` would show.
+        let bt = b.transpose();
+        let mut out = vec![f32::NAN; m * n];
+        gemm_transpose_b_unfused(a.strided_rows(0), bt.strided_rows(0), (m, k, n), &mut out);
+        assert_eq!(bits(&out), want, "dense dots at {geometry}");
+        let wide_a = a.hcat(&Matrix::filled(m, 3, f32::NAN));
+        let wide_bt = bt.hcat(&Matrix::filled(n, 3, f32::NAN));
+        let mut out = vec![f32::NAN; m * n];
+        let (ra, rb) = (wide_a.strided_rows(0), wide_bt.strided_rows(0));
+        gemm_transpose_b_unfused(ra, rb, (m, k, n), &mut out);
+        assert_eq!(bits(&out), want, "strided dots at {geometry}");
+    }
+
+    #[test]
+    fn scalar_kernels_cover_the_edge_geometries() {
+        // Empty operands, an empty reduction (k = 0 must write zeros over
+        // a dirty buffer), exact and ragged panels: fixed, so no draw of
+        // the property below can miss them.
+        for (m, k, n) in [
+            (0, 0, 0),
+            (0, 5, 7),
+            (5, 7, 0),
+            (3, 0, 17),
+            (1, 1, 1),
+            (6, 9, 16),
+            (17, 16, 17),
+            (7, 13, 33),
+        ] {
+            for poison in 0..4 {
+                check_scalar_kernels(m, k, n, poison, 99);
+            }
+        }
     }
 
     proptest! {
@@ -1573,10 +1356,21 @@ mod prop_tests {
         }
 
         #[test]
+        fn prop_scalar_kernels_are_bit_identical_to_naive(
+            m in 0usize..50,
+            k in 0usize..50,
+            n in 0usize..50,
+            poison in 0usize..4,
+            seed in 0u64..1u64 << 32,
+        ) {
+            check_scalar_kernels(m, k, n, poison, seed);
+        }
+
+        #[test]
         fn prop_dispatched_matmul_matches_naive_at_adversarial_shapes(
             // Free dims up to 49: straddles the 8-lane width, every MR row
-            // block split (6/4/2/1), the 16-column panel tail, and
-            // MATMUL_TILE — with K deliberately off every multiple.
+            // block split (6/4/2/1) and the 16-column panel tail — with K
+            // deliberately off every multiple.
             m in 1usize..50,
             k in 1usize..50,
             n in 1usize..50,
@@ -1585,14 +1379,6 @@ mod prop_tests {
             let mut rng = Rng::new(seed);
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let naive = a.matmul_naive(&b);
-            // Both scalar arms are exact at every shape, regardless of
-            // which one the size dispatch would pick.
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_into_scalar_untiled(&b, &mut out);
-            prop_assert_eq!(&out, &naive);
-            a.matmul_into_scalar_tiled(&b, &mut out);
-            prop_assert_eq!(&out, &naive);
             // The dispatched kernel: exact without SIMD, pinned to the
             // documented fused-rounding envelope with it.
             let got = a.matmul(&b);
@@ -1600,7 +1386,7 @@ mod prop_tests {
                 let v = max_fused_violation(&got, &a, &b);
                 prop_assert!(v <= 1.0, "SIMD arm out of tolerance at {}x{}x{}: {}", m, k, n, v);
             } else {
-                prop_assert_eq!(&got, &naive);
+                prop_assert_eq!(&got, &a.matmul_naive(&b));
             }
             // Prepacking never changes results.
             prop_assert_eq!(&a.matmul_prepacked(&PackedF32::pack(&b)), &got);
@@ -1617,11 +1403,6 @@ mod prop_tests {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let bt = Matrix::randn(n, k, 1.0, &mut rng);
             let naive = a.matmul_naive(&bt.transpose());
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_transpose_b_scalar_untiled(&bt, &mut out);
-            prop_assert_eq!(&out, &naive);
-            a.matmul_transpose_b_scalar_tiled(&bt, &mut out);
-            prop_assert_eq!(&out, &naive);
             let got = a.matmul_transpose_b(&bt);
             if f32_simd_available() {
                 let v = max_fused_violation(&got, &a, &bt.transpose());
@@ -1635,7 +1416,7 @@ mod prop_tests {
         fn prop_block_kernels_match_the_copying_path_bitwise(
             // One (sample, head) block of stacked Q/K/V per case, against
             // `slice_rows` + `slice_cols` copies through the dense entry
-            // points — on the dispatched arm and, by name, the scalar one.
+            // points.
             tokens_ix in 0usize..4,
             head_dim in 3usize..=64,
             heads in 1usize..=6,
@@ -1664,21 +1445,12 @@ mod prop_tests {
                 m.slice_rows(rows.start, rows.end).slice_cols(cols.start, cols.end)
             };
             let (qh, kh, vh) = (block(&q), block(&k), block(&v));
-            let at = rows.start * dim + cols.start;
 
             // Scores: Q_h K_h^T read in place.
             let mut want = Matrix::zeros(t, t);
             qh.matmul_transpose_b_into(&kh, &mut want);
             let mut got = vec![f32::NAN; t * t];
             q.matmul_transpose_b_block_into(&k, rows.clone(), cols.clone(), &mut got);
-            prop_assert_eq!(bits(&got), bits(want.as_slice()));
-            qh.matmul_transpose_b_into_scalar(&kh, &mut want);
-            gemm_transpose_b_scalar_strided(
-                q.strided_rows(at),
-                k.strided_rows(at),
-                (t, head_dim, t),
-                &mut got,
-            );
             prop_assert_eq!(bits(&got), bits(want.as_slice()));
 
             // Context: P V_h written in place, through a dirty, larger
@@ -1695,25 +1467,14 @@ mod prop_tests {
             prop_assert_eq!(bits(block(&out).as_slice()), bits(want.as_slice()));
             let untouched = out.as_slice().iter().filter(|x| x.to_bits() == sentinel.to_bits());
             prop_assert_eq!(untouched.count(), samples * t * dim - t * head_dim);
-            if f32_simd_available() {
-                prop_assert_eq!(panel.content_hash(), PackedF32::pack(&vh).content_hash());
-            }
-            probs.matmul_into_scalar(&vh, &mut want);
-            gemm_scalar_strided(
-                probs.as_slice(),
-                (t, t, head_dim),
-                v.strided_rows(at),
-                &mut out.as_mut_slice()[at..],
-                dim,
-            );
-            prop_assert_eq!(bits(block(&out).as_slice()), bits(want.as_slice()));
+            prop_assert_eq!(panel.content_hash(), PackedF32::pack(&vh).content_hash());
         }
 
         #[test]
         fn prop_transpose_kernels_match_naive(
-            a in arb_matrix(MATMUL_TILE + 2, 6),
-            c in arb_matrix(MATMUL_TILE + 5, 6),
-            d in arb_matrix(MATMUL_TILE + 2, 5),
+            a in arb_matrix(34, 6),
+            c in arb_matrix(37, 6),
+            d in arb_matrix(34, 5),
         ) {
             let tb = a.matmul_transpose_b(&c);
             prop_assert!(tb.approx_eq(&a.matmul_naive(&c.transpose()), 1e-4));

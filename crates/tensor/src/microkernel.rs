@@ -1,12 +1,20 @@
-//! Packed-panel f32 SIMD microkernel (AVX2+FMA) behind runtime dispatch.
+//! The f32 GEMM: one kernel per platform behind two dispatch points.
 //!
-//! The GEMM every model forward runs on: the streamed operand `B` of
-//! `A·B` is repacked once into contiguous column panels ([`PackedF32`]),
-//! then an unrolled register-tiled kernel sweeps the reduction with fused
-//! multiply-adds — AVX2+FMA via `core::arch`, selected by
-//! `is_x86_feature_detected!`. Weight operands can be packed once and
-//! reused across calls (`Matrix::matmul_prepacked_into`, cached by
-//! `pivot_nn::PreparedLinear`).
+//! Every `Matrix` product is pack → one kernel. The streamed operand `B`
+//! of `A·B` is repacked into contiguous column panels ([`PackedF32`]) —
+//! per call, or once for a weight reused across calls
+//! (`Matrix::matmul_prepacked_into`, cached by `pivot_nn::PreparedLinear`)
+//! — and [`gemm`] sweeps the panels. `A · B^T` needs no packing: each
+//! element is one dot product of two rows, which [`gemm_transpose_b`]
+//! runs. These two functions are the only places the platform is chosen,
+//! by [`f32_simd_available`]:
+//!
+//! * **AVX2+FMA** — an unrolled register-tiled kernel with fused
+//!   multiply-adds (`core::arch`), and lane-split fused dot kernels.
+//! * **Everywhere else** — one scalar panel kernel
+//!   ([`gemm_panels_unfused`]) and one scalar strided dot
+//!   ([`gemm_transpose_b_unfused`]), both unfused and **bit-identical** to
+//!   `Matrix::matmul_naive`.
 //!
 //! # Numerics contract
 //!
@@ -192,6 +200,7 @@ impl PackedF32 {
 
     /// Element `(kk, j)` of the logical operand, read back through the
     /// panel layout.
+    #[cfg(test)]
     fn get(&self, kk: usize, j: usize) -> f32 {
         self.panel(j / PANEL_WIDTH)[kk * PANEL_WIDTH + j % PANEL_WIDTH]
     }
@@ -239,8 +248,8 @@ impl<'a> StridedRows<'a> {
 /// chain `acc = a_ik.mul_add(b_kj, acc)` in ascending `k` with a single
 /// accumulator. `f32::mul_add` is the IEEE fused multiply-add (one
 /// rounding), the same operation `vfmadd` performs, so this is
-/// **bit-identical** to [`gemm_packed`] on every input — the oracle the
-/// property tests pin the vector kernel against.
+/// **bit-identical** to the AVX2 arm of [`gemm`] on every input — the
+/// oracle the property tests pin the vector kernel against.
 #[cfg(test)]
 pub(crate) fn gemm_mirror(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mut [f32]) {
     let (k, n) = (packed.k, packed.n);
@@ -256,62 +265,77 @@ pub(crate) fn gemm_mirror(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mu
     }
 }
 
-/// Unfused scalar GEMM over the panel layout: `acc += a_ik * b_kj` in
-/// ascending `k` with a single accumulator — the exact accumulation order
-/// of `Matrix::matmul_naive` and of both scalar `matmul_into` arms, read
-/// through the packed layout. This is the non-SIMD fallback of
-/// `Matrix::matmul_prepacked_into`, keeping the prepacked entry point
-/// bit-identical to `Matrix::matmul` on machines without AVX2+FMA.
-pub(crate) fn gemm_panels_unfused(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mut [f32]) {
-    let (k, n) = (packed.k, packed.n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += a.get(i, kk) * packed.get(kk, j);
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// Runs the packed GEMM on the SIMD path, writing row `i` of the product
-/// at `out[i * out_stride..][..packed.n()]` — `out_stride == packed.n()`
-/// is a dense output, a larger stride lands the product in a column block
-/// of a wider matrix (one attention head inside the context matrix).
-/// Must only be called when [`f32_simd_available`] is true.
+/// The packed GEMM `out = A · B` for the `m x k` lhs view `a` and the
+/// packed `k x n` operand, writing row `i` of the product at
+/// `out[i * out_stride..][..packed.n()]` — `out_stride == packed.n()` is a
+/// dense output, a larger stride lands the product in a column block of a
+/// wider matrix (one attention head inside the context matrix). Runs the
+/// AVX2 kernel where [`f32_simd_available`] holds, [`gemm_panels_unfused`]
+/// everywhere else.
 ///
 /// # Panics
 ///
 /// Panics if the lhs view does not span `m x packed.k()` or `out` does not
 /// hold `m` rows at `out_stride`.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn gemm_packed(
+pub(crate) fn gemm(
     a: LhsView<'_>,
     m: usize,
     packed: &PackedF32,
     out: &mut [f32],
     out_stride: usize,
 ) {
-    debug_assert!(f32_simd_available());
     let (k, n) = (packed.k, packed.n);
     if m == 0 || n == 0 {
         return;
     }
     assert!(
         out_stride >= n && (m - 1) * out_stride + n <= out.len(),
-        "gemm_packed output of {} floats cannot hold {m} rows of {n} at stride {out_stride}",
+        "gemm output of {} floats cannot hold {m} rows of {n} at stride {out_stride}",
         out.len()
     );
     assert!(
         k == 0 || (m - 1) * a.row_stride + (k - 1) * a.k_stride < a.base.len(),
-        "gemm_packed lhs view does not span {m}x{k}"
+        "gemm lhs view does not span {m}x{k}"
     );
-    // SAFETY: the caller verified AVX2+FMA support at runtime; the two
-    // asserts above bound every lhs read and every output write, and
-    // `PackedF32` holds `ceil(n/16)` whole panels of `k * 16` floats.
-    unsafe { avx2::gemm(a, m, packed, out, out_stride) }
+    #[cfg(target_arch = "x86_64")]
+    if f32_simd_available() {
+        // SAFETY: AVX2+FMA support was just verified at runtime; the two
+        // asserts above bound every lhs read and every output write, and
+        // `PackedF32` holds `ceil(n/16)` whole panels of `k * 16` floats.
+        unsafe { avx2::gemm(a, m, packed, out, out_stride) };
+        return;
+    }
+    gemm_panels_unfused(a, m, packed, out, out_stride);
+}
+
+/// The scalar kernel of [`gemm`], in the shape of the AVX2 kernel at one
+/// row: per row and panel a 16-float accumulator updated as
+/// `acc[j] += a_ik * panel[kk * 16 + j]` in ascending `kk`, then only the
+/// real columns stored. Per element that is `Matrix::matmul_naive`'s sum —
+/// unfused, one accumulator, starting from `0.0` — so every result is
+/// **bit-identical** to naive.
+pub(crate) fn gemm_panels_unfused(
+    a: LhsView<'_>,
+    m: usize,
+    packed: &PackedF32,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let n = packed.n;
+    for i in 0..m {
+        for p in 0..packed.n_panels() {
+            let mut acc = [0.0f32; PANEL_WIDTH];
+            for (kk, lanes) in packed.panel(p).chunks_exact(PANEL_WIDTH).enumerate() {
+                let a_ik = a.get(i, kk);
+                for (o, &b) in acc.iter_mut().zip(lanes) {
+                    *o += a_ik * b;
+                }
+            }
+            let j0 = p * PANEL_WIDTH;
+            let cols = (n - j0).min(PANEL_WIDTH);
+            out[i * out_stride + j0..][..cols].copy_from_slice(&acc[..cols]);
+        }
+    }
 }
 
 /// Scalar mirror of the AVX2 row-dot kernel used by
@@ -349,28 +373,53 @@ pub(crate) fn dot_mirror(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// `A · B^T` on the SIMD path over strided rows: element `(i, j)` of the
-/// dense `m x n` output is one lane-split fused dot product (see
-/// [`dot_mirror`] for the exact order) of the `k`-long runs `a.run(i, k)`
-/// and `b.run(j, k)`. A stride of `k` is a dense operand; a larger one
-/// reads a column block of a wider matrix in place (one attention head of
-/// the stacked `Q` or `K`). Must only be called when
-/// [`f32_simd_available`] is true.
+/// `A · B^T` over strided rows: element `(i, j)` of the dense `m x n`
+/// output is the dot product of the `k`-long runs `a.run(i, k)` and
+/// `b.run(j, k)`. A stride of `k` is a dense operand; a larger one reads a
+/// column block of a wider matrix in place (one attention head of the
+/// stacked `Q` or `K`). Runs the AVX2 lane-split fused dots (see
+/// [`dot_mirror`] for the exact order) where [`f32_simd_available`] holds,
+/// [`gemm_transpose_b_unfused`] everywhere else.
 ///
 /// # Panics
 ///
 /// Panics if a run leaves its operand or `out` is shorter than `m * n`.
-#[cfg(target_arch = "x86_64")]
 pub(crate) fn gemm_transpose_b(
     a: StridedRows<'_>,
     b: StridedRows<'_>,
     (m, k, n): (usize, usize, usize),
     out: &mut [f32],
 ) {
-    debug_assert!(f32_simd_available());
-    // SAFETY: AVX2+FMA verified by the caller; every slice access inside
-    // is bounds-checked.
-    unsafe { avx2::gemm_transpose_b(a, b, (m, k, n), out) }
+    #[cfg(target_arch = "x86_64")]
+    if f32_simd_available() {
+        // SAFETY: AVX2+FMA support was just verified at runtime; every
+        // slice access inside is bounds-checked.
+        unsafe { avx2::gemm_transpose_b(a, b, (m, k, n), out) };
+        return;
+    }
+    gemm_transpose_b_unfused(a, b, (m, k, n), out);
+}
+
+/// The scalar kernel of [`gemm_transpose_b`]: each element is the
+/// single-accumulator ascending-`k` dot of its two runs — unfused, from
+/// `0.0`, so **bit-identical** to `Matrix::matmul_naive` against the
+/// materialized transpose.
+pub(crate) fn gemm_transpose_b_unfused(
+    a: StridedRows<'_>,
+    b: StridedRows<'_>,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    for i in 0..m {
+        let a_row = a.run(i, k);
+        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (&x, &y) in a_row.iter().zip(b.run(j, k)) {
+                acc += x * y;
+            }
+            *o = acc;
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -691,19 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn unfused_panels_are_bit_identical_to_naive() {
-        let mut rng = Rng::new(3);
-        for &(m, k, n) in &[(1, 1, 1), (6, 9, 17), (17, 64, 64), (5, 8, 16)] {
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let packed = PackedF32::pack(&b);
-            let mut out = vec![0.0f32; m * n];
-            gemm_panels_unfused(lhs(&a), m, &packed, &mut out);
-            assert_eq!(out, a.matmul_naive(&b).into_vec(), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
     fn avx2_gemm_is_bit_identical_to_the_mirror() {
         #[cfg(target_arch = "x86_64")]
         if f32_simd_available() {
@@ -725,7 +761,7 @@ mod tests {
                 let packed = PackedF32::pack(&b);
                 let mut simd = vec![0.0f32; m * n];
                 let mut mirror = vec![0.0f32; m * n];
-                gemm_packed(lhs(&a), m, &packed, &mut simd, n);
+                gemm(lhs(&a), m, &packed, &mut simd, n);
                 gemm_mirror(lhs(&a), m, &packed, &mut mirror);
                 assert_eq!(simd, mirror, "kernel diverged from mirror at {m}x{k}x{n}");
             }
@@ -776,10 +812,10 @@ mod tests {
             let b = Matrix::randn(64, 64, 1.0, &mut rng);
             let packed = PackedF32::pack(&b);
             let mut wide = vec![0.0f32; 544 * 64];
-            gemm_packed(lhs(&big), 544, &packed, &mut wide, 64);
+            gemm(lhs(&big), 544, &packed, &mut wide, 64);
             let small = big.slice_rows(0, 17);
             let mut narrow = vec![0.0f32; 17 * 64];
-            gemm_packed(lhs(&small), 17, &packed, &mut narrow, 64);
+            gemm(lhs(&small), 17, &packed, &mut narrow, 64);
             assert_eq!(&wide[..17 * 64], &narrow[..]);
         }
     }

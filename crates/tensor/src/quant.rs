@@ -16,7 +16,7 @@ use crate::Matrix;
 /// use pivot_tensor::{Matrix, QuantParams};
 ///
 /// let m = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-/// let qp = QuantParams::fit(&m);
+/// let qp = QuantParams::fit_symmetric(&m);
 /// let rt = qp.fake_quant_matrix(&m);
 /// assert!(rt.approx_eq(&m, qp.scale()));
 /// ```
@@ -45,35 +45,12 @@ impl QuantParams {
         Self { scale, zero_point }
     }
 
-    /// Fits asymmetric 8-bit parameters to the value range of `m`.
-    ///
-    /// The range is widened to include zero so that zero is exactly
-    /// representable (required for padding / skipped attention outputs).
-    pub fn fit(m: &Matrix) -> Self {
-        Self::fit_slice(m.as_slice())
-    }
-
-    /// Fits asymmetric 8-bit parameters to the value range of a slice.
-    pub fn fit_slice(values: &[f32]) -> Self {
-        let mut lo = 0.0f32;
-        let mut hi = 0.0f32;
-        for &v in values {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        let scale = ((hi - lo) / 255.0).max(Self::MIN_SCALE);
-        let zero_point = (-lo / scale).round() as i32 - 128;
-        Self { scale, zero_point }
-    }
-
     /// Fits symmetric 8-bit parameters (zero point 0), typical for weights.
     ///
-    /// Non-finite values are ignored when fitting the range (mirroring
-    /// [`QuantParams::fit_slice`]), so a single corrupted weight cannot poison
-    /// the scale of the whole tensor; the corrupted element itself shows up in
-    /// [`QuantParams::saturation_count`] instead.
+    /// Non-finite values are ignored when fitting the range, so a single
+    /// corrupted weight cannot poison the scale of the whole tensor; the
+    /// corrupted element itself shows up in [`QuantParams::saturation_count`]
+    /// instead.
     pub fn fit_symmetric(m: &Matrix) -> Self {
         Self::fit_symmetric_slice(m.as_slice())
     }
@@ -189,67 +166,6 @@ impl QuantParams {
     }
 }
 
-/// A matrix stored in quantized `i8` form together with its parameters.
-///
-/// Used by the inference path to emulate the 8-bit deployment numerics and by
-/// `pivot-sim` to size SRAM traffic in bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Quantized {
-    params: QuantParams,
-    rows: usize,
-    cols: usize,
-    values: Vec<i8>,
-}
-
-impl Quantized {
-    /// Quantizes a matrix with parameters fitted to its own range.
-    pub fn from_matrix(m: &Matrix) -> Self {
-        Self::from_matrix_with(m, QuantParams::fit(m))
-    }
-
-    /// Quantizes a matrix with caller-provided parameters.
-    pub fn from_matrix_with(m: &Matrix, params: QuantParams) -> Self {
-        Self {
-            params,
-            rows: m.rows(),
-            cols: m.cols(),
-            values: m.as_slice().iter().map(|&x| params.quantize(x)).collect(),
-        }
-    }
-
-    /// The quantization parameters in use.
-    pub fn params(&self) -> QuantParams {
-        self.params
-    }
-
-    /// `(rows, cols)` of the original matrix.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Raw quantized bytes.
-    pub fn values(&self) -> &[i8] {
-        &self.values
-    }
-
-    /// Storage footprint in bytes (one byte per element).
-    pub fn size_bytes(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Reconstructs the (lossy) `f32` matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.values
-                .iter()
-                .map(|&q| self.params.dequantize(q))
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +176,7 @@ mod tests {
     fn round_trip_error_bounded_by_half_step() {
         let mut rng = Rng::new(5);
         let m = Matrix::randn(16, 16, 1.0, &mut rng);
-        let qp = QuantParams::fit(&m);
+        let qp = QuantParams::fit_symmetric(&m);
         let rt = qp.fake_quant_matrix(&m);
         let max_err = (&m - &rt).max_abs();
         assert!(
@@ -268,13 +184,6 @@ mod tests {
             "err {max_err} > step/2 {}",
             qp.scale()
         );
-    }
-
-    #[test]
-    fn zero_is_exactly_representable() {
-        let m = Matrix::from_rows(&[&[-3.0, 0.0, 1.0]]);
-        let qp = QuantParams::fit(&m);
-        assert_eq!(qp.fake_quant(0.0), 0.0);
     }
 
     #[test]
@@ -288,7 +197,7 @@ mod tests {
     #[test]
     fn all_zero_tensor_does_not_blow_up() {
         let m = Matrix::zeros(4, 4);
-        let qp = QuantParams::fit(&m);
+        let qp = QuantParams::fit_symmetric(&m);
         assert!(qp.scale() > 0.0);
         assert_eq!(qp.fake_quant_matrix(&m), m);
     }
@@ -412,23 +321,6 @@ mod tests {
         let qp = QuantParams::fit_symmetric_slice(m.row(2));
         let max_abs = m.row(2).iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         assert!((qp.scale() - max_abs / 127.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantized_size_is_one_byte_per_element() {
-        let m = Matrix::zeros(8, 24);
-        let q = Quantized::from_matrix(&m);
-        assert_eq!(q.size_bytes(), 8 * 24);
-        assert_eq!(q.shape(), (8, 24));
-    }
-
-    #[test]
-    fn quantized_matrix_round_trip() {
-        let mut rng = Rng::new(9);
-        let m = Matrix::randn(10, 10, 2.0, &mut rng);
-        let q = Quantized::from_matrix(&m);
-        let rt = q.to_matrix();
-        assert!(rt.approx_eq(&m, q.params().scale()));
     }
 
     proptest! {

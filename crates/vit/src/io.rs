@@ -1,6 +1,7 @@
 //! Model checkpointing: a small self-contained binary format.
 //!
-//! Layout of the current `PVIT2` format (little endian):
+//! Layout of the `PVIT2` format, the only one read or written (little
+//! endian):
 //!
 //! ```text
 //! magic  "PVIT2"
@@ -20,10 +21,9 @@
 //!   covers every byte from the magic through the last parameter, so any
 //!   single-byte corruption is detected.
 //! * [`VisionTransformer::load`] returns a typed [`CheckpointError`] and
-//!   never panics on malformed input.
-//!
-//! Legacy `PVIT1` checkpoints (identical layout without the trailing CRC)
-//! still load, without checksum verification.
+//!   never panics on malformed input. Any other magic — including the
+//!   retired CRC-less `PVIT1` — is [`CheckpointError::BadMagic`], so no
+//!   file loads unverified.
 //!
 //! For inference-only consumers, [`VisionTransformer::load_prepared`] runs
 //! the same validation once and assembles the immutable prepared view
@@ -43,7 +43,6 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC_V2: &[u8; 5] = b"PVIT2";
-const MAGIC_V1: &[u8; 5] = b"PVIT1";
 
 /// Hard caps on header fields, checked before any allocation. They are far
 /// above every configuration this workspace ships (DeiT-S: depth 12, dim
@@ -67,7 +66,7 @@ const MAX_PARAM_SIDE: u64 = 1 << 24;
 pub enum CheckpointError {
     /// Underlying I/O failure, including unexpected end of file.
     Io(io::Error),
-    /// The file does not start with a known `PVIT` magic.
+    /// The file does not start with the `PVIT2` magic.
     BadMagic,
     /// A structural field is malformed or inconsistent with the model.
     Corrupt(String),
@@ -309,10 +308,10 @@ impl VisionTransformer {
 
     /// Loads a model saved with [`VisionTransformer::save`].
     ///
-    /// Accepts the current `PVIT2` format (CRC-verified) and legacy `PVIT1`
-    /// files (no checksum). Never panics on malformed input: every header
-    /// field is capped before allocation and the decoded configuration is
-    /// validated with [`VitConfig::try_validate`] before the model is built.
+    /// Accepts the `PVIT2` format only, always CRC-verified. Never panics
+    /// on malformed input: every header field is capped before allocation
+    /// and the decoded configuration is validated with
+    /// [`VitConfig::try_validate`] before the model is built.
     ///
     /// # Errors
     ///
@@ -404,20 +403,16 @@ fn read_f32_vec(r: &mut impl Read, len: usize) -> io::Result<Vec<f32>> {
 
 /// Parses and fully validates a checkpoint file: magic, capped header
 /// fields, config validation, attention mask, parameter shapes (against
-/// [`param_shapes`], before each data allocation), CRC (PVIT2 only) and the
+/// [`param_shapes`], before each data allocation), CRC and the
 /// trailing-byte check. Shared by [`VisionTransformer::load`] and the
 /// `load_prepared*` cold-start paths.
 fn read_checkpoint(path: impl AsRef<Path>) -> Result<RawCheckpoint, CheckpointError> {
     let mut r = CrcReader::new(BufReader::new(File::open(path)?));
     let mut magic = [0u8; 5];
     r.read_exact(&mut magic)?;
-    let verify_crc = if &magic == MAGIC_V2 {
-        true
-    } else if &magic == MAGIC_V1 {
-        false
-    } else {
+    if &magic != MAGIC_V2 {
         return Err(CheckpointError::BadMagic);
-    };
+    }
 
     let name_len = capped("name_len", read_u32(&mut r)? as u64, MAX_NAME_LEN)?;
     let mut name_bytes = vec![0u8; name_len];
@@ -483,18 +478,15 @@ fn read_checkpoint(path: impl AsRef<Path>) -> Result<RawCheckpoint, CheckpointEr
         params.push(Matrix::from_vec(rows, cols, data));
     }
 
-    if verify_crc {
-        let computed = r.crc();
-        let mut stored_bytes = [0u8; 4];
-        r.read_exact_raw(&mut stored_bytes)?;
-        let stored = u32::from_le_bytes(stored_bytes);
-        if stored != computed {
-            return Err(CheckpointError::ChecksumMismatch { stored, computed });
-        }
+    let computed = r.crc();
+    let mut stored_bytes = [0u8; 4];
+    r.read_exact_raw(&mut stored_bytes)?;
+    let stored = u32::from_le_bytes(stored_bytes);
+    if stored != computed {
+        return Err(CheckpointError::ChecksumMismatch { stored, computed });
     }
-    // Both formats must end exactly here; trailing bytes mean the file
-    // is not what it claims to be (e.g. a PVIT2 file whose magic was
-    // corrupted into PVIT1, leaving an unconsumed CRC).
+    // The file must end exactly here; trailing bytes mean it is not what
+    // it claims to be.
     let mut extra = [0u8; 1];
     match r.read_exact_raw(&mut extra) {
         Ok(()) => Err(corrupt("trailing bytes after checkpoint")),
@@ -583,14 +575,6 @@ mod tests {
         std::env::temp_dir().join(format!("pivot_io_test_{name}_{}.bin", std::process::id()))
     }
 
-    /// Serializes `model` in the legacy PVIT1 layout (no trailing CRC).
-    fn save_v1(model: &VisionTransformer, path: &std::path::Path) {
-        let mut w = BufWriter::new(File::create(path).expect("create"));
-        w.write_all(MAGIC_V1).expect("magic");
-        model.write_body(&mut w).expect("body");
-        w.flush().expect("flush");
-    }
-
     #[test]
     fn crc32_reference_vector() {
         // The standard IEEE CRC-32 check value.
@@ -629,16 +613,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pvit1_checkpoint_still_loads() {
+    fn crc_less_pvit1_layout_is_rejected_by_both_loaders() {
+        // The retired PVIT1 format was this exact layout without the CRC:
+        // a file claiming it must not load unverified on either path.
         let cfg = VitConfig::test_small();
-        let mut model = VisionTransformer::new(&cfg, &mut Rng::new(5));
-        model.set_active_attentions(&[1, 3]);
-        let path = tmp("legacy_v1");
-        save_v1(&model, &path);
-        let loaded = VisionTransformer::load(&path).expect("v1 load");
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(5));
+        let path = tmp("pvit1");
+        model.save(&path).expect("save");
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[..5].copy_from_slice(b"PVIT1");
+        bytes.truncate(bytes.len() - 4);
+        std::fs::write(&path, &bytes).expect("rewrite");
+        let err = VisionTransformer::load(&path).expect_err("load must fail");
+        let prepared_err = VisionTransformer::load_prepared(&path).expect_err("must fail");
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.config(), model.config());
-        assert_eq!(loaded.active_attentions(), vec![1, 3]);
+        assert!(matches!(err, CheckpointError::BadMagic), "{err}");
+        assert!(
+            matches!(prepared_err, CheckpointError::BadMagic),
+            "{prepared_err}"
+        );
     }
 
     #[test]

@@ -139,7 +139,9 @@ impl VisionTransformer {
     ///
     /// Panics if the image shape does not match the configuration.
     pub fn patchify(&self, image: &Matrix) -> Matrix {
-        patchify_image(&self.config, image)
+        let mut patches = Matrix::zeros(self.config.num_patches(), self.config.patch_dim());
+        patchify_into(&self.config, image, patches.as_mut_slice());
+        patches
     }
 
     /// Freezes the model into an immutable [`crate::PreparedModel`]
@@ -293,23 +295,27 @@ impl VisionTransformer {
     }
 }
 
-/// Shared patchify kernel: splits an image into flattened patches, one patch
-/// per row. Used by both the training forward of [`VisionTransformer`] and
+/// Shared patchify kernel: writes an image's flattened patches, one patch
+/// per row, into the row-major `num_patches x patch_dim` buffer `out` —
+/// a whole matrix, or one sample's rows of a stacked batch. Used by both
+/// the training forward of [`VisionTransformer`] and
 /// [`crate::PreparedModel`] so the two cannot diverge.
 ///
 /// # Panics
 ///
-/// Panics if the image shape does not match the configuration.
-pub(crate) fn patchify_image(config: &VitConfig, image: &Matrix) -> Matrix {
-    let s = config.image_size;
-    let p = config.patch_size;
+/// Panics if the image shape does not match the configuration or `out`
+/// is not `num_patches x patch_dim`.
+pub(crate) fn patchify_into(config: &VitConfig, image: &Matrix, out: &mut [f32]) {
+    let (s, p) = (config.image_size, config.patch_size);
     assert_eq!(image.shape(), (s, s), "image shape mismatch");
+    assert_eq!(out.len(), config.num_patches() * p * p, "patch buffer size");
     let per_side = s / p;
-    Matrix::from_fn(per_side * per_side, p * p, |patch, idx| {
+    for (patch, row) in out.chunks_exact_mut(p * p).enumerate() {
         let (pr, pc) = (patch / per_side, patch % per_side);
-        let (dr, dc) = (idx / p, idx % p);
-        image[(pr * p + dr, pc * p + dc)]
-    })
+        for (dr, pixels) in row.chunks_exact_mut(p).enumerate() {
+            pixels.copy_from_slice(&image.row(pr * p + dr)[pc * p..(pc + 1) * p]);
+        }
+    }
 }
 
 #[cfg(test)]

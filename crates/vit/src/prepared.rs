@@ -9,10 +9,10 @@
 //! calibration, CKA scoring — does zero per-call quantizer fitting or
 //! weight materialization.
 
-use crate::model::patchify_image;
+use crate::model::patchify_into;
 use crate::{ForwardTrace, VitConfig};
 use pivot_nn::{LayerNorm, PreparedEncoderBlock, PreparedLinear};
-use pivot_tensor::{Batch, Matrix};
+use pivot_tensor::Matrix;
 
 /// Immutable inference view of a [`VisionTransformer`](crate::VisionTransformer).
 ///
@@ -212,7 +212,7 @@ impl PreparedModel {
     /// once, returning one logits row per image (`images.len() x
     /// num_classes`).
     ///
-    /// Samples are stacked along rows ([`Batch`]), so the patch embedding,
+    /// Samples are stacked along rows, so the patch embedding,
     /// Q/K/V and output projections, MLPs and classifier head each run as
     /// one wide GEMM per layer instead of one GEMM per sample. Attention
     /// scores are still computed per sample (they must not mix samples).
@@ -285,9 +285,10 @@ impl PreparedModel {
     }
 }
 
-/// The embedding stage shared by every entry point: one wide patch-embed
-/// GEMM over all images' patches, then per sample the class token and its
-/// patch embeddings interleaved with the positional embeddings added. Takes
+/// The embedding stage shared by every entry point: every image patchified
+/// straight into one stacked matrix, one wide patch-embed GEMM over it,
+/// then per sample the class token and its patch embeddings interleaved
+/// with the positional embeddings added. Takes
 /// the stage's operands rather than a whole view so
 /// [`VisionTransformer::embed_tokens`](crate::VisionTransformer::embed_tokens)
 /// can run it over a view of the one layer it needs.
@@ -298,18 +299,18 @@ pub(crate) fn embed_batch<M: std::borrow::Borrow<Matrix>>(
     pos_embed: &Matrix,
     images: &[M],
 ) -> Matrix {
-    let t = config.tokens();
-    let patches: Vec<Matrix> = images
-        .iter()
-        .map(|im| patchify_image(config, im.borrow()))
-        .collect();
-    let embedded = patch_embed.infer(Batch::from_samples(&patches).as_matrix());
+    let (t, np) = (config.tokens(), config.num_patches());
+    let mut patches = Matrix::zeros(images.len() * np, config.patch_dim());
+    for (s, im) in images.iter().enumerate() {
+        patchify_into(config, im.borrow(), patches.rows_mut(s * np, (s + 1) * np));
+    }
+    let embedded = patch_embed.infer(&patches);
     let mut x = Matrix::zeros(images.len() * t, config.dim);
     for s in 0..images.len() {
         let base = s * t;
         x.row_mut(base).copy_from_slice(cls_token.row(0));
         x.rows_mut(base + 1, base + t)
-            .copy_from_slice(embedded.rows_slice(s * (t - 1), (s + 1) * (t - 1)));
+            .copy_from_slice(embedded.rows_slice(s * np, (s + 1) * np));
         for r in 0..t {
             for (o, &p) in x.row_mut(base + r).iter_mut().zip(pos_embed.row(r)) {
                 *o += p;
