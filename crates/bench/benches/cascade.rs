@@ -3,7 +3,7 @@
 //! evaluation engine sequential vs. worker-pool.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pivot_core::{MultiEffortVit, Parallelism};
+use pivot_core::{CascadeCache, EffortLadder, Parallelism};
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_tensor::{Matrix, Rng};
 use pivot_vit::{VisionTransformer, VitConfig};
@@ -20,13 +20,13 @@ fn bench_cascade(c: &mut Criterion) {
     group.sample_size(20);
 
     // Threshold 1.0: every input exits at the low effort (easy-path cost).
-    let easy_gate = MultiEffortVit::new(low.clone(), high.clone(), 1.0);
+    let easy_gate = EffortLadder::new(vec![low.clone(), high.clone()], vec![1.0]);
     group.bench_function("low-exit inference", |b| {
         b.iter(|| easy_gate.infer(black_box(&image)))
     });
 
     // Threshold 0.0: every input escalates (worst-case re-computation).
-    let hard_gate = MultiEffortVit::new(low.clone(), high.clone(), 0.0);
+    let hard_gate = EffortLadder::new(vec![low.clone(), high.clone()], vec![0.0]);
     group.bench_function("escalated inference", |b| {
         b.iter(|| hard_gate.infer(black_box(&image)))
     });
@@ -48,7 +48,8 @@ fn bench_batched_evaluation(c: &mut Criterion) {
     let mut low = VisionTransformer::new(&cfg, &mut Rng::new(0));
     low.set_active_attentions(&[0, 1]);
     let high = VisionTransformer::new(&cfg, &mut Rng::new(0));
-    let cascade = MultiEffortVit::new(low, high, 0.6);
+    let cascade = EffortLadder::new(vec![low, high], vec![0.6]);
+    let low = &cascade.prepared_levels()[0];
 
     let samples: Vec<Sample> =
         Dataset::generate_difficulty_stripes(&DatasetConfig::small(), &[0.1, 0.5, 0.9], 32, 21);
@@ -57,10 +58,10 @@ fn bench_batched_evaluation(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("evaluate sequential", |b| {
-        b.iter(|| cascade.evaluate_with(black_box(&samples), Parallelism::Off))
+        b.iter(|| cascade.evaluate(black_box(&samples), Parallelism::Off))
     });
     group.bench_function("evaluate parallel", |b| {
-        b.iter(|| cascade.evaluate_with(black_box(&samples), Parallelism::Auto))
+        b.iter(|| cascade.evaluate(black_box(&samples), Parallelism::Auto))
     });
 
     let thresholds: Vec<f32> = (0..=20).map(|i| i as f32 / 20.0).collect();
@@ -68,12 +69,21 @@ fn bench_batched_evaluation(c: &mut Criterion) {
         b.iter(|| {
             thresholds
                 .iter()
-                .map(|&th| cascade.f_low_at(black_box(&samples), th))
+                .map(|&th| {
+                    CascadeCache::build_prepared(low, black_box(&samples), Parallelism::Auto)
+                        .f_low_at(th)
+                })
                 .collect::<Vec<f64>>()
         })
     });
     group.bench_function("F_L sweep via cache", |b| {
-        b.iter(|| cascade.cache(black_box(&samples)).f_low_curve(&thresholds))
+        b.iter(|| {
+            let cache = CascadeCache::build_prepared(low, black_box(&samples), Parallelism::Auto);
+            thresholds
+                .iter()
+                .map(|&th| cache.f_low_at(th))
+                .collect::<Vec<f64>>()
+        })
     });
 
     group.finish();

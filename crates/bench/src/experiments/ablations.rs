@@ -6,7 +6,8 @@
 use super::pvds50;
 use crate::harness::Reproduction;
 use crate::Table;
-use pivot_core::{EffortLadder, MultiEffortVit, Parallelism, PathConfig};
+use pivot_core::{batched_logits, CascadeStats, EffortLadder, Parallelism, PathConfig};
+use pivot_data::Sample;
 use pivot_nn::{normalized_entropy, QuantMode};
 use pivot_sim::{AcceleratorConfig, Dataflow, Simulator, VitGeometry};
 use pivot_vit::{TrainConfig, Trainer};
@@ -134,16 +135,19 @@ pub fn ablation_gating(repro: &Reproduction) -> Vec<(String, f64, f64)> {
         .iter()
         .find(|e| e.effort == pvds.high_effort)
         .expect("high effort");
-    let cascade = MultiEffortVit::new(low.model.clone(), high.model.clone(), pvds.threshold);
+    let cascade = EffortLadder::new(
+        vec![low.model.clone(), high.model.clone()],
+        vec![pvds.threshold],
+    );
     let test = &repro.dataset.test;
 
-    let entropy_stats = cascade.evaluate(test);
+    let (entropy_stats, _) = cascade.evaluate(test, Parallelism::Auto);
     // Oracle threshold chosen so its F_L matches the entropy gate's.
     let mut difficulties: Vec<f32> = test.iter().map(|s| s.difficulty).collect();
     difficulties.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let idx = ((entropy_stats.f_low() * test.len() as f64) as usize).min(test.len() - 1);
     let oracle_threshold = difficulties[idx];
-    let oracle_stats = cascade.evaluate_with_oracle(test, oracle_threshold);
+    let oracle_stats = route_by_difficulty(&cascade, test, oracle_threshold);
 
     let low_acc = low.model.accuracy(test) as f64;
     let high_acc = high.model.accuracy(test) as f64;
@@ -172,6 +176,37 @@ pub fn ablation_gating(repro: &Reproduction) -> Vec<(String, f64, f64)> {
     }
     table.print();
     rows
+}
+
+/// The oracle upper bound on input-aware gating: routes by **ground-truth
+/// difficulty** instead of entropy — samples with `difficulty <
+/// difficulty_threshold` take the low effort, the rest the high effort
+/// only. The synthetic dataset's difficulty labels make it measurable
+/// (ImageNet has no such labels, so the paper cannot report this). The
+/// partition is known up front, so each side runs as one batched sweep.
+fn route_by_difficulty(
+    cascade: &EffortLadder,
+    samples: &[Sample],
+    difficulty_threshold: f32,
+) -> CascadeStats {
+    let (easy, hard): (Vec<Sample>, Vec<Sample>) = samples
+        .iter()
+        .cloned()
+        .partition(|s| s.difficulty < difficulty_threshold);
+    let per_level = [easy, hard]
+        .iter()
+        .zip(cascade.prepared_levels())
+        .map(|(group, model)| {
+            let logits = batched_logits(model, group, Parallelism::Auto);
+            let correct = logits
+                .iter()
+                .zip(group)
+                .filter(|(l, s)| l.row_argmax(0) == s.label)
+                .count();
+            (group.len(), correct)
+        })
+        .collect();
+    CascadeStats { per_level }
 }
 
 /// Ablation 4: systolic dataflow choice on the ZCU102 (the paper fixes
@@ -237,7 +272,7 @@ pub fn ablation_ladder(repro: &Reproduction) -> Vec<(String, f64, f64)> {
             three,
         ),
     ] {
-        let stats = ladder.evaluate_batched(test, Parallelism::Auto);
+        let (stats, _) = ladder.evaluate(test, Parallelism::Auto);
         table.row_owned(vec![
             name.clone(),
             format!("{:.1}", stats.accuracy() * 100.0),

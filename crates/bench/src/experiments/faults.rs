@@ -5,7 +5,7 @@
 //! increasing number of faults of each [`FaultKind`] and evaluates two
 //! deployments on the same samples:
 //!
-//! * the **cascade** through [`MultiEffortVit::evaluate_guarded`] — a
+//! * the **cascade** through [`EffortLadder::evaluate`] — a
 //!   faulted high effort degrades gracefully to the cached low-effort
 //!   prediction, and the [`DegradationReport`] counts every fallback;
 //! * the **baseline**: the faulted full-effort model alone, where a
@@ -18,7 +18,7 @@
 //! typed [`CheckpointError`], never loaded silently and never a panic.
 
 use crate::Table;
-use pivot_core::{FaultInjector, FaultKind, MultiEffortVit, Parallelism};
+use pivot_core::{EffortLadder, FaultInjector, FaultKind, Parallelism};
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_tensor::Rng;
 use pivot_vit::{CheckpointError, VisionTransformer, VitConfig};
@@ -145,10 +145,12 @@ pub fn fault_injection(n_samples: usize, fault_counts: &[usize], seed: u64) -> F
     );
     let samples = &samples[..n_samples.min(samples.len())];
     let threshold = 0.6;
+    let cascade = |low: &VisionTransformer, high: &VisionTransformer| {
+        EffortLadder::new(vec![low.clone(), high.clone()], vec![threshold])
+            .evaluate(samples, Parallelism::Auto)
+    };
 
-    let healthy = MultiEffortVit::new(low.clone(), high.clone(), threshold)
-        .with_parallelism(Parallelism::Auto);
-    let (healthy_stats, healthy_report) = healthy.evaluate_guarded(samples);
+    let (healthy_stats, healthy_report) = cascade(&low, &high);
     assert!(
         healthy_report.is_empty(),
         "healthy models must produce an empty degradation report"
@@ -181,9 +183,7 @@ pub fn fault_injection(n_samples: usize, fault_counts: &[usize], seed: u64) -> F
             let mut faulty_high = high.clone();
             FaultInjector::new(point_seed).inject_params(&mut faulty_high, kind, n_faults);
 
-            let cascade = MultiEffortVit::new(low.clone(), faulty_high.clone(), threshold)
-                .with_parallelism(Parallelism::Auto);
-            let (stats, degradation) = cascade.evaluate_guarded(samples);
+            let (stats, degradation) = cascade(&low, &faulty_high);
             let (base_acc, base_lost) = baseline_accuracy(&faulty_high, samples);
 
             let point = FaultSweepPoint {
@@ -216,9 +216,7 @@ pub fn fault_injection(n_samples: usize, fault_counts: &[usize], seed: u64) -> F
         FaultKind::StuckNan,
         low_weights,
     );
-    let low_faulted = MultiEffortVit::new(faulty_low, high.clone(), threshold)
-        .with_parallelism(Parallelism::Auto);
-    let (low_stats, low_report) = low_faulted.evaluate_guarded(samples);
+    let (low_stats, low_report) = cascade(&faulty_low, &high);
     let low_fault_escalations = low_report.non_finite_at(0);
     println!(
         "faulted LOW effort: {} / {} samples escalated on non-finite entropy; \

@@ -26,7 +26,7 @@ pub use faults::{fault_injection, FaultReport, FaultSweepPoint};
 pub use gpp::{fig1c, fig7, GppMethodResult};
 
 use crate::harness::{FamilyArtifacts, Reproduction};
-use pivot_core::{Phase2Config, Phase2Result, Phase2Search};
+use pivot_core::{EffortLadder, Parallelism, Phase2Config, Phase2Result, Phase2Search};
 
 /// Runs Phase 2 for one family at a delay target, returning the chosen
 /// combination (or `None` when infeasible).
@@ -78,7 +78,12 @@ pub fn cascade_test_accuracy(
         .iter()
         .find(|e| e.effort == result.high_effort)
         .expect("high effort exists");
-    let cascade =
-        pivot_core::MultiEffortVit::new(low.model.clone(), high.model.clone(), result.threshold);
-    cascade.evaluate(&repro.dataset.test).accuracy()
+    let cascade = EffortLadder::new(
+        vec![low.model.clone(), high.model.clone()],
+        vec![result.threshold],
+    );
+    cascade
+        .evaluate(&repro.dataset.test, Parallelism::Auto)
+        .0
+        .accuracy()
 }

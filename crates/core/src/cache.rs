@@ -17,14 +17,16 @@
 //! * `entropies[i]` and `low_prediction(i)` describe sample `i` of the set
 //!   the cache was built from, in input order; no logit rows are kept.
 //! * A cache is tied to one (model, sample set) pair; callers index it
-//!   with the same sample slice they built it from (checked by length).
+//!   with the same sample slice they built it from (checked by length),
+//!   and evaluate it against a high effort of the same class space
+//!   (checked by class count).
 //! * Queries are pure reads: building with any [`Parallelism`] yields
 //!   bit-identical contents, so every downstream result is deterministic.
 
-use crate::cascade::CascadeStats;
 use crate::guarded::{
     observe_level, stays_low, threshold_grid_walk, DegradationReport, LadderCache, LevelObs,
 };
+use crate::multilevel::CascadeStats;
 use crate::parallel::Parallelism;
 use pivot_data::Sample;
 use pivot_vit::{PreparedModel, PreparedStore, VisionTransformer};
@@ -42,7 +44,7 @@ use pivot_vit::{PreparedModel, PreparedStore, VisionTransformer};
 /// let model = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(0));
 /// let samples =
 ///     Dataset::generate_difficulty_stripes(&DatasetConfig::small(), &[0.3], 8, 1);
-/// let cache = CascadeCache::build(&model, &samples, Parallelism::Auto);
+/// let cache = CascadeCache::build_prepared(&model.prepare(), &samples, Parallelism::Auto);
 /// assert_eq!(cache.len(), samples.len());
 /// assert_eq!(cache.f_low_at(1.0), 1.0); // inclusive top boundary
 /// ```
@@ -51,25 +53,18 @@ pub struct CascadeCache {
     level0: Vec<LevelObs>,
     /// `level0[i].entropy`, contiguous for [`Self::entropies`].
     entropies: Vec<f32>,
+    /// The low effort's class count, which the high effort must share.
+    num_classes: usize,
 }
 
 impl CascadeCache {
     /// Runs low-effort inference over `samples` — batched through
     /// [`PreparedModel::forward_batch`] on the worker pool — and caches
-    /// normalized entropies and argmax predictions.
-    ///
-    /// Prepares the model internally (weights materialized once for the
-    /// whole build). Callers that already hold a prepared view should use
-    /// [`CascadeCache::build_prepared`] to avoid re-preparing.
-    pub fn build(low: &VisionTransformer, samples: &[Sample], par: Parallelism) -> Self {
-        Self::build_prepared(&low.prepare(), samples, par)
-    }
-
-    /// [`CascadeCache::build`] with the low effort prepared through a
-    /// shared content-addressed `store`: layers already materialized by
-    /// another participant (an earlier cache, a prepared high effort) are
-    /// Arc-shared instead of re-packed. Bit-identical to
-    /// [`CascadeCache::build`].
+    /// normalized entropies and argmax predictions, with the low effort
+    /// prepared through a shared content-addressed `store`: layers already
+    /// materialized by another participant (an earlier cache, a prepared
+    /// high effort) are Arc-shared instead of re-packed. Bit-identical to
+    /// [`CascadeCache::build_prepared`] on a view prepared on its own.
     pub fn build_in(
         low: &VisionTransformer,
         samples: &[Sample],
@@ -79,11 +74,16 @@ impl CascadeCache {
         Self::build_prepared(&low.prepare_in(store), samples, par)
     }
 
-    /// [`CascadeCache::build`] against an already-prepared inference view.
+    /// [`CascadeCache::build_in`] against an already-prepared inference
+    /// view.
     pub fn build_prepared(low: &PreparedModel, samples: &[Sample], par: Parallelism) -> Self {
         let level0 = observe_level(low, samples, |s| &s.image, par);
         let entropies = level0.iter().map(|o| o.entropy).collect();
-        Self { level0, entropies }
+        Self {
+            level0,
+            entropies,
+            num_classes: low.config().num_classes,
+        }
     }
 
     /// Number of cached samples.
@@ -121,11 +121,6 @@ impl CascadeCache {
         below as f64 / self.len() as f64
     }
 
-    /// `F_L` at each of `thresholds` — a whole sweep for one cache build.
-    pub fn f_low_curve(&self, thresholds: &[f32]) -> Vec<f64> {
-        thresholds.iter().map(|&th| self.f_low_at(th)).collect()
-    }
-
     /// Indices of the samples that escalate to the high effort at
     /// `threshold`, in sample order.
     pub fn escalated(&self, threshold: f32) -> Vec<usize> {
@@ -149,27 +144,9 @@ impl CascadeCache {
 
     /// Evaluates the cascade against ground-truth labels at `threshold`:
     /// low-effort outcomes come from the cache, only the escalated samples
-    /// run high-effort inference (batched, on the worker pool).
-    /// Statistics are accumulated in sample order, so the result is
-    /// bit-identical for any [`Parallelism`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is not the set the cache was built from (length
-    /// check).
-    pub fn evaluate_prepared(
-        &self,
-        high: &PreparedModel,
-        samples: &[Sample],
-        threshold: f32,
-        par: Parallelism,
-    ) -> CascadeStats {
-        self.evaluate_guarded_prepared(high, samples, threshold, par)
-            .0
-    }
-
-    /// [`Self::evaluate_prepared`] with the sweep's fault accounting
-    /// (DESIGN.md §5), in two-level terms:
+    /// run high-effort inference (batched, on the worker pool), and the
+    /// statistics are bit-identical for any [`Parallelism`]. The sweep's
+    /// fault accounting (DESIGN.md §5), in two-level terms:
     ///
     /// * A **low-effort fault** surfaces as a non-finite cached entropy;
     ///   [`stays_low`] escalates it at every threshold, so the high effort
@@ -177,15 +154,15 @@ impl CascadeCache {
     ///   needed, escalation itself was the recovery).
     /// * A **high-effort fault** surfaces as non-finite high logits; the
     ///   cached low-effort prediction is served instead (event with
-    ///   `served_by: Some(0)`). The sample stays counted under `n_high` —
+    ///   `served_by: Some(0)`). The sample stays counted under level 1 —
     ///   the high-effort cost was spent — with the fallback prediction's
-    ///   correctness, so `n_high == c_high + i_high` still holds.
+    ///   correctness.
     ///
     /// # Panics
     ///
     /// Panics if `samples` is not the set the cache was built from (length
-    /// check).
-    pub fn evaluate_guarded_prepared(
+    /// check), or `high` does not share the low effort's class space.
+    pub fn evaluate(
         &self,
         high: &PreparedModel,
         samples: &[Sample],
@@ -197,6 +174,11 @@ impl CascadeCache {
             self.len(),
             "cache built from a different sample set"
         );
+        assert_eq!(
+            high.config().num_classes,
+            self.num_classes,
+            "efforts must share the class space"
+        );
         // Level 0 is fully memoized, so the sweep only ever asks for the
         // high effort's observations.
         let (outcomes, report) =
@@ -204,7 +186,7 @@ impl CascadeCache {
                 let reached: Vec<&Sample> = escalated.iter().map(|&i| &samples[i]).collect();
                 observe_level(high, &reached, |s| &s.image, par)
             });
-        (CascadeStats::from_outcomes(&outcomes, samples), report)
+        (CascadeStats::from_outcomes(&outcomes, samples, 2), report)
     }
 }
 
@@ -245,12 +227,13 @@ mod tests {
     fn build_is_identical_across_parallelism_and_weight_store() {
         let low = model(2, &[0, 1]);
         let set = samples(14, 3);
-        let seq = CascadeCache::build(&low, &set, Parallelism::Off);
+        let prepared = low.prepare();
+        let seq = CascadeCache::build_prepared(&prepared, &set, Parallelism::Off);
         let store = PreparedStore::new();
         let builds = [
-            CascadeCache::build(&low, &set, Parallelism::Auto),
-            CascadeCache::build(&low, &set, Parallelism::Fixed(3)),
-            CascadeCache::build(&low, &set, Parallelism::Fixed(16)),
+            CascadeCache::build_prepared(&prepared, &set, Parallelism::Auto),
+            CascadeCache::build_prepared(&prepared, &set, Parallelism::Fixed(3)),
+            CascadeCache::build_prepared(&prepared, &set, Parallelism::Fixed(16)),
             CascadeCache::build_in(&low, &set, Parallelism::Off, &store),
             // A second build through the store hits every layer.
             CascadeCache::build_in(&low, &set, Parallelism::Fixed(2), &store),
@@ -266,8 +249,8 @@ mod tests {
 
     #[test]
     fn empty_cache_reports_zero_fraction() {
-        let low = model(7, &[0]);
-        let cache = CascadeCache::build(&low, &[], Parallelism::Auto);
+        let low = model(7, &[0]).prepare();
+        let cache = CascadeCache::build_prepared(&low, &[], Parallelism::Auto);
         assert!(cache.is_empty());
         assert_eq!(cache.f_low_at(0.5), 0.0);
         assert!(cache.escalated(0.5).is_empty());
@@ -275,9 +258,9 @@ mod tests {
 
     #[test]
     fn threshold_reaching_respects_lec_and_cap() {
-        let low = model(8, &[0]);
+        let low = model(8, &[0]).prepare();
         let set = samples(20, 9);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
+        let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
         let th = cache.threshold_reaching(0.5, 0.02);
         assert!(th <= 1.0);
         assert!(cache.f_low_at(th) >= 0.5 || (th - 1.0).abs() < 1e-6);
@@ -299,7 +282,7 @@ mod tests {
             low.params_mut()[pi].value.map_in_place(|_| 0.0);
         }
         let set = samples(10, 27);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
+        let cache = CascadeCache::build_prepared(&low.prepare(), &set, Parallelism::Off);
         assert!(cache.entropies().iter().all(|&e| e > 0.999));
         assert_eq!(cache.f_low_at(0.99), 0.0);
         // 0.03 does not divide 1.0: accumulating it in f32 never lands on
@@ -318,40 +301,56 @@ mod tests {
 
     #[test]
     fn evaluation_escalates_exactly_the_gated_samples() {
-        let low = model(10, &[0]);
+        let low = model(10, &[0]).prepare();
         let high = model(11, &[0, 1]).prepare();
         let set = samples(16, 12);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
+        let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
         for th in [0.0, 0.4, 0.8, 1.0] {
-            let (stats, report) =
-                cache.evaluate_guarded_prepared(&high, &set, th, Parallelism::Fixed(3));
+            let (stats, report) = cache.evaluate(&high, &set, th, Parallelism::Fixed(3));
             assert!(report.is_empty(), "healthy models must not degrade");
-            assert_eq!(stats.n_high, cache.escalated(th).len(), "Th={th}");
+            assert_eq!(stats.per_level[1].0, cache.escalated(th).len(), "Th={th}");
             assert_eq!(stats.f_low(), cache.f_low_at(th), "Th={th}");
-            assert_eq!(stats.n_low, stats.c_low + stats.i_low);
-            assert_eq!(stats.n_high, stats.c_high + stats.i_high);
+            assert_eq!(stats.total(), set.len());
         }
     }
 
     #[test]
-    fn f_low_curve_is_monotone() {
-        let low = model(13, &[0]);
+    fn f_low_is_monotone_in_threshold() {
+        let low = model(13, &[0]).prepare();
         let set = samples(18, 14);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        let thresholds = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-        let curve = cache.f_low_curve(&thresholds);
-        for w in curve.windows(2) {
-            assert!(w[0] <= w[1]);
+        let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
+        let mut prev = 0.0;
+        for th in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
+            let f = cache.f_low_at(th);
+            assert!(f >= prev, "F_L not monotone at Th={th}");
+            prev = f;
         }
-        assert_eq!(*curve.last().expect("non-empty"), 1.0);
+        assert_eq!(prev, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "different sample set")]
     fn evaluation_rejects_a_different_sample_set() {
-        let low = model(30, &[0]);
+        let low = model(30, &[0]).prepare();
         let set = samples(8, 31);
-        let cache = CascadeCache::build(&low, &set, Parallelism::Off);
-        cache.evaluate_prepared(&low.prepare(), &set[1..], 0.5, Parallelism::Off);
+        let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
+        cache.evaluate(&low, &set[1..], 0.5, Parallelism::Off);
+    }
+
+    #[test]
+    #[should_panic(expected = "efforts must share the class space")]
+    fn evaluation_rejects_a_high_effort_of_another_class_space() {
+        // Regression: the high effort's argmax was scored against labels of
+        // the low effort's class space, so a mismatched pair reported a
+        // wrong accuracy instead of failing.
+        let low = model(32, &[0]).prepare();
+        let cfg = VitConfig {
+            num_classes: 7,
+            ..VitConfig::test_small()
+        };
+        let high = VisionTransformer::new(&cfg, &mut Rng::new(33)).prepare();
+        let set = samples(8, 34);
+        let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
+        cache.evaluate(&high, &set, 0.0, Parallelism::Off);
     }
 }

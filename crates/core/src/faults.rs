@@ -2,18 +2,17 @@
 //!
 //! Edge accelerators hold quantized weights in SRAM and stream checkpoints
 //! over flaky links; single-event upsets, stuck cells and torn writes are
-//! routine. This module corrupts weights, activations and checkpoint bytes
+//! routine. This module corrupts weights and checkpoint bytes
 //! *reproducibly* — every fault position and pattern derives from the
 //! in-tree xoshiro [`Rng`], so an accuracy-under-fault curve (see the
 //! `faults` experiment in `pivot-bench`) is replayable from a single seed.
 //!
-//! The injector is deliberately model-agnostic: it mutates `Matrix` buffers
-//! and parameter lists, and the degradation machinery in
-//! [`cascade`](crate::cascade) / [`multilevel`](crate::multilevel) is what
-//! turns the resulting non-finite logits into graceful fallbacks instead of
-//! aborts.
+//! The injector is deliberately model-agnostic: it mutates parameter lists
+//! and byte buffers, and the guarded sweep ([`guarded`](crate::guarded)) is
+//! what turns the resulting non-finite logits into graceful fallbacks
+//! instead of aborts.
 
-use pivot_tensor::{Matrix, Rng};
+use pivot_tensor::Rng;
 use pivot_vit::VisionTransformer;
 
 /// The hardware fault model applied to one `f32` value.
@@ -56,7 +55,7 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectedFault {
     /// Index of the corrupted parameter tensor (for
-    /// [`FaultInjector::inject_params`]) or 0 for single-matrix injection.
+    /// [`FaultInjector::inject_params`]).
     pub param: usize,
     /// Flat element index within the tensor.
     pub index: usize,
@@ -92,36 +91,6 @@ impl FaultInjector {
             FaultKind::StuckZero => 0.0,
             FaultKind::StuckMax => f32::MAX.copysign(if x == 0.0 { 1.0 } else { x }),
         }
-    }
-
-    /// Injects `count` faults at uniformly chosen positions of a matrix.
-    ///
-    /// Positions are drawn independently (with replacement, like real
-    /// upsets). Returns the injected faults in order. A zero-sized matrix
-    /// receives no faults.
-    pub fn inject_matrix(
-        &mut self,
-        m: &mut Matrix,
-        kind: FaultKind,
-        count: usize,
-    ) -> Vec<InjectedFault> {
-        if m.is_empty() {
-            return Vec::new();
-        }
-        let mut faults = Vec::with_capacity(count);
-        for _ in 0..count {
-            let index = self.rng.below(m.len());
-            let before = m.as_slice()[index];
-            let after = self.corrupt_value(before, kind);
-            m.as_mut_slice()[index] = after;
-            faults.push(InjectedFault {
-                param: 0,
-                index,
-                before,
-                after,
-            });
-        }
-        faults
     }
 
     /// Injects `count` faults into a model's parameters, choosing positions
@@ -249,6 +218,7 @@ impl StallSchedule {
 mod tests {
     use super::*;
     use crate::parallel::{par_map, Parallelism};
+    use pivot_tensor::Matrix;
     use pivot_vit::VitConfig;
 
     fn model(seed: u64) -> VisionTransformer {

@@ -11,9 +11,12 @@
 //!   level 0, so a threshold sweep re-runs no low-effort inference;
 //! * [`LadderCache`] — the memo itself, kept by the caller and filled lazily
 //!   at every level across evaluations;
-//! * [`MultiEffortVit`](crate::MultiEffortVit) (N = 2) and
-//!   [`EffortLadder`](crate::EffortLadder) — typed holders of the prepared
-//!   levels whose statistics are folds over [`GuardedOutcome`] + labels.
+//! * [`EffortLadder`](crate::EffortLadder) — the typed holder of the
+//!   prepared levels, with a cold memo per evaluation or the caller's.
+//!
+//! Every evaluation over labeled samples folds its [`GuardedOutcome`]s into
+//! one [`CascadeStats`](crate::CascadeStats) and returns it with the sweep's
+//! [`DegradationReport`].
 //!
 //! A memo holds only level observations — entropy, argmax and a finiteness
 //! flag, 12 bytes — never logit rows. Inference goes through
@@ -458,8 +461,8 @@ pub fn evaluate_guarded_slice(
 mod tests {
     use super::*;
     use crate::cache::CascadeCache;
-    use crate::cascade::CascadeStats;
     use crate::faults::{FaultInjector, FaultKind};
+    use crate::multilevel::CascadeStats;
     use pivot_data::{Dataset, DatasetConfig, Sample};
     use pivot_tensor::Rng;
     use pivot_vit::{VisionTransformer, VitConfig};
@@ -702,10 +705,13 @@ mod tests {
                     warm.sweep_models(&levels, &[th], 1, &images(&set), Parallelism::Fixed(3));
                 assert_eq!(cold_report, warm_report, "Th={th}");
                 assert!(cold.iter().zip(&warmed).all(|(a, b)| same(a, b)), "Th={th}");
-                let (stats, report) =
-                    cache.evaluate_guarded_prepared(&high, &set, th, Parallelism::Off);
+                let (stats, report) = cache.evaluate(&high, &set, th, Parallelism::Off);
                 assert_eq!(report, cold_report, "Th={th}");
-                assert_eq!(stats, CascadeStats::from_outcomes(&cold, &set), "Th={th}");
+                assert_eq!(
+                    stats,
+                    CascadeStats::from_outcomes(&cold, &set, 2),
+                    "Th={th}"
+                );
                 // The warm memo only ever grows: a looser threshold reuses
                 // what a tighter one observed.
                 assert!(warm.cached_count(1) >= high_runs);

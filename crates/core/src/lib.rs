@@ -10,11 +10,12 @@
 //! * [`guarded`] — the guarded sweep: the one memoised N-level walk that
 //!   applies the entropy gate ([`stays_low`]) and the fault accounting of
 //!   DESIGN.md §5. [`evaluate_guarded_slice`] is its per-request form (what
-//!   `pivot-serve` runs per batch, under an effort cap); everything below
-//!   is a typed front-end over it.
-//! * [`cascade`] — the two-level low/high effort engine (Fig. 2a) and its
-//!   accuracy calculator (`C_L`, `I_L`, `C_H`, `I_H`, `F_L`, `F_H`).
-//! * [`multilevel`] — N-level effort ladders.
+//!   `pivot-serve` runs per batch, under an effort cap); the two below are
+//!   typed front-ends over it.
+//! * [`multilevel`] — [`EffortLadder`], the one holder of prepared effort
+//!   levels (the paper's low/high cascade of Fig. 2a is its `N = 2` case),
+//!   and [`CascadeStats`], the one fold of outcomes over labels (`C_L`,
+//!   `I_L`, `C_H`, `I_H`, `F_L`, `F_H`, per-level exits).
 //! * [`cache`] — the entropy cache: the low effort observed once per
 //!   sample set, serving `F_L` queries and threshold sweeps in O(N).
 //! * [`batched`] — chunked `forward_batch` inference over sample sets
@@ -40,7 +41,6 @@
 
 pub mod batched;
 pub mod cache;
-pub mod cascade;
 pub mod error;
 pub mod faults;
 pub mod guarded;
@@ -56,14 +56,13 @@ pub mod train_cost;
 
 pub use batched::{batched_logits, batched_logits_with, EVAL_BATCH};
 pub use cache::CascadeCache;
-pub use cascade::{CascadeStats, MultiEffortVit};
 pub use error::PivotError;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
 pub use guarded::{
     evaluate_guarded_slice, stays_low, threshold_grid_walk, DegradationEvent, DegradationReport,
     GuardedOutcome, LadderCache,
 };
-pub use multilevel::{EffortLadder, LadderStats};
+pub use multilevel::{CascadeStats, EffortLadder};
 pub use parallel::{par_map, Parallelism};
 pub use path::PathConfig;
 pub use phase1::{select_optimal_path, select_optimal_path_with, Phase1Result, ScoredPath};

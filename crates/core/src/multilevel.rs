@@ -1,14 +1,16 @@
-//! Multi-level effort cascades — the natural extension of the paper's
-//! two-effort scheme (Section 5 positions PIVOT as a framework for future
-//! ViT-hardware co-optimization; a deeper effort ladder is the first step).
+//! Effort ladders and their statistics — the paper's two-effort cascade
+//! (Fig. 2a) and its natural extension to `N` levels (Section 5 positions
+//! PIVOT as a framework for future ViT-hardware co-optimization; a deeper
+//! effort ladder is the first step).
 //!
-//! An [`EffortLadder`] holds `N >= 2` efforts with `N - 1` increasing
+//! An [`EffortLadder`] holds `N >= 2` efforts with `N - 1` non-decreasing
 //! entropy thresholds: an input ascends the ladder until its entropy at
 //! some level stays under that level's threshold (the last level accepts
 //! everything). With `N = 2` this is exactly the paper's low/high cascade.
-//! The ladder is a typed holder of the prepared levels; the walk, the gate
-//! ([`stays_low`](crate::stays_low), inclusive at `Th = 1.0`) and the fault
-//! accounting are the guarded sweep's ([`crate::guarded`]).
+//! The ladder is the one typed holder of prepared levels; the walk, the
+//! gate ([`stays_low`](crate::stays_low), inclusive at `Th = 1.0`) and the
+//! fault accounting are the guarded sweep's ([`crate::guarded`]), and
+//! [`CascadeStats`] is the one fold of its outcomes over labels.
 
 use crate::guarded::{evaluate_guarded_slice, DegradationReport, GuardedOutcome, LadderCache};
 use crate::parallel::Parallelism;
@@ -16,18 +18,30 @@ use pivot_data::Sample;
 use pivot_tensor::Matrix;
 use pivot_vit::{PreparedModel, PreparedStore, StoreStats, VisionTransformer};
 
-/// Per-level statistics of a ladder evaluation.
+/// Per-level statistics of a cascade evaluation over labeled samples.
+///
+/// In the paper's two-level notation, level 0 is the low effort and every
+/// level above it the high effort:
+///
+/// * `C_L = per_level[0].1`, `I_L = per_level[0].0 - C_L`;
+/// * `C_H` and `I_H` are the same sums over `per_level[1..]`;
+/// * `F_L` is [`Self::f_low`] and `F_H` is [`Self::f_high`].
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LadderStats {
-    /// `(classified, correct)` per level.
+pub struct CascadeStats {
+    /// `(exited, correct)` per level: inputs that exited at the level, and
+    /// how many of those were classified correctly.
     pub per_level: Vec<(usize, usize)>,
 }
 
-impl LadderStats {
-    /// Folds the sweep's per-sample outcomes over their labels. A
-    /// fault-fallback prediction counts under the exit level — its cost
-    /// was spent.
-    fn from_outcomes(outcomes: &[GuardedOutcome], samples: &[Sample], depth: usize) -> Self {
+impl CascadeStats {
+    /// Folds the sweep's per-sample outcomes over their labels into a
+    /// `depth`-level tally. A fault-fallback prediction counts under the
+    /// exit level — its cost was spent.
+    pub(crate) fn from_outcomes(
+        outcomes: &[GuardedOutcome],
+        samples: &[Sample],
+        depth: usize,
+    ) -> Self {
         let mut per_level = vec![(0, 0); depth];
         for (o, s) in outcomes.iter().zip(samples) {
             per_level[o.level].0 += 1;
@@ -41,7 +55,8 @@ impl LadderStats {
         self.per_level.iter().map(|&(n, _)| n).sum()
     }
 
-    /// Overall accuracy.
+    /// Overall accuracy (`(C_L + C_H) / total` in Fig. 2a). 0.0 when
+    /// nothing was evaluated.
     pub fn accuracy(&self) -> f64 {
         let total = self.total();
         if total == 0 {
@@ -49,6 +64,26 @@ impl LadderStats {
         }
         let correct: usize = self.per_level.iter().map(|&(_, c)| c).sum();
         correct as f64 / total as f64
+    }
+
+    /// Fraction classified by the low effort, level 0 (`F_L`). 0.0 when
+    /// nothing was evaluated.
+    pub fn f_low(&self) -> f64 {
+        let total = self.total();
+        if total == 0 {
+            return 0.0;
+        }
+        self.per_level[0].0 as f64 / total as f64
+    }
+
+    /// Fraction escalated past the low effort (`F_H`). 0.0 when nothing
+    /// was evaluated (an empty evaluation escalated nothing — it is not
+    /// "all high").
+    pub fn f_high(&self) -> f64 {
+        if self.total() == 0 {
+            return 0.0;
+        }
+        1.0 - self.f_low()
     }
 
     /// Fraction of inputs classified at each level.
@@ -82,7 +117,8 @@ impl LadderStats {
 /// # Example
 ///
 /// ```
-/// use pivot_core::multilevel::EffortLadder;
+/// use pivot_core::{EffortLadder, Parallelism};
+/// use pivot_data::{Dataset, DatasetConfig};
 /// use pivot_tensor::{Matrix, Rng};
 /// use pivot_vit::{VisionTransformer, VitConfig};
 ///
@@ -90,12 +126,22 @@ impl LadderStats {
 /// let mut rng = Rng::new(0);
 /// let mut low = VisionTransformer::new(&cfg, &mut rng);
 /// low.set_active_attentions(&[0]);
+/// let high = low.clone();
 /// let mut mid = low.clone();
 /// mid.set_active_attentions(&[0, 1]);
-/// let high = low.clone();
+///
+/// // The paper's two-level cascade...
+/// let cascade = EffortLadder::new(vec![low.clone(), high.clone()], vec![0.5]);
+/// let out = cascade.infer(&Matrix::zeros(16, 16));
+/// assert!(out.prediction < 4 && out.level <= 1);
+///
+/// // ...and a three-level ladder, evaluated over labeled samples.
 /// let ladder = EffortLadder::new(vec![low, mid, high], vec![0.4, 0.7]);
-/// let out = ladder.infer(&Matrix::zeros(16, 16));
-/// assert!(out.level < 3);
+/// let samples =
+///     Dataset::generate_difficulty_stripes(&DatasetConfig::small(), &[0.3], 8, 1);
+/// let (stats, report) = ladder.evaluate(&samples, Parallelism::Auto);
+/// assert_eq!(stats.total(), samples.len());
+/// assert!(report.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct EffortLadder {
@@ -146,7 +192,12 @@ impl EffortLadder {
     }
 
     /// Replaces the gate thresholds, under the constructor's checks.
-    pub(crate) fn set_thresholds(&mut self, thresholds: Vec<f32>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the threshold count is not `levels - 1`, a threshold is
+    /// outside `[0, 1]`, or thresholds are not non-decreasing.
+    pub fn set_thresholds(&mut self, thresholds: Vec<f32>) {
         assert_eq!(
             thresholds.len(),
             self.depth() - 1,
@@ -202,7 +253,8 @@ impl EffortLadder {
 
     /// Ascends the ladder with one image until a level is confident enough
     /// (or the last level is reached): the guarded sweep over a slice of
-    /// one.
+    /// one. A faulted exit level is served by the deepest earlier finite
+    /// level (`fault_fallback`; see DESIGN.md §5).
     pub fn infer(&self, image: &Matrix) -> GuardedOutcome {
         let (outcomes, _) = evaluate_guarded_slice(
             &self.prepared,
@@ -214,83 +266,49 @@ impl EffortLadder {
         outcomes[0]
     }
 
-    /// Creates an empty [`LadderCache`] sized for this ladder and
-    /// `n_samples` calibration samples.
-    pub fn cache(&self, n_samples: usize) -> LadderCache {
-        LadderCache::new(self.depth(), n_samples)
+    /// Evaluates the ladder on labeled samples: one batched sweep per
+    /// level over exactly the samples that reach it. Returns the
+    /// statistics together with the [`DegradationReport`] of every sample
+    /// that hit non-finite values on its way up (empty for healthy
+    /// models). The result is the same for every `par` and batch split.
+    pub fn evaluate(
+        &self,
+        samples: &[Sample],
+        par: Parallelism,
+    ) -> (CascadeStats, DegradationReport) {
+        self.evaluate_cached(
+            samples,
+            &mut LadderCache::new(self.depth(), samples.len()),
+            par,
+        )
     }
 
-    /// Batched ladder evaluation through a [`LadderCache`]: level-by-level
-    /// wide GEMM sweeps, inferring only samples that reach a level and are
-    /// not already memoized there.
+    /// [`Self::evaluate`] through a caller-kept [`LadderCache`]: only
+    /// samples that reach a level and are not already memoized there are
+    /// inferred, so a threshold sweep ([`Self::set_thresholds`] between
+    /// calls) re-runs no inference a looser gate already paid for. The
+    /// result does not depend on what the memo held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` is not sized for this ladder's depth and
+    /// `samples`.
     pub fn evaluate_cached(
         &self,
         samples: &[Sample],
         cache: &mut LadderCache,
         par: Parallelism,
-    ) -> LadderStats {
-        cache.evaluate(&self.prepared, samples, &self.thresholds, par)
-    }
-
-    /// [`Self::evaluate_cached`] without keeping the memo around.
-    pub fn evaluate_batched(&self, samples: &[Sample], par: Parallelism) -> LadderStats {
-        self.evaluate_guarded(samples, par).0
-    }
-
-    /// [`Self::evaluate_batched`] with fault accounting (DESIGN.md §5):
-    /// returns the statistics together with a [`DegradationReport`] of
-    /// every sample that hit non-finite values on its way up the ladder.
-    pub fn evaluate_guarded(
-        &self,
-        samples: &[Sample],
-        par: Parallelism,
-    ) -> (LadderStats, DegradationReport) {
-        self.cache(samples.len())
-            .evaluate_guarded(&self.prepared, samples, &self.thresholds, par)
-    }
-}
-
-impl LadderCache {
-    /// Evaluates an effort ladder against `thresholds` through this memo,
-    /// batching each level's sweep over exactly the samples that reach it
-    /// and are not yet memoized. The statistics are the same for every
-    /// parallelism, batch split and prior memo state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model/threshold/sample counts do not match the cache
-    /// dimensions.
-    pub fn evaluate(
-        &mut self,
-        levels: &[PreparedModel],
-        samples: &[Sample],
-        thresholds: &[f32],
-        par: Parallelism,
-    ) -> LadderStats {
-        self.evaluate_guarded(levels, samples, thresholds, par).0
-    }
-
-    /// [`Self::evaluate`] with the sweep's fault accounting (see
-    /// [`crate::guarded`]): a faulted gate level auto-escalates, a faulted
-    /// exit level is served by the deepest earlier finite level while
-    /// staying attributed to the exit level in the statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model/threshold/sample counts do not match the cache
-    /// dimensions.
-    pub fn evaluate_guarded(
-        &mut self,
-        levels: &[PreparedModel],
-        samples: &[Sample],
-        thresholds: &[f32],
-        par: Parallelism,
-    ) -> (LadderStats, DegradationReport) {
+    ) -> (CascadeStats, DegradationReport) {
         let images: Vec<&Matrix> = samples.iter().map(|s| &s.image).collect();
-        let (outcomes, report) =
-            self.sweep_models(levels, thresholds, levels.len() - 1, &images, par);
+        let (outcomes, report) = cache.sweep_models(
+            &self.prepared,
+            &self.thresholds,
+            self.depth() - 1,
+            &images,
+            par,
+        );
         (
-            LadderStats::from_outcomes(&outcomes, samples, levels.len()),
+            CascadeStats::from_outcomes(&outcomes, samples, self.depth()),
             report,
         )
     }
@@ -320,13 +338,30 @@ mod tests {
         Dataset::generate_difficulty_stripes(&DatasetConfig::small(), &[0.2, 0.8], 20, seed)
     }
 
+    /// The reference a shared-store ladder is checked against: the same
+    /// sweep over independently prepared levels, through a memo of its own.
+    fn independent_evaluation(
+        ms: &[VisionTransformer],
+        thresholds: &[f32],
+        set: &[Sample],
+        par: Parallelism,
+    ) -> (CascadeStats, DegradationReport, LadderCache) {
+        let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
+        let images: Vec<&Matrix> = set.iter().map(|s| &s.image).collect();
+        let mut memo = LadderCache::new(ms.len(), set.len());
+        let (outcomes, report) =
+            memo.sweep_models(&independent, thresholds, ms.len() - 1, &images, par);
+        let stats = CascadeStats::from_outcomes(&outcomes, set, ms.len());
+        (stats, report, memo)
+    }
+
     #[test]
     fn uniform_logits_exit_at_level_zero_at_threshold_one() {
         // Regression: the ladder used to gate on a strict `entropy < th`,
         // so a sample with exactly uniform logits (normalized entropy 1.0)
-        // climbed to the top even at Th = 1.0, where `MultiEffortVit`, the
-        // caches and the serve engine (all on `stays_low`, inclusive at the
-        // top boundary) keep it low.
+        // climbed to the top even at Th = 1.0, where the caches and the
+        // serve engine (all on `stays_low`, inclusive at the top boundary)
+        // keep it low.
         let mut ms = models(50);
         for m in &mut ms {
             let n = m.params_mut().len();
@@ -337,94 +372,123 @@ mod tests {
         }
         let set = samples(51);
         for depth in [2, 3] {
-            let ladder = EffortLadder::new(ms[..depth].to_vec(), vec![1.0; depth - 1]);
+            let mut ladder = EffortLadder::new(ms[..depth].to_vec(), vec![1.0; depth - 1]);
             let out = ladder.infer(&set[0].image);
             assert!((out.entropy - 1.0).abs() < 1e-6, "entropy {}", out.entropy);
             assert_eq!(out.level, 0, "{depth} levels: infer escalated");
-            let mut all_low = vec![(0, 0); depth];
-            all_low[0].0 = set.len();
-            let stats = ladder.evaluate_batched(&set, Parallelism::Off);
-            assert_eq!(stats.mean_inferences(), 1.0, "{depth} levels: {stats:?}");
+            let (stats, _) = ladder.evaluate(&set, Parallelism::Off);
+            assert_eq!(stats.f_low(), 1.0, "{depth} levels: {stats:?}");
             // A memo warmed by an all-escalating sweep must not matter.
-            let mut cache = ladder.cache(set.len());
-            let zeros = vec![0.0; depth - 1];
-            cache.evaluate(ladder.prepared_levels(), &set, &zeros, Parallelism::Off);
+            let mut cache = LadderCache::new(depth, set.len());
+            ladder.set_thresholds(vec![0.0; depth - 1]);
+            ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
             assert_eq!(cache.cached_count(depth - 1), set.len());
-            let warm = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
+            ladder.set_thresholds(vec![1.0; depth - 1]);
+            let (warm, _) = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
             assert_eq!(warm, stats, "{depth} levels: warm memo diverged");
-            assert_eq!(warm.per_level[0].0, set.len());
+            // Just below the boundary the same sample climbs to the top.
+            ladder.set_thresholds(vec![0.999; depth - 1]);
+            assert_eq!(ladder.infer(&set[0].image).level, depth - 1);
         }
     }
 
     #[test]
-    fn every_input_is_classified_exactly_once() {
-        let ladder = EffortLadder::new(models(2), vec![0.3, 0.6]);
+    fn empty_evaluation_has_no_high_fraction() {
+        // Regression: `f_high()` reported 1.0 on an empty evaluation
+        // because `f_low()` returns 0.0 when `total() == 0`.
+        let ladder = EffortLadder::new(models(1)[..2].to_vec(), vec![0.5]);
+        let (evaluated, report) = ladder.evaluate(&[], Parallelism::Off);
+        assert!(report.is_empty());
+        for stats in [CascadeStats::default(), evaluated] {
+            assert_eq!(stats.total(), 0);
+            assert_eq!(stats.f_low(), 0.0);
+            assert_eq!(stats.f_high(), 0.0);
+            assert_eq!(stats.accuracy(), 0.0);
+            assert_eq!(stats.mean_inferences(), 0.0);
+        }
+    }
+
+    #[test]
+    fn stats_are_consistent() {
         let set = samples(3);
-        let stats = ladder.evaluate_batched(&set, Parallelism::Off);
-        assert_eq!(stats.total(), set.len());
-        let fractions = stats.level_fractions();
-        assert!((fractions.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        for (depth, ths) in [(2, vec![0.5]), (3, vec![0.3, 0.6])] {
+            let ladder = EffortLadder::new(models(2)[..depth].to_vec(), ths);
+            let (stats, _) = ladder.evaluate(&set, Parallelism::Off);
+            assert_eq!(stats.per_level.len(), depth);
+            assert_eq!(stats.total(), set.len());
+            assert!(stats.per_level.iter().all(|&(n, c)| c <= n));
+            assert!((stats.f_low() + stats.f_high() - 1.0).abs() < 1e-12);
+            let fractions = stats.level_fractions();
+            assert!((fractions.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert!((0.0..=1.0).contains(&stats.accuracy()));
+        }
     }
 
     #[test]
     fn zero_thresholds_send_everything_to_the_top() {
-        let ladder = EffortLadder::new(models(4), vec![0.0, 0.0]);
-        let stats = ladder.evaluate_batched(&samples(5), Parallelism::Off);
-        assert_eq!(stats.per_level[0].0, 0);
-        assert_eq!(stats.per_level[1].0, 0);
-        assert!(stats.per_level[2].0 > 0);
-        assert_eq!(stats.mean_inferences(), 3.0);
+        let set = samples(5);
+        for depth in [2, 3] {
+            let ladder = EffortLadder::new(models(4)[..depth].to_vec(), vec![0.0; depth - 1]);
+            let (stats, _) = ladder.evaluate(&set, Parallelism::Off);
+            assert_eq!(stats.per_level[depth - 1].0, set.len(), "{stats:?}");
+            assert_eq!(stats.f_high(), 1.0);
+            assert_eq!(stats.mean_inferences(), depth as f64);
+        }
     }
 
     #[test]
     fn unit_thresholds_stop_at_the_bottom() {
-        let ladder = EffortLadder::new(models(6), vec![1.0, 1.0]);
-        let stats = ladder.evaluate_batched(&samples(7), Parallelism::Off);
-        assert_eq!(stats.per_level[0].0, stats.total());
-        assert_eq!(stats.mean_inferences(), 1.0);
+        let set = samples(7);
+        for depth in [2, 3] {
+            let ladder = EffortLadder::new(models(6)[..depth].to_vec(), vec![1.0; depth - 1]);
+            let (stats, _) = ladder.evaluate(&set, Parallelism::Off);
+            assert_eq!(stats.per_level[0].0, set.len(), "{stats:?}");
+            assert_eq!(stats.f_low(), 1.0);
+            assert_eq!(stats.mean_inferences(), 1.0);
+        }
     }
 
     #[test]
     fn mean_inferences_between_one_and_depth() {
         let ladder = EffortLadder::new(models(8), vec![0.5, 0.8]);
-        let stats = ladder.evaluate_batched(&samples(9), Parallelism::Off);
+        let (stats, _) = ladder.evaluate(&samples(9), Parallelism::Off);
         let m = stats.mean_inferences();
         assert!((1.0..=3.0).contains(&m), "mean inferences {m}");
     }
 
     #[test]
     fn batched_evaluation_matches_single_image_infer() {
+        // One sweep over the whole set must agree with one sweep per image,
+        // for every depth, threshold and parallelism, and a healthy ladder
+        // reports no degradation.
         let ms = models(12);
         let set = samples(13);
-        for ths in [[0.0, 0.0], [0.4, 0.7], [1.0, 1.0]] {
-            let ladder = EffortLadder::new(ms.clone(), ths.to_vec());
-            let singles: Vec<GuardedOutcome> = set.iter().map(|s| ladder.infer(&s.image)).collect();
-            let reference = LadderStats::from_outcomes(&singles, &set, 3);
-            for par in [Parallelism::Off, Parallelism::Fixed(3)] {
-                let batched = ladder.evaluate_batched(&set, par);
-                assert_eq!(reference, batched, "thresholds {ths:?} under {par:?}");
+        for depth in [2, 3] {
+            for ths in [[0.0, 0.0], [0.4, 0.7], [1.0, 1.0]] {
+                let ladder = EffortLadder::new(ms[..depth].to_vec(), ths[..depth - 1].to_vec());
+                let singles: Vec<GuardedOutcome> =
+                    set.iter().map(|s| ladder.infer(&s.image)).collect();
+                let reference = CascadeStats::from_outcomes(&singles, &set, depth);
+                for par in [Parallelism::Off, Parallelism::Fixed(3)] {
+                    let (batched, report) = ladder.evaluate(&set, par);
+                    assert_eq!(reference, batched, "thresholds {ths:?} under {par:?}");
+                    assert!(report.is_empty());
+                }
             }
         }
     }
 
     #[test]
     fn cache_memoizes_across_threshold_sweep() {
-        let ms = models(14);
         let set = samples(15);
-        let ladder = EffortLadder::new(ms.clone(), vec![0.5, 0.8]);
-        let mut cache = ladder.cache(set.len());
+        let mut ladder = EffortLadder::new(models(14), vec![1.0, 1.0]);
+        let mut cache = LadderCache::new(ladder.depth(), set.len());
         assert_eq!(cache.depth(), 3);
         assert_eq!(cache.len(), set.len());
 
         // A fully permissive bottom gate touches only level 0.
-        let loose = cache.evaluate(
-            ladder.prepared_levels(),
-            &set,
-            &[1.0, 1.0],
-            Parallelism::Off,
-        );
-        let loose_ladder = EffortLadder::new(ms.clone(), vec![1.0, 1.0]);
-        assert_eq!(loose, loose_ladder.evaluate_batched(&set, Parallelism::Off));
+        let loose = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
+        assert_eq!(loose, ladder.evaluate(&set, Parallelism::Off));
         assert_eq!(cache.cached_count(0), set.len());
         assert_eq!(cache.cached_count(1), 0);
 
@@ -433,14 +497,9 @@ mod tests {
         let level0_bits: Vec<u32> = (0..set.len())
             .map(|i| cache.entropy(0, i).expect("level 0 filled").to_bits())
             .collect();
-        let tight = cache.evaluate(
-            ladder.prepared_levels(),
-            &set,
-            &[0.0, 0.0],
-            Parallelism::Off,
-        );
-        let tight_ladder = EffortLadder::new(ms, vec![0.0, 0.0]);
-        assert_eq!(tight, tight_ladder.evaluate_batched(&set, Parallelism::Off));
+        ladder.set_thresholds(vec![0.0, 0.0]);
+        let tight = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
+        assert_eq!(tight, ladder.evaluate(&set, Parallelism::Off));
         assert_eq!(cache.cached_count(1), set.len());
         assert_eq!(cache.cached_count(2), set.len());
         for (i, &bits) in level0_bits.iter().enumerate() {
@@ -448,27 +507,16 @@ mod tests {
         }
 
         // A repeat evaluation answers entirely from the memo.
-        let again = cache.evaluate(
-            ladder.prepared_levels(),
-            &set,
-            &[0.0, 0.0],
-            Parallelism::Off,
-        );
+        let again = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
         assert_eq!(tight, again);
     }
 
     #[test]
     fn cached_entries_match_direct_inference() {
-        let ms = models(16);
         let set = samples(17);
-        let ladder = EffortLadder::new(ms, vec![0.0, 0.0]);
-        let mut cache = ladder.cache(set.len());
-        cache.evaluate(
-            ladder.prepared_levels(),
-            &set,
-            ladder.thresholds(),
-            Parallelism::Fixed(2),
-        );
+        let ladder = EffortLadder::new(models(16), vec![0.0, 0.0]);
+        let mut cache = LadderCache::new(ladder.depth(), set.len());
+        ladder.evaluate_cached(&set, &mut cache, Parallelism::Fixed(2));
         for (level, model) in ladder.prepared_levels().iter().enumerate() {
             for (i, s) in set.iter().enumerate() {
                 let direct = model.infer(&s.image);
@@ -478,15 +526,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn guarded_ladder_is_fault_free_on_healthy_models() {
-        let ladder = EffortLadder::new(models(20), vec![0.4, 0.7]);
-        let set = samples(21);
-        let (stats, report) = ladder.evaluate_guarded(&set, Parallelism::Off);
-        assert!(report.is_empty());
-        assert_eq!(stats, ladder.evaluate_batched(&set, Parallelism::Fixed(3)));
     }
 
     #[test]
@@ -501,7 +540,7 @@ mod tests {
         FaultInjector::new(24).inject_params(&mut mid_faulty[1], FaultKind::StuckNan, 10_000);
         // Gates that would otherwise keep many samples at the middle.
         let ladder = EffortLadder::new(mid_faulty, vec![0.0, 1.0]);
-        let (stats, report) = ladder.evaluate_guarded(&set, Parallelism::Off);
+        let (stats, report) = ladder.evaluate(&set, Parallelism::Off);
         assert_eq!(
             stats.per_level[1].0, 0,
             "no sample may exit at the faulty level"
@@ -515,7 +554,7 @@ mod tests {
         // top in the statistics.
         FaultInjector::new(25).inject_params(&mut ms[2], FaultKind::StuckNan, 10_000);
         let ladder = EffortLadder::new(ms.clone(), vec![0.0, 0.0]);
-        let (stats, report) = ladder.evaluate_guarded(&set, Parallelism::Off);
+        let (stats, report) = ladder.evaluate(&set, Parallelism::Off);
         assert_eq!(stats.per_level[2].0, set.len());
         assert_eq!(report.fallbacks(), set.len());
         for e in &report.events {
@@ -532,11 +571,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "different sample set")]
     fn cache_rejects_mismatched_sample_count() {
-        let ms = models(18);
         let set = samples(19);
-        let ladder = EffortLadder::new(ms, vec![0.4, 0.7]);
-        let mut cache = ladder.cache(set.len() + 1);
+        let ladder = EffortLadder::new(models(18), vec![0.4, 0.7]);
+        let mut cache = LadderCache::new(ladder.depth(), set.len() + 1);
         ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of [0, 1]")]
+    fn invalid_threshold_panics() {
+        let _ = EffortLadder::new(models(10)[..2].to_vec(), vec![1.5]);
     }
 
     #[test]
@@ -568,6 +612,16 @@ mod tests {
     }
 
     #[test]
+    fn distinct_backbones_share_nothing() {
+        // Levels drawn from different seeds: no layer can dedupe, and the
+        // accounting must say so.
+        let (low, high) = (models(62).remove(0), models(63).remove(2));
+        let ladder = EffortLadder::new(vec![low, high], vec![0.5]);
+        assert_eq!(ladder.share_stats().hits, 0);
+        assert_eq!(ladder.unique_weight_bytes(), ladder.weight_bytes());
+    }
+
+    #[test]
     fn faulted_level_stops_sharing_but_reports_identically() {
         use crate::faults::{FaultInjector, FaultKind};
         let mut ms = models(31);
@@ -583,12 +637,10 @@ mod tests {
 
         // Fault accounting through the shared store is identical to
         // independently prepared levels.
-        let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
         let set = samples(33);
-        let (shared_stats, shared_report) = ladder.evaluate_guarded(&set, Parallelism::Off);
-        let mut cache = LadderCache::new(ms.len(), set.len());
-        let (ind_stats, ind_report) =
-            cache.evaluate_guarded(&independent, &set, ladder.thresholds(), Parallelism::Off);
+        let (shared_stats, shared_report) = ladder.evaluate(&set, Parallelism::Off);
+        let (ind_stats, ind_report, _) =
+            independent_evaluation(&ms, ladder.thresholds(), &set, Parallelism::Off);
         assert!(!shared_report.is_empty(), "fault must surface");
         assert_eq!(shared_stats, ind_stats);
         assert_eq!(shared_report, ind_report);
@@ -649,7 +701,6 @@ mod tests {
                     ladder.prepared_levels()[0].weight_bytes()
                 );
 
-                let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
                 let set = Dataset::generate_difficulty_stripes(
                     &DatasetConfig::small(),
                     &[0.2, 0.8],
@@ -657,16 +708,11 @@ mod tests {
                     seed + 1,
                 );
 
-                let mut shared_cache = ladder.cache(set.len());
-                let (shared_stats, shared_report) = shared_cache.evaluate_guarded(
-                    ladder.prepared_levels(),
-                    &set,
-                    ladder.thresholds(),
-                    par,
-                );
-                let mut ind_cache = LadderCache::new(ms.len(), set.len());
-                let (ind_stats, ind_report) =
-                    ind_cache.evaluate_guarded(&independent, &set, &ths, par);
+                let mut shared_cache = LadderCache::new(ladder.depth(), set.len());
+                let (shared_stats, shared_report) =
+                    ladder.evaluate_cached(&set, &mut shared_cache, par);
+                let (ind_stats, ind_report, ind_cache) =
+                    independent_evaluation(&ms, &ths, &set, par);
 
                 prop_assert_eq!(shared_stats, ind_stats);
                 prop_assert_eq!(shared_report, ind_report);

@@ -6,7 +6,7 @@
 //! so outputs come back **in item order**. The per-item closures are pure,
 //! so the output is bit-identical to a sequential map regardless of worker
 //! count or scheduling — the property the `seq == par` proptests in
-//! `cascade`/`phase1` pin down.
+//! `tests/parallel_determinism.rs` pin down.
 //!
 //! # Pool lifecycle
 //!
@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How much host parallelism an evaluation may use.
 ///
-/// Threaded through [`MultiEffortVit`](crate::MultiEffortVit),
+/// Threaded through [`EffortLadder`](crate::EffortLadder),
 /// [`CascadeCache`](crate::CascadeCache),
 /// [`Phase2Search`](crate::Phase2Search) and
 /// [`select_optimal_path_with`](crate::phase1::select_optimal_path_with).

@@ -60,7 +60,8 @@ pub struct Phase2Result {
     pub high_effort: usize,
     /// Chosen entropy threshold `Th`.
     pub threshold: f32,
-    /// Calibration-batch cascade statistics (`C_L/C_H/F_L/F_H`).
+    /// Calibration-batch cascade statistics (`C_L/C_H/F_L/F_H`), two
+    /// levels.
     pub stats: CascadeStats,
     /// Simulated delay/energy of the combination.
     pub perf: CombinedPerf,
@@ -131,13 +132,8 @@ impl<'a> Phase2Search<'a> {
         self.store.stats()
     }
 
-    /// The parallelism used for calibration inference (default
-    /// [`Parallelism::Auto`]).
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Builder-style parallelism override.
+    /// Builder-style override of the parallelism used for calibration
+    /// inference (default [`Parallelism::Auto`]).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -246,8 +242,8 @@ impl<'a> Phase2Search<'a> {
         let threshold = cache.threshold_reaching(cfg.lec, cfg.threshold_step);
 
         // Step 3-4: measure C_L/C_H/F_L/F_H and accuracy on the batch.
-        let stats =
-            cache.evaluate_prepared(high_prepared, self.calibration, threshold, self.parallelism);
+        let (stats, _) =
+            cache.evaluate(high_prepared, self.calibration, threshold, self.parallelism);
 
         // Step 5: hardware-in-the-loop delay of the combination.
         let perf_low = self.sim.simulate(self.geometry, &low.path.to_mask());

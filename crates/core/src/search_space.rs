@@ -16,12 +16,6 @@ pub fn random_pair_space(depth: usize, e_low: usize, e_high: usize) -> f64 {
     PathConfig::count(depth, e_low) * PathConfig::count(depth, e_high)
 }
 
-/// Number of Phase-2 design points for one effort pair under PIVOT: exactly
-/// one, thanks to Phase 1.
-pub fn pivot_pair_space() -> f64 {
-    1.0
-}
-
 /// Total random-search design-space size over all ordered effort pairs
 /// `e_i < e_j` drawn from `efforts`.
 pub fn total_random_space(depth: usize, efforts: &[usize]) -> f64 {

@@ -3,18 +3,18 @@
 //! bit-identical to sequential execution.
 
 use pivot_cka::CkaMatrix;
-use pivot_core::{select_optimal_path_with, CascadeCache, MultiEffortVit, Parallelism};
+use pivot_core::{select_optimal_path_with, CascadeCache, EffortLadder, Parallelism};
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_tensor::{Matrix, Rng};
 use pivot_vit::{VisionTransformer, VitConfig};
 use proptest::prelude::*;
 
-fn cascade(seed: u64) -> MultiEffortVit {
+fn cascade(seed: u64) -> EffortLadder {
     let cfg = VitConfig::test_small();
     let mut low = VisionTransformer::new(&cfg, &mut Rng::new(seed));
     low.set_active_attentions(&[0]);
     let high = VisionTransformer::new(&cfg, &mut Rng::new(seed ^ 0xABCD));
-    MultiEffortVit::new(low, high, 0.5)
+    EffortLadder::new(vec![low, high], vec![0.5])
 }
 
 fn samples(n: usize, seed: u64) -> Vec<Sample> {
@@ -49,10 +49,10 @@ proptest! {
     ) {
         let threshold = th_tenths as f32 / 10.0;
         let mut engine = cascade(seed);
-        engine.set_threshold(threshold);
+        engine.set_thresholds(vec![threshold]);
         let set = samples(n, seed.wrapping_add(17));
-        let seq = engine.evaluate_with(&set, Parallelism::Off);
-        let par = engine.evaluate_with(&set, Parallelism::Fixed(threads));
+        let seq = engine.evaluate(&set, Parallelism::Off);
+        let par = engine.evaluate(&set, Parallelism::Fixed(threads));
         prop_assert_eq!(seq, par);
     }
 
@@ -66,7 +66,7 @@ proptest! {
         let threshold = th_tenths as f32 / 10.0;
         let engine = cascade(seed.wrapping_add(31));
         let set = samples(n, seed.wrapping_add(53));
-        let low = engine.low_prepared();
+        let (low, high) = (&engine.prepared_levels()[0], &engine.prepared_levels()[1]);
         let seq = CascadeCache::build_prepared(low, &set, Parallelism::Off);
         let par = CascadeCache::build_prepared(low, &set, Parallelism::Fixed(threads));
         prop_assert_eq!(seq.len(), par.len());
@@ -75,11 +75,8 @@ proptest! {
             prop_assert_eq!(seq.low_prediction(i), par.low_prediction(i));
         }
         prop_assert_eq!(seq.f_low_at(threshold), par.f_low_at(threshold));
-        prop_assert_eq!(seq.f_low_at(threshold), engine.f_low_at(&set, threshold));
-        let high = engine.high_prepared();
-        let stats_seq = seq.evaluate_prepared(high, &set, threshold, Parallelism::Off);
-        let stats_par =
-            par.evaluate_prepared(high, &set, threshold, Parallelism::Fixed(threads));
+        let stats_seq = seq.evaluate(high, &set, threshold, Parallelism::Off);
+        let stats_par = par.evaluate(high, &set, threshold, Parallelism::Fixed(threads));
         prop_assert_eq!(stats_seq, stats_par);
     }
 
@@ -117,11 +114,11 @@ fn parallel_speedup_smoke() {
     let high = VisionTransformer::new(&cfg, &mut Rng::new(7));
     let mut low = high.clone();
     low.set_active_attentions(&[0, 1, 2, 3, 4, 5]);
-    let engine = MultiEffortVit::new(low, high, 0.6);
+    let engine = EffortLadder::new(vec![low, high], vec![0.6]);
     let set = samples(1000, 21);
     let timed = |par| {
         let start = std::time::Instant::now();
-        let stats = engine.evaluate_with(&set, par);
+        let stats = engine.evaluate(&set, par);
         (start.elapsed().as_secs_f64(), stats)
     };
     let (seq_s, seq) = timed(Parallelism::Off);

@@ -9,7 +9,7 @@
 //! cargo run --example input_aware_cascade
 //! ```
 
-use pivot::core::{MultiEffortVit, PipelineConfig, PivotPipeline};
+use pivot::core::{EffortLadder, PipelineConfig, PivotPipeline};
 use pivot::data::{Dataset, DatasetConfig};
 use pivot::vit::{TrainConfig, VitConfig};
 
@@ -40,10 +40,12 @@ fn main() {
         seed: 3,
     });
     let artifacts = pipeline.run(&data);
-    let cascade = MultiEffortVit::new(
-        artifacts.efforts[0].model.clone(),
-        artifacts.efforts[1].model.clone(),
-        0.7,
+    let cascade = EffortLadder::new(
+        vec![
+            artifacts.efforts[0].model.clone(),
+            artifacts.efforts[1].model.clone(),
+        ],
+        vec![0.7],
     );
 
     // Difficulty-striped evaluation sets: same classes, increasing corruption.

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use pivot::core::{MultiEffortVit, PipelineConfig, PivotPipeline};
+use pivot::core::{CascadeCache, EffortLadder, Parallelism, PipelineConfig, PivotPipeline};
 use pivot::data::{Dataset, DatasetConfig};
 use pivot::sim::{AcceleratorConfig, Simulator, VitGeometry};
 use pivot::vit::{TrainConfig, VitConfig};
@@ -64,14 +64,19 @@ fn main() {
     // exits at the low effort (the paper's LEC constraint).
     let low = artifacts.efforts[0].model.clone();
     let high = artifacts.efforts[1].model.clone();
-    let mut cascade = MultiEffortVit::new(low, high, 0.02);
+    let mut cascade = EffortLadder::new(vec![low, high], vec![0.02]);
     let calibration = &data.train[..data.train.len().min(96)];
     // The cache runs low-effort inference once; every probed threshold is
     // then an O(N) query instead of a fresh forward pass per sample.
-    let threshold = cascade.cache(calibration).threshold_reaching(0.7, 0.02);
-    cascade.set_threshold(threshold);
+    let threshold = CascadeCache::build_prepared(
+        &cascade.prepared_levels()[0],
+        calibration,
+        Parallelism::Auto,
+    )
+    .threshold_reaching(0.7, 0.02);
+    cascade.set_thresholds(vec![threshold]);
     println!("entropy threshold Th = {threshold:.2} (LEC 70%)");
-    let stats = cascade.evaluate(&data.test);
+    let (stats, _) = cascade.evaluate(&data.test, Parallelism::Auto);
     println!(
         "cascade: accuracy {:.1}%, F_L {:.2} (inputs classified by the low effort)",
         stats.accuracy() * 100.0,

@@ -1,7 +1,9 @@
 //! End-to-end integration: dataset -> training -> CKA -> Phase 1 ->
 //! Phase 2 (simulator in the loop) -> cascade deployment.
 
-use pivot::core::{MultiEffortVit, Phase2Config, Phase2Search, PipelineConfig, PivotPipeline};
+use pivot::core::{
+    EffortLadder, Parallelism, Phase2Config, Phase2Search, PipelineConfig, PivotPipeline,
+};
 use pivot::data::{Dataset, DatasetConfig};
 use pivot::sim::{AcceleratorConfig, Simulator, VitGeometry};
 use pivot::vit::{TrainConfig, VitConfig};
@@ -87,8 +89,11 @@ fn full_codesign_flow_produces_a_working_cascade() {
         .iter()
         .find(|e| e.effort == result.high_effort)
         .expect("high effort model");
-    let cascade = MultiEffortVit::new(low.model.clone(), high.model.clone(), result.threshold);
-    let stats = cascade.evaluate(&data.test);
+    let cascade = EffortLadder::new(
+        vec![low.model.clone(), high.model.clone()],
+        vec![result.threshold],
+    );
+    let (stats, _) = cascade.evaluate(&data.test, Parallelism::Auto);
     assert_eq!(stats.total(), data.test.len());
 
     // Input-awareness pays: the cascade is at least as accurate as the low
@@ -138,9 +143,9 @@ fn cascade_escalates_more_on_harder_inputs() {
     // With a threshold between the two means, the cascade escalates more
     // hard inputs than easy ones.
     let threshold = 0.5 * (e_easy + e_hard);
-    let cascade = MultiEffortVit::new(low, artifacts.teacher.clone(), threshold);
-    let f_high_easy = cascade.evaluate(&easy).f_high();
-    let f_high_hard = cascade.evaluate(&hard).f_high();
+    let cascade = EffortLadder::new(vec![low, artifacts.teacher.clone()], vec![threshold]);
+    let f_high_easy = cascade.evaluate(&easy, Parallelism::Auto).0.f_high();
+    let f_high_hard = cascade.evaluate(&hard, Parallelism::Auto).0.f_high();
     assert!(
         f_high_hard > f_high_easy,
         "escalation must grow with difficulty: easy {f_high_easy}, hard {f_high_hard}"
