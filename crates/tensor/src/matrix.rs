@@ -925,6 +925,7 @@ pub(crate) fn max_fused_violation(got: &Matrix, a: &Matrix, b: &Matrix) -> f32 {
 mod tests {
     use super::*;
     use crate::f32_simd_available;
+    use crate::microkernel::{simd_arms, Arm};
 
     #[test]
     fn zeros_and_shape() {
@@ -963,11 +964,20 @@ mod tests {
 
     #[test]
     fn dispatched_matmul_tracks_naive_at_vit_shapes() {
-        // The benched ViT shapes: qkv slice, mlp expansion, square, batched.
+        // The benched ViT shapes: qkv slice, mlp expansion, square, batched,
+        // and DeiT-S at two images of 197 tokens (fc1, fc2, a projection).
         // The SIMD arm fuses multiply-adds, so it is pinned to naive within
         // the documented envelope; without SIMD the dispatch is bit-identical.
         let mut rng = Rng::new(78);
-        for &(m, k, n) in &[(17, 64, 64), (17, 64, 128), (96, 96, 96), (544, 64, 64)] {
+        for &(m, k, n) in &[
+            (17, 64, 64),
+            (17, 64, 128),
+            (96, 96, 96),
+            (544, 64, 64),
+            (394, 384, 1536),
+            (394, 1536, 384),
+            (394, 384, 384),
+        ] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
             let got = a.matmul(&b);
@@ -986,7 +996,15 @@ mod tests {
         // must reproduce matmul() exactly on every machine, including into
         // a dirty output buffer.
         let mut rng = Rng::new(79);
-        for &(m, k, n) in &[(1, 1, 1), (7, 13, 17), (17, 64, 64), (33, 31, 40)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (7, 13, 17),
+            (17, 64, 64),
+            (33, 31, 40),
+            (394, 384, 1536),
+            (394, 1536, 384),
+            (394, 384, 384),
+        ] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
             let packed = PackedF32::pack(&b);
@@ -1024,10 +1042,25 @@ mod tests {
         // Fault-visibility contract: a poisoned lhs element must poison its
         // whole output row, a poisoned rhs element its whole output column,
         // and nothing else — through every entry point of the host's
-        // kernels (the scalar kernels are pinned by name in
-        // `prop_scalar_kernels_are_bit_identical_to_naive`).
+        // kernels and through each vector GEMM arm by name (the scalar
+        // kernels are pinned by name in
+        // `prop_scalar_kernels_are_bit_identical_to_naive`). 18 columns
+        // make a ragged panel pair on AVX-512, a full panel and a ragged
+        // one on AVX2.
         // (±inf may legitimately become NaN through inf−inf, so the
         // assertion is non-finiteness, not exact value.)
+        let arms = simd_arms();
+        let by_arm = |a: &Matrix, b: &Matrix, arm: Arm| {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            arm(
+                a.lhs_view(),
+                a.rows(),
+                &PackedF32::pack(b),
+                &mut out.data,
+                b.cols(),
+            );
+            out
+        };
         let (m, k, n) = (9, 11, 18);
         for &bad in &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut rng = Rng::new(82);
@@ -1047,6 +1080,9 @@ mod tests {
             };
             check_row(&a.matmul(&b), "dispatched");
             check_row(&a.matmul_prepacked(&PackedF32::pack(&b)), "prepacked");
+            for &(name, arm) in &arms {
+                check_row(&by_arm(&a, &b, arm), name);
+            }
 
             let a2 = Matrix::randn(m, k, 1.0, &mut rng);
             let mut b2 = Matrix::randn(k, n, 1.0, &mut rng);
@@ -1064,6 +1100,9 @@ mod tests {
             };
             check_col(&a2.matmul(&b2), "dispatched");
             check_col(&a2.matmul_prepacked(&PackedF32::pack(&b2)), "prepacked");
+            for &(name, arm) in &arms {
+                check_col(&by_arm(&a2, &b2, arm), name);
+            }
             // transposed-B: same poisoned operand through the dot kernels.
             check_col(&a2.matmul_transpose_b(&b2.transpose()), "dispatched tb");
         }

@@ -1,4 +1,4 @@
-//! The f32 GEMM: one kernel per platform behind two dispatch points.
+//! The f32 GEMM: three arms, still two dispatch points.
 //!
 //! Every `Matrix` product is pack → one kernel. The streamed operand `B`
 //! of `A·B` is repacked into contiguous column panels ([`PackedF32`]) —
@@ -7,30 +7,43 @@
 //! — and [`gemm`] sweeps the panels. `A · B^T` needs no packing: each
 //! element is one dot product of two rows, which [`gemm_transpose_b`]
 //! runs. These two functions are the only places the platform is chosen,
-//! by [`f32_simd_available`]:
+//! on machine features alone:
 //!
-//! * **AVX2+FMA** — an unrolled register-tiled kernel with fused
-//!   multiply-adds (`core::arch`), and lane-split fused dot kernels.
+//! * **AVX-512F** — [`gemm`] runs a register tile of up to six rows by
+//!   *two* 16-wide panels, one `zmm` accumulator per row and panel, ragged
+//!   columns written with a lane-masked store. [`gemm_transpose_b`] runs
+//!   the AVX2 dots below (every AVX-512F CPU has AVX2 and FMA).
+//! * **AVX2+FMA** ([`f32_simd_available`]) — [`gemm`] runs six rows by one
+//!   panel held in two `ymm` halves; [`gemm_transpose_b`] runs lane-split
+//!   fused dots.
 //! * **Everywhere else** — one scalar panel kernel
 //!   ([`gemm_panels_unfused`]) and one scalar strided dot
 //!   ([`gemm_transpose_b_unfused`]), both unfused and **bit-identical** to
 //!   `Matrix::matmul_naive`.
 //!
+//! `gemm_transpose_b` stays eight lanes wide on AVX-512 hosts because its
+//! lane split *is* its contract: each element's reduction is spread over 8
+//! lanes and folded by a fixed tree ([`dot_mirror`]), so a 16-lane dot
+//! would sum in a different order and change bits. [`gemm`] has no such
+//! split — each lane is a whole output element — so its width is free.
+//!
 //! # Numerics contract
 //!
-//! Fusing the multiply and add changes f32 rounding: the SIMD path is
+//! Fusing the multiply and add changes f32 rounding: the SIMD arms are
 //! **not** bit-identical to `Matrix::matmul_naive`. The contract instead
 //! has two layers, both pinned by tests:
 //!
 //! * **Exact accumulation order.** Every output element is one ascending-`k`
-//!   chain `acc = fma(a_ik, b_kj, acc)` with a single accumulator — the
-//!   same chain regardless of the row-block size (`MR`) the element landed
-//!   in, of the output's row count, or of panel padding. [`gemm_mirror`]
-//!   replays that chain in scalar `f32::mul_add` and is **bit-identical**
-//!   to the AVX2 kernel on every input, so the vector kernel is pinned
-//!   exactly, not just within a tolerance. (The dot-product kernel used by
-//!   `matmul_transpose_b_into` splits the reduction over 8 lanes; its
-//!   fixed lane order and reduction tree are mirrored by [`dot_mirror`].)
+//!   chain `acc = fma(a_ik, b_kj, acc)` with a single accumulator starting
+//!   from `0.0` — the same chain regardless of the vector width, of the
+//!   tile (`MR` rows × one or two panels) the element landed in, of the
+//!   output's row count, or of panel padding. [`gemm_mirror`] replays that
+//!   chain in scalar `f32::mul_add` and is **bit-identical** to both vector
+//!   kernels on every input, so they are pinned exactly — to the mirror
+//!   and so to each other — not just within a tolerance. (The dot-product
+//!   kernel used by `matmul_transpose_b_into` splits the reduction over 8
+//!   lanes; its fixed lane order and reduction tree are mirrored by
+//!   [`dot_mirror`].)
 //! * **Documented tolerance vs. the unfused reference.** Against
 //!   `matmul_naive` (round after every multiply), each element differs by
 //!   at most one rounding per fused term: `|simd − naive| ≤ k · ε · (|A|·|B|)`
@@ -47,12 +60,15 @@
 use crate::Matrix;
 use std::ops::Range;
 
-/// Column-panel width of [`PackedF32`]: 16 f32 lanes = two AVX2 registers,
-/// giving the 6×16 register tile (12 accumulators) that keeps enough
-/// independent FMA chains in flight to hide the FMA latency.
+/// Column-panel width of [`PackedF32`]: 16 f32 lanes = two AVX2 registers
+/// or one AVX-512 register. Either way a 6-row tile holds 12 accumulators
+/// (6×16 on AVX2, 6×32 over two panels on AVX-512): enough independent
+/// FMA chains in flight to hide the FMA latency.
 pub const PANEL_WIDTH: usize = 16;
 
-/// Whether the runtime CPU takes the f32 SIMD path (AVX2 **and** FMA).
+/// Whether the runtime CPU takes the f32 SIMD path (AVX2 **and** FMA):
+/// the fused dots, the exponential's eight lanes, and the packed GEMM —
+/// which runs its AVX-512 arm instead where the CPU also has AVX-512F.
 ///
 /// The decision is a property of the machine, not of operand shapes, so
 /// dispatch can never differ between a per-sample GEMM and the wide
@@ -244,12 +260,12 @@ impl<'a> StridedRows<'a> {
     }
 }
 
-/// Scalar mirror of the AVX2 packed kernel: the identical per-element
+/// Scalar mirror of the vector packed kernels: the identical per-element
 /// chain `acc = a_ik.mul_add(b_kj, acc)` in ascending `k` with a single
 /// accumulator. `f32::mul_add` is the IEEE fused multiply-add (one
 /// rounding), the same operation `vfmadd` performs, so this is
-/// **bit-identical** to the AVX2 arm of [`gemm`] on every input — the
-/// oracle the property tests pin the vector kernel against.
+/// **bit-identical** to the AVX-512 and AVX2 arms of [`gemm`] on every
+/// input — the oracle the tests pin both vector kernels against.
 #[cfg(test)]
 pub(crate) fn gemm_mirror(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mut [f32]) {
     let (k, n) = (packed.k, packed.n);
@@ -265,13 +281,69 @@ pub(crate) fn gemm_mirror(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mu
     }
 }
 
+/// A vector arm of [`gemm`], called by name.
+#[cfg(test)]
+pub(crate) type Arm = fn(LhsView<'_>, usize, &PackedF32, &mut [f32], usize);
+
+/// Every vector arm of [`gemm`] this host can run, widest (the one
+/// `gemm` dispatches to) first. Each arm it cannot run is reported on
+/// stderr, past the test harness's output capture, so a passing test
+/// on such a host still says what it did not check.
+#[cfg(test)]
+pub(crate) fn simd_arms() -> Vec<(&'static str, Arm)> {
+    use std::io::Write;
+    let mut arms: Vec<(&'static str, Arm)> = Vec::new();
+    let mut skipped = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            arms.push(("avx512f", |a, m, packed, out, out_stride| {
+                if gemm_operands_fit(a, m, packed, out.len(), out_stride) {
+                    // SAFETY: pushed only after AVX-512F was detected;
+                    // the operands passed the checks `gemm` makes.
+                    unsafe { avx512::gemm(a, m, packed, out, out_stride) }
+                }
+            }));
+        } else {
+            skipped.push("avx512f");
+        }
+        if f32_simd_available() {
+            arms.push(("avx2+fma", |a, m, packed, out, out_stride| {
+                if gemm_operands_fit(a, m, packed, out.len(), out_stride) {
+                    // SAFETY: pushed only after AVX2+FMA was detected;
+                    // the operands passed the checks `gemm` makes.
+                    unsafe { avx2::gemm(a, m, packed, out, out_stride) }
+                }
+            }));
+        } else {
+            skipped.push("avx2+fma");
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    skipped.extend(["avx512f", "avx2+fma"]);
+    let names: Vec<_> = arms.iter().map(|(name, _)| *name).collect();
+    let mut stderr = std::io::stderr();
+    let dispatched = names.first().unwrap_or(&"scalar");
+    let _ = writeln!(
+        stderr,
+        "gemm arm dispatched: {dispatched}; checked: {names:?}"
+    );
+    if !skipped.is_empty() {
+        let _ = writeln!(
+            stderr,
+            "gemm arms SKIPPED, the host lacks them: {skipped:?}"
+        );
+    }
+    arms
+}
+
 /// The packed GEMM `out = A · B` for the `m x k` lhs view `a` and the
 /// packed `k x n` operand, writing row `i` of the product at
 /// `out[i * out_stride..][..packed.n()]` — `out_stride == packed.n()` is a
 /// dense output, a larger stride lands the product in a column block of a
 /// wider matrix (one attention head inside the context matrix). Runs the
-/// AVX2 kernel where [`f32_simd_available`] holds, [`gemm_panels_unfused`]
-/// everywhere else.
+/// AVX-512 kernel where the CPU has AVX-512F, the AVX2 kernel where only
+/// [`f32_simd_available`] holds, [`gemm_panels_unfused`] everywhere else.
 ///
 /// # Panics
 ///
@@ -284,28 +356,70 @@ pub(crate) fn gemm(
     out: &mut [f32],
     out_stride: usize,
 ) {
-    let (k, n) = (packed.k, packed.n);
-    if m == 0 || n == 0 {
+    if !gemm_operands_fit(a, m, packed, out.len(), out_stride) {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F support was just verified at runtime;
+            // `gemm_operands_fit` bounds every lhs read and every output
+            // row, and `PackedF32` holds `ceil(n/16)` whole panels of
+            // `k * 16` floats.
+            unsafe { avx512::gemm(a, m, packed, out, out_stride) };
+            return;
+        }
+        if f32_simd_available() {
+            // SAFETY: AVX2+FMA support was just verified at runtime; the
+            // bounds are as above.
+            unsafe { avx2::gemm(a, m, packed, out, out_stride) };
+            return;
+        }
+    }
+    gemm_panels_unfused(a, m, packed, out, out_stride);
+}
+
+/// The operand checks every arm of [`gemm`] relies on: the lhs view spans
+/// `m x packed.k()` and `out_len` floats hold `m` rows of `packed.n()` at
+/// `out_stride`. Returns `false` when the product is empty (nothing to
+/// write).
+///
+/// # Panics
+///
+/// Panics when a check fails.
+fn gemm_operands_fit(
+    a: LhsView<'_>,
+    m: usize,
+    packed: &PackedF32,
+    out_len: usize,
+    out_stride: usize,
+) -> bool {
+    let (k, n) = (packed.k, packed.n);
+    if m == 0 || n == 0 {
+        return false;
+    }
     assert!(
-        out_stride >= n && (m - 1) * out_stride + n <= out.len(),
-        "gemm output of {} floats cannot hold {m} rows of {n} at stride {out_stride}",
-        out.len()
+        out_stride >= n && (m - 1) * out_stride + n <= out_len,
+        "gemm output of {out_len} floats cannot hold {m} rows of {n} at stride {out_stride}"
     );
     assert!(
         k == 0 || (m - 1) * a.row_stride + (k - 1) * a.k_stride < a.base.len(),
         "gemm lhs view does not span {m}x{k}"
     );
-    #[cfg(target_arch = "x86_64")]
-    if f32_simd_available() {
-        // SAFETY: AVX2+FMA support was just verified at runtime; the two
-        // asserts above bound every lhs read and every output write, and
-        // `PackedF32` holds `ceil(n/16)` whole panels of `k * 16` floats.
-        unsafe { avx2::gemm(a, m, packed, out, out_stride) };
-        return;
+    true
+}
+
+/// Rows of the next register tile when `rem` rows are left: greedy
+/// 6/4/2/1 (17 = 6+6+4+1, 394 = 65·6+4), shared by both vector kernels.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn row_block(rem: usize) -> usize {
+    match rem {
+        6.. => 6,
+        4 | 5 => 4,
+        2 | 3 => 2,
+        _ => 1,
     }
-    gemm_panels_unfused(a, m, packed, out, out_stride);
 }
 
 /// The scalar kernel of [`gemm`], in the shape of the AVX2 kernel at one
@@ -482,9 +596,11 @@ mod avx2 {
         }
     }
 
-    /// Packed GEMM driver: greedy 6/4/2/1 row blocks (17 = 6+6+4+1,
-    /// 544 = 90·6+4), panels streamed innermost so the active panel stays
-    /// L1-resident across a row block.
+    /// Packed GEMM driver: greedy 6/4/2/1 row blocks ([`super::row_block`])
+    /// outer, panels inner. The lhs strip of a row block (`MR` rows by `k`)
+    /// is what stays in L1 across its panels; every row block re-streams
+    /// every panel of `B` — at fc1 of DeiT-S (`k` 384, `n` 1536) that is
+    /// 2.4 MB of panels, 66 times per 394-row GEMM.
     ///
     /// # Safety
     ///
@@ -504,16 +620,7 @@ mod avx2 {
         let out_ptr = out.as_mut_ptr();
         let mut i = 0;
         while i < m {
-            let rem = m - i;
-            let mr = if rem >= 6 {
-                6
-            } else if rem >= 4 {
-                4
-            } else if rem >= 2 {
-                2
-            } else {
-                1
-            };
+            let mr = super::row_block(m - i);
             for p in 0..packed.n_panels() {
                 let j0 = p * PANEL_WIDTH;
                 let cols = (n - j0).min(PANEL_WIDTH);
@@ -661,6 +768,132 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{LhsView, PackedF32, PANEL_WIDTH};
+    use std::arch::x86_64::*;
+
+    /// One register tile: `MR` output rows by `NP` (1 or 2) consecutive
+    /// 16-column panels, one `zmm` accumulator per row and panel, the full
+    /// reduction in registers. Every output element is a single
+    /// ascending-`k` `vfmadd` chain — the accumulation order
+    /// [`super::gemm_mirror`] replays — so neither the tile nor the vector
+    /// width shows in the results.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support, and the pointers must
+    /// span `MR` lhs rows, `NP` consecutive `k * 16` panels, and `MR`
+    /// output rows of at least `cols` elements (`(NP - 1) * 16 + 1 ..=
+    /// NP * 16`).
+    // Flattened tile geometry and lockstep register arrays, as in the
+    // AVX2 kernel.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn kernel<const MR: usize, const NP: usize>(
+        a: *const f32,
+        a_row_stride: usize,
+        a_k_stride: usize,
+        panels: *const f32,
+        k: usize,
+        out: *mut f32,
+        out_stride: usize,
+        cols: usize,
+    ) {
+        let panel_len = k * PANEL_WIDTH;
+        let mut acc = [[_mm512_setzero_ps(); NP]; MR];
+        let mut p = panels;
+        for kk in 0..k {
+            let mut b = [_mm512_setzero_ps(); NP];
+            for q in 0..NP {
+                b[q] = _mm512_loadu_ps(p.add(q * panel_len));
+            }
+            for r in 0..MR {
+                let av = _mm512_set1_ps(*a.add(r * a_row_stride + kk * a_k_stride));
+                for q in 0..NP {
+                    acc[r][q] = _mm512_fmadd_ps(av, b[q], acc[r][q]);
+                }
+            }
+            p = p.add(PANEL_WIDTH);
+        }
+        // Only the real columns are written: padded lanes (zeros of the
+        // padding, or NaN from a non-finite lhs) are masked off, so a
+        // ragged panel needs no spill and nothing past `cols` is touched.
+        for q in 0..NP {
+            let real = (cols - q * PANEL_WIDTH).min(PANEL_WIDTH);
+            let mask = ((1u32 << real) - 1) as __mmask16;
+            for (r, acc_r) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(r * out_stride + q * PANEL_WIDTH), mask, acc_r[q]);
+            }
+        }
+    }
+
+    /// Every row block of one panel group: greedy 6/4/2/1 rows
+    /// ([`super::row_block`]) against the `NP` panels starting at panel
+    /// `p`.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm`], and panels `p .. p + NP` exist.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row_blocks<const NP: usize>(
+        a: LhsView<'_>,
+        m: usize,
+        packed: &PackedF32,
+        p: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let (k, n) = (packed.k(), packed.n());
+        let j0 = p * PANEL_WIDTH;
+        let cols = (n - j0).min(NP * PANEL_WIDTH);
+        // From the whole buffer, not `packed.panel(p)`: the kernel reads
+        // past panel `p` into panel `p + 1`.
+        let panels = packed.data[p * k * PANEL_WIDTH..].as_ptr();
+        let (a_ptr, out_ptr) = (a.base.as_ptr(), out.as_mut_ptr());
+        let (rs, ks) = (a.row_stride, a.k_stride);
+        let mut i = 0;
+        while i < m {
+            let mr = super::row_block(m - i);
+            let (a_i, out_i) = (a_ptr.add(i * rs), out_ptr.add(i * out_stride + j0));
+            match mr {
+                6 => kernel::<6, NP>(a_i, rs, ks, panels, k, out_i, out_stride, cols),
+                4 => kernel::<4, NP>(a_i, rs, ks, panels, k, out_i, out_stride, cols),
+                2 => kernel::<2, NP>(a_i, rs, ks, panels, k, out_i, out_stride, cols),
+                _ => kernel::<1, NP>(a_i, rs, ks, panels, k, out_i, out_stride, cols),
+            }
+            i += mr;
+        }
+    }
+
+    /// Packed GEMM driver: panel pairs outer, row blocks inner, and one
+    /// single-panel sweep when the panel count is odd. A pair of panels
+    /// (`k × 32` floats: 48 KiB at `k` 384, 192 KiB at 1536) stays
+    /// cache-resident while every row block streams past it.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support; `out` must hold `m`
+    /// rows of `packed.n()` elements at `out_stride` and the lhs view must
+    /// span `m x packed.k()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm(
+        a: LhsView<'_>,
+        m: usize,
+        packed: &PackedF32,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let n_panels = packed.n_panels();
+        for p in (0..n_panels - n_panels % 2).step_by(2) {
+            row_blocks::<2>(a, m, packed, p, out, out_stride);
+        }
+        if n_panels % 2 == 1 {
+            row_blocks::<1>(a, m, packed, n_panels - 1, out, out_stride);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,31 +973,63 @@ mod tests {
     }
 
     #[test]
-    fn avx2_gemm_is_bit_identical_to_the_mirror() {
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            let mut rng = Rng::new(4);
-            // Row counts straddling every MR block split (6/4/2/1), panel
-            // tails, and reduction lengths off the 8-lane width.
-            for &(m, k, n) in &[
-                (1, 1, 1),
-                (2, 3, 2),
-                (5, 7, 9),
-                (6, 8, 16),
-                (7, 13, 17),
-                (17, 64, 64),
-                (23, 31, 33),
-                (544, 64, 64),
-            ] {
-                let a = Matrix::randn(m, k, 1.0, &mut rng);
-                let b = Matrix::randn(k, n, 1.0, &mut rng);
-                let packed = PackedF32::pack(&b);
-                let mut simd = vec![0.0f32; m * n];
-                let mut mirror = vec![0.0f32; m * n];
-                gemm(lhs(&a), m, &packed, &mut simd, n);
-                gemm_mirror(lhs(&a), m, &packed, &mut mirror);
-                assert_eq!(simd, mirror, "kernel diverged from mirror at {m}x{k}x{n}");
+    fn simd_gemm_arms_are_bit_identical_to_the_mirror() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let arms = simd_arms();
+        let mut rng = Rng::new(4);
+        // Row counts ending in every MR block split (6/4/2/1); column
+        // counts with an even and an odd panel count, the ragged panel
+        // inside a pair and in the one-panel tail (1000 = 63 panels);
+        // an empty reduction and lengths off every vector width.
+        for m in [1, 2, 3, 5, 6, 7, 17, 23] {
+            for n in [1, 15, 16, 17, 31, 32, 33, 48, 49, 1000] {
+                for k in [0, 1, 13, 64] {
+                    let a = Matrix::randn(m, k, 1.0, &mut rng);
+                    let b = Matrix::randn(k, n, 1.0, &mut rng);
+                    let packed = PackedF32::pack(&b);
+                    let mut mirror = vec![f32::NAN; m * n];
+                    gemm_mirror(lhs(&a), m, &packed, &mut mirror);
+                    let want = bits(&mirror);
+                    let at = a.transpose();
+                    let transposed = LhsView {
+                        base: at.as_slice(),
+                        row_stride: 1,
+                        k_stride: m,
+                    };
+                    let (sentinel, stride) = (12345.0f32, n + 3);
+                    for &(name, arm) in &arms {
+                        let case = format!("{name} at {m}x{k}x{n}");
+                        // Row-major and transposed lhs views, each into a
+                        // dirty buffer.
+                        for (view, layout) in [(lhs(&a), "row-major"), (transposed, "transposed")] {
+                            let mut out = vec![f32::NAN; m * n];
+                            arm(view, m, &packed, &mut out, n);
+                            assert_eq!(bits(&out), want, "{case}, {layout} lhs");
+                        }
+                        // A strided output: the product lands at column 2
+                        // of a wider sentinel-filled matrix, whose other
+                        // lanes the masked stores must leave alone.
+                        let mut wide = vec![sentinel; m * stride];
+                        arm(lhs(&a), m, &packed, &mut wide[2..], stride);
+                        for (i, row) in wide.chunks_exact(stride).enumerate() {
+                            let got = bits(&row[2..2 + n]);
+                            assert_eq!(got, want[i * n..(i + 1) * n], "{case}, row {i} strided");
+                            let mut outside = row[..2].iter().chain(&row[2 + n..]);
+                            assert!(outside.all(|&x| x == sentinel), "{case}, row {i} clobbered");
+                        }
+                    }
+                }
             }
+        }
+        // `gemm` itself takes a vector arm wherever the host has one.
+        if !arms.is_empty() {
+            let (m, k, n) = (544, 64, 64);
+            let a = Matrix::randn(m, k, 1.0, &mut rng);
+            let packed = PackedF32::pack(&Matrix::randn(k, n, 1.0, &mut rng));
+            let (mut dispatched, mut mirror) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+            gemm(lhs(&a), m, &packed, &mut dispatched, n);
+            gemm_mirror(lhs(&a), m, &packed, &mut mirror);
+            assert_eq!(bits(&dispatched), bits(&mirror), "gemm at {m}x{k}x{n}");
         }
     }
 
@@ -803,20 +1068,23 @@ mod tests {
 
     #[test]
     fn batching_cannot_change_simd_rows() {
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            // Row 16 sits in an MR=1 tail at m=17 but inside an MR=6 block
-            // at m=544; the single-chain contract makes that invisible.
-            let mut rng = Rng::new(6);
-            let big = Matrix::randn(544, 64, 1.0, &mut rng);
-            let b = Matrix::randn(64, 64, 1.0, &mut rng);
-            let packed = PackedF32::pack(&b);
+        // Row 16 sits in an MR=1 tail at m=17 but inside an MR=6 block at
+        // m=544; the single-chain contract makes that invisible on every
+        // arm, and the arms agree with each other bit for bit.
+        let mut rng = Rng::new(6);
+        let big = Matrix::randn(544, 64, 1.0, &mut rng);
+        let b = Matrix::randn(64, 64, 1.0, &mut rng);
+        let packed = PackedF32::pack(&b);
+        let small = big.slice_rows(0, 17);
+        let mut first: Option<Vec<f32>> = None;
+        for (name, arm) in simd_arms() {
             let mut wide = vec![0.0f32; 544 * 64];
-            gemm(lhs(&big), 544, &packed, &mut wide, 64);
-            let small = big.slice_rows(0, 17);
+            arm(lhs(&big), 544, &packed, &mut wide, 64);
             let mut narrow = vec![0.0f32; 17 * 64];
-            gemm(lhs(&small), 17, &packed, &mut narrow, 64);
-            assert_eq!(&wide[..17 * 64], &narrow[..]);
+            arm(lhs(&small), 17, &packed, &mut narrow, 64);
+            assert_eq!(&wide[..17 * 64], &narrow[..], "{name}");
+            let first = first.get_or_insert_with(|| wide.clone());
+            assert_eq!(&wide, first, "{name} differs from the wider arm");
         }
     }
 }
