@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pivot_cka::CkaMatrix;
-use pivot_core::{path_score, select_optimal_path, PathConfig};
+use pivot_core::{path_score, select_optimal_path, Parallelism, PathConfig};
 use pivot_tensor::Matrix;
 
 fn synthetic_cka(depth: usize) -> CkaMatrix {
@@ -31,12 +31,12 @@ fn bench_search(c: &mut Criterion) {
     });
 
     group.bench_function("phase1 select C(12,6)", |b| {
-        b.iter(|| select_optimal_path(black_box(6), black_box(&cka12)))
+        b.iter(|| select_optimal_path(black_box(6), black_box(&cka12), Parallelism::Auto))
     });
 
     let cka16 = synthetic_cka(16);
     group.bench_function("phase1 select C(16,8)=12870", |b| {
-        b.iter(|| select_optimal_path(black_box(8), black_box(&cka16)))
+        b.iter(|| select_optimal_path(black_box(8), black_box(&cka16), Parallelism::Auto))
     });
 
     group.finish();

@@ -18,7 +18,8 @@ use pivot_vit::{TrainConfig, Trainer};
 pub fn ablation_path_selection(repro: &Reproduction, effort: usize) -> (f64, f64, f64) {
     println!("\n=== Ablation: CKA path selection vs random/worst (effort {effort}) ===");
     let family = &repro.deit;
-    let ranked = pivot_core::select_optimal_path(effort, &family.artifacts.cka).ranked;
+    let ranked =
+        pivot_core::select_optimal_path(effort, &family.artifacts.cka, Parallelism::Auto).ranked;
     let teacher = &family.artifacts.teacher;
     let eval: Vec<_> = repro.dataset.test.to_vec();
 
@@ -197,7 +198,7 @@ fn route_by_difficulty(
         .iter()
         .zip(cascade.prepared_levels())
         .map(|(group, model)| {
-            let logits = batched_logits(model, group, Parallelism::Auto);
+            let logits = batched_logits(model, group, |s| &s.image, Parallelism::Auto);
             let correct = logits
                 .iter()
                 .zip(group)

@@ -6,7 +6,7 @@ use super::phase2_at;
 use crate::harness::Reproduction;
 use crate::Table;
 use pivot_core::{search_space, PathConfig};
-use pivot_core::{Phase2Config, Phase2Search, TrainCostModel};
+use pivot_core::{CascadeCache, Parallelism, Phase2Config, Phase2Search, TrainCostModel};
 use pivot_vit::Trainer;
 
 /// Fig. 3a: the CKA matrix `CKA(MLP_i, A_{i+1})` of the trained DeiT-S
@@ -63,7 +63,8 @@ pub fn fig4a(repro: &Reproduction, effort: usize, n_paths: usize) -> (Vec<PathAc
     println!("\n=== Fig. 4a: path accuracy vs Path-Score (effort {effort}) ===");
     println!("paper: positive correlation between S and path accuracy\n");
     let family = &repro.deit;
-    let ranked = pivot_core::select_optimal_path(effort, &family.artifacts.cka).ranked;
+    let ranked =
+        pivot_core::select_optimal_path(effort, &family.artifacts.cka, Parallelism::Auto).ranked;
     let step = (ranked.len().saturating_sub(1)).max(1) / (n_paths - 1).max(1);
     let sampled: Vec<_> = (0..n_paths)
         .map(|i| ranked[(i * step).min(ranked.len() - 1)].clone())
@@ -180,7 +181,7 @@ pub fn fig4c(repro: &Reproduction) -> Vec<(String, f64)> {
         let paths: Vec<PathConfig> = efforts
             .iter()
             .map(|&e| {
-                pivot_core::select_optimal_path(e, &family.artifacts.cka)
+                pivot_core::select_optimal_path(e, &family.artifacts.cka, Parallelism::Auto)
                     .optimal
                     .path
             })
@@ -239,6 +240,10 @@ pub fn fig8(repro: &Reproduction) -> Vec<LecPoint> {
         family.efforts(),
         &repro.dataset.test,
     );
+    // Each effort is observed / prepared once and reused at every LEC.
+    let cache =
+        CascadeCache::build_prepared(&low.model.prepare(), &repro.dataset.test, Parallelism::Auto);
+    let high_view = high.model.prepare();
     let mut out = Vec::new();
     let mut table = Table::new(&[
         "LEC (%)",
@@ -258,7 +263,7 @@ pub fn fig8(repro: &Reproduction) -> Vec<LecPoint> {
             threshold_step: 0.02,
         };
         let result = search
-            .evaluate_pair(low, high, &cfg, f64::INFINITY)
+            .evaluate_pair_prepared(low, high, &high_view, &cache, &cfg, f64::INFINITY)
             .expect("no delay gate");
         let (el, eh, eo) = result.perf.edp_split();
         table.row_owned(vec![

@@ -297,7 +297,7 @@ fn rebuild_from_cache(
     let phase1: Vec<_> = config
         .efforts
         .iter()
-        .map(|&e| pivot_core::select_optimal_path(e, &cka))
+        .map(|&e| pivot_core::select_optimal_path(e, &cka, pivot_core::Parallelism::Auto))
         .collect();
     let effort_models: Vec<EffortModel> = effort_paths
         .iter()

@@ -15,7 +15,6 @@
 //! worker count, and scheduling.
 
 use crate::parallel::{par_map, Parallelism};
-use pivot_data::Sample;
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 
@@ -29,7 +28,8 @@ pub const EVAL_BATCH: usize = 32;
 /// Per-sample logits (`1 x num_classes` each, in item order) for arbitrary
 /// items carrying an image, computed in [`EVAL_BATCH`]-sized chunks on the
 /// worker pool against a prepared (weights-materialized-once) model view.
-pub fn batched_logits_with<T: Sync>(
+/// Labeled samples pass `|s| &s.image`.
+pub fn batched_logits<T: Sync>(
     model: &PreparedModel,
     items: &[T],
     image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
@@ -41,11 +41,6 @@ pub fn batched_logits_with<T: Sync>(
         model.forward_batch(&images)
     });
     split_rows(&chunks)
-}
-
-/// [`batched_logits_with`] over labeled samples.
-pub fn batched_logits(model: &PreparedModel, samples: &[Sample], par: Parallelism) -> Vec<Matrix> {
-    batched_logits_with(model, samples, |s| &s.image, par)
 }
 
 fn chunk_ranges(len: usize) -> Vec<(usize, usize)> {
@@ -81,7 +76,7 @@ mod tests {
         );
         assert!(samples.len() > EVAL_BATCH && !samples.len().is_multiple_of(EVAL_BATCH));
         for par in [Parallelism::Off, Parallelism::Fixed(4)] {
-            let logits = batched_logits(&prepared, &samples, par);
+            let logits = batched_logits(&prepared, &samples, |s| &s.image, par);
             assert_eq!(logits.len(), samples.len());
             for (i, s) in samples.iter().enumerate() {
                 assert_eq!(
@@ -96,6 +91,7 @@ mod tests {
     #[test]
     fn empty_set_yields_no_logits() {
         let model = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(2));
-        assert!(batched_logits(&model.prepare(), &[], Parallelism::Auto).is_empty());
+        let none: &[pivot_data::Sample] = &[];
+        assert!(batched_logits(&model.prepare(), none, |s| &s.image, Parallelism::Auto).is_empty());
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! A memo holds only level observations — entropy, argmax and a finiteness
 //! flag, 12 bytes — never logit rows. Inference goes through
-//! [`batched_logits_with`] chunked GEMMs on the worker pool, whose rows are
+//! [`batched_logits`] chunked GEMMs on the worker pool, whose rows are
 //! bit-identical to per-sample inference, so outcomes do not depend on the
 //! batch split, the [`Parallelism`] or what the memo already held.
 //!
@@ -40,7 +40,7 @@
 //!   its cost was spent; if every visited level is faulty the exit level's
 //!   own argmax stands (event with `served_by: None`).
 
-use crate::batched::batched_logits_with;
+use crate::batched::batched_logits;
 use crate::parallel::Parallelism;
 use pivot_nn::normalized_entropy;
 use pivot_tensor::Matrix;
@@ -236,7 +236,7 @@ pub(crate) fn observe_level<T: Sync>(
     image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
     par: Parallelism,
 ) -> Vec<LevelObs> {
-    batched_logits_with(model, items, image, par)
+    batched_logits(model, items, image, par)
         .iter()
         .map(|logits| LevelObs {
             entropy: normalized_entropy(logits),

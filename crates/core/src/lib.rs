@@ -54,7 +54,7 @@ pub mod score;
 pub mod search_space;
 pub mod train_cost;
 
-pub use batched::{batched_logits, batched_logits_with, EVAL_BATCH};
+pub use batched::{batched_logits, EVAL_BATCH};
 pub use cache::CascadeCache;
 pub use error::PivotError;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
@@ -65,10 +65,8 @@ pub use guarded::{
 pub use multilevel::{CascadeStats, EffortLadder};
 pub use parallel::{par_map, Parallelism};
 pub use path::PathConfig;
-pub use phase1::{select_optimal_path, select_optimal_path_with, Phase1Result, ScoredPath};
+pub use phase1::{select_optimal_path, Phase1Result, ScoredPath};
 pub use phase2::{EffortModel, Phase2Config, Phase2Result, Phase2Search};
-pub use pipeline::{
-    compute_cka_matrix, compute_cka_matrix_prepared, PipelineConfig, PivotArtifacts, PivotPipeline,
-};
+pub use pipeline::{compute_cka_matrix, PipelineConfig, PivotArtifacts, PivotPipeline};
 pub use score::path_score;
 pub use train_cost::TrainCostModel;

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Threaded through [`EffortLadder`](crate::EffortLadder),
 /// [`CascadeCache`](crate::CascadeCache),
 /// [`Phase2Search`](crate::Phase2Search) and
-/// [`select_optimal_path_with`](crate::phase1::select_optimal_path_with).
+/// [`select_optimal_path`](crate::phase1::select_optimal_path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One worker per available hardware thread (the default).

@@ -196,31 +196,10 @@ impl<'a> Phase2Search<'a> {
     /// Evaluates one effort pair: iterate `Th` until `F_L >= LEC`, then
     /// check the simulated delay against the constraint.
     ///
-    /// Builds a fresh [`CascadeCache`] for the low effort and prepares the
-    /// high effort; when probing several pairs that share an effort, build
-    /// each once and use [`Self::evaluate_pair_prepared`] (as [`Self::run`]
-    /// does internally).
-    pub fn evaluate_pair(
-        &self,
-        low: &EffortModel,
-        high: &EffortModel,
-        cfg: &Phase2Config,
-        max_delay_ms: f64,
-    ) -> Option<Phase2Result> {
-        self.evaluate_pair_prepared(
-            low,
-            high,
-            &high.model.prepare_in(&self.store),
-            &self.build_cache(&low.model),
-            cfg,
-            max_delay_ms,
-        )
-    }
-
-    /// [`Self::evaluate_pair`] serving low-effort entropies from a
-    /// pre-built cache against an already-prepared high-effort view — the
-    /// form [`Self::run`] uses so each distinct effort is inferred /
-    /// materialized once and reused across every pair sharing it. The
+    /// Low-effort entropies come from a pre-built `cache` and the high
+    /// effort runs on an already-prepared view, so a caller probing several
+    /// pairs (as [`Self::run`] does) infers / materializes each distinct
+    /// effort once and reuses it across every pair sharing it. The
     /// incremental threshold iteration runs on cached entropies in O(N)
     /// per step, and only the escalated samples are re-inferred with the
     /// high effort.

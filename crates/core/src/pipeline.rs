@@ -3,7 +3,7 @@
 
 use crate::error::PivotError;
 use crate::phase1::{select_optimal_path, Phase1Result};
-use crate::EffortModel;
+use crate::{EffortModel, Parallelism};
 use pivot_cka::{stack_flattened, CkaMatrix};
 use pivot_data::{Dataset, Sample};
 use pivot_tensor::{Matrix, Rng};
@@ -168,7 +168,7 @@ impl PivotPipeline {
         let mut sorted_efforts = cfg.efforts.clone();
         sorted_efforts.sort_unstable();
         for &effort in &sorted_efforts {
-            let result = select_optimal_path(effort, &cka);
+            let result = select_optimal_path(effort, &cka, Parallelism::Auto);
             let mut student = teacher.clone();
             student.set_active_attentions(result.optimal.path.active());
             if effort < cfg.vit.depth {
@@ -203,19 +203,8 @@ impl PivotPipeline {
 ///
 /// Panics if the batch is empty.
 pub fn compute_cka_matrix(model: &VisionTransformer, batch: &[&Sample]) -> CkaMatrix {
-    compute_cka_matrix_prepared(&model.prepare(), batch)
-}
-
-/// [`compute_cka_matrix`] against an already-frozen view.
-///
-/// # Panics
-///
-/// Panics if the batch is empty.
-pub fn compute_cka_matrix_prepared(
-    prepared: &pivot_vit::PreparedModel,
-    batch: &[&Sample],
-) -> CkaMatrix {
     assert!(!batch.is_empty(), "CKA batch must be non-empty");
+    let prepared = model.prepare();
     let depth = prepared.config().depth;
     let mut mlp_acts: Vec<Vec<Matrix>> = vec![Vec::with_capacity(batch.len()); depth];
     let mut attn_acts: Vec<Vec<Matrix>> = vec![Vec::with_capacity(batch.len()); depth];

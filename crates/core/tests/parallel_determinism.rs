@@ -3,7 +3,7 @@
 //! bit-identical to sequential execution.
 
 use pivot_cka::CkaMatrix;
-use pivot_core::{select_optimal_path_with, CascadeCache, EffortLadder, Parallelism};
+use pivot_core::{select_optimal_path, CascadeCache, EffortLadder, Parallelism};
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_tensor::{Matrix, Rng};
 use pivot_vit::{VisionTransformer, VitConfig};
@@ -88,8 +88,8 @@ proptest! {
     ) {
         let effort = depth / 2;
         let cka = random_cka(depth, seed);
-        let seq = select_optimal_path_with(effort, &cka, Parallelism::Off);
-        let par = select_optimal_path_with(effort, &cka, Parallelism::Fixed(threads));
+        let seq = select_optimal_path(effort, &cka, Parallelism::Off);
+        let par = select_optimal_path(effort, &cka, Parallelism::Fixed(threads));
         prop_assert_eq!(seq.ranked.len(), par.ranked.len());
         for (a, b) in seq.ranked.iter().zip(&par.ranked) {
             prop_assert_eq!(a.path.clone(), b.path.clone());

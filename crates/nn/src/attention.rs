@@ -1,7 +1,8 @@
 //! Multi-head self-attention (paper Eq. 1).
 
 use crate::{Layer, Linear, Param, QuantMode};
-use pivot_tensor::{softmax_row, Matrix, Rng};
+use pivot_tensor::{softmax_row_in_place, Matrix, PackedF32, Rng};
+use std::cell::RefCell;
 
 /// Multi-head self-attention:
 /// `Attention(Q_i, K_i, V_i) = softmax(Q_i K_i^T / sqrt(d_h)) V_i` per head,
@@ -109,38 +110,70 @@ impl MultiHeadAttention {
             heads: self.heads,
         }
     }
+}
 
-    /// Training's scaled-dot-product attention over already-projected
-    /// Q/K/V: returns the concatenated head outputs and the per-head
-    /// probabilities [`Layer::backward`] needs. Inference runs
-    /// [`crate::PreparedAttention`], which keeps no probabilities.
-    fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, Vec<Matrix>) {
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let t = q.rows();
-        let mut out = Matrix::zeros(t, self.dim());
-        let mut probs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qh = q.slice_cols(lo, hi);
-            let kh = k.slice_cols(lo, hi);
-            let vh = v.slice_cols(lo, hi);
-            let mut scores = qh.matmul_transpose_b(&kh);
-            scores.scale_in_place(scale);
-            for r in 0..t {
-                let soft = softmax_row(scores.row(r));
-                scores.row_mut(r).copy_from_slice(&soft);
-            }
-            let oh = scores.matmul(&vh);
-            for r in 0..t {
-                for c in 0..dh {
-                    out[(r, lo + c)] = oh[(r, c)];
+/// The one per-(sample, head) `QK^T -> scale -> softmax -> SM x V` loop of
+/// training and inference, in place on the stacked projections (`tokens`
+/// rows per sample): head operands are read at row stride `dim` and each
+/// head's output lands in its block of the context — no slice copies, no
+/// per-row or per-head allocation. `mask_row` sees each scaled score row
+/// before its softmax; `probs` sees each (sample, head)'s `tokens x tokens`
+/// probabilities before `SM x V` (training keeps them for `backward`).
+/// Inference's no-op hooks are monomorphised away.
+///
+/// # Panics
+///
+/// Panics if `tokens == 0` or `q.rows()` is not divisible by `tokens`.
+pub(crate) fn attend(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    heads: usize,
+    tokens: usize,
+    mut mask_row: impl FnMut(&mut [f32]),
+    mut probs: impl FnMut(&[f32]),
+) -> Matrix {
+    assert!(
+        tokens > 0 && q.rows().is_multiple_of(tokens),
+        "batch rows {} not divisible by tokens {tokens}",
+        q.rows()
+    );
+    let dh = q.cols() / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut context = Matrix::zeros(q.rows(), q.cols());
+    ATTEND_SCRATCH.with_borrow_mut(|(scores, panel)| {
+        scores.resize(tokens * tokens, 0.0);
+        for r0 in (0..q.rows()).step_by(tokens) {
+            let rows = r0..r0 + tokens;
+            for h in 0..heads {
+                let cols = h * dh..(h + 1) * dh;
+                q.matmul_transpose_b_block_into(k, rows.clone(), cols.clone(), scores);
+                for row in scores.chunks_exact_mut(tokens) {
+                    for s in row.iter_mut() {
+                        *s *= scale;
+                    }
+                    mask_row(row);
+                    softmax_row_in_place(row);
                 }
+                probs(scores);
+                Matrix::matmul_block_into(scores, v, rows.clone(), cols, panel, &mut context);
             }
-            probs.push(scores);
         }
-        (out, probs)
-    }
+    });
+    context
+}
+
+thread_local! {
+    /// Per-thread scratch of [`attend`]: one `tokens²` score buffer and one
+    /// `V_h` panel buffer, whose allocations grow to the largest size the
+    /// thread has seen. Overwrite-before-read: the score GEMM writes all
+    /// `tokens²` scores and `pack_block` every panel lane before anything
+    /// reads them, so no value survives from one (sample, head) — or one
+    /// call — to the next, and worker threads cannot alias each other's.
+    /// Borrowed for the whole head loop, so neither hook may re-enter
+    /// `attend` (none in this crate does).
+    static ATTEND_SCRATCH: RefCell<(Vec<f32>, PackedF32)> =
+        RefCell::new((Vec::new(), PackedF32::default()));
 }
 
 /// Backward of a row-softmax: given probabilities `p` and upstream `dp`,
@@ -155,7 +188,10 @@ impl Layer for MultiHeadAttention {
         let q = self.wq.forward(x);
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let (out, probs) = self.attend(&q, &k, &v);
+        let t = x.rows();
+        let mut probs = Vec::with_capacity(self.heads);
+        let keep = |p: &[f32]| probs.push(Matrix::from_vec(t, t, p.to_vec()));
+        let out = attend(&q, &k, &v, self.heads, t, |_| {}, keep);
         self.cache = Some(Cache { q, k, v, probs });
         self.proj.forward(&out)
     }
@@ -225,6 +261,7 @@ impl Layer for MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_tensor::softmax_row;
 
     #[test]
     fn output_shape_matches_input() {
@@ -247,7 +284,8 @@ mod tests {
         let mut rng = Rng::new(1);
         let mut attn = MultiHeadAttention::new(8, 2, QuantMode::Int8, &mut rng);
         let x = Matrix::randn(4, 8, 1.0, &mut rng);
-        assert!(attn.prepare().infer(&x).approx_eq(&attn.forward(&x), 1e-6));
+        let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(attn.prepare().infer(&x)), bits(attn.forward(&x)));
     }
 
     #[test]

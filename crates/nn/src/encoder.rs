@@ -164,7 +164,12 @@ mod tests {
             enc.set_attention_active(active);
             let mut rng = Rng::new(3);
             let x = Matrix::randn(4, 6, 1.0, &mut rng);
-            assert!(enc.prepare().infer(&x).approx_eq(&enc.forward(&x), 1e-6));
+            let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(enc.prepare().infer(&x)),
+                bits(enc.forward(&x)),
+                "{active}"
+            );
         }
     }
 

@@ -15,7 +15,8 @@
 //! batching is a loop with gradient accumulation, which is exact and fast at
 //! the model scales used in this reproduction. Inference is not on these
 //! layers at all: `prepare()` freezes each into a `Prepared*` view, the only
-//! inference code, which batches samples along rows.
+//! inference entry point, which batches samples along rows and runs the
+//! same attention core and layer-norm body as training's `forward`.
 //!
 //! [`Matrix`]: pivot_tensor::Matrix
 

@@ -110,7 +110,8 @@ mod tests {
         let mut rng = Rng::new(1);
         let mut mlp = Mlp::new(4, 8, QuantMode::Int8, &mut rng);
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
-        assert!(mlp.prepare().infer(&x).approx_eq(&mlp.forward(&x), 1e-6));
+        let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(mlp.prepare().infer(&x)), bits(mlp.forward(&x)));
     }
 
     #[test]

@@ -27,8 +27,9 @@ pub struct LayerNorm {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    x_hat: Matrix,
-    inv_std: Vec<f32>,
+    x: Matrix,
+    /// Each row's `(mean, inv_std)`.
+    stats: Vec<(f32, f32)>,
 }
 
 impl LayerNorm {
@@ -69,15 +70,19 @@ impl LayerNorm {
     }
 
     /// Inference-only forward without caching: one pass over row slices
-    /// that writes only `y` (training's [`Layer::forward`] also
-    /// materializes `x_hat` for `backward`). Bit-identical to it: each
-    /// row's mean and variance are the same sequential chains, four rows'
-    /// chains merely run interleaved to hide the add latency.
+    /// that writes only `y` — the body training's [`Layer::forward`] runs
+    /// too, there with a sink that records each row's statistics.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != self.dim()`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
+        self.normalize(x, |_, _| {})
+    }
+
+    /// The one layer-norm body: `stats` sees each row's `(mean, inv_std)`
+    /// once, in row order (inference's no-op is monomorphised away).
+    fn normalize(&self, x: &Matrix, mut stats: impl FnMut(f32, f32)) -> Matrix {
         let d = self.dim();
         assert_eq!(x.cols(), d, "layer-norm input width");
         // Appended row by row, so the output is written exactly once.
@@ -85,22 +90,27 @@ impl LayerNorm {
         if d > 0 {
             let mut groups = x.as_slice().chunks_exact(4 * d);
             for x4 in &mut groups {
-                self.infer_rows::<4>(x4, &mut y);
+                self.infer_rows::<4>(x4, &mut y, &mut stats);
             }
             for x1 in groups.remainder().chunks_exact(d) {
-                self.infer_rows::<1>(x1, &mut y);
+                self.infer_rows::<1>(x1, &mut y, &mut stats);
             }
         }
         Matrix::from_vec(x.rows(), d, y)
     }
 
     /// Appends the normalization of the `R` consecutive rows in `x` to
-    /// `y`, their reductions interleaved. Each row's sums are still one
-    /// sequential chain in column order starting from `Iterator::sum`'s
-    /// own identity, exactly what [`Self::normalize`] computes.
+    /// `y`, their reductions interleaved to hide the add latency. Each
+    /// row's sums are still one sequential chain in column order starting
+    /// from `Iterator::sum`'s own identity, so grouping never moves a bit.
     // `c` walks one column of all `R` rows in lockstep.
     #[allow(clippy::needless_range_loop)]
-    fn infer_rows<const R: usize>(&self, x: &[f32], y: &mut Vec<f32>) {
+    fn infer_rows<const R: usize>(
+        &self,
+        x: &[f32],
+        y: &mut Vec<f32>,
+        stats: &mut impl FnMut(f32, f32),
+    ) {
         let d = self.dim();
         let n = d as f32;
         let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * d..(r + 1) * d]);
@@ -122,6 +132,7 @@ impl LayerNorm {
         let scale_shift = self.gamma.value.row(0).iter().zip(self.beta.value.row(0));
         for r in 0..R {
             let (mean, inv_std) = (mean[r], 1.0 / (sq[r] / n + self.eps).sqrt());
+            stats(mean, inv_std);
             y.extend(
                 rows[r]
                     .iter()
@@ -130,32 +141,16 @@ impl LayerNorm {
             );
         }
     }
-
-    fn normalize(&self, x: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
-        let n = x.cols() as f32;
-        let mut y = Matrix::zeros(x.rows(), x.cols());
-        let mut x_hat = Matrix::zeros(x.rows(), x.cols());
-        let mut inv_stds = Vec::with_capacity(x.rows());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            inv_stds.push(inv_std);
-            for c in 0..x.cols() {
-                let xh = (row[c] - mean) * inv_std;
-                x_hat[(r, c)] = xh;
-                y[(r, c)] = self.gamma.value[(0, c)] * xh + self.beta.value[(0, c)];
-            }
-        }
-        (y, x_hat, inv_stds)
-    }
 }
 
 impl Layer for LayerNorm {
     fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (y, x_hat, inv_std) = self.normalize(x);
-        self.cache = Some(Cache { x_hat, inv_std });
+        let mut stats = Vec::with_capacity(x.rows());
+        let y = self.normalize(x, |mean, inv_std| stats.push((mean, inv_std)));
+        self.cache = Some(Cache {
+            x: x.clone(),
+            stats,
+        });
         y
     }
 
@@ -167,8 +162,9 @@ impl Layer for LayerNorm {
         let mut d_beta = Matrix::zeros(1, d_out.cols());
         for r in 0..d_out.rows() {
             let dy = d_out.row(r);
-            let xh = cache.x_hat.row(r);
-            let inv_std = cache.inv_std[r];
+            let (x, (mean, inv_std)) = (cache.x.row(r), cache.stats[r]);
+            // The forward's own `x_hat` expression, so the same bits.
+            let xh: Vec<f32> = x.iter().map(|&v| (v - mean) * inv_std).collect();
             // d_xhat = dy * gamma
             let d_xhat: Vec<f32> = dy
                 .iter()
@@ -176,7 +172,7 @@ impl Layer for LayerNorm {
                 .map(|(c, &g)| g * self.gamma.value[(0, c)])
                 .collect();
             let mean_dxhat = d_xhat.iter().sum::<f32>() / n;
-            let mean_dxhat_xhat = d_xhat.iter().zip(xh).map(|(&a, &b)| a * b).sum::<f32>() / n;
+            let mean_dxhat_xhat = d_xhat.iter().zip(&xh).map(|(&a, &b)| a * b).sum::<f32>() / n;
             for c in 0..d_out.cols() {
                 dx[(r, c)] = (d_xhat[c] - mean_dxhat - xh[c] * mean_dxhat_xhat) * inv_std;
                 d_gamma[(0, c)] += dy[c] * xh[c];

@@ -1,11 +1,12 @@
 //! Frozen inference views: quantization fitted once, weights materialized
 //! once, then reused for every forward.
 //!
-//! The `Prepared*` structs in this module are the only inference code of
-//! the crate (the trainable layers keep just their caching `forward` /
-//! `backward`): built once from a trained layer by the `prepare()` methods,
-//! they hold the `f32` effective weight — the latent weight, or under
-//! [`QuantMode::Int8`] its snap to the 8-bit fake-quant grid — packed once
+//! The `Prepared*` structs in this module are the only inference entry
+//! points of the crate (the trainable layers keep just their caching
+//! `forward` / `backward`): built once from a trained layer by the
+//! `prepare()` methods, they hold the `f32` effective weight — the latent
+//! weight, or under [`QuantMode::Int8`] its snap to the 8-bit fake-quant
+//! grid — packed once
 //! into the panel layout of the `f32` GEMM, and the quantizer that produced
 //! it, as plain immutable data: repeated inference does zero per-call
 //! weight work and the whole view is `Send + Sync` for free sharing across
@@ -17,10 +18,7 @@
 //! weights) invalidates it and requires calling `prepare()` again.
 
 use crate::{EncoderTrace, LayerNorm, QuantMode};
-use pivot_tensor::{
-    gelu_in_place, softmax_row_in_place, ContentHasher, Matrix, PackedF32, QuantParams,
-};
-use std::cell::RefCell;
+use pivot_tensor::{gelu_in_place, ContentHasher, Matrix, PackedF32, QuantParams};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -303,63 +301,14 @@ impl PreparedAttention {
         })
     }
 
-    /// The one per-(sample, head) `QK^T -> scale -> softmax -> SM x V` loop
-    /// of inference, run in place on the stacked projections: scores come
-    /// from the head's column block of `Q` and `K` at row stride `dim`, and
-    /// each head's output lands directly in its block of the context
-    /// matrix — no slice copies, no per-row or per-head allocation.
-    /// `mask_row` sees each scaled score row before its softmax; the dense
-    /// path instantiates it as a no-op that the monomorphised copy
-    /// compiles away.
-    ///
-    /// Every stage keeps the accumulation order of the copying loop it
-    /// replaced (see the strided entry points in `pivot_tensor::Matrix`),
-    /// so outputs are bit-identical to it and to training's `forward`.
-    fn attend(&self, x: &Matrix, tokens: usize, mut mask_row: impl FnMut(&mut [f32])) -> Matrix {
-        assert!(
-            tokens > 0 && x.rows().is_multiple_of(tokens),
-            "batch rows {} not divisible by tokens {tokens}",
-            x.rows()
-        );
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut context = Matrix::zeros(x.rows(), self.dim());
-        ATTEND_SCRATCH.with_borrow_mut(|(scores, panel)| {
-            scores.resize(tokens * tokens, 0.0);
-            for r0 in (0..x.rows()).step_by(tokens) {
-                let rows = r0..r0 + tokens;
-                for h in 0..self.heads {
-                    let cols = h * dh..(h + 1) * dh;
-                    q.matmul_transpose_b_block_into(&k, rows.clone(), cols.clone(), scores);
-                    for row in scores.chunks_exact_mut(tokens) {
-                        for s in row.iter_mut() {
-                            *s *= scale;
-                        }
-                        mask_row(row);
-                        softmax_row_in_place(row);
-                    }
-                    Matrix::matmul_block_into(scores, &v, rows.clone(), cols, panel, &mut context);
-                }
-            }
-        });
+    /// The projections around the shared attention core
+    /// ([`crate::attention::attend`], which training's forward runs too),
+    /// with `mask_row` passed through and a no-op probability sink.
+    fn attend(&self, x: &Matrix, tokens: usize, mask_row: impl FnMut(&mut [f32])) -> Matrix {
+        let (q, k, v) = (self.wq.infer(x), self.wk.infer(x), self.wv.infer(x));
+        let context = crate::attention::attend(&q, &k, &v, self.heads, tokens, mask_row, |_| {});
         self.proj.infer(&context)
     }
-}
-
-thread_local! {
-    /// Per-thread scratch of [`PreparedAttention::attend`]: one `tokens²`
-    /// score buffer and one `V_h` panel buffer, whose allocations grow to
-    /// the largest size the thread has seen. Overwrite-before-read: the score GEMM
-    /// writes all `tokens²` scores and `pack_block` every panel lane before
-    /// anything reads them, so no value survives from one (sample, head) —
-    /// or one call — to the next, and worker threads cannot alias each
-    /// other's. Borrowed for the whole head loop, so a `mask_row` hook must
-    /// not re-enter `attend` (the two in this file do not).
-    static ATTEND_SCRATCH: RefCell<(Vec<f32>, PackedF32)> =
-        RefCell::new((Vec::new(), PackedF32::default()));
 }
 
 /// Frozen inference view of a [`crate::Mlp`] block.

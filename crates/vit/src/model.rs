@@ -382,8 +382,11 @@ mod tests {
         let mut model = tiny_model(4);
         let mut rng = Rng::new(5);
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng);
-        let (logits, _) = model.forward(&img);
-        assert!(logits.approx_eq(&model.infer(&img), 1e-5));
+        let (logits, cls_feature) = model.forward(&img);
+        let trace = model.infer_traced(&img);
+        let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(logits), bits(trace.logits));
+        assert_eq!(bits(cls_feature), bits(trace.cls_feature));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::VisionTransformer;
 use pivot_data::Dataset;
 use pivot_nn::{cross_entropy, distillation_mse, entropy_regularizer, Adam, AdamConfig};
-use pivot_tensor::Rng;
+use pivot_tensor::{Matrix, Rng};
 
 /// Hyper-parameters for [`Trainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +105,7 @@ impl Trainer {
         });
         let mut stats = Vec::with_capacity(cfg.epochs);
         // The teacher is frozen for the whole fit: one view serves every
-        // sample's distillation target.
+        // mini-batch's distillation targets.
         let teacher = teacher
             .filter(|_| cfg.distill_weight > 0.0)
             .map(VisionTransformer::prepare);
@@ -121,7 +121,16 @@ impl Trainer {
             let mut seen = 0usize;
             for batch in data.train_batches(cfg.batch_size, &mut rng) {
                 model.zero_grad();
-                for &idx in &batch {
+                // One batched teacher forward per mini-batch; row `i` is
+                // sample `i`'s traced class feature, bit for bit. The
+                // student steps stay per sample: batching them would
+                // change the order gradients are summed in.
+                let targets = teacher.as_ref().map(|t| {
+                    let images: Vec<&Matrix> =
+                        batch.iter().map(|&i| &data.train[i].image).collect();
+                    t.cls_features(&images, |cls| cls)
+                });
+                for (i, &idx) in batch.iter().enumerate() {
                     let sample = &data.train[idx];
                     let (logits, cls_feature) = model.forward(&sample.image);
 
@@ -138,9 +147,8 @@ impl Trainer {
                         d_logits.add_scaled_in_place(&en.grad, cfg.entropy_weight);
                     }
 
-                    let d_feature = teacher.as_ref().map(|t| {
-                        let t_feat = t.infer_traced(&sample.image).cls_feature;
-                        let dl = distillation_mse(&cls_feature, &t_feat);
+                    let d_feature = targets.as_ref().map(|t| {
+                        let dl = distillation_mse(&cls_feature, &t.slice_rows(i, i + 1));
                         loss += cfg.distill_weight * dl.loss;
                         dl.grad.scaled(cfg.distill_weight)
                     });
