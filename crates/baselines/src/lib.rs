@@ -15,6 +15,7 @@
 //! exactly what the [`gpp`] cost models capture.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gpp;
 pub mod heatvit;

@@ -1,6 +1,6 @@
 //! Cascade inference cost: easy inputs (low effort only) vs hard inputs
 //! (low + high re-computation) vs always-full baseline, plus the batched
-//! evaluation engine sequential vs. worker-pool.
+//! evaluation engine sequential vs. parallel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pivot_core::{CascadeCache, EffortLadder, Parallelism};
@@ -39,8 +39,8 @@ fn bench_cascade(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched evaluation throughput: the sequential loop vs. the scoped
-/// worker pool, and the per-threshold sweep vs. one `CascadeCache`. The
+/// Batched evaluation throughput: the sequential loop vs. `par_map`'s
+/// scoped workers, and the per-threshold sweep vs. one `CascadeCache`. The
 /// parallel variants are bit-identical to sequential by contract, so
 /// this group measures pure engine overhead/speedup.
 fn bench_batched_evaluation(c: &mut Criterion) {

@@ -11,6 +11,7 @@
 //! runs skip the (single-core) training.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;

@@ -28,6 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use pivot_tensor::Matrix;
 

@@ -4,10 +4,10 @@
 //! ladder evaluation) needs the same primitive: per-sample logits for a
 //! list of images. [`batched_logits`] runs them through
 //! [`PreparedModel::forward_batch`] in fixed-size chunks distributed over
-//! the worker pool. The prepared view materializes every layer's effective
-//! (fake-quantized) weight exactly once — before the sweep starts — so the
-//! chunks do zero per-call weight work, and chunk images are passed by
-//! reference, so no pixel data is cloned either.
+//! [`par_map`]'s scoped workers. The prepared view materializes every
+//! layer's effective (fake-quantized) weight exactly once — before the
+//! sweep starts — so the chunks do zero per-call weight work, and chunk
+//! images are passed by reference, so no pixel data is cloned either.
 //!
 //! `forward_batch` is bit-identical to per-sample `infer` row by row, and
 //! chunk boundaries only decide which rows share a GEMM — so the returned
@@ -21,14 +21,14 @@ use pivot_vit::PreparedModel;
 /// Samples per `forward_batch` call.
 ///
 /// Large enough to feed the blocked matmul kernel multi-tile row counts;
-/// small enough that a chunk's activations stay cache-resident and the
-/// worker pool has chunks to balance across threads.
+/// small enough that a chunk's activations stay cache-resident and
+/// [`par_map`] has chunks to balance across threads.
 pub const EVAL_BATCH: usize = 32;
 
 /// Per-sample logits (`1 x num_classes` each, in item order) for arbitrary
-/// items carrying an image, computed in [`EVAL_BATCH`]-sized chunks on the
-/// worker pool against a prepared (weights-materialized-once) model view.
-/// Labeled samples pass `|s| &s.image`.
+/// items carrying an image, computed in [`EVAL_BATCH`]-sized chunks on
+/// [`par_map`]'s workers against a prepared (weights-materialized-once)
+/// model view. Labeled samples pass `|s| &s.image`.
 pub fn batched_logits<T: Sync>(
     model: &PreparedModel,
     items: &[T],

@@ -4,9 +4,10 @@
 //! the same quantity — the normalized entropy of the **low-effort** logits
 //! of every calibration sample. Re-running low-effort inference per probed
 //! threshold makes a sweep O(thresholds x N x forward-pass);
-//! [`CascadeCache`] observes the low effort once (batched, on the worker
-//! pool), keeps each sample's entropy, argmax and finiteness flag, and then
-//! answers every threshold query in O(N) with no model in the loop.
+//! [`CascadeCache`] observes the low effort once (batched, across
+//! [`par_map`](crate::par_map)'s workers), keeps each sample's entropy,
+//! argmax and finiteness flag, and then answers every threshold query in
+//! O(N) with no model in the loop.
 //!
 //! For evaluation it is the guarded sweep's memo
 //! ([`crate::guarded`]) pre-filled at level 0: only escalated samples run
@@ -59,7 +60,7 @@ pub struct CascadeCache {
 
 impl CascadeCache {
     /// Runs low-effort inference over `samples` — batched through
-    /// [`PreparedModel::forward_batch`] on the worker pool — and caches
+    /// [`PreparedModel::forward_batch`] on `par_map`'s workers — and caches
     /// normalized entropies and argmax predictions, with the low effort
     /// prepared through a shared content-addressed `store`: layers already
     /// materialized by another participant (an earlier cache, a prepared
@@ -144,7 +145,7 @@ impl CascadeCache {
 
     /// Evaluates the cascade against ground-truth labels at `threshold`:
     /// low-effort outcomes come from the cache, only the escalated samples
-    /// run high-effort inference (batched, on the worker pool), and the
+    /// run high-effort inference (batched, on `par_map`'s workers), and the
     /// statistics are bit-identical for any [`Parallelism`]. The sweep's
     /// fault accounting (DESIGN.md §5), in two-level terms:
     ///

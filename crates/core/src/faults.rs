@@ -400,10 +400,10 @@ mod tests {
         assert_eq!(layered, total);
     }
 
-    /// The worker pool must survive a fault-injected forward that panics
-    /// inside `par_map` and stay usable for subsequent healthy work.
+    /// A fault-injected forward that panics inside `par_map` reaches the
+    /// caller, and `par_map` stays usable for subsequent healthy work.
     #[test]
-    fn worker_pool_survives_fault_induced_panics() {
+    fn par_map_survives_fault_induced_panics() {
         let mut faulty = model(10);
         FaultInjector::new(11).inject_params(&mut faulty, FaultKind::StuckNan, 10_000);
         let images: Vec<Matrix> = (0..8).map(|_| Matrix::zeros(16, 16)).collect();
@@ -420,8 +420,8 @@ mod tests {
         }));
         assert!(outcome.is_err(), "non-finite logits must panic in the map");
 
-        // The pool is still alive: a healthy workload completes and matches
-        // the sequential reference.
+        // A healthy workload still completes and matches the sequential
+        // reference.
         let healthy = model(10).prepare();
         let healthy_ref = &healthy;
         let par = par_map(&images, Parallelism::Fixed(4), |_, img| {

@@ -20,7 +20,7 @@
 //!
 //! A memo holds only level observations — entropy, argmax and a finiteness
 //! flag, 12 bytes — never logit rows. Inference goes through
-//! [`batched_logits`] chunked GEMMs on the worker pool, whose rows are
+//! [`batched_logits`] chunked GEMMs on `par_map`'s workers, whose rows are
 //! bit-identical to per-sample inference, so outcomes do not depend on the
 //! batch split, the [`Parallelism`] or what the memo already held.
 //!
@@ -229,7 +229,7 @@ pub(crate) struct LevelObs {
 }
 
 /// Observes `model` over the images of `items`: one chunked batched sweep
-/// on the worker pool, reduced to one [`LevelObs`] per item.
+/// on `par_map`'s workers, reduced to one [`LevelObs`] per item.
 pub(crate) fn observe_level<T: Sync>(
     model: &PreparedModel,
     items: &[T],

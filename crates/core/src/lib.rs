@@ -22,8 +22,8 @@
 //!   against a [`pivot_vit::PreparedModel`] view (weights materialized
 //!   once per sweep): one wide GEMM per layer per chunk, bit-identical to
 //!   per-sample inference.
-//! * [`parallel`] — the deterministic persistent worker pool behind
-//!   every batched evaluation ([`Parallelism`], [`par_map`]).
+//! * [`parallel`] — the deterministic scoped parallel map behind every
+//!   batched evaluation ([`Parallelism`], [`par_map`]).
 //! * [`phase2`] — the hardware-in-the-loop search for the optimal effort
 //!   combination under LEC and delay constraints (Fig. 2c), with
 //!   `pivot-sim` in the loop.
@@ -37,6 +37,7 @@
 //!   for accuracy-under-fault experiments.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod batched;

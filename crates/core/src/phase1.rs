@@ -28,7 +28,7 @@ pub struct Phase1Result {
 /// Selects the optimal path for one effort by exhaustively scoring all
 /// `C(depth, effort)` placements with Algorithm 1.
 ///
-/// The candidates are scored across the worker pool. Scores are computed
+/// The candidates are scored across `par_map`'s workers. Scores are computed
 /// per path and re-assembled in enumeration order before the
 /// (deterministic) sort, so the result is bit-identical for every `par`.
 ///

@@ -100,10 +100,11 @@ proptest! {
 }
 
 /// Thread scaling (`cargo test --release -p pivot-core -- --ignored`): on
-/// hosts with >= 4 cores, cascade `evaluate` over 1000 samples on the
-/// worker pool must beat sequential by >= 2x, bit-identically. Ignored by
-/// default because it takes seconds and its timing is load-sensitive; the
-/// scaling assertion self-skips below 4 cores, where it cannot hold.
+/// hosts with >= 4 cores, cascade `evaluate` over 1000 samples under
+/// `Parallelism::Auto` must beat sequential by >= 2x, bit-identically.
+/// Ignored by default because it takes seconds and its timing is
+/// load-sensitive; the scaling assertion self-skips below 4 cores, where it
+/// cannot hold.
 #[test]
 #[ignore = "throughput smoke test; run explicitly with --ignored"]
 fn parallel_speedup_smoke() {

@@ -12,6 +12,8 @@
 //! baselines or statistical regressions — this is a measurement harness,
 //! not an analysis suite.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::time::{Duration, Instant};
 

@@ -24,6 +24,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod drift;
 mod generator;

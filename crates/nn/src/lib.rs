@@ -21,6 +21,7 @@
 //! [`Matrix`]: pivot_tensor::Matrix
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod attention;
 mod encoder;

@@ -10,7 +10,7 @@
 //! into the panel layout of the `f32` GEMM, and the quantizer that produced
 //! it, as plain immutable data: repeated inference does zero per-call
 //! weight work and the whole view is `Send + Sync` for free sharing across
-//! the worker pool. Every view runs the one `f32` GEMM of the host; there
+//! worker threads. Every view runs the one `f32` GEMM of the host; there
 //! is no integer compute path and no second weight layout.
 //!
 //! A prepared view is a *snapshot*: any mutation of the source layer

@@ -9,6 +9,8 @@
 //! failing case panics with the case index, and cases are reproducible
 //! because every test derives its stream from a hash of its own name.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Deterministic generator driving test-case synthesis (SplitMix64).

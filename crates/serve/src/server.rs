@@ -35,7 +35,9 @@ pub struct ServeConfig {
     /// How long the engine holds a non-full batch open for concurrent
     /// arrivals to coalesce. Zero disables coalescing.
     pub batch_window: Duration,
-    /// Worker-pool parallelism for the batched GEMM sweeps.
+    /// Parallelism of each level's chunked `forward_batch` sweep. A batch
+    /// of at most [`EVAL_BATCH`](pivot_core::EVAL_BATCH) requests is one
+    /// chunk, so it runs sequentially whatever this says.
     pub parallelism: Parallelism,
     /// Overload-controller tuning.
     pub overload: OverloadPolicy,

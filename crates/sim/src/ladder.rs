@@ -111,6 +111,7 @@ impl EnergyLedger {
     ///
     /// Panics if `exit_level` is beyond the ladder top.
     pub fn charge(&mut self, ladder: &LadderEnergy, exit_level: usize) {
+        assert!(exit_level < ladder.levels(), "exit beyond ladder top");
         if self.exits.len() < ladder.levels() {
             self.exits.resize(ladder.levels(), 0);
         }
@@ -227,5 +228,34 @@ mod tests {
     #[should_panic(expected = "exit beyond ladder top")]
     fn exit_beyond_top_panics() {
         let _ = ladder().request_energy_j(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exit beyond ladder top")]
+    fn charge_rejects_exit_beyond_top() {
+        EnergyLedger::new().charge(&ladder(), 2);
+    }
+
+    /// A rejected charge panics before it touches the ledger, even when an
+    /// earlier, taller ladder already sized the exit counters past it.
+    #[test]
+    fn rejected_charge_leaves_the_ledger_unchanged() {
+        let sim = Simulator::new(AcceleratorConfig::zcu102());
+        let geom = VitGeometry::deit_s();
+        let masks: Vec<Vec<bool>> = [3, 6, 12]
+            .iter()
+            .map(|&e| (0..geom.depth).map(|i| i < e).collect())
+            .collect();
+        let tall = LadderEnergy::from_masks(&sim, &geom, &masks);
+        let mut ledger = EnergyLedger::new();
+        ledger.charge(&tall, 2);
+        let mean = ledger.mean_energy_j();
+
+        let rejected =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ledger.charge(&ladder(), 2)));
+        assert!(rejected.is_err());
+        assert_eq!(ledger.requests(), 1);
+        assert_eq!(ledger.exits(), &[0, 0, 1]);
+        assert_eq!(ledger.mean_energy_j().to_bits(), mean.to_bits());
     }
 }

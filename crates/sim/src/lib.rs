@@ -28,6 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod calib;
 mod combine;

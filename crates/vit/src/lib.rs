@@ -16,6 +16,7 @@
 //!   by the accuracy pipeline on the synthetic dataset.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod io;

@@ -150,7 +150,7 @@ impl VisionTransformer {
     /// exactly once. The view is the inference implementation (this model's
     /// own [`Self::infer`]/[`Self::infer_traced`]/[`Self::accuracy`] prepare
     /// one and delegate); it does zero per-call weight work and is
-    /// `Send + Sync`, so one instance can serve the whole worker pool.
+    /// `Send + Sync`, so one instance can serve every worker thread.
     ///
     /// The view snapshots the current weights, quantization mode and
     /// attention-skip pattern; any mutation of the model afterwards

@@ -17,7 +17,7 @@ use pivot_tensor::Matrix;
 /// Immutable inference view of a [`VisionTransformer`](crate::VisionTransformer).
 ///
 /// Plain data (`Send + Sync`): one instance can be shared by reference
-/// across the whole worker pool without cloning or locking. Snapshots the
+/// across every worker thread without cloning or locking. Snapshots the
 /// weights, quantization mode and attention-skip pattern at prepare time —
 /// mutate the source model and the view is stale; call
 /// [`VisionTransformer::prepare`](crate::VisionTransformer::prepare) again.

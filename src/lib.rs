@@ -28,6 +28,8 @@
 //! build the CKA matrix, run both PIVOT phases and deploy the entropy-gated
 //! low/high-effort cascade.
 
+#![forbid(unsafe_code)]
+
 pub use pivot_baselines as baselines;
 pub use pivot_cka as cka;
 pub use pivot_core as core;
