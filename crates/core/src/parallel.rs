@@ -15,9 +15,9 @@
 //! calls, beyond the host's thread count, read once. `w` is
 //! [`Parallelism::workers`] capped at that count, so no setting runs more
 //! threads than the host has. Every worker, the caller included, drains
-//! one shared index cursor, so nested `par_map` calls cannot deadlock and
-//! a panic in any item is re-raised on the caller once every helper is
-//! joined.
+//! one shared index cursor. A nested `par_map` spawns helpers of its own,
+//! so nesting cannot deadlock, and a panic in any item is re-raised on the
+//! caller once every helper is joined.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -44,7 +44,8 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The number of workers used for a batch of `items` work items.
+    /// The number of workers requested for a batch of `items` work items;
+    /// [`par_map`] also caps it at the host's hardware threads.
     pub fn workers(&self, items: usize) -> usize {
         let cap = match self {
             Parallelism::Off => 1,
