@@ -11,13 +11,14 @@
 //! `faults` are the serving-under-drift and accuracy-under-fault studies.
 //!
 //! Every name is checked before any runs: an unknown name, or none, prints
-//! the list and exits 2. The trained families are loaded (or trained and
+//! the list and exits 2, and so does a `PIVOT_PROFILE` other than unset,
+//! `fast` or `full`. The trained families are loaded (or trained and
 //! cached under `target/pivot-cache/`) at most once, and only when a chosen
 //! experiment needs them — `fig1b`, `fig4b`, `profile`, `drift` and
 //! `faults` never do.
 
 use pivot_bench::experiments as exp;
-use pivot_bench::Reproduction;
+use pivot_bench::{Profile, Reproduction};
 use pivot_sim::VitGeometry;
 use std::cell::OnceCell;
 use std::process::ExitCode;
@@ -71,18 +72,18 @@ fn parse(args: &[String]) -> Result<Vec<Job<'_>>, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = match parse(&args) {
-        Ok(jobs) => jobs,
+    let (jobs, scale) = match parse(&args).and_then(|jobs| Ok((jobs, Profile::from_env()?))) {
+        Ok(parsed) => parsed,
         Err(error) => {
             eprintln!("{error}");
-            eprintln!("usage: experiment <name>... where <name> is one of");
+            eprintln!("usage: [PIVOT_PROFILE=fast|full] experiment <name>..., each one of");
             eprintln!("  {}", PAPER.join(" "));
             eprintln!("  all | ablations | profile [deit|lvvit] [effort] | drift | faults");
             return ExitCode::from(2);
         }
     };
     let repro = OnceCell::new();
-    let trained = || repro.get_or_init(Reproduction::load);
+    let trained = || repro.get_or_init(|| Reproduction::load(scale));
     for job in jobs {
         match job {
             Job::Named(name) => run(name, &trained),

@@ -7,9 +7,9 @@ use pivot_vit::{TrainConfig, VisionTransformer, VitConfig};
 use std::path::{Path, PathBuf};
 
 /// Experiment scale, selected with `PIVOT_PROFILE=fast|full` (default
-/// `fast`). `full` trains larger stand-ins for longer and prepares the
-/// paper's complete effort ladders; `fast` finishes a family in about a
-/// minute on one core.
+/// `fast`; any other value is an error). `full` trains larger stand-ins
+/// for longer and prepares the paper's complete effort ladders; `fast`
+/// finishes a family in about a minute on one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
     /// Small models, short training, sparse effort ladder.
@@ -19,11 +19,19 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Reads the profile from the `PIVOT_PROFILE` environment variable.
-    pub fn from_env() -> Self {
-        match std::env::var("PIVOT_PROFILE").as_deref() {
-            Ok("full") => Profile::Full,
-            _ => Profile::Fast,
+    /// Reads the profile from the `PIVOT_PROFILE` environment variable:
+    /// unset or `fast` is [`Profile::Fast`], `full` is [`Profile::Full`],
+    /// and anything else is an error naming the value.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("PIVOT_PROFILE");
+        Self::parse(value.map(|v| v.to_string_lossy().into_owned()).as_deref())
+    }
+
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("fast") => Ok(Profile::Fast),
+            Some("full") => Ok(Profile::Full),
+            Some(other) => Err(format!("unknown PIVOT_PROFILE `{other}`")),
         }
     }
 
@@ -202,9 +210,9 @@ pub struct Reproduction {
 }
 
 impl Reproduction {
-    /// Loads (from the checkpoint cache) or trains both families.
-    pub fn load() -> Self {
-        let profile = Profile::from_env();
+    /// Loads (from the checkpoint cache) or trains both families at
+    /// `profile`'s scale.
+    pub fn load(profile: Profile) -> Self {
         let dataset = Dataset::generate(&profile.dataset_config(), 42);
         let calibration: Vec<Sample> = dataset
             .train
@@ -338,6 +346,16 @@ mod tests {
         assert!(deit_full.starts_with(&[3, 4, 5, 6, 7, 8, 9]));
         let lv_full = Profile::Full.efforts(Family::Lvvit);
         assert!(lv_full.starts_with(&[4, 5, 6, 7, 8, 9, 10, 11, 12]));
+    }
+
+    #[test]
+    fn profile_parse_accepts_only_unset_fast_and_full() {
+        assert_eq!(Profile::parse(None), Ok(Profile::Fast));
+        assert_eq!(Profile::parse(Some("fast")), Ok(Profile::Fast));
+        assert_eq!(Profile::parse(Some("full")), Ok(Profile::Full));
+        // Regression: a typo used to run the fast profile without a word.
+        let error = Profile::parse(Some("Full")).unwrap_err();
+        assert!(error.contains("`Full`"), "{error}");
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub struct OverloadPolicy {
     /// the cap one level.
     pub queue_budget: Duration,
     /// Fraction of the budget strictly below which an observation counts
-    /// as calm (recovery evidence). Clamped to `[0, 1]` at construction;
+    /// as calm (recovery evidence). Must lie in `[0, 1]`:
+    /// [`OverloadController::new`] panics on anything else, NaN included.
     /// `0.0` makes recovery unreachable (see the module-level interval
     /// convention).
     pub recover_ratio: f64,
@@ -87,16 +88,21 @@ impl OverloadController {
     /// # Panics
     ///
     /// Panics if `recover_after` is zero (recovery would be instant and
-    /// the hysteresis contract meaningless).
+    /// the hysteresis contract meaningless), or if `recover_ratio` is not
+    /// in `[0, 1]`.
     pub fn new(top: usize, policy: OverloadPolicy) -> Self {
         assert!(policy.recover_after >= 1, "recover_after must be >= 1");
+        assert!(
+            (0.0..=1.0).contains(&policy.recover_ratio),
+            "recover_ratio must be in [0, 1], got {}",
+            policy.recover_ratio
+        );
         let budget_ns = policy.queue_budget.as_nanos() as u64;
-        let ratio = policy.recover_ratio.clamp(0.0, 1.0);
         Self {
             top,
             cap: top,
             budget_ns,
-            calm_line_ns: (budget_ns as f64 * ratio) as u64,
+            calm_line_ns: (budget_ns as f64 * policy.recover_ratio) as u64,
             recover_after: policy.recover_after,
             calm_streak: 0,
             downshifts: 0,
@@ -327,5 +333,29 @@ mod tests {
                 ..OverloadPolicy::default()
             },
         );
+    }
+
+    fn with_ratio(recover_ratio: f64) -> OverloadController {
+        OverloadController::new(
+            1,
+            OverloadPolicy {
+                recover_ratio,
+                ..OverloadPolicy::default()
+            },
+        )
+    }
+
+    /// Regression: NaN used to clamp to 0, so the cap never recovered.
+    #[test]
+    #[should_panic(expected = "recover_ratio must be in [0, 1], got NaN")]
+    fn nan_recover_ratio_is_rejected() {
+        with_ratio(f64::NAN);
+    }
+
+    /// Regression: a ratio above one used to clamp to 1.0 silently.
+    #[test]
+    #[should_panic(expected = "recover_ratio must be in [0, 1], got 2")]
+    fn recover_ratio_above_one_is_rejected() {
+        with_ratio(2.0);
     }
 }

@@ -92,7 +92,11 @@ impl CombinedPerf {
 
     /// EDP decomposition `(low, high, overhead)` mirroring Fig. 8b, using
     /// the same three-way delay split weighted by average energy density.
+    /// All zero at zero delay, like the other derived metrics.
     pub fn edp_split(&self) -> (f64, f64, f64) {
+        if self.delay_ms == 0.0 {
+            return (0.0, 0.0, 0.0);
+        }
         let per_ms = self.edp() / self.delay_ms;
         (
             self.low_effort_delay_ms() * per_ms,
@@ -207,8 +211,8 @@ mod tests {
 
     #[test]
     fn zero_delay_combination_is_nan_free() {
-        // Regression: power_w and fps divided by zero when delay_ms == 0,
-        // yielding inf/NaN that poisoned downstream reports.
+        // Regression: power_w, fps and edp_split divided by zero when
+        // delay_ms == 0, yielding inf/NaN that poisoned downstream reports.
         let (low, high) = perfs();
         let mut c = combine_efforts(&low, &high, 0.5);
         c.delay_ms = 0.0;
@@ -216,6 +220,7 @@ mod tests {
         assert_eq!(c.fps(), 0.0);
         assert_eq!(c.fps_per_w(), 0.0);
         assert_eq!(c.edp(), 0.0);
+        assert_eq!(c.edp_split(), (0.0, 0.0, 0.0));
         for v in [c.power_w(), c.fps(), c.fps_per_w(), c.edp()] {
             assert!(v.is_finite(), "metric {v} not finite");
         }
