@@ -1,7 +1,7 @@
 //! Affine projection layer with optional 8-bit fake quantization.
 
 use crate::{Layer, Param};
-use pivot_tensor::{Matrix, QuantParams, Rng};
+use pivot_tensor::{add_bias_in_place, Matrix, QuantParams, Rng};
 
 /// Whether a [`Linear`] layer fake-quantizes its weights in the forward pass.
 ///
@@ -135,7 +135,8 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, x: &Matrix) -> Matrix {
         let w_eff = self.effective_weight();
-        let y = x.matmul(&w_eff).add_row_broadcast(self.bias.value.row(0));
+        let mut y = x.matmul(&w_eff);
+        add_bias_in_place(&mut y, self.bias.value.row(0), false);
         self.cache_x = Some(x.clone());
         self.cache_w_eff = Some(w_eff);
         y

@@ -18,7 +18,7 @@
 //! weights) invalidates it and requires calling `prepare()` again.
 
 use crate::{EncoderTrace, LayerNorm, QuantMode};
-use pivot_tensor::{gelu_in_place, ContentHasher, Matrix, PackedF32, QuantParams};
+use pivot_tensor::{add_bias_in_place, ContentHasher, Matrix, PackedF32, QuantParams};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -123,8 +123,15 @@ impl PreparedLinear {
 
     /// Inference forward `y = x W_eff + b`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        x.matmul_prepacked(&self.panels)
-            .add_row_broadcast(self.bias.row(0))
+        self.infer_then(x, false)
+    }
+
+    /// The forward with the bias (and, with `gelu_after`, the GELU after
+    /// it) applied in place on the product the GEMM just wrote.
+    fn infer_then(&self, x: &Matrix, gelu_after: bool) -> Matrix {
+        let mut y = x.matmul_prepacked(&self.panels);
+        add_bias_in_place(&mut y, self.bias.row(0), gelu_after);
+        y
     }
 
     /// Bytes of weight storage the forward pass streams per call: the
@@ -359,11 +366,10 @@ impl PreparedMlp {
         self.fc1.unique_weight_bytes_into(seen) + self.fc2.unique_weight_bytes_into(seen)
     }
 
-    /// Inference forward `fc2(gelu(fc1(x)))`, row-wise.
+    /// Inference forward `fc2(gelu(fc1(x)))`, row-wise: `fc1`'s bias and
+    /// the GELU are one pass over its product.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut hidden = self.fc1.infer(x);
-        gelu_in_place(hidden.as_mut_slice());
-        self.fc2.infer(&hidden)
+        self.fc2.infer(&self.fc1.infer_then(x, true))
     }
 }
 

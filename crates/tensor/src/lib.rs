@@ -38,8 +38,8 @@ pub use int8::{matmul_quantized, matmul_quantized_into, PackedInt8};
 pub use matrix::Matrix;
 pub use microkernel::{f32_simd_available, PackedF32, PANEL_WIDTH};
 pub use ops::{
-    erf, exp, gelu, gelu_backward_in_place, gelu_derivative, gelu_in_place, log_softmax_row,
-    softmax_row, softmax_row_in_place, stable_softmax_in_place,
+    add_bias_in_place, erf, exp, gelu, gelu_backward_in_place, gelu_derivative, gelu_in_place,
+    log_softmax_row, softmax_row, softmax_row_in_place, stable_softmax_in_place,
 };
 pub use quant::QuantParams;
 pub use rng::Rng;

@@ -425,11 +425,13 @@ impl Matrix {
     /// [`Self::matmul_transpose_b`] into a caller-owned output buffer.
     ///
     /// Each output element is one dot product of two contiguous rows, so
-    /// no packing is needed: the host's dot kernel runs directly — the
-    /// AVX2+FMA lane-split fused dots (exact accumulation order documented
-    /// in `crate::microkernel`), or elsewhere one ascending-`k`
-    /// single-accumulator chain, bit-identical to `matmul_naive` against
-    /// the materialized transpose.
+    /// no packing is needed: the host's dot kernel runs directly — on
+    /// AVX-512F+VL a register tile of 3 × 8 lane-split fused dots, on
+    /// AVX2+FMA the same dots up to four at a time (one exact
+    /// accumulation order for both, documented in `crate::microkernel`),
+    /// or elsewhere one ascending-`k` single-accumulator chain,
+    /// bit-identical to `matmul_naive` against the materialized
+    /// transpose.
     ///
     /// # Panics
     ///
@@ -659,22 +661,6 @@ impl Matrix {
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b * s;
         }
-    }
-
-    /// Adds a row vector to every row (broadcast add), returning a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
-        assert_eq!(bias.len(), self.cols, "broadcast length mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
-        out
     }
 
     /// Sums all elements.
@@ -1198,14 +1184,6 @@ mod tests {
         let left = a.slice_cols(0, 3);
         let right = a.slice_cols(3, 5);
         assert_eq!(left.hcat(&right), a);
-    }
-
-    #[test]
-    fn broadcast_add() {
-        let a = Matrix::zeros(2, 3);
-        let b = a.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(b.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(b.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

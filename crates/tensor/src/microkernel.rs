@@ -11,21 +11,26 @@
 //!
 //! * **AVX-512F** — [`gemm`] runs a register tile of up to six rows by
 //!   *two* 16-wide panels, one `zmm` accumulator per row and panel, ragged
-//!   columns written with a lane-masked store. [`gemm_transpose_b`] runs
-//!   the AVX2 dots below (every AVX-512F CPU has AVX2 and FMA).
+//!   columns written with a lane-masked store. With AVX-512VL as well,
+//!   [`gemm_transpose_b`] runs a register tile of 3 `A` rows by 8 `B`
+//!   rows — 24 eight-lane `ymm` dots in the 32 registers VL provides —
+//!   folded eight dots at a time, its ragged edges by the AVX2 dots below
+//!   (every AVX-512F CPU has AVX2 and FMA).
 //! * **AVX2+FMA** ([`f32_simd_available`]) — [`gemm`] runs six rows by one
 //!   panel held in two `ymm` halves; [`gemm_transpose_b`] runs lane-split
-//!   fused dots.
+//!   fused dots, up to four sharing each `A` load.
 //! * **Everywhere else** — one scalar panel kernel
 //!   ([`gemm_panels_unfused`]) and one scalar strided dot
 //!   ([`gemm_transpose_b_unfused`]), both unfused and **bit-identical** to
 //!   `Matrix::matmul_naive`.
 //!
-//! `gemm_transpose_b` stays eight lanes wide on AVX-512 hosts because its
-//! lane split *is* its contract: each element's reduction is spread over 8
-//! lanes and folded by a fixed tree ([`dot_mirror`]), so a 16-lane dot
-//! would sum in a different order and change bits. [`gemm`] has no such
-//! split — each lane is a whole output element — so its width is free.
+//! `gemm_transpose_b`'s dots stay eight lanes wide on AVX-512 hosts
+//! because their lane split *is* their contract: each element's reduction
+//! is spread over 8 lanes and folded by a fixed tree ([`dot_mirror`]), so
+//! a 16-lane dot would sum in a different order and change bits. The
+//! AVX-512 arm widens the *tile* instead — more dots per load, the same
+//! lanes and tree per dot. [`gemm`] has no such split — each lane is a
+//! whole output element — so its width is free.
 //!
 //! # Numerics contract
 //!
@@ -41,9 +46,9 @@
 //!   chain in scalar `f32::mul_add` and is **bit-identical** to both vector
 //!   kernels on every input, so they are pinned exactly — to the mirror
 //!   and so to each other — not just within a tolerance. (The dot-product
-//!   kernel used by `matmul_transpose_b_into` splits the reduction over 8
-//!   lanes; its fixed lane order and reduction tree are mirrored by
-//!   [`dot_mirror`].)
+//!   kernels used by `matmul_transpose_b_into` split the reduction over 8
+//!   lanes; their fixed lane order and reduction tree are mirrored by
+//!   [`dot_mirror`], which pins both vector arms the same way.)
 //! * **Documented tolerance vs. the unfused reference.** Against
 //!   `matmul_naive` (round after every multiply), each element differs by
 //!   at most one rounding per fused term: `|simd − naive| ≤ k · ε · (|A|·|B|)`
@@ -67,8 +72,9 @@ use std::ops::Range;
 pub const PANEL_WIDTH: usize = 16;
 
 /// Whether the runtime CPU takes the f32 SIMD path (AVX2 **and** FMA):
-/// the fused dots, the exponential's eight lanes, and the packed GEMM —
-/// which runs its AVX-512 arm instead where the CPU also has AVX-512F.
+/// the fused dots, the slice routines' eight lanes, and the packed GEMM —
+/// each of which runs its AVX-512 form instead where the CPU also has
+/// AVX-512F (the dots: AVX-512F and VL).
 ///
 /// The decision is a property of the machine, not of operand shapes, so
 /// dispatch can never differ between a per-sample GEMM and the wide
@@ -287,11 +293,10 @@ pub(crate) type Arm = fn(LhsView<'_>, usize, &PackedF32, &mut [f32], usize);
 
 /// Every vector arm of [`gemm`] this host can run, widest (the one
 /// `gemm` dispatches to) first. Each arm it cannot run is reported on
-/// stderr, past the test harness's output capture, so a passing test
-/// on such a host still says what it did not check.
+/// stderr ([`report_arms`]), so a passing test on such a host still says
+/// what it did not check.
 #[cfg(test)]
 pub(crate) fn simd_arms() -> Vec<(&'static str, Arm)> {
-    use std::io::Write;
     let mut arms: Vec<(&'static str, Arm)> = Vec::new();
     let mut skipped = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -321,19 +326,75 @@ pub(crate) fn simd_arms() -> Vec<(&'static str, Arm)> {
     }
     #[cfg(not(target_arch = "x86_64"))]
     skipped.extend(["avx512f", "avx2+fma"]);
-    let names: Vec<_> = arms.iter().map(|(name, _)| *name).collect();
+    report_arms(
+        "gemm",
+        arms.iter().map(|(name, _)| *name).collect(),
+        &skipped,
+    );
+    arms
+}
+
+/// Says on stderr, past the test harness's output capture, which arms of
+/// `kernel` a test checks (the first is the one it dispatches to) and
+/// which it skipped because the host lacks them.
+#[cfg(test)]
+fn report_arms(kernel: &str, checked: Vec<&str>, skipped: &[&str]) {
+    use std::io::Write;
     let mut stderr = std::io::stderr();
-    let dispatched = names.first().unwrap_or(&"scalar");
+    let dispatched = checked.first().unwrap_or(&"scalar");
     let _ = writeln!(
         stderr,
-        "gemm arm dispatched: {dispatched}; checked: {names:?}"
+        "{kernel} arm dispatched: {dispatched}; checked: {checked:?}"
     );
     if !skipped.is_empty() {
         let _ = writeln!(
             stderr,
-            "gemm arms SKIPPED, the host lacks them: {skipped:?}"
+            "{kernel} arms SKIPPED, the host lacks them: {skipped:?}"
         );
     }
+}
+
+/// A vector arm of [`gemm_transpose_b`], called by name.
+#[cfg(test)]
+pub(crate) type TransposeArm =
+    fn(StridedRows<'_>, StridedRows<'_>, (usize, usize, usize), &mut [f32]);
+
+/// Every vector arm of [`gemm_transpose_b`] this host can run, the one it
+/// dispatches to first; reported on stderr as [`simd_arms`] does.
+#[cfg(test)]
+pub(crate) fn transpose_arms() -> Vec<(&'static str, TransposeArm)> {
+    let mut arms: Vec<(&'static str, TransposeArm)> = Vec::new();
+    let mut skipped = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if tiled_transpose_available() {
+            arms.push(("avx512f+vl tiled", |a, b, shape, out| {
+                if transpose_operands_fit(a, b, shape, out.len()) {
+                    // SAFETY: pushed only after AVX-512F and AVX-512VL
+                    // were detected; the operands passed the checks
+                    // `gemm_transpose_b` makes.
+                    unsafe { avx512::gemm_transpose_b(a, b, shape, out) }
+                }
+            }));
+        } else {
+            skipped.push("avx512f+vl tiled");
+        }
+        if f32_simd_available() {
+            arms.push(("avx2+fma dots", |a, b, (m, k, n), out| {
+                // SAFETY: pushed only after AVX2+FMA was detected.
+                unsafe { avx2::dots(a, b, (k, n), 0..m, 0, out) }
+            }));
+        } else {
+            skipped.push("avx2+fma dots");
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    skipped.extend(["avx512f+vl tiled", "avx2+fma dots"]);
+    report_arms(
+        "A·B^T",
+        arms.iter().map(|(name, _)| *name).collect(),
+        &skipped,
+    );
     arms
 }
 
@@ -491,9 +552,10 @@ pub(crate) fn dot_mirror(a: &[f32], b: &[f32]) -> f32 {
 /// output is the dot product of the `k`-long runs `a.run(i, k)` and
 /// `b.run(j, k)`. A stride of `k` is a dense operand; a larger one reads a
 /// column block of a wider matrix in place (one attention head of the
-/// stacked `Q` or `K`). Runs the AVX2 lane-split fused dots (see
-/// [`dot_mirror`] for the exact order) where [`f32_simd_available`] holds,
-/// [`gemm_transpose_b_unfused`] everywhere else.
+/// stacked `Q` or `K`). Runs the register-tiled dots where the CPU has
+/// AVX-512F and AVX-512VL, the AVX2 lane-split fused dots where only
+/// [`f32_simd_available`] holds — both in [`dot_mirror`]'s exact order —
+/// and [`gemm_transpose_b_unfused`] everywhere else.
 ///
 /// # Panics
 ///
@@ -504,14 +566,71 @@ pub(crate) fn gemm_transpose_b(
     (m, k, n): (usize, usize, usize),
     out: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if f32_simd_available() {
-        // SAFETY: AVX2+FMA support was just verified at runtime; every
-        // slice access inside is bounds-checked.
-        unsafe { avx2::gemm_transpose_b(a, b, (m, k, n), out) };
+    if !transpose_operands_fit(a, b, (m, k, n), out.len()) {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if tiled_transpose_available() {
+            // SAFETY: AVX-512F and AVX-512VL support was just verified at
+            // runtime; `transpose_operands_fit` bounds every run of both
+            // operands and the `m * n` output.
+            unsafe { avx512::gemm_transpose_b(a, b, (m, k, n), out) };
+            return;
+        }
+        if f32_simd_available() {
+            // SAFETY: AVX2+FMA support was just verified at runtime; every
+            // slice access inside is bounds-checked.
+            unsafe { avx2::dots(a, b, (k, n), 0..m, 0, out) };
+            return;
+        }
+    }
     gemm_transpose_b_unfused(a, b, (m, k, n), out);
+}
+
+/// Whether [`gemm_transpose_b`] runs its register-tiled AVX-512 arm: the
+/// tile holds 24 accumulators in `ymm` registers, which needs the sixteen
+/// extra ones AVX-512VL adds to AVX-512F.
+#[cfg(target_arch = "x86_64")]
+fn tiled_transpose_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+}
+
+/// The operand checks every arm of [`gemm_transpose_b`] relies on: the
+/// last of the `m` runs of `a` and of the `n` runs of `b` ends inside its
+/// operand, and `out_len` floats hold the `m x n` product. Returns `false`
+/// when the product is empty (nothing to write).
+///
+/// # Panics
+///
+/// Panics when a check fails.
+fn transpose_operands_fit(
+    a: StridedRows<'_>,
+    b: StridedRows<'_>,
+    (m, k, n): (usize, usize, usize),
+    out_len: usize,
+) -> bool {
+    if m == 0 || n == 0 {
+        return false;
+    }
+    // Checked: the AVX-512 arm's raw loads and stores rely on these.
+    assert!(
+        m.checked_mul(n).is_some_and(|len| len <= out_len),
+        "A·B^T output of {out_len} floats cannot hold {m}x{n}"
+    );
+    for (rows, runs, name) in [(m, a, "lhs"), (n, b, "rhs")] {
+        let end = (rows - 1)
+            .checked_mul(runs.stride)
+            .and_then(|start| start.checked_add(k));
+        assert!(
+            end.is_some_and(|end| end <= runs.base.len()),
+            "A·B^T {name} of {} floats does not hold {rows} runs of {k} at stride {}",
+            runs.base.len(),
+            runs.stride
+        );
+    }
+    true
 }
 
 /// The scalar kernel of [`gemm_transpose_b`]: each element is the
@@ -540,6 +659,7 @@ pub(crate) fn gemm_transpose_b_unfused(
 mod avx2 {
     use super::{LhsView, PackedF32, StridedRows, PANEL_WIDTH};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// One register tile: `MR` output rows by one 16-column panel, the
     /// full reduction in registers. Every output element is a single
@@ -653,24 +773,28 @@ mod avx2 {
         }
     }
 
-    /// The `A · B^T` sweep of [`super::gemm_transpose_b`]: four rhs rows
-    /// per [`dot4`], the tail by [`dot1`]. It lives inside the feature
-    /// gate so both dots inline into it.
+    /// Elements `(i, j)` for `i` in `rows` and `j` in `cols_from..n` of
+    /// the dense `A · B^T` of [`super::gemm_transpose_b`]: four rhs rows
+    /// per [`dot4`], the tail by [`dot1`] — the whole product on AVX2
+    /// hosts, the ragged edges of the AVX-512 tiles. It lives inside the
+    /// feature gate so both dots inline into it.
     ///
     /// # Safety
     ///
     /// Caller must have verified AVX2+FMA support.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_transpose_b(
+    pub unsafe fn dots(
         a: StridedRows<'_>,
         b: StridedRows<'_>,
-        (m, k, n): (usize, usize, usize),
+        (k, n): (usize, usize),
+        rows: Range<usize>,
+        cols_from: usize,
         out: &mut [f32],
     ) {
-        for i in 0..m {
+        for i in rows {
             let a_row = a.run(i, k);
             let out_row = &mut out[i * n..(i + 1) * n];
-            let mut j = 0;
+            let mut j = cols_from;
             while j + 4 <= n {
                 dot4(
                     a_row,
@@ -770,7 +894,7 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{LhsView, PackedF32, PANEL_WIDTH};
+    use super::{LhsView, PackedF32, StridedRows, PANEL_WIDTH};
     use std::arch::x86_64::*;
 
     /// One register tile: `MR` output rows by `NP` (1 or 2) consecutive
@@ -891,6 +1015,132 @@ mod avx512 {
         if n_panels % 2 == 1 {
             row_blocks::<1>(a, m, packed, n_panels - 1, out, out_stride);
         }
+    }
+
+    /// Rows of `A` (queries) per [`tile`].
+    const TILE_ROWS: usize = 3;
+    /// Rows of `B` (keys) per [`tile`]: one folded `ymm` of results.
+    const TILE_COLS: usize = 8;
+
+    /// The `A · B^T` sweep of [`super::gemm_transpose_b`]: whole
+    /// [`TILE_ROWS`] × [`TILE_COLS`] tiles by [`tile`], the ragged
+    /// columns of each tile row and the ragged rows by the AVX2 dots.
+    /// Every element is the same lane-split dot either way.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F and AVX-512VL support, and
+    /// [`super::transpose_operands_fit`] must hold for the operands.
+    #[target_feature(enable = "avx512f", enable = "avx512vl")]
+    pub unsafe fn gemm_transpose_b(
+        a: StridedRows<'_>,
+        b: StridedRows<'_>,
+        (m, k, n): (usize, usize, usize),
+        out: &mut [f32],
+    ) {
+        let (whole_rows, whole_cols) = (m - m % TILE_ROWS, n - n % TILE_COLS);
+        let (a_ptr, b_ptr, out_ptr) = (a.base.as_ptr(), b.base.as_ptr(), out.as_mut_ptr());
+        for j in (0..whole_cols).step_by(TILE_COLS) {
+            for i in (0..whole_rows).step_by(TILE_ROWS) {
+                tile(
+                    a_ptr.add(i * a.stride),
+                    a.stride,
+                    b_ptr.add(j * b.stride),
+                    b.stride,
+                    k,
+                    out_ptr.add(i * n + j),
+                    n,
+                );
+            }
+        }
+        super::avx2::dots(a, b, (k, n), 0..whole_rows, whole_cols, out);
+        super::avx2::dots(a, b, (k, n), whole_rows..m, 0, out);
+    }
+
+    /// One register tile: [`TILE_ROWS`] rows of `A` against [`TILE_COLS`]
+    /// rows of `B`, 24 eight-lane `ymm` dots — the register file AVX-512VL
+    /// doubles to 32 holds them beside the three `A` chunks and one `B`
+    /// chunk in flight. Each `A` chunk is loaded once per eight `B` rows
+    /// and each `B` chunk once per three `A` rows. Lane `l` of a dot
+    /// accumulates `k ≡ l (mod 8)` in ascending order, each tile row is
+    /// folded by [`fold8`] and the sub-8 tail fused in ascending order:
+    /// every element is [`super::dot_mirror`] of its two runs.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F and AVX-512VL support; the
+    /// pointers must span [`TILE_ROWS`] runs of `k` floats at `a_stride`,
+    /// [`TILE_COLS`] at `b_stride`, and [`TILE_ROWS`] output rows of
+    /// [`TILE_COLS`] floats at `out_stride`.
+    // Lockstep register arrays, as in the GEMM kernels.
+    #[allow(clippy::needless_range_loop)]
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx512vl")]
+    unsafe fn tile(
+        a: *const f32,
+        a_stride: usize,
+        b: *const f32,
+        b_stride: usize,
+        k: usize,
+        out: *mut f32,
+        out_stride: usize,
+    ) {
+        let k8 = k - k % 8;
+        let mut acc = [[_mm256_setzero_ps(); TILE_COLS]; TILE_ROWS];
+        let mut t = 0;
+        while t < k8 {
+            let mut av = [_mm256_setzero_ps(); TILE_ROWS];
+            for r in 0..TILE_ROWS {
+                av[r] = _mm256_loadu_ps(a.add(r * a_stride + t));
+            }
+            for c in 0..TILE_COLS {
+                let bv = _mm256_loadu_ps(b.add(c * b_stride + t));
+                for r in 0..TILE_ROWS {
+                    acc[r][c] = _mm256_fmadd_ps(av[r], bv, acc[r][c]);
+                }
+            }
+            t += 8;
+        }
+        for r in 0..TILE_ROWS {
+            let dst = out.add(r * out_stride);
+            _mm256_storeu_ps(dst, fold8(acc[r]));
+            for t in k8..k {
+                let x = *a.add(r * a_stride + t);
+                for c in 0..TILE_COLS {
+                    *dst.add(c) = x.mul_add(*b.add(c * b_stride + t), *dst.add(c));
+                }
+            }
+        }
+    }
+
+    /// Eight dots folded at once: lane `j` of the result is the AVX2
+    /// `hsum` of `dots[j]` — the tree `((l0+l4)+(l2+l6)) +
+    /// ((l1+l5)+(l3+l7))` of [`super::dot_mirror`], every addition with
+    /// the same operands in the same order.
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx512vl")]
+    fn fold8(dots: [__m256; 8]) -> __m256 {
+        // `[lo(x) + hi(x) | lo(y) + hi(y)]`: the four pair sums
+        // `l0+l4, l1+l5, l2+l6, l3+l7` of two dots.
+        let quads = |x, y| {
+            _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(x, y),
+                _mm256_permute2f128_ps::<0x31>(x, y),
+            )
+        };
+        let [q04, q15, q26, q37] = [
+            quads(dots[0], dots[4]),
+            quads(dots[1], dots[5]),
+            quads(dots[2], dots[6]),
+            quads(dots[3], dots[7]),
+        ];
+        // Per dot `e = (l0+l4)+(l2+l6)` and `o = (l1+l5)+(l3+l7)`:
+        // `[e0 e1 o0 o1 | e4 e5 o4 o5]` and `[e2 e3 o2 o3 | e6 e7 o6 o7]`.
+        let eo0145 = _mm256_add_ps(_mm256_unpacklo_ps(q04, q15), _mm256_unpackhi_ps(q04, q15));
+        let eo2367 = _mm256_add_ps(_mm256_unpacklo_ps(q26, q37), _mm256_unpackhi_ps(q26, q37));
+        let e = _mm256_shuffle_ps::<0b01_00_01_00>(eo0145, eo2367);
+        let o = _mm256_shuffle_ps::<0b11_10_11_10>(eo0145, eo2367);
+        _mm256_add_ps(e, o)
     }
 }
 
@@ -1030,6 +1280,91 @@ mod tests {
             gemm(lhs(&a), m, &packed, &mut dispatched, n);
             gemm_mirror(lhs(&a), m, &packed, &mut mirror);
             assert_eq!(bits(&dispatched), bits(&mirror), "gemm at {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn simd_transpose_b_arms_are_bit_identical_to_the_mirror() {
+        let same_bits = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let arms = transpose_arms();
+        let mut rng = Rng::new(8);
+        // Every tile split (3 rows by 8 columns, ragged on either side or
+        // both), reductions shorter than, equal to and off a multiple of
+        // the 8-lane split, on operands read at a stride and an offset
+        // inside wider matrices; the last two cases poison some lanes
+        // with NaN and infinities.
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for k in [1, 7, 8, 9, 16, 64, 65] {
+            for poison in [0, 2, 7] {
+                let (stride, at) = (k + 5, 3);
+                let mut q = Matrix::randn(20, stride, 1.0, &mut rng);
+                let mut kt = Matrix::randn(20, stride, 1.0, &mut rng);
+                for p in 0..poison {
+                    let s = specials[p % specials.len()];
+                    q.as_mut_slice()[at + rng.below(19 * stride)] = s;
+                    kt.as_mut_slice()[at + rng.below(19 * stride)] = s;
+                }
+                let (qr, kr) = (
+                    StridedRows {
+                        base: &q.as_slice()[at..],
+                        stride,
+                    },
+                    StridedRows {
+                        base: &kt.as_slice()[at..],
+                        stride,
+                    },
+                );
+                for m in 1..=20 {
+                    for n in 1..=20 {
+                        let mut want = Vec::with_capacity(m * n);
+                        for i in 0..m {
+                            for j in 0..n {
+                                want.push(dot_mirror(qr.run(i, k), kr.run(j, k)));
+                            }
+                        }
+                        let mut dispatched = vec![12345.0f32; m * n];
+                        gemm_transpose_b(qr, kr, (m, k, n), &mut dispatched);
+                        let mut outputs = vec![("dispatched", dispatched)];
+                        for &(name, arm) in &arms {
+                            let mut out = vec![12345.0f32; m * n];
+                            arm(qr, kr, (m, k, n), &mut out);
+                            outputs.push((name, out));
+                        }
+                        for (name, out) in outputs {
+                            for (e, (&got, &w)) in out.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same_bits(got, w),
+                                    "{name} at {m}x{k}x{n}, poison {poison}, ({}, {}): {got:e} vs {w:e}",
+                                    e / n,
+                                    e % n
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_b_rejects_a_run_outside_its_operand() {
+        let base = [0.0f32; 20];
+        let run = |stride| StridedRows {
+            base: &base,
+            stride,
+        };
+        let mut out = [0.0f32; 6];
+        // Three runs of 8 at stride 6 end at 20: inside.
+        gemm_transpose_b(run(6), run(6), (3, 8, 2), &mut out);
+        for (a, b, shape, out_len, what) in [
+            (7, 6, (3, 8, 2), 6, "lhs"),
+            (6, 7, (2, 8, 3), 6, "rhs"),
+            (6, 6, (3, 8, 2), 5, "output"),
+        ] {
+            let result = std::panic::catch_unwind(|| {
+                gemm_transpose_b(run(a), run(b), shape, &mut [0.0; 6][..out_len]);
+            });
+            assert!(result.is_err(), "{what} out of bounds was not caught");
         }
     }
 

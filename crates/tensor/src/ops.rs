@@ -3,23 +3,27 @@
 //! Every exponential on the model path is the in-tree [`exp`] — under
 //! [`erf`] (hence GELU and its derivative) and under the softmax family —
 //! so no model output depends on the host's `expf`. The slice routines
-//! ([`gelu_in_place`], [`gelu_backward_in_place`], the softmax rows) run
-//! the same scalar bodies eight lanes wide on AVX2 hosts and return the
-//! same bits as the scalar functions on every host (DESIGN §4i). The one
+//! ([`gelu_in_place`], [`gelu_backward_in_place`], [`add_bias_in_place`],
+//! the softmax rows) run the same scalar bodies sixteen lanes wide on
+//! AVX-512F hosts and eight lanes wide on AVX2 hosts, and return the same
+//! bits as the scalar functions on every host (DESIGN §4i). The one
 //! transcendental still taken from libm is `ln`, in [`log_softmax_row`]
 //! and in `pivot-nn`'s entropy.
 
 use crate::microkernel::f32_simd_available;
+#[cfg(test)]
+use std::cell::Cell;
 
-/// Defines a slice routine once and instantiates its body at two widths:
-/// plainly, and inside an AVX2 `target_feature` wrapper that the routine
-/// dispatches to on hosts where [`f32_simd_available`]. The body is
-/// ordinary scalar Rust over [`exp`] and friends; inside the wrapper LLVM
-/// vectorises its loop eight lanes wide. rustc never contracts `a * b + c`
-/// into a fused multiply-add, so both instantiations — and the vector
-/// loop's scalar tail — round identically: same input bits, same output
-/// bits, whichever one a host runs.
-macro_rules! at_two_widths {
+/// Defines a slice routine once and instantiates its body at every width:
+/// plainly, inside an AVX2 `target_feature` wrapper and inside an
+/// AVX-512F one; the routine dispatches to the widest the host runs
+/// ([`slice_lanes`]). The body is ordinary scalar Rust over [`exp`] and
+/// friends; inside a wrapper LLVM vectorises its loop eight or sixteen
+/// lanes wide. rustc never contracts `a * b + c` into a fused
+/// multiply-add, so every instantiation — and each vector loop's scalar
+/// tail — rounds identically: same input bits, same output bits, whichever
+/// one a host runs.
+macro_rules! at_every_width {
     ($(#[$attr:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {
         $(#[$attr])*
         $vis fn $name($($arg: $ty),*) $(-> $ret)? {
@@ -28,20 +32,58 @@ macro_rules! at_two_widths {
 
             #[cfg(target_arch = "x86_64")]
             {
+                #[target_feature(enable = "avx512f")]
+                unsafe fn sixteen_lanes($($arg: $ty),*) $(-> $ret)? {
+                    body($($arg),*)
+                }
                 #[target_feature(enable = "avx2")]
                 unsafe fn eight_lanes($($arg: $ty),*) $(-> $ret)? {
                     body($($arg),*)
                 }
-                if f32_simd_available() {
-                    // SAFETY: `f32_simd_available()` has just confirmed that
-                    // this CPU supports AVX2, the only feature the wrapper
+                match slice_lanes() {
+                    // SAFETY: `slice_lanes()` returns 16 only where this
+                    // CPU supports AVX-512F, the only feature the wrapper
                     // enables; its body is safe code.
-                    return unsafe { eight_lanes($($arg),*) };
+                    16 => return unsafe { sixteen_lanes($($arg),*) },
+                    // SAFETY: as above, 8 only where the CPU has AVX2.
+                    8 => return unsafe { eight_lanes($($arg),*) },
+                    _ => {}
                 }
             }
             body($($arg),*)
         }
     };
+}
+
+/// The widest slice-routine instantiation this CPU runs, in `f32` lanes:
+/// 16 with AVX-512F, 8 where [`f32_simd_available`], 1 everywhere else.
+fn host_lanes() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return 16;
+    }
+    if f32_simd_available() {
+        8
+    } else {
+        1
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The widest instantiation the slice routines may dispatch to on this
+    /// thread; the tests narrow it to check every width in turn.
+    static LANE_CAP: Cell<usize> = const { Cell::new(16) };
+}
+
+/// The instantiation the slice routines dispatch to: [`host_lanes`], and
+/// in test builds no wider than this thread's cap.
+fn slice_lanes() -> usize {
+    #[cfg(test)]
+    let cap = LANE_CAP.with(Cell::get);
+    #[cfg(not(test))]
+    let cap = 16;
+    host_lanes().min(cap)
 }
 
 /// Inputs from here up overflow: `exp(x)` rounds to `+inf`.
@@ -167,9 +209,9 @@ pub fn gelu_derivative(x: f32) -> f32 {
     cdf + x * pdf
 }
 
-at_two_widths! {
+at_every_width! {
     /// [`gelu`] over a slice, in place: bit for bit `*x = gelu(*x)` for
-    /// every element, eight at a time on AVX2 hosts.
+    /// every element, at the host's vector width.
     pub fn gelu_in_place(xs: &mut [f32]) {
         for x in xs.iter_mut() {
             *x = gelu(*x);
@@ -177,7 +219,7 @@ at_two_widths! {
     }
 }
 
-at_two_widths! {
+at_every_width! {
     /// Back-propagates through [`gelu_in_place`]: scales each upstream
     /// gradient by the activation's slope at its pre-activation, bit for
     /// bit `*g = *g * gelu_derivative(x)`.
@@ -193,13 +235,56 @@ at_two_widths! {
     }
 }
 
-at_two_widths! {
+at_every_width! {
+    /// The bias epilogue of a linear layer, in place over the product the
+    /// GEMM just wrote: adds `bias` to every row of `m` and, with
+    /// `gelu_after`, applies [`gelu`] to each sum in the same pass — bit
+    /// for bit `*x += b`, or `*x = gelu(*x + b)`, at the host's vector
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias.len() != m.cols()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pivot_tensor::{add_bias_in_place, gelu, Matrix};
+    ///
+    /// let mut m = Matrix::zeros(2, 3);
+    /// add_bias_in_place(&mut m, &[1.0, 2.0, 3.0], true);
+    /// assert_eq!(m.row(1), &[gelu(1.0), gelu(2.0), gelu(3.0)]);
+    /// ```
+    pub fn add_bias_in_place(m: &mut crate::Matrix, bias: &[f32], gelu_after: bool) {
+        assert_eq!(bias.len(), m.cols(), "bias length mismatch");
+        if bias.is_empty() {
+            return;
+        }
+        let rows = m.as_mut_slice().chunks_exact_mut(bias.len());
+        if gelu_after {
+            for row in rows {
+                for (x, &b) in row.iter_mut().zip(bias) {
+                    *x = gelu(*x + b);
+                }
+            }
+        } else {
+            for row in rows {
+                for (x, &b) in row.iter_mut().zip(bias) {
+                    *x += b;
+                }
+            }
+        }
+    }
+}
+
+at_every_width! {
     /// The softmax's exponential stage, allocating: `exp(x - shift)` mapped
     /// straight from `row` into a new vector (a copy followed by
     /// [`shifted_exps_in_place`] stalls on store forwarding).
     fn shifted_exps(row: &[f32], shift: f32) -> Vec<f32> {
         // An explicit loop, not `collect`: `Vec::from_iter` is not inlined
-        // into the AVX2 wrapper, which would leave the loop four lanes wide.
+        // into the vector wrappers, which would leave the loop four lanes
+        // wide.
         let mut out = vec![0.0; row.len()];
         for (o, &x) in out.iter_mut().zip(row) {
             *o = exp(x - shift);
@@ -208,7 +293,7 @@ at_two_widths! {
     }
 }
 
-at_two_widths! {
+at_every_width! {
     /// The softmax's exponential stage, overwriting its input.
     fn shifted_exps_in_place(row: &mut [f32], shift: f32) {
         for x in row.iter_mut() {
@@ -298,15 +383,37 @@ mod tests {
             &[0.0, f32::NAN, 1.0, 2.0, 3.0],
             &[88.0, -88.0, 0.1, 0.2, 0.3],
         ];
-        let mut m = crate::Matrix::from_rows(&rows);
-        stable_softmax_in_place(&mut m);
-        for (r, row) in rows.iter().enumerate() {
-            let mut in_place = row.to_vec();
-            softmax_row_in_place(&mut in_place);
-            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&softmax_row(row)), bits(&in_place), "row {r}");
-            assert_eq!(bits(m.row(r)), bits(&in_place), "row {r}");
-        }
+        at_each_width(|lanes| {
+            let mut m = crate::Matrix::from_rows(&rows);
+            stable_softmax_in_place(&mut m);
+            for (r, row) in rows.iter().enumerate() {
+                let mut in_place = row.to_vec();
+                softmax_row_in_place(&mut in_place);
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&softmax_row(row)),
+                    bits(&in_place),
+                    "row {r}, {lanes} lanes"
+                );
+                assert_eq!(bits(m.row(r)), bits(&in_place), "row {r}, {lanes} lanes");
+            }
+        });
+    }
+
+    #[test]
+    fn bias_is_added_to_every_row_in_place() {
+        let mut m = crate::Matrix::zeros(2, 3);
+        add_bias_in_place(&mut m, &[1.0, 2.0, 3.0], false);
+        assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
+        // No columns: nothing to add, whatever the row count.
+        add_bias_in_place(&mut crate::Matrix::zeros(4, 0), &[], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias length mismatch")]
+    fn bias_of_the_wrong_width_is_rejected() {
+        add_bias_in_place(&mut crate::Matrix::zeros(2, 3), &[1.0, 2.0], false);
     }
 
     #[test]
@@ -385,6 +492,41 @@ mod tests {
         assert!(with_nan.iter().any(|p| p.is_nan()));
     }
 
+    /// Every instantiation of the slice routines this host runs, widest
+    /// (the one it dispatches to) first. The widths it cannot run are
+    /// reported on stderr once per process, past the test harness's output
+    /// capture, so a passing test on such a host still says what it did
+    /// not check.
+    fn host_widths() -> Vec<usize> {
+        use std::io::Write;
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        let (run, skipped): (Vec<usize>, Vec<usize>) = [16, 8, 1]
+            .into_iter()
+            .partition(|&lanes| lanes <= host_lanes());
+        REPORT.call_once(|| {
+            let mut stderr = std::io::stderr();
+            let _ = writeln!(stderr, "slice routines checked at {run:?} lanes");
+            if !skipped.is_empty() {
+                let _ = writeln!(
+                    stderr,
+                    "slice routine widths SKIPPED, the host lacks them: {skipped:?} lanes"
+                );
+            }
+        });
+        run
+    }
+
+    /// Runs `check` once per width in [`host_widths`], the slice routines
+    /// on this thread dispatching to that width's instantiation.
+    fn at_each_width(mut check: impl FnMut(usize)) {
+        for lanes in host_widths() {
+            LANE_CAP.with(|cap| cap.set(lanes));
+            assert_eq!(slice_lanes(), lanes, "dispatch ignores the cap");
+            check(lanes);
+        }
+        LANE_CAP.with(|cap| cap.set(16));
+    }
+
     /// Bit equality, with every NaN equal to every NaN.
     fn same_bits(a: f32, b: f32) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
@@ -409,20 +551,30 @@ mod tests {
     /// Contract lines 1-3 of [`exp`] on every `step`-th bit pattern of
     /// `patterns`: within 2 ULP of `f64::exp` rounded once wherever that is
     /// a normal `f32`, the defined result everywhere else, and the scalar
-    /// function equal to the dispatched slice stage (`x - 0.0` is `x`).
+    /// function equal to the slice stage at every width the host runs
+    /// (`x - 0.0` is `x`).
     fn check_exp_contract(patterns: std::ops::RangeInclusive<u32>, step: usize) {
         // Not a multiple of eight: every chunk ends in the vector loop's tail.
         const CHUNK: usize = 4093;
         let mut patterns = patterns.step_by(step).peekable();
         let mut inputs = Vec::with_capacity(CHUNK);
+        let mut wide = Vec::with_capacity(CHUNK);
         while patterns.peek().is_some() {
             inputs.clear();
             inputs.extend(patterns.by_ref().take(CHUNK).map(f32::from_bits));
-            let mut wide = inputs.clone();
-            shifted_exps_in_place(&mut wide, 0.0);
-            for (&x, &w) in inputs.iter().zip(&wide) {
+            at_each_width(|lanes| {
+                wide.clone_from(&inputs);
+                shifted_exps_in_place(&mut wide, 0.0);
+                for (&x, &w) in inputs.iter().zip(&wide) {
+                    let y = exp(x);
+                    assert!(
+                        same_bits(y, w),
+                        "exp({x:e}): scalar {y:e}, {lanes} lanes {w:e}"
+                    );
+                }
+            });
+            for &x in &inputs {
                 let y = exp(x);
-                assert!(same_bits(y, w), "exp({x:e}): scalar {y:e}, slice {w:e}");
                 let want = f64::from(x).exp() as f32;
                 if x.is_nan() {
                     assert!(y.is_nan(), "exp(NaN) = {y:e}");
@@ -439,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn exp_is_within_two_ulp_and_the_same_bits_at_both_widths() {
+    fn exp_is_within_two_ulp_and_the_same_bits_at_every_width() {
         check_exp_contract(0..=u32::MAX, 1021);
         // Every input around the two ends of the normal-result range, the
         // `n = 128` band under overflow included.
@@ -462,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn special_values_keep_their_fault_signatures_at_both_widths() {
+    fn special_values_keep_their_fault_signatures_at_every_width() {
         let largest_subnormal = f32::from_bits(0x007F_FFFF);
         // Contract line 2, by bits; `None` is NaN, and the two finite
         // results above 1.0 are held to the ULP bound instead.
@@ -497,71 +649,91 @@ mod tests {
 
         let specials = exp_table.map(|(x, _)| x);
         let finite = |i: usize| 0.37 * i as f32 - 3.0;
-        for len in 0..=33usize {
-            // A `Vec<f32>`'s first element and the one after it: at most
-            // one of the two starts is 32-byte aligned.
-            for start in [0, 1] {
-                // The slice forms against the scalar functions, the specials
-                // rotating through every position, tail positions included.
-                let xs: Vec<f32> = (0..start + len)
-                    .map(|i| specials[(i + len) % specials.len()])
-                    .collect();
-                let xs = &xs[start..];
-                let what = format!("len {len}, start {start}");
+        at_each_width(|lanes| {
+            for len in 0..=33usize {
+                // A `Vec<f32>`'s first element and the one after it: at most
+                // one of the two starts is 32-byte aligned.
+                for start in [0, 1] {
+                    // The slice forms against the scalar functions, the specials
+                    // rotating through every position, tail positions included.
+                    let xs: Vec<f32> = (0..start + len)
+                        .map(|i| specials[(i + len) % specials.len()])
+                        .collect();
+                    let xs = &xs[start..];
+                    let what = format!("len {len}, start {start}, {lanes} lanes");
 
-                let want: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
-                assert_same_bits(&shifted_exps(xs, 0.0), &want, &format!("exp, {what}"));
-                let mut got = vec![7.0; start + len];
-                got[start..].copy_from_slice(xs);
-                shifted_exps_in_place(&mut got[start..], 0.0);
-                assert_same_bits(&got[start..], &want, &format!("exp in place, {what}"));
+                    let want: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
+                    assert_same_bits(&shifted_exps(xs, 0.0), &want, &format!("exp, {what}"));
+                    let mut got = vec![7.0; start + len];
+                    got[start..].copy_from_slice(xs);
+                    shifted_exps_in_place(&mut got[start..], 0.0);
+                    assert_same_bits(&got[start..], &want, &format!("exp in place, {what}"));
 
-                let want: Vec<f32> = xs.iter().map(|&x| gelu(x)).collect();
-                got[start..].copy_from_slice(xs);
-                gelu_in_place(&mut got[start..]);
-                assert_same_bits(&got[start..], &want, &format!("gelu, {what}"));
+                    let want: Vec<f32> = xs.iter().map(|&x| gelu(x)).collect();
+                    got[start..].copy_from_slice(xs);
+                    gelu_in_place(&mut got[start..]);
+                    assert_same_bits(&got[start..], &want, &format!("gelu, {what}"));
 
-                let want: Vec<f32> = xs.iter().map(|&x| 1.5 * gelu_derivative(x)).collect();
-                got[start..].fill(1.5);
-                gelu_backward_in_place(&mut got[start..], xs);
-                assert_same_bits(&got[start..], &want, &format!("gelu backward, {what}"));
-                assert_eq!(got[..start], vec![7.0; start], "wrote before the slice");
+                    let want: Vec<f32> = xs.iter().map(|&x| 1.5 * gelu_derivative(x)).collect();
+                    got[start..].fill(1.5);
+                    gelu_backward_in_place(&mut got[start..], xs);
+                    assert_same_bits(&got[start..], &want, &format!("gelu backward, {what}"));
+                    assert_eq!(got[..start], vec![7.0; start], "wrote before the slice");
 
-                // The softmax row routines: one special at a time, at every
-                // position of an otherwise finite row.
-                let mut check_row = |row: &[f32], what: &str| {
-                    let want = softmax_reference(row);
-                    assert_same_bits(&softmax_row(row), &want, what);
-                    got[start..].copy_from_slice(row);
-                    softmax_row_in_place(&mut got[start..]);
-                    assert_same_bits(&got[start..], &want, what);
-                    want
-                };
-                let mut row: Vec<f32> = (0..start + len).map(finite).collect();
-                for &s in &specials {
-                    for at in start..start + len {
-                        row[at] = s;
-                        let what = format!("softmax, {s:e} at {at}, {what}");
-                        let probs = check_row(&row[start..], &what);
-                        let poisoned = s.is_nan()
-                            || s == f32::INFINITY
-                            || (s == f32::NEG_INFINITY && len == 1);
-                        if poisoned {
-                            assert!(probs.iter().all(|p| p.is_nan()), "{what}");
-                        } else {
-                            assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "{what}");
-                            if s == f32::NEG_INFINITY {
-                                assert_eq!(probs[at - start].to_bits(), 0, "{what}");
-                            }
+                    // The bias epilogue: the specials as a bias over two
+                    // finite rows, and as the rows under a finite bias.
+                    let finite_rows: Vec<f32> = (0..2 * len).map(finite).collect();
+                    let finite_bias: Vec<f32> = (0..len).map(|i| finite(i + 5)).collect();
+                    for (rows, bias) in [(&finite_rows, xs), (&xs.repeat(2), &finite_bias[..])] {
+                        for gelu_after in [false, true] {
+                            let what = format!("bias, gelu {gelu_after}, {what}");
+                            let want: Vec<f32> = rows
+                                .iter()
+                                .zip(bias.iter().cycle())
+                                .map(|(&x, &b)| if gelu_after { gelu(x + b) } else { x + b })
+                                .collect();
+                            let mut m = crate::Matrix::from_vec(2, len, rows.clone());
+                            add_bias_in_place(&mut m, bias, gelu_after);
+                            assert_same_bits(m.as_slice(), &want, &what);
                         }
-                        row[at] = finite(at);
                     }
+
+                    // The softmax row routines: one special at a time, at every
+                    // position of an otherwise finite row.
+                    let mut check_row = |row: &[f32], what: &str| {
+                        let want = softmax_reference(row);
+                        assert_same_bits(&softmax_row(row), &want, what);
+                        got[start..].copy_from_slice(row);
+                        softmax_row_in_place(&mut got[start..]);
+                        assert_same_bits(&got[start..], &want, what);
+                        want
+                    };
+                    let mut row: Vec<f32> = (0..start + len).map(finite).collect();
+                    for &s in &specials {
+                        for at in start..start + len {
+                            row[at] = s;
+                            let what = format!("softmax, {s:e} at {at}, {what}");
+                            let probs = check_row(&row[start..], &what);
+                            let poisoned = s.is_nan()
+                                || s == f32::INFINITY
+                                || (s == f32::NEG_INFINITY && len == 1);
+                            if poisoned {
+                                assert!(probs.iter().all(|p| p.is_nan()), "{what}");
+                            } else {
+                                assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "{what}");
+                                if s == f32::NEG_INFINITY {
+                                    assert_eq!(probs[at - start].to_bits(), 0, "{what}");
+                                }
+                            }
+                            row[at] = finite(at);
+                        }
+                    }
+                    let masked = vec![f32::NEG_INFINITY; start + len];
+                    let probs = check_row(&masked[start..], &format!("all -inf, {what}"));
+                    assert!(probs.iter().all(|p| p.is_nan()));
                 }
-                let masked = vec![f32::NEG_INFINITY; start + len];
-                let probs = check_row(&masked[start..], &format!("all -inf, {what}"));
-                assert!(probs.iter().all(|p| p.is_nan()));
             }
-        }
+        });
     }
 
     proptest! {
@@ -604,27 +776,40 @@ mod tests {
                     _ => {}
                 }
             }
-            let m = crate::Matrix::from_vec(1, row.len(), row.clone());
-            let mut activated = row.clone();
-            gelu_in_place(&mut activated);
-            assert_same_bits(&activated, m.map(gelu).as_slice(), "gelu_in_place vs map(gelu)");
+            at_each_width(|lanes| {
+                let m = crate::Matrix::from_vec(1, row.len(), row.clone());
+                let mut activated = row.clone();
+                gelu_in_place(&mut activated);
+                assert_same_bits(&activated, m.map(gelu).as_slice(), &format!("gelu_in_place vs map(gelu), {lanes} lanes"));
 
-            let mut grad = vec![-0.75; row.len()];
-            gelu_backward_in_place(&mut grad, &row);
-            let want = m.map(|x| -0.75 * gelu_derivative(x));
-            assert_same_bits(&grad, want.as_slice(), "gelu_backward_in_place vs zip_map");
+                let mut grad = vec![-0.75; row.len()];
+                gelu_backward_in_place(&mut grad, &row);
+                let want = m.map(|x| -0.75 * gelu_derivative(x));
+                assert_same_bits(&grad, want.as_slice(), &format!("gelu_backward_in_place vs zip_map, {lanes} lanes"));
 
-            let want = softmax_reference(&row);
-            assert_same_bits(&softmax_row(&row), &want, "softmax_row");
-            let mut in_place = row.clone();
-            softmax_row_in_place(&mut in_place);
-            assert_same_bits(&in_place, &want, "softmax_row_in_place");
+                let bias = row.iter().map(|&x| 0.5 - x).collect::<Vec<_>>();
+                for gelu_after in [false, true] {
+                    let mut shifted = m.clone();
+                    add_bias_in_place(&mut shifted, &bias, gelu_after);
+                    let want = m.zip_map(&crate::Matrix::row_vector(&bias), |x, b| {
+                        if gelu_after { gelu(x + b) } else { x + b }
+                    });
+                    let what = format!("add_bias_in_place, gelu {gelu_after}, {lanes} lanes");
+                    assert_same_bits(shifted.as_slice(), want.as_slice(), &what);
+                }
 
-            // The training loss's log-probabilities sit on the same stage.
-            let max = row_max(&row);
-            let log_sum = row.iter().map(|&x| exp(x - max)).sum::<f32>().ln();
-            let want: Vec<f32> = row.iter().map(|&x| x - max - log_sum).collect();
-            assert_same_bits(&log_softmax_row(&row), &want, "log_softmax_row");
+                let want = softmax_reference(&row);
+                assert_same_bits(&softmax_row(&row), &want, &format!("softmax_row, {lanes} lanes"));
+                let mut in_place = row.clone();
+                softmax_row_in_place(&mut in_place);
+                assert_same_bits(&in_place, &want, &format!("softmax_row_in_place, {lanes} lanes"));
+
+                // The training loss's log-probabilities sit on the same stage.
+                let max = row_max(&row);
+                let log_sum = row.iter().map(|&x| exp(x - max)).sum::<f32>().ln();
+                let want: Vec<f32> = row.iter().map(|&x| x - max - log_sum).collect();
+                assert_same_bits(&log_softmax_row(&row), &want, &format!("log_softmax_row, {lanes} lanes"));
+            });
         }
     }
 }
