@@ -1,7 +1,7 @@
 //! Multi-head self-attention (paper Eq. 1).
 
 use crate::{Layer, Linear, Param, QuantMode};
-use pivot_tensor::{softmax_row_in_place, Matrix, PackedF32, Rng};
+use pivot_tensor::{softmax_columns_in_place, Matrix, PackedF32, Rng};
 use std::cell::RefCell;
 
 /// Multi-head self-attention:
@@ -116,10 +116,18 @@ impl MultiHeadAttention {
 /// training and inference, in place on the stacked projections (`tokens`
 /// rows per sample): head operands are read at row stride `dim` and each
 /// head's output lands in its block of the context — no slice copies, no
-/// per-row or per-head allocation. `mask_row` sees each scaled score row
-/// before its softmax; `probs` sees each (sample, head)'s `tokens x tokens`
-/// probabilities before `SM x V` (training keeps them for `backward`).
-/// Inference's no-op hooks are monomorphised away.
+/// per-row or per-head allocation.
+///
+/// Each (sample, head)'s scores are held **transposed** — `S^T = K_h Q_h^T`,
+/// so `block[c * tokens + r]` is query `r`'s score for key `c` — which lets
+/// the softmax run sixteen queries per vector, lanes across queries
+/// ([`softmax_columns_in_place`]), and `SM x V` read the probabilities in
+/// place through a transposed view. Every element, max, sum and quotient
+/// is the one the row-major loop computed, bit for bit. `mask` sees each
+/// scaled transposed block before its softmax; `probs` sees each
+/// transposed `tokens x tokens` probability block before `SM x V`
+/// (training transposes it back and keeps it for `backward`). Inference's
+/// no-op hooks are monomorphised away.
 ///
 /// # Panics
 ///
@@ -130,7 +138,7 @@ pub(crate) fn attend(
     v: &Matrix,
     heads: usize,
     tokens: usize,
-    mut mask_row: impl FnMut(&mut [f32]),
+    mut mask: impl FnMut(&mut [f32]),
     mut probs: impl FnMut(&[f32]),
 ) -> Matrix {
     assert!(
@@ -141,20 +149,19 @@ pub(crate) fn attend(
     let dh = q.cols() / heads;
     let scale = 1.0 / (dh as f32).sqrt();
     let mut context = Matrix::zeros(q.rows(), q.cols());
-    ATTEND_SCRATCH.with_borrow_mut(|(scores, panel)| {
-        scores.resize(tokens * tokens, 0.0);
+    ATTEND_SCRATCH.with_borrow_mut(|(scratch, panel)| {
+        scratch.resize(tokens * tokens + tokens, 0.0);
+        let (scores, column) = scratch.split_at_mut(tokens * tokens);
         for r0 in (0..q.rows()).step_by(tokens) {
             let rows = r0..r0 + tokens;
             for h in 0..heads {
                 let cols = h * dh..(h + 1) * dh;
-                q.matmul_transpose_b_block_into(k, rows.clone(), cols.clone(), scores);
-                for row in scores.chunks_exact_mut(tokens) {
-                    for s in row.iter_mut() {
-                        *s *= scale;
-                    }
-                    mask_row(row);
-                    softmax_row_in_place(row);
+                k.matmul_transpose_b_block_into(q, rows.clone(), cols.clone(), scores);
+                for s in scores.iter_mut() {
+                    *s *= scale;
                 }
+                mask(scores);
+                softmax_columns_in_place(scores, tokens, column);
                 probs(scores);
                 Matrix::matmul_block_into(scores, v, rows.clone(), cols, panel, &mut context);
             }
@@ -164,14 +171,16 @@ pub(crate) fn attend(
 }
 
 thread_local! {
-    /// Per-thread scratch of [`attend`]: one `tokens²` score buffer and one
-    /// `V_h` panel buffer, whose allocations grow to the largest size the
-    /// thread has seen. Overwrite-before-read: the score GEMM writes all
-    /// `tokens²` scores and `pack_block` every panel lane before anything
-    /// reads them, so no value survives from one (sample, head) — or one
-    /// call — to the next, and worker threads cannot alias each other's.
-    /// Borrowed for the whole head loop, so neither hook may re-enter
-    /// `attend` (none in this crate does).
+    /// Per-thread scratch of [`attend`]: one buffer of `tokens²` transposed
+    /// scores followed by the softmax's `tokens`-float column buffer, and
+    /// one `V_h` panel buffer, whose allocations grow to the largest size
+    /// the thread has seen. Overwrite-before-read: the score GEMM writes
+    /// all `tokens²` scores, the softmax a whole column before it reads
+    /// one and `pack_block` every panel lane before anything reads them, so
+    /// no value survives from one (sample, head) — or one call — to the
+    /// next, and worker threads cannot alias each other's. Borrowed for the
+    /// whole head loop, so neither hook may re-enter `attend` (none in this
+    /// crate does).
     static ATTEND_SCRATCH: RefCell<(Vec<f32>, PackedF32)> =
         RefCell::new((Vec::new(), PackedF32::default()));
 }
@@ -190,7 +199,7 @@ impl Layer for MultiHeadAttention {
         let v = self.wv.forward(x);
         let t = x.rows();
         let mut probs = Vec::with_capacity(self.heads);
-        let keep = |p: &[f32]| probs.push(Matrix::from_vec(t, t, p.to_vec()));
+        let keep = |p: &[f32]| probs.push(Matrix::from_fn(t, t, |r, c| p[c * t + r]));
         let out = attend(&q, &k, &v, self.heads, t, |_| {}, keep);
         self.cache = Some(Cache { q, k, v, probs });
         self.proj.forward(&out)

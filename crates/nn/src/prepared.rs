@@ -288,32 +288,37 @@ impl PreparedAttention {
         let t = x.rows();
         let keep = ((t as f32 * density).ceil() as usize).max(1);
         let mut order: Vec<usize> = Vec::with_capacity(t);
-        self.attend(x, t, |row| {
-            order.clear();
-            order.extend(0..row.len());
-            // A NaN score ranks first whatever its sign bit, so a fault is
-            // kept and poisons its softmax row instead of being masked
-            // away (or panicking the sort).
-            let rank = |c: usize| {
-                if row[c].is_nan() {
-                    f32::INFINITY
-                } else {
-                    row[c]
+        // The core hands over each head's scores transposed: query `r`'s
+        // score for key `c` is `scores[c * t + r]`.
+        self.attend(x, t, |scores| {
+            for r in 0..t {
+                order.clear();
+                order.extend(0..t);
+                // A NaN score ranks first whatever its sign bit, so a fault
+                // is kept and poisons its query's softmax instead of being
+                // masked away (or panicking the sort).
+                let rank = |c: usize| {
+                    let s = scores[c * t + r];
+                    if s.is_nan() {
+                        f32::INFINITY
+                    } else {
+                        s
+                    }
+                };
+                order.sort_by(|&a, &b| rank(b).total_cmp(&rank(a)));
+                for &c in &order[keep..] {
+                    scores[c * t + r] = f32::NEG_INFINITY;
                 }
-            };
-            order.sort_by(|&a, &b| rank(b).total_cmp(&rank(a)));
-            for &c in &order[keep..] {
-                row[c] = f32::NEG_INFINITY;
             }
         })
     }
 
     /// The projections around the shared attention core
     /// ([`crate::attention::attend`], which training's forward runs too),
-    /// with `mask_row` passed through and a no-op probability sink.
-    fn attend(&self, x: &Matrix, tokens: usize, mask_row: impl FnMut(&mut [f32])) -> Matrix {
+    /// with the score `mask` passed through and a no-op probability sink.
+    fn attend(&self, x: &Matrix, tokens: usize, mask: impl FnMut(&mut [f32])) -> Matrix {
         let (q, k, v) = (self.wq.infer(x), self.wk.infer(x), self.wv.infer(x));
-        let context = crate::attention::attend(&q, &k, &v, self.heads, tokens, mask_row, |_| {});
+        let context = crate::attention::attend(&q, &k, &v, self.heads, tokens, mask, |_| {});
         self.proj.infer(&context)
     }
 }
@@ -593,6 +598,46 @@ mod tests {
             let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(attn.infer_sparse(&x, 1.0)), bits(attn.infer(&x)));
         }
+    }
+
+    #[test]
+    fn sparse_attention_masks_what_a_row_major_top_k_masks() {
+        let (t, dim, heads, density) = (17, 12, 3, 0.3);
+        let mut rng = Rng::new(26);
+        let attn = MultiHeadAttention::new(dim, heads, QuantMode::None, &mut rng).prepare();
+        let x = Matrix::randn(t, dim, 1.0, &mut rng);
+
+        // Row-major reference: each head's scores, the top-k mask per
+        // query row, `softmax_row`, then the product.
+        let (q, k, v) = (attn.wq.infer(&x), attn.wk.infer(&x), attn.wv.infer(&x));
+        let dh = attn.head_dim();
+        let keep = ((t as f32 * density).ceil() as usize).max(1);
+        let mut context = Matrix::zeros(t, dim);
+        for h in 0..heads {
+            let head = |m: &Matrix| m.slice_cols(h * dh, (h + 1) * dh);
+            let mut probs = head(&q).matmul_transpose_b(&head(&k));
+            probs.scale_in_place(1.0 / (dh as f32).sqrt());
+            for r in 0..t {
+                let row = probs.row_mut(r);
+                let rank = |s: f32| if s.is_nan() { f32::INFINITY } else { s };
+                let mut order: Vec<usize> = (0..t).collect();
+                order.sort_by(|&a, &b| rank(row[b]).total_cmp(&rank(row[a])));
+                for &c in &order[keep..] {
+                    row[c] = f32::NEG_INFINITY;
+                }
+                let p = pivot_tensor::softmax_row(row);
+                row.copy_from_slice(&p);
+            }
+            let out = probs.matmul(&head(&v));
+            for r in 0..t {
+                context.row_mut(r)[h * dh..(h + 1) * dh].copy_from_slice(out.row(r));
+            }
+        }
+        let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(attn.infer_sparse(&x, density)),
+            bits(attn.proj.infer(&context))
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use matrix::Matrix;
 pub use microkernel::{f32_simd_available, PackedF32, PANEL_WIDTH};
 pub use ops::{
     add_bias_in_place, erf, exp, gelu, gelu_backward_in_place, gelu_derivative, gelu_in_place,
-    log_softmax_row, softmax_row, softmax_row_in_place, stable_softmax_in_place,
+    log_softmax_row, softmax_columns_in_place, softmax_row,
 };
 pub use quant::QuantParams;
 pub use rng::Rng;

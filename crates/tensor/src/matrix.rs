@@ -488,10 +488,14 @@ impl Matrix {
     /// `rows.len() x rows.len()` buffer `out`, reading both blocks in place
     /// at the matrices' own row stride — the attention scores of one
     /// (sample, head) straight from the stacked `Q` and `K`, with no
-    /// `slice_rows` / `slice_cols` copies.
+    /// `slice_rows` / `slice_cols` copies; called on `K` with `Q` as `rhs`,
+    /// the scores transposed.
     ///
     /// Bit-identical to [`Self::matmul_transpose_b_into`] on the two copied
     /// blocks, on every machine: the same dot kernel runs on the same runs.
+    /// Swapping the operands transposes the result exactly: each element
+    /// is the same dot of the same two runs, and a fused or plain product
+    /// does not depend on its operands' order.
     ///
     /// # Panics
     ///
@@ -513,16 +517,19 @@ impl Matrix {
         gemm_transpose_b(self.strided_rows(at), rhs.strided_rows(at), (t, k, t), out);
     }
 
-    /// `out[rows, cols] = lhs * rhs[rows, cols]` for a dense
-    /// `rows.len() x rows.len()` `lhs`, reading the `rhs` block and writing
-    /// the `out` block in place at the matrices' own row stride — one
-    /// head's `softmax(QK^T) V` landing directly in the context matrix.
-    /// The rest of `out` is left untouched.
+    /// `out[rows, cols] = P * rhs[rows, cols]` for the
+    /// `rows.len() x rows.len()` `P` whose transpose `lhs` holds row-major
+    /// (`lhs[c * t + r]` is `P[r][c]`), reading `lhs` through a transposed
+    /// view, the `rhs` block and the `out` block in place at the matrices'
+    /// own row stride — one head's `softmax(QK^T) V` from the transposed
+    /// probabilities, landing directly in the context matrix. The rest of
+    /// `out` is left untouched.
     ///
-    /// Bit-identical to [`Self::matmul_into`] on the copied block, on every
-    /// machine: the block is repacked into `panel` (the caller's reusable
-    /// buffer, see [`PackedF32::pack_block`]) and the same kernel runs with
-    /// an output stride.
+    /// Bit-identical to [`Self::matmul_into`] of `P` on the copied block,
+    /// on every machine: the block is repacked into `panel` (the caller's
+    /// reusable buffer, see [`PackedF32::pack_block`]) and the same kernel
+    /// runs with an output stride, reading `P` as
+    /// [`Self::matmul_transpose_a_into`] reads its lhs.
     ///
     /// # Panics
     ///
@@ -545,8 +552,8 @@ impl Matrix {
         panel.pack_block(rhs, rows, cols);
         let view = LhsView {
             base: lhs,
-            row_stride: t,
-            k_stride: 1,
+            row_stride: 1,
+            k_stride: t,
         };
         gemm(view, t, panel, &mut out.data[at..], rhs.cols);
     }
@@ -1463,15 +1470,19 @@ mod prop_tests {
             };
             let (qh, kh, vh) = (block(&q), block(&k), block(&v));
 
-            // Scores: Q_h K_h^T read in place.
+            // Scores: Q_h K_h^T read in place, and with the operands
+            // swapped its exact transpose (`fma(a, b, c) == fma(b, a, c)`).
             let mut want = Matrix::zeros(t, t);
             qh.matmul_transpose_b_into(&kh, &mut want);
             let mut got = vec![f32::NAN; t * t];
             q.matmul_transpose_b_block_into(&k, rows.clone(), cols.clone(), &mut got);
             prop_assert_eq!(bits(&got), bits(want.as_slice()));
+            k.matmul_transpose_b_block_into(&q, rows.clone(), cols.clone(), &mut got);
+            prop_assert_eq!(bits(&got), bits(want.transpose().as_slice()));
 
-            // Context: P V_h written in place, through a dirty, larger
-            // panel buffer, into a sentinel-filled output.
+            // Context: P V_h from P stored transposed, written in place,
+            // through a dirty, larger panel buffer, into a sentinel-filled
+            // output — the row-major product bit for bit.
             let probs = Matrix::randn(t, t, 1.0, &mut rng);
             let mut want = Matrix::zeros(t, head_dim);
             probs.matmul_into(&vh, &mut want);
@@ -1479,7 +1490,7 @@ mod prop_tests {
             let sentinel = 12345.0f32;
             let mut out = Matrix::filled(samples * t, dim, sentinel);
             Matrix::matmul_block_into(
-                probs.as_slice(), &v, rows.clone(), cols.clone(), &mut panel, &mut out,
+                probs.transpose().as_slice(), &v, rows.clone(), cols.clone(), &mut panel, &mut out,
             );
             prop_assert_eq!(bits(block(&out).as_slice()), bits(want.as_slice()));
             let untouched = out.as_slice().iter().filter(|x| x.to_bits() == sentinel.to_bits());

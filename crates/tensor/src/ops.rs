@@ -4,11 +4,11 @@
 //! [`erf`] (hence GELU and its derivative) and under the softmax family —
 //! so no model output depends on the host's `expf`. The slice routines
 //! ([`gelu_in_place`], [`gelu_backward_in_place`], [`add_bias_in_place`],
-//! the softmax rows) run the same scalar bodies sixteen lanes wide on
-//! AVX-512F hosts and eight lanes wide on AVX2 hosts, and return the same
-//! bits as the scalar functions on every host (DESIGN §4i). The one
-//! transcendental still taken from libm is `ln`, in [`log_softmax_row`]
-//! and in `pivot-nn`'s entropy.
+//! the softmax exponentials, [`softmax_columns_in_place`]) run the same
+//! scalar bodies sixteen lanes wide on AVX-512F hosts and eight lanes wide
+//! on AVX2 hosts, and return the same bits as the scalar functions on
+//! every host (DESIGN §4i). The one transcendental still taken from libm
+//! is `ln`, in [`log_softmax_row`] and in `pivot-nn`'s entropy.
 
 use crate::microkernel::f32_simd_available;
 #[cfg(test)]
@@ -279,8 +279,8 @@ at_every_width! {
 
 at_every_width! {
     /// The softmax's exponential stage, allocating: `exp(x - shift)` mapped
-    /// straight from `row` into a new vector (a copy followed by
-    /// [`shifted_exps_in_place`] stalls on store forwarding).
+    /// straight from `row` into a new vector (a copy followed by an
+    /// in-place pass stalls on store forwarding).
     fn shifted_exps(row: &[f32], shift: f32) -> Vec<f32> {
         // An explicit loop, not `collect`: `Vec::from_iter` is not inlined
         // into the vector wrappers, which would leave the loop four lanes
@@ -290,15 +290,6 @@ at_every_width! {
             *o = exp(x - shift);
         }
         out
-    }
-}
-
-at_every_width! {
-    /// The softmax's exponential stage, overwriting its input.
-    fn shifted_exps_in_place(row: &mut [f32], shift: f32) {
-        for x in row.iter_mut() {
-            *x = exp(*x - shift);
-        }
     }
 }
 
@@ -314,15 +305,83 @@ pub fn softmax_row(row: &[f32]) -> Vec<f32> {
     out
 }
 
-/// [`softmax_row`] overwriting its input, for callers that own the row
-/// (the attention core's score buffer, [`stable_softmax_in_place`]). The
-/// two differ only in where `exp(x - max)` is written; the max fold and
-/// the sum-and-divide are the same functions, so they agree bit for bit.
-pub fn softmax_row_in_place(row: &mut [f32]) {
-    let max = row_max(row);
-    shifted_exps_in_place(row, max);
-    normalize_exps(row);
+at_every_width! {
+    /// [`softmax_row`] of every query of one attention score block stored
+    /// transposed, in place: `block[c * t + r]` is query `r`'s score for
+    /// key `c`, so one query's scores run down a column and each row of
+    /// `block` holds one key's score for every query.
+    ///
+    /// Sixteen queries at a time share one vector, lanes across queries:
+    /// three sweeps down the keys fold the max, write `exp(x - max)` and
+    /// add it to a running sum, then divide by the sum, the sixteen maxima
+    /// and sums held in registers throughout. The `t % 16` queries left over
+    /// run one at a time through `softmax_row`'s own stages on a copy of
+    /// their column gathered into `column` (`t` floats, overwritten). Each
+    /// query's fold and sum stay one sequential chain in ascending key order
+    /// from the identities [`softmax_row`] starts from, so column `r` is bit
+    /// for bit `softmax_row` of query `r`'s scores, at the host's vector
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len() != t * t` or `column.len() != t`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pivot_tensor::{softmax_columns_in_place, softmax_row};
+    ///
+    /// // Two queries' scores [1, 2] and [0, -1], stored transposed.
+    /// let mut block = [1.0, 0.0, 2.0, -1.0];
+    /// softmax_columns_in_place(&mut block, 2, &mut [0.0; 2]);
+    /// let (first, second) = (softmax_row(&[1.0, 2.0]), softmax_row(&[0.0, -1.0]));
+    /// assert_eq!(block, [first[0], second[0], first[1], second[1]]);
+    /// ```
+    pub fn softmax_columns_in_place(block: &mut [f32], t: usize, column: &mut [f32]) {
+        assert_eq!(block.len(), t * t, "score block is not {t}x{t}");
+        assert_eq!(column.len(), t, "softmax column buffer is not {t} long");
+        let whole = t - t % QUERY_LANES;
+        for lanes in (0..whole).step_by(QUERY_LANES).map(|q| q..q + QUERY_LANES) {
+            let mut max = [f32::NEG_INFINITY; QUERY_LANES];
+            for keys in block.chunks_exact(t) {
+                for (m, &x) in max.iter_mut().zip(&keys[lanes.clone()]) {
+                    *m = m.max(x);
+                }
+            }
+            let mut sum: [f32; QUERY_LANES] = [std::iter::empty::<f32>().sum(); QUERY_LANES];
+            for keys in block.chunks_exact_mut(t) {
+                for ((x, s), &m) in keys[lanes.clone()].iter_mut().zip(&mut sum).zip(&max) {
+                    let e = exp(*x - m);
+                    *x = e;
+                    *s += e;
+                }
+            }
+            for keys in block.chunks_exact_mut(t) {
+                for (x, &s) in keys[lanes.clone()].iter_mut().zip(&sum) {
+                    *x /= s;
+                }
+            }
+        }
+        for r in whole..t {
+            for (x, keys) in column.iter_mut().zip(block.chunks_exact(t)) {
+                *x = keys[r];
+            }
+            let max = row_max(column);
+            for x in column.iter_mut() {
+                *x = exp(*x - max);
+            }
+            normalize_exps(column);
+            for (keys, &p) in block.chunks_exact_mut(t).zip(column.iter()) {
+                keys[r] = p;
+            }
+        }
+    }
 }
+
+/// Queries per vector of [`softmax_columns_in_place`]: the widest
+/// instantiation's lanes (two vectors at eight lanes, so neither width
+/// leaves a tail inside a group).
+const QUERY_LANES: usize = 16;
 
 /// The softmax shift: the row maximum, `-inf` for an empty row.
 fn row_max(row: &[f32]) -> f32 {
@@ -354,13 +413,6 @@ pub fn log_softmax_row(row: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Applies the stable softmax to every row of a matrix in place.
-pub fn stable_softmax_in_place(m: &mut crate::Matrix) {
-    for r in 0..m.rows() {
-        softmax_row_in_place(m.row_mut(r));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,29 +427,60 @@ mod tests {
 
     #[test]
     fn every_softmax_entry_point_is_the_same_bits() {
-        // Finite, masked (-inf), degenerate (all -inf) and NaN rows.
-        let rows: [&[f32]; 5] = [
-            &[0.3, -1.5, 2.25, 0.0, -0.0],
-            &[1.0, f32::NEG_INFINITY, 0.5, 7.0, -3.0],
-            &[f32::NEG_INFINITY; 5],
-            &[0.0, f32::NAN, 1.0, 2.0, 3.0],
-            &[88.0, -88.0, 0.1, 0.2, 0.3],
-        ];
-        at_each_width(|lanes| {
-            let mut m = crate::Matrix::from_rows(&rows);
-            stable_softmax_in_place(&mut m);
-            for (r, row) in rows.iter().enumerate() {
-                let mut in_place = row.to_vec();
-                softmax_row_in_place(&mut in_place);
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&softmax_row(row)),
-                    bits(&in_place),
-                    "row {r}, {lanes} lanes"
-                );
-                assert_eq!(bits(m.row(r)), bits(&in_place), "row {r}, {lanes} lanes");
+        // One query's scores by kind: finite, one NaN of either sign, one
+        // -inf (masked), all -inf, one +inf, signed zeros only, and a
+        // spread wide enough that some exponentials flush to zero.
+        const KINDS: usize = 8;
+        let query = |kind: usize, r: usize, t: usize, rng: &mut crate::Rng| {
+            let spread = if kind == 7 { 100.0 } else { 8.0 };
+            let mut row: Vec<f32> = (0..t).map(|_| rng.uniform(-spread, spread)).collect();
+            let at = (7 * r + kind) % t;
+            match kind {
+                1 => row[at] = f32::NAN,
+                2 => row[at] = -f32::NAN,
+                3 => row[at] = f32::NEG_INFINITY,
+                4 => row.fill(f32::NEG_INFINITY),
+                5 => row[at] = f32::INFINITY,
+                6 => {
+                    for (c, x) in row.iter_mut().enumerate() {
+                        *x = if (c + r).is_multiple_of(2) { 0.0 } else { -0.0 };
+                    }
+                }
+                _ => {}
             }
-        });
+            row
+        };
+        let mut rng = crate::Rng::new(5);
+        // Queries left over past the whole groups of sixteen: 1, 2, 15, 0,
+        // 1, 1 and 5.
+        for t in [1, 2, 15, 16, 17, 33, 197] {
+            // Every kind at every lane position over the shifts.
+            for shift in 0..KINDS {
+                let rows: Vec<Vec<f32>> = (0..t)
+                    .map(|r| query((r + shift) % KINDS, r, t, &mut rng))
+                    .collect();
+                let transposed: Vec<f32> = (0..t * t).map(|i| rows[i % t][i / t]).collect();
+                at_each_width(|lanes| {
+                    let mut block = transposed.clone();
+                    softmax_columns_in_place(&mut block, t, &mut vec![f32::NAN; t]);
+                    for (r, row) in rows.iter().enumerate() {
+                        for (c, want) in softmax_row(row).into_iter().enumerate() {
+                            assert_eq!(
+                                block[c * t + r].to_bits(),
+                                want.to_bits(),
+                                "t {t}, shift {shift}, query {r}, key {c}, {lanes} lanes"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "softmax column buffer is not 3 long")]
+    fn block_softmax_rejects_a_short_column_buffer() {
+        softmax_columns_in_place(&mut [0.0; 9], 3, &mut [0.0; 2]);
     }
 
     #[test]
@@ -558,14 +641,11 @@ mod tests {
         const CHUNK: usize = 4093;
         let mut patterns = patterns.step_by(step).peekable();
         let mut inputs = Vec::with_capacity(CHUNK);
-        let mut wide = Vec::with_capacity(CHUNK);
         while patterns.peek().is_some() {
             inputs.clear();
             inputs.extend(patterns.by_ref().take(CHUNK).map(f32::from_bits));
             at_each_width(|lanes| {
-                wide.clone_from(&inputs);
-                shifted_exps_in_place(&mut wide, 0.0);
-                for (&x, &w) in inputs.iter().zip(&wide) {
+                for (&x, &w) in inputs.iter().zip(&shifted_exps(&inputs, 0.0)) {
                     let y = exp(x);
                     assert!(
                         same_bits(y, w),
@@ -664,12 +744,9 @@ mod tests {
 
                     let want: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
                     assert_same_bits(&shifted_exps(xs, 0.0), &want, &format!("exp, {what}"));
-                    let mut got = vec![7.0; start + len];
-                    got[start..].copy_from_slice(xs);
-                    shifted_exps_in_place(&mut got[start..], 0.0);
-                    assert_same_bits(&got[start..], &want, &format!("exp in place, {what}"));
 
                     let want: Vec<f32> = xs.iter().map(|&x| gelu(x)).collect();
+                    let mut got = vec![7.0; start + len];
                     got[start..].copy_from_slice(xs);
                     gelu_in_place(&mut got[start..]);
                     assert_same_bits(&got[start..], &want, &format!("gelu, {what}"));
@@ -698,14 +775,21 @@ mod tests {
                         }
                     }
 
-                    // The softmax row routines: one special at a time, at every
-                    // position of an otherwise finite row.
-                    let mut check_row = |row: &[f32], what: &str| {
+                    // The softmax routines: one special at a time, at every
+                    // position of an otherwise finite row; the block routine
+                    // with `len` queries that all score the keys so.
+                    let check_row = |row: &[f32], what: &str| {
                         let want = softmax_reference(row);
                         assert_same_bits(&softmax_row(row), &want, what);
-                        got[start..].copy_from_slice(row);
-                        softmax_row_in_place(&mut got[start..]);
-                        assert_same_bits(&got[start..], &want, what);
+                        let mut block = vec![7.0; start + len * len];
+                        for (c, &x) in row.iter().enumerate() {
+                            block[start + c * len..][..len].fill(x);
+                        }
+                        softmax_columns_in_place(&mut block[start..], len, &mut vec![0.0; len]);
+                        for (c, &w) in want.iter().enumerate() {
+                            let key = &block[start + c * len..][..len];
+                            assert_same_bits(key, &vec![w; len], &format!("block, {what}"));
+                        }
                         want
                     };
                     let mut row: Vec<f32> = (0..start + len).map(finite).collect();
@@ -800,9 +884,6 @@ mod tests {
 
                 let want = softmax_reference(&row);
                 assert_same_bits(&softmax_row(&row), &want, &format!("softmax_row, {lanes} lanes"));
-                let mut in_place = row.clone();
-                softmax_row_in_place(&mut in_place);
-                assert_same_bits(&in_place, &want, &format!("softmax_row_in_place, {lanes} lanes"));
 
                 // The training loss's log-probabilities sit on the same stage.
                 let max = row_max(&row);
