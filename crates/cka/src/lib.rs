@@ -63,24 +63,6 @@ pub fn linear_cka(x: &Matrix, y: &Matrix) -> f32 {
     (cross / (x_norm * y_norm)).clamp(0.0, 1.0)
 }
 
-/// Linear HSIC (Hilbert-Schmidt independence criterion) between two
-/// representation matrices, the unnormalized quantity underlying
-/// [`linear_cka`].
-///
-/// # Panics
-///
-/// Panics if the matrices have different row counts.
-pub fn linear_hsic(x: &Matrix, y: &Matrix) -> f32 {
-    assert_eq!(x.rows(), y.rows(), "HSIC requires equal example counts");
-    let n = x.rows() as f32;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let xc = x.center_columns();
-    let yc = y.center_columns();
-    xc.matmul_transpose_a(&yc).frobenius_norm().powi(2) / ((n - 1.0) * (n - 1.0))
-}
-
 /// Flattens a list of per-sample activation matrices (e.g. `tokens x dim`
 /// each) into a single representation matrix with one row per sample.
 ///
@@ -262,12 +244,6 @@ mod tests {
             }
         }
         assert!(m.get(0, 1) > 0.0);
-    }
-
-    #[test]
-    fn hsic_zero_for_single_example() {
-        let x = Matrix::zeros(1, 3);
-        assert_eq!(linear_hsic(&x, &x), 0.0);
     }
 
     proptest! {

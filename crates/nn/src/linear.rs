@@ -73,11 +73,6 @@ impl Linear {
         self.weight.value.cols()
     }
 
-    /// The quantization mode.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.quant
-    }
-
     /// Sets the quantization mode (e.g. switch a trained model to `Int8`
     /// deployment numerics).
     pub fn set_quant_mode(&mut self, quant: QuantMode) {

@@ -161,11 +161,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// 128-bit structural content hash: shape plus every element's bit
     /// pattern. Equal hashes identify matrices whose use in inference is
     /// bit-identical (see [`crate::ContentHasher`] for the collision
@@ -237,11 +232,6 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Iterator over row slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols)
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -267,10 +257,10 @@ impl Matrix {
     /// Reference ikj matmul with no blocking — the ground truth every
     /// other kernel is validated against. Accumulates each output element
     /// in ascending-`k` order with one scalar accumulator (round after
-    /// every multiply, no fusing): the scalar kernel behind
-    /// [`Self::matmul_into`] reproduces it bit for bit, and the SIMD kernel
-    /// is pinned to it within the fused-rounding tolerance documented in
-    /// `crate::microkernel`.
+    /// every multiply, no fusing). Every arm of the kernel behind
+    /// [`Self::matmul_into`] — scalar, AVX2 and AVX-512, which agree bit
+    /// for bit — fuses each multiply-add and is pinned to it within the
+    /// fused-rounding tolerance documented in `crate::microkernel`.
     ///
     /// # Panics
     ///
@@ -306,11 +296,10 @@ impl Matrix {
     /// reuse the same `rhs` should pack once and call
     /// [`Self::matmul_prepacked_into`] to skip the per-call pack.
     ///
-    /// Every element is one ascending-`k` chain with a single accumulator.
-    /// Without AVX2+FMA the chain is unfused and **bit-identical** to
-    /// [`Self::matmul_naive`]; the SIMD kernel fuses each multiply-add (one
-    /// rounding per term), so it matches naive within the documented
-    /// tolerance. Either way each row is a pure function of
+    /// Every element is one ascending-`k` chain of fused multiply-adds
+    /// (one rounding per term) with a single accumulator, the same bits on
+    /// every host — scalar == AVX2 == AVX-512 — and within the documented
+    /// tolerance of [`Self::matmul_naive`]. Each row is a pure function of
     /// `(a_row, rhs)`: results never depend on the output's row count, on
     /// batching, or on how callers parallelize around the kernel.
     ///
@@ -427,11 +416,10 @@ impl Matrix {
     /// Each output element is one dot product of two contiguous rows, so
     /// no packing is needed: the host's dot kernel runs directly — on
     /// AVX-512F+VL a register tile of 3 × 8 lane-split fused dots, on
-    /// AVX2+FMA the same dots up to four at a time (one exact
-    /// accumulation order for both, documented in `crate::microkernel`),
-    /// or elsewhere one ascending-`k` single-accumulator chain,
-    /// bit-identical to `matmul_naive` against the materialized
-    /// transpose.
+    /// AVX2+FMA the same dots up to four at a time, elsewhere the same
+    /// dots one scalar lane at a time — one exact accumulation order for
+    /// all three, documented in `crate::microkernel`, so the same bits on
+    /// every host.
     ///
     /// # Panics
     ///
@@ -639,15 +627,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by `s`, returning a new matrix.
     pub fn scaled(&self, s: f32) -> Matrix {
         self.map(|x| x * s)
@@ -687,8 +666,8 @@ impl Matrix {
     /// Column sums as a vector of length `cols`.
     pub fn col_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for (s, &v) in sums.iter_mut().zip(row) {
+        for r in 0..self.rows {
+            for (s, &v) in sums.iter_mut().zip(self.row(r)) {
                 *s += v;
             }
         }
@@ -899,8 +878,8 @@ impl Default for Matrix {
 /// Worst elementwise deviation of `got` from `a.matmul_naive(b)`, as a
 /// fraction of the documented fused-rounding envelope
 /// `2k · ε · max(|A|·|B|, 1)` (see [`crate::microkernel`]); `<= 1.0`
-/// means every element is within tolerance. Test-only oracle for the
-/// SIMD arm; requires finite inputs.
+/// means every element is within tolerance. Test-only oracle for every
+/// arm; requires finite inputs.
 #[cfg(test)]
 pub(crate) fn max_fused_violation(got: &Matrix, a: &Matrix, b: &Matrix) -> f32 {
     let want = a.matmul_naive(b);
@@ -914,11 +893,19 @@ pub(crate) fn max_fused_violation(got: &Matrix, a: &Matrix, b: &Matrix) -> f32 {
         .fold(0.0, f32::max)
 }
 
+/// The bit patterns of `xs`, for exact comparisons that tell `-0.0` from
+/// `0.0` and see NaN payloads.
+#[cfg(test)]
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::f32_simd_available;
-    use crate::microkernel::{simd_arms, Arm};
+    use crate::microkernel::{
+        gemm_arms, gemm_scalar, gemm_transpose_b_scalar, transpose_arms, Arm, TransposeArm,
+    };
 
     #[test]
     fn zeros_and_shape() {
@@ -959,8 +946,9 @@ mod tests {
     fn dispatched_matmul_tracks_naive_at_vit_shapes() {
         // The benched ViT shapes: qkv slice, mlp expansion, square, batched,
         // and DeiT-S at two images of 197 tokens (fc1, fc2, a projection).
-        // The SIMD arm fuses multiply-adds, so it is pinned to naive within
-        // the documented envelope; without SIMD the dispatch is bit-identical.
+        // Every arm fuses multiply-adds, so the dispatched product is
+        // pinned to naive within the documented envelope, and to the
+        // scalar arm bit for bit.
         let mut rng = Rng::new(78);
         for &(m, k, n) in &[
             (17, 64, 64),
@@ -974,12 +962,11 @@ mod tests {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
             let got = a.matmul(&b);
-            if f32_simd_available() {
-                let v = max_fused_violation(&got, &a, &b);
-                assert!(v <= 1.0, "SIMD arm out of tolerance at {m}x{k}x{n}: {v}");
-            } else {
-                assert_eq!(got, a.matmul_naive(&b), "dispatch changed results");
-            }
+            let v = max_fused_violation(&got, &a, &b);
+            assert!(v <= 1.0, "out of tolerance at {m}x{k}x{n}: {v}");
+            let mut scalar = vec![f32::NAN; m * n];
+            gemm_scalar(a.lhs_view(), m, &PackedF32::pack(&b), &mut scalar, n);
+            assert_eq!(bits(&got.data), bits(&scalar), "scalar arm at {m}x{k}x{n}");
         }
     }
 
@@ -1011,22 +998,22 @@ mod tests {
 
     #[test]
     fn dispatched_transpose_kernels_track_naive() {
+        // The last shape is DeiT-S's QKᵀ per head (197 tokens, head 64).
         let mut rng = Rng::new(81);
-        for &(m, k, n) in &[(17, 16, 17), (40, 33, 37)] {
+        for &(m, k, n) in &[(17, 16, 17), (40, 33, 37), (197, 64, 197)] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let bt = Matrix::randn(n, k, 1.0, &mut rng);
             let got = a.matmul_transpose_b(&bt);
             let c = Matrix::randn(m, n, 1.0, &mut rng);
             let got_ta = a.matmul_transpose_a(&c);
-            if f32_simd_available() {
-                let v = max_fused_violation(&got, &a, &bt.transpose());
-                assert!(v <= 1.0, "tb SIMD out of tolerance at {m}x{k}x{n}: {v}");
-                let v = max_fused_violation(&got_ta, &a.transpose(), &c);
-                assert!(v <= 1.0, "ta SIMD out of tolerance at {m}x{k}x{n}: {v}");
-            } else {
-                assert_eq!(got, a.matmul_naive(&bt.transpose()));
-                assert_eq!(got_ta, a.transpose().matmul_naive(&c));
-            }
+            let v = max_fused_violation(&got, &a, &bt.transpose());
+            assert!(v <= 1.0, "tb out of tolerance at {m}x{k}x{n}: {v}");
+            let v = max_fused_violation(&got_ta, &a.transpose(), &c);
+            assert!(v <= 1.0, "ta out of tolerance at {m}x{k}x{n}: {v}");
+            let mut scalar = vec![f32::NAN; m * n];
+            let (ra, rb) = (a.strided_rows(0), bt.strided_rows(0));
+            gemm_transpose_b_scalar(ra, rb, (m, k, n), &mut scalar);
+            assert_eq!(bits(&got.data), bits(&scalar), "scalar dots at {m}x{k}x{n}");
         }
     }
 
@@ -1035,14 +1022,12 @@ mod tests {
         // Fault-visibility contract: a poisoned lhs element must poison its
         // whole output row, a poisoned rhs element its whole output column,
         // and nothing else — through every entry point of the host's
-        // kernels and through each vector GEMM arm by name (the scalar
-        // kernels are pinned by name in
-        // `prop_scalar_kernels_are_bit_identical_to_naive`). 18 columns
-        // make a ragged panel pair on AVX-512, a full panel and a ragged
-        // one on AVX2.
+        // kernels and through each arm of both kernels by name, the scalar
+        // ones included. 18 columns make a ragged panel pair on AVX-512, a
+        // full panel and a ragged one on AVX2.
         // (±inf may legitimately become NaN through inf−inf, so the
         // assertion is non-finiteness, not exact value.)
-        let arms = simd_arms();
+        let (arms, dot_arms) = (gemm_arms(), transpose_arms());
         let by_arm = |a: &Matrix, b: &Matrix, arm: Arm| {
             let mut out = Matrix::zeros(a.rows(), b.cols());
             arm(
@@ -1052,6 +1037,13 @@ mod tests {
                 &mut out.data,
                 b.cols(),
             );
+            out
+        };
+        let by_dot_arm = |a: &Matrix, b: &Matrix, arm: TransposeArm| {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            let bt = b.transpose();
+            let shape = (a.rows(), a.cols(), b.cols());
+            arm(a.strided_rows(0), bt.strided_rows(0), shape, &mut out.data);
             out
         };
         let (m, k, n) = (9, 11, 18);
@@ -1076,6 +1068,9 @@ mod tests {
             for &(name, arm) in &arms {
                 check_row(&by_arm(&a, &b, arm), name);
             }
+            for &(name, arm) in &dot_arms {
+                check_row(&by_dot_arm(&a, &b, arm), name);
+            }
 
             let a2 = Matrix::randn(m, k, 1.0, &mut rng);
             let mut b2 = Matrix::randn(k, n, 1.0, &mut rng);
@@ -1095,6 +1090,9 @@ mod tests {
             check_col(&a2.matmul_prepacked(&PackedF32::pack(&b2)), "prepacked");
             for &(name, arm) in &arms {
                 check_col(&by_arm(&a2, &b2, arm), name);
+            }
+            for &(name, arm) in &dot_arms {
+                check_col(&by_dot_arm(&a2, &b2, arm), name);
             }
             // transposed-B: same poisoned operand through the dot kernels.
             check_col(&a2.matmul_transpose_b(&b2.transpose()), "dispatched tb");
@@ -1176,6 +1174,13 @@ mod tests {
     }
 
     #[test]
+    fn col_sums_of_a_zero_width_matrix_is_empty() {
+        let a = Matrix::zeros(3, 0);
+        assert_eq!(a.col_sums(), Vec::<f32>::new());
+        assert_eq!(a.center_columns(), a);
+    }
+
+    #[test]
     fn row_argmax_picks_first_max() {
         let m = Matrix::from_rows(&[&[1.0, 3.0, 3.0, 2.0]]);
         assert_eq!(m.row_argmax(0), 1);
@@ -1200,10 +1205,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_ops() {
+    fn elementwise_ops() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, 8.0]]));
         assert_eq!(&a + &b, Matrix::from_rows(&[&[4.0, 6.0]]));
         assert_eq!(&b - &a, Matrix::from_rows(&[&[2.0, 2.0]]));
         assert_eq!(&a * 2.0, Matrix::from_rows(&[&[2.0, 4.0]]));
@@ -1213,8 +1217,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use crate::f32_simd_available;
-    use crate::microkernel::{gemm_panels_unfused, gemm_transpose_b_unfused};
+    use crate::microkernel::{gemm_arms, gemm_scalar, gemm_transpose_b_scalar, transpose_arms};
     use proptest::prelude::*;
 
     fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -1222,11 +1225,13 @@ mod prop_tests {
             .prop_map(move |data| Matrix::from_vec(rows, cols, data))
     }
 
-    /// Pins the two scalar kernels by name (a SIMD host never dispatches
-    /// to them) bit for bit against `matmul_naive` on every geometry they
-    /// serve. With `poison > 0` one lhs and one rhs element are non-finite,
-    /// which must poison exactly their output row and column.
-    fn check_scalar_kernels(m: usize, k: usize, n: usize, poison: usize, seed: u64) {
+    /// Pins every arm of both kernels by name (a host dispatches to one
+    /// of each) bit for bit to its kernel's scalar arm on dense row-major
+    /// operands, on every geometry they serve, and both scalar products to
+    /// `matmul_naive` within the fused-rounding envelope. With
+    /// `poison > 0` one lhs and one rhs element are non-finite, which must
+    /// poison exactly their output row and column.
+    fn check_arms(m: usize, k: usize, n: usize, poison: usize, seed: u64) {
         let mut rng = Rng::new(seed);
         let mut a = Matrix::randn(m, k, 1.0, &mut rng);
         let mut b = Matrix::randn(k, n, 1.0, &mut rng);
@@ -1238,64 +1243,97 @@ mod prop_tests {
             b[(s / 3 % k, col)] = bad;
             (row, col)
         });
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let naive = a.matmul_naive(&b);
-        let want = bits(naive.as_slice());
-        if let Some((row, col)) = poisoned {
-            for i in 0..m {
-                for j in 0..n {
-                    let finite = naive[(i, j)].is_finite();
-                    assert_eq!(finite, i != row && j != col, "({i},{j}) of {m}x{k}x{n}");
-                }
-            }
-        }
         let geometry = format!("{m}x{k}x{n}, poison {poison}, seed {seed}");
-
-        // The row-major view (`matmul_into`, `matmul_prepacked_into`).
+        // A scalar arm's dense product against naive: within the envelope,
+        // or non-finite on exactly the poisoned row and column.
+        let check_naive = |out: &Matrix, arm: &str| {
+            if let Some((row, col)) = poisoned {
+                for i in 0..m {
+                    for j in 0..n {
+                        let finite = out[(i, j)].is_finite();
+                        assert_eq!(
+                            finite,
+                            i != row && j != col,
+                            "{arm} ({i},{j}) of {geometry}"
+                        );
+                    }
+                }
+            } else {
+                let v = max_fused_violation(out, &a, &b);
+                assert!(v <= 1.0, "{arm} out of tolerance at {geometry}: {v}");
+            }
+        };
         let packed = PackedF32::pack(&b);
-        let mut out = vec![f32::NAN; m * n];
-        gemm_panels_unfused(a.lhs_view(), m, &packed, &mut out, n);
-        assert_eq!(bits(&out), want, "row-major view at {geometry}");
+        let mut reference = Matrix::zeros(m, n);
+        gemm_scalar(a.lhs_view(), m, &packed, &mut reference.data, n);
+        check_naive(&reference, "scalar");
+        let want = bits(reference.as_slice());
 
-        // The transposed view (`matmul_transpose_a_into`).
-        let at = a.transpose();
-        let mut out = vec![f32::NAN; m * n];
-        gemm_panels_unfused(at.transposed_view(), m, &packed, &mut out, n);
-        assert_eq!(bits(&out), want, "transposed view at {geometry}");
-
-        // A strided output block (`matmul_block_into`): the rhs packed in
-        // place from a wider matrix, the product landing at (1, 2) of a
-        // sentinel-filled matrix whose other lanes stay untouched.
+        // The rhs packed in place from a wider matrix (`matmul_block_into`).
         let mut panel = PackedF32::default();
         panel.pack_block(&Matrix::filled(k, 2, f32::NAN).hcat(&b), 0..k, 2..n + 2);
+        let at = a.transpose();
         let (sentinel, stride) = (12345.0f32, n + 3);
-        let mut out = Matrix::filled(m + 2, stride, sentinel);
-        gemm_panels_unfused(a.lhs_view(), m, &panel, &mut out.data[stride + 2..], stride);
-        let block = out.slice_rows(1, m + 1).slice_cols(2, n + 2);
-        assert_eq!(bits(block.as_slice()), want, "strided block at {geometry}");
-        let untouched = out
-            .data
-            .iter()
-            .filter(|x| x.to_bits() == sentinel.to_bits());
-        assert_eq!(untouched.count(), (m + 2) * stride - m * n, "{geometry}");
+        for (name, arm) in gemm_arms() {
+            // The row-major view (`matmul_into`, `matmul_prepacked_into`)
+            // and the transposed view (`matmul_transpose_a_into`), each
+            // into a dirty buffer.
+            for (view, layout) in [
+                (a.lhs_view(), "row-major"),
+                (at.transposed_view(), "transposed"),
+            ] {
+                let mut out = vec![f32::NAN; m * n];
+                arm(view, m, &packed, &mut out, n);
+                assert_eq!(bits(&out), want, "{name}, {layout} view at {geometry}");
+            }
+            // A strided output block (`matmul_block_into`): the product
+            // lands at (1, 2) of a sentinel-filled matrix whose other lanes
+            // stay untouched.
+            let mut out = Matrix::filled(m + 2, stride, sentinel);
+            arm(a.lhs_view(), m, &panel, &mut out.data[stride + 2..], stride);
+            let block = out.slice_rows(1, m + 1).slice_cols(2, n + 2);
+            assert_eq!(
+                bits(block.as_slice()),
+                want,
+                "{name}, strided block at {geometry}"
+            );
+            let untouched = out
+                .data
+                .iter()
+                .filter(|x| x.to_bits() == sentinel.to_bits());
+            assert_eq!(
+                untouched.count(),
+                (m + 2) * stride - m * n,
+                "{name}, {geometry}"
+            );
+        }
 
         // The dots (`matmul_transpose_b_into` and its block form), on dense
         // runs and on runs strided inside wider matrices whose extra
         // columns are NaN, so a read past `k` would show.
         let bt = b.transpose();
-        let mut out = vec![f32::NAN; m * n];
-        gemm_transpose_b_unfused(a.strided_rows(0), bt.strided_rows(0), (m, k, n), &mut out);
-        assert_eq!(bits(&out), want, "dense dots at {geometry}");
+        let (ra, rb) = (a.strided_rows(0), bt.strided_rows(0));
+        gemm_transpose_b_scalar(ra, rb, (m, k, n), &mut reference.data);
+        check_naive(&reference, "scalar dots");
+        let want = bits(reference.as_slice());
         let wide_a = a.hcat(&Matrix::filled(m, 3, f32::NAN));
         let wide_bt = bt.hcat(&Matrix::filled(n, 3, f32::NAN));
-        let mut out = vec![f32::NAN; m * n];
-        let (ra, rb) = (wide_a.strided_rows(0), wide_bt.strided_rows(0));
-        gemm_transpose_b_unfused(ra, rb, (m, k, n), &mut out);
-        assert_eq!(bits(&out), want, "strided dots at {geometry}");
+        for (name, arm) in transpose_arms() {
+            for (lhs, rhs, runs) in [(&a, &bt, "dense"), (&wide_a, &wide_bt, "strided")] {
+                let mut out = vec![f32::NAN; m * n];
+                arm(
+                    lhs.strided_rows(0),
+                    rhs.strided_rows(0),
+                    (m, k, n),
+                    &mut out,
+                );
+                assert_eq!(bits(&out), want, "{name}, {runs} runs at {geometry}");
+            }
+        }
     }
 
     #[test]
-    fn scalar_kernels_cover_the_edge_geometries() {
+    fn every_arm_covers_the_edge_geometries() {
         // Empty operands, an empty reduction (k = 0 must write zeros over
         // a dirty buffer), exact and ragged panels: fixed, so no draw of
         // the property below can miss them.
@@ -1310,7 +1348,7 @@ mod prop_tests {
             (7, 13, 33),
         ] {
             for poison in 0..4 {
-                check_scalar_kernels(m, k, n, poison, 99);
+                check_arms(m, k, n, poison, 99);
             }
         }
     }
@@ -1380,14 +1418,14 @@ mod prop_tests {
         }
 
         #[test]
-        fn prop_scalar_kernels_are_bit_identical_to_naive(
+        fn prop_every_arm_is_bit_identical_to_the_scalar_arm(
             m in 0usize..50,
             k in 0usize..50,
             n in 0usize..50,
             poison in 0usize..4,
             seed in 0u64..1u64 << 32,
         ) {
-            check_scalar_kernels(m, k, n, poison, seed);
+            check_arms(m, k, n, poison, seed);
         }
 
         #[test]
@@ -1403,15 +1441,11 @@ mod prop_tests {
             let mut rng = Rng::new(seed);
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
-            // The dispatched kernel: exact without SIMD, pinned to the
-            // documented fused-rounding envelope with it.
+            // The dispatched kernel, pinned to the documented
+            // fused-rounding envelope.
             let got = a.matmul(&b);
-            if f32_simd_available() {
-                let v = max_fused_violation(&got, &a, &b);
-                prop_assert!(v <= 1.0, "SIMD arm out of tolerance at {}x{}x{}: {}", m, k, n, v);
-            } else {
-                prop_assert_eq!(&got, &a.matmul_naive(&b));
-            }
+            let v = max_fused_violation(&got, &a, &b);
+            prop_assert!(v <= 1.0, "out of tolerance at {}x{}x{}: {}", m, k, n, v);
             // Prepacking never changes results.
             prop_assert_eq!(&a.matmul_prepacked(&PackedF32::pack(&b)), &got);
         }
@@ -1426,14 +1460,9 @@ mod prop_tests {
             let mut rng = Rng::new(seed);
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let bt = Matrix::randn(n, k, 1.0, &mut rng);
-            let naive = a.matmul_naive(&bt.transpose());
             let got = a.matmul_transpose_b(&bt);
-            if f32_simd_available() {
-                let v = max_fused_violation(&got, &a, &bt.transpose());
-                prop_assert!(v <= 1.0, "tb SIMD out of tolerance at {}x{}x{}: {}", m, k, n, v);
-            } else {
-                prop_assert_eq!(&got, &naive);
-            }
+            let v = max_fused_violation(&got, &a, &bt.transpose());
+            prop_assert!(v <= 1.0, "tb out of tolerance at {}x{}x{}: {}", m, k, n, v);
         }
 
         #[test]
@@ -1464,8 +1493,7 @@ mod prop_tests {
                     m.row_mut(r).fill(bad);
                 }
             }
-            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            let block = |m: &Matrix| {
+                let block = |m: &Matrix| {
                 m.slice_rows(rows.start, rows.end).slice_cols(cols.start, cols.end)
             };
             let (qh, kh, vh) = (block(&q), block(&k), block(&v));

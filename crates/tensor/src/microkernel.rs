@@ -19,14 +19,13 @@
 //! * **AVX2+FMA** ([`f32_simd_available`]) — [`gemm`] runs six rows by one
 //!   panel held in two `ymm` halves; [`gemm_transpose_b`] runs lane-split
 //!   fused dots, up to four sharing each `A` load.
-//! * **Everywhere else** — one scalar panel kernel
-//!   ([`gemm_panels_unfused`]) and one scalar strided dot
-//!   ([`gemm_transpose_b_unfused`]), both unfused and **bit-identical** to
-//!   `Matrix::matmul_naive`.
+//! * **Everywhere else** — one scalar panel kernel ([`gemm_scalar`]) and
+//!   one scalar lane-split dot ([`gemm_transpose_b_scalar`]), each the
+//!   vector arms' chain in `f32::mul_add`, so **bit-identical** to them.
 //!
 //! `gemm_transpose_b`'s dots stay eight lanes wide on AVX-512 hosts
 //! because their lane split *is* their contract: each element's reduction
-//! is spread over 8 lanes and folded by a fixed tree ([`dot_mirror`]), so
+//! is spread over 8 lanes and folded by a fixed tree ([`dot_scalar`]), so
 //! a 16-lane dot would sum in a different order and change bits. The
 //! AVX-512 arm widens the *tile* instead — more dots per load, the same
 //! lanes and tree per dot. [`gemm`] has no such split — each lane is a
@@ -34,28 +33,29 @@
 //!
 //! # Numerics contract
 //!
-//! Fusing the multiply and add changes f32 rounding: the SIMD arms are
-//! **not** bit-identical to `Matrix::matmul_naive`. The contract instead
-//! has two layers, both pinned by tests:
+//! Every arm fuses the multiply and add, so on every host the product has
+//! the same bits — scalar == AVX2 == AVX-512 — and none of them is
+//! bit-identical to `Matrix::matmul_naive`. The contract has two layers,
+//! both pinned by tests:
 //!
-//! * **Exact accumulation order.** Every output element is one ascending-`k`
-//!   chain `acc = fma(a_ik, b_kj, acc)` with a single accumulator starting
-//!   from `0.0` — the same chain regardless of the vector width, of the
-//!   tile (`MR` rows × one or two panels) the element landed in, of the
-//!   output's row count, or of panel padding. [`gemm_mirror`] replays that
-//!   chain in scalar `f32::mul_add` and is **bit-identical** to both vector
-//!   kernels on every input, so they are pinned exactly — to the mirror
-//!   and so to each other — not just within a tolerance. (The dot-product
-//!   kernels used by `matmul_transpose_b_into` split the reduction over 8
-//!   lanes; their fixed lane order and reduction tree are mirrored by
-//!   [`dot_mirror`], which pins both vector arms the same way.)
+//! * **Exact accumulation order.** Every output element of [`gemm`] is
+//!   one ascending-`k` chain `acc = fma(a_ik, b_kj, acc)` with a single
+//!   accumulator starting from `0.0` — the same chain regardless of the
+//!   vector width, of the tile (`MR` rows × one or two panels) the element
+//!   landed in, of the output's row count, or of panel padding.
+//!   [`gemm_scalar`] runs that chain in `f32::mul_add`, the IEEE fused
+//!   multiply-add (one rounding, the operation `vfmadd` performs), and the
+//!   tests pin every vector arm to it bit for bit. The dots of
+//!   [`gemm_transpose_b`] split the reduction over 8 lanes; their fixed
+//!   lane order and reduction tree are [`dot_scalar`]'s, pinned the same
+//!   way.
 //! * **Documented tolerance vs. the unfused reference.** Against
 //!   `matmul_naive` (round after every multiply), each element differs by
-//!   at most one rounding per fused term: `|simd − naive| ≤ k · ε · (|A|·|B|)`
+//!   at most one rounding per fused term: `|fused − naive| ≤ k · ε · (|A|·|B|)`
 //!   elementwise with `ε = 2^-23`, asserted with slack by the property
-//!   tests. Non-finite inputs propagate (NaN in a row/column of the
-//!   operands lands in every output element it feeds — fused arithmetic
-//!   cannot launder it into a finite value).
+//!   tests on every host. Non-finite inputs propagate (NaN in a row/column
+//!   of the operands lands in every output element it feeds — fused
+//!   arithmetic cannot launder it into a finite value).
 //!
 //! Because each element is a pure function of its input row and the packed
 //! operand, results are independent of batching — stacking samples into a
@@ -266,37 +266,16 @@ impl<'a> StridedRows<'a> {
     }
 }
 
-/// Scalar mirror of the vector packed kernels: the identical per-element
-/// chain `acc = a_ik.mul_add(b_kj, acc)` in ascending `k` with a single
-/// accumulator. `f32::mul_add` is the IEEE fused multiply-add (one
-/// rounding), the same operation `vfmadd` performs, so this is
-/// **bit-identical** to the AVX-512 and AVX2 arms of [`gemm`] on every
-/// input — the oracle the tests pin both vector kernels against.
-#[cfg(test)]
-pub(crate) fn gemm_mirror(a: LhsView<'_>, m: usize, packed: &PackedF32, out: &mut [f32]) {
-    let (k, n) = (packed.k, packed.n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = a.get(i, kk).mul_add(packed.get(kk, j), acc);
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// A vector arm of [`gemm`], called by name.
+/// An arm of [`gemm`], called by name.
 #[cfg(test)]
 pub(crate) type Arm = fn(LhsView<'_>, usize, &PackedF32, &mut [f32], usize);
 
-/// Every vector arm of [`gemm`] this host can run, widest (the one
-/// `gemm` dispatches to) first. Each arm it cannot run is reported on
-/// stderr ([`report_arms`]), so a passing test on such a host still says
-/// what it did not check.
+/// Every arm of [`gemm`] this host can run: the one `gemm` dispatches to
+/// first, [`gemm_scalar`] last (every host has it). Each vector arm the
+/// host cannot run is reported on stderr ([`report_arms`]), so a passing
+/// test on such a host still says what it did not check.
 #[cfg(test)]
-pub(crate) fn simd_arms() -> Vec<(&'static str, Arm)> {
+pub(crate) fn gemm_arms() -> Vec<(&'static str, Arm)> {
     let mut arms: Vec<(&'static str, Arm)> = Vec::new();
     let mut skipped = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -326,25 +305,24 @@ pub(crate) fn simd_arms() -> Vec<(&'static str, Arm)> {
     }
     #[cfg(not(target_arch = "x86_64"))]
     skipped.extend(["avx512f", "avx2+fma"]);
-    report_arms(
-        "gemm",
-        arms.iter().map(|(name, _)| *name).collect(),
-        &skipped,
-    );
+    arms.push(("scalar", gemm_scalar));
+    static REPORTED: std::sync::Once = std::sync::Once::new();
+    REPORTED.call_once(|| report_arms("gemm", &arms, &skipped));
     arms
 }
 
-/// Says on stderr, past the test harness's output capture, which arms of
-/// `kernel` a test checks (the first is the one it dispatches to) and
-/// which it skipped because the host lacks them.
+/// Says on stderr, past the test harness's output capture and once per
+/// test process, which arms of `kernel` the tests check (the first is the
+/// one it dispatches to) and which they skip because the host lacks them.
 #[cfg(test)]
-fn report_arms(kernel: &str, checked: Vec<&str>, skipped: &[&str]) {
+fn report_arms<F>(kernel: &str, arms: &[(&str, F)], skipped: &[&str]) {
     use std::io::Write;
+    let checked: Vec<&str> = arms.iter().map(|(name, _)| *name).collect();
     let mut stderr = std::io::stderr();
-    let dispatched = checked.first().unwrap_or(&"scalar");
     let _ = writeln!(
         stderr,
-        "{kernel} arm dispatched: {dispatched}; checked: {checked:?}"
+        "{kernel} arm dispatched: {}; checked: {checked:?}",
+        checked[0]
     );
     if !skipped.is_empty() {
         let _ = writeln!(
@@ -354,13 +332,14 @@ fn report_arms(kernel: &str, checked: Vec<&str>, skipped: &[&str]) {
     }
 }
 
-/// A vector arm of [`gemm_transpose_b`], called by name.
+/// An arm of [`gemm_transpose_b`], called by name.
 #[cfg(test)]
 pub(crate) type TransposeArm =
     fn(StridedRows<'_>, StridedRows<'_>, (usize, usize, usize), &mut [f32]);
 
-/// Every vector arm of [`gemm_transpose_b`] this host can run, the one it
-/// dispatches to first; reported on stderr as [`simd_arms`] does.
+/// Every arm of [`gemm_transpose_b`] this host can run, the one it
+/// dispatches to first and [`gemm_transpose_b_scalar`] last; reported on
+/// stderr as [`gemm_arms`] does.
 #[cfg(test)]
 pub(crate) fn transpose_arms() -> Vec<(&'static str, TransposeArm)> {
     let mut arms: Vec<(&'static str, TransposeArm)> = Vec::new();
@@ -390,11 +369,9 @@ pub(crate) fn transpose_arms() -> Vec<(&'static str, TransposeArm)> {
     }
     #[cfg(not(target_arch = "x86_64"))]
     skipped.extend(["avx512f+vl tiled", "avx2+fma dots"]);
-    report_arms(
-        "A·B^T",
-        arms.iter().map(|(name, _)| *name).collect(),
-        &skipped,
-    );
+    arms.push(("scalar dots", gemm_transpose_b_scalar));
+    static REPORTED: std::sync::Once = std::sync::Once::new();
+    REPORTED.call_once(|| report_arms("A·B^T", &arms, &skipped));
     arms
 }
 
@@ -404,7 +381,8 @@ pub(crate) fn transpose_arms() -> Vec<(&'static str, TransposeArm)> {
 /// dense output, a larger stride lands the product in a column block of a
 /// wider matrix (one attention head inside the context matrix). Runs the
 /// AVX-512 kernel where the CPU has AVX-512F, the AVX2 kernel where only
-/// [`f32_simd_available`] holds, [`gemm_panels_unfused`] everywhere else.
+/// [`f32_simd_available`] holds, [`gemm_scalar`] everywhere else — all
+/// three the same bits.
 ///
 /// # Panics
 ///
@@ -437,7 +415,7 @@ pub(crate) fn gemm(
             return;
         }
     }
-    gemm_panels_unfused(a, m, packed, out, out_stride);
+    gemm_scalar(a, m, packed, out, out_stride);
 }
 
 /// The operand checks every arm of [`gemm`] relies on: the lhs view spans
@@ -483,13 +461,16 @@ fn row_block(rem: usize) -> usize {
     }
 }
 
-/// The scalar kernel of [`gemm`], in the shape of the AVX2 kernel at one
+/// The scalar arm of [`gemm`], in the shape of the AVX2 kernel at one
 /// row: per row and panel a 16-float accumulator updated as
-/// `acc[j] += a_ik * panel[kk * 16 + j]` in ascending `kk`, then only the
-/// real columns stored. Per element that is `Matrix::matmul_naive`'s sum —
-/// unfused, one accumulator, starting from `0.0` — so every result is
-/// **bit-identical** to naive.
-pub(crate) fn gemm_panels_unfused(
+/// `acc[j] = a_ik.mul_add(panel[kk * 16 + j], acc[j])` in ascending `kk`,
+/// then only the real columns stored. Per element that is the vector
+/// arms' chain — fused, one accumulator, starting from `0.0` — so every
+/// result is **bit-identical** to theirs. Unless the build targets FMA
+/// hardware (`+fma` on x86, or aarch64), `f32::mul_add` is a libm call,
+/// which makes this arm slow (DESIGN §4c has the numbers); no benchmark
+/// workload runs it.
+pub(crate) fn gemm_scalar(
     a: LhsView<'_>,
     m: usize,
     packed: &PackedF32,
@@ -503,7 +484,7 @@ pub(crate) fn gemm_panels_unfused(
             for (kk, lanes) in packed.panel(p).chunks_exact(PANEL_WIDTH).enumerate() {
                 let a_ik = a.get(i, kk);
                 for (o, &b) in acc.iter_mut().zip(lanes) {
-                    *o += a_ik * b;
+                    *o = a_ik.mul_add(b, *o);
                 }
             }
             let j0 = p * PANEL_WIDTH;
@@ -513,15 +494,13 @@ pub(crate) fn gemm_panels_unfused(
     }
 }
 
-/// Scalar mirror of the AVX2 row-dot kernel used by
-/// `matmul_transpose_b_into`: the reduction is split over 8 lanes
+/// One lane-split fused dot product, the order every arm of
+/// [`gemm_transpose_b`] computes: the reduction is split over 8 lanes
 /// (lane `l` accumulates `k ≡ l (mod 8)` in ascending order, fused), the
 /// lanes are folded by the fixed tree
 /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, and the sub-8 tail is fused
-/// into the folded sum in ascending order. Bit-identical to the AVX2
-/// kernel on every input.
-#[cfg(test)]
-pub(crate) fn dot_mirror(a: &[f32], b: &[f32]) -> f32 {
+/// into the folded sum in ascending order.
+fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; 8];
     let mut chunks = a.chunks_exact(8).zip(b.chunks_exact(8));
@@ -554,8 +533,8 @@ pub(crate) fn dot_mirror(a: &[f32], b: &[f32]) -> f32 {
 /// column block of a wider matrix in place (one attention head of the
 /// stacked `Q` or `K`). Runs the register-tiled dots where the CPU has
 /// AVX-512F and AVX-512VL, the AVX2 lane-split fused dots where only
-/// [`f32_simd_available`] holds — both in [`dot_mirror`]'s exact order —
-/// and [`gemm_transpose_b_unfused`] everywhere else.
+/// [`f32_simd_available`] holds and [`gemm_transpose_b_scalar`]
+/// everywhere else — all three in [`dot_scalar`]'s exact order.
 ///
 /// # Panics
 ///
@@ -585,7 +564,7 @@ pub(crate) fn gemm_transpose_b(
             return;
         }
     }
-    gemm_transpose_b_unfused(a, b, (m, k, n), out);
+    gemm_transpose_b_scalar(a, b, (m, k, n), out);
 }
 
 /// Whether [`gemm_transpose_b`] runs its register-tiled AVX-512 arm: the
@@ -633,11 +612,10 @@ fn transpose_operands_fit(
     true
 }
 
-/// The scalar kernel of [`gemm_transpose_b`]: each element is the
-/// single-accumulator ascending-`k` dot of its two runs — unfused, from
-/// `0.0`, so **bit-identical** to `Matrix::matmul_naive` against the
-/// materialized transpose.
-pub(crate) fn gemm_transpose_b_unfused(
+/// The scalar arm of [`gemm_transpose_b`]: each element is the
+/// [`dot_scalar`] of its two runs, so **bit-identical** to the vector
+/// arms.
+pub(crate) fn gemm_transpose_b_scalar(
     a: StridedRows<'_>,
     b: StridedRows<'_>,
     (m, k, n): (usize, usize, usize),
@@ -646,11 +624,7 @@ pub(crate) fn gemm_transpose_b_unfused(
     for i in 0..m {
         let a_row = a.run(i, k);
         for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b.run(j, k)) {
-                acc += x * y;
-            }
-            *o = acc;
+            *o = dot_scalar(a_row, b.run(j, k));
         }
     }
 }
@@ -663,8 +637,9 @@ mod avx2 {
 
     /// One register tile: `MR` output rows by one 16-column panel, the
     /// full reduction in registers. Every output element is a single
-    /// ascending-`k` `vfmadd` chain — the accumulation order [`super::gemm_mirror`]
-    /// replays — so the tile size is invisible in the results.
+    /// ascending-`k` `vfmadd` chain — the accumulation order of
+    /// [`super::gemm_scalar`] — so the tile size is invisible in the
+    /// results.
     ///
     /// # Safety
     ///
@@ -814,8 +789,8 @@ mod avx2 {
     }
 
     /// Fixed-tree horizontal sum of eight f32 lanes:
-    /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — mirrored exactly by the
-    /// scalar fold in [`super::dot_mirror`].
+    /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the fold of
+    /// [`super::dot_scalar`].
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn hsum(v: __m256) -> f32 {
@@ -825,7 +800,7 @@ mod avx2 {
         _mm_cvtss_f32(s)
     }
 
-    /// One lane-split fused dot product (see [`super::dot_mirror`] for the
+    /// One lane-split fused dot product (see [`super::dot_scalar`] for the
     /// exact accumulation order).
     ///
     /// # Safety
@@ -901,7 +876,7 @@ mod avx512 {
     /// 16-column panels, one `zmm` accumulator per row and panel, the full
     /// reduction in registers. Every output element is a single
     /// ascending-`k` `vfmadd` chain — the accumulation order
-    /// [`super::gemm_mirror`] replays — so neither the tile nor the vector
+    /// [`super::gemm_scalar`] runs — so neither the tile nor the vector
     /// width shows in the results.
     ///
     /// # Safety
@@ -1064,7 +1039,7 @@ mod avx512 {
     /// and each `B` chunk once per three `A` rows. Lane `l` of a dot
     /// accumulates `k ≡ l (mod 8)` in ascending order, each tile row is
     /// folded by [`fold8`] and the sub-8 tail fused in ascending order:
-    /// every element is [`super::dot_mirror`] of its two runs.
+    /// every element is [`super::dot_scalar`] of its two runs.
     ///
     /// # Safety
     ///
@@ -1115,7 +1090,7 @@ mod avx512 {
 
     /// Eight dots folded at once: lane `j` of the result is the AVX2
     /// `hsum` of `dots[j]` — the tree `((l0+l4)+(l2+l6)) +
-    /// ((l1+l5)+(l3+l7))` of [`super::dot_mirror`], every addition with
+    /// ((l1+l5)+(l3+l7))` of [`super::dot_scalar`], every addition with
     /// the same operands in the same order.
     #[inline]
     #[target_feature(enable = "avx512f", enable = "avx512vl")]
@@ -1202,30 +1177,9 @@ mod tests {
     }
 
     #[test]
-    fn mirror_tracks_naive_within_fused_rounding() {
-        let mut rng = Rng::new(2);
-        for &(m, k, n) in &[(3, 5, 4), (17, 64, 64), (13, 31, 19)] {
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let packed = PackedF32::pack(&b);
-            let mut out = vec![0.0f32; m * n];
-            gemm_mirror(lhs(&a), m, &packed, &mut out);
-            let naive = a.matmul_naive(&b);
-            let bound = a.map(f32::abs).matmul_naive(&b.map(f32::abs));
-            for (idx, (&got, &want)) in out.iter().zip(naive.as_slice()).enumerate() {
-                let tol = 2.0 * k as f32 * f32::EPSILON * bound.as_slice()[idx].max(1.0);
-                assert!(
-                    (got - want).abs() <= tol,
-                    "{m}x{k}x{n} elem {idx}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn simd_gemm_arms_are_bit_identical_to_the_mirror() {
+    fn gemm_arms_are_bit_identical_to_the_scalar_arm() {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let arms = simd_arms();
+        let arms = gemm_arms();
         let mut rng = Rng::new(4);
         // Row counts ending in every MR block split (6/4/2/1); column
         // counts with an even and an odd panel count, the ragged panel
@@ -1237,9 +1191,9 @@ mod tests {
                     let a = Matrix::randn(m, k, 1.0, &mut rng);
                     let b = Matrix::randn(k, n, 1.0, &mut rng);
                     let packed = PackedF32::pack(&b);
-                    let mut mirror = vec![f32::NAN; m * n];
-                    gemm_mirror(lhs(&a), m, &packed, &mut mirror);
-                    let want = bits(&mirror);
+                    let mut reference = vec![0.0f32; m * n];
+                    gemm_scalar(lhs(&a), m, &packed, &mut reference, n);
+                    let want = bits(&reference);
                     let at = a.transpose();
                     let transposed = LhsView {
                         base: at.as_slice(),
@@ -1271,20 +1225,18 @@ mod tests {
                 }
             }
         }
-        // `gemm` itself takes a vector arm wherever the host has one.
-        if !arms.is_empty() {
-            let (m, k, n) = (544, 64, 64);
-            let a = Matrix::randn(m, k, 1.0, &mut rng);
-            let packed = PackedF32::pack(&Matrix::randn(k, n, 1.0, &mut rng));
-            let (mut dispatched, mut mirror) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-            gemm(lhs(&a), m, &packed, &mut dispatched, n);
-            gemm_mirror(lhs(&a), m, &packed, &mut mirror);
-            assert_eq!(bits(&dispatched), bits(&mirror), "gemm at {m}x{k}x{n}");
-        }
+        // `gemm` itself dispatches to the first arm.
+        let (m, k, n) = (544, 64, 64);
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let packed = PackedF32::pack(&Matrix::randn(k, n, 1.0, &mut rng));
+        let (mut dispatched, mut scalar) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        gemm(lhs(&a), m, &packed, &mut dispatched, n);
+        gemm_scalar(lhs(&a), m, &packed, &mut scalar, n);
+        assert_eq!(bits(&dispatched), bits(&scalar), "gemm at {m}x{k}x{n}");
     }
 
     #[test]
-    fn simd_transpose_b_arms_are_bit_identical_to_the_mirror() {
+    fn transpose_b_arms_are_bit_identical_to_the_scalar_arm() {
         let same_bits = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let arms = transpose_arms();
         let mut rng = Rng::new(8);
@@ -1316,12 +1268,8 @@ mod tests {
                 );
                 for m in 1..=20 {
                     for n in 1..=20 {
-                        let mut want = Vec::with_capacity(m * n);
-                        for i in 0..m {
-                            for j in 0..n {
-                                want.push(dot_mirror(qr.run(i, k), kr.run(j, k)));
-                            }
-                        }
+                        let mut want = vec![0.0f32; m * n];
+                        gemm_transpose_b_scalar(qr, kr, (m, k, n), &mut want);
                         let mut dispatched = vec![12345.0f32; m * n];
                         gemm_transpose_b(qr, kr, (m, k, n), &mut dispatched);
                         let mut outputs = vec![("dispatched", dispatched)];
@@ -1369,40 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn avx2_dot_kernels_are_bit_identical_to_the_mirror() {
-        #[cfg(target_arch = "x86_64")]
-        if f32_simd_available() {
-            let mut rng = Rng::new(5);
-            for &k in &[1usize, 7, 8, 9, 15, 16, 17, 64, 100] {
-                let a = Matrix::randn(1, k, 1.0, &mut rng);
-                let rows = Matrix::randn(5, k, 1.0, &mut rng);
-                // SAFETY: feature support verified above.
-                let mut quad = [0.0f32; 4];
-                unsafe {
-                    avx2::dot4(
-                        a.row(0),
-                        rows.row(0),
-                        rows.row(1),
-                        rows.row(2),
-                        rows.row(3),
-                        &mut quad,
-                    )
-                };
-                for (j, &got) in quad.iter().enumerate() {
-                    assert_eq!(
-                        got,
-                        dot_mirror(a.row(0), rows.row(j)),
-                        "dot4 lane {j}, k={k}"
-                    );
-                    // SAFETY: feature support verified above.
-                    assert_eq!(got, unsafe { avx2::dot1(a.row(0), rows.row(j)) });
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batching_cannot_change_simd_rows() {
+    fn batching_cannot_change_a_row_on_any_arm() {
         // Row 16 sits in an MR=1 tail at m=17 but inside an MR=6 block at
         // m=544; the single-chain contract makes that invisible on every
         // arm, and the arms agree with each other bit for bit.
@@ -1412,7 +1327,7 @@ mod tests {
         let packed = PackedF32::pack(&b);
         let small = big.slice_rows(0, 17);
         let mut first: Option<Vec<f32>> = None;
-        for (name, arm) in simd_arms() {
+        for (name, arm) in gemm_arms() {
             let mut wide = vec![0.0f32; 544 * 64];
             arm(lhs(&big), 544, &packed, &mut wide, 64);
             let mut narrow = vec![0.0f32; 17 * 64];

@@ -147,19 +147,6 @@ impl Rng {
             items.swap(i, j);
         }
     }
-
-    /// Samples `k` distinct indices from `[0, n)` without replacement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -228,17 +215,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut rng = Rng::new(7);
-        let idx = rng.sample_indices(100, 30);
-        assert_eq!(idx.len(), 30);
-        let mut sorted = idx.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 30);
     }
 
     #[test]
