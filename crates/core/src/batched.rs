@@ -43,6 +43,27 @@ pub fn batched_logits<T: Sync>(
     split_rows(&chunks)
 }
 
+/// [`batched_logits`] for several models at once, one logits list per
+/// model (in `models` order): each chunk runs through
+/// [`PreparedModel::forward_batch_shared`], so models that share their
+/// embedding and leading blocks compute them once per chunk. Bit-identical
+/// to one [`batched_logits`] call per model.
+pub(crate) fn batched_logits_shared<T: Sync>(
+    models: &[&PreparedModel],
+    items: &[T],
+    image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
+    par: Parallelism,
+) -> Vec<Vec<Matrix>> {
+    let ranges = chunk_ranges(items.len());
+    let chunks = par_map(&ranges, par, |_, &(start, end)| {
+        let images: Vec<&Matrix> = items[start..end].iter().map(&image).collect();
+        PreparedModel::forward_batch_shared(models, &images)
+    });
+    (0..models.len())
+        .map(|m| split_rows(chunks.iter().map(|per_model| &per_model[m])))
+        .collect()
+}
+
 fn chunk_ranges(len: usize) -> Vec<(usize, usize)> {
     (0..len)
         .step_by(EVAL_BATCH)
@@ -50,9 +71,9 @@ fn chunk_ranges(len: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn split_rows(chunks: &[Matrix]) -> Vec<Matrix> {
+fn split_rows<'a>(chunks: impl IntoIterator<Item = &'a Matrix>) -> Vec<Matrix> {
     chunks
-        .iter()
+        .into_iter()
         .flat_map(|logits| (0..logits.rows()).map(|r| logits.slice_rows(r, r + 1)))
         .collect()
 }

@@ -7,7 +7,15 @@
 //! [`CascadeCache`] observes the low effort once (batched, across
 //! [`par_map`](crate::par_map)'s workers), keeps each sample's entropy,
 //! argmax and finiteness flag, and then answers every threshold query in
-//! O(N) with no model in the loop.
+//! O(N) with no model in the loop. Phase 2 prices a pair on that `F_L`
+//! alone ([`CascadeCache::f_low_at`]), so a pair it rejects costs no
+//! inference beyond the cache.
+//!
+//! Several low efforts can be observed in one pass
+//! ([`CascadeCache::build_shared`]): efforts that are masks over one
+//! backbone compute the same embedding and leading encoder blocks, and
+//! [`PreparedModel::forward_batch_shared`] runs those once for all of
+//! them. [`CascadeCache::build_prepared`] is that pass over one effort.
 //!
 //! For evaluation it is the guarded sweep's memo
 //! ([`crate::guarded`]) pre-filled at level 0: only escalated samples run
@@ -21,11 +29,16 @@
 //!   with the same sample slice they built it from (checked by length),
 //!   and evaluate it against a high effort of the same class space
 //!   (checked by class count).
-//! * Queries are pure reads: building with any [`Parallelism`] yields
-//!   bit-identical contents, so every downstream result is deterministic.
+//! * Queries are pure reads: building with any [`Parallelism`], alone or
+//!   in a shared pass, yields bit-identical contents, so every downstream
+//!   result is deterministic.
+//! * `f_low_at(th)` and the `F_L` of `evaluate(.., th, ..)` count the
+//!   same [`stays_low`] gate over the same samples (a non-finite entropy
+//!   escalates in both), so the two are equal bit for bit.
 
 use crate::guarded::{
-    observe_level, stays_low, threshold_grid_walk, DegradationReport, LadderCache, LevelObs,
+    observe_level, observe_levels, stays_low, threshold_grid_walk, DegradationReport, LadderCache,
+    LevelObs,
 };
 use crate::multilevel::CascadeStats;
 use crate::parallel::Parallelism;
@@ -76,15 +89,34 @@ impl CascadeCache {
     }
 
     /// [`CascadeCache::build_in`] against an already-prepared inference
-    /// view.
+    /// view: [`CascadeCache::build_shared`] over one low effort.
     pub fn build_prepared(low: &PreparedModel, samples: &[Sample], par: Parallelism) -> Self {
-        let level0 = observe_level(low, samples, |s| &s.image, par);
-        let entropies = level0.iter().map(|o| o.entropy).collect();
-        Self {
-            level0,
-            entropies,
-            num_classes: low.config().num_classes,
-        }
+        Self::build_shared(&[low], samples, par)
+            .pop()
+            .expect("one low effort in, one cache out")
+    }
+
+    /// One cache per low effort in `lows` (in that order), all observed in
+    /// one batched pass over `samples` on `par_map`'s workers: each chunk
+    /// runs through [`PreparedModel::forward_batch_shared`], so efforts that
+    /// share their embedding and leading encoder blocks (masks over one
+    /// backbone, prepared through one store) compute those once. Cache `l`
+    /// is bit-identical to [`CascadeCache::build_prepared`] on `lows[l]`
+    /// alone, for any [`Parallelism`].
+    pub fn build_shared(
+        lows: &[&PreparedModel],
+        samples: &[Sample],
+        par: Parallelism,
+    ) -> Vec<Self> {
+        observe_levels(lows, samples, |s| &s.image, par)
+            .into_iter()
+            .zip(lows)
+            .map(|(level0, low)| Self {
+                entropies: level0.iter().map(|o| o.entropy).collect(),
+                level0,
+                num_classes: low.config().num_classes,
+            })
+            .collect()
     }
 
     /// Number of cached samples.
@@ -313,6 +345,85 @@ mod tests {
             assert_eq!(stats.f_low(), cache.f_low_at(th), "Th={th}");
             assert_eq!(stats.total(), set.len());
         }
+    }
+
+    #[test]
+    fn f_low_at_is_the_evaluated_f_low_bit_for_bit_on_every_grid_threshold() {
+        // Phase 2 prices a pair on `f_low_at` before it evaluates anything;
+        // the result then reports the evaluated `f_low`. They must be one
+        // number, also where low-effort faults leave NaN entropies.
+        let high = model(41, &[0, 1]).prepare();
+        let set = samples(20, 3);
+        let mut faulted = model(0, &[0]);
+        crate::FaultInjector::new(0).inject_params(&mut faulted, crate::FaultKind::StuckMax, 8);
+        let faulted = CascadeCache::build_prepared(&faulted.prepare(), &set, Parallelism::Off);
+        let non_finite = faulted
+            .entropies()
+            .iter()
+            .filter(|e| !e.is_finite())
+            .count();
+        assert!(
+            non_finite > 0 && non_finite < set.len(),
+            "the fault must poison some samples and spare others ({non_finite}/{})",
+            set.len()
+        );
+        let healthy =
+            CascadeCache::build_prepared(&model(0, &[0]).prepare(), &set, Parallelism::Off);
+        for cache in [&healthy, &faulted] {
+            let step = 0.02f32;
+            let mut th = step;
+            loop {
+                let (stats, _) = cache.evaluate(&high, &set, th, Parallelism::Fixed(3));
+                assert_eq!(
+                    cache.f_low_at(th).to_bits(),
+                    stats.f_low().to_bits(),
+                    "Th={th}"
+                );
+                if th >= 1.0 {
+                    break;
+                }
+                th = (th + step).min(1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_build_is_bit_identical_to_separate_builds() {
+        // A mask ladder over one backbone through one store (sharing
+        // blocks), plus an effort on other weights (sharing nothing).
+        let backbone = model(42, &[0, 1, 2, 3]);
+        let store = PreparedStore::new();
+        let mut lows: Vec<PreparedModel> = [&[0usize, 1, 2][..], &[0, 1], &[0], &[1]]
+            .iter()
+            .map(|active| {
+                let mut m = backbone.clone();
+                m.set_active_attentions(active);
+                m.prepare_in(&store)
+            })
+            .collect();
+        lows.push(model(43, &[0]).prepare_in(&store));
+        let views: Vec<&PreparedModel> = lows.iter().collect();
+        let set = samples(70, 44);
+        assert!(set.len() > 2 * crate::EVAL_BATCH);
+        for par in [Parallelism::Off, Parallelism::Fixed(3)] {
+            let shared = CascadeCache::build_shared(&views, &set, par);
+            assert_eq!(shared.len(), lows.len());
+            for (l, (cache, low)) in shared.iter().zip(&lows).enumerate() {
+                let alone = CascadeCache::build_prepared(low, &set, Parallelism::Off);
+                assert_eq!(cache.len(), set.len());
+                for i in 0..set.len() {
+                    assert_eq!(
+                        cache.entropies()[i].to_bits(),
+                        alone.entropies()[i].to_bits(),
+                        "level {l}, sample {i}, {par:?}"
+                    );
+                    assert_eq!(cache.low_prediction(i), alone.low_prediction(i));
+                }
+            }
+        }
+        assert!(CascadeCache::build_shared(&[], &set, Parallelism::Off).is_empty());
+        let empty = CascadeCache::build_shared(&views, &[], Parallelism::Off);
+        assert!(empty.len() == lows.len() && empty.iter().all(CascadeCache::is_empty));
     }
 
     #[test]

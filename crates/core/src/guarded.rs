@@ -40,7 +40,7 @@
 //!   its cost was spent; if every visited level is faulty the exit level's
 //!   own argmax stands (event with `served_by: None`).
 
-use crate::batched::batched_logits;
+use crate::batched::{batched_logits, batched_logits_shared};
 use crate::parallel::Parallelism;
 use pivot_nn::normalized_entropy;
 use pivot_tensor::Matrix;
@@ -238,12 +238,36 @@ pub(crate) fn observe_level<T: Sync>(
 ) -> Vec<LevelObs> {
     batched_logits(model, items, image, par)
         .iter()
-        .map(|logits| LevelObs {
+        .map(LevelObs::of)
+        .collect()
+}
+
+/// [`observe_level`] for several models in one pass over `items`, one
+/// observation list per model: chunks run through
+/// [`PreparedModel::forward_batch_shared`], so models that share their
+/// embedding and leading blocks compute them once. Bit-identical to one
+/// [`observe_level`] call per model.
+pub(crate) fn observe_levels<T: Sync>(
+    models: &[&PreparedModel],
+    items: &[T],
+    image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
+    par: Parallelism,
+) -> Vec<Vec<LevelObs>> {
+    batched_logits_shared(models, items, image, par)
+        .iter()
+        .map(|level| level.iter().map(LevelObs::of).collect())
+        .collect()
+}
+
+impl LevelObs {
+    /// One sample's observation from its `1 x classes` logits.
+    fn of(logits: &Matrix) -> Self {
+        Self {
             entropy: normalized_entropy(logits),
             prediction: logits.row_argmax(0) as u32,
             finite: logits.is_all_finite(),
-        })
-        .collect()
+        }
+    }
 }
 
 /// The sweep's memo: one level observation per (level, sample), filled as

@@ -17,7 +17,8 @@
 //!   and [`CascadeStats`], the one fold of outcomes over labels (`C_L`,
 //!   `I_L`, `C_H`, `I_H`, `F_L`, `F_H`, per-level exits).
 //! * [`cache`] — the entropy cache: the low effort observed once per
-//!   sample set, serving `F_L` queries and threshold sweeps in O(N).
+//!   sample set (several low efforts in one shared pass), serving `F_L`
+//!   queries and threshold sweeps in O(N).
 //! * [`batched`] — chunked `forward_batch` inference over sample sets
 //!   against a [`pivot_vit::PreparedModel`] view (weights materialized
 //!   once per sweep): one wide GEMM per layer per chunk, bit-identical to

@@ -96,7 +96,10 @@ impl<'a> Phase2Search<'a> {
     /// # Panics
     ///
     /// Panics if fewer than two efforts are supplied, the calibration batch
-    /// is empty, or an effort's depth does not match the geometry.
+    /// is empty, an effort's depth does not match the geometry, or an
+    /// effort's model runs another skip mask than its path (PIVOT-Sim
+    /// would price one network while the calibration batch measures
+    /// another).
     pub fn new(
         sim: &'a Simulator,
         geometry: &'a VitGeometry,
@@ -113,6 +116,19 @@ impl<'a> Phase2Search<'a> {
                 e.path.depth(),
                 geometry.depth,
                 "effort {} path depth mismatch with geometry",
+                e.effort
+            );
+            assert_eq!(
+                e.path.effort(),
+                e.effort,
+                "effort {}: its path has {} active attentions",
+                e.effort,
+                e.path.effort()
+            );
+            assert_eq!(
+                e.model.active_attentions(),
+                e.path.active(),
+                "effort {}: its model's active attentions differ from its path",
                 e.effort
             );
         }
@@ -139,13 +155,24 @@ impl<'a> Phase2Search<'a> {
         self
     }
 
-    fn build_cache(&self, model: &VisionTransformer) -> CascadeCache {
-        CascadeCache::build_in(model, self.calibration, self.parallelism, &self.store)
-    }
-
     /// Runs the search. Returns `None` when no combination meets the delay
     /// constraint (the constraint is infeasible even with the smallest
     /// efforts).
+    ///
+    /// Pairs are walked largest combined effort first, and each is priced
+    /// by [`Self::evaluate_pair_prepared`]: threshold, then `F_L` and the
+    /// simulated delay from the low effort's cache, and high-effort
+    /// inference only for the pair it accepts.
+    ///
+    /// Low-effort caches are built lazily, each distinct low effort once.
+    /// When the walk first needs one, the same pass
+    /// ([`CascadeCache::build_shared`]) also builds every low effort still
+    /// pending that shares at least the embedding and encoder block 0 with
+    /// it ([`PreparedModel::shared_prefix`]): masks over one backbone
+    /// compute their common blocks once. Efforts with distinct (fine-tuned)
+    /// weights share nothing and are built one at a time. Every distinct
+    /// low and every distinct high effort is prepared once, through the
+    /// searcher's store (the lows before the walk starts).
     pub fn run(&self, cfg: &Phase2Config) -> Option<Phase2Result> {
         let max_delay = cfg.delay_constraint_ms * (1.0 + cfg.delay_tolerance);
 
@@ -169,40 +196,89 @@ impl<'a> Phase2Search<'a> {
             ))
         });
 
-        // Low-effort calibration logits are computed once per distinct low
-        // effort and reused across every pair sharing it; likewise each
-        // distinct high effort is prepared (quantizers fitted, effective
-        // weights materialized) once and reused across every pair.
+        // Every distinct low effort, prepared once, waits here until its
+        // cache is built.
+        let mut pending: Vec<(usize, PreparedModel)> = Vec::new();
+        for &(li, _) in &pairs {
+            if pending.iter().all(|&(l, _)| l != li) {
+                pending.push((li, self.efforts[li].model.prepare_in(&self.store)));
+            }
+        }
         let mut low_caches: HashMap<usize, CascadeCache> = HashMap::new();
         let mut prepared_highs: HashMap<usize, PreparedModel> = HashMap::new();
         for (li, hi) in pairs {
             let low = &self.efforts[li];
             let high = &self.efforts[hi];
-            let cache = low_caches
-                .entry(li)
-                .or_insert_with(|| self.build_cache(&low.model));
+            if !low_caches.contains_key(&li) {
+                self.build_caches_sharing_with(li, &mut pending, &mut low_caches);
+            }
             let high_prepared = prepared_highs
                 .entry(hi)
                 .or_insert_with(|| high.model.prepare_in(&self.store));
-            if let Some(result) =
-                self.evaluate_pair_prepared(low, high, high_prepared, cache, cfg, max_delay)
-            {
+            if let Some(result) = self.evaluate_pair_prepared(
+                low,
+                high,
+                high_prepared,
+                &low_caches[&li],
+                cfg,
+                max_delay,
+            ) {
                 return Some(result);
             }
         }
         None
     }
 
-    /// Evaluates one effort pair: iterate `Th` until `F_L >= LEC`, then
-    /// check the simulated delay against the constraint.
+    /// Builds the cache of pending low effort `li`, and in the same pass
+    /// those of the pending low efforts that share at least the embedding
+    /// and encoder block 0 with it, moving them from `pending` into
+    /// `caches`.
+    fn build_caches_sharing_with(
+        &self,
+        li: usize,
+        pending: &mut Vec<(usize, PreparedModel)>,
+        caches: &mut HashMap<usize, CascadeCache>,
+    ) {
+        let at = pending
+            .iter()
+            .position(|&(l, _)| l == li)
+            .expect("a low effort without a cache is pending");
+        let (_, anchor) = pending.remove(at);
+        let (sharing, rest): (Vec<_>, Vec<_>) = std::mem::take(pending)
+            .into_iter()
+            .partition(|(_, view)| anchor.shared_prefix(view).is_some_and(|k| k >= 1));
+        *pending = rest;
+        let group: Vec<(usize, &PreparedModel)> = std::iter::once((li, &anchor))
+            .chain(sharing.iter().map(|(l, view)| (*l, view)))
+            .collect();
+        let views: Vec<&PreparedModel> = group.iter().map(|&(_, view)| view).collect();
+        let built = CascadeCache::build_shared(&views, self.calibration, self.parallelism);
+        for (&(l, _), cache) in group.iter().zip(built) {
+            caches.insert(l, cache);
+        }
+    }
+
+    /// Evaluates one effort pair: iterate `Th` until `F_L >= LEC`, price
+    /// the pair on PIVOT-Sim from `F_L` alone, and only if the delay meets
+    /// `max_delay_ms` measure its accuracy.
     ///
-    /// Low-effort entropies come from a pre-built `cache` and the high
-    /// effort runs on an already-prepared view, so a caller probing several
-    /// pairs (as [`Self::run`] does) infers / materializes each distinct
-    /// effort once and reuses it across every pair sharing it. The
-    /// incremental threshold iteration runs on cached entropies in O(N)
-    /// per step, and only the escalated samples are re-inferred with the
-    /// high effort.
+    /// The steps run on a pre-built low-effort `cache` and an
+    /// already-prepared high effort, so a caller probing several pairs (as
+    /// [`Self::run`] does) infers / materializes each distinct effort once
+    /// and reuses it across every pair sharing it:
+    ///
+    /// 1. the incremental threshold iteration, in O(N) per step on the
+    ///    cached entropies;
+    /// 2. `F_L` at that threshold ([`CascadeCache::f_low_at`]) and the
+    ///    combined delay `D_L + F_H·D_H`; a pair over the constraint is
+    ///    rejected here, with no inference at all;
+    /// 3. for a pair that passes, [`CascadeCache::evaluate`]: the high
+    ///    effort runs over the escalated samples only.
+    ///
+    /// `f_low_at` counts the same [`stays_low`](crate::stays_low) gate over
+    /// the same samples as the statistics of step 3 (a non-finite entropy
+    /// escalates in both), so `result.stats.f_low()` equals the `F_L` the
+    /// delay was priced on, bit for bit.
     ///
     /// # Panics
     ///
@@ -217,26 +293,33 @@ impl<'a> Phase2Search<'a> {
         cfg: &Phase2Config,
         max_delay_ms: f64,
     ) -> Option<Phase2Result> {
+        assert_eq!(
+            cache.len(),
+            self.calibration.len(),
+            "cache built from a different sample set"
+        );
         // Step 2-3: incremental threshold iteration until F_L >= LEC.
         let threshold = cache.threshold_reaching(cfg.lec, cfg.threshold_step);
 
-        // Step 3-4: measure C_L/C_H/F_L/F_H and accuracy on the batch.
-        let (stats, _) =
-            cache.evaluate(high_prepared, self.calibration, threshold, self.parallelism);
-
-        // Step 5: hardware-in-the-loop delay of the combination.
+        // Step 4-5: hardware-in-the-loop delay of the combination, from the
+        // cached F_L.
         let perf_low = self.sim.simulate(self.geometry, &low.path.to_mask());
         let perf_high = self.sim.simulate(self.geometry, &high.path.to_mask());
-        let perf = combine_efforts(&perf_low, &perf_high, stats.f_low());
+        let perf = combine_efforts(&perf_low, &perf_high, cache.f_low_at(threshold));
 
-        (perf.delay_ms <= max_delay_ms).then(|| Phase2Result {
-            low_path: low.path.clone(),
-            high_path: high.path.clone(),
-            low_effort: low.effort,
-            high_effort: high.effort,
-            threshold,
-            stats,
-            perf,
+        // Only an accepted pair needs C_L/C_H/F_L/F_H and its accuracy.
+        (perf.delay_ms <= max_delay_ms).then(|| {
+            let (stats, _) =
+                cache.evaluate(high_prepared, self.calibration, threshold, self.parallelism);
+            Phase2Result {
+                low_path: low.path.clone(),
+                high_path: high.path.clone(),
+                low_effort: low.effort,
+                high_effort: high.effort,
+                threshold,
+                stats,
+                perf,
+            }
         })
     }
 }
@@ -410,6 +493,35 @@ mod tests {
         // 6/9/12), all resolving to one resident backbone copy.
         assert_eq!(stats.total_bytes(), 6 * stats.unique_bytes);
         assert_eq!(stats.hit_bytes, 5 * stats.unique_bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "effort 6: its path has 5 active attentions")]
+    fn an_effort_whose_path_has_another_effort_panics() {
+        let sim = Simulator::new(AcceleratorConfig::zcu102());
+        let geom = VitGeometry::deit_s();
+        let mut efforts = make_efforts(12, &[6, 12], 18);
+        // The model and the path agree, the declared effort does not.
+        let path = PathConfig::new(12, &[0, 1, 2, 3, 4]);
+        efforts[0].model.set_active_attentions(path.active());
+        efforts[0].path = path;
+        let calib = calibration(19);
+        let _ = Phase2Search::new(&sim, &geom, &efforts, &calib);
+    }
+
+    #[test]
+    #[should_panic(expected = "effort 6: its model's active attentions differ from its path")]
+    fn an_effort_whose_model_runs_another_mask_panics() {
+        let sim = Simulator::new(AcceleratorConfig::zcu102());
+        let geom = VitGeometry::deit_s();
+        let mut efforts = make_efforts(12, &[6, 12], 20);
+        // Same effort, another mask: PIVOT-Sim would price the path's
+        // network while the cache measured the model's.
+        efforts[0]
+            .model
+            .set_active_attentions(&[6, 7, 8, 9, 10, 11]);
+        let calib = calibration(21);
+        let _ = Phase2Search::new(&sim, &geom, &efforts, &calib);
     }
 
     #[test]

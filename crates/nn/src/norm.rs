@@ -1,5 +1,6 @@
 //! Layer normalization over the embedding dimension.
 
+use crate::prepared::same_bits;
 use crate::{Layer, Param};
 use pivot_tensor::Matrix;
 
@@ -21,7 +22,7 @@ use pivot_tensor::Matrix;
 pub struct LayerNorm {
     gamma: Param,
     beta: Param,
-    eps: f32,
+    pub(crate) eps: f32,
     cache: Option<Cache>,
 }
 
@@ -67,6 +68,15 @@ impl LayerNorm {
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.gamma.value.cols()
+    }
+
+    /// Whether `other` normalizes every input to the same bits as `self`:
+    /// bitwise-equal γ, β and ε (see
+    /// [`PreparedEncoderBlock::computes_same_as`](crate::PreparedEncoderBlock::computes_same_as)).
+    pub(crate) fn computes_same_as(&self, other: &Self) -> bool {
+        self.eps.to_bits() == other.eps.to_bits()
+            && same_bits(&self.gamma.value, &other.gamma.value)
+            && same_bits(&self.beta.value, &other.beta.value)
     }
 
     /// Inference-only forward without caching: one pass over row slices

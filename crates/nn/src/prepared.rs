@@ -121,6 +121,17 @@ impl PreparedLinear {
         }
     }
 
+    /// Whether `other` computes the same function as `self`, bit for bit,
+    /// on every input: the same packed weight allocation (`Arc` pointer
+    /// identity, which a [`crate::PreparedStore`] or a re-view gives every
+    /// layer prepared from one weight) and a bitwise-equal bias. Two
+    /// layers packed separately from equal weights compare unequal, which
+    /// only forgoes sharing; comparing bits rather than `f32 ==` keeps a
+    /// `-0.0` bias apart from `0.0`, since the two can round differently.
+    pub fn computes_same_as(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.panels, &other.panels) && same_bits(&self.bias, &other.bias)
+    }
+
     /// Inference forward `y = x W_eff + b`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         self.infer_then(x, false)
@@ -248,6 +259,16 @@ impl PreparedAttention {
             + self.wk.unique_weight_bytes_into(seen)
             + self.wv.unique_weight_bytes_into(seen)
             + self.proj.unique_weight_bytes_into(seen)
+    }
+
+    /// The same head count and four projections that each
+    /// [`PreparedLinear::computes_same_as`].
+    fn computes_same_as(&self, other: &Self) -> bool {
+        self.heads == other.heads
+            && self.wq.computes_same_as(&other.wq)
+            && self.wk.computes_same_as(&other.wk)
+            && self.wv.computes_same_as(&other.wv)
+            && self.proj.computes_same_as(&other.proj)
     }
 
     /// Per-sample inference: [`Self::infer_batch`] over a batch of one.
@@ -439,6 +460,20 @@ impl PreparedEncoderBlock {
         }
     }
 
+    /// Whether `other` computes the same function as `self`, bit for bit,
+    /// on every input: the same skip flag and head count, every projection
+    /// [`PreparedLinear::computes_same_as`] its counterpart, and both
+    /// layer norms with bitwise-equal γ, β and ε. A shared forward over
+    /// several effort levels runs such a block once for all of them.
+    pub fn computes_same_as(&self, other: &Self) -> bool {
+        self.attention_active == other.attention_active
+            && self.ln1.computes_same_as(&other.ln1)
+            && self.attn.computes_same_as(&other.attn)
+            && self.ln2.computes_same_as(&other.ln2)
+            && self.mlp.fc1.computes_same_as(&other.mlp.fc1)
+            && self.mlp.fc2.computes_same_as(&other.mlp.fc2)
+    }
+
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.attn.dim()
@@ -515,6 +550,16 @@ impl PreparedEncoderBlock {
         self.forward_with(x, |h| self.attn.infer_sparse(h, density))
             .mlp_out
     }
+}
+
+/// Whether two matrices have the same shape and the same bits. Unlike
+/// `f32 ==`, `-0.0` differs from `0.0` and a NaN matches its own bits.
+pub(crate) fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -690,6 +735,77 @@ mod tests {
             &Matrix::zeros(2, 4),
             QuantMode::Int8,
         );
+    }
+
+    #[test]
+    fn block_identity_is_pointer_and_bit_identity() {
+        let mut rng = Rng::new(27);
+        let block = EncoderBlock::new(6, 2, 12, QuantMode::None, &mut rng).prepare();
+        assert!(block.computes_same_as(&block));
+        // A re-view shares every panel: the same block under the same
+        // switch, a different one under the other.
+        assert!(block.computes_same_as(&block.with_attention_active(true)));
+        let skipped = block.with_attention_active(false);
+        assert!(!block.computes_same_as(&skipped));
+        assert!(!skipped.computes_same_as(&block));
+        assert!(skipped.computes_same_as(&skipped.clone()));
+
+        // Equal weights packed twice share no allocation.
+        let mut rng = Rng::new(27);
+        let again = EncoderBlock::new(6, 2, 12, QuantMode::None, &mut rng).prepare();
+        assert!(!block.computes_same_as(&again));
+
+        // A bias zero that differs only in its sign: `f32 ==` would call
+        // the two equal.
+        let mut zeroed = block.clone();
+        zeroed.mlp.fc2.bias.as_mut_slice()[0] = 0.0;
+        let mut negated = zeroed.clone();
+        negated.mlp.fc2.bias.as_mut_slice()[0] = -0.0;
+        assert!(zeroed.computes_same_as(&zeroed.clone()));
+        assert!(!zeroed.computes_same_as(&negated));
+        assert!(!negated.computes_same_as(&zeroed));
+
+        let mut eps = block.clone();
+        eps.ln2.eps = 1e-6;
+        assert!(!block.computes_same_as(&eps));
+
+        // Layer norms compare by value: a rebuilt one with equal bits is
+        // the same, one whose β holds a `-0.0` is not.
+        let mut norms = block.clone();
+        norms.ln1 = LayerNorm::from_parts(Matrix::filled(1, 6, 1.0), Matrix::zeros(1, 6));
+        assert!(block.computes_same_as(&norms));
+        norms.ln1 = LayerNorm::from_parts(Matrix::filled(1, 6, 1.0), Matrix::filled(1, 6, -0.0));
+        assert!(!block.computes_same_as(&norms));
+
+        let mut heads = block.clone();
+        heads.attn.heads = 3;
+        assert!(!block.computes_same_as(&heads));
+        // Heads count even where the attention is skipped: the predicate
+        // compares structure, not which parts a flag happens to bypass.
+        heads.attention_active = false;
+        assert!(!skipped.computes_same_as(&heads));
+    }
+
+    #[test]
+    fn linear_identity_compares_panels_by_pointer_and_bias_by_bits() {
+        let mut rng = Rng::new(28);
+        let lin = Linear::new(5, 4, QuantMode::Int8, &mut rng).prepare();
+        assert!(lin.computes_same_as(&lin.clone()));
+        let mut nan = lin.clone();
+        nan.bias.as_mut_slice()[1] = f32::NAN;
+        // A NaN bias matches its own bits (f32 `==` never would).
+        assert!(nan.computes_same_as(&nan.clone()));
+        assert!(!nan.computes_same_as(&lin));
+        let repacked = PreparedLinear::from_weights(
+            &Matrix::zeros(5, 4),
+            &Matrix::zeros(1, 4),
+            QuantMode::None,
+        );
+        assert!(!repacked.computes_same_as(&PreparedLinear::from_weights(
+            &Matrix::zeros(5, 4),
+            &Matrix::zeros(1, 4),
+            QuantMode::None,
+        )));
     }
 
     #[test]

@@ -253,12 +253,104 @@ impl PreparedModel {
         for block in &self.blocks {
             x = block.infer_batch(&x, t);
         }
-        // Gather each sample's class token, then the norm as one batch.
-        let mut cls = Matrix::zeros(images.len(), self.config.dim);
-        for s in 0..images.len() {
+        then(self.class_features(&x, images.len()))
+    }
+
+    /// The tail after the encoder stack: gathers each of the `samples`
+    /// stacked in `x` by its class token (row 0 of its `tokens` rows),
+    /// then runs the final norm over them as one batch.
+    fn class_features(&self, x: &Matrix, samples: usize) -> Matrix {
+        let t = self.config.tokens();
+        let mut cls = Matrix::zeros(samples, self.config.dim);
+        for s in 0..samples {
             cls.row_mut(s).copy_from_slice(x.row(s * t));
         }
-        then(self.norm.infer(&cls))
+        self.norm.infer(&cls)
+    }
+
+    /// [`Self::forward_batch`] for several effort levels at once, returning
+    /// one logits matrix per level, in `levels` order.
+    ///
+    /// Effort levels derived from one backbone differ only in their skip
+    /// masks, so they compute the same embedding and the same leading
+    /// blocks. This pass runs the embedding once per group of levels whose
+    /// embedding stages match, and then each encoder block once per group
+    /// of levels that has computed the same function so far. A group splits
+    /// at the first block where its levels differ
+    /// ([`PreparedEncoderBlock::computes_same_as`]); the parts never merge
+    /// again, since their inputs differ from there on. Each level finishes
+    /// with its own class gather, norm and head.
+    ///
+    /// Every stage is the one [`Self::forward_batch`] runs, on the same
+    /// rows, so level `l`'s result is bit-identical to
+    /// `levels[l].forward_batch(images)`. Views that share no weight
+    /// allocation (prepared separately, without a
+    /// [`pivot_nn::PreparedStore`]) share nothing and cost what separate
+    /// calls cost.
+    pub fn forward_batch_shared<M: std::borrow::Borrow<Matrix>>(
+        levels: &[&PreparedModel],
+        images: &[M],
+    ) -> Vec<Matrix> {
+        if images.is_empty() {
+            return levels
+                .iter()
+                .map(|l| Matrix::zeros(0, l.config.num_classes))
+                .collect();
+        }
+        let mut logits: Vec<Option<Matrix>> = vec![None; levels.len()];
+        let everyone = (0..levels.len()).collect();
+        for group in split_by(everyone, |a, b| levels[a].embeds_same_as(levels[b])) {
+            let x = levels[group[0]].embed(images);
+            // Groups still to run, each with its input to block `b`.
+            let mut pending = vec![(group, x, 0)];
+            while let Some((group, x, b)) = pending.pop() {
+                let (done, deeper): (Vec<usize>, Vec<usize>) =
+                    group.iter().partition(|&&l| levels[l].blocks.len() == b);
+                for l in done {
+                    let level = levels[l];
+                    logits[l] = Some(level.head.infer(&level.class_features(&x, images.len())));
+                }
+                let parts = split_by(deeper, |p, q| {
+                    levels[p].blocks[b].computes_same_as(&levels[q].blocks[b])
+                });
+                for part in parts {
+                    let level = levels[part[0]];
+                    let y = level.blocks[b].infer_batch(&x, level.config.tokens());
+                    pending.push((part, y, b + 1));
+                }
+            }
+        }
+        logits
+            .into_iter()
+            .map(|l| l.expect("every level reaches the end of its stack"))
+            .collect()
+    }
+
+    /// Whether `other`'s embedding stage yields the same tokens as this
+    /// one's, bit for bit: the same image and token geometry, a patch
+    /// embedding that [`PreparedLinear::computes_same_as`] this one, and
+    /// bitwise-equal class token and positional embeddings.
+    fn embeds_same_as(&self, other: &Self) -> bool {
+        let geometry = |c: &VitConfig| (c.image_size, c.patch_size, c.dim);
+        geometry(&self.config) == geometry(&other.config)
+            && self.patch_embed.computes_same_as(&other.patch_embed)
+            && same_bits(&self.cls_token, &other.cls_token)
+            && same_bits(&self.pos_embed, &other.pos_embed)
+    }
+
+    /// How much of a forward `other` shares with this view: `None` if the
+    /// embedding stages differ, else the number of leading encoder blocks
+    /// that compute the same function
+    /// ([`PreparedEncoderBlock::computes_same_as`]).
+    /// [`Self::forward_batch_shared`] runs that much once for both.
+    pub fn shared_prefix(&self, other: &Self) -> Option<usize> {
+        self.embeds_same_as(other).then(|| {
+            self.blocks
+                .iter()
+                .zip(&other.blocks)
+                .take_while(|(a, b)| a.computes_same_as(b))
+                .count()
+        })
     }
 
     /// Per-layer quantization-saturation counters, labeled by layer.
@@ -299,6 +391,29 @@ impl PreparedModel {
             .count();
         correct as f32 / samples.len() as f32
     }
+}
+
+/// Splits `items` into classes of the equivalence `same`, each in input
+/// order, the classes ordered by their first item.
+fn split_by(items: Vec<usize>, same: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for i in items {
+        match classes.iter_mut().find(|c| same(c[0], i)) {
+            Some(class) => class.push(i),
+            None => classes.push(vec![i]),
+        }
+    }
+    classes
+}
+
+/// Whether two matrices have the same shape and the same bits: `-0.0`
+/// and `0.0` differ, as they can in what a layer computes from them.
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The embedding stage shared by every entry point: every image patchified
@@ -392,6 +507,94 @@ pub(crate) mod tests {
                 }
                 assert_eq!(prepared.forward_batch::<Matrix>(&[]).shape(), (0, 4));
             }
+        }
+    }
+
+    #[test]
+    fn shared_forward_is_bit_identical_to_per_level_forward_batch() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for quant in [QuantMode::None, QuantMode::Int8] {
+            let backbone = model(70, quant, &[0, 1, 2, 3]);
+            let store = pivot_nn::PreparedStore::new();
+            let masked = |active: &[usize]| {
+                let mut m = backbone.clone();
+                m.set_active_attentions(active);
+                m
+            };
+            let shared = |active: &[usize]| masked(active).prepare_in(&store);
+            let full = shared(&[0, 1, 2, 3]);
+            // Fine-tune-like: the same masks on slightly moved weights.
+            let mut tuned = masked(&[0, 1]);
+            for p in tuned.params_mut() {
+                p.value.map_in_place(|v| v * 1.001);
+            }
+            let tuned = tuned.prepare_in(&store);
+            // (levels, the shared prefix of the first two)
+            let cases: Vec<(Vec<PreparedModel>, Option<usize>)> = vec![
+                // Block 0 differs: only the embedding is shared.
+                (vec![full.clone(), shared(&[1, 2, 3])], Some(0)),
+                // Blocks 0..3 shared, block 3 differs.
+                (vec![shared(&[0, 1, 2]), full.clone()], Some(3)),
+                // The same mask twice (through the store): everything.
+                (vec![shared(&[0, 2]), shared(&[0, 2])], Some(4)),
+                // A re-view shares its panels with its source.
+                (
+                    vec![full.with_active_attentions(&[0, 2]), shared(&[0, 2])],
+                    Some(4),
+                ),
+                // Split after block 0; blocks 2 and 3 agree again but see
+                // different inputs, so the parts never re-merge.
+                (vec![shared(&[0, 2]), shared(&[0, 1])], Some(1)),
+                // A duplicate level in one call.
+                (vec![full.clone(), full.clone(), shared(&[0])], Some(4)),
+                // Prepared without a store: no panel is shared.
+                (
+                    vec![masked(&[0, 1]).prepare(), masked(&[0, 1]).prepare()],
+                    None,
+                ),
+                // Distinct weights share nothing either.
+                (vec![tuned, shared(&[0, 1])], None),
+                // A whole mask ladder, deepest first.
+                (
+                    vec![
+                        full.clone(),
+                        shared(&[0, 1, 2]),
+                        shared(&[0, 1]),
+                        shared(&[0]),
+                        shared(&[]),
+                    ],
+                    Some(3),
+                ),
+                // One level.
+                (vec![shared(&[1, 3])], None),
+            ];
+            let mut rng = Rng::new(71);
+            let images: Vec<Matrix> = (0..33)
+                .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
+                .collect();
+            for (case, (levels, prefix)) in cases.iter().enumerate() {
+                if let [a, b, ..] = &levels[..] {
+                    assert_eq!(a.shared_prefix(b), *prefix, "{quant:?} case {case}");
+                    assert_eq!(b.shared_prefix(a), *prefix, "{quant:?} case {case}");
+                }
+                let refs: Vec<&PreparedModel> = levels.iter().collect();
+                // A ragged batch of 33, a batch of one and no images.
+                for n in [33, 1, 0] {
+                    let batch: Vec<&Matrix> = images[..n].iter().collect();
+                    let out = PreparedModel::forward_batch_shared(&refs, &batch);
+                    assert_eq!(out.len(), levels.len());
+                    for (l, (got, level)) in out.iter().zip(levels).enumerate() {
+                        let want = level.forward_batch(&batch);
+                        assert_eq!(got.shape(), want.shape());
+                        assert_eq!(
+                            bits(got),
+                            bits(&want),
+                            "{quant:?} case {case}, level {l}, {n} images"
+                        );
+                    }
+                }
+            }
+            assert!(PreparedModel::forward_batch_shared::<Matrix>(&[], &images).is_empty());
         }
     }
 
