@@ -256,11 +256,11 @@ pub fn fig8(repro: &Reproduction) -> Vec<LecPoint> {
         "EDP overhead",
     ]);
     for lec in [0.6, 0.7, 0.8, 0.9, 1.0] {
+        // No delay gate: the pair is priced against an infinite maximum
+        // below, so the config's delay fields go unread.
         let cfg = Phase2Config {
             lec,
-            delay_constraint_ms: f64::INFINITY,
-            delay_tolerance: 0.0,
-            threshold_step: 0.02,
+            ..Default::default()
         };
         let result = search
             .evaluate_pair_prepared(low, high, &high_view, &cache, &cfg, f64::INFINITY)

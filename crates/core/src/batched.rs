@@ -2,23 +2,26 @@
 //!
 //! Every sample-sweep in `pivot-core` (cache builds, cascade evaluation,
 //! ladder evaluation) needs the same primitive: per-sample logits for a
-//! list of images. [`batched_logits`] runs them through
-//! [`PreparedModel::forward_batch`] in fixed-size chunks distributed over
-//! [`par_map`]'s scoped workers. The prepared view materializes every
-//! layer's effective (fake-quantized) weight exactly once — before the
-//! sweep starts — so the chunks do zero per-call weight work, and chunk
-//! images are passed by reference, so no pixel data is cloned either.
+//! list of images, from one or several prepared models.
+//! `batched_logits_shared` runs them through
+//! [`PreparedModel::forward_batch_shared`] in fixed-size chunks distributed
+//! over [`par_map`]'s scoped workers, so models that share their embedding
+//! and leading blocks compute those once per chunk; [`batched_logits`] is
+//! its one-model call. The prepared views materialize every layer's
+//! effective (fake-quantized) weight exactly once — before the sweep
+//! starts — so the chunks do zero per-call weight work, and chunk images
+//! are passed by reference, so no pixel data is cloned either.
 //!
-//! `forward_batch` is bit-identical to per-sample `infer` row by row, and
-//! chunk boundaries only decide which rows share a GEMM — so the returned
-//! logits are bit-identical to the per-sample path for every chunk size,
-//! worker count, and scheduling.
+//! The batched forward is bit-identical to per-sample `infer` row by row,
+//! and chunk boundaries only decide which rows share a GEMM — so the
+//! returned logits are bit-identical to the per-sample path for every
+//! chunk size, worker count, and scheduling.
 
 use crate::parallel::{par_map, Parallelism};
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 
-/// Samples per `forward_batch` call.
+/// Samples per batched forward call.
 ///
 /// Large enough to feed the blocked matmul kernel multi-tile row counts;
 /// small enough that a chunk's activations stay cache-resident and
@@ -28,26 +31,24 @@ pub const EVAL_BATCH: usize = 32;
 /// Per-sample logits (`1 x num_classes` each, in item order) for arbitrary
 /// items carrying an image, computed in [`EVAL_BATCH`]-sized chunks on
 /// [`par_map`]'s workers against a prepared (weights-materialized-once)
-/// model view. Labeled samples pass `|s| &s.image`.
+/// model view: `batched_logits_shared` over one model. Labeled samples
+/// pass `|s| &s.image`.
 pub fn batched_logits<T: Sync>(
     model: &PreparedModel,
     items: &[T],
     image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
     par: Parallelism,
 ) -> Vec<Matrix> {
-    let ranges = chunk_ranges(items.len());
-    let chunks = par_map(&ranges, par, |_, &(start, end)| {
-        let images: Vec<&Matrix> = items[start..end].iter().map(&image).collect();
-        model.forward_batch(&images)
-    });
-    split_rows(&chunks)
+    batched_logits_shared(&[model], items, image, par)
+        .pop()
+        .expect("one model in, one logits list out")
 }
 
 /// [`batched_logits`] for several models at once, one logits list per
 /// model (in `models` order): each chunk runs through
 /// [`PreparedModel::forward_batch_shared`], so models that share their
-/// embedding and leading blocks compute them once per chunk. Bit-identical
-/// to one [`batched_logits`] call per model.
+/// embedding and leading blocks compute them once per chunk.
+/// Bit-identical to one [`batched_logits`] call per model.
 pub(crate) fn batched_logits_shared<T: Sync>(
     models: &[&PreparedModel],
     items: &[T],

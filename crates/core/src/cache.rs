@@ -17,9 +17,9 @@
 //! [`PreparedModel::forward_batch_shared`] runs those once for all of
 //! them. [`CascadeCache::build_prepared`] is that pass over one effort.
 //!
-//! For evaluation it is the guarded sweep's memo
-//! ([`crate::guarded`]) pre-filled at level 0: only escalated samples run
-//! the high effort, and gating plus fault accounting are the sweep's.
+//! For evaluation it is level 0 of the guarded sweep's memo
+//! ([`crate::guarded`]), observed ahead: only escalated samples run the
+//! high effort, and gating plus fault accounting are the sweep's.
 //!
 //! ## Invariants
 //!
@@ -37,8 +37,8 @@
 //!   escalates in both), so the two are equal bit for bit.
 
 use crate::guarded::{
-    observe_level, observe_levels, stays_low, threshold_grid_walk, DegradationReport, LadderCache,
-    LevelObs,
+    observe_level, observe_levels, stays_low, sweep_from_level0, threshold_grid_walk,
+    DegradationReport, LevelObs,
 };
 use crate::multilevel::CascadeStats;
 use crate::parallel::Parallelism;
@@ -212,13 +212,10 @@ impl CascadeCache {
             self.num_classes,
             "efforts must share the class space"
         );
-        // Level 0 is fully memoized, so the sweep only ever asks for the
-        // high effort's observations.
-        let (outcomes, report) =
-            LadderCache::prefilled(&self.level0).sweep(&[threshold], 1, |_, escalated| {
-                let reached: Vec<&Sample> = escalated.iter().map(|&i| &samples[i]).collect();
-                observe_level(high, &reached, |s| &s.image, par)
-            });
+        let (outcomes, report) = sweep_from_level0(&self.level0, threshold, |escalated| {
+            let reached: Vec<&Sample> = escalated.iter().map(|&i| &samples[i]).collect();
+            observe_level(high, &reached, |s| &s.image, par)
+        });
         (CascadeStats::from_outcomes(&outcomes, samples, 2), report)
     }
 }

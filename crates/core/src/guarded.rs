@@ -3,26 +3,26 @@
 //!
 //! PIVOT is one mechanism — run the low effort, gate on normalized entropy,
 //! re-infer at a higher effort (paper Fig. 2a). Every front-end in this
-//! crate is that mechanism with a different memo:
+//! crate is that one sweep, over a memo that lives for one evaluation and
+//! starts in one of two states:
 //!
-//! * [`evaluate_guarded_slice`] — an empty memo over a transient slice of
-//!   unlabeled images (what the `pivot-serve` engine runs per batch);
-//! * [`CascadeCache`](crate::CascadeCache) — a two-level memo pre-filled at
-//!   level 0, so a threshold sweep re-runs no low-effort inference;
-//! * [`LadderCache`] — the memo itself, kept by the caller and filled lazily
-//!   at every level across evaluations;
-//! * [`EffortLadder`](crate::EffortLadder) — the typed holder of the
-//!   prepared levels, with a cold memo per evaluation or the caller's.
+//! * empty — [`evaluate_guarded_slice`] over a transient slice of
+//!   unlabeled images (what the `pivot-serve` engine runs per batch), and
+//!   through it [`EffortLadder`](crate::EffortLadder)'s `evaluate` and
+//!   `infer`;
+//! * with level 0 observed — [`CascadeCache`](crate::CascadeCache)'s
+//!   evaluation, so a threshold sweep re-runs no low-effort inference.
 //!
 //! Every evaluation over labeled samples folds its [`GuardedOutcome`]s into
 //! one [`CascadeStats`](crate::CascadeStats) and returns it with the sweep's
 //! [`DegradationReport`].
 //!
-//! A memo holds only level observations — entropy, argmax and a finiteness
-//! flag, 12 bytes — never logit rows. Inference goes through
-//! [`batched_logits`] chunked GEMMs on `par_map`'s workers, whose rows are
-//! bit-identical to per-sample inference, so outcomes do not depend on the
-//! batch split, the [`Parallelism`] or what the memo already held.
+//! The memo holds only level observations — entropy, argmax and a
+//! finiteness flag, 12 bytes — never logit rows. Inference goes through
+//! the chunked batched forward of [`crate::batched`] on `par_map`'s
+//! workers, whose rows are bit-identical to per-sample inference, so
+//! outcomes do not depend on the batch split, the [`Parallelism`] or what
+//! the memo already held.
 //!
 //! ## Gate and degradation contract
 //!
@@ -40,7 +40,7 @@
 //!   its cost was spent; if every visited level is faulty the exit level's
 //!   own argmax stands (event with `served_by: None`).
 
-use crate::batched::{batched_logits, batched_logits_shared};
+use crate::batched::batched_logits_shared;
 use crate::parallel::Parallelism;
 use pivot_nn::normalized_entropy;
 use pivot_tensor::Matrix;
@@ -228,25 +228,23 @@ pub(crate) struct LevelObs {
     pub(crate) finite: bool,
 }
 
-/// Observes `model` over the images of `items`: one chunked batched sweep
-/// on `par_map`'s workers, reduced to one [`LevelObs`] per item.
+/// Observes `model` over the images of `items`: [`observe_levels`] over
+/// one model.
 pub(crate) fn observe_level<T: Sync>(
     model: &PreparedModel,
     items: &[T],
     image: impl for<'a> Fn(&'a T) -> &'a Matrix + Sync,
     par: Parallelism,
 ) -> Vec<LevelObs> {
-    batched_logits(model, items, image, par)
-        .iter()
-        .map(LevelObs::of)
-        .collect()
+    observe_levels(&[model], items, image, par)
+        .pop()
+        .expect("one model in, one observation list out")
 }
 
-/// [`observe_level`] for several models in one pass over `items`, one
-/// observation list per model: chunks run through
-/// [`PreparedModel::forward_batch_shared`], so models that share their
-/// embedding and leading blocks compute them once. Bit-identical to one
-/// [`observe_level`] call per model.
+/// Observes several models in one pass over `items`, one observation list
+/// per model: a chunked batched sweep on `par_map`'s workers
+/// ([`batched_logits_shared`]), so models that share their embedding and
+/// leading blocks compute them once, reduced to one [`LevelObs`] per item.
 pub(crate) fn observe_levels<T: Sync>(
     models: &[&PreparedModel],
     items: &[T],
@@ -270,184 +268,120 @@ impl LevelObs {
     }
 }
 
-/// The sweep's memo: one level observation per (level, sample), filled as
-/// samples escalate and never changed afterwards.
+/// The sweep's memo: one observation slot per (level, sample), filled as
+/// samples escalate and never changed afterwards. It lives for one
+/// evaluation and starts empty ([`evaluate_guarded_slice`]) or with level
+/// 0 observed ([`sweep_from_level0`]). What it holds decides only what is
+/// observed, never the results. Over `n` samples and `L` levels it holds
+/// at most `n·L` 12-byte observations.
+type Memo = Vec<Vec<Option<LevelObs>>>;
+
+/// Walks every sample up the ladder under `thresholds`, capping ascent at
+/// `max_level`, and accounts for faults (module docs). `observe` is asked
+/// for the observations of `(level, sample indices)` the memo lacks — one
+/// call per level, only when some are missing — so each level's inference
+/// is one batched sweep over exactly the samples that reach it for the
+/// first time.
 ///
-/// Kept across evaluations it is the N-level extension of
-/// [`CascadeCache`](crate::CascadeCache): a threshold sweep over a ladder
-/// re-runs no inference for levels a sample already visited — only samples
-/// newly escalated past a gate infer at the next level up. The memo is
-/// keyed by `(level, sample index)`; callers must pass the same sample
-/// slice it was sized for (checked by length). It only decides *what is
-/// re-run*, never the results: cold, warm and pre-filled memos yield
-/// identical outcomes. A memo over `n` samples and `L` levels holds at most
-/// `n·L` 12-byte observations.
-#[derive(Debug, Clone)]
-pub struct LadderCache {
-    obs: Vec<Vec<Option<LevelObs>>>,
+/// This is the only function that constructs a [`DegradationEvent`].
+fn sweep(
+    mut memo: Memo,
+    thresholds: &[f32],
+    max_level: usize,
+    mut observe: impl FnMut(usize, &[usize]) -> Vec<LevelObs>,
+) -> (Vec<GuardedOutcome>, DegradationReport) {
+    let depth = memo.len();
+    assert!(depth > 0, "need at least one effort level");
+    assert_eq!(
+        thresholds.len(),
+        depth - 1,
+        "need one threshold per gate (levels - 1)"
+    );
+    assert!(max_level < depth, "effort cap beyond ladder top");
+
+    let n = memo[0].len();
+    let mut exit = vec![0usize; n];
+    let mut active: Vec<usize> = (0..n).collect();
+    for (level, row) in memo.iter_mut().enumerate().take(max_level + 1) {
+        if active.is_empty() {
+            break;
+        }
+        let missing: Vec<usize> = active
+            .iter()
+            .copied()
+            .filter(|&i| row[i].is_none())
+            .collect();
+        if !missing.is_empty() {
+            for (&i, obs) in missing.iter().zip(observe(level, &missing)) {
+                row[i] = Some(obs);
+            }
+        }
+        active.retain(|&i| {
+            let obs = row[i].expect("observed above");
+            let exits = level == max_level || stays_low(obs.entropy, thresholds[level]);
+            if exits {
+                exit[i] = level;
+            }
+            !exits
+        });
+    }
+
+    let visited = |level: usize, i: usize| memo[level][i].expect("visited by the walk");
+    let mut outcomes = Vec::with_capacity(n);
+    let mut report = DegradationReport::default();
+    for (i, &exit_level) in exit.iter().enumerate() {
+        let mut fault = |level, served_by| {
+            report.events.push(DegradationEvent {
+                sample: i,
+                level,
+                served_by,
+            });
+        };
+        for level in 0..exit_level {
+            if !visited(level, i).entropy.is_finite() {
+                fault(level, None);
+            }
+        }
+        let top = visited(exit_level, i);
+        let mut fault_fallback = None;
+        let mut prediction = top.prediction;
+        if !top.finite {
+            fault_fallback = (0..exit_level).rev().find(|&l| visited(l, i).finite);
+            fault(exit_level, fault_fallback);
+            if let Some(l) = fault_fallback {
+                prediction = visited(l, i).prediction;
+            }
+        }
+        outcomes.push(GuardedOutcome {
+            prediction: prediction as usize,
+            level: exit_level,
+            entropy: top.entropy,
+            low_entropy: visited(0, i).entropy,
+            capped: exit_level == max_level
+                && max_level < depth - 1
+                && !stays_low(top.entropy, thresholds[max_level]),
+            exit_finite: top.finite,
+            fault_fallback,
+        });
+    }
+    (outcomes, report)
 }
 
-impl LadderCache {
-    /// Creates an empty memo for `levels` ladder levels and `n_samples`
-    /// samples.
-    pub fn new(levels: usize, n_samples: usize) -> Self {
-        Self {
-            obs: vec![vec![None; n_samples]; levels],
-        }
-    }
-
-    /// A two-level memo whose level 0 is already observed.
-    pub(crate) fn prefilled(level0: &[LevelObs]) -> Self {
-        Self {
-            obs: vec![
-                level0.iter().copied().map(Some).collect(),
-                vec![None; level0.len()],
-            ],
-        }
-    }
-
-    /// Number of ladder levels the memo is sized for.
-    pub fn depth(&self) -> usize {
-        self.obs.len()
-    }
-
-    /// Number of samples the memo is sized for.
-    pub fn len(&self) -> usize {
-        self.obs.first().map_or(0, Vec::len)
-    }
-
-    /// Whether the memo is sized for zero samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many samples have memoized inference at `level`.
-    pub fn cached_count(&self, level: usize) -> usize {
-        self.obs[level].iter().filter(|e| e.is_some()).count()
-    }
-
-    /// The memoized normalized entropy of sample `i` at `level`, if that
-    /// level was ever reached by that sample.
-    pub fn entropy(&self, level: usize, i: usize) -> Option<f32> {
-        self.obs[level][i].map(|o| o.entropy)
-    }
-
-    /// Walks every sample up the ladder under `thresholds`, capping ascent
-    /// at `max_level`, and accounts for faults (module docs). `observe`
-    /// is asked for the observations of `(level, sample indices)` the memo
-    /// lacks — one call per level, only when some are missing — so each
-    /// level's inference is one batched sweep over exactly the samples that
-    /// reach it for the first time.
-    ///
-    /// This is the only function that constructs a [`DegradationEvent`].
-    pub(crate) fn sweep(
-        &mut self,
-        thresholds: &[f32],
-        max_level: usize,
-        mut observe: impl FnMut(usize, &[usize]) -> Vec<LevelObs>,
-    ) -> (Vec<GuardedOutcome>, DegradationReport) {
-        let depth = self.depth();
-        assert!(depth > 0, "need at least one effort level");
-        assert_eq!(
-            thresholds.len(),
-            depth - 1,
-            "need one threshold per gate (levels - 1)"
-        );
-        assert!(max_level < depth, "effort cap beyond ladder top");
-
-        let n = self.len();
-        let mut exit = vec![0usize; n];
-        let mut active: Vec<usize> = (0..n).collect();
-        for (level, row) in self.obs.iter_mut().enumerate().take(max_level + 1) {
-            if active.is_empty() {
-                break;
-            }
-            let missing: Vec<usize> = active
-                .iter()
-                .copied()
-                .filter(|&i| row[i].is_none())
-                .collect();
-            if !missing.is_empty() {
-                for (&i, obs) in missing.iter().zip(observe(level, &missing)) {
-                    row[i] = Some(obs);
-                }
-            }
-            active.retain(|&i| {
-                let obs = row[i].expect("observed above");
-                let exits = level == max_level || stays_low(obs.entropy, thresholds[level]);
-                if exits {
-                    exit[i] = level;
-                }
-                !exits
-            });
-        }
-
-        let visited = |level: usize, i: usize| self.obs[level][i].expect("visited by the walk");
-        let mut outcomes = Vec::with_capacity(n);
-        let mut report = DegradationReport::default();
-        for (i, &exit_level) in exit.iter().enumerate() {
-            let mut fault = |level, served_by| {
-                report.events.push(DegradationEvent {
-                    sample: i,
-                    level,
-                    served_by,
-                });
-            };
-            for level in 0..exit_level {
-                if !visited(level, i).entropy.is_finite() {
-                    fault(level, None);
-                }
-            }
-            let top = visited(exit_level, i);
-            let mut fault_fallback = None;
-            let mut prediction = top.prediction;
-            if !top.finite {
-                fault_fallback = (0..exit_level).rev().find(|&l| visited(l, i).finite);
-                fault(exit_level, fault_fallback);
-                if let Some(l) = fault_fallback {
-                    prediction = visited(l, i).prediction;
-                }
-            }
-            outcomes.push(GuardedOutcome {
-                prediction: prediction as usize,
-                level: exit_level,
-                entropy: top.entropy,
-                low_entropy: visited(0, i).entropy,
-                capped: exit_level == max_level
-                    && max_level < depth - 1
-                    && !stays_low(top.entropy, thresholds[max_level]),
-                exit_finite: top.finite,
-                fault_fallback,
-            });
-        }
-        (outcomes, report)
-    }
-
-    /// [`Self::sweep`] observing missing entries by running `levels` over
-    /// `images` — the form every front-end that holds its models uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level or image counts do not match the memo's.
-    pub(crate) fn sweep_models(
-        &mut self,
-        levels: &[PreparedModel],
-        thresholds: &[f32],
-        max_level: usize,
-        images: &[&Matrix],
-        par: Parallelism,
-    ) -> (Vec<GuardedOutcome>, DegradationReport) {
-        assert_eq!(levels.len(), self.depth(), "level count mismatch");
-        assert_eq!(
-            images.len(),
-            self.len(),
-            "cache sized for a different sample set"
-        );
-        self.sweep(thresholds, max_level, |level, missing| {
-            let reached: Vec<&Matrix> = missing.iter().map(|&i| images[i]).collect();
-            observe_level(&levels[level], &reached, |m| *m, par)
-        })
-    }
+/// The sweep over a two-level cascade whose level 0 is already observed,
+/// one entry of `level0` per sample, at gate `threshold`:
+/// `observe_high` is asked only for the samples that escalate.
+pub(crate) fn sweep_from_level0(
+    level0: &[LevelObs],
+    threshold: f32,
+    mut observe_high: impl FnMut(&[usize]) -> Vec<LevelObs>,
+) -> (Vec<GuardedOutcome>, DegradationReport) {
+    let memo = vec![
+        level0.iter().copied().map(Some).collect(),
+        vec![None; level0.len()],
+    ];
+    sweep(memo, &[threshold], 1, |_, escalated| {
+        observe_high(escalated)
+    })
 }
 
 /// Runs the guarded cascade over a slice of images against prepared
@@ -477,8 +411,11 @@ pub fn evaluate_guarded_slice(
     images: &[&Matrix],
     par: Parallelism,
 ) -> (Vec<GuardedOutcome>, DegradationReport) {
-    LadderCache::new(levels.len(), images.len())
-        .sweep_models(levels, thresholds, max_level, images, par)
+    let memo = vec![vec![None; images.len()]; levels.len()];
+    sweep(memo, thresholds, max_level, |level, missing| {
+        let reached: Vec<&Matrix> = missing.iter().map(|&i| images[i]).collect();
+        observe_level(&levels[level], &reached, |m| *m, par)
+    })
 }
 
 #[cfg(test)]
@@ -639,17 +576,12 @@ mod tests {
             ths.sort_by(f32::total_cmp);
 
             for cap in 0..depth {
-                let mut memo = LadderCache::new(depth, n);
-                for (level, row) in table.iter().enumerate() {
-                    for (i, &obs) in row.iter().enumerate() {
-                        if rng.chance(0.3) {
-                            memo.obs[level][i] = Some(obs);
-                        }
-                    }
-                }
-                let prefilled = memo.clone();
+                let prefilled: Memo = table
+                    .iter()
+                    .map(|row| row.iter().map(|&obs| rng.chance(0.3).then_some(obs)).collect())
+                    .collect();
                 let mut asked = Vec::new();
-                let (outcomes, report) = memo.sweep(&ths, cap, |level, missing| {
+                let (outcomes, report) = sweep(prefilled.clone(), &ths, cap, |level, missing| {
                     asked.extend(missing.iter().map(|&i| (level, i)));
                     missing.iter().map(|&i| table[level][i]).collect()
                 });
@@ -665,9 +597,9 @@ mod tests {
                 // Observed exactly the visited entries the prefill lacked,
                 // each once; nothing beyond a sample's exit level.
                 let mut want_asked = Vec::new();
-                for level in 0..depth {
+                for (level, row) in prefilled.iter().enumerate() {
                     for (i, o) in outcomes.iter().enumerate() {
-                        if level <= o.level && prefilled.obs[level][i].is_none() {
+                        if level <= o.level && row[i].is_none() {
                             want_asked.push((level, i));
                         }
                     }
@@ -688,8 +620,8 @@ mod tests {
             prediction: 2,
             finite: false,
         }];
-        let (outcomes, report) = LadderCache::prefilled(&level0)
-            .sweep(&[1.0], 1, |_, _| unreachable!("nothing escalates"));
+        let (outcomes, report) =
+            sweep_from_level0(&level0, 1.0, |_| unreachable!("nothing escalates"));
         assert_eq!((outcomes[0].level, outcomes[0].prediction), (0, 2));
         assert!(!outcomes[0].exit_finite);
         assert_eq!(
@@ -703,11 +635,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_warm_and_prefilled_memos_agree_across_a_threshold_sweep() {
-        // One mechanism, three memos: the per-request slice (cold), a
-        // `LadderCache` kept across the sweep (warm), and `CascadeCache`
-        // (level 0 pre-filled) — healthy, with a faulted high effort and
-        // with a faulted low effort.
+    fn cold_and_prefilled_memos_agree_across_a_threshold_sweep() {
+        // One mechanism, both memo states: the per-request slice (empty)
+        // and `CascadeCache` (level 0 observed) — healthy, with a faulted
+        // high effort and with a faulted low effort.
         let (mut faulty_low, mut faulty_high) = (model(0, &[0]), model(1, &[0, 1]));
         let (low, high) = (faulty_low.prepare(), faulty_high.prepare());
         FaultInjector::new(12).inject_params(&mut faulty_low, FaultKind::StuckNan, 10_000);
@@ -720,33 +651,21 @@ mod tests {
         ] {
             let levels = [low.clone(), high.clone()];
             let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
-            let mut warm = LadderCache::new(2, set.len());
-            let mut high_runs = 0;
-            for th in [1.0, 0.7, 0.35, 0.0, 0.35] {
+            for th in [1.0, 0.7, 0.35, 0.0] {
                 let (cold, cold_report) =
                     evaluate_guarded_slice(&levels, &[th], 1, &images(&set), Parallelism::Off);
-                let (warmed, warm_report) =
-                    warm.sweep_models(&levels, &[th], 1, &images(&set), Parallelism::Fixed(3));
-                assert_eq!(cold_report, warm_report, "Th={th}");
-                assert!(cold.iter().zip(&warmed).all(|(a, b)| same(a, b)), "Th={th}");
-                let (stats, report) = cache.evaluate(&high, &set, th, Parallelism::Off);
+                let (stats, report) = cache.evaluate(&high, &set, th, Parallelism::Fixed(3));
                 assert_eq!(report, cold_report, "Th={th}");
                 assert_eq!(
                     stats,
                     CascadeStats::from_outcomes(&cold, &set, 2),
                     "Th={th}"
                 );
-                // The warm memo only ever grows: a looser threshold reuses
-                // what a tighter one observed.
-                assert!(warm.cached_count(1) >= high_runs);
-                high_runs = warm.cached_count(1);
-                assert_eq!(warm.cached_count(0), set.len());
                 for (i, o) in cold.iter().enumerate() {
                     assert_eq!(o.low_entropy.to_bits(), cache.entropies()[i].to_bits());
                     assert_eq!(o.level, !stays_low(cache.entropies()[i], th) as usize);
                 }
             }
-            assert_eq!(high_runs, set.len(), "Th = 0 escalates everything");
         }
         // (The last configuration's reports were non-empty: every sample's
         // NaN level-0 entropy escalates at every threshold.)

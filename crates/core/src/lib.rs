@@ -9,9 +9,9 @@
 //! * [`phase1`] — optimal-path selection per effort (Fig. 2b).
 //! * [`guarded`] — the guarded sweep: the one memoised N-level walk that
 //!   applies the entropy gate ([`stays_low`]) and the fault accounting of
-//!   DESIGN.md §5. [`evaluate_guarded_slice`] is its per-request form (what
-//!   `pivot-serve` runs per batch, under an effort cap); the two below are
-//!   typed front-ends over it.
+//!   DESIGN.md §5, over a memo private to it. [`evaluate_guarded_slice`]
+//!   is its per-request form (what `pivot-serve` runs per batch, under an
+//!   effort cap); the two below are typed front-ends over it.
 //! * [`multilevel`] — [`EffortLadder`], the one holder of prepared effort
 //!   levels (the paper's low/high cascade of Fig. 2a is its `N = 2` case),
 //!   and [`CascadeStats`], the one fold of outcomes over labels (`C_L`,
@@ -19,10 +19,10 @@
 //! * [`cache`] — the entropy cache: the low effort observed once per
 //!   sample set (several low efforts in one shared pass), serving `F_L`
 //!   queries and threshold sweeps in O(N).
-//! * [`batched`] — chunked `forward_batch` inference over sample sets
-//!   against a [`pivot_vit::PreparedModel`] view (weights materialized
-//!   once per sweep): one wide GEMM per layer per chunk, bit-identical to
-//!   per-sample inference.
+//! * [`batched`] — chunked batched inference over sample sets against
+//!   [`pivot_vit::PreparedModel`] views (weights materialized once per
+//!   sweep), one or several models per pass: one wide GEMM per layer per
+//!   chunk, bit-identical to per-sample inference.
 //! * [`parallel`] — the deterministic scoped parallel map behind every
 //!   batched evaluation ([`Parallelism`], [`par_map`]).
 //! * [`phase2`] — the hardware-in-the-loop search for the optimal effort
@@ -62,7 +62,7 @@ pub use error::PivotError;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
 pub use guarded::{
     evaluate_guarded_slice, stays_low, threshold_grid_walk, DegradationEvent, DegradationReport,
-    GuardedOutcome, LadderCache,
+    GuardedOutcome,
 };
 pub use multilevel::{CascadeStats, EffortLadder};
 pub use parallel::{par_map, Parallelism};

@@ -12,7 +12,7 @@
 //! fault accounting are the guarded sweep's ([`crate::guarded`]), and
 //! [`CascadeStats`] is the one fold of its outcomes over labels.
 
-use crate::guarded::{evaluate_guarded_slice, DegradationReport, GuardedOutcome, LadderCache};
+use crate::guarded::{evaluate_guarded_slice, DegradationReport, GuardedOutcome};
 use crate::parallel::Parallelism;
 use pivot_data::Sample;
 use pivot_tensor::Matrix;
@@ -276,31 +276,8 @@ impl EffortLadder {
         samples: &[Sample],
         par: Parallelism,
     ) -> (CascadeStats, DegradationReport) {
-        self.evaluate_cached(
-            samples,
-            &mut LadderCache::new(self.depth(), samples.len()),
-            par,
-        )
-    }
-
-    /// [`Self::evaluate`] through a caller-kept [`LadderCache`]: only
-    /// samples that reach a level and are not already memoized there are
-    /// inferred, so a threshold sweep ([`Self::set_thresholds`] between
-    /// calls) re-runs no inference a looser gate already paid for. The
-    /// result does not depend on what the memo held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is not sized for this ladder's depth and
-    /// `samples`.
-    pub fn evaluate_cached(
-        &self,
-        samples: &[Sample],
-        cache: &mut LadderCache,
-        par: Parallelism,
-    ) -> (CascadeStats, DegradationReport) {
         let images: Vec<&Matrix> = samples.iter().map(|s| &s.image).collect();
-        let (outcomes, report) = cache.sweep_models(
+        let (outcomes, report) = evaluate_guarded_slice(
             &self.prepared,
             &self.thresholds,
             self.depth() - 1,
@@ -339,20 +316,18 @@ mod tests {
     }
 
     /// The reference a shared-store ladder is checked against: the same
-    /// sweep over independently prepared levels, through a memo of its own.
+    /// sweep over independently prepared levels.
     fn independent_evaluation(
-        ms: &[VisionTransformer],
+        independent: &[PreparedModel],
         thresholds: &[f32],
         set: &[Sample],
         par: Parallelism,
-    ) -> (CascadeStats, DegradationReport, LadderCache) {
-        let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
+    ) -> (CascadeStats, DegradationReport) {
         let images: Vec<&Matrix> = set.iter().map(|s| &s.image).collect();
-        let mut memo = LadderCache::new(ms.len(), set.len());
+        let depth = independent.len();
         let (outcomes, report) =
-            memo.sweep_models(&independent, thresholds, ms.len() - 1, &images, par);
-        let stats = CascadeStats::from_outcomes(&outcomes, set, ms.len());
-        (stats, report, memo)
+            evaluate_guarded_slice(independent, thresholds, depth - 1, &images, par);
+        (CascadeStats::from_outcomes(&outcomes, set, depth), report)
     }
 
     #[test]
@@ -378,14 +353,6 @@ mod tests {
             assert_eq!(out.level, 0, "{depth} levels: infer escalated");
             let (stats, _) = ladder.evaluate(&set, Parallelism::Off);
             assert_eq!(stats.f_low(), 1.0, "{depth} levels: {stats:?}");
-            // A memo warmed by an all-escalating sweep must not matter.
-            let mut cache = LadderCache::new(depth, set.len());
-            ladder.set_thresholds(vec![0.0; depth - 1]);
-            ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
-            assert_eq!(cache.cached_count(depth - 1), set.len());
-            ladder.set_thresholds(vec![1.0; depth - 1]);
-            let (warm, _) = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
-            assert_eq!(warm, stats, "{depth} levels: warm memo diverged");
             // Just below the boundary the same sample climbs to the top.
             ladder.set_thresholds(vec![0.999; depth - 1]);
             assert_eq!(ladder.infer(&set[0].image).level, depth - 1);
@@ -479,56 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_memoizes_across_threshold_sweep() {
-        let set = samples(15);
-        let mut ladder = EffortLadder::new(models(14), vec![1.0, 1.0]);
-        let mut cache = LadderCache::new(ladder.depth(), set.len());
-        assert_eq!(cache.depth(), 3);
-        assert_eq!(cache.len(), set.len());
-
-        // A fully permissive bottom gate touches only level 0.
-        let loose = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
-        assert_eq!(loose, ladder.evaluate(&set, Parallelism::Off));
-        assert_eq!(cache.cached_count(0), set.len());
-        assert_eq!(cache.cached_count(1), 0);
-
-        // Tightening to zero escalates everything, populating the upper
-        // levels while reusing every level-0 entry.
-        let level0_bits: Vec<u32> = (0..set.len())
-            .map(|i| cache.entropy(0, i).expect("level 0 filled").to_bits())
-            .collect();
-        ladder.set_thresholds(vec![0.0, 0.0]);
-        let tight = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
-        assert_eq!(tight, ladder.evaluate(&set, Parallelism::Off));
-        assert_eq!(cache.cached_count(1), set.len());
-        assert_eq!(cache.cached_count(2), set.len());
-        for (i, &bits) in level0_bits.iter().enumerate() {
-            assert_eq!(cache.entropy(0, i).expect("still filled").to_bits(), bits);
-        }
-
-        // A repeat evaluation answers entirely from the memo.
-        let again = ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
-        assert_eq!(tight, again);
-    }
-
-    #[test]
-    fn cached_entries_match_direct_inference() {
-        let set = samples(17);
-        let ladder = EffortLadder::new(models(16), vec![0.0, 0.0]);
-        let mut cache = LadderCache::new(ladder.depth(), set.len());
-        ladder.evaluate_cached(&set, &mut cache, Parallelism::Fixed(2));
-        for (level, model) in ladder.prepared_levels().iter().enumerate() {
-            for (i, s) in set.iter().enumerate() {
-                let direct = model.infer(&s.image);
-                assert_eq!(
-                    cache.entropy(level, i).expect("filled").to_bits(),
-                    pivot_nn::normalized_entropy(&direct).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn faulted_middle_level_escalates_and_faulted_top_falls_back() {
         use crate::faults::{FaultInjector, FaultKind};
         let mut ms = models(22);
@@ -566,15 +483,6 @@ mod tests {
             .filter(|s| ms[1].infer(&s.image).row_argmax(0) == s.label)
             .count();
         assert_eq!(stats.per_level[2].1, mid_correct);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sample set")]
-    fn cache_rejects_mismatched_sample_count() {
-        let set = samples(19);
-        let ladder = EffortLadder::new(models(18), vec![0.4, 0.7]);
-        let mut cache = LadderCache::new(ladder.depth(), set.len() + 1);
-        ladder.evaluate_cached(&set, &mut cache, Parallelism::Off);
     }
 
     #[test]
@@ -639,8 +547,9 @@ mod tests {
         // independently prepared levels.
         let set = samples(33);
         let (shared_stats, shared_report) = ladder.evaluate(&set, Parallelism::Off);
-        let (ind_stats, ind_report, _) =
-            independent_evaluation(&ms, ladder.thresholds(), &set, Parallelism::Off);
+        let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
+        let (ind_stats, ind_report) =
+            independent_evaluation(&independent, ladder.thresholds(), &set, Parallelism::Off);
         assert!(!shared_report.is_empty(), "fault must surface");
         assert_eq!(shared_stats, ind_stats);
         assert_eq!(shared_report, ind_report);
@@ -708,20 +617,22 @@ mod tests {
                     seed + 1,
                 );
 
-                let mut shared_cache = LadderCache::new(ladder.depth(), set.len());
-                let (shared_stats, shared_report) =
-                    ladder.evaluate_cached(&set, &mut shared_cache, par);
-                let (ind_stats, ind_report, ind_cache) =
-                    independent_evaluation(&ms, &ths, &set, par);
+                let independent: Vec<PreparedModel> = ms.iter().map(|m| m.prepare()).collect();
+                let (shared_stats, shared_report) = ladder.evaluate(&set, par);
+                let (ind_stats, ind_report) = independent_evaluation(&independent, &ths, &set, par);
 
                 prop_assert_eq!(shared_stats, ind_stats);
                 prop_assert_eq!(shared_report, ind_report);
-                for level in 0..ms.len() {
-                    for i in 0..set.len() {
-                        prop_assert_eq!(
-                            shared_cache.entropy(level, i).map(f32::to_bits),
-                            ind_cache.entropy(level, i).map(f32::to_bits)
-                        );
+                // Every level's observations, sample by sample: the shared
+                // view's batched logits against the independent view's.
+                let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for (level, (shared, alone)) in
+                    ladder.prepared_levels().iter().zip(&independent).enumerate()
+                {
+                    let got = crate::batched_logits(shared, &set, |s| &s.image, par);
+                    let want = crate::batched_logits(alone, &set, |s| &s.image, par);
+                    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                        prop_assert!(bits(got) == bits(want), "level {level}, sample {i}");
                     }
                 }
             }

@@ -26,14 +26,44 @@ pub struct EffortModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase2Config {
     /// Low-effort constraint: minimum fraction of inputs that must be
-    /// classified by the low effort (the paper's LEC, as a fraction).
+    /// classified by the low effort (the paper's LEC, as a fraction), in
+    /// `(0, 1]`.
     pub lec: f64,
-    /// Target per-image delay in milliseconds.
+    /// Target per-image delay in milliseconds, finite and positive.
     pub delay_constraint_ms: f64,
-    /// Acceptance tolerance around the delay constraint (paper: 5%).
+    /// Acceptance tolerance around the delay constraint (paper: 5%),
+    /// finite and non-negative.
     pub delay_tolerance: f64,
-    /// Step of the incremental threshold iteration.
+    /// Step of the incremental threshold iteration, finite and positive.
     pub threshold_step: f32,
+}
+
+impl Phase2Config {
+    /// Panics, naming the field, unless every field is in its documented
+    /// range: a NaN LEC or delay would otherwise be compared as always
+    /// false and read as "met" or "infeasible".
+    fn check(&self) {
+        assert!(
+            self.lec > 0.0 && self.lec <= 1.0,
+            "Phase2Config::lec must be in (0, 1], got {}",
+            self.lec
+        );
+        assert!(
+            self.delay_constraint_ms.is_finite() && self.delay_constraint_ms > 0.0,
+            "Phase2Config::delay_constraint_ms must be finite and > 0, got {}",
+            self.delay_constraint_ms
+        );
+        assert!(
+            self.delay_tolerance.is_finite() && self.delay_tolerance >= 0.0,
+            "Phase2Config::delay_tolerance must be finite and >= 0, got {}",
+            self.delay_tolerance
+        );
+        assert!(
+            self.threshold_step.is_finite() && self.threshold_step > 0.0,
+            "Phase2Config::threshold_step must be finite and > 0, got {}",
+            self.threshold_step
+        );
+    }
 }
 
 impl Default for Phase2Config {
@@ -164,6 +194,11 @@ impl<'a> Phase2Search<'a> {
     /// simulated delay from the low effort's cache, and high-effort
     /// inference only for the pair it accepts.
     ///
+    /// # Panics
+    ///
+    /// Panics if a field of `cfg` is outside its documented range (see
+    /// [`Phase2Config`]), before any inference.
+    ///
     /// Low-effort caches are built lazily, each distinct low effort once.
     /// When the walk first needs one, the same pass
     /// ([`CascadeCache::build_shared`]) also builds every low effort still
@@ -174,6 +209,7 @@ impl<'a> Phase2Search<'a> {
     /// low and every distinct high effort is prepared once, through the
     /// searcher's store (the lows before the walk starts).
     pub fn run(&self, cfg: &Phase2Config) -> Option<Phase2Result> {
+        cfg.check();
         let max_delay = cfg.delay_constraint_ms * (1.0 + cfg.delay_tolerance);
 
         // Candidate (low, high) pairs, largest combined effort first: the
@@ -282,8 +318,9 @@ impl<'a> Phase2Search<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `cache` was not built from this searcher's calibration
-    /// batch (length check).
+    /// Panics if a field of `cfg` is outside its documented range (see
+    /// [`Phase2Config`]), or `cache` was not built from this searcher's
+    /// calibration batch (length check).
     pub fn evaluate_pair_prepared(
         &self,
         low: &EffortModel,
@@ -293,6 +330,7 @@ impl<'a> Phase2Search<'a> {
         cfg: &Phase2Config,
         max_delay_ms: f64,
     ) -> Option<Phase2Result> {
+        cfg.check();
         assert_eq!(
             cache.len(),
             self.calibration.len(),
@@ -522,6 +560,78 @@ mod tests {
             .set_active_attentions(&[6, 7, 8, 9, 10, 11]);
         let calib = calibration(21);
         let _ = Phase2Search::new(&sim, &geom, &efforts, &calib);
+    }
+
+    /// Runs a search under `cfg`.
+    fn run_with(cfg: Phase2Config) {
+        let sim = Simulator::new(AcceleratorConfig::zcu102());
+        let geom = VitGeometry::deit_s();
+        let efforts = make_efforts(12, &[6, 12], 22);
+        let calib = calibration(23);
+        let _ = Phase2Search::new(&sim, &geom, &efforts, &calib).run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "Phase2Config::lec must be in (0, 1], got NaN")]
+    fn a_nan_lec_is_rejected_not_ignored() {
+        // Regression: `F_L >= NaN` never held, so the threshold walk ran to
+        // its first step and the LEC was ignored.
+        run_with(Phase2Config {
+            lec: f64::NAN,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Phase2Config::delay_constraint_ms must be finite and > 0, got NaN")]
+    fn a_nan_delay_constraint_is_rejected_not_infeasible() {
+        run_with(Phase2Config {
+            delay_constraint_ms: f64::NAN,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Phase2Config::delay_tolerance must be finite and >= 0, got -2")]
+    fn a_negative_delay_tolerance_is_rejected_not_infeasible() {
+        run_with(Phase2Config {
+            delay_tolerance: -2.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Phase2Config::threshold_step must be finite and > 0, got NaN")]
+    fn a_nan_threshold_step_is_rejected_by_name() {
+        run_with(Phase2Config {
+            threshold_step: f32::NAN,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Phase2Config::lec must be in (0, 1], got 1.5")]
+    fn a_single_pair_evaluation_checks_the_config_too() {
+        let sim = Simulator::new(AcceleratorConfig::zcu102());
+        let geom = VitGeometry::deit_s();
+        let efforts = make_efforts(12, &[6, 12], 24);
+        let calib = calibration(25);
+        let search = Phase2Search::new(&sim, &geom, &efforts, &calib);
+        let cache =
+            CascadeCache::build_prepared(&efforts[0].model.prepare(), &calib, Parallelism::Off);
+        let high = efforts[1].model.prepare();
+        let cfg = Phase2Config {
+            lec: 1.5,
+            ..Default::default()
+        };
+        let _ = search.evaluate_pair_prepared(
+            &efforts[0],
+            &efforts[1],
+            &high,
+            &cache,
+            &cfg,
+            f64::INFINITY,
+        );
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl Mlp {
         }
     }
 
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.fc1.out_dim()
-    }
-
     /// Freezes the block into an immutable inference view (both projections
     /// prepared once; see [`Linear::prepare`]).
     pub fn prepare(&self) -> crate::PreparedMlp {
@@ -102,7 +97,6 @@ mod tests {
         let mut mlp = Mlp::new(6, 24, QuantMode::None, &mut rng);
         let x = Matrix::randn(5, 6, 1.0, &mut rng);
         assert_eq!(mlp.forward(&x).shape(), (5, 6));
-        assert_eq!(mlp.hidden_dim(), 24);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Layer normalization over the embedding dimension.
 
-use crate::prepared::same_bits;
 use crate::{Layer, Param};
 use pivot_tensor::Matrix;
 
@@ -75,8 +74,8 @@ impl LayerNorm {
     /// [`PreparedEncoderBlock::computes_same_as`](crate::PreparedEncoderBlock::computes_same_as)).
     pub(crate) fn computes_same_as(&self, other: &Self) -> bool {
         self.eps.to_bits() == other.eps.to_bits()
-            && same_bits(&self.gamma.value, &other.gamma.value)
-            && same_bits(&self.beta.value, &other.beta.value)
+            && self.gamma.value.same_bits(&other.gamma.value)
+            && self.beta.value.same_bits(&other.beta.value)
     }
 
     /// Inference-only forward without caching: one pass over row slices

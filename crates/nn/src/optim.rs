@@ -78,11 +78,6 @@ impl Adam {
         self.config.lr = lr;
     }
 
-    /// Number of optimizer steps taken.
-    pub fn steps_taken(&self) -> u64 {
-        self.step
-    }
-
     /// Applies one update using each parameter's accumulated gradient, then
     /// clears the gradients.
     ///

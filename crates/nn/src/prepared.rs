@@ -129,7 +129,7 @@ impl PreparedLinear {
     /// only forgoes sharing; comparing bits rather than `f32 ==` keeps a
     /// `-0.0` bias apart from `0.0`, since the two can round differently.
     pub fn computes_same_as(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.panels, &other.panels) && same_bits(&self.bias, &other.bias)
+        Arc::ptr_eq(&self.panels, &other.panels) && self.bias.same_bits(&other.bias)
     }
 
     /// Inference forward `y = x W_eff + b`.
@@ -371,11 +371,6 @@ impl PreparedMlp {
         Self { fc1, fc2 }
     }
 
-    /// Hidden dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.fc1.out_dim()
-    }
-
     /// Total saturated weights across both projections.
     pub fn weight_saturation(&self) -> usize {
         self.fc1.saturation + self.fc2.saturation
@@ -550,16 +545,6 @@ impl PreparedEncoderBlock {
         self.forward_with(x, |h| self.attn.infer_sparse(h, density))
             .mlp_out
     }
-}
-
-/// Whether two matrices have the same shape and the same bits. Unlike
-/// `f32 ==`, `-0.0` differs from `0.0` and a NaN matches its own bits.
-pub(crate) fn same_bits(a: &Matrix, b: &Matrix) -> bool {
-    a.shape() == b.shape()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

@@ -143,11 +143,6 @@ impl Ticket {
     pub fn wait(self) -> Option<ServeResponse> {
         self.rx.recv().ok()
     }
-
-    /// Non-blocking poll for the response.
-    pub fn try_wait(&self) -> Option<ServeResponse> {
-        self.rx.try_recv().ok()
-    }
 }
 
 #[cfg(test)]

@@ -173,6 +173,18 @@ impl Matrix {
         h.finish()
     }
 
+    /// Whether `other` has the same shape and the same bits. Unlike `==`,
+    /// `-0.0` differs from `0.0` (the two can round differently in what a
+    /// layer computes from them) and a NaN matches its own bits.
+    pub fn same_bits(&self, other: &Self) -> bool {
+        self.shape() == other.shape()
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     /// Immutable view of row `r`.
     ///
     /// # Panics
@@ -913,6 +925,14 @@ mod tests {
         assert_eq!(m.shape(), (3, 4));
         assert_eq!(m.len(), 12);
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn same_bits_tells_signed_zeros_apart_and_matches_nan_to_itself() {
+        let a = Matrix::from_rows(&[&[0.0, f32::NAN]]);
+        assert!(a.same_bits(&a.clone()) && a != a.clone());
+        assert!(!a.same_bits(&Matrix::from_rows(&[&[-0.0, f32::NAN]])));
+        assert!(!a.same_bits(&Matrix::from_vec(2, 1, vec![0.0, f32::NAN])));
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl PackedF32 {
         self.n
     }
 
-    /// Bytes of panel storage, padding included.
-    pub fn size_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-
     /// 128-bit structural content hash over the panel layout: logical
     /// shape plus every padded lane's bit pattern. Since `pack` is a pure
     /// function of the source matrix, equal source hashes imply equal

@@ -238,22 +238,21 @@ impl PreparedModel {
     /// `i` bit-identical to `self.infer_traced(&images[i]).cls_feature`.
     /// The trainer computes a mini-batch's distillation targets with it.
     ///
-    /// `then` runs while the encoder activations are still allocated, so
-    /// `forward_batch` allocates and frees in the order it did before this
-    /// stage was split out: returning the rows first, which frees the
-    /// activations before the head allocates, read about a fifth slower on
-    /// the Phase-2 sweep benchmark, with a lower peak RSS.
+    /// This is [`Self::walk`] over one level, and `then` runs as the
+    /// walk's finish, while the encoder activations are still allocated:
+    /// returning the rows first, which frees the activations before the
+    /// head allocates, read about a fifth slower on the Phase-2 sweep
+    /// benchmark, with a lower peak RSS.
     pub(crate) fn cls_features<M: std::borrow::Borrow<Matrix>, R>(
         &self,
         images: &[M],
         then: impl FnOnce(Matrix) -> R,
     ) -> R {
-        let t = self.config.tokens();
-        let mut x = self.embed(images);
-        for block in &self.blocks {
-            x = block.infer_batch(&x, t);
-        }
-        then(self.class_features(&x, images.len()))
+        let (mut then, mut out) = (Some(then), None);
+        Self::walk(&[self], &mut [0], images, |_, cls| {
+            out = then.take().map(|then| then(cls));
+        });
+        out.expect("the level's walk reaches its head")
     }
 
     /// The tail after the encoder stack: gathers each of the `samples`
@@ -273,17 +272,10 @@ impl PreparedModel {
     ///
     /// Effort levels derived from one backbone differ only in their skip
     /// masks, so they compute the same embedding and the same leading
-    /// blocks. This pass runs the embedding once per group of levels whose
-    /// embedding stages match, and then each encoder block once per group
-    /// of levels that has computed the same function so far. A group splits
-    /// at the first block where its levels differ
-    /// ([`PreparedEncoderBlock::computes_same_as`]); the parts never merge
-    /// again, since their inputs differ from there on. Each level finishes
-    /// with its own class gather, norm and head.
-    ///
-    /// Every stage is the one [`Self::forward_batch`] runs, on the same
-    /// rows, so level `l`'s result is bit-identical to
-    /// `levels[l].forward_batch(images)`. Views that share no weight
+    /// blocks; the encoder walk behind every batched forward runs each of
+    /// those once for all the levels that share it. Level `l`'s result is
+    /// bit-identical to `levels[l].forward_batch(images)`, which is the
+    /// same walk over one level. Views that share no weight
     /// allocation (prepared separately, without a
     /// [`pivot_nn::PreparedStore`]) share nothing and cost what separate
     /// calls cost.
@@ -298,32 +290,86 @@ impl PreparedModel {
                 .collect();
         }
         let mut logits: Vec<Option<Matrix>> = vec![None; levels.len()];
-        let everyone = (0..levels.len()).collect();
-        for group in split_by(everyone, |a, b| levels[a].embeds_same_as(levels[b])) {
-            let x = levels[group[0]].embed(images);
-            // Groups still to run, each with its input to block `b`.
-            let mut pending = vec![(group, x, 0)];
-            while let Some((group, x, b)) = pending.pop() {
-                let (done, deeper): (Vec<usize>, Vec<usize>) =
-                    group.iter().partition(|&&l| levels[l].blocks.len() == b);
-                for l in done {
-                    let level = levels[l];
-                    logits[l] = Some(level.head.infer(&level.class_features(&x, images.len())));
-                }
-                let parts = split_by(deeper, |p, q| {
-                    levels[p].blocks[b].computes_same_as(&levels[q].blocks[b])
-                });
-                for part in parts {
-                    let level = levels[part[0]];
-                    let y = level.blocks[b].infer_batch(&x, level.config.tokens());
-                    pending.push((part, y, b + 1));
-                }
-            }
-        }
+        let mut order: Vec<usize> = (0..levels.len()).collect();
+        Self::walk(levels, &mut order, images, |l, cls| {
+            logits[l] = Some(levels[l].head.infer(&cls));
+        });
         logits
             .into_iter()
             .map(|l| l.expect("every level reaches the end of its stack"))
             .collect()
+    }
+
+    /// The one loop that runs encoder blocks over a stacked batch. Each
+    /// level named in `order` (indices into `levels`) walks its embedding
+    /// and encoder stack over `images`, then `finish(l, cls)` gets level
+    /// `l`'s final-norm class-token rows while the encoder activations
+    /// are still allocated.
+    ///
+    /// A group of levels runs a stage once when all of them compute it
+    /// alike: the embedding for levels whose embedding stages match
+    /// ([`Self::embeds_same_as`]), then each encoder block for the levels
+    /// that have computed the same function so far. A group splits at the
+    /// first block where its levels differ
+    /// ([`PreparedEncoderBlock::computes_same_as`]); the parts never merge
+    /// again, since their inputs differ from there on. Every stage runs on
+    /// the rows a level's own walk would give it, so sharing changes no
+    /// bit.
+    ///
+    /// `order` is reordered in place so that every group is a contiguous
+    /// run of it. The walk carries one part of a split on and stacks the
+    /// others; a single level never splits, so its walk allocates nothing
+    /// beyond its stages, in the order they run.
+    fn walk<M: std::borrow::Borrow<Matrix>>(
+        levels: &[&PreparedModel],
+        order: &mut [usize],
+        images: &[M],
+        mut finish: impl FnMut(usize, Matrix),
+    ) {
+        let mut next = 0;
+        while next < order.len() {
+            let first = levels[order[next]];
+            let embedded_alike =
+                gather(&mut order[next + 1..], |l| first.embeds_same_as(levels[l]));
+            // The group in `order[lo..hi]`, with `x` its input to block `b`.
+            let (mut lo, mut hi, mut b) = (next, next + 1 + embedded_alike, 0);
+            let mut x = first.embed(images);
+            next = hi;
+            // Groups split off, in the same form, still to run.
+            let mut split_off = Vec::new();
+            loop {
+                let done = gather(&mut order[lo..hi], |l| levels[l].blocks.len() == b);
+                for &l in &order[lo..lo + done] {
+                    finish(l, levels[l].class_features(&x, images.len()));
+                }
+                lo += done;
+                if lo == hi {
+                    let Some(group) = split_off.pop() else { break };
+                    (lo, hi, x, b) = group;
+                    continue;
+                }
+                // One part per class of block `b`; the first carries on.
+                let mut carried = None;
+                let mut part = lo;
+                while part < hi {
+                    let level = levels[order[part]];
+                    let block = &level.blocks[b];
+                    let end = part
+                        + 1
+                        + gather(&mut order[part + 1..hi], |l| {
+                            block.computes_same_as(&levels[l].blocks[b])
+                        });
+                    let y = block.infer_batch(&x, level.config.tokens());
+                    match carried {
+                        None => carried = Some((end, y)),
+                        Some(_) => split_off.push((part, end, y, b + 1)),
+                    }
+                    part = end;
+                }
+                (hi, x) = carried.expect("a group that is not done has a part");
+                b += 1;
+            }
+        }
     }
 
     /// Whether `other`'s embedding stage yields the same tokens as this
@@ -334,8 +380,8 @@ impl PreparedModel {
         let geometry = |c: &VitConfig| (c.image_size, c.patch_size, c.dim);
         geometry(&self.config) == geometry(&other.config)
             && self.patch_embed.computes_same_as(&other.patch_embed)
-            && same_bits(&self.cls_token, &other.cls_token)
-            && same_bits(&self.pos_embed, &other.pos_embed)
+            && self.cls_token.same_bits(&other.cls_token)
+            && self.pos_embed.same_bits(&other.pos_embed)
     }
 
     /// How much of a forward `other` shares with this view: `None` if the
@@ -393,27 +439,17 @@ impl PreparedModel {
     }
 }
 
-/// Splits `items` into classes of the equivalence `same`, each in input
-/// order, the classes ordered by their first item.
-fn split_by(items: Vec<usize>, same: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for i in items {
-        match classes.iter_mut().find(|c| same(c[0], i)) {
-            Some(class) => class.push(i),
-            None => classes.push(vec![i]),
+/// Moves the items of `run` that `pick` selects to its front, keeping the
+/// order within both parts, and returns how many it moved.
+fn gather(run: &mut [usize], pick: impl Fn(usize) -> bool) -> usize {
+    let mut picked = 0;
+    for i in 0..run.len() {
+        if pick(run[i]) {
+            run[picked..=i].rotate_right(1);
+            picked += 1;
         }
     }
-    classes
-}
-
-/// Whether two matrices have the same shape and the same bits: `-0.0`
-/// and `0.0` differ, as they can in what a layer computes from them.
-fn same_bits(a: &Matrix, b: &Matrix) -> bool {
-    a.shape() == b.shape()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+    picked
 }
 
 /// The embedding stage shared by every entry point: every image patchified
@@ -511,7 +547,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shared_forward_is_bit_identical_to_per_level_forward_batch() {
+    fn shared_forward_is_bit_identical_to_per_sample_infer() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for quant in [QuantMode::None, QuantMode::Int8] {
             let backbone = model(70, quant, &[0, 1, 2, 3]);
@@ -578,19 +614,26 @@ pub(crate) mod tests {
                     assert_eq!(b.shared_prefix(a), *prefix, "{quant:?} case {case}");
                 }
                 let refs: Vec<&PreparedModel> = levels.iter().collect();
+                // `forward_batch` is the same walk over one level, so the
+                // reference is per-sample `infer`: `infer_traced`'s walk.
+                let want: Vec<Vec<Matrix>> = levels
+                    .iter()
+                    .map(|level| images.iter().map(|im| level.infer(im)).collect())
+                    .collect();
                 // A ragged batch of 33, a batch of one and no images.
                 for n in [33, 1, 0] {
                     let batch: Vec<&Matrix> = images[..n].iter().collect();
                     let out = PreparedModel::forward_batch_shared(&refs, &batch);
                     assert_eq!(out.len(), levels.len());
-                    for (l, (got, level)) in out.iter().zip(levels).enumerate() {
-                        let want = level.forward_batch(&batch);
-                        assert_eq!(got.shape(), want.shape());
-                        assert_eq!(
-                            bits(got),
-                            bits(&want),
-                            "{quant:?} case {case}, level {l}, {n} images"
-                        );
+                    for (l, (got, want)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(got.shape(), (n, 4));
+                        for (i, want) in want[..n].iter().enumerate() {
+                            assert_eq!(
+                                bits(&got.slice_rows(i, i + 1)),
+                                bits(want),
+                                "{quant:?} case {case}, level {l}, image {i} of {n}"
+                            );
+                        }
                     }
                 }
             }

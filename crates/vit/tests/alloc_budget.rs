@@ -1,11 +1,13 @@
 //! Allocation budget of the lean forward: warm inference allocates only
-//! its outputs, whatever the batch and head count.
+//! its outputs, whatever the batch and head count, and the encoder walk
+//! behind `forward_batch` adds nothing per sample.
 //!
 //! The counter is thread-local, so the test harness's other threads
 //! cannot disturb a reading.
 
 use pivot_nn::{LayerNorm, PreparedAttention, PreparedLinear, PreparedMlp, QuantMode};
 use pivot_tensor::{Matrix, Rng};
+use pivot_vit::{VisionTransformer, VitConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -106,4 +108,28 @@ fn warm_layer_norm_allocates_exactly_its_output() {
     let x = Matrix::randn(272, 64, 1.0, &mut Rng::new(2));
     let _ = norm.infer(&x);
     assert_eq!(allocations_of(|| norm.infer(&x)), 1);
+}
+
+#[test]
+fn warm_forward_batch_allocates_per_stage_not_per_sample() {
+    let cfg = VitConfig::tiny();
+    let mut rng = Rng::new(4);
+    let mut model = VisionTransformer::new(&cfg, &mut rng);
+    // A skipped attention runs no attention stage: 12 blocks with 3 active
+    // attentions, then with all 12.
+    for (active, want) in [(3, 69), (12, 114)] {
+        model.set_active_attentions(&(0..active).collect::<Vec<_>>());
+        let prepared = model.prepare();
+        for batch in [1, 16] {
+            let images: Vec<Matrix> = (0..batch)
+                .map(|_| Matrix::rand_uniform(cfg.image_size, cfg.image_size, 0.0, 1.0, &mut rng))
+                .collect();
+            let _ = prepared.forward_batch(&images);
+            assert_eq!(
+                allocations_of(|| prepared.forward_batch(&images)),
+                want,
+                "{active} active attentions, batch {batch}"
+            );
+        }
+    }
 }
