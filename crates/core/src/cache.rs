@@ -170,7 +170,7 @@ impl CascadeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `step` is not strictly positive.
+    /// Panics if `lec` is NaN or `step` is not strictly positive.
     pub fn threshold_reaching(&self, lec: f64, step: f32) -> f32 {
         threshold_grid_walk(lec, step, |th| self.f_low_at(th))
     }
@@ -299,6 +299,14 @@ mod tests {
         let capped = cache.threshold_reaching(2.0, 0.3);
         assert_eq!(capped, 1.0);
         assert_eq!(cache.f_low_at(capped), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lec is NaN")]
+    fn threshold_reaching_rejects_a_nan_lec() {
+        let low = model(8, &[0]).prepare();
+        let cache = CascadeCache::build_prepared(&low, &samples(4, 9), Parallelism::Off);
+        cache.threshold_reaching(f64::NAN, 0.02);
     }
 
     #[test]

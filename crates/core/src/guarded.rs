@@ -77,10 +77,15 @@ pub fn stays_low(entropy: f32, threshold: f32) -> bool {
 /// 1.0 in `f32`, and probing that value would miss the inclusive `Th = 1.0`
 /// gate — the final probe must be exactly `1.0` bitwise.
 ///
+/// A `lec` above 1 is never reached and caps the walk at 1.0.
+///
 /// # Panics
 ///
-/// Panics if `step` is not strictly positive.
+/// Panics if `lec` is NaN (every comparison with it is false, so the walk
+/// would stop at its first probe as if the constraint were met), or if
+/// `step` is not strictly positive.
 pub fn threshold_grid_walk(lec: f64, step: f32, f_low: impl Fn(f32) -> f64) -> f32 {
+    assert!(!lec.is_nan(), "lec is NaN: no threshold can reach it");
     assert!(step > 0.0, "threshold step must be positive");
     let mut threshold = step.min(1.0);
     while f_low(threshold) < lec && threshold < 1.0 {
@@ -451,6 +456,14 @@ mod tests {
         assert!(!stays_low(0.0, 0.0));
         assert!(stays_low(1.0, 1.0));
         assert!(stays_low(1.0 + f32::EPSILON, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "lec is NaN")]
+    fn grid_walk_rejects_a_nan_lec() {
+        // Every probe's `f_low < NaN` is false: without the check the walk
+        // returned its first probe, 0.02, with F_L = 0.
+        threshold_grid_walk(f64::NAN, 0.02, |_| 0.0);
     }
 
     #[test]

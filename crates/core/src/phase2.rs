@@ -316,11 +316,14 @@ impl<'a> Phase2Search<'a> {
     /// escalates in both), so `result.stats.f_low()` equals the `F_L` the
     /// delay was priced on, bit for bit.
     ///
+    /// `max_delay_ms = f64::INFINITY` accepts every pair (no delay gate).
+    ///
     /// # Panics
     ///
     /// Panics if a field of `cfg` is outside its documented range (see
-    /// [`Phase2Config`]), or `cache` was not built from this searcher's
-    /// calibration batch (length check).
+    /// [`Phase2Config`]), `max_delay_ms` is NaN (no delay compares below
+    /// it, so every pair would read as rejected), or `cache` was not built
+    /// from this searcher's calibration batch (length check).
     pub fn evaluate_pair_prepared(
         &self,
         low: &EffortModel,
@@ -331,6 +334,10 @@ impl<'a> Phase2Search<'a> {
         max_delay_ms: f64,
     ) -> Option<Phase2Result> {
         cfg.check();
+        assert!(
+            !max_delay_ms.is_nan(),
+            "max_delay_ms is NaN: pass f64::INFINITY for no delay gate"
+        );
         assert_eq!(
             cache.len(),
             self.calibration.len(),
@@ -632,6 +639,38 @@ mod tests {
             &cfg,
             f64::INFINITY,
         );
+    }
+
+    /// One (6, 12) pair evaluated under the default config against the
+    /// delay gate `max_delay_ms`.
+    fn pair_gated_at(max_delay_ms: f64) -> Option<Phase2Result> {
+        let sim = Simulator::new(AcceleratorConfig::zcu102());
+        let geom = VitGeometry::deit_s();
+        let efforts = make_efforts(12, &[6, 12], 26);
+        let calib = calibration(27);
+        let search = Phase2Search::new(&sim, &geom, &efforts, &calib);
+        let cache =
+            CascadeCache::build_prepared(&efforts[0].model.prepare(), &calib, Parallelism::Off);
+        let high = efforts[1].model.prepare();
+        let cfg = Phase2Config::default();
+        search.evaluate_pair_prepared(&efforts[0], &efforts[1], &high, &cache, &cfg, max_delay_ms)
+    }
+
+    #[test]
+    #[should_panic(expected = "max_delay_ms is NaN")]
+    fn a_nan_delay_gate_is_rejected_not_read_as_a_rejected_pair() {
+        // Regression: `delay <= NaN` never held, so every pair came back
+        // `None`, which callers read as "over the delay constraint".
+        let _ = pair_gated_at(f64::NAN);
+    }
+
+    #[test]
+    fn an_infinite_delay_gate_accepts_the_pair() {
+        let result = pair_gated_at(f64::INFINITY).expect("an infinite gate accepts every pair");
+        assert_eq!((result.low_effort, result.high_effort), (6, 12));
+        assert!(result.perf.delay_ms.is_finite() && result.perf.delay_ms > 0.0);
+        // The gate is `<=`: the pair's own delay accepts it too.
+        assert!(pair_gated_at(result.perf.delay_ms).is_some());
     }
 
     #[test]

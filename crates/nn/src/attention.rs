@@ -115,8 +115,11 @@ impl MultiHeadAttention {
 /// The one per-(sample, head) `QK^T -> scale -> softmax -> SM x V` loop of
 /// training and inference, in place on the stacked projections (`tokens`
 /// rows per sample): head operands are read at row stride `dim` and each
-/// head's output lands in its block of the context — no slice copies, no
-/// per-row or per-head allocation.
+/// head's output lands in its block of `context` — no slice copies, no
+/// per-row or per-head allocation. `context` is the caller's buffer,
+/// reshaped to `q`'s shape on its own storage ([`Matrix::reuse_as`]):
+/// the (sample, head) blocks tile it, and the GEMM overwrites each one,
+/// so whatever it held before is never read.
 ///
 /// Each (sample, head)'s scores are held **transposed** — `S^T = K_h Q_h^T`,
 /// so `block[c * tokens + r]` is query `r`'s score for key `c` — which lets
@@ -132,7 +135,10 @@ impl MultiHeadAttention {
 /// # Panics
 ///
 /// Panics if `tokens == 0` or `q.rows()` is not divisible by `tokens`.
-pub(crate) fn attend(
+// The operands and both hooks are what the loop needs; bundling them
+// would only rename them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend_into(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -140,7 +146,8 @@ pub(crate) fn attend(
     tokens: usize,
     mut mask: impl FnMut(&mut [f32]),
     mut probs: impl FnMut(&[f32]),
-) -> Matrix {
+    context: &mut Matrix,
+) {
     assert!(
         tokens > 0 && q.rows().is_multiple_of(tokens),
         "batch rows {} not divisible by tokens {tokens}",
@@ -148,7 +155,7 @@ pub(crate) fn attend(
     );
     let dh = q.cols() / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut context = Matrix::zeros(q.rows(), q.cols());
+    context.reuse_as(q.rows(), q.cols());
     ATTEND_SCRATCH.with_borrow_mut(|(scratch, panel)| {
         scratch.resize(tokens * tokens + tokens, 0.0);
         let (scores, column) = scratch.split_at_mut(tokens * tokens);
@@ -163,15 +170,14 @@ pub(crate) fn attend(
                 mask(scores);
                 softmax_columns_in_place(scores, tokens, column);
                 probs(scores);
-                Matrix::matmul_block_into(scores, v, rows.clone(), cols, panel, &mut context);
+                Matrix::matmul_block_into(scores, v, rows.clone(), cols, panel, context);
             }
         }
     });
-    context
 }
 
 thread_local! {
-    /// Per-thread scratch of [`attend`]: one buffer of `tokens²` transposed
+    /// Per-thread scratch of [`attend_into`]: one buffer of `tokens²` transposed
     /// scores followed by the softmax's `tokens`-float column buffer, and
     /// one `V_h` panel buffer, whose allocations grow to the largest size
     /// the thread has seen. Overwrite-before-read: the score GEMM writes
@@ -179,7 +185,7 @@ thread_local! {
     /// one and `pack_block` every panel lane before anything reads them, so
     /// no value survives from one (sample, head) — or one call — to the
     /// next, and worker threads cannot alias each other's. Borrowed for the
-    /// whole head loop, so neither hook may re-enter `attend` (none in this
+    /// whole head loop, so neither hook may re-enter `attend_into` (none in this
     /// crate does).
     static ATTEND_SCRATCH: RefCell<(Vec<f32>, PackedF32)> =
         RefCell::new((Vec::new(), PackedF32::default()));
@@ -200,7 +206,8 @@ impl Layer for MultiHeadAttention {
         let t = x.rows();
         let mut probs = Vec::with_capacity(self.heads);
         let keep = |p: &[f32]| probs.push(Matrix::from_fn(t, t, |r, c| p[c * t + r]));
-        let out = attend(&q, &k, &v, self.heads, t, |_| {}, keep);
+        let mut out = Matrix::default();
+        attend_into(&q, &k, &v, self.heads, t, |_| {}, keep, &mut out);
         self.cache = Some(Cache { q, k, v, probs });
         self.proj.forward(&out)
     }

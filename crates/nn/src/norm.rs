@@ -78,46 +78,61 @@ impl LayerNorm {
             && self.beta.value.same_bits(&other.beta.value)
     }
 
-    /// Inference-only forward without caching: one pass over row slices
-    /// that writes only `y` — the body training's [`Layer::forward`] runs
-    /// too, there with a sink that records each row's statistics.
+    /// Inference-only forward without caching, into a new matrix: the one
+    /// layer-norm body every forward of the crate runs.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != self.dim()`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.normalize(x, |_, _| {})
+        let mut y = Matrix::default();
+        self.infer_into(x, &mut y);
+        y
     }
 
-    /// The one layer-norm body: `stats` sees each row's `(mean, inv_std)`
-    /// once, in row order (inference's no-op is monomorphised away).
-    fn normalize(&self, x: &Matrix, mut stats: impl FnMut(f32, f32)) -> Matrix {
+    /// The inference forward into a caller buffer, reshaped to `x`'s
+    /// shape on its own storage ([`Matrix::reuse_as`]) and overwritten
+    /// row by row — the body training's [`Layer::forward`] runs too,
+    /// there with a sink that records each row's statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != self.dim()`.
+    pub(crate) fn infer_into(&self, x: &Matrix, y: &mut Matrix) {
+        self.normalize(x, y, |_, _| {});
+    }
+
+    /// The one layer-norm body: every row of `y` is written once, and
+    /// `stats` sees each row's `(mean, inv_std)` once, in row order
+    /// (inference's no-op is monomorphised away).
+    fn normalize(&self, x: &Matrix, y: &mut Matrix, mut stats: impl FnMut(f32, f32)) {
         let d = self.dim();
         assert_eq!(x.cols(), d, "layer-norm input width");
-        // Appended row by row, so the output is written exactly once.
-        let mut y = Vec::with_capacity(x.len());
+        y.reuse_as(x.rows(), d);
         if d > 0 {
             let mut groups = x.as_slice().chunks_exact(4 * d);
-            for x4 in &mut groups {
-                self.infer_rows::<4>(x4, &mut y, &mut stats);
+            let mut out = y.as_mut_slice().chunks_exact_mut(4 * d);
+            for (x4, y4) in (&mut groups).zip(&mut out) {
+                self.infer_rows::<4>(x4, y4, &mut stats);
             }
-            for x1 in groups.remainder().chunks_exact(d) {
-                self.infer_rows::<1>(x1, &mut y, &mut stats);
+            let rest = out.into_remainder().chunks_exact_mut(d);
+            for (x1, y1) in groups.remainder().chunks_exact(d).zip(rest) {
+                self.infer_rows::<1>(x1, y1, &mut stats);
             }
         }
-        Matrix::from_vec(x.rows(), d, y)
     }
 
-    /// Appends the normalization of the `R` consecutive rows in `x` to
-    /// `y`, their reductions interleaved to hide the add latency. Each
-    /// row's sums are still one sequential chain in column order starting
-    /// from `Iterator::sum`'s own identity, so grouping never moves a bit.
+    /// Writes the normalization of the `R` consecutive rows in `x` to
+    /// the same rows of `y`, their reductions interleaved to hide the add
+    /// latency. Each row's sums are still one sequential chain in column
+    /// order starting from `Iterator::sum`'s own identity, so grouping
+    /// never moves a bit.
     // `c` walks one column of all `R` rows in lockstep.
     #[allow(clippy::needless_range_loop)]
     fn infer_rows<const R: usize>(
         &self,
         x: &[f32],
-        y: &mut Vec<f32>,
+        y: &mut [f32],
         stats: &mut impl FnMut(f32, f32),
     ) {
         let d = self.dim();
@@ -139,23 +154,20 @@ impl LayerNorm {
             }
         }
         let scale_shift = self.gamma.value.row(0).iter().zip(self.beta.value.row(0));
-        for r in 0..R {
+        for (r, out) in y.chunks_exact_mut(d).enumerate() {
             let (mean, inv_std) = (mean[r], 1.0 / (sq[r] / n + self.eps).sqrt());
             stats(mean, inv_std);
-            y.extend(
-                rows[r]
-                    .iter()
-                    .zip(scale_shift.clone())
-                    .map(|(&v, (&g, &b))| g * ((v - mean) * inv_std) + b),
-            );
+            for ((o, &v), (&g, &b)) in out.iter_mut().zip(rows[r]).zip(scale_shift.clone()) {
+                *o = g * ((v - mean) * inv_std) + b;
+            }
         }
     }
 }
 
 impl Layer for LayerNorm {
     fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut stats = Vec::with_capacity(x.rows());
-        let y = self.normalize(x, |mean, inv_std| stats.push((mean, inv_std)));
+        let (mut y, mut stats) = (Matrix::default(), Vec::with_capacity(x.rows()));
+        self.normalize(x, &mut y, |mean, inv_std| stats.push((mean, inv_std)));
         self.cache = Some(Cache {
             x: x.clone(),
             stats,

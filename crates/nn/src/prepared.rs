@@ -19,8 +19,41 @@
 
 use crate::{EncoderTrace, LayerNorm, QuantMode};
 use pivot_tensor::{add_bias_in_place, ContentHasher, Matrix, PackedF32, QuantParams};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The activation buffers of one encoder block's forward — five, each
+/// reused as soon as the value it holds is dead. On this storage
+/// [`PreparedEncoderBlock::infer_batch_in_place`] allocates nothing once
+/// the buffers have grown to the thread's largest batch; every allocating
+/// forward of the crate runs the same bodies on it and copies its result
+/// out. Overwrite-before-read: every stage reshapes its output buffer
+/// ([`Matrix::reuse_as`]) and writes every element before anything reads
+/// it, so no value survives from one stage, call or geometry to the next.
+#[derive(Default)]
+struct Arena {
+    /// The layer-norm output, then the attention context.
+    norm: Matrix,
+    /// `Q`, then the attention's output projection, then `fc2`'s output.
+    q: Matrix,
+    /// `K`.
+    k: Matrix,
+    /// `V`.
+    v: Matrix,
+    /// The MLP hidden layer, GELU applied in place.
+    hidden: Matrix,
+}
+
+thread_local! {
+    /// The calling thread's [`Arena`]: it lives as long as the thread, so a
+    /// warm forward finds every buffer at its high-water mark (freeing
+    /// them between calls hands the pages back to the kernel, and the next
+    /// batch faults them in again). Per thread, so worker threads never
+    /// share one. Borrowed for one block, one attention or one MLP at a
+    /// time; nothing inside re-enters it.
+    static ARENA: RefCell<Arena> = RefCell::new(Arena::default());
+}
 
 /// Frozen inference view of a [`crate::Linear`] layer.
 ///
@@ -132,17 +165,20 @@ impl PreparedLinear {
         Arc::ptr_eq(&self.panels, &other.panels) && self.bias.same_bits(&other.bias)
     }
 
-    /// Inference forward `y = x W_eff + b`.
+    /// Inference forward `y = x W_eff + b`, into a new matrix.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_then(x, false)
+        let mut y = Matrix::default();
+        self.infer_into(x, false, &mut y);
+        y
     }
 
-    /// The forward with the bias (and, with `gelu_after`, the GELU after
-    /// it) applied in place on the product the GEMM just wrote.
-    fn infer_then(&self, x: &Matrix, gelu_after: bool) -> Matrix {
-        let mut y = x.matmul_prepacked(&self.panels);
-        add_bias_in_place(&mut y, self.bias.row(0), gelu_after);
-        y
+    /// The one linear body: the GEMM writes every element of `y`, reshaped
+    /// on its own storage ([`Matrix::reuse_as`]), then the bias (and, with
+    /// `gelu_after`, the GELU after it) is applied in place on the product.
+    fn infer_into(&self, x: &Matrix, gelu_after: bool, y: &mut Matrix) {
+        y.reuse_as(x.rows(), self.out_dim());
+        x.matmul_prepacked_into(&self.panels, y);
+        add_bias_in_place(y, self.bias.row(0), gelu_after);
     }
 
     /// Bytes of weight storage the forward pass streams per call: the
@@ -284,7 +320,9 @@ impl PreparedAttention {
     /// row slices — scores cannot mix samples — reusing one score/output
     /// scratch buffer across samples and heads. Every kernel involved is
     /// row-wise with a fixed accumulation order, so each sample's rows are
-    /// bit-identical to running it alone.
+    /// bit-identical to running it alone. The body is the one an encoder
+    /// block runs, on the calling thread's activation buffers; only the
+    /// result is allocated.
     ///
     /// # Panics
     ///
@@ -305,42 +343,71 @@ impl PreparedAttention {
     ///
     /// Panics if `density` is not in `(0, 1]`.
     pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
-        assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-        let t = x.rows();
-        let keep = ((t as f32 * density).ceil() as usize).max(1);
-        let mut order: Vec<usize> = Vec::with_capacity(t);
-        // The core hands over each head's scores transposed: query `r`'s
-        // score for key `c` is `scores[c * t + r]`.
-        self.attend(x, t, |scores| {
-            for r in 0..t {
-                order.clear();
-                order.extend(0..t);
-                // A NaN score ranks first whatever its sign bit, so a fault
-                // is kept and poisons its query's softmax instead of being
-                // masked away (or panicking the sort).
-                let rank = |c: usize| {
-                    let s = scores[c * t + r];
-                    if s.is_nan() {
-                        f32::INFINITY
-                    } else {
-                        s
-                    }
-                };
-                order.sort_by(|&a, &b| rank(b).total_cmp(&rank(a)));
-                for &c in &order[keep..] {
-                    scores[c * t + r] = f32::NEG_INFINITY;
-                }
-            }
+        self.attend(x, x.rows(), sparse_mask(x.rows(), density))
+    }
+
+    /// The allocating entry points: [`Self::attend_in`] on the calling
+    /// thread's [`Arena`], from a copy of `x`, its result copied out.
+    fn attend(&self, x: &Matrix, tokens: usize, mask: impl FnMut(&mut [f32])) -> Matrix {
+        ARENA.with_borrow_mut(|a| {
+            a.norm.reuse_as(x.rows(), x.cols());
+            a.norm.as_mut_slice().copy_from_slice(x.as_slice());
+            self.attend_in(a, tokens, mask);
+            a.q.clone()
         })
     }
 
-    /// The projections around the shared attention core
-    /// ([`crate::attention::attend`], which training's forward runs too),
-    /// with the score `mask` passed through and a no-op probability sink.
-    fn attend(&self, x: &Matrix, tokens: usize, mask: impl FnMut(&mut [f32])) -> Matrix {
-        let (q, k, v) = (self.wq.infer(x), self.wk.infer(x), self.wv.infer(x));
-        let context = crate::attention::attend(&q, &k, &v, self.heads, tokens, mask, |_| {});
-        self.proj.infer(&context)
+    /// The one attention sub-layer body: the projections around the shared
+    /// core ([`crate::attention::attend_into`], which training's forward
+    /// runs too), with the score `mask` passed through and a no-op
+    /// probability sink. Reads its input from `a.norm` and leaves its
+    /// output in `a.q`: `Q`, `K` and `V` land in `a.q`, `a.k` and `a.v`,
+    /// the context in `a.norm` (the input is dead once projected) and the
+    /// output projection in `a.q` (`Q` is dead once the core has run).
+    fn attend_in(&self, a: &mut Arena, tokens: usize, mask: impl FnMut(&mut [f32])) {
+        self.wq.infer_into(&a.norm, false, &mut a.q);
+        self.wk.infer_into(&a.norm, false, &mut a.k);
+        self.wv.infer_into(&a.norm, false, &mut a.v);
+        let (q, k, v) = (&a.q, &a.k, &a.v);
+        crate::attention::attend_into(q, k, v, self.heads, tokens, mask, |_| {}, &mut a.norm);
+        self.proj.infer_into(&a.norm, false, &mut a.q);
+    }
+}
+
+/// The score mask of ViTCOD-style sparsified attention over `t` tokens
+/// (see [`PreparedAttention::infer_sparse`]): in each transposed score
+/// block the core hands over, keeps the `density` fraction of each query's
+/// highest scores and sets the rest to `-inf`.
+///
+/// # Panics
+///
+/// Panics if `density` is not in `(0, 1]`.
+fn sparse_mask(t: usize, density: f32) -> impl FnMut(&mut [f32]) {
+    assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
+    let keep = ((t as f32 * density).ceil() as usize).max(1);
+    let mut order: Vec<usize> = Vec::with_capacity(t);
+    // The core hands over each head's scores transposed: query `r`'s
+    // score for key `c` is `scores[c * t + r]`.
+    move |scores| {
+        for r in 0..t {
+            order.clear();
+            order.extend(0..t);
+            // A NaN score ranks first whatever its sign bit, so a fault
+            // is kept and poisons its query's softmax instead of being
+            // masked away (or panicking the sort).
+            let rank = |c: usize| {
+                let s = scores[c * t + r];
+                if s.is_nan() {
+                    f32::INFINITY
+                } else {
+                    s
+                }
+            };
+            order.sort_by(|&a, &b| rank(b).total_cmp(&rank(a)));
+            for &c in &order[keep..] {
+                scores[c * t + r] = f32::NEG_INFINITY;
+            }
+        }
     }
 }
 
@@ -388,9 +455,20 @@ impl PreparedMlp {
     }
 
     /// Inference forward `fc2(gelu(fc1(x)))`, row-wise: `fc1`'s bias and
-    /// the GELU are one pass over its product.
+    /// the GELU are one pass over its product. The hidden layer lives in
+    /// the calling thread's activation buffers; only the result is
+    /// allocated.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fc2.infer(&self.fc1.infer_then(x, true))
+        let mut y = Matrix::default();
+        ARENA.with_borrow_mut(|a| self.infer_into(x, &mut a.hidden, &mut y));
+        y
+    }
+
+    /// The one MLP body: `fc1`'s product, bias and GELU into `hidden`,
+    /// `fc2`'s product and bias into `y`.
+    fn infer_into(&self, x: &Matrix, hidden: &mut Matrix, y: &mut Matrix) {
+        self.fc1.infer_into(x, true, hidden);
+        self.fc2.infer_into(hidden, false, y);
     }
 }
 
@@ -493,45 +571,73 @@ impl PreparedEncoderBlock {
         self.attn.unique_weight_bytes_into(seen) + self.mlp.unique_weight_bytes_into(seen)
     }
 
-    /// The block body, `x += MHSA(LN(x))` (unless skipped) then
-    /// `x += MLP(LN(x))`, around whichever attention variant `attend` is.
-    fn forward_with(&self, x: &Matrix, attend: impl FnOnce(&Matrix) -> Matrix) -> EncoderTrace {
-        let after_attn = if self.attention_active {
-            let mut a = attend(&self.ln1.infer(x));
-            a.add_scaled_in_place(x, 1.0);
-            a
-        } else {
-            x.clone()
-        };
-        let mut out = self.mlp.infer(&self.ln2.infer(&after_attn));
-        out.add_scaled_in_place(&after_attn, 1.0);
-        EncoderTrace {
-            attention_out: after_attn,
-            mlp_out: out,
-        }
+    /// The one block body, in place on the residual stream `x`:
+    /// `x += MHSA(LN(x))` (unless skipped), then `after_attention(x)`, then
+    /// `x += MLP(LN(x))`. Every temporary lives in the calling thread's
+    /// [`Arena`], so a skipped attention copies nothing and a warm call
+    /// allocates nothing. Each sum is the out-of-place block's sum with its
+    /// operands swapped, which IEEE addition does not round differently.
+    fn run(
+        &self,
+        x: &mut Matrix,
+        tokens: usize,
+        mask: impl FnMut(&mut [f32]),
+        after_attention: impl FnOnce(&Matrix),
+    ) {
+        ARENA.with_borrow_mut(|a| {
+            if self.attention_active {
+                self.ln1.infer_into(x, &mut a.norm);
+                self.attn.attend_in(a, tokens, mask);
+                x.add_scaled_in_place(&a.q, 1.0);
+            }
+            after_attention(x);
+            self.ln2.infer_into(x, &mut a.norm);
+            self.mlp.infer_into(&a.norm, &mut a.hidden, &mut a.q);
+            x.add_scaled_in_place(&a.q, 1.0);
+        });
     }
 
     /// Per-sample inference, also returning the trace for CKA capture.
     pub fn infer_traced(&self, x: &Matrix) -> EncoderTrace {
-        self.forward_with(x, |h| self.attn.infer(h))
+        let (mut mlp_out, mut attention_out) = (x.clone(), None);
+        let keep = |h: &Matrix| attention_out = Some(h.clone());
+        self.run(&mut mlp_out, x.rows(), |_| {}, keep);
+        EncoderTrace {
+            attention_out: attention_out.expect("the block body reports its attention output"),
+            mlp_out,
+        }
     }
 
     /// Per-sample inference.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_traced(x).mlp_out
+        self.infer_batch(x, x.rows())
     }
 
     /// Batched inference over samples stacked along rows (`tokens` rows
-    /// each). Layer norms and the MLP are row-wise and run directly on the
-    /// stack; attention goes through [`PreparedAttention::infer_batch`].
-    /// Each sample's rows are bit-identical to [`Self::infer`] on it alone.
+    /// each): [`Self::infer_batch_in_place`] on a copy of `x`.
     ///
     /// # Panics
     ///
     /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
     pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
-        self.forward_with(x, |h| self.attn.infer_batch(h, tokens))
-            .mlp_out
+        let mut y = x.clone();
+        self.infer_batch_in_place(&mut y, tokens);
+        y
+    }
+
+    /// Batched inference in place on the residual stream `x` (samples
+    /// stacked along rows, `tokens` rows each). Layer norms and the MLP
+    /// are row-wise and run directly on the stack; attention runs the body
+    /// of [`PreparedAttention::infer_batch`]. Each sample's rows are
+    /// bit-identical to [`Self::infer`] on it alone. The temporaries live
+    /// in per-thread buffers that persist across calls, so once they have
+    /// grown to a thread's largest batch, a call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
+    pub fn infer_batch_in_place(&self, x: &mut Matrix, tokens: usize) {
+        self.run(x, tokens, |_| {}, |_| {});
     }
 
     /// Per-sample inference with ViTCOD-style sparsified attention (see
@@ -542,8 +648,9 @@ impl PreparedEncoderBlock {
     ///
     /// Panics if `density` is not in `(0, 1]`.
     pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
-        self.forward_with(x, |h| self.attn.infer_sparse(h, density))
-            .mlp_out
+        let mut y = x.clone();
+        self.run(&mut y, x.rows(), sparse_mask(x.rows(), density), |_| {});
+        y
     }
 }
 

@@ -161,6 +161,25 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Reshapes to `rows x cols` on the same storage — the primitive of
+    /// reusable activation buffers. The flat buffer keeps its first
+    /// `min(len, rows * cols)` values and is zero-padded past them, so
+    /// `len() == rows * cols` afterwards; capacity never shrinks, so a
+    /// buffer cycled through shapes no larger than its high-water mark
+    /// allocates nothing. Callers treat the contents as stale and
+    /// overwrite every element before reading it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
+    pub fn reuse_as(&mut self, rows: usize, cols: usize) {
+        let len = rows
+            .checked_mul(cols)
+            .unwrap_or_else(|| panic!("{rows}x{cols} overflows usize"));
+        self.data.resize(len, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
     /// 128-bit structural content hash: shape plus every element's bit
     /// pattern. Equal hashes identify matrices whose use in inference is
     /// bit-identical (see [`crate::ContentHasher`] for the collision
@@ -1153,6 +1172,39 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn reuse_as_reshapes_on_the_same_storage() {
+        let mut m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
+        let base = m.as_slice().as_ptr();
+        m.reuse_as(2, 5);
+        assert_eq!(m.shape(), (2, 5));
+        assert_eq!(m.len(), 10);
+        let prefix: Vec<f32> = (0..10).map(|v| v as f32).collect();
+        assert_eq!(m.as_slice(), &prefix[..]);
+        // Shrinking keeps the prefix; growing back within the high-water
+        // mark zero-pads and stays on the same allocation.
+        m.reuse_as(1, 3);
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0]);
+        m.reuse_as(4, 3);
+        assert_eq!(m.shape(), (4, 3));
+        assert_eq!(&m.as_slice()[..3], &[0.0, 1.0, 2.0]);
+        assert!(m.as_slice()[3..].iter().all(|&v| v == 0.0));
+        assert_eq!(m.as_slice().as_ptr(), base);
+        // An empty matrix grows like a fresh one.
+        let mut empty = Matrix::default();
+        empty.reuse_as(2, 2);
+        assert_eq!(empty, Matrix::zeros(2, 2));
+        empty.reuse_as(0, 7);
+        assert_eq!(empty.shape(), (0, 7));
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn reuse_as_rejects_an_overflowing_shape() {
+        Matrix::default().reuse_as(usize::MAX, 2);
     }
 
     #[test]

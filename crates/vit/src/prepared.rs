@@ -318,8 +318,11 @@ impl PreparedModel {
     ///
     /// `order` is reordered in place so that every group is a contiguous
     /// run of it. The walk carries one part of a split on and stacks the
-    /// others; a single level never splits, so its walk allocates nothing
-    /// beyond its stages, in the order they run.
+    /// others. Every block runs in place on its part's residual stream
+    /// ([`PreparedEncoderBlock::infer_batch_in_place`]): the carried part
+    /// on the group's own, each split-off part on a copy taken before the
+    /// carried part moves it on. A single level never splits, so its walk
+    /// allocates the embedding and the finish and nothing per block.
     fn walk<M: std::borrow::Borrow<Matrix>>(
         levels: &[&PreparedModel],
         order: &mut [usize],
@@ -359,15 +362,18 @@ impl PreparedModel {
                         + gather(&mut order[part + 1..hi], |l| {
                             block.computes_same_as(&levels[l].blocks[b])
                         });
-                    let y = block.infer_batch(&x, level.config.tokens());
+                    let tokens = level.config.tokens();
                     match carried {
-                        None => carried = Some((end, y)),
-                        Some(_) => split_off.push((part, end, y, b + 1)),
+                        None => carried = Some((end, block, tokens)),
+                        Some(_) => {
+                            split_off.push((part, end, block.infer_batch(&x, tokens), b + 1))
+                        }
                     }
                     part = end;
                 }
-                (hi, x) = carried.expect("a group that is not done has a part");
-                b += 1;
+                let (end, block, tokens) = carried.expect("a group that is not done has a part");
+                block.infer_batch_in_place(&mut x, tokens);
+                (hi, b) = (end, b + 1);
             }
         }
     }
@@ -675,6 +681,64 @@ pub(crate) mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_thread_that_has_forwarded_anything_forwards_the_bits_of_a_fresh_one() {
+        // The activation buffers outlive every call on their thread. A
+        // thread whose buffers hold NaN from a poisoned batch, another
+        // geometry's shapes and the half-written state of a panicked call
+        // must still forward a healthy batch exactly as a fresh thread
+        // does: every buffer is overwritten before it is read.
+        let tiny = VitConfig::tiny();
+        let mut rng = Rng::new(80);
+        let mut source = VisionTransformer::new(&tiny, &mut rng);
+        source.set_active_attentions(&[0, 1, 5, 11]);
+        let prepared = source.prepare();
+        let other_geometry = model(81, QuantMode::Int8, &[0, 1, 2, 3]).prepare();
+        let mut images = |n: usize| -> Vec<Matrix> {
+            (0..n)
+                .map(|_| Matrix::rand_uniform(tiny.image_size, tiny.image_size, 0.0, 1.0, &mut rng))
+                .collect()
+        };
+        let healthy = [images(1), images(16)];
+        let small = images(3)
+            .iter()
+            .map(|im| im.slice_rows(0, 16).slice_cols(0, 16))
+            .collect::<Vec<_>>();
+        let forward_healthy = || -> Vec<Matrix> {
+            healthy
+                .iter()
+                .map(|batch| prepared.forward_batch(batch))
+                .collect()
+        };
+        let on_a_new_thread = |run: &(dyn Fn() -> Vec<Matrix> + Sync)| {
+            std::thread::scope(|s| s.spawn(run).join().expect("no panic escapes"))
+        };
+
+        let fresh = on_a_new_thread(&forward_healthy);
+        let reused = on_a_new_thread(&|| {
+            let poisoned = vec![Matrix::filled(tiny.image_size, tiny.image_size, f32::NAN); 32];
+            assert!(!prepared.forward_batch(&poisoned).is_all_finite());
+            let _ = other_geometry.forward_batch(&small);
+            let wrong_shape = [Matrix::zeros(tiny.image_size - 1, tiny.image_size)];
+            let panicked =
+                |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+            assert!(panicked(&|| {
+                let _ = prepared.forward_batch(&wrong_shape);
+            }));
+            // A panic in the attention core, after the layer norm and the
+            // projections have written NaN into the borrowed buffers.
+            let nan_tokens = Matrix::filled(2 * tiny.tokens(), tiny.dim, f32::NAN);
+            assert!(panicked(&|| {
+                let _ = prepared.encoder_blocks()[0].infer_batch(&nan_tokens, 3);
+            }));
+            forward_healthy()
+        });
+        for (batch, (got, want)) in reused.iter().zip(&fresh).enumerate() {
+            assert!(got.is_all_finite(), "batch {batch}");
+            assert!(got.same_bits(want), "batch {batch} read a stale buffer");
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Allocation budget of the lean forward: warm inference allocates only
-//! its outputs, whatever the batch and head count, and the encoder walk
-//! behind `forward_batch` adds nothing per sample.
+//! its outputs, whatever the batch and head count; an encoder block runs
+//! in place on per-thread buffers and allocates nothing; and the encoder
+//! walk behind `forward_batch` allocates the same few buffers at any
+//! depth, effort and batch, so a warm batch takes no page faults.
 //!
-//! The counter is thread-local, so the test harness's other threads
+//! Both counters are per thread, so the test harness's other threads
 //! cannot disturb a reading.
 
-use pivot_nn::{LayerNorm, PreparedAttention, PreparedLinear, PreparedMlp, QuantMode};
+use pivot_nn::{
+    EncoderBlock, LayerNorm, PreparedAttention, PreparedLinear, PreparedMlp, QuantMode,
+};
 use pivot_tensor::{Matrix, Rng};
-use pivot_vit::{VisionTransformer, VitConfig};
+use pivot_vit::{PreparedModel, VisionTransformer, VitConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -81,24 +85,25 @@ fn warm_attention_allocates_only_its_outputs_for_any_batch_and_head_count() {
             ));
         }
     }
-    // One product per projection, its bias added in place, and the
-    // context matrix; nothing per sample, per head or per score row.
+    // The projections, the context and the scores live in per-thread
+    // buffers: the copy of the result is the one allocation, with nothing
+    // per sample, per head or per score row.
     for (heads, batch, n) in counts {
-        assert_eq!(n, 5, "heads {heads}, batch {batch}");
+        assert_eq!(n, 1, "heads {heads}, batch {batch}");
     }
 }
 
 #[test]
-fn warm_mlp_allocates_one_block_per_projection_for_any_batch() {
+fn warm_mlp_allocates_only_its_output_for_any_batch() {
     let (tokens, dim, hidden) = (17, 64, 128);
     let mut rng = Rng::new(3);
     let mlp = PreparedMlp::from_parts(linear(dim, hidden, &mut rng), linear(hidden, dim, &mut rng));
     for batch in [1, 16] {
         let x = Matrix::randn(batch * tokens, dim, 1.0, &mut rng);
         let _ = mlp.infer(&x);
-        // One product per projection; the biases, and GELU after `fc1`'s,
-        // run in place on them.
-        assert_eq!(allocations_of(|| mlp.infer(&x)), 2, "batch {batch}");
+        // The hidden layer lives in a per-thread buffer; the biases, and
+        // GELU after `fc1`'s, run in place on the products.
+        assert_eq!(allocations_of(|| mlp.infer(&x)), 1, "batch {batch}");
     }
 }
 
@@ -111,25 +116,95 @@ fn warm_layer_norm_allocates_exactly_its_output() {
 }
 
 #[test]
-fn warm_forward_batch_allocates_per_stage_not_per_sample() {
-    let cfg = VitConfig::tiny();
-    let mut rng = Rng::new(4);
-    let mut model = VisionTransformer::new(&cfg, &mut rng);
-    // A skipped attention runs no attention stage: 12 blocks with 3 active
-    // attentions, then with all 12.
-    for (active, want) in [(3, 69), (12, 114)] {
-        model.set_active_attentions(&(0..active).collect::<Vec<_>>());
-        let prepared = model.prepare();
-        for batch in [1, 16] {
-            let images: Vec<Matrix> = (0..batch)
-                .map(|_| Matrix::rand_uniform(cfg.image_size, cfg.image_size, 0.0, 1.0, &mut rng))
-                .collect();
-            let _ = prepared.forward_batch(&images);
+fn warm_block_in_place_allocates_nothing() {
+    let (tokens, dim, heads, hidden) = (17, 64, 4, 128);
+    let mut rng = Rng::new(5);
+    let mut block = EncoderBlock::new(dim, heads, hidden, QuantMode::None, &mut rng);
+    for active in [true, false] {
+        block.set_attention_active(active);
+        let prepared = block.prepare();
+        for batch in [1, 16, 32] {
+            let mut x = Matrix::randn(batch * tokens, dim, 1.0, &mut rng);
+            prepared.infer_batch_in_place(&mut x, tokens);
             assert_eq!(
-                allocations_of(|| prepared.forward_batch(&images)),
-                want,
-                "{active} active attentions, batch {batch}"
+                allocations_of(|| prepared.infer_batch_in_place(&mut x, tokens)),
+                0,
+                "attention active {active}, batch {batch}"
             );
         }
     }
+}
+
+/// A `config` model with its first `active` attentions on, prepared.
+fn prepared(config: &VitConfig, active: usize, rng: &mut Rng) -> PreparedModel {
+    let mut model = VisionTransformer::new(config, rng);
+    model.set_active_attentions(&(0..active).collect::<Vec<_>>());
+    model.prepare()
+}
+
+fn images(config: &VitConfig, batch: usize, rng: &mut Rng) -> Vec<Matrix> {
+    (0..batch)
+        .map(|_| Matrix::rand_uniform(config.image_size, config.image_size, 0.0, 1.0, rng))
+        .collect()
+}
+
+#[test]
+fn warm_forward_batch_allocation_count_is_independent_of_depth_effort_and_batch() {
+    let mut rng = Rng::new(4);
+    // A skipped attention runs no attention stage: depth 12 and 16, with 3
+    // active attentions and with all of them, at batch 1, 16 and 32.
+    for config in [VitConfig::tiny(), VitConfig::tiny_deep()] {
+        for active in [3, config.depth] {
+            let model = prepared(&config, active, &mut rng);
+            for batch in [1, 16, 32] {
+                let images = images(&config, batch, &mut rng);
+                let _ = model.forward_batch(&images);
+                // The patches, their embedding, the residual stream, the
+                // class rows, their final norm and the logits; every
+                // block runs in place on per-thread buffers.
+                assert_eq!(
+                    allocations_of(|| model.forward_batch(&images)),
+                    6,
+                    "depth {}, {active} active attentions, batch {batch}",
+                    config.depth
+                );
+            }
+        }
+    }
+}
+
+/// Minor page faults the calling thread has taken (field 10 of
+/// `/proc/thread-self/stat`), or `None` where that file does not exist.
+fn thread_minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // Field 2, the command name, is parenthesised and may hold spaces:
+    // count from the last `)`, after which field 3 comes first.
+    let fields = &stat[stat.rfind(')')? + 1..];
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
+#[test]
+fn warm_batch_32_forwards_take_no_page_faults() {
+    if thread_minor_faults().is_none() {
+        eprintln!("skipped: no /proc/thread-self/stat on this host");
+        return;
+    }
+    let config = VitConfig::tiny();
+    let mut rng = Rng::new(6);
+    let model = prepared(&config, 3, &mut rng);
+    let images = images(&config, 32, &mut rng);
+    for _ in 0..3 {
+        let _ = model.forward_batch(&images);
+    }
+    // Freed activation buffers of this size go back to the kernel and
+    // fault in again on the next block; buffers kept across calls do not.
+    let before = thread_minor_faults().expect("read once already");
+    for _ in 0..20 {
+        let _ = model.forward_batch(&images);
+    }
+    let faults = thread_minor_faults().expect("read once already") - before;
+    assert_eq!(
+        faults, 0,
+        "minor page faults over 20 warm batch-32 forwards"
+    );
 }
