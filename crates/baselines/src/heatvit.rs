@@ -33,7 +33,7 @@ impl HeatVitConfig {
 
     /// Scales the stage boundaries to a different depth, preserving the
     /// relative positions (for the tiny stand-in models).
-    pub fn scaled_to_depth(&self, depth: usize) -> Self {
+    fn scaled_to_depth(&self, depth: usize) -> Self {
         let base = self
             .stages
             .iter()

@@ -93,7 +93,7 @@ impl DriftScenario {
     /// `(LEC - back_f_low) / LEC`. Positive means the constraint is
     /// violated; the issue's bar is static ≥ 0.15 while adaptive stays
     /// within ±0.05 on the headline ramp.
-    pub fn back_shortfall(run: &DriftPolicyRun) -> f64 {
+    fn back_shortfall(run: &DriftPolicyRun) -> f64 {
         (LEC - run.back_f_low) / LEC
     }
 }

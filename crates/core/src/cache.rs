@@ -170,7 +170,8 @@ impl CascadeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `lec` is NaN or `step` is not strictly positive.
+    /// Panics unless `lec` and `step` pass
+    /// [`check_grid_walk`](crate::check_grid_walk).
     pub fn threshold_reaching(&self, lec: f64, step: f32) -> f32 {
         threshold_grid_walk(lec, step, |th| self.f_low_at(th))
     }
@@ -287,26 +288,29 @@ mod tests {
     }
 
     #[test]
-    fn threshold_reaching_respects_lec_and_cap() {
+    fn threshold_reaching_respects_lec() {
         let low = model(8, &[0]).prepare();
         let set = samples(20, 9);
         let cache = CascadeCache::build_prepared(&low, &set, Parallelism::Off);
         let th = cache.threshold_reaching(0.5, 0.02);
         assert!(th <= 1.0);
         assert!(cache.f_low_at(th) >= 0.5 || (th - 1.0).abs() < 1e-6);
-        // An unreachable LEC caps at 1.0, where the inclusive gate gives
-        // F_L = 1 and the constraint is met after all.
-        let capped = cache.threshold_reaching(2.0, 0.3);
-        assert_eq!(capped, 1.0);
-        assert_eq!(cache.f_low_at(capped), 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "lec is NaN")]
+    #[should_panic(expected = "lec must be in (0, 1], got NaN")]
     fn threshold_reaching_rejects_a_nan_lec() {
         let low = model(8, &[0]).prepare();
         let cache = CascadeCache::build_prepared(&low, &samples(4, 9), Parallelism::Off);
         cache.threshold_reaching(f64::NAN, 0.02);
+    }
+
+    #[test]
+    #[should_panic(expected = "lec must be in (0, 1], got 2")]
+    fn threshold_reaching_rejects_an_unreachable_lec() {
+        let low = model(8, &[0]).prepare();
+        let cache = CascadeCache::build_prepared(&low, &samples(4, 9), Parallelism::Off);
+        cache.threshold_reaching(2.0, 0.3);
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl FaultInjector {
     }
 
     /// Corrupts one value under the given fault model.
-    pub fn corrupt_value(&mut self, x: f32, kind: FaultKind) -> f32 {
+    fn corrupt_value(&mut self, x: f32, kind: FaultKind) -> f32 {
         match kind {
             FaultKind::BitFlip => f32::from_bits(x.to_bits() ^ (1u32 << self.rng.below(32))),
             FaultKind::StuckNan => f32::NAN,
@@ -412,9 +412,7 @@ mod tests {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par_map(&images, Parallelism::Fixed(4), |_, img| {
                 let logits = faulty_ref.infer(img);
-                logits
-                    .validate_finite("logits")
-                    .expect("fault-injected forward");
+                assert!(logits.is_all_finite(), "fault-injected forward");
                 logits.row_argmax(0)
             })
         }));

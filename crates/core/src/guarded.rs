@@ -63,6 +63,31 @@ pub fn stays_low(entropy: f32, threshold: f32) -> bool {
     entropy.is_finite() && (entropy < threshold || threshold >= 1.0)
 }
 
+/// The one rule for the grid walk's two inputs, checked by
+/// [`threshold_grid_walk`] and, at construction, by every config that
+/// carries them (`Phase2Config`, `pivot_serve::ThresholdPolicy`), so all
+/// of them accept and reject the same values.
+///
+/// * `lec` must be in `(0, 1]`. A NaN compares false with every `F_L`, so
+///   the walk would stop at its first probe as if the constraint were
+///   met; an `F_L` of at least 0 meets a `lec` of 0 or below at once; one
+///   above 1 is never met.
+/// * `step` must be finite and at least `f32::EPSILON`. Adding a smaller
+///   step can leave a probe below 1.0 unchanged (1e-8 stops at 0.25), and
+///   the walk never ends. From `f32::EPSILON` up every probe below 1.0
+///   advances, and the walk makes at most 2²³ probes.
+///
+/// # Panics
+///
+/// Panics, naming the value, if either rule is broken.
+pub fn check_grid_walk(lec: f64, step: f32) {
+    assert!(lec > 0.0 && lec <= 1.0, "lec must be in (0, 1], got {lec}");
+    assert!(
+        step.is_finite() && step >= f32::EPSILON,
+        "step must be finite and >= f32::EPSILON, got {step}"
+    );
+}
+
 /// The smallest threshold on the grid `step, 2·step, …` (capped at 1.0)
 /// whose low-effort fraction `f_low(threshold)` reaches `lec` — Phase 2's
 /// incremental threshold iteration, shared by the offline
@@ -77,16 +102,11 @@ pub fn stays_low(entropy: f32, threshold: f32) -> bool {
 /// 1.0 in `f32`, and probing that value would miss the inclusive `Th = 1.0`
 /// gate — the final probe must be exactly `1.0` bitwise.
 ///
-/// A `lec` above 1 is never reached and caps the walk at 1.0.
-///
 /// # Panics
 ///
-/// Panics if `lec` is NaN (every comparison with it is false, so the walk
-/// would stop at its first probe as if the constraint were met), or if
-/// `step` is not strictly positive.
+/// Panics unless `lec` and `step` pass [`check_grid_walk`].
 pub fn threshold_grid_walk(lec: f64, step: f32, f_low: impl Fn(f32) -> f64) -> f32 {
-    assert!(!lec.is_nan(), "lec is NaN: no threshold can reach it");
-    assert!(step > 0.0, "threshold step must be positive");
+    check_grid_walk(lec, step);
     let mut threshold = step.min(1.0);
     while f_low(threshold) < lec && threshold < 1.0 {
         threshold = (threshold + step).min(1.0);
@@ -459,11 +479,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lec is NaN")]
+    #[should_panic(expected = "lec must be in (0, 1], got NaN")]
     fn grid_walk_rejects_a_nan_lec() {
         // Every probe's `f_low < NaN` is false: without the check the walk
         // returned its first probe, 0.02, with F_L = 0.
         threshold_grid_walk(f64::NAN, 0.02, |_| 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be finite and >= f32::EPSILON, got 0.00000001")]
+    fn grid_walk_rejects_a_step_it_cannot_advance_by() {
+        // 0.25 + 1e-8 rounds back to 0.25 in f32: without the check the
+        // walk looped forever whenever F_L stayed below the LEC.
+        threshold_grid_walk(0.9, 1e-8, |_| 0.0);
+    }
+
+    #[test]
+    fn the_smallest_step_still_reaches_one() {
+        let probes = std::cell::Cell::new(0u32);
+        let th = threshold_grid_walk(1.0, f32::EPSILON, |th| {
+            probes.set(probes.get() + 1);
+            f64::from(u8::from(th >= 1.0))
+        });
+        assert_eq!(th, 1.0);
+        assert!(probes.get() <= 1 << 23, "{} probes", probes.get());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   applies the entropy gate ([`stays_low`]) and the fault accounting of
 //!   DESIGN.md §5, over a memo private to it. [`evaluate_guarded_slice`]
 //!   is its per-request form (what `pivot-serve` runs per batch, under an
-//!   effort cap); the two below are typed front-ends over it.
+//!   effort cap); the two below are typed front-ends over it. It also
+//!   holds Phase 2's threshold iteration ([`threshold_grid_walk`]) and the
+//!   one rule for its `lec` and `step` ([`check_grid_walk`]).
 //! * [`multilevel`] — [`EffortLadder`], the one holder of prepared effort
 //!   levels (the paper's low/high cascade of Fig. 2a is its `N = 2` case),
 //!   and [`CascadeStats`], the one fold of outcomes over labels (`C_L`,
@@ -32,10 +34,12 @@
 //!   matrix, select and fine-tune every effort.
 //! * [`search_space`] — design-space accounting (Fig. 4b).
 //! * [`train_cost`] — GPU-hours model for training all efforts (Fig. 4c).
-//! * [`error`] — the [`PivotError`] structured error unifying the lower
-//!   crates' typed failures.
 //! * [`faults`] — deterministic fault injection (bit flips, NaN, stuck-at)
 //!   for accuracy-under-fault experiments.
+//!
+//! No config here returns an error: each is built in code and panics,
+//! naming the rule it broke, when it is used. A typed config error exists
+//! only for bytes read from outside ([`pivot_vit::CheckpointError`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +47,6 @@
 
 pub mod batched;
 pub mod cache;
-pub mod error;
 pub mod faults;
 pub mod guarded;
 pub mod multilevel;
@@ -58,11 +61,10 @@ pub mod train_cost;
 
 pub use batched::{batched_logits, EVAL_BATCH};
 pub use cache::CascadeCache;
-pub use error::PivotError;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
 pub use guarded::{
-    evaluate_guarded_slice, stays_low, threshold_grid_walk, DegradationEvent, DegradationReport,
-    GuardedOutcome,
+    check_grid_walk, evaluate_guarded_slice, stays_low, threshold_grid_walk, DegradationEvent,
+    DegradationReport, GuardedOutcome,
 };
 pub use multilevel::{CascadeStats, EffortLadder};
 pub use parallel::{par_map, Parallelism};

@@ -16,7 +16,7 @@ use crate::guarded::{evaluate_guarded_slice, DegradationReport, GuardedOutcome};
 use crate::parallel::Parallelism;
 use pivot_data::Sample;
 use pivot_tensor::Matrix;
-use pivot_vit::{PreparedModel, PreparedStore, StoreStats, VisionTransformer};
+use pivot_vit::{PreparedModel, PreparedStore, VisionTransformer};
 
 /// Per-level statistics of a cascade evaluation over labeled samples.
 ///
@@ -147,7 +147,6 @@ impl CascadeStats {
 pub struct EffortLadder {
     prepared: Vec<PreparedModel>,
     thresholds: Vec<f32>,
-    share_stats: StoreStats,
 }
 
 impl EffortLadder {
@@ -160,7 +159,7 @@ impl EffortLadder {
     /// (in PIVOT's cascades, *every* layer — the levels differ only in
     /// their attention-skip mask) are materialized once and Arc-shared, so
     /// an `N`-level ladder holds ~1x the backbone weights instead of `N`x
-    /// (see [`Self::unique_weight_bytes`] and [`Self::share_stats`]). Only
+    /// (see [`Self::unique_weight_bytes`]). Only
     /// the views are kept — the trainable models (weights plus gradients)
     /// are dropped — and the ladder exposes no weight-mutating API, so the
     /// shared views cannot go stale, and deduplicated inference is
@@ -185,7 +184,6 @@ impl EffortLadder {
         let mut ladder = Self {
             prepared,
             thresholds: Vec::new(),
-            share_stats: store.stats(),
         };
         ladder.set_thresholds(thresholds);
         ladder
@@ -210,13 +208,6 @@ impl EffortLadder {
             prev = t;
         }
         self.thresholds = thresholds;
-    }
-
-    /// Hit/miss and byte accounting of the content-addressed weight store
-    /// the levels were prepared through. Levels derived from one backbone
-    /// share every layer: the first level misses, every later level hits.
-    pub fn share_stats(&self) -> StoreStats {
-        self.share_stats
     }
 
     /// Total prepared weight bytes summed per level, as if each level held
@@ -512,11 +503,6 @@ mod tests {
         let single = ladder.prepared_levels()[0].weight_bytes();
         assert_eq!(ladder.weight_bytes(), 3 * single);
         assert_eq!(ladder.unique_weight_bytes(), single);
-        let stats = ladder.share_stats();
-        assert_eq!(stats.hits, 2 * stats.misses);
-        assert_eq!(stats.unique_bytes, single);
-        assert_eq!(stats.hit_bytes, 2 * single);
-        assert_eq!(stats.total_bytes(), ladder.weight_bytes());
     }
 
     #[test]
@@ -525,7 +511,6 @@ mod tests {
         // accounting must say so.
         let (low, high) = (models(62).remove(0), models(63).remove(2));
         let ladder = EffortLadder::new(vec![low, high], vec![0.5]);
-        assert_eq!(ladder.share_stats().hits, 0);
         assert_eq!(ladder.unique_weight_bytes(), ladder.weight_bytes());
     }
 
@@ -540,7 +525,6 @@ mod tests {
         let single = ladder.prepared_levels()[0].weight_bytes();
         assert!(ladder.unique_weight_bytes() > single);
         // ...while the untouched levels 0 and 2 still share everything.
-        assert!(ladder.share_stats().hits > 0);
         assert!(ladder.unique_weight_bytes() < ladder.weight_bytes());
 
         // Fault accounting through the shared store is identical to
@@ -603,7 +587,6 @@ mod tests {
                 let ladder = EffortLadder::new(ms.clone(), ths.clone());
                 // Same backbone: every level past the first hits the store
                 // and the resident footprint stays below the naive sum.
-                prop_assert!(ladder.share_stats().hits > 0);
                 prop_assert!(ladder.unique_weight_bytes() < ladder.weight_bytes());
                 prop_assert_eq!(
                     ladder.unique_weight_bytes(),

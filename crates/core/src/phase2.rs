@@ -2,6 +2,7 @@
 //! (paper Fig. 2c).
 
 use crate::cache::CascadeCache;
+use crate::guarded::check_grid_walk;
 use crate::parallel::Parallelism;
 use crate::{CascadeStats, PathConfig};
 use pivot_data::Sample;
@@ -27,27 +28,25 @@ pub struct EffortModel {
 pub struct Phase2Config {
     /// Low-effort constraint: minimum fraction of inputs that must be
     /// classified by the low effort (the paper's LEC, as a fraction), in
-    /// `(0, 1]`.
+    /// `(0, 1]` ([`check_grid_walk`]).
     pub lec: f64,
     /// Target per-image delay in milliseconds, finite and positive.
     pub delay_constraint_ms: f64,
     /// Acceptance tolerance around the delay constraint (paper: 5%),
     /// finite and non-negative.
     pub delay_tolerance: f64,
-    /// Step of the incremental threshold iteration, finite and positive.
+    /// Step of the incremental threshold iteration, finite and at least
+    /// `f32::EPSILON` ([`check_grid_walk`]).
     pub threshold_step: f32,
 }
 
 impl Phase2Config {
     /// Panics, naming the field, unless every field is in its documented
     /// range: a NaN LEC or delay would otherwise be compared as always
-    /// false and read as "met" or "infeasible".
+    /// false and read as "met" or "infeasible". `lec` and `threshold_step`
+    /// follow the grid walk's one rule, [`check_grid_walk`].
     fn check(&self) {
-        assert!(
-            self.lec > 0.0 && self.lec <= 1.0,
-            "Phase2Config::lec must be in (0, 1], got {}",
-            self.lec
-        );
+        check_grid_walk(self.lec, self.threshold_step);
         assert!(
             self.delay_constraint_ms.is_finite() && self.delay_constraint_ms > 0.0,
             "Phase2Config::delay_constraint_ms must be finite and > 0, got {}",
@@ -57,11 +56,6 @@ impl Phase2Config {
             self.delay_tolerance.is_finite() && self.delay_tolerance >= 0.0,
             "Phase2Config::delay_tolerance must be finite and >= 0, got {}",
             self.delay_tolerance
-        );
-        assert!(
-            self.threshold_step.is_finite() && self.threshold_step > 0.0,
-            "Phase2Config::threshold_step must be finite and > 0, got {}",
-            self.threshold_step
         );
     }
 }
@@ -579,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Phase2Config::lec must be in (0, 1], got NaN")]
+    #[should_panic(expected = "lec must be in (0, 1], got NaN")]
     fn a_nan_lec_is_rejected_not_ignored() {
         // Regression: `F_L >= NaN` never held, so the threshold walk ran to
         // its first step and the LEC was ignored.
@@ -608,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Phase2Config::threshold_step must be finite and > 0, got NaN")]
+    #[should_panic(expected = "step must be finite and >= f32::EPSILON, got NaN")]
     fn a_nan_threshold_step_is_rejected_by_name() {
         run_with(Phase2Config {
             threshold_step: f32::NAN,
@@ -617,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Phase2Config::lec must be in (0, 1], got 1.5")]
+    #[should_panic(expected = "lec must be in (0, 1], got 1.5")]
     fn a_single_pair_evaluation_checks_the_config_too() {
         let sim = Simulator::new(AcceleratorConfig::zcu102());
         let geom = VitGeometry::deit_s();

@@ -1,7 +1,6 @@
 //! End-to-end PIVOT flow: teacher training, CKA capture, Phase-1 selection
 //! and per-effort fine-tuning.
 
-use crate::error::PivotError;
 use crate::phase1::{select_optimal_path, Phase1Result};
 use crate::{EffortModel, Parallelism};
 use pivot_cka::{stack_flattened, CkaMatrix};
@@ -60,46 +59,26 @@ impl PipelineConfig {
         }
     }
 
-    /// Validates the configuration, returning a typed error instead of
-    /// panicking.
-    pub fn try_validate(&self) -> Result<(), PivotError> {
-        self.vit.try_validate()?;
-        if self.efforts.is_empty() {
-            return Err(PivotError::invalid_config(
-                "pipeline config",
-                "need at least one effort",
-            ));
-        }
-        for &e in &self.efforts {
-            if e > self.vit.depth {
-                return Err(PivotError::invalid_config(
-                    "pipeline config",
-                    format!("effort {e} exceeds depth {}", self.vit.depth),
-                ));
-            }
-        }
-        if self.cka_batch <= 1 {
-            return Err(PivotError::invalid_config(
-                "pipeline config",
-                "CKA needs at least two samples",
-            ));
-        }
-        Ok(())
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid — the original fail-fast
-    /// behavior, kept for API compatibility; fallible callers should use
-    /// [`Self::try_validate`].
-    // Panicking compat wrapper over the Result-returning validation path.
-    #[allow(clippy::panic)]
+    /// Panics, naming the rule, if the ViT geometry is invalid (see
+    /// [`VitConfig::try_validate`]), there is no effort, an effort
+    /// exceeds the depth, or `cka_batch` is below two.
     pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
+        self.vit
+            .try_validate()
+            .expect("PipelineConfig::vit is invalid");
+        assert!(!self.efforts.is_empty(), "need at least one effort");
+        for &e in &self.efforts {
+            assert!(
+                e <= self.vit.depth,
+                "effort {e} exceeds depth {}",
+                self.vit.depth
+            );
         }
+        assert!(self.cka_batch > 1, "CKA needs at least two samples");
     }
 }
 
@@ -273,27 +252,37 @@ mod tests {
     }
 
     #[test]
-    fn try_validate_returns_typed_errors_without_panicking() {
-        assert!(small_pipeline_config().try_validate().is_ok());
-
+    #[should_panic(expected = "need at least one effort")]
+    fn no_effort_is_rejected() {
         let mut no_efforts = small_pipeline_config();
         no_efforts.efforts.clear();
-        let e = no_efforts.try_validate().unwrap_err();
-        assert!(e.to_string().contains("at least one effort"), "{e}");
+        no_efforts.validate();
+    }
 
+    #[test]
+    #[should_panic(expected = "effort 99 exceeds depth 4")]
+    fn an_effort_beyond_the_depth_is_rejected() {
         let mut too_deep = small_pipeline_config();
         too_deep.efforts.push(99);
-        let e = too_deep.try_validate().unwrap_err();
-        assert!(e.to_string().contains("exceeds depth"), "{e}");
+        too_deep.validate();
+    }
 
+    #[test]
+    #[should_panic(
+        expected = "PipelineConfig::vit is invalid: ConfigError(\"zero-sized image or patch\")"
+    )]
+    fn an_invalid_vit_is_rejected_by_name() {
         let mut bad_vit = small_pipeline_config();
         bad_vit.vit.patch_size = 0;
-        let e = bad_vit.try_validate().unwrap_err();
-        assert!(e.to_string().contains("ViT config"), "{e}");
+        bad_vit.validate();
+    }
 
+    #[test]
+    #[should_panic(expected = "CKA needs at least two samples")]
+    fn a_one_sample_cka_batch_is_rejected() {
         let mut bad_cka = small_pipeline_config();
         bad_cka.cka_batch = 1;
-        assert!(bad_cka.try_validate().is_err());
+        bad_cka.validate();
     }
 
     #[test]

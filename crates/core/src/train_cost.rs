@@ -31,7 +31,7 @@ impl Default for TrainCostModel {
 impl TrainCostModel {
     /// Relative GPU hours to fine-tune one effort path, normalized so the
     /// full-effort model's per-epoch cost is 1 epoch-unit.
-    pub fn effort_cost(&self, sim: &Simulator, geom: &VitGeometry, path: &PathConfig) -> f64 {
+    fn effort_cost(&self, sim: &Simulator, geom: &VitGeometry, path: &PathConfig) -> f64 {
         let full = sim.simulate(geom, &vec![true; geom.depth]).delay_ms;
         let this = sim.simulate(geom, &path.to_mask()).delay_ms;
         self.finetune_epochs * this / full

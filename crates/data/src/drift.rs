@@ -142,7 +142,7 @@ impl DriftSchedule {
     ///
     /// `t` is clamped to `[0, 1]` first; the result is clamped to `[0, 1]`
     /// last, so the return value is always a valid difficulty knob setting.
-    pub fn difficulty_at(&self, t: f64) -> f32 {
+    fn difficulty_at(&self, t: f64) -> f32 {
         let t = t.clamp(0.0, 1.0);
         let raw = match self {
             Self::Stationary { difficulty } => *difficulty,

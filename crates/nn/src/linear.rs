@@ -81,7 +81,7 @@ impl Linear {
 
     /// The weight matrix as seen by the forward pass (fake-quantized when in
     /// `Int8` mode).
-    pub fn effective_weight(&self) -> Matrix {
+    fn effective_weight(&self) -> Matrix {
         match self.quant {
             QuantMode::None => self.weight.value.clone(),
             QuantMode::Int8 => {

@@ -173,7 +173,7 @@ impl AdmissionQueue {
     /// Non-blocking batch formation for deterministic stepping in tests:
     /// returns up to `max_batch` requests immediately (possibly none).
     #[cfg(test)]
-    pub fn try_drain(&self, max_batch: usize) -> Vec<Pending> {
+    fn try_drain(&self, max_batch: usize) -> Vec<Pending> {
         let mut inner = lock(&self.inner);
         let take = inner.queue.len().min(max_batch);
         inner.queue.drain(..take).collect()

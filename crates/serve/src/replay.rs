@@ -81,7 +81,7 @@ impl ReplayEngine {
     /// overload controller sees exactly that age, so overload and
     /// recovery trajectories replay deterministically. The deadline is
     /// relative to *now* (not the backdated admission).
-    pub fn process_aged(
+    fn process_aged(
         &mut self,
         images: &[Matrix],
         queued_for: Duration,

@@ -94,7 +94,7 @@ impl Server {
 
     /// Spawns a server with an explicit clock and chaos schedule — the
     /// entry point deterministic and fault-scenario tests use.
-    pub fn spawn_with(
+    fn spawn_with(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
         config: ServeConfig,

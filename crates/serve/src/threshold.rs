@@ -30,13 +30,14 @@
 //!   `Th` while the cap is already shedding effort would double-degrade
 //!   and fight the cap's hysteresis. Retuning resumes at full effort.
 
-use pivot_core::{stays_low, threshold_grid_walk};
+use pivot_core::{check_grid_walk, stays_low, threshold_grid_walk};
 use std::collections::VecDeque;
 
 /// Tuning of the adaptive threshold control loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdPolicy {
-    /// Target low-exit fraction (`F_L >= lec`), in `(0, 1]`.
+    /// Target low-exit fraction (`F_L >= lec`), in `(0, 1]`
+    /// ([`check_grid_walk`]).
     pub lec: f64,
     /// Sliding-window capacity (most recent low-effort entropies).
     pub window: usize,
@@ -44,7 +45,8 @@ pub struct ThresholdPolicy {
     pub tick_batches: u64,
     /// Minimum window occupancy before the first retune.
     pub min_fill: usize,
-    /// Threshold grid step (mirrors Phase 2's sweep step).
+    /// Threshold grid step (mirrors Phase 2's sweep step), finite and at
+    /// least `f32::EPSILON` ([`check_grid_walk`]).
     pub step: f32,
     /// Lowest threshold the controller may set.
     pub floor: f32,
@@ -71,15 +73,12 @@ impl ThresholdPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `lec` is outside `(0, 1]`, `window` or `tick_batches` is
-    /// zero, `min_fill` exceeds `window`, `step` is not strictly positive,
-    /// or the clamp range is not `0 <= floor <= ceil <= 1`.
+    /// Panics if `lec` or `step` breaks the grid walk's one rule
+    /// ([`check_grid_walk`]), `window` or `tick_batches` is zero,
+    /// `min_fill` exceeds `window`, or the clamp range is not
+    /// `0 <= floor <= ceil <= 1`.
     pub fn validate(&self) {
-        assert!(
-            self.lec > 0.0 && self.lec <= 1.0,
-            "lec must be in (0, 1], got {}",
-            self.lec
-        );
+        check_grid_walk(self.lec, self.step);
         assert!(self.window >= 1, "window must be >= 1");
         assert!(self.tick_batches >= 1, "tick_batches must be >= 1");
         assert!(
@@ -87,11 +86,6 @@ impl ThresholdPolicy {
             "min_fill ({}) cannot exceed window ({})",
             self.min_fill,
             self.window
-        );
-        assert!(
-            self.step.is_finite() && self.step > 0.0,
-            "step must be finite and positive, got {}",
-            self.step
         );
         assert!(
             (0.0..=1.0).contains(&self.floor)
@@ -215,11 +209,6 @@ impl ThresholdController {
     pub fn holds(&self) -> u64 {
         self.holds
     }
-
-    /// Observations currently in the sliding window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +280,7 @@ mod tests {
         }
         let th = c.end_batch(false);
         assert!((th - 0.8).abs() < 1e-6, "gate follows the window: {th}");
-        assert_eq!(c.window_len(), 8);
+        assert_eq!(c.window.len(), 8);
     }
 
     #[test]
@@ -313,11 +302,11 @@ mod tests {
         let mut c = ThresholdController::new(0.5, policy());
         c.observe(f32::NAN);
         c.observe(f32::INFINITY);
-        assert_eq!(c.window_len(), 0);
+        assert_eq!(c.window.len(), 0);
         for _ in 0..4 {
             c.observe(0.3);
         }
-        assert_eq!(c.window_len(), 4);
+        assert_eq!(c.window.len(), 4);
         assert!((c.end_batch(false) - 0.4).abs() < 1e-6);
     }
 

@@ -75,18 +75,18 @@ impl CombinedPerf {
     }
 
     /// Delay attributable to useful low-effort inference: `F_L * D_L` (ms).
-    pub fn low_effort_delay_ms(&self) -> f64 {
+    fn low_effort_delay_ms(&self) -> f64 {
         self.f_low * self.low.delay_ms
     }
 
     /// Delay of the high-effort re-inference: `F_H * D_H` (ms).
-    pub fn high_effort_delay_ms(&self) -> f64 {
+    fn high_effort_delay_ms(&self) -> f64 {
         self.f_high() * self.high.delay_ms
     }
 
     /// Re-computation overhead: `F_H * D_L` (ms) — the paper's
     /// `D_L x F_H` term.
-    pub fn recompute_overhead_ms(&self) -> f64 {
+    fn recompute_overhead_ms(&self) -> f64 {
         self.f_high() * self.low.delay_ms
     }
 

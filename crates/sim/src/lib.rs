@@ -47,7 +47,7 @@ pub use energy::{EnergyBreakdown, EnergyComponent};
 pub use ladder::{EnergyLedger, LadderEnergy};
 pub use ps::{PsConfig, PsOpKind};
 pub use report::{DelayBreakdown, EffortPerf, ModuleClass};
-pub use simulator::{AcceleratorConfig, ConfigError, LayerReport, Simulator};
+pub use simulator::{AcceleratorConfig, LayerReport, Simulator};
 pub use systolic::{matmul_cycles, MatmulDims, MatmulStats};
 pub use workload::{LayerOp, OpKind, VitGeometry, VitWorkload};
 

@@ -68,78 +68,37 @@ impl AcceleratorConfig {
         }
     }
 
-    /// Validates the configuration, returning a typed error.
+    /// Validates the configuration.
     ///
-    /// Never panics, even on configurations decoded from untrusted input
-    /// (non-finite clocks included).
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
-        fn check(ok: bool, reason: &str) -> Result<(), ConfigError> {
-            if ok {
-                Ok(())
-            } else {
-                Err(ConfigError(reason.to_string()))
-            }
-        }
-        check(
+    /// # Panics
+    ///
+    /// Panics, naming the rule, on an empty PE array or SRAM, zero DRAM
+    /// bandwidth, or a clock that is not finite and positive.
+    pub fn validate(&self) {
+        assert!(
             self.pe_rows > 0 && self.pe_cols > 0,
-            "PE array must be non-empty",
-        )?;
-        check(
+            "PE array must be non-empty"
+        );
+        assert!(
             self.clock_mhz.is_finite()
                 && self.ps.clock_mhz.is_finite()
                 && self.clock_mhz > 0.0
                 && self.ps.clock_mhz > 0.0,
-            "clocks must be positive",
-        )?;
-        check(
+            "clocks must be positive"
+        );
+        assert!(
             self.dram_bytes_per_cycle > 0,
-            "DRAM bandwidth must be positive",
-        )?;
-        check(
+            "DRAM bandwidth must be positive"
+        );
+        assert!(
             self.gb_bytes > 0
                 && self.ipmem_bytes > 0
                 && self.wtmem_bytes > 0
                 && self.opmem_bytes > 0,
-            "SRAM sizes must be positive",
-        )?;
-        Ok(())
-    }
-
-    /// Validates the configuration.
-    ///
-    /// Panicking wrapper around [`AcceleratorConfig::try_validate`],
-    /// retained for API compatibility on trusted in-process configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero-sized extents or non-positive clocks.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{}", e.reason());
-        }
+            "SRAM sizes must be positive"
+        );
     }
 }
-
-/// An accelerator configuration failed validation.
-///
-/// Produced by [`AcceleratorConfig::try_validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError(String);
-
-impl ConfigError {
-    /// The human-readable reason validation failed.
-    pub fn reason(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid accelerator config: {}", self.0)
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 impl Default for AcceleratorConfig {
     fn default() -> Self {
@@ -246,7 +205,7 @@ impl Simulator {
     }
 
     /// Simulates a prebuilt workload (exposed for custom layer graphs).
-    pub fn simulate_workload(
+    fn simulate_workload(
         &self,
         geom: &VitGeometry,
         active_attention: &[bool],
@@ -304,24 +263,28 @@ mod tests {
     }
 
     #[test]
-    fn try_validate_returns_typed_errors_without_panicking() {
-        assert!(AcceleratorConfig::zcu102().try_validate().is_ok());
-        let zero_pe = AcceleratorConfig {
+    #[should_panic(expected = "PE array must be non-empty")]
+    fn an_empty_pe_array_is_rejected() {
+        AcceleratorConfig {
             pe_rows: 0,
             ..AcceleratorConfig::zcu102()
-        };
-        let err = zero_pe.try_validate().unwrap_err();
-        assert!(err.reason().contains("PE array"));
-        let nan_clock = AcceleratorConfig {
-            clock_mhz: f64::NAN,
-            ..AcceleratorConfig::zcu102()
-        };
-        assert!(nan_clock.try_validate().is_err());
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "clocks must be positive")]
-    fn validate_wrapper_still_panics() {
+    fn a_nan_clock_is_rejected() {
+        AcceleratorConfig {
+            clock_mhz: f64::NAN,
+            ..AcceleratorConfig::zcu102()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "clocks must be positive")]
+    fn a_negative_clock_is_rejected() {
         AcceleratorConfig {
             clock_mhz: -1.0,
             ..AcceleratorConfig::zcu102()

@@ -269,7 +269,8 @@ impl VitWorkload {
     }
 
     /// Total MAC count of the workload.
-    pub fn total_macs(&self) -> u64 {
+    #[cfg(test)]
+    fn total_macs(&self) -> u64 {
         self.ops
             .iter()
             .map(|op| match op.kind {

@@ -1,90 +1,18 @@
-//! Tensor health checks: non-finite detection for fault-tolerant inference.
+//! Tensor health: the one non-finite check for fault-tolerant inference.
 //!
 //! Quantized edge deployments routinely see corrupted weights (SRAM bit
-//! flips), degenerate activations, and checkpoint damage. The cascade in
-//! `pivot-core` uses these checks to decide when to escalate a sample or fall
-//! back to an already-computed lower-effort prediction instead of silently
-//! propagating NaN through softmax and entropy.
-
-use std::error::Error;
-use std::fmt;
+//! flips), degenerate activations, and checkpoint damage. A non-finite
+//! tensor is not an error value: the cascade in `pivot-core` reads this
+//! check (directly, and through a NaN normalized entropy) to escalate a
+//! sample or fall back to an already-computed lower-effort prediction
+//! instead of silently propagating NaN through softmax and entropy.
 
 use crate::Matrix;
 
-/// A tensor that must be finite contained NaN or ±inf values.
-///
-/// Carries enough detail to localize the damage without retaining the tensor
-/// itself: per-kind counts and the position of the first offending element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NonFiniteError {
-    /// Human-readable name of the checked tensor (e.g. `"logits"`).
-    pub context: String,
-    /// Number of NaN entries.
-    pub nan: usize,
-    /// Number of `+inf` entries.
-    pub pos_inf: usize,
-    /// Number of `-inf` entries.
-    pub neg_inf: usize,
-    /// `(row, col)` of the first non-finite entry.
-    pub first: (usize, usize),
-}
-
-impl fmt::Display for NonFiniteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "non-finite values in {}: {} NaN, {} +inf, {} -inf (first at {:?})",
-            self.context, self.nan, self.pos_inf, self.neg_inf, self.first
-        )
-    }
-}
-
-impl Error for NonFiniteError {}
-
 impl Matrix {
     /// Whether every element is finite (no NaN, no ±inf).
-    ///
-    /// Fast path used on hot inference loops; use [`Matrix::validate_finite`]
-    /// when a diagnostic error is needed.
     pub fn is_all_finite(&self) -> bool {
         self.as_slice().iter().all(|v| v.is_finite())
-    }
-
-    /// Checks that every element is finite, returning a detailed
-    /// [`NonFiniteError`] otherwise.
-    ///
-    /// `context` names the tensor in the error (e.g. `"enc3.mlp.fc1.weight"`).
-    pub fn validate_finite(&self, context: &str) -> Result<(), NonFiniteError> {
-        let mut nan = 0usize;
-        let mut pos_inf = 0usize;
-        let mut neg_inf = 0usize;
-        let mut first = None;
-        for (i, &v) in self.as_slice().iter().enumerate() {
-            if v.is_finite() {
-                continue;
-            }
-            if v.is_nan() {
-                nan += 1;
-            } else if v > 0.0 {
-                pos_inf += 1;
-            } else {
-                neg_inf += 1;
-            }
-            if first.is_none() {
-                let cols = self.cols().max(1);
-                first = Some((i / cols, i % cols));
-            }
-        }
-        match first {
-            None => Ok(()),
-            Some(first) => Err(NonFiniteError {
-                context: context.to_string(),
-                nan,
-                pos_inf,
-                neg_inf,
-                first,
-            }),
-        }
     }
 }
 
@@ -96,28 +24,22 @@ mod tests {
     fn finite_matrix_passes() {
         let m = Matrix::from_rows(&[&[1.0, -2.0], &[0.0, 3.5]]);
         assert!(m.is_all_finite());
-        assert!(m.validate_finite("m").is_ok());
     }
 
     #[test]
-    fn non_finite_kinds_are_counted_and_located() {
-        let m = Matrix::from_rows(&[
-            &[1.0, f32::NAN, 2.0],
-            &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN],
-        ]);
-        assert!(!m.is_all_finite());
-        let err = m.validate_finite("acts").unwrap_err();
-        assert_eq!(err.nan, 2);
-        assert_eq!(err.pos_inf, 1);
-        assert_eq!(err.neg_inf, 1);
-        assert_eq!(err.first, (0, 1));
-        assert!(err.to_string().contains("acts"));
+    fn every_non_finite_kind_anywhere_is_detected() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in 0..6 {
+                let mut m = Matrix::filled(2, 3, 1.0);
+                m.as_mut_slice()[at] = bad;
+                assert!(!m.is_all_finite(), "{bad} at {at}");
+            }
+        }
     }
 
     #[test]
     fn empty_matrix_is_finite() {
         let m = Matrix::zeros(0, 4);
         assert!(m.is_all_finite());
-        assert!(m.validate_finite("empty").is_ok());
     }
 }

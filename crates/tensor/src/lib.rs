@@ -33,7 +33,6 @@ mod quant;
 mod rng;
 
 pub use hash::ContentHasher;
-pub use health::NonFiniteError;
 pub use int8::{matmul_quantized, matmul_quantized_into, PackedInt8};
 pub use matrix::Matrix;
 pub use microkernel::{f32_simd_available, PackedF32, PANEL_WIDTH};

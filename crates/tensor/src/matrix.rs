@@ -548,7 +548,7 @@ impl Matrix {
     /// on every machine: the block is repacked into `panel` (the caller's
     /// reusable buffer, see [`PackedF32::pack_block`]) and the same kernel
     /// runs with an output stride, reading `P` as
-    /// [`Self::matmul_transpose_a_into`] reads its lhs.
+    /// [`Self::matmul_transpose_a`] reads its lhs.
     ///
     /// # Panics
     ///
@@ -580,27 +580,14 @@ impl Matrix {
     /// Matrix product `self.transpose() * rhs` without materializing the
     /// transpose.
     ///
+    /// Packs `rhs` and runs the same kernel as [`Self::matmul_into`] with
+    /// a column-strided view of `self`; the results equal
+    /// `transpose().matmul(rhs)` bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_transpose_a(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_transpose_a_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_transpose_a`] into a caller-owned output buffer.
-    ///
-    /// Packs `rhs` and runs the same kernel as [`Self::matmul_into`] with
-    /// a column-strided view of `self` — the transpose is never
-    /// materialized, and the results equal `transpose().matmul(rhs)` bit
-    /// for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()` or `out` is not
-    /// `self.cols() x rhs.cols()`.
-    pub fn matmul_transpose_a_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows,
             rhs.rows,
@@ -608,11 +595,7 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        assert_eq!(
-            out.shape(),
-            (self.cols, rhs.cols),
-            "matmul_transpose_a_into output shape mismatch"
-        );
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
         let packed = PackedF32::pack(rhs);
         gemm(
             self.transposed_view(),
@@ -621,6 +604,7 @@ impl Matrix {
             &mut out.data,
             rhs.cols,
         );
+        out
     }
 
     /// Applies `f` to every element, returning a new matrix.
@@ -786,7 +770,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if row counts differ.
-    pub fn hcat(&self, other: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn hcat(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "hcat row mismatch");
         Matrix::from_fn(self.rows, self.cols + other.cols, |r, c| {
             if c < self.cols {
@@ -1150,11 +1135,6 @@ mod tests {
         let mut out_tb = Matrix::filled(7, 7, -3.0);
         a.matmul_transpose_b_into(&a, &mut out_tb);
         assert_eq!(out_tb, a.matmul_transpose_b(&a));
-
-        let c = Matrix::randn(7, 6, 1.0, &mut rng);
-        let mut out_ta = Matrix::filled(5, 6, 1e30);
-        a.matmul_transpose_a_into(&c, &mut out_ta);
-        assert_eq!(out_ta, a.matmul_transpose_a(&c));
     }
 
     #[test]
@@ -1348,7 +1328,7 @@ mod prop_tests {
         let (sentinel, stride) = (12345.0f32, n + 3);
         for (name, arm) in gemm_arms() {
             // The row-major view (`matmul_into`, `matmul_prepacked_into`)
-            // and the transposed view (`matmul_transpose_a_into`), each
+            // and the transposed view (`matmul_transpose_a`), each
             // into a dirty buffer.
             for (view, layout) in [
                 (a.lhs_view(), "row-major"),

@@ -156,12 +156,12 @@ impl VitConfig {
         (self.dim as f32 * self.mlp_ratio).round() as usize
     }
 
-    /// Validates divisibility constraints, returning a typed error.
+    /// Validates extents and divisibility, returning a typed error.
     ///
-    /// Unlike [`VitConfig::validate`] this never panics, even on
-    /// adversarially malformed configurations (zero patch size, non-finite
-    /// MLP ratio), which makes it safe to run on headers decoded from
-    /// untrusted checkpoint bytes.
+    /// Never panics, even on adversarially malformed configurations (zero
+    /// patch size, non-finite MLP ratio): checkpoint headers are decoded
+    /// from outside bytes, so this is the one config check with a typed
+    /// error.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         fn check(ok: bool, reason: &str) -> Result<(), ConfigError> {
             if ok {
@@ -194,21 +194,6 @@ impl VitConfig {
         check(self.mlp_hidden() > 0, "mlp hidden size rounds to zero")?;
         Ok(())
     }
-
-    /// Validates divisibility constraints.
-    ///
-    /// Panicking wrapper around [`VitConfig::try_validate`], retained for
-    /// API compatibility on trusted in-process configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image is not divisible into patches, `dim` is not
-    /// divisible by `heads`, or any extent is zero.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{}", e.reason());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -223,8 +208,8 @@ mod tests {
         let l = VitConfig::lvvit_s();
         assert_eq!(l.depth, 16);
         assert_eq!(l.mlp_hidden(), 1152);
-        d.validate();
-        l.validate();
+        assert_eq!(d.try_validate(), Ok(()));
+        assert_eq!(l.try_validate(), Ok(()));
     }
 
     #[test]
@@ -232,9 +217,9 @@ mod tests {
         let t = VitConfig::tiny();
         assert_eq!(t.tokens(), 17);
         assert_eq!(t.patch_dim(), 64);
-        t.validate();
-        VitConfig::tiny_deep().validate();
-        VitConfig::test_small().validate();
+        assert_eq!(t.try_validate(), Ok(()));
+        assert_eq!(VitConfig::tiny_deep().try_validate(), Ok(()));
+        assert_eq!(VitConfig::test_small().try_validate(), Ok(()));
     }
 
     #[test]
@@ -244,7 +229,7 @@ mod tests {
             patch_size: 7,
             ..VitConfig::tiny()
         };
-        cfg.validate();
+        crate::VisionTransformer::new(&cfg, &mut pivot_tensor::Rng::new(0));
     }
 
     #[test]

@@ -56,9 +56,12 @@ impl VisionTransformer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`VitConfig::validate`]).
+    /// Panics with the reason [`VitConfig::try_validate`] returns if the
+    /// configuration is invalid.
     pub fn new(config: &VitConfig, rng: &mut Rng) -> Self {
-        config.validate();
+        if let Err(e) = config.try_validate() {
+            panic!("{}", e.reason());
+        }
         let blocks = (0..config.depth)
             .map(|_| {
                 EncoderBlock::new(
