@@ -7,7 +7,8 @@
 //!
 //! * the **cascade** through [`EffortLadder::evaluate`] — a
 //!   faulted high effort degrades gracefully to the cached low-effort
-//!   prediction, and the [`DegradationReport`] counts every fallback;
+//!   prediction, and its [`pivot_core::DegradationReport`] counts every
+//!   fallback;
 //! * the **baseline**: the faulted full-effort model alone, where a
 //!   non-finite logits row has no meaningful argmax and the sample is
 //!   simply lost (counted wrong).

@@ -292,7 +292,13 @@ fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> 
 /// Rebuilds pipeline artifacts from cached checkpoints: models are loaded,
 /// the CKA matrix and Phase-1 rankings are recomputed (cheap) from the
 /// cached teacher over the same `config.cka_batch` training images the
-/// training run used, so a warm run reproduces the cold one.
+/// training run used, so a warm run reproduces the cold one. Each effort's
+/// path and score are its Phase-1 optimum, as in [`PivotPipeline::run`].
+///
+/// # Panics
+///
+/// Panics, naming the effort, if a cached effort's active attentions are
+/// not its Phase-1 path (a stale cache).
 fn rebuild_from_cache(
     teacher_path: &Path,
     effort_paths: &[PathBuf],
@@ -309,18 +315,21 @@ fn rebuild_from_cache(
         .collect();
     let effort_models: Vec<EffortModel> = effort_paths
         .iter()
-        .zip(&config.efforts)
-        .map(|(path, &effort)| {
+        .zip(&phase1)
+        .map(|(path, result)| {
             let model = VisionTransformer::load(path).expect("cached effort readable");
-            let mask: Vec<bool> = (0..model.config().depth)
-                .map(|i| model.active_attentions().contains(&i))
-                .collect();
-            let path_config = pivot_core::PathConfig::from_mask(&mask);
-            let score = pivot_core::path_score(&path_config, &cka);
+            let optimal = &result.optimal;
+            assert_eq!(
+                model.active_attentions(),
+                optimal.path.active(),
+                "cached effort {} does not run its Phase-1 path: stale cache at {}",
+                result.effort,
+                path.display()
+            );
             EffortModel {
-                effort,
-                path: path_config,
-                score,
+                effort: result.effort,
+                path: optimal.path.clone(),
+                score: optimal.score,
                 model,
             }
         })
@@ -374,10 +383,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_rebuild_recomputes_cka_over_the_profiles_batch() {
-        // Full's CKA batch (256) exceeds the 96 images a warm run once
-        // hard-coded, so a mismatch shows up as a different matrix.
+    /// Writes a cache of an untrained teacher and one effort per
+    /// `config.efforts` entry, each effort running `path(effort, &cka)`,
+    /// rebuilds from it, and returns the teacher and the rebuilt artifacts.
+    fn rebuild_a_cache(
+        name: &str,
+        path: impl Fn(usize, &pivot_cka::CkaMatrix) -> Vec<usize>,
+    ) -> (VisionTransformer, PipelineConfig, Dataset, PivotArtifacts) {
         let vit = VitConfig::test_small();
         let config = PipelineConfig {
             vit: vit.clone(),
@@ -394,28 +406,55 @@ mod tests {
             },
             3,
         );
-        assert!(config.cka_batch > 96 && dataset.train.len() > config.cka_batch);
-
-        let dir = std::env::temp_dir().join(format!("pivot_harness_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("pivot_harness_{name}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let teacher = VisionTransformer::new(&vit, &mut pivot_tensor::Rng::new(5));
         let teacher_path = dir.join("teacher.bin");
         teacher.save(&teacher_path).expect("save teacher");
+        let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
+        let cka = compute_cka_matrix(&teacher, &batch);
         let effort_paths: Vec<PathBuf> = config
             .efforts
             .iter()
             .map(|&e| {
                 let mut model = teacher.clone();
-                model.set_active_attentions(&(0..e).collect::<Vec<_>>());
+                model.set_active_attentions(&path(e, &cka));
                 let path = dir.join(format!("effort_{e}.bin"));
                 model.save(&path).expect("save effort");
                 path
             })
             .collect();
-        let rebuilt = rebuild_from_cache(&teacher_path, &effort_paths, &config, &dataset);
+        let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rebuild_from_cache(&teacher_path, &effort_paths, &config, &dataset)
+        }));
         std::fs::remove_dir_all(&dir).ok();
+        let rebuilt = rebuilt.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (teacher, config, dataset, rebuilt)
+    }
 
+    #[test]
+    fn warm_rebuild_recomputes_cka_over_the_profiles_batch() {
+        // Full's CKA batch (256) exceeds the 96 images a warm run once
+        // hard-coded, so a mismatch shows up as a different matrix.
+        let (teacher, config, dataset, rebuilt) = rebuild_a_cache("cka", |e, cka| {
+            let phase1 = pivot_core::select_optimal_path(e, cka, pivot_core::Parallelism::Off);
+            phase1.optimal.path.active().to_vec()
+        });
+        assert!(config.cka_batch > 96 && dataset.train.len() > config.cka_batch);
         let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
         assert_eq!(rebuilt.cka, compute_cka_matrix(&teacher, &batch));
+        // Each effort's path and score are its Phase-1 optimum.
+        for (effort, phase1) in rebuilt.efforts.iter().zip(&rebuilt.phase1) {
+            assert_eq!(effort.path, phase1.optimal.path);
+            assert_eq!(effort.score.to_bits(), phase1.optimal.score.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cached effort 2 does not run its Phase-1 path")]
+    fn a_stale_cached_effort_is_rejected_by_name() {
+        // Every Phase-1 path of effort 2 over this teacher keeps two
+        // attentions; no attention at all is never one of them.
+        rebuild_a_cache("stale", |_, _| Vec::new());
     }
 }

@@ -37,8 +37,8 @@
 //!   escalates in both), so the two are equal bit for bit.
 
 use crate::guarded::{
-    observe_level, observe_levels, stays_low, sweep_from_level0, threshold_grid_walk,
-    DegradationReport, LevelObs,
+    check_threshold, observe_level, observe_levels, stays_low, sweep_from_level0,
+    threshold_grid_walk, DegradationReport, LevelObs,
 };
 use crate::multilevel::CascadeStats;
 use crate::parallel::Parallelism;
@@ -142,7 +142,12 @@ impl CascadeCache {
     /// Fraction of cached samples the low effort would classify at
     /// `threshold` (`F_L`), in O(N) with no inference. Returns 0.0 for an
     /// empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `threshold` passes [`check_threshold`].
     pub fn f_low_at(&self, threshold: f32) -> f64 {
+        check_threshold(threshold);
         if self.is_empty() {
             return 0.0;
         }
@@ -156,7 +161,12 @@ impl CascadeCache {
 
     /// Indices of the samples that escalate to the high effort at
     /// `threshold`, in sample order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `threshold` passes [`check_threshold`].
     pub fn escalated(&self, threshold: f32) -> Vec<usize> {
+        check_threshold(threshold);
         self.entropies
             .iter()
             .enumerate()
@@ -194,8 +204,9 @@ impl CascadeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is not the set the cache was built from (length
-    /// check), or `high` does not share the low effort's class space.
+    /// Panics if `threshold` breaks [`check_threshold`], `samples` is not
+    /// the set the cache was built from (length check), or `high` does not
+    /// share the low effort's class space.
     pub fn evaluate(
         &self,
         high: &PreparedModel,
@@ -203,6 +214,7 @@ impl CascadeCache {
         threshold: f32,
         par: Parallelism,
     ) -> (CascadeStats, DegradationReport) {
+        check_threshold(threshold);
         assert_eq!(
             samples.len(),
             self.len(),

@@ -88,6 +88,62 @@ pub fn check_grid_walk(lec: f64, step: f32) {
     );
 }
 
+/// The one rule for a gate threshold `Th`: it must be in `[0, 1]`, the
+/// range of the normalized entropy it is compared with. Checked by every
+/// entry that takes a threshold — [`check_ladder`] for each gate,
+/// [`CascadeCache`](crate::CascadeCache)'s `F_L` queries and evaluation,
+/// and, at construction, `pivot_serve`'s threshold controller — so all of
+/// them accept and reject the same values.
+///
+/// A NaN or negative `Th` would read as "escalate everything" and one
+/// above 1 as "exit at level 0", both silently. `±0` and the inclusive
+/// `Th = 1.0` are in range.
+///
+/// # Panics
+///
+/// Panics, naming the value, if `threshold` is outside `[0, 1]` or NaN.
+pub fn check_threshold(threshold: f32) {
+    assert!(
+        (0.0..=1.0).contains(&threshold),
+        "threshold must be in [0, 1], got {threshold}"
+    );
+}
+
+/// The one rule for an effort ladder: at least two levels, one class
+/// count, one threshold per gate, each passing [`check_threshold`], and no
+/// gate stricter than the one below it (a decreasing gate would let an
+/// input bypass a level it would have accepted). Checked by every entry
+/// that takes levels and gates: [`EffortLadder`](crate::EffortLadder),
+/// [`evaluate_guarded_slice`] and the `pivot_serve` engine.
+///
+/// # Panics
+///
+/// Panics, naming the rule and the value, if any clause is broken.
+pub fn check_ladder(levels: &[PreparedModel], thresholds: &[f32]) {
+    assert!(
+        levels.len() >= 2,
+        "a ladder needs at least two levels, got {}",
+        levels.len()
+    );
+    let classes = |m: &PreparedModel| m.config().num_classes;
+    assert!(
+        levels.iter().all(|m| classes(m) == classes(&levels[0])),
+        "efforts must share the class space, got class counts {:?}",
+        levels.iter().map(classes).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        thresholds.len(),
+        levels.len() - 1,
+        "need one threshold per gate (levels - 1), got {thresholds:?} for {} levels",
+        levels.len()
+    );
+    thresholds.iter().copied().for_each(check_threshold);
+    assert!(
+        thresholds.windows(2).all(|w| w[0] <= w[1]),
+        "thresholds must be non-decreasing, got {thresholds:?}"
+    );
+}
+
 /// The smallest threshold on the grid `step, 2·step, …` (capped at 1.0)
 /// whose low-effort fraction `f_low(threshold)` reaches `lec` — Phase 2's
 /// incremental threshold iteration, shared by the offline
@@ -167,30 +223,6 @@ impl DegradationReport {
     /// faulty.
     pub fn escalations(&self) -> usize {
         self.events.iter().filter(|e| e.served_by.is_none()).count()
-    }
-
-    /// Appends every event of `other`, preserving `other`'s internal
-    /// order after the events already present.
-    ///
-    /// This is the aggregation primitive for long-lived consumers (the
-    /// serving engine's health counters, multi-evaluation sweeps): each
-    /// per-request/per-batch report merges into one running report whose
-    /// counters ([`Self::fallbacks`], [`Self::non_finite_at`], ...) then
-    /// describe the whole history. Sample indices stay *local* to the
-    /// evaluation that produced them — a merged report counts events, it
-    /// does not re-index samples across evaluations.
-    pub fn merge(&mut self, other: DegradationReport) {
-        self.events.extend(other.events);
-    }
-}
-
-impl std::iter::Sum for DegradationReport {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        let mut total = DegradationReport::default();
-        for report in iter {
-            total.merge(report);
-        }
-        total
     }
 }
 
@@ -316,12 +348,6 @@ fn sweep(
     mut observe: impl FnMut(usize, &[usize]) -> Vec<LevelObs>,
 ) -> (Vec<GuardedOutcome>, DegradationReport) {
     let depth = memo.len();
-    assert!(depth > 0, "need at least one effort level");
-    assert_eq!(
-        thresholds.len(),
-        depth - 1,
-        "need one threshold per gate (levels - 1)"
-    );
     assert!(max_level < depth, "effort cap beyond ladder top");
 
     let n = memo[0].len();
@@ -427,8 +453,8 @@ pub(crate) fn sweep_from_level0(
 ///
 /// # Panics
 ///
-/// Panics if `levels` is empty, `thresholds.len() != levels.len() - 1`,
-/// or `max_level >= levels.len()`.
+/// Panics unless `levels` and `thresholds` pass [`check_ladder`], or if
+/// `max_level >= levels.len()`.
 pub fn evaluate_guarded_slice(
     levels: &[PreparedModel],
     thresholds: &[f32],
@@ -436,6 +462,7 @@ pub fn evaluate_guarded_slice(
     images: &[&Matrix],
     par: Parallelism,
 ) -> (Vec<GuardedOutcome>, DegradationReport) {
+    check_ladder(levels, thresholds);
     let memo = vec![vec![None; images.len()]; levels.len()];
     sweep(memo, thresholds, max_level, |level, missing| {
         let reached: Vec<&Matrix> = missing.iter().map(|&i| images[i]).collect();
@@ -912,37 +939,6 @@ mod tests {
             &[],
             Parallelism::Off,
         );
-    }
-
-    #[test]
-    fn merge_and_sum_aggregate_reports() {
-        let event = |sample, level, served_by| DegradationEvent {
-            sample,
-            level,
-            served_by,
-        };
-        let mut a = DegradationReport {
-            events: vec![event(0, 0, None)],
-        };
-        let b = DegradationReport {
-            events: vec![event(1, 1, Some(0)), event(2, 1, Some(0))],
-        };
-        a.merge(b.clone());
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.escalations(), 1);
-        assert_eq!(a.fallbacks(), 2);
-        assert_eq!(a.non_finite_at(1), 2);
-        // Merging an empty report is a no-op; merging into an empty report
-        // reproduces the source.
-        let before = a.clone();
-        a.merge(DegradationReport::default());
-        assert_eq!(a, before);
-        let summed: DegradationReport =
-            vec![before.clone(), DegradationReport::default(), b.clone()]
-                .into_iter()
-                .sum();
-        assert_eq!(summed.len(), before.len() + b.len());
-        assert_eq!(summed.fallbacks(), before.fallbacks() + b.fallbacks());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   DESIGN.md §5, over a memo private to it. [`evaluate_guarded_slice`]
 //!   is its per-request form (what `pivot-serve` runs per batch, under an
 //!   effort cap); the two below are typed front-ends over it. It also
-//!   holds Phase 2's threshold iteration ([`threshold_grid_walk`]) and the
-//!   one rule for its `lec` and `step` ([`check_grid_walk`]).
+//!   holds Phase 2's threshold iteration ([`threshold_grid_walk`]), the
+//!   one rule for its `lec` and `step` ([`check_grid_walk`]), and the one
+//!   rule for a gate threshold and a ladder ([`check_threshold`],
+//!   [`check_ladder`]).
 //! * [`multilevel`] — [`EffortLadder`], the one holder of prepared effort
 //!   levels (the paper's low/high cascade of Fig. 2a is its `N = 2` case),
 //!   and [`CascadeStats`], the one fold of outcomes over labels (`C_L`,
@@ -63,8 +65,8 @@ pub use batched::{batched_logits, EVAL_BATCH};
 pub use cache::CascadeCache;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
 pub use guarded::{
-    check_grid_walk, evaluate_guarded_slice, stays_low, threshold_grid_walk, DegradationEvent,
-    DegradationReport, GuardedOutcome,
+    check_grid_walk, check_ladder, check_threshold, evaluate_guarded_slice, stays_low,
+    threshold_grid_walk, DegradationEvent, DegradationReport, GuardedOutcome,
 };
 pub use multilevel::{CascadeStats, EffortLadder};
 pub use parallel::{par_map, Parallelism};

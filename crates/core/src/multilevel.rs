@@ -12,7 +12,7 @@
 //! fault accounting are the guarded sweep's ([`crate::guarded`]), and
 //! [`CascadeStats`] is the one fold of its outcomes over labels.
 
-use crate::guarded::{evaluate_guarded_slice, DegradationReport, GuardedOutcome};
+use crate::guarded::{check_ladder, evaluate_guarded_slice, DegradationReport, GuardedOutcome};
 use crate::parallel::Parallelism;
 use pivot_data::Sample;
 use pivot_tensor::Matrix;
@@ -167,18 +167,8 @@ impl EffortLadder {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two levels are given, the levels disagree on
-    /// class count, the threshold count is not `levels - 1`, a threshold is
-    /// outside `[0, 1]`, or thresholds are not non-decreasing (a later gate must not be stricter: otherwise an
-    /// input could bypass a level it would have accepted).
+    /// Panics unless the levels and thresholds pass [`check_ladder`].
     pub fn new(levels: Vec<VisionTransformer>, thresholds: Vec<f32>) -> Self {
-        assert!(levels.len() >= 2, "a ladder needs at least two levels");
-        assert!(
-            levels
-                .iter()
-                .all(|m| m.config().num_classes == levels[0].config().num_classes),
-            "efforts must share the class space"
-        );
         let store = PreparedStore::new();
         let prepared = levels.iter().map(|m| m.prepare_in(&store)).collect();
         let mut ladder = Self {
@@ -189,24 +179,13 @@ impl EffortLadder {
         ladder
     }
 
-    /// Replaces the gate thresholds, under the constructor's checks.
+    /// Replaces the gate thresholds, under the constructor's rule.
     ///
     /// # Panics
     ///
-    /// Panics if the threshold count is not `levels - 1`, a threshold is
-    /// outside `[0, 1]`, or thresholds are not non-decreasing.
+    /// Panics unless the levels and `thresholds` pass [`check_ladder`].
     pub fn set_thresholds(&mut self, thresholds: Vec<f32>) {
-        assert_eq!(
-            thresholds.len(),
-            self.depth() - 1,
-            "need one threshold per gate (levels - 1)"
-        );
-        let mut prev = 0.0f32;
-        for &t in &thresholds {
-            assert!((0.0..=1.0).contains(&t), "threshold {t} out of [0, 1]");
-            assert!(t >= prev, "thresholds must be non-decreasing");
-            prev = t;
-        }
+        check_ladder(&self.prepared, &thresholds);
         self.thresholds = thresholds;
     }
 
@@ -477,13 +456,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of [0, 1]")]
+    #[should_panic(expected = "threshold must be in [0, 1], got 1.5")]
     fn invalid_threshold_panics() {
         let _ = EffortLadder::new(models(10)[..2].to_vec(), vec![1.5]);
     }
 
     #[test]
-    #[should_panic(expected = "non-decreasing")]
+    #[should_panic(expected = "thresholds must be non-decreasing, got [0.8, 0.4]")]
     fn decreasing_thresholds_panic() {
         let _ = EffortLadder::new(models(10), vec![0.8, 0.4]);
     }

@@ -45,19 +45,6 @@ impl PathConfig {
         }
     }
 
-    /// Builds a path from a boolean activity mask.
-    pub fn from_mask(mask: &[bool]) -> Self {
-        let active = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| a.then_some(i))
-            .collect();
-        Self {
-            depth: mask.len(),
-            active,
-        }
-    }
-
     /// Encoder count.
     pub fn depth(&self) -> usize {
         self.depth
@@ -154,7 +141,7 @@ mod tests {
     #[test]
     fn mask_round_trip() {
         let p = PathConfig::new(6, &[0, 3, 5]);
-        assert_eq!(PathConfig::from_mask(&p.to_mask()), p);
+        assert_eq!(p.to_mask(), [true, false, false, true, false, true]);
         assert_eq!(p.skipped(), vec![1, 2, 4]);
     }
 

@@ -4,7 +4,7 @@
 //! projections, layer normalization, GELU, multi-head self-attention, the MLP
 //! block and the full pre-norm encoder block with an *attention skip* switch —
 //! together with the three losses of the PIVOT training objective
-//! (`L_CE + L_Distill + L_En`) and the Adam/SGD optimizers.
+//! (`L_CE + L_Distill + L_En`) and the Adam optimizer.
 //!
 //! There is no autodiff tape: each layer caches what its backward pass needs
 //! during `forward` and exposes `backward(d_out) -> d_in`, accumulating
@@ -42,7 +42,7 @@ pub use losses::{
 };
 pub use mlp::Mlp;
 pub use norm::LayerNorm;
-pub use optim::{Adam, AdamConfig, Sgd};
+pub use optim::{Adam, AdamConfig};
 pub use param::Param;
 pub use prepared::{PreparedAttention, PreparedEncoderBlock, PreparedLinear, PreparedMlp};
 pub use store::{PreparedStore, StoreStats};

@@ -1,6 +1,6 @@
-//! Optimizers: Adam and SGD with momentum.
+//! The optimizer: Adam.
 //!
-//! Optimizers are stateless with respect to the model type: they operate on
+//! The optimizer is stateless with respect to the model type: it operates on
 //! the flat `Vec<&mut Param>` a [`Layer`](crate::Layer) exposes, keyed by
 //! position, so the parameter order must be stable across steps (it is — the
 //! layers build the vector deterministically).
@@ -128,51 +128,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD with momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update and clears the gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of parameters changes between steps.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "parameter count changed between steps"
-        );
-        for (i, p) in params.iter_mut().enumerate() {
-            let vel = &mut self.velocity[i];
-            vel.scale_in_place(self.momentum);
-            vel.add_scaled_in_place(&p.grad, 1.0);
-            p.value.add_scaled_in_place(vel, -self.lr);
-            p.zero_grad();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,18 +144,6 @@ mod tests {
             let x = p.value[(0, 0)];
             p.grad = Matrix::filled(1, 1, 2.0 * (x - 3.0));
             adam.step(&mut [&mut p]);
-        }
-        assert!((p.value[(0, 0)] - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Param::new(Matrix::filled(1, 1, 10.0));
-        let mut sgd = Sgd::new(0.05, 0.9);
-        for _ in 0..200 {
-            let x = p.value[(0, 0)];
-            p.grad = Matrix::filled(1, 1, 2.0 * (x - 3.0));
-            sgd.step(&mut [&mut p]);
         }
         assert!((p.value[(0, 0)] - 3.0).abs() < 1e-2);
     }

@@ -4,9 +4,8 @@
 //! `process` is deliberately free of threads — the [`Server`](crate::Server)
 //! wraps it in a worker loop, and deterministic tests drive it directly on
 //! a [`ServeClock::manual`](crate::ServeClock::manual) virtual clock with
-//! [`StallSchedule`](pivot_core::StallSchedule) chaos, so every
-//! deadline-miss and panic-isolation path replays bit-identically with no
-//! wall-clock flakiness.
+//! [`StallSchedule`] chaos, so every deadline-miss and panic-isolation path
+//! replays bit-identically with no wall-clock flakiness.
 
 use crate::clock::ServeClock;
 use crate::health::HealthStats;
@@ -15,7 +14,7 @@ use crate::queue::Pending;
 use crate::request::{ServeError, ServeOutcome, ServeResponse, Served};
 use crate::server::ServeConfig;
 use crate::threshold::ThresholdController;
-use pivot_core::{evaluate_guarded_slice, Parallelism, StallSchedule};
+use pivot_core::{check_ladder, evaluate_guarded_slice, Parallelism, StallSchedule};
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,9 +63,9 @@ impl EngineCore {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is empty, thresholds don't match the gate count,
-    /// a threshold is outside `[0, 1]`, or adaptive threshold control is
-    /// requested on a gateless (single-level) ladder.
+    /// Panics unless `levels` and `thresholds` pass [`check_ladder`], or if
+    /// adaptive threshold control is requested on a ladder deeper than two
+    /// levels: the tuner moves gate 0 alone and could cross gate 1 mid-run.
     pub fn new(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
@@ -74,22 +73,13 @@ impl EngineCore {
         chaos: ChaosConfig,
         clock: ServeClock,
     ) -> (Self, Arc<Mutex<HealthStats>>) {
-        assert!(!levels.is_empty(), "need at least one effort level");
-        assert_eq!(
-            thresholds.len(),
-            levels.len() - 1,
-            "need one threshold per gate (levels - 1)"
-        );
+        check_ladder(&levels, &thresholds);
         assert!(
-            thresholds.iter().all(|t| (0.0..=1.0).contains(t)),
-            "entropy thresholds live in [0, 1]"
+            config.threshold.is_none() || levels.len() == 2,
+            "adaptive threshold control needs a two-level ladder, got {} levels",
+            levels.len()
         );
-        assert!(
-            config.threshold.is_none() || !thresholds.is_empty(),
-            "adaptive threshold control needs at least one gate (two levels)"
-        );
-        let top = levels.len() - 1;
-        let initial_th = thresholds.first().copied().unwrap_or(1.0);
+        let (top, initial_th) = (levels.len() - 1, thresholds[0]);
         let health = Arc::new(Mutex::new(HealthStats {
             effort_cap: top,
             threshold: initial_th,
@@ -226,21 +216,19 @@ impl EngineCore {
                     for o in &outcomes {
                         tuner.observe(o.low_entropy);
                     }
-                    let th = tuner.end_batch(self.controller.is_degraded());
-                    if let Some(gate) = self.thresholds.first_mut() {
-                        *gate = th;
-                    }
+                    self.thresholds[0] = tuner.end_batch(self.controller.is_degraded());
                 }
                 let mut health = lock(&self.health);
                 health.completed += completed;
                 health.degraded += degraded;
                 health.timed_out += timed_out;
-                health.threshold = self.thresholds.first().copied().unwrap_or(1.0);
+                health.threshold = self.thresholds[0];
                 if let Some(tuner) = self.tuner.as_ref() {
                     health.retunes = tuner.retunes();
                     health.th_holds = tuner.holds();
                 }
-                health.report.merge(report);
+                health.fallbacks += report.fallbacks() as u64;
+                health.fault_escalations += report.escalations() as u64;
             }
         }
     }
@@ -340,7 +328,7 @@ mod tests {
         assert_eq!(h.completed, 8);
         assert_eq!(h.batches, 1);
         assert_eq!(h.effort_cap, 1);
-        assert!(h.report.is_empty());
+        assert_eq!((h.fallbacks, h.fault_escalations), (0, 0));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! Every submission increments exactly one admission counter and — if
 //! admitted — exactly one resolution counter, so at drain the identity
 //! `submitted == shed + completed + degraded + timed_out + failed` holds.
-//! The ledger also merges every batch's
-//! [`DegradationReport`](pivot_core::DegradationReport), folding the
-//! offline fault-accounting vocabulary (DESIGN.md §5) into the online one.
+//! The ledger also sums two counts of every batch's
+//! [`DegradationReport`](pivot_core::DegradationReport) — its fallbacks
+//! and its fault escalations — folding the offline fault-accounting
+//! vocabulary (DESIGN.md §5) into the online one at a fixed size.
 
-use pivot_core::DegradationReport;
 use std::fmt;
 
 /// Snapshot of the server's cumulative counters.
@@ -40,15 +40,19 @@ pub struct HealthStats {
     pub effort_cap: usize,
     /// Gate threshold (`Th`) in force after the most recent executed
     /// batch — Phase 2's static pick unless the adaptive controller is
-    /// retuning it. `1.0` for a single-level ladder (no gate).
+    /// retuning it.
     pub threshold: f32,
     /// Adaptive-threshold retunes applied by the controller.
     pub retunes: u64,
     /// Adaptive-threshold retunes held because the overload cap was
     /// engaged (the precedence contract: the cap outranks the gate).
     pub th_holds: u64,
-    /// Merged fault accounting across every executed batch.
-    pub report: DegradationReport,
+    /// Requests served by a fallback prediction: the sum of every executed
+    /// batch's `DegradationReport::fallbacks`.
+    pub fallbacks: u64,
+    /// Degradation events without a substituted prediction: the sum of
+    /// every executed batch's `DegradationReport::escalations`.
+    pub fault_escalations: u64,
 }
 
 impl HealthStats {
@@ -70,7 +74,7 @@ impl fmt::Display for HealthStats {
             f,
             "submitted {} = shed {} + completed {} + degraded {} + timed_out {} + failed {} \
              | {} batches ({} panicked, {} stalled), effort cap {} \
-             ({} down / {} up), Th {:.3} ({} retunes / {} held), {}",
+             ({} down / {} up), Th {:.3} ({} retunes / {} held), ",
             self.submitted,
             self.shed,
             self.completed,
@@ -86,8 +90,21 @@ impl fmt::Display for HealthStats {
             self.threshold,
             self.retunes,
             self.th_holds,
-            self.report,
-        )
+        )?;
+        // Worded as `DegradationReport`'s own summary.
+        let plural = |n: u64| if n == 1 { "" } else { "s" };
+        match self.fault_escalations + self.fallbacks {
+            0 => write!(f, "no degradation events"),
+            events => write!(
+                f,
+                "{events} degradation event{} ({} fault escalation{}, {} fallback{})",
+                plural(events),
+                self.fault_escalations,
+                plural(self.fault_escalations),
+                self.fallbacks,
+                plural(self.fallbacks),
+            ),
+        }
     }
 }
 

@@ -43,9 +43,9 @@ impl ReplayEngine {
     /// # Panics
     ///
     /// Same ladder validation as [`Server::spawn`](crate::Server::spawn):
-    /// panics if `levels` is empty, thresholds don't match the gate count,
-    /// a threshold is outside `[0, 1]`, or adaptive threshold control is
-    /// requested on a gateless (single-level) ladder.
+    /// panics if the ladder breaks
+    /// [`check_ladder`](pivot_core::check_ladder), or adaptive threshold
+    /// control is requested over more than two levels.
     pub fn new(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
@@ -176,6 +176,57 @@ mod tests {
         assert!(a
             .iter()
             .all(|r| matches!(r.outcome, ServeOutcome::Completed(_))));
+    }
+
+    #[test]
+    #[should_panic(expected = "efforts must share the class space, got class counts [4, 7]")]
+    fn levels_of_different_class_counts_are_rejected() {
+        let (mut levels, ths) = ladder();
+        let cfg = VitConfig {
+            num_classes: 7,
+            ..VitConfig::test_small()
+        };
+        levels[1] = VisionTransformer::new(&cfg, &mut Rng::new(66)).prepare();
+        let _ = ReplayEngine::new(levels, ths, config(), ChaosConfig::default());
+    }
+
+    #[test]
+    fn the_ledger_counts_the_sums_of_the_per_batch_reports() {
+        use pivot_core::{evaluate_guarded_slice, DegradationReport, FaultInjector, FaultKind};
+        // A few stuck-at-max low-effort weights poison some samples' level-0
+        // entropies (fault escalations); a stuck-NaN high effort makes every
+        // escalated sample fall back to its low prediction (fallbacks).
+        let mut low = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(0));
+        low.set_active_attentions(&[0]);
+        FaultInjector::new(0).inject_params(&mut low, FaultKind::StuckMax, 8);
+        let mut high = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(61));
+        high.set_active_attentions(&[0, 1]);
+        FaultInjector::new(1).inject_params(&mut high, FaultKind::StuckNan, 10_000);
+        let (levels, ths) = (vec![low.prepare(), high.prepare()], vec![0.5]);
+
+        let set = samples(24, 3);
+        let mut eng = ReplayEngine::new(
+            levels.clone(),
+            ths.clone(),
+            config(),
+            ChaosConfig::default(),
+        );
+        let mut all = DegradationReport::default();
+        let (mut fallbacks, mut escalations) = (0, 0);
+        for chunk in set.chunks(5) {
+            let images: Vec<Matrix> = chunk.iter().map(|s| s.image.clone()).collect();
+            eng.process(&images, Duration::from_secs(1));
+            let refs: Vec<&Matrix> = images.iter().collect();
+            let (_, report) = evaluate_guarded_slice(&levels, &ths, 1, &refs, Parallelism::Off);
+            fallbacks += report.fallbacks() as u64;
+            escalations += report.escalations() as u64;
+            all.events.extend(report.events);
+        }
+        let h = eng.health();
+        assert!(fallbacks > 0 && escalations > 0, "{all}");
+        assert_eq!((h.fallbacks, h.fault_escalations), (fallbacks, escalations));
+        // The ledger line words the counts as the reports do.
+        assert!(h.to_string().ends_with(&all.to_string()), "{h}");
     }
 
     #[test]

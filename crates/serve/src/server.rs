@@ -43,10 +43,10 @@ pub struct ServeConfig {
     pub overload: OverloadPolicy,
     /// Adaptive gate-threshold control. `None` (the default) serves with
     /// the static thresholds passed at spawn — Phase 2's offline
-    /// operating point. `Some` closes the loop online: the first gate's
+    /// operating point. `Some` closes the loop online: the gate's
     /// threshold is retuned from observed low-effort entropies to hold
-    /// `F_L >= lec` as traffic drifts (see
-    /// [`ThresholdPolicy`](crate::ThresholdPolicy)).
+    /// `F_L >= lec` as traffic drifts (see [`ThresholdPolicy`]). It needs
+    /// a two-level ladder: the tuner moves one gate.
     pub threshold: Option<ThresholdPolicy>,
 }
 
@@ -79,9 +79,10 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is empty, `thresholds.len() != levels.len() - 1`,
-    /// any threshold is outside `[0, 1]`, or the config's capacity or
-    /// `max_batch` is zero.
+    /// Panics if the ladder breaks
+    /// [`check_ladder`](pivot_core::check_ladder), adaptive threshold
+    /// control is requested over more than two levels, or the config's
+    /// capacity or `max_batch` is zero.
     pub fn spawn(levels: Vec<PreparedModel>, thresholds: Vec<f32>, config: ServeConfig) -> Self {
         Self::spawn_with(
             levels,
@@ -251,7 +252,7 @@ mod tests {
         let h = server.shutdown();
         assert_eq!(h.completed, 16);
         assert!(h.accounted(), "ledger must balance: {h}");
-        assert!(h.report.is_empty());
+        assert_eq!((h.fallbacks, h.fault_escalations), (0, 0));
     }
 
     #[test]
@@ -364,5 +365,17 @@ mod tests {
     fn mismatched_thresholds_are_rejected_at_spawn() {
         let (levels, _) = ladder();
         let _ = Server::spawn(levels, vec![0.5, 0.5], config());
+    }
+
+    #[test]
+    #[should_panic(expected = "efforts must share the class space, got class counts [4, 7]")]
+    fn levels_of_different_class_counts_are_rejected_at_spawn() {
+        let (mut levels, thresholds) = ladder();
+        let cfg = VitConfig {
+            num_classes: 7,
+            ..VitConfig::test_small()
+        };
+        levels[1] = VisionTransformer::new(&cfg, &mut Rng::new(53)).prepare();
+        let _ = Server::spawn(levels, thresholds, config());
     }
 }

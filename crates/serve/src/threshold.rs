@@ -30,7 +30,7 @@
 //!   `Th` while the cap is already shedding effort would double-degrade
 //!   and fight the cap's hysteresis. Retuning resumes at full effort.
 
-use pivot_core::{check_grid_walk, stays_low, threshold_grid_walk};
+use pivot_core::{check_grid_walk, check_threshold, stays_low, threshold_grid_walk};
 use std::collections::VecDeque;
 
 /// Tuning of the adaptive threshold control loop.
@@ -48,9 +48,10 @@ pub struct ThresholdPolicy {
     /// Threshold grid step (mirrors Phase 2's sweep step), finite and at
     /// least `f32::EPSILON` ([`check_grid_walk`]).
     pub step: f32,
-    /// Lowest threshold the controller may set.
+    /// Lowest threshold the controller may set ([`check_threshold`]).
     pub floor: f32,
-    /// Highest threshold the controller may set.
+    /// Highest threshold the controller may set ([`check_threshold`]), at
+    /// least `floor`.
     pub ceil: f32,
 }
 
@@ -75,8 +76,8 @@ impl ThresholdPolicy {
     ///
     /// Panics if `lec` or `step` breaks the grid walk's one rule
     /// ([`check_grid_walk`]), `window` or `tick_batches` is zero,
-    /// `min_fill` exceeds `window`, or the clamp range is not
-    /// `0 <= floor <= ceil <= 1`.
+    /// `min_fill` exceeds `window`, `floor` or `ceil` breaks the threshold
+    /// rule ([`check_threshold`]), or `floor > ceil`.
     pub fn validate(&self) {
         check_grid_walk(self.lec, self.step);
         assert!(self.window >= 1, "window must be >= 1");
@@ -87,11 +88,11 @@ impl ThresholdPolicy {
             self.min_fill,
             self.window
         );
+        check_threshold(self.floor);
+        check_threshold(self.ceil);
         assert!(
-            (0.0..=1.0).contains(&self.floor)
-                && (0.0..=1.0).contains(&self.ceil)
-                && self.floor <= self.ceil,
-            "clamp range must satisfy 0 <= floor <= ceil <= 1, got [{}, {}]",
+            self.floor <= self.ceil,
+            "clamp range must satisfy floor <= ceil, got [{}, {}]",
             self.floor,
             self.ceil
         );
@@ -118,13 +119,10 @@ impl ThresholdController {
     /// # Panics
     ///
     /// Panics if the policy is invalid (see [`ThresholdPolicy::validate`])
-    /// or `initial_th` is outside `[0, 1]`.
+    /// or `initial_th` breaks the threshold rule ([`check_threshold`]).
     pub fn new(initial_th: f32, policy: ThresholdPolicy) -> Self {
         policy.validate();
-        assert!(
-            (0.0..=1.0).contains(&initial_th),
-            "initial threshold must be in [0, 1], got {initial_th}"
-        );
+        check_threshold(initial_th);
         Self {
             policy,
             th: initial_th,
@@ -369,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "initial threshold")]
+    #[should_panic(expected = "threshold must be in [0, 1], got 1.5")]
     fn out_of_range_initial_threshold_is_rejected() {
         let _ = ThresholdController::new(1.5, policy());
     }
