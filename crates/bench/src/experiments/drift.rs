@@ -7,7 +7,7 @@
 //! the operating point was chosen for — every lost low exit is a full
 //! high-effort re-run, so energy-per-request climbs exactly when the
 //! fleet is busiest. This experiment measures that failure and the
-//! [`ThresholdController`](pivot_serve::ThresholdController) fix on
+//! adaptive threshold controller's fix ([`ThresholdPolicy`]) on
 //! deterministic drift schedules from `pivot-data`:
 //!
 //! * **static** — `Th` calibrated once on the stream's first

@@ -227,22 +227,32 @@ impl DegradationReport {
 }
 
 impl std::fmt::Display for DegradationReport {
-    /// One-line health summary, e.g.
-    /// `3 degradation events (1 fault escalation, 2 fallbacks)`.
+    /// One-line health summary ([`write_degradation_summary`]).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_empty() {
-            return write!(f, "no degradation events");
-        }
-        write!(
+        write_degradation_summary(f, self.escalations() as u64, self.fallbacks() as u64)
+    }
+}
+
+/// Writes the one-line summary of `escalations + fallbacks` degradation
+/// events, e.g. `3 degradation events (1 fault escalation, 2 fallbacks)`,
+/// or `no degradation events`. [`DegradationReport`] and the serving
+/// ledger, which sums the two counts over batches, both print it.
+pub fn write_degradation_summary(
+    f: &mut std::fmt::Formatter<'_>,
+    escalations: u64,
+    fallbacks: u64,
+) -> std::fmt::Result {
+    let plural = |n: u64| if n == 1 { "" } else { "s" };
+    match escalations + fallbacks {
+        0 => write!(f, "no degradation events"),
+        events => write!(
             f,
-            "{} degradation event{} ({} fault escalation{}, {} fallback{})",
-            self.len(),
-            if self.len() == 1 { "" } else { "s" },
-            self.escalations(),
-            if self.escalations() == 1 { "" } else { "s" },
-            self.fallbacks(),
-            if self.fallbacks() == 1 { "" } else { "s" },
-        )
+            "{events} degradation event{} ({escalations} fault escalation{}, \
+             {fallbacks} fallback{})",
+            plural(events),
+            plural(escalations),
+            plural(fallbacks),
+        ),
     }
 }
 

@@ -66,7 +66,8 @@ pub use cache::CascadeCache;
 pub use faults::{FaultInjector, FaultKind, InjectedFault, StallSchedule};
 pub use guarded::{
     check_grid_walk, check_ladder, check_threshold, evaluate_guarded_slice, stays_low,
-    threshold_grid_walk, DegradationEvent, DegradationReport, GuardedOutcome,
+    threshold_grid_walk, write_degradation_summary, DegradationEvent, DegradationReport,
+    GuardedOutcome,
 };
 pub use multilevel::{CascadeStats, EffortLadder};
 pub use parallel::{par_map, Parallelism};

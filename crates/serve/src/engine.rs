@@ -1,20 +1,28 @@
 //! The batch execution core: one coalesced batch in, one typed terminal
 //! state per request out, with the loop guaranteed to survive.
 //!
-//! `process` is deliberately free of threads — the [`Server`](crate::Server)
-//! wraps it in a worker loop, and deterministic tests drive it directly on
-//! a [`ServeClock::manual`](crate::ServeClock::manual) virtual clock with
-//! [`StallSchedule`] chaos, so every deadline-miss and panic-isolation path
-//! replays bit-identically with no wall-clock flakiness.
+//! Data flows one way: `process` borrows the requests, counts the whole
+//! batch into the health ledger under one lock, then returns the
+//! responses in input order for the caller to deliver (the
+//! [`Server`](crate::Server) worker on the tickets' channels, the
+//! [`ReplayEngine`](crate::ReplayEngine) as its return value). The
+//! controllers decide; the engine counts.
+//!
+//! `process` is deliberately free of threads, so deterministic tests drive
+//! it directly on a [`ServeClock::manual`](crate::ServeClock::manual)
+//! virtual clock with [`StallSchedule`] chaos, and every deadline-miss and
+//! panic-isolation path replays bit-identically with no wall-clock
+//! flakiness.
 
 use crate::clock::ServeClock;
 use crate::health::HealthStats;
 use crate::overload::OverloadController;
-use crate::queue::Pending;
-use crate::request::{ServeError, ServeOutcome, ServeResponse, Served};
+use crate::request::{Request, ServeError, ServeOutcome, ServeResponse, Served};
 use crate::server::ServeConfig;
-use crate::threshold::ThresholdController;
-use pivot_core::{check_ladder, evaluate_guarded_slice, Parallelism, StallSchedule};
+use crate::threshold::{ThresholdController, Tick};
+use pivot_core::{
+    check_ladder, evaluate_guarded_slice, GuardedOutcome, Parallelism, StallSchedule,
+};
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,151 +109,152 @@ impl EngineCore {
         (core, health)
     }
 
-    /// Executes one coalesced batch to full resolution: every request in
-    /// it gets exactly one [`ServeResponse`], whatever happens.
-    pub fn process(&mut self, batch: Vec<Pending>) {
+    /// Executes one coalesced batch to full resolution and returns exactly
+    /// one [`ServeResponse`] per request, in input order, whatever happens.
+    /// The batch is counted into the health ledger, under one lock, before
+    /// this returns.
+    pub fn process(&mut self, batch: &[Request<'_>]) -> Vec<ServeResponse> {
         if batch.is_empty() {
-            return;
+            return Vec::new();
         }
         let batch_id = self.batch_index;
         self.batch_index += 1;
 
-        // 1. Shed requests that already missed their deadline in the
-        //    queue: running them would burn GEMM work on unusable answers.
+        // 1. Settle the effort cap for this batch. The load signal is the
+        //    oldest request's age, expired ones included: a batch that
+        //    aged out in the queue is overload, never calm.
         let now = self.clock.now_ns();
-        let (expired, live): (Vec<_>, Vec<_>) =
-            batch.into_iter().partition(|p| p.deadline_ns <= now);
-        for p in &expired {
-            self.resolve_timeout(p, now);
-        }
-        {
-            let mut health = lock(&self.health);
-            health.timed_out += expired.len() as u64;
-        }
-
-        // 2. Observe queue pressure and settle the effort cap for this
-        //    batch. The oldest live request's age is the load signal.
-        let oldest_age = live
+        let oldest_age = batch
             .iter()
-            .map(|p| now.saturating_sub(p.enqueued_ns))
+            .map(|r| now.saturating_sub(r.enqueued_ns))
             .max()
             .unwrap_or(0);
+        let prior_cap = self.controller.cap();
         let cap = self.controller.observe(Duration::from_nanos(oldest_age));
-        {
-            let mut health = lock(&self.health);
-            health.batches += 1;
-            health.effort_cap = cap;
-            health.downshifts = self.controller.downshifts();
-            health.upshifts = self.controller.upshifts();
-        }
-        if live.is_empty() {
-            return;
-        }
 
-        // 3. Chaos: an injected stall charges the clock before inference.
-        if let Some(stall) = self.chaos.stall.as_mut() {
-            if let Some(d) = stall.next_stall() {
-                self.clock.advance(d);
-                lock(&self.health).stalls += 1;
+        // 2. Requests that missed their deadline in the queue are shed:
+        //    running them would burn GEMM work on unusable answers.
+        let live: Vec<&Matrix> = batch
+            .iter()
+            .filter(|r| r.deadline_ns > now)
+            .map(|r| r.image)
+            .collect();
+        let mut stalled = false;
+        let mut run = None;
+        if !live.is_empty() {
+            // 3. Chaos: an injected stall charges the clock first.
+            if let Some(stall) = self.chaos.stall.as_mut() {
+                if let Some(d) = stall.next_stall() {
+                    self.clock.advance(d);
+                    stalled = true;
+                }
             }
+            // 4. Run the guarded cascade with the panic firewall up. The
+            //    `AssertUnwindSafe` is sound because on Err we discard
+            //    every piece of state the closure touched; it only reads
+            //    the levels and thresholds.
+            let must_panic = self.chaos.panic_batches.contains(&batch_id);
+            let (levels, thresholds, par) = (&self.levels, &self.thresholds, self.par);
+            run = Some(catch_unwind(AssertUnwindSafe(|| {
+                assert!(!must_panic, "chaos: injected batch panic");
+                evaluate_guarded_slice(levels, thresholds, cap, &live, par)
+            })));
         }
 
-        // 4. Run the guarded cascade with the panic firewall up. The
-        //    `AssertUnwindSafe` is sound because on Err we discard every
-        //    piece of state the closure touched except the controller and
-        //    clock, which are only read before inference starts.
-        let must_panic = self.chaos.panic_batches.contains(&batch_id);
-        let levels = &self.levels;
-        let thresholds = &self.thresholds;
-        let par = self.par;
-        let images: Vec<&Matrix> = live.iter().map(|p| &p.image).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            assert!(!must_panic, "chaos: injected batch panic");
-            evaluate_guarded_slice(levels, thresholds, cap, &images, par)
-        }));
-
+        // 5. Resolve every request in input order: queue-expired ones at
+        //    `now`, the rest at completion time, where a panicked batch
+        //    fails typed and a finished one is classified by its guarded
+        //    outcome and the deadline.
         let done = self.clock.now_ns();
-        match result {
-            Err(_) => {
-                // 5a. The whole batch fails typed; the loop survives.
-                let mut health = lock(&self.health);
-                health.panics += 1;
-                health.failed += live.len() as u64;
-                drop(health);
-                for p in &live {
-                    let outcome =
-                        ServeOutcome::Failed(ServeError::BatchPanicked { batch: batch_id });
-                    self.respond(p, outcome, done);
-                }
-            }
-            Ok((outcomes, report)) => {
-                // 5b. Classify each request by its guarded outcome and the
-                //     deadline at completion time.
-                let mut completed = 0u64;
-                let mut degraded = 0u64;
-                let mut timed_out = 0u64;
-                for (p, o) in live.iter().zip(&outcomes) {
-                    if p.deadline_ns <= done {
-                        self.resolve_timeout(p, done);
-                        timed_out += 1;
-                        continue;
-                    }
-                    let served = Served {
-                        prediction: o.prediction,
-                        level: o.level,
-                        entropy: o.entropy,
-                        effort_cap: cap,
-                        fault_fallback: o.fault_fallback,
-                    };
-                    let outcome = if o.capped || !o.exit_finite || o.fault_fallback.is_some() {
-                        degraded += 1;
-                        ServeOutcome::Degraded(served)
+        let panicked = matches!(run, Some(Err(_)));
+        let mut outcomes = match &run {
+            Some(Ok((outcomes, _))) => outcomes.iter(),
+            _ => [].iter(),
+        };
+        let responses: Vec<ServeResponse> = batch
+            .iter()
+            .map(|r| {
+                let expired = r.deadline_ns <= now;
+                let at = if expired { now } else { done };
+                let latency = Duration::from_nanos(at.saturating_sub(r.enqueued_ns));
+                let timed_out = ServeOutcome::TimedOut {
+                    queued_for: latency,
+                };
+                let outcome = if expired {
+                    timed_out
+                } else if panicked {
+                    ServeOutcome::Failed(ServeError::BatchPanicked { batch: batch_id })
+                } else {
+                    let o = outcomes.next().expect("one outcome per live request");
+                    if r.deadline_ns <= done {
+                        timed_out
                     } else {
-                        completed += 1;
-                        ServeOutcome::Completed(served)
-                    };
-                    self.respond(p, outcome, done);
-                }
-                // 6. Close the threshold control loop: every executed
-                //    sample's level-0 entropy is drift evidence, and a due
-                //    control tick retunes the gate for the *next* batch —
-                //    unless the overload cap is engaged, which outranks
-                //    the tuner (precedence contract: a held retune is
-                //    counted, not applied).
-                if let Some(tuner) = self.tuner.as_mut() {
-                    for o in &outcomes {
-                        tuner.observe(o.low_entropy);
+                        served(o, cap)
                     }
-                    self.thresholds[0] = tuner.end_batch(self.controller.is_degraded());
+                };
+                ServeResponse {
+                    id: r.id,
+                    outcome,
+                    latency,
                 }
-                let mut health = lock(&self.health);
-                health.completed += completed;
-                health.degraded += degraded;
-                health.timed_out += timed_out;
-                health.threshold = self.thresholds[0];
-                if let Some(tuner) = self.tuner.as_ref() {
-                    health.retunes = tuner.retunes();
-                    health.th_holds = tuner.holds();
-                }
-                health.fallbacks += report.fallbacks() as u64;
-                health.fault_escalations += report.escalations() as u64;
+            })
+            .collect();
+
+        // 6. Close the threshold control loop on an executed batch: every
+        //    sample's level-0 entropy is drift evidence, and a due tick
+        //    retunes the gate for the *next* batch — unless the overload
+        //    cap is engaged, which outranks the tuner (the tick is held).
+        let mut tick = Tick::Idle;
+        if let (Some(Ok((outcomes, _))), Some(tuner)) = (&run, self.tuner.as_mut()) {
+            for o in outcomes {
+                tuner.observe(o.low_entropy);
             }
+            tick = tuner.end_batch(self.controller.is_degraded());
+            self.thresholds[0] = tuner.threshold();
         }
-    }
 
-    fn resolve_timeout(&self, p: &Pending, now_ns: u64) {
-        let queued_for = Duration::from_nanos(now_ns.saturating_sub(p.enqueued_ns));
-        self.respond(p, ServeOutcome::TimedOut { queued_for }, now_ns);
+        // 7. Count the batch, once, before any caller sees a response.
+        let mut health = lock(&self.health);
+        health.batches += 1;
+        health.effort_cap = cap;
+        health.threshold = self.thresholds[0];
+        health.downshifts += u64::from(cap < prior_cap);
+        health.upshifts += u64::from(cap > prior_cap);
+        health.stalls += u64::from(stalled);
+        health.panics += u64::from(panicked);
+        health.retunes += u64::from(tick == Tick::Retuned);
+        health.th_holds += u64::from(tick == Tick::Held);
+        if let Some(Ok((_, report))) = &run {
+            health.fallbacks += report.fallbacks() as u64;
+            health.fault_escalations += report.escalations() as u64;
+        }
+        for response in &responses {
+            *match response.outcome {
+                ServeOutcome::Completed(_) => &mut health.completed,
+                ServeOutcome::Degraded(_) => &mut health.degraded,
+                ServeOutcome::TimedOut { .. } => &mut health.timed_out,
+                ServeOutcome::Failed(_) => &mut health.failed,
+            } += 1;
+        }
+        drop(health);
+        responses
     }
+}
 
-    fn respond(&self, p: &Pending, outcome: ServeOutcome, now_ns: u64) {
-        let latency = Duration::from_nanos(now_ns.saturating_sub(p.enqueued_ns));
-        // A vanished caller (dropped ticket) is not an engine error.
-        let _ = p.reply.send(ServeResponse {
-            id: p.id,
-            outcome,
-            latency,
-        });
+/// A finished request's answer: degraded when the cap cut its escalation
+/// short or a fault forced a fallback, completed otherwise.
+fn served(o: &GuardedOutcome, cap: usize) -> ServeOutcome {
+    let served = Served {
+        prediction: o.prediction,
+        level: o.level,
+        entropy: o.entropy,
+        effort_cap: cap,
+        fault_fallback: o.fault_fallback,
+    };
+    if o.capped || !o.exit_finite || o.fault_fallback.is_some() {
+        ServeOutcome::Degraded(served)
+    } else {
+        ServeOutcome::Completed(served)
     }
 }
 
@@ -257,7 +266,6 @@ mod tests {
     use pivot_data::{Dataset, DatasetConfig, Sample};
     use pivot_tensor::Rng;
     use pivot_vit::{VisionTransformer, VitConfig};
-    use std::sync::mpsc::{channel, Receiver};
 
     fn levels() -> (Vec<PreparedModel>, Vec<f32>) {
         let mut low = VisionTransformer::new(&VitConfig::test_small(), &mut Rng::new(40));
@@ -285,28 +293,28 @@ mod tests {
         EngineCore::new(lv, th, &config, chaos, clock)
     }
 
-    fn enqueue(
-        set: &[Sample],
-        clock: &ServeClock,
-        deadline: Duration,
-    ) -> (Vec<Pending>, Vec<Receiver<ServeResponse>>) {
+    /// One request per sample, numbered in order, admitted now with
+    /// `deadline` to run.
+    fn enqueue<'a>(set: &'a [Sample], clock: &ServeClock, deadline: Duration) -> Vec<Request<'a>> {
         let now = clock.now_ns();
-        set.iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let (tx, rx) = channel();
-                (
-                    Pending {
-                        id: i as u64,
-                        image: s.image.clone(),
-                        enqueued_ns: now,
-                        deadline_ns: now + deadline.as_nanos() as u64,
-                        reply: tx,
-                    },
-                    rx,
-                )
+        (0..)
+            .zip(set)
+            .map(|(id, s)| Request {
+                id,
+                image: &s.image,
+                enqueued_ns: now,
+                deadline_ns: now + deadline.as_nanos() as u64,
             })
-            .unzip()
+            .collect()
+    }
+
+    /// The overload policy of the downshift and recovery tests.
+    fn tight(recover_after: usize) -> OverloadPolicy {
+        OverloadPolicy {
+            queue_budget: Duration::from_millis(10),
+            recover_ratio: 0.5,
+            recover_after,
+        }
     }
 
     #[test]
@@ -318,10 +326,7 @@ mod tests {
             OverloadPolicy::default(),
         );
         let set = samples(8);
-        let (batch, rxs) = enqueue(&set, &clock, Duration::from_secs(1));
-        core.process(batch);
-        for rx in rxs {
-            let resp = rx.try_recv().expect("resolved");
+        for resp in core.process(&enqueue(&set, &clock, Duration::from_secs(1))) {
             assert!(matches!(resp.outcome, ServeOutcome::Completed(_)));
         }
         let h = lock(&health).clone();
@@ -329,6 +334,39 @@ mod tests {
         assert_eq!(h.batches, 1);
         assert_eq!(h.effort_cap, 1);
         assert_eq!((h.fallbacks, h.fault_escalations), (0, 0));
+    }
+
+    /// A batch shaped like the ones `AdmissionQueue::next_batch` forms:
+    /// requests that expired in the queue first, live ones after. The
+    /// engine answers each exactly once, in input order.
+    #[test]
+    fn responses_come_back_one_per_request_in_input_order() {
+        let clock = ServeClock::manual();
+        let (mut core, health) = engine(
+            ChaosConfig::default(),
+            clock.clone(),
+            OverloadPolicy::default(),
+        );
+        let set = samples(6);
+        let mut batch = enqueue(&set, &clock, Duration::from_secs(1));
+        for (r, id) in batch.iter_mut().zip([7, 3, 0, 1, 2, 9]) {
+            r.id = id;
+        }
+        for r in &mut batch[..2] {
+            r.deadline_ns = 1;
+        }
+        clock.advance(Duration::from_millis(1));
+        let responses = core.process(&batch);
+        let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [7, 3, 0, 1, 2, 9]);
+        for (i, resp) in responses.iter().enumerate() {
+            match (i < 2, &resp.outcome) {
+                (true, ServeOutcome::TimedOut { .. }) | (false, ServeOutcome::Completed(_)) => {}
+                (_, other) => panic!("request {i} resolved as {other:?}"),
+            }
+        }
+        let h = lock(&health).clone();
+        assert_eq!((h.timed_out, h.completed, h.batches), (2, 4, 1));
     }
 
     #[test]
@@ -340,23 +378,16 @@ mod tests {
         };
         let (mut core, health) = engine(chaos, clock.clone(), OverloadPolicy::default());
         let set = samples(4);
-        let (batch, rxs) = enqueue(&set, &clock, Duration::from_secs(1));
-        core.process(batch);
-        for rx in rxs {
-            let resp = rx.try_recv().expect("resolved");
+        let batch = enqueue(&set, &clock, Duration::from_secs(1));
+        for resp in core.process(&batch) {
             assert_eq!(
                 resp.outcome,
                 ServeOutcome::Failed(ServeError::BatchPanicked { batch: 0 })
             );
         }
         // The very next batch runs normally on the same engine.
-        let (batch, rxs) = enqueue(&set, &clock, Duration::from_secs(1));
-        core.process(batch);
-        for rx in rxs {
-            assert!(matches!(
-                rx.try_recv().expect("resolved").outcome,
-                ServeOutcome::Completed(_)
-            ));
+        for resp in core.process(&batch) {
+            assert!(matches!(resp.outcome, ServeOutcome::Completed(_)));
         }
         let h = lock(&health).clone();
         assert_eq!(h.panics, 1);
@@ -380,10 +411,7 @@ mod tests {
         let (mut core, health) = engine(chaos, clock.clone(), OverloadPolicy::default());
         let set = samples(4);
         // Deadline shorter than the stall: execution finishes too late.
-        let (batch, rxs) = enqueue(&set, &clock, Duration::from_millis(2));
-        core.process(batch);
-        for rx in rxs {
-            let resp = rx.try_recv().expect("resolved");
+        for resp in core.process(&enqueue(&set, &clock, Duration::from_millis(2))) {
             match resp.outcome {
                 ServeOutcome::TimedOut { queued_for } => {
                     assert_eq!(queued_for, Duration::from_millis(5));
@@ -406,12 +434,10 @@ mod tests {
             OverloadPolicy::default(),
         );
         let set = samples(4);
-        let (batch, rxs) = enqueue(&set, &clock, Duration::from_millis(1));
+        let batch = enqueue(&set, &clock, Duration::from_millis(1));
         // The batch sat in the queue past every deadline.
         clock.advance(Duration::from_millis(10));
-        core.process(batch);
-        for rx in rxs {
-            let resp = rx.try_recv().expect("resolved");
+        for resp in core.process(&batch) {
             assert!(matches!(resp.outcome, ServeOutcome::TimedOut { .. }));
             assert_eq!(resp.latency, Duration::from_millis(10));
         }
@@ -421,26 +447,42 @@ mod tests {
         assert_eq!(h.completed + h.degraded, 0);
     }
 
+    /// Regression: with no live request the load signal used to fall back
+    /// to age 0, so a batch that had all expired in the queue read as a
+    /// calm observation and could upshift the cap.
+    #[test]
+    fn a_batch_that_expired_in_the_queue_reads_as_overload() {
+        let clock = ServeClock::manual();
+        let (mut core, health) = engine(ChaosConfig::default(), clock.clone(), tight(1));
+        let set = samples(4);
+        let batch = enqueue(&set, &clock, Duration::from_secs(1));
+        clock.advance(Duration::from_millis(20));
+        core.process(&batch);
+        assert_eq!(lock(&health).effort_cap, 0);
+        // Four requests wait 30 ms and expire: no inference, but the
+        // oldest age is still far over budget.
+        let batch = enqueue(&set, &clock, Duration::from_millis(1));
+        clock.advance(Duration::from_millis(30));
+        core.process(&batch);
+        let h = lock(&health).clone();
+        assert_eq!(h.timed_out, 4);
+        assert_eq!((h.effort_cap, h.upshifts), (0, 0), "{h}");
+    }
+
     #[test]
     fn overload_downshifts_to_low_only_and_marks_capped_requests_degraded() {
         let clock = ServeClock::manual();
-        let policy = OverloadPolicy {
-            queue_budget: Duration::from_millis(10),
-            recover_ratio: 0.5,
-            recover_after: 2,
-        };
-        let (mut core, health) = engine(ChaosConfig::default(), clock.clone(), policy);
+        let (mut core, health) = engine(ChaosConfig::default(), clock.clone(), tight(2));
         let set = samples(12);
-        let (batch, rxs) = enqueue(&set, &clock, Duration::from_secs(1));
+        let batch = enqueue(&set, &clock, Duration::from_secs(1));
         // Age the batch past the queue budget before the engine sees it.
         clock.advance(Duration::from_millis(20));
-        core.process(batch);
+        let responses = core.process(&batch);
         let h = lock(&health).clone();
         assert_eq!(h.effort_cap, 0, "one over-budget observation downshifts");
         assert_eq!(h.downshifts, 1);
         let mut degraded = 0;
-        for rx in rxs {
-            let resp = rx.try_recv().expect("resolved");
+        for resp in responses {
             match resp.outcome {
                 ServeOutcome::Completed(s) => assert_eq!(s.level, 0),
                 ServeOutcome::Degraded(s) => {
@@ -452,27 +494,21 @@ mod tests {
             }
         }
         assert!(degraded > 0, "some samples must have demanded escalation");
-        assert_eq!(lock(&health).degraded, degraded);
+        assert_eq!(h.degraded, degraded);
     }
 
     #[test]
     fn recovery_restores_full_effort_after_calm_batches() {
         let clock = ServeClock::manual();
-        let policy = OverloadPolicy {
-            queue_budget: Duration::from_millis(10),
-            recover_ratio: 0.5,
-            recover_after: 2,
-        };
-        let (mut core, health) = engine(ChaosConfig::default(), clock.clone(), policy);
+        let (mut core, health) = engine(ChaosConfig::default(), clock.clone(), tight(2));
         let set = samples(4);
-        let (batch, _rxs) = enqueue(&set, &clock, Duration::from_secs(1));
+        let batch = enqueue(&set, &clock, Duration::from_secs(1));
         clock.advance(Duration::from_millis(20));
-        core.process(batch);
+        core.process(&batch);
         assert_eq!(lock(&health).effort_cap, 0);
         // Two fresh (zero-age) batches rebuild trust.
         for _ in 0..2 {
-            let (batch, _rxs) = enqueue(&set, &clock, Duration::from_secs(1));
-            core.process(batch);
+            core.process(&enqueue(&set, &clock, Duration::from_secs(1)));
         }
         let h = lock(&health).clone();
         assert_eq!(h.effort_cap, 1, "hysteretic recovery reached the top");

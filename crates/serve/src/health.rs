@@ -4,11 +4,14 @@
 //! Every submission increments exactly one admission counter and — if
 //! admitted — exactly one resolution counter, so at drain the identity
 //! `submitted == shed + completed + degraded + timed_out + failed` holds.
+//! The engine folds each batch in once, under one lock, before it returns
+//! the batch's responses; the controllers keep no counts of their own.
 //! The ledger also sums two counts of every batch's
 //! [`DegradationReport`](pivot_core::DegradationReport) — its fallbacks
 //! and its fault escalations — folding the offline fault-accounting
 //! vocabulary (DESIGN.md §5) into the online one at a fixed size.
 
+use pivot_core::write_degradation_summary;
 use std::fmt;
 
 /// Snapshot of the server's cumulative counters.
@@ -26,7 +29,9 @@ pub struct HealthStats {
     pub timed_out: u64,
     /// Requests that failed with a typed error (batch panic).
     pub failed: u64,
-    /// Inference batches executed (including panicked ones).
+    /// Non-empty batches the engine processed: executed, panicked, and
+    /// those whose requests had all expired in the queue and were shed
+    /// without inference.
     pub batches: u64,
     /// Batches that panicked and were isolated.
     pub panics: u64,
@@ -91,20 +96,7 @@ impl fmt::Display for HealthStats {
             self.retunes,
             self.th_holds,
         )?;
-        // Worded as `DegradationReport`'s own summary.
-        let plural = |n: u64| if n == 1 { "" } else { "s" };
-        match self.fault_escalations + self.fallbacks {
-            0 => write!(f, "no degradation events"),
-            events => write!(
-                f,
-                "{events} degradation event{} ({} fault escalation{}, {} fallback{})",
-                plural(events),
-                self.fault_escalations,
-                plural(self.fault_escalations),
-                self.fallbacks,
-                plural(self.fallbacks),
-            ),
-        }
+        write_degradation_summary(f, self.fault_escalations, self.fallbacks)
     }
 }
 

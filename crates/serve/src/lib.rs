@@ -13,20 +13,23 @@
 //!   keeps the throughput the batched kernels were built for.
 //! * **Deadlines over effort** — requests carry deadlines; a request that
 //!   cannot be answered in time resolves as [`ServeOutcome::TimedOut`],
-//!   and under sustained queue pressure the [`OverloadController`]
-//!   downshifts the cascade's effort cap (ultimately to low-effort-only)
-//!   so answers degrade instead of dying, recovering hysteretically when
-//!   pressure lifts.
+//!   and under sustained queue pressure the engine's overload controller
+//!   ([`OverloadPolicy`]) downshifts the cascade's effort cap (ultimately
+//!   to low-effort-only) so answers degrade instead of dying, recovering
+//!   hysteretically when pressure lifts.
 //! * **Adaptive gating under drift** — the entropy gate's threshold need
-//!   not stay at Phase 2's offline pick: an optional
-//!   [`ThresholdController`] retunes `Th` from a sliding window of
-//!   observed low-effort entropies to hold `F_L >= LEC` as the traffic's
+//!   not stay at Phase 2's offline pick: an optional threshold controller
+//!   ([`ThresholdPolicy`]) retunes `Th` from a sliding window of observed
+//!   low-effort entropies to hold `F_L >= LEC` as the traffic's
 //!   difficulty mix drifts, deferring to the overload cap whenever it is
-//!   engaged (the cap outranks the gate — DESIGN.md §7).
+//!   engaged (the cap outranks the gate — DESIGN.md §7). The controllers
+//!   decide; the engine counts their decisions in [`HealthStats`].
 //! * **Typed terminal states** — every admitted request resolves as
 //!   exactly one of completed / degraded / timed-out / failed, and the
 //!   ledger identity `submitted == shed + completed + degraded +
-//!   timed_out + failed` holds at drain ([`HealthStats::accounted`]).
+//!   timed_out + failed` holds at drain ([`HealthStats::accounted`]), and
+//!   as soon as every ticket is answered: a batch is counted before its
+//!   responses are delivered.
 //! * **Panic isolation** — a panicking inference batch fails only its own
 //!   requests ([`ServeError::BatchPanicked`]); the serve loop survives.
 //! * **Determinism where it matters** — healthy-path responses are
@@ -83,8 +86,8 @@ mod threshold;
 pub use clock::ServeClock;
 pub use engine::ChaosConfig;
 pub use health::HealthStats;
-pub use overload::{OverloadController, OverloadPolicy};
+pub use overload::OverloadPolicy;
 pub use replay::ReplayEngine;
 pub use request::{ServeError, ServeOutcome, ServeResponse, Served, SubmitError, Ticket};
 pub use server::{ServeConfig, Server};
-pub use threshold::{ThresholdController, ThresholdPolicy};
+pub use threshold::ThresholdPolicy;

@@ -49,10 +49,9 @@ pub struct OverloadPolicy {
     /// the cap one level.
     pub queue_budget: Duration,
     /// Fraction of the budget strictly below which an observation counts
-    /// as calm (recovery evidence). Must lie in `[0, 1]`:
-    /// [`OverloadController::new`] panics on anything else, NaN included.
-    /// `0.0` makes recovery unreachable (see the module-level interval
-    /// convention).
+    /// as calm (recovery evidence). Must lie in `[0, 1]`: building an
+    /// engine panics on anything else, NaN included. `0.0` makes recovery
+    /// unreachable (see the module-level interval convention).
     pub recover_ratio: f64,
     /// Consecutive calm observations required per upshift step.
     pub recover_after: usize,
@@ -68,17 +67,16 @@ impl Default for OverloadPolicy {
     }
 }
 
-/// The state machine. One instance per engine, observed once per batch.
+/// The state machine. One instance per engine, observed once per batch;
+/// the engine counts its downshifts and upshifts from the cap it returns.
 #[derive(Debug, Clone)]
-pub struct OverloadController {
+pub(crate) struct OverloadController {
     top: usize,
     cap: usize,
     budget_ns: u64,
     calm_line_ns: u64,
     recover_after: usize,
     calm_streak: usize,
-    downshifts: u64,
-    upshifts: u64,
 }
 
 impl OverloadController {
@@ -105,8 +103,6 @@ impl OverloadController {
             calm_line_ns: (budget_ns as f64 * policy.recover_ratio) as u64,
             recover_after: policy.recover_after,
             calm_streak: 0,
-            downshifts: 0,
-            upshifts: 0,
         }
     }
 
@@ -122,7 +118,6 @@ impl OverloadController {
         if age_ns > self.budget_ns {
             if self.cap > 0 {
                 self.cap -= 1;
-                self.downshifts += 1;
             }
             self.calm_streak = 0;
         } else if age_ns < self.calm_line_ns {
@@ -130,7 +125,6 @@ impl OverloadController {
                 self.calm_streak += 1;
                 if self.calm_streak >= self.recover_after {
                     self.cap += 1;
-                    self.upshifts += 1;
                     self.calm_streak = 0;
                 }
             }
@@ -150,16 +144,6 @@ impl OverloadController {
     /// Whether the engine currently serves below full effort.
     pub fn is_degraded(&self) -> bool {
         self.cap < self.top
-    }
-
-    /// Total downshift steps taken.
-    pub fn downshifts(&self) -> u64 {
-        self.downshifts
-    }
-
-    /// Total upshift (recovery) steps taken.
-    pub fn upshifts(&self) -> u64 {
-        self.upshifts
     }
 }
 
@@ -183,12 +167,10 @@ mod tests {
         let mut c = controller(3);
         assert_eq!(c.cap(), 3);
         let over = Duration::from_millis(150);
-        assert_eq!(c.observe(over), 2);
-        assert_eq!(c.observe(over), 1);
-        assert_eq!(c.observe(over), 0);
-        // The floor holds: low-effort-only is the terminal degradation.
-        assert_eq!(c.observe(over), 0);
-        assert_eq!(c.downshifts(), 3);
+        let caps: Vec<usize> = (0..4).map(|_| c.observe(over)).collect();
+        // Three downshifts, then the floor holds: low-effort-only is the
+        // terminal degradation.
+        assert_eq!(caps, [2, 1, 0, 0]);
         assert!(c.is_degraded());
     }
 
@@ -204,11 +186,9 @@ mod tests {
         assert_eq!(c.observe(calm), 1);
         // ...the third restores one level, and the streak restarts.
         assert_eq!(c.observe(calm), 2);
-        assert_eq!(c.upshifts(), 1);
         assert!(!c.is_degraded());
         // At full effort, calm observations are a no-op.
         assert_eq!(c.observe(calm), 2);
-        assert_eq!(c.upshifts(), 1);
     }
 
     #[test]
@@ -258,19 +238,16 @@ mod tests {
                 recover_after: 1,
             },
         );
-        c.observe(budget + Duration::from_nanos(1)); // strictly over: downshift
-        assert_eq!(c.cap(), 1);
-        assert_eq!(c.downshifts(), 1);
+        // Strictly over: downshift.
+        assert_eq!(c.observe(budget + Duration::from_nanos(1)), 1);
         // Exactly at budget: hold, even with recover_after = 1. Before the
         // boundary fix this counted as calm and flapped the cap back up.
         for _ in 0..5 {
             assert_eq!(c.observe(budget), 1);
         }
-        assert_eq!(c.upshifts(), 0);
         // One nanosecond under budget is strictly under the (ratio-1.0)
         // calm line: recovery evidence.
         assert_eq!(c.observe(budget - Duration::from_nanos(1)), 2);
-        assert_eq!(c.upshifts(), 1);
     }
 
     /// Pins `age == calm_line` and `age == budget` in the generic (ratio
@@ -292,7 +269,6 @@ mod tests {
         c.observe(calm);
         c.observe(calm);
         assert_eq!(c.observe(at_budget), 1);
-        assert_eq!(c.downshifts(), 1);
         // Three fresh strictly-calm ticks recover.
         c.observe(calm);
         c.observe(calm);
@@ -320,7 +296,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(c.observe(Duration::ZERO), 0);
         }
-        assert_eq!(c.upshifts(), 0);
     }
 
     #[test]

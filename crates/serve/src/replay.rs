@@ -16,12 +16,10 @@
 use crate::clock::ServeClock;
 use crate::engine::{lock, ChaosConfig, EngineCore};
 use crate::health::HealthStats;
-use crate::queue::Pending;
-use crate::request::ServeResponse;
+use crate::request::{Request, ServeResponse};
 use crate::server::ServeConfig;
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -88,33 +86,20 @@ impl ReplayEngine {
         deadline: Duration,
     ) -> Vec<ServeResponse> {
         let now = self.clock.now_ns();
-        let enqueued = now.saturating_sub(queued_for.as_nanos() as u64);
+        let enqueued_ns = now.saturating_sub(queued_for.as_nanos() as u64);
+        let deadline_ns = now.saturating_add(deadline.as_nanos() as u64);
         lock(&self.health).submitted += images.len() as u64;
-        let mut receivers = Vec::with_capacity(images.len());
-        let batch: Vec<Pending> = images
-            .iter()
-            .map(|image| {
-                let (tx, rx) = channel();
-                let id = self.next_id;
-                self.next_id += 1;
-                receivers.push(rx);
-                Pending {
-                    id,
-                    image: image.clone(),
-                    enqueued_ns: enqueued,
-                    deadline_ns: now.saturating_add(deadline.as_nanos() as u64),
-                    reply: tx,
-                }
+        let batch: Vec<Request<'_>> = (self.next_id..)
+            .zip(images)
+            .map(|(id, image)| Request {
+                id,
+                image,
+                enqueued_ns,
+                deadline_ns,
             })
             .collect();
-        self.core.process(batch);
-        receivers
-            .into_iter()
-            .map(|rx| {
-                rx.try_recv()
-                    .expect("process resolves every request synchronously")
-            })
-            .collect()
+        self.next_id += images.len() as u64;
+        self.core.process(&batch)
     }
 
     /// Snapshot of the cumulative health ledger.
@@ -242,6 +227,49 @@ mod tests {
         let h = eng.health();
         assert_eq!(h.timed_out, 4);
         assert!(h.accounted());
+    }
+
+    /// Chaos through the replay engine: the panicked batch comes back
+    /// failed, in input order, and the ledger counts the panic, every
+    /// stall and every request.
+    #[test]
+    fn chaos_batches_come_back_failed_in_input_order() {
+        use crate::request::ServeError;
+        use pivot_core::FaultInjector;
+        let (levels, ths) = ladder();
+        // permille 1000: every executed batch stalls 2 ms.
+        let stall = FaultInjector::new(7).stall_schedule(
+            1000,
+            Duration::from_millis(2),
+            Duration::from_millis(2),
+        );
+        let chaos = ChaosConfig {
+            stall: Some(stall),
+            panic_batches: vec![1],
+        };
+        let mut eng = ReplayEngine::new(levels, ths, config(), chaos);
+        let images: Vec<Matrix> = samples(12, 67).into_iter().map(|s| s.image).collect();
+        let batches: Vec<Vec<ServeResponse>> = images
+            .chunks(4)
+            .map(|chunk| eng.process(chunk, Duration::from_secs(1)))
+            .collect();
+        for (b, responses) in batches.iter().enumerate() {
+            let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+            let first = 4 * b as u64;
+            assert_eq!(ids, (first..first + 4).collect::<Vec<_>>());
+            for r in responses {
+                if b == 1 {
+                    let failed = ServeOutcome::Failed(ServeError::BatchPanicked { batch: 1 });
+                    assert_eq!(r.outcome, failed);
+                } else {
+                    assert!(matches!(r.outcome, ServeOutcome::Completed(_)));
+                }
+            }
+        }
+        let h = eng.health();
+        assert_eq!((h.batches, h.panics, h.stalls), (3, 1, 3));
+        assert_eq!((h.failed, h.completed), (4, 8));
+        assert!(h.accounted(), "{h}");
     }
 
     fn tuned_config(lec: f64, window: usize, min_fill: usize) -> ServeConfig {

@@ -7,10 +7,23 @@
 //! `submitted == shed + completed + degraded + timed_out + failed` is the
 //! engine's liveness contract (asserted by the `server` and `engine` tests).
 
+use pivot_tensor::Matrix;
 use std::error::Error;
 use std::fmt;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
+
+/// One admitted request as the engine executes it: the id handed to the
+/// caller, the image the engine borrows for one batch, and the admission
+/// and deadline stamps on the engine clock (resolving after the deadline
+/// is a timeout).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Request<'a> {
+    pub id: u64,
+    pub image: &'a Matrix,
+    pub enqueued_ns: u64,
+    pub deadline_ns: u64,
+}
 
 /// A successfully served prediction and the effort context it came from.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -12,7 +12,7 @@ use crate::engine::{lock, ChaosConfig, EngineCore};
 use crate::health::HealthStats;
 use crate::overload::OverloadPolicy;
 use crate::queue::{AdmissionQueue, Pending};
-use crate::request::{SubmitError, Ticket};
+use crate::request::{Request, SubmitError, Ticket};
 use crate::threshold::ThresholdPolicy;
 use pivot_core::Parallelism;
 use pivot_tensor::Matrix;
@@ -111,7 +111,21 @@ impl Server {
             let (max_batch, window) = (config.max_batch, config.batch_window);
             std::thread::spawn(move || {
                 while let Some(batch) = queue.next_batch(max_batch, window, &worker_clock) {
-                    core.process(batch);
+                    let requests: Vec<_> = batch
+                        .iter()
+                        .map(|p| Request {
+                            id: p.id,
+                            image: &p.image,
+                            enqueued_ns: p.enqueued_ns,
+                            deadline_ns: p.deadline_ns,
+                        })
+                        .collect();
+                    let responses = core.process(&requests);
+                    for (pending, response) in batch.iter().zip(responses) {
+                        // A vanished caller (dropped ticket) is not an
+                        // engine error.
+                        let _ = pending.reply.send(response);
+                    }
                 }
             })
         };
@@ -253,6 +267,31 @@ mod tests {
         assert_eq!(h.completed, 16);
         assert!(h.accounted(), "ledger must balance: {h}");
         assert_eq!((h.fallbacks, h.fault_escalations), (0, 0));
+    }
+
+    /// The engine counts a batch before the worker delivers it, so a
+    /// caller holding every response reads a balanced ledger without
+    /// draining the server.
+    #[test]
+    fn the_ledger_balances_once_every_ticket_is_answered() {
+        let (levels, thresholds) = ladder();
+        let server = Server::spawn(levels, thresholds, config());
+        let set = samples(12);
+        let tickets: Vec<_> = set
+            .iter()
+            .map(|s| {
+                server
+                    .submit(s.image.clone(), Duration::from_secs(30))
+                    .expect("capacity")
+            })
+            .collect();
+        for t in tickets {
+            assert!(t.wait().expect("drain contract").outcome.served().is_some());
+        }
+        let h = server.health();
+        assert!(h.accounted(), "ledger must balance before shutdown: {h}");
+        assert_eq!(h.completed, 12, "{h}");
+        server.shutdown();
     }
 
     #[test]

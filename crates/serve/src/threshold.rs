@@ -24,8 +24,9 @@
 //!   batches, and only once the window holds `min_fill` observations, so
 //!   a cold start never swings the gate on a handful of samples.
 //! * **Overload precedence** — the effort cap outranks the gate. While
-//!   the [`OverloadController`](crate::OverloadController) holds the cap
-//!   below the ladder top, a due retune is *held* (counted, not applied):
+//!   the [`OverloadController`](crate::overload::OverloadController) holds
+//!   the cap below the ladder top, a due retune is *held* (reported to the
+//!   engine, which counts it, but not applied):
 //!   entropies observed under a cap still enter the window, but moving
 //!   `Th` while the cap is already shedding effort would double-degrade
 //!   and fight the cap's hysteresis. Retuning resumes at full effort.
@@ -99,17 +100,26 @@ impl ThresholdPolicy {
     }
 }
 
+/// What one batch's control tick did; the engine counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tick {
+    /// No retune was due: mid-cadence, or the window below `min_fill`.
+    Idle,
+    /// A due retune was held because the overload cap was engaged.
+    Held,
+    /// A due retune ran (it may have left the threshold where it was).
+    Retuned,
+}
+
 /// The control loop state: one instance per engine, fed once per request
 /// and ticked once per batch.
 #[derive(Debug, Clone)]
-pub struct ThresholdController {
+pub(crate) struct ThresholdController {
     policy: ThresholdPolicy,
     th: f32,
     window: VecDeque<f32>,
     scratch: Vec<f32>,
     batches_since_tick: u64,
-    retunes: u64,
-    holds: u64,
 }
 
 impl ThresholdController {
@@ -129,8 +139,6 @@ impl ThresholdController {
             window: VecDeque::with_capacity(policy.window),
             scratch: Vec::with_capacity(policy.window),
             batches_since_tick: 0,
-            retunes: 0,
-            holds: 0,
         }
     }
 
@@ -147,24 +155,24 @@ impl ThresholdController {
         self.window.push_back(low_entropy);
     }
 
-    /// Marks one completed batch and returns the threshold to use for the
-    /// next one. A due tick retunes — unless `overloaded` is set (the
-    /// effort cap is below the ladder top), in which case the retune is
-    /// held per the precedence contract and counted in [`Self::holds`].
-    pub fn end_batch(&mut self, overloaded: bool) -> f32 {
+    /// Marks one completed batch and reports what its tick did; the
+    /// threshold for the next batch is then [`Self::threshold`]. A due
+    /// tick retunes — unless `overloaded` is set (the effort cap is below
+    /// the ladder top), in which case the retune is held per the
+    /// precedence contract.
+    pub fn end_batch(&mut self, overloaded: bool) -> Tick {
         self.batches_since_tick += 1;
         if self.batches_since_tick < self.policy.tick_batches
             || self.window.len() < self.policy.min_fill.max(1)
         {
-            return self.th;
+            return Tick::Idle;
         }
         self.batches_since_tick = 0;
         if overloaded {
-            self.holds += 1;
-            return self.th;
+            return Tick::Held;
         }
         self.retune();
-        self.th
+        Tick::Retuned
     }
 
     /// Phase 2's grid walk over the *window*
@@ -190,22 +198,11 @@ impl ThresholdController {
             below as f64 / scratch.len() as f64
         });
         self.th = th.clamp(self.policy.floor, self.policy.ceil);
-        self.retunes += 1;
     }
 
     /// The gate threshold currently in force.
     pub fn threshold(&self) -> f32 {
         self.th
-    }
-
-    /// Retunes actually applied.
-    pub fn retunes(&self) -> u64 {
-        self.retunes
-    }
-
-    /// Due retunes held because the engine was overload-degraded.
-    pub fn holds(&self) -> u64 {
-        self.holds
     }
 }
 
@@ -225,18 +222,28 @@ mod tests {
         }
     }
 
+    /// Ends one batch: the tick's decision and the threshold it leaves.
+    fn tick(c: &mut ThresholdController, overloaded: bool) -> (Tick, f32) {
+        (c.end_batch(overloaded), c.threshold())
+    }
+
+    /// Ends one batch that must retune, and returns the new threshold.
+    fn retune(c: &mut ThresholdController) -> f32 {
+        let (decision, th) = tick(c, false);
+        assert_eq!(decision, Tick::Retuned);
+        th
+    }
+
     #[test]
     fn holds_initial_threshold_until_min_fill() {
         let mut c = ThresholdController::new(0.42, policy());
         c.observe(0.1);
         c.observe(0.2);
-        assert_eq!(c.end_batch(false), 0.42, "below min_fill: hold");
-        assert_eq!(c.retunes(), 0);
+        assert_eq!(tick(&mut c, false), (Tick::Idle, 0.42), "below min_fill");
         c.observe(0.1);
         c.observe(0.2);
         // min_fill reached: the grid walk fires.
-        let th = c.end_batch(false);
-        assert_eq!(c.retunes(), 1);
+        let th = retune(&mut c);
         // Half the window below th at lec 0.5: 0.2 < th works; smallest
         // grid multiple beating {0.1, 0.1, 0.2, 0.2} at lec 0.5 is 0.2
         // (0.1 < 0.2 counts two of four).
@@ -256,11 +263,9 @@ mod tests {
         for _ in 0..8 {
             c.observe(0.05);
         }
-        assert_eq!(c.end_batch(false), 0.5);
-        assert_eq!(c.end_batch(false), 0.5);
-        assert_eq!(c.retunes(), 0, "ticks 1 and 2 of 3 hold");
-        let th = c.end_batch(false);
-        assert_eq!(c.retunes(), 1, "tick 3 retunes");
+        assert_eq!(tick(&mut c, false), (Tick::Idle, 0.5), "tick 1 of 3");
+        assert_eq!(tick(&mut c, false), (Tick::Idle, 0.5), "tick 2 of 3");
+        let th = retune(&mut c);
         assert!((th - 0.1).abs() < 1e-6, "all entropies at 0.05: one step");
     }
 
@@ -271,28 +276,25 @@ mod tests {
         for _ in 0..8 {
             c.observe(0.1);
         }
-        assert!((c.end_batch(false) - 0.2).abs() < 1e-6);
+        assert!((retune(&mut c) - 0.2).abs() < 1e-6);
         // ...then hard traffic displaces it completely (window 8).
         for _ in 0..8 {
             c.observe(0.75);
         }
-        let th = c.end_batch(false);
+        let th = retune(&mut c);
         assert!((th - 0.8).abs() < 1e-6, "gate follows the window: {th}");
         assert_eq!(c.window.len(), 8);
     }
 
     #[test]
-    fn overload_holds_a_due_retune_and_counts_it() {
+    fn overload_holds_a_due_retune() {
         let mut c = ThresholdController::new(0.5, policy());
         for _ in 0..8 {
             c.observe(0.75);
         }
-        assert_eq!(c.end_batch(true), 0.5, "overloaded tick holds Th");
-        assert_eq!(c.holds(), 1);
-        assert_eq!(c.retunes(), 0);
+        assert_eq!(tick(&mut c, true), (Tick::Held, 0.5), "overloaded tick");
         // Pressure lifts: the next tick applies the pending evidence.
-        assert!((c.end_batch(false) - 0.8).abs() < 1e-6);
-        assert_eq!(c.retunes(), 1);
+        assert!((retune(&mut c) - 0.8).abs() < 1e-6);
     }
 
     #[test]
@@ -305,7 +307,7 @@ mod tests {
             c.observe(0.3);
         }
         assert_eq!(c.window.len(), 4);
-        assert!((c.end_batch(false) - 0.4).abs() < 1e-6);
+        assert!((retune(&mut c) - 0.4).abs() < 1e-6);
     }
 
     #[test]
@@ -321,7 +323,7 @@ mod tests {
         for _ in 0..8 {
             c.observe(0.9);
         }
-        assert!((c.end_batch(false) - 0.6).abs() < 1e-6, "ceil binds");
+        assert!((retune(&mut c) - 0.6).abs() < 1e-6, "ceil binds");
         let mut c = ThresholdController::new(
             0.5,
             ThresholdPolicy {
@@ -333,7 +335,7 @@ mod tests {
         for _ in 0..8 {
             c.observe(0.01);
         }
-        assert!((c.end_batch(false) - 0.3).abs() < 1e-6, "floor binds");
+        assert!((retune(&mut c) - 0.3).abs() < 1e-6, "floor binds");
     }
 
     #[test]
@@ -349,7 +351,7 @@ mod tests {
         for _ in 0..8 {
             c.observe(0.999);
         }
-        let th = c.end_batch(false);
+        let th = retune(&mut c);
         assert_eq!(th.to_bits(), 1.0f32.to_bits(), "bitwise 1.0, not 0.9999");
     }
 

@@ -1,7 +1,7 @@
 //! One rule for the threshold grid walk's inputs: the walk itself, the
-//! Phase-2 search and the serving threshold controller accept and reject
-//! the same `lec` and `step` values, because all three call
-//! `check_grid_walk`.
+//! Phase-2 search and the serving threshold controller (reached through
+//! the replay engine, which builds it) accept and reject the same `lec`
+//! and `step` values, because all three call `check_grid_walk`.
 
 use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
 
@@ -9,7 +9,7 @@ use pivot::core::{
     threshold_grid_walk, EffortModel, Parallelism, PathConfig, Phase2Config, Phase2Search,
 };
 use pivot::data::{Dataset, DatasetConfig};
-use pivot::serve::{ThresholdController, ThresholdPolicy};
+use pivot::serve::{ChaosConfig, ReplayEngine, ServeConfig, ThresholdPolicy};
 use pivot::sim::{AcceleratorConfig, Simulator, VitGeometry};
 use pivot::tensor::Rng;
 use pivot::vit::{VisionTransformer, VitConfig};
@@ -51,6 +51,7 @@ fn every_entry_point_accepts_and_rejects_the_same_values() {
     let geometry = VitGeometry::deit_s();
     let search = Phase2Search::new(&sim, &geometry, &efforts, &calibration)
         .with_parallelism(Parallelism::Off);
+    let ladder: Vec<_> = efforts.iter().map(|e| e.model.prepare()).collect();
 
     let (lec, step) = (0.7, 0.02);
     let above_one = f64::from_bits(1.0f64.to_bits() + 1);
@@ -92,13 +93,19 @@ fn every_entry_point_accepts_and_rejects_the_same_values() {
                     });
                 }),
                 accepts(|| {
-                    ThresholdController::new(
-                        0.5,
-                        ThresholdPolicy {
-                            lec,
-                            step,
-                            ..ThresholdPolicy::default()
+                    ReplayEngine::new(
+                        ladder.clone(),
+                        vec![0.5],
+                        ServeConfig {
+                            parallelism: Parallelism::Off,
+                            threshold: Some(ThresholdPolicy {
+                                lec,
+                                step,
+                                ..ThresholdPolicy::default()
+                            }),
+                            ..ServeConfig::default()
                         },
+                        ChaosConfig::default(),
                     );
                 }),
             ]

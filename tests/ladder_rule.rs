@@ -6,9 +6,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pivot::core::{evaluate_guarded_slice, CascadeCache, EffortLadder, Parallelism};
 use pivot::data::{Dataset, DatasetConfig, Sample};
-use pivot::serve::{
-    ChaosConfig, ReplayEngine, ServeConfig, Server, ThresholdController, ThresholdPolicy,
-};
+use pivot::serve::{ChaosConfig, ReplayEngine, ServeConfig, Server, ThresholdPolicy};
 use pivot::tensor::{Matrix, Rng};
 use pivot::vit::{PreparedModel, VisionTransformer, VitConfig};
 
@@ -87,6 +85,7 @@ fn every_entry_point_accepts_and_rejects_the_same_thresholds() {
     let (ladder, _) = models();
     let pair = &ladder[..2];
     let set = samples();
+    let prepared_pair = || -> Vec<PreparedModel> { pair.iter().map(|m| m.prepare()).collect() };
     let high = ladder[1].prepare();
     let cache = CascadeCache::build_prepared(&ladder[0].prepare(), &set, Parallelism::Off);
     let above_one = f32::from_bits(1.0f32.to_bits() + 1);
@@ -108,7 +107,12 @@ fn every_entry_point_accepts_and_rejects_the_same_thresholds() {
             let mut verdict = ladder_verdicts(pair, &[th]).to_vec();
             verdict.extend([
                 accepts(|| {
-                    ThresholdController::new(th, ThresholdPolicy::default());
+                    ReplayEngine::new(
+                        prepared_pair(),
+                        vec![th],
+                        serve_config(true),
+                        ChaosConfig::default(),
+                    );
                 }),
                 accepts(|| {
                     ThresholdPolicy {
@@ -142,7 +146,7 @@ fn every_entry_point_accepts_and_rejects_the_same_thresholds() {
     for (&(th, accepted), verdict) in cases.iter().zip(verdicts) {
         assert_eq!(
             verdict, [accepted; 11],
-            "Th {th:e}: [ladder new, set_thresholds, slice, spawn, replay, controller, \
+            "Th {th:e}: [ladder new, set_thresholds, slice, spawn, replay, adaptive replay, \
              floor, ceil, f_low_at, escalated, cache evaluate]"
         );
     }
