@@ -5,7 +5,8 @@
 //! and builds a dedicated accelerator to exploit the sparsity. Functionally,
 //! inference keeps only the strongest ~10% of attention links per query —
 //! which is what this wrapper reproduces on top of
-//! [`pivot_nn::PreparedAttention::infer_sparse`].
+//! [`pivot_nn::sparse_mask`], the attention score mask of
+//! [`PreparedModel::infer_sparse_attention`].
 
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;

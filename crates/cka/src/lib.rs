@@ -8,7 +8,8 @@
 //! can be skipped with little information loss.
 //!
 //! Linear CKA between representation matrices `X (n x p)` and `Y (n x q)`
-//! (one row per input) with centered columns is
+//! (one row per input; for an encoder, the input's `tokens x dim` residual
+//! stream flattened) with centered columns is
 //!
 //! ```text
 //! CKA(X, Y) = ||Y^T X||_F^2 / (||X^T X||_F * ||Y^T Y||_F)
@@ -63,27 +64,6 @@ pub fn linear_cka(x: &Matrix, y: &Matrix) -> f32 {
     (cross / (x_norm * y_norm)).clamp(0.0, 1.0)
 }
 
-/// Flattens a list of per-sample activation matrices (e.g. `tokens x dim`
-/// each) into a single representation matrix with one row per sample.
-///
-/// # Panics
-///
-/// Panics if the samples have inconsistent shapes or the list is empty.
-pub fn stack_flattened(samples: &[Matrix]) -> Matrix {
-    assert!(
-        !samples.is_empty(),
-        "stack_flattened needs at least one sample"
-    );
-    let shape = samples[0].shape();
-    let features = shape.0 * shape.1;
-    let mut out = Matrix::zeros(samples.len(), features);
-    for (r, s) in samples.iter().enumerate() {
-        assert_eq!(s.shape(), shape, "sample {r} has inconsistent shape");
-        out.row_mut(r).copy_from_slice(s.as_slice());
-    }
-    out
-}
-
 /// The CKA matrix of the paper's Fig. 3a / Algorithm 1.
 ///
 /// `matrix[(i, j)] = CKA(MLP_i, A_j)`: similarity between the MLP output of
@@ -97,8 +77,9 @@ pub struct CkaMatrix {
 impl CkaMatrix {
     /// Computes the CKA matrix from per-encoder representation stacks.
     ///
-    /// `mlp_reps[i]` / `attn_reps[j]` are `n_samples x features` matrices
-    /// (use [`stack_flattened`] to build them from per-sample traces). Only
+    /// `mlp_reps[i]` / `attn_reps[j]` are `n_samples x features` matrices,
+    /// each sample's `tokens x dim` residual stream flattened into its row
+    /// (`pivot_vit::PreparedModel::block_streams` returns them so). Only
     /// the upper triangle `j > i` is meaningful for Algorithm 1; the rest is
     /// filled with zeros.
     ///
@@ -218,16 +199,6 @@ mod tests {
         let x = Matrix::randn(10, 3, 1.0, &mut rng);
         let z = Matrix::zeros(10, 3);
         assert_eq!(linear_cka(&x, &z), 0.0);
-    }
-
-    #[test]
-    fn stack_flattened_layout() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let stacked = stack_flattened(&[a, b]);
-        assert_eq!(stacked.shape(), (2, 4));
-        assert_eq!(stacked.row(0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(stacked.row(1), &[5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]

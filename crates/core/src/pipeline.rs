@@ -3,7 +3,7 @@
 
 use crate::phase1::{select_optimal_path, Phase1Result};
 use crate::{EffortModel, Parallelism};
-use pivot_cka::{stack_flattened, CkaMatrix};
+use pivot_cka::CkaMatrix;
 use pivot_data::{Dataset, Sample};
 use pivot_tensor::{Matrix, Rng};
 use pivot_vit::{TrainConfig, Trainer, VisionTransformer, VitConfig};
@@ -172,35 +172,20 @@ impl PivotPipeline {
 }
 
 /// Computes the paper's CKA matrix (`CKA(MLP_i, A_j)`) from a model's
-/// traced activations on a calibration batch.
+/// residual streams on a calibration batch.
 ///
-/// The model is [prepared](VisionTransformer::prepare) once up front, so
-/// the whole batch of traced forward passes shares one fake-quant weight
-/// materialization instead of refitting quantizers per sample.
+/// The model is [prepared](VisionTransformer::prepare) once, and one
+/// batched forward over the whole batch snapshots every encoder's streams
+/// ([`pivot_vit::PreparedModel::block_streams`]), one row per sample.
 ///
 /// # Panics
 ///
 /// Panics if the batch is empty.
 pub fn compute_cka_matrix(model: &VisionTransformer, batch: &[&Sample]) -> CkaMatrix {
     assert!(!batch.is_empty(), "CKA batch must be non-empty");
-    let prepared = model.prepare();
-    let depth = prepared.config().depth;
-    let mut mlp_acts: Vec<Vec<Matrix>> = vec![Vec::with_capacity(batch.len()); depth];
-    let mut attn_acts: Vec<Vec<Matrix>> = vec![Vec::with_capacity(batch.len()); depth];
-    for sample in batch {
-        let trace = prepared.infer_traced(&sample.image);
-        for (i, (a, m)) in trace
-            .attention_out
-            .into_iter()
-            .zip(trace.mlp_out)
-            .enumerate()
-        {
-            attn_acts[i].push(a);
-            mlp_acts[i].push(m);
-        }
-    }
-    let mlp_reps: Vec<Matrix> = mlp_acts.iter().map(|acts| stack_flattened(acts)).collect();
-    let attn_reps: Vec<Matrix> = attn_acts.iter().map(|acts| stack_flattened(acts)).collect();
+    let images: Vec<&Matrix> = batch.iter().map(|s| &s.image).collect();
+    let (attn_reps, mlp_reps): (Vec<Matrix>, Vec<Matrix>) =
+        model.prepare().block_streams(&images).into_iter().unzip();
     CkaMatrix::compute(&mlp_reps, &attn_reps)
 }
 

@@ -3,19 +3,6 @@
 use crate::{Layer, LayerNorm, Mlp, MultiHeadAttention, Param, QuantMode};
 use pivot_tensor::{Matrix, Rng};
 
-/// Intermediate activations captured by
-/// [`crate::PreparedEncoderBlock::infer_traced`], used by `pivot-cka` to
-/// build the CKA matrix of the paper's Fig. 3a.
-#[derive(Debug, Clone)]
-pub struct EncoderTrace {
-    /// Residual stream right after the attention sub-block (`A_i` in the
-    /// paper). When the attention is skipped this equals the block input.
-    pub attention_out: Matrix,
-    /// Residual stream after the MLP sub-block (`MLP_i` in the paper) — the
-    /// encoder output.
-    pub mlp_out: Matrix,
-}
-
 /// One ViT encoder: `x += MHSA(LN(x))` (optional) then `x += MLP(LN(x))`.
 ///
 /// The attention sub-block can be *skipped* — the core mechanism PIVOT

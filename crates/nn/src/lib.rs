@@ -35,7 +35,7 @@ mod prepared;
 mod store;
 
 pub use attention::MultiHeadAttention;
-pub use encoder::{EncoderBlock, EncoderTrace};
+pub use encoder::EncoderBlock;
 pub use linear::{Linear, QuantMode};
 pub use losses::{
     cross_entropy, distillation_mse, entropy_regularizer, normalized_entropy, LossValue,
@@ -44,7 +44,9 @@ pub use mlp::Mlp;
 pub use norm::LayerNorm;
 pub use optim::{Adam, AdamConfig};
 pub use param::Param;
-pub use prepared::{PreparedAttention, PreparedEncoderBlock, PreparedLinear, PreparedMlp};
+pub use prepared::{
+    sparse_mask, PreparedAttention, PreparedEncoderBlock, PreparedLinear, PreparedMlp,
+};
 pub use store::{PreparedStore, StoreStats};
 
 /// A trainable component: forward caches, backward returns the input

@@ -17,7 +17,7 @@
 //! (training steps, `set_quant_mode`, fault injection into the latent
 //! weights) invalidates it and requires calling `prepare()` again.
 
-use crate::{EncoderTrace, LayerNorm, QuantMode};
+use crate::{LayerNorm, QuantMode};
 use pivot_tensor::{add_bias_in_place, ContentHasher, Matrix, PackedF32, QuantParams};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -328,31 +328,10 @@ impl PreparedAttention {
     ///
     /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
     pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
-        self.attend(x, tokens, |_| {})
-    }
-
-    /// Inference with ViTCOD-style attention sparsification: in each head,
-    /// only the `density` fraction of highest pre-softmax scores per row
-    /// survive; the rest are masked to `-inf` before the softmax.
-    ///
-    /// At least one entry per row is always kept. Used by the
-    /// `pivot-baselines` ViTCOD re-implementation (90% sparsity = density
-    /// 0.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
-        self.attend(x, x.rows(), sparse_mask(x.rows(), density))
-    }
-
-    /// The allocating entry points: [`Self::attend_in`] on the calling
-    /// thread's [`Arena`], from a copy of `x`, its result copied out.
-    fn attend(&self, x: &Matrix, tokens: usize, mask: impl FnMut(&mut [f32])) -> Matrix {
         ARENA.with_borrow_mut(|a| {
             a.norm.reuse_as(x.rows(), x.cols());
             a.norm.as_mut_slice().copy_from_slice(x.as_slice());
-            self.attend_in(a, tokens, mask);
+            self.attend_in(a, tokens, |_| {});
             a.q.clone()
         })
     }
@@ -374,15 +353,17 @@ impl PreparedAttention {
     }
 }
 
-/// The score mask of ViTCOD-style sparsified attention over `t` tokens
-/// (see [`PreparedAttention::infer_sparse`]): in each transposed score
-/// block the core hands over, keeps the `density` fraction of each query's
-/// highest scores and sets the rest to `-inf`.
+/// The score mask of ViTCOD-style sparsified attention over `t` tokens, for
+/// the `mask` of [`PreparedEncoderBlock::infer_batch_in_place`]: in each
+/// transposed score block the attention core hands over, keeps the
+/// `density` fraction of each query's highest pre-softmax scores (at least
+/// one) and sets the rest to `-inf`. The `pivot-baselines` ViTCOD
+/// re-implementation runs it at density 0.1 (90% sparsity).
 ///
 /// # Panics
 ///
 /// Panics if `density` is not in `(0, 1]`.
-fn sparse_mask(t: usize, density: f32) -> impl FnMut(&mut [f32]) {
+pub fn sparse_mask(t: usize, density: f32) -> impl FnMut(&mut [f32]) {
     assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
     let keep = ((t as f32 * density).ceil() as usize).max(1);
     let mut order: Vec<usize> = Vec::with_capacity(t);
@@ -571,13 +552,46 @@ impl PreparedEncoderBlock {
         self.attn.unique_weight_bytes_into(seen) + self.mlp.unique_weight_bytes_into(seen)
     }
 
-    /// The one block body, in place on the residual stream `x`:
-    /// `x += MHSA(LN(x))` (unless skipped), then `after_attention(x)`, then
-    /// `x += MLP(LN(x))`. Every temporary lives in the calling thread's
-    /// [`Arena`], so a skipped attention copies nothing and a warm call
-    /// allocates nothing. Each sum is the out-of-place block's sum with its
-    /// operands swapped, which IEEE addition does not round differently.
-    fn run(
+    /// Per-sample inference.
+    pub fn infer(&self, x: &Matrix) -> Matrix {
+        self.infer_batch(x, x.rows())
+    }
+
+    /// Batched inference over samples stacked along rows (`tokens` rows
+    /// each): [`Self::infer_batch_in_place`] on a copy of `x`, with no
+    /// mask and no observer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
+    pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
+        let mut y = x.clone();
+        self.infer_batch_in_place(&mut y, tokens, |_| {}, |_| {});
+        y
+    }
+
+    /// The one block body, in place on the residual stream `x` (samples
+    /// stacked along rows, `tokens` rows each): `x += MHSA(LN(x))` (unless
+    /// skipped), then `after_attention(x)`, then `x += MLP(LN(x))`.
+    ///
+    /// `mask` sees every (sample, head) block of scaled scores before its
+    /// softmax, transposed (one query per column, see [`sparse_mask`]); a
+    /// skipped attention never calls it. Layer norms and the MLP are
+    /// row-wise and run directly on the stack; attention runs the body of
+    /// [`PreparedAttention::infer_batch`]. Each sample's rows are
+    /// bit-identical to [`Self::infer`] on it alone. The temporaries live
+    /// in per-thread buffers that persist across calls, so once they have
+    /// grown to a thread's largest batch, a call with no-op hooks
+    /// allocates nothing. Each sum is the out-of-place block's sum with
+    /// its operands swapped, which IEEE addition does not round
+    /// differently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`,
+    /// or if `mask` or `after_attention` runs a prepared forward: both run
+    /// while this thread's buffers are borrowed.
+    pub fn infer_batch_in_place(
         &self,
         x: &mut Matrix,
         tokens: usize,
@@ -595,62 +609,6 @@ impl PreparedEncoderBlock {
             self.mlp.infer_into(&a.norm, &mut a.hidden, &mut a.q);
             x.add_scaled_in_place(&a.q, 1.0);
         });
-    }
-
-    /// Per-sample inference, also returning the trace for CKA capture.
-    pub fn infer_traced(&self, x: &Matrix) -> EncoderTrace {
-        let (mut mlp_out, mut attention_out) = (x.clone(), None);
-        let keep = |h: &Matrix| attention_out = Some(h.clone());
-        self.run(&mut mlp_out, x.rows(), |_| {}, keep);
-        EncoderTrace {
-            attention_out: attention_out.expect("the block body reports its attention output"),
-            mlp_out,
-        }
-    }
-
-    /// Per-sample inference.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_batch(x, x.rows())
-    }
-
-    /// Batched inference over samples stacked along rows (`tokens` rows
-    /// each): [`Self::infer_batch_in_place`] on a copy of `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
-    pub fn infer_batch(&self, x: &Matrix, tokens: usize) -> Matrix {
-        let mut y = x.clone();
-        self.infer_batch_in_place(&mut y, tokens);
-        y
-    }
-
-    /// Batched inference in place on the residual stream `x` (samples
-    /// stacked along rows, `tokens` rows each). Layer norms and the MLP
-    /// are row-wise and run directly on the stack; attention runs the body
-    /// of [`PreparedAttention::infer_batch`]. Each sample's rows are
-    /// bit-identical to [`Self::infer`] on it alone. The temporaries live
-    /// in per-thread buffers that persist across calls, so once they have
-    /// grown to a thread's largest batch, a call allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens == 0` or `x.rows()` is not divisible by `tokens`.
-    pub fn infer_batch_in_place(&self, x: &mut Matrix, tokens: usize) {
-        self.run(x, tokens, |_| {}, |_| {});
-    }
-
-    /// Per-sample inference with ViTCOD-style sparsified attention (see
-    /// [`PreparedAttention::infer_sparse`]). Honors the skip switch: a
-    /// skipped attention stays skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    pub fn infer_sparse(&self, x: &Matrix, density: f32) -> Matrix {
-        let mut y = x.clone();
-        self.run(&mut y, x.rows(), sparse_mask(x.rows(), density), |_| {});
-        y
     }
 }
 
@@ -697,24 +655,43 @@ mod tests {
         let _ = attn.infer_batch(&Matrix::zeros(7, 8), 5);
     }
 
+    /// `block` in place on a copy of the single sample `x` under `mask`:
+    /// the residual stream after its attention and after its MLP.
+    fn streams(
+        block: &PreparedEncoderBlock,
+        x: &Matrix,
+        mask: impl FnMut(&mut [f32]),
+    ) -> (Matrix, Matrix) {
+        let (mut y, mut attended) = (x.clone(), None);
+        block.infer_batch_in_place(&mut y, x.rows(), mask, |h| attended = Some(h.clone()));
+        (attended.expect("after_attention runs"), y)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn sparse_attention_at_full_density_is_dense_and_diverges_below() {
         let mut rng = Rng::new(22);
-        let attn = MultiHeadAttention::new(8, 2, QuantMode::Int8, &mut rng).prepare();
+        let block = EncoderBlock::new(8, 2, 16, QuantMode::Int8, &mut rng).prepare();
         let x = Matrix::randn(6, 8, 1.0, &mut rng);
-        let dense = attn.infer(&x);
-        // Keeping every score masks nothing: the hook is the only
-        // difference between the two entry points.
-        assert_eq!(attn.infer_sparse(&x, 1.0), dense);
-        let sparse = attn.infer_sparse(&x, 0.1);
-        assert!(sparse.is_all_finite(), "one score per row always survives");
-        assert!(!sparse.approx_eq(&dense, 1e-6));
+        let dense = streams(&block, &x, |_| {});
+        // Keeping every score masks nothing: the mask is the only
+        // difference between the two calls.
+        assert_eq!(streams(&block, &x, sparse_mask(6, 1.0)), dense);
+        let (attended, out) = streams(&block, &x, sparse_mask(6, 0.1));
+        assert!(
+            attended.is_all_finite() && out.is_all_finite(),
+            "one score per row always survives"
+        );
+        assert!(!attended.approx_eq(&dense.0, 1e-6));
     }
 
     #[test]
     fn sparse_attention_propagates_nan_scores_instead_of_panicking() {
         let mut rng = Rng::new(23);
-        let attn = MultiHeadAttention::new(8, 2, QuantMode::None, &mut rng).prepare();
+        let block = EncoderBlock::new(8, 2, 16, QuantMode::None, &mut rng).prepare();
         let mut x = Matrix::randn(6, 8, 1.0, &mut rng);
         // A poisoned token (what a stuck-NaN weight upstream produces):
         // its own scores are all NaN and every other row has one NaN score.
@@ -723,17 +700,21 @@ mod tests {
         for nan in [f32::NAN, -f32::NAN] {
             x.row_mut(2).fill(nan);
             for density in [0.1, 0.5, 1.0] {
-                let sparse = attn.infer_sparse(&x, density);
+                let (attended, _) = streams(&block, &x, sparse_mask(6, density));
                 for r in 0..6 {
                     assert!(
-                        sparse.row(r).iter().all(|v| !v.is_finite()),
+                        attended.row(r).iter().all(|v| !v.is_finite()),
                         "row {r} laundered the fault at density {density}"
                     );
                 }
             }
             // Keeping every score is still the dense path, NaN bits and all.
-            let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(attn.infer_sparse(&x, 1.0)), bits(attn.infer(&x)));
+            let (sparse, dense) = (
+                streams(&block, &x, sparse_mask(6, 1.0)),
+                streams(&block, &x, |_| {}),
+            );
+            assert_eq!(bits(&sparse.0), bits(&dense.0));
+            assert_eq!(bits(&sparse.1), bits(&dense.1));
         }
     }
 
@@ -741,12 +722,17 @@ mod tests {
     fn sparse_attention_masks_what_a_row_major_top_k_masks() {
         let (t, dim, heads, density) = (17, 12, 3, 0.3);
         let mut rng = Rng::new(26);
-        let attn = MultiHeadAttention::new(dim, heads, QuantMode::None, &mut rng).prepare();
+        let block = EncoderBlock::new(dim, heads, 2 * dim, QuantMode::None, &mut rng).prepare();
         let x = Matrix::randn(t, dim, 1.0, &mut rng);
 
-        // Row-major reference: each head's scores, the top-k mask per
-        // query row, `softmax_row`, then the product.
-        let (q, k, v) = (attn.wq.infer(&x), attn.wk.infer(&x), attn.wv.infer(&x));
+        // Row-major reference on the normed stream: each head's scores,
+        // the top-k mask per query row, `softmax_row`, then the product.
+        let (attn, normed) = (&block.attn, block.ln1.infer(&x));
+        let (q, k, v) = (
+            attn.wq.infer(&normed),
+            attn.wk.infer(&normed),
+            attn.wv.infer(&normed),
+        );
         let dh = attn.head_dim();
         let keep = ((t as f32 * density).ceil() as usize).max(1);
         let mut context = Matrix::zeros(t, dim);
@@ -770,11 +756,8 @@ mod tests {
                 context.row_mut(r)[h * dh..(h + 1) * dh].copy_from_slice(out.row(r));
             }
         }
-        let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(attn.infer_sparse(&x, density)),
-            bits(attn.proj.infer(&context))
-        );
+        let (attended, _) = streams(&block, &x, sparse_mask(t, density));
+        assert_eq!(bits(&attended), bits(&(&x + &attn.proj.infer(&context))));
     }
 
     #[test]
@@ -791,7 +774,10 @@ mod tests {
             assert_eq!(batched.slice_rows(0, 4), prepared.infer(&a), "{active}");
             assert_eq!(batched.slice_rows(4, 8), prepared.infer(&b), "{active}");
             // Full-density sparse attention is the dense block.
-            assert_eq!(prepared.infer_sparse(&a, 1.0), prepared.infer(&a));
+            assert_eq!(
+                streams(&prepared, &a, sparse_mask(4, 1.0)).1,
+                prepared.infer(&a)
+            );
         }
     }
 
@@ -803,7 +789,7 @@ mod tests {
         let with_attn = enc.prepare().infer(&x);
         enc.set_attention_active(false);
         let skipped = enc.prepare();
-        assert_eq!(skipped.infer_traced(&x).attention_out, x);
+        assert_eq!(streams(&skipped, &x, |_| {}).0, x);
         assert!(!with_attn.approx_eq(&skipped.infer(&x), 1e-6));
         // The re-view under the other switch is the re-prepared block.
         assert_eq!(skipped.with_attention_active(true).infer(&x), with_attn);

@@ -124,15 +124,14 @@ pub(crate) struct ThresholdController {
 
 impl ThresholdController {
     /// Creates a controller starting at `initial_th` (typically Phase 2's
-    /// offline threshold) under `policy`.
+    /// offline threshold) under `policy`. The engine hands it a gate
+    /// threshold that [`pivot_core::check_ladder`] has already checked.
     ///
     /// # Panics
     ///
-    /// Panics if the policy is invalid (see [`ThresholdPolicy::validate`])
-    /// or `initial_th` breaks the threshold rule ([`check_threshold`]).
+    /// Panics if the policy is invalid (see [`ThresholdPolicy::validate`]).
     pub fn new(initial_th: f32, policy: ThresholdPolicy) -> Self {
         policy.validate();
-        check_threshold(initial_th);
         Self {
             policy,
             th: initial_th,
@@ -366,11 +365,5 @@ mod tests {
                 ..policy()
             },
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be in [0, 1], got 1.5")]
-    fn out_of_range_initial_threshold_is_rejected() {
-        let _ = ThresholdController::new(1.5, policy());
     }
 }

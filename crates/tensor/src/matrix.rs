@@ -253,16 +253,6 @@ impl Matrix {
         &mut self.data[start * self.cols..end * self.cols]
     }
 
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        assert!(c < self.cols, "col {c} out of bounds ({} cols)", self.cols);
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

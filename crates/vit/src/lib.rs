@@ -26,7 +26,7 @@ mod train;
 
 pub use config::{ConfigError, VitConfig};
 pub use io::{crc32, CheckpointError};
-pub use model::{ForwardTrace, VisionTransformer};
+pub use model::VisionTransformer;
 pub use prepared::PreparedModel;
 pub use train::{EpochStats, TrainConfig, Trainer};
 

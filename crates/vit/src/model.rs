@@ -4,25 +4,6 @@ use crate::VitConfig;
 use pivot_nn::{EncoderBlock, Layer, LayerNorm, Linear, Param, QuantMode};
 use pivot_tensor::{Matrix, Rng};
 
-/// Activations captured during a traced forward pass.
-///
-/// `attention_out[i]` and `mlp_out[i]` are the residual-stream snapshots of
-/// encoder `i` (the paper's `A_i` and `MLP_i`), flattened to one row per
-/// token. `cls_feature` is the class-token feature after the final layer
-/// norm — the representation used for distillation — and `logits` the
-/// classifier output.
-#[derive(Debug, Clone)]
-pub struct ForwardTrace {
-    /// Residual stream after each encoder's attention sub-block.
-    pub attention_out: Vec<Matrix>,
-    /// Residual stream after each encoder's MLP sub-block.
-    pub mlp_out: Vec<Matrix>,
-    /// Final-norm class-token feature, `1 x dim`.
-    pub cls_feature: Matrix,
-    /// Classifier logits, `1 x num_classes`.
-    pub logits: Matrix,
-}
-
 /// A Vision Transformer with per-encoder attention skipping.
 ///
 /// # Example
@@ -151,7 +132,7 @@ impl VisionTransformer {
     /// inference view: every [`Linear`] (patch embed, Q/K/V, projections,
     /// MLPs, head) fits its quantizer and materializes its effective weight
     /// exactly once. The view is the inference implementation (this model's
-    /// own [`Self::infer`]/[`Self::infer_traced`]/[`Self::accuracy`] prepare
+    /// own [`Self::infer`]/[`Self::accuracy`] prepare
     /// one and delegate); it does zero per-call weight work and is
     /// `Send + Sync`, so one instance can serve every worker thread.
     ///
@@ -209,14 +190,6 @@ impl VisionTransformer {
     /// hold one [`Self::prepare`] view and call it directly.
     pub fn infer(&self, image: &Matrix) -> Matrix {
         self.prepare().infer(image)
-    }
-
-    /// Inference-only forward capturing the per-encoder activations needed
-    /// by the CKA analysis and the distillation feature (see
-    /// [`crate::PreparedModel::infer_traced`]; same per-call prepare as
-    /// [`Self::infer`]).
-    pub fn infer_traced(&self, image: &Matrix) -> ForwardTrace {
-        self.prepare().infer_traced(image)
     }
 
     /// Training forward pass; caches intermediates for [`Self::backward`].
@@ -386,10 +359,10 @@ mod tests {
         let mut rng = Rng::new(5);
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng);
         let (logits, cls_feature) = model.forward(&img);
-        let trace = model.infer_traced(&img);
         let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(logits), bits(trace.logits));
-        assert_eq!(bits(cls_feature), bits(trace.cls_feature));
+        assert_eq!(bits(logits), bits(model.infer(&img)));
+        let inferred = model.prepare().cls_features(&[&img], |cls| cls);
+        assert_eq!(bits(cls_feature), bits(inferred));
     }
 
     #[test]

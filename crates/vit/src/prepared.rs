@@ -10,8 +10,8 @@
 //! weight materialization.
 
 use crate::model::patchify_into;
-use crate::{ForwardTrace, VitConfig};
-use pivot_nn::{LayerNorm, PreparedEncoderBlock, PreparedLinear};
+use crate::VitConfig;
+use pivot_nn::{sparse_mask, LayerNorm, PreparedEncoderBlock, PreparedLinear};
 use pivot_tensor::Matrix;
 
 /// Immutable inference view of a [`VisionTransformer`](crate::VisionTransformer).
@@ -166,46 +166,51 @@ impl PreparedModel {
         self.head.infer(&self.norm.infer(tokens).slice_rows(0, 1))
     }
 
-    /// Inference returning logits (`1 x num_classes`).
+    /// Inference returning logits (`1 x num_classes`):
+    /// [`Self::forward_batch`] of one image.
     pub fn infer(&self, image: &Matrix) -> Matrix {
-        self.infer_traced(image).logits
-    }
-
-    /// Traced inference capturing the per-encoder activations needed by the
-    /// CKA analysis and the distillation feature.
-    pub fn infer_traced(&self, image: &Matrix) -> ForwardTrace {
-        let mut x = self.embed_tokens(image);
-        let mut attention_out = Vec::with_capacity(self.blocks.len());
-        let mut mlp_out = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let trace = block.infer_traced(&x);
-            x = trace.mlp_out.clone();
-            attention_out.push(trace.attention_out);
-            mlp_out.push(trace.mlp_out);
-        }
-        let normed = self.norm.infer(&x);
-        let cls_feature = normed.slice_rows(0, 1);
-        let logits = self.head.infer(&cls_feature);
-        ForwardTrace {
-            attention_out,
-            mlp_out,
-            cls_feature,
-            logits,
-        }
+        self.forward_batch(&[image])
     }
 
     /// Inference with ViTCOD-style attention sparsification in every active
-    /// attention (see [`pivot_nn::PreparedAttention::infer_sparse`]).
+    /// attention: the walk of [`Self::infer`] with [`sparse_mask`] as its
+    /// attention score mask.
     ///
     /// # Panics
     ///
     /// Panics if `density` is not in `(0, 1]`.
     pub fn infer_sparse_attention(&self, image: &Matrix, density: f32) -> Matrix {
-        let mut x = self.embed_tokens(image);
-        for block in &self.blocks {
-            x = block.infer_sparse(&x, density);
-        }
-        self.classify_tokens(&x)
+        let hook = Hook {
+            mask: sparse_mask(self.config.tokens(), density),
+            observe: |_: &Matrix| {},
+        };
+        self.walk_one(&[image], hook, |cls| self.head.infer(&cls))
+    }
+
+    /// The residual stream of every image after each encoder block's
+    /// attention and again after its MLP (the paper's `A_i` and `MLP_i`,
+    /// whose CKA matrix Phase 1 scores paths with), from one batched walk.
+    ///
+    /// Element `i` is `(A_i, MLP_i)`, each `images.len() x (tokens * dim)`:
+    /// row `s` is image `s`'s `tokens x dim` stream flattened, bit-identical
+    /// to the same call on that image alone. A skipped attention's `A_i`
+    /// is its block's input.
+    pub fn block_streams<M: std::borrow::Borrow<Matrix>>(
+        &self,
+        images: &[M],
+    ) -> Vec<(Matrix, Matrix)> {
+        let mut streams = Vec::with_capacity(2 * self.blocks.len());
+        let hook = Hook {
+            mask: |_: &mut [f32]| {},
+            observe: |x: &Matrix| streams.push(x.clone()),
+        };
+        self.walk_one(images, hook, |_| ());
+        let width = self.config.tokens() * self.config.dim;
+        let mut rows = streams.into_iter().map(|mut x| {
+            x.reuse_as(images.len(), width);
+            x
+        });
+        std::iter::from_fn(|| Some((rows.next()?, rows.next()?))).collect()
     }
 
     /// Batched inference: runs every image through the encoder stack at
@@ -235,8 +240,10 @@ impl PreparedModel {
 
     /// The class-feature stage of [`Self::forward_batch`]: hands `then` the
     /// final-norm class-token row of each image (`images.len() x dim`), row
-    /// `i` bit-identical to `self.infer_traced(&images[i]).cls_feature`.
-    /// The trainer computes a mini-batch's distillation targets with it.
+    /// `i` bit-identical to the `cls_feature` the training forward
+    /// ([`VisionTransformer::forward`](crate::VisionTransformer::forward))
+    /// returns for `images[i]`. The trainer computes a mini-batch's
+    /// distillation targets with it.
     ///
     /// This is [`Self::walk`] over one level, and `then` runs as the
     /// walk's finish, while the encoder activations are still allocated:
@@ -248,8 +255,19 @@ impl PreparedModel {
         images: &[M],
         then: impl FnOnce(Matrix) -> R,
     ) -> R {
+        self.walk_one(images, untraced(), then)
+    }
+
+    /// [`Self::walk`] over this one level under `hook`, with `then` as its
+    /// finish.
+    fn walk_one<M: std::borrow::Borrow<Matrix>, R>(
+        &self,
+        images: &[M],
+        hook: Hook<impl FnMut(&mut [f32]), impl FnMut(&Matrix)>,
+        then: impl FnOnce(Matrix) -> R,
+    ) -> R {
         let (mut then, mut out) = (Some(then), None);
-        Self::walk(&[self], &mut [0], images, |_, cls| {
+        Self::walk(&[self], &mut [0], images, hook, |_, cls| {
             out = then.take().map(|then| then(cls));
         });
         out.expect("the level's walk reaches its head")
@@ -291,7 +309,7 @@ impl PreparedModel {
         }
         let mut logits: Vec<Option<Matrix>> = vec![None; levels.len()];
         let mut order: Vec<usize> = (0..levels.len()).collect();
-        Self::walk(levels, &mut order, images, |l, cls| {
+        Self::walk(levels, &mut order, images, untraced(), |l, cls| {
             logits[l] = Some(levels[l].head.infer(&cls));
         });
         logits
@@ -300,11 +318,13 @@ impl PreparedModel {
             .collect()
     }
 
-    /// The one loop that runs encoder blocks over a stacked batch. Each
-    /// level named in `order` (indices into `levels`) walks its embedding
-    /// and encoder stack over `images`, then `finish(l, cls)` gets level
+    /// The one loop that runs encoder blocks. Each level named in `order`
+    /// (indices into `levels`) walks its embedding and encoder stack over
+    /// `images`, every block under `hook`, then `finish(l, cls)` gets level
     /// `l`'s final-norm class-token rows while the encoder activations
-    /// are still allocated.
+    /// are still allocated. The forwards that want only logits pass the
+    /// zero-sized [`untraced`] hook; with several levels, an observer sees
+    /// every part a block runs on, in the order the walk runs them.
     ///
     /// A group of levels runs a stage once when all of them compute it
     /// alike: the embedding for levels whose embedding stages match
@@ -319,14 +339,15 @@ impl PreparedModel {
     /// `order` is reordered in place so that every group is a contiguous
     /// run of it. The walk carries one part of a split on and stacks the
     /// others. Every block runs in place on its part's residual stream
-    /// ([`PreparedEncoderBlock::infer_batch_in_place`]): the carried part
-    /// on the group's own, each split-off part on a copy taken before the
-    /// carried part moves it on. A single level never splits, so its walk
+    /// ([`Hook::run`]): the carried part on the group's own, each
+    /// split-off part on a copy taken before the carried part moves it on.
+    /// A single level never splits, so its walk under [`untraced`]
     /// allocates the embedding and the finish and nothing per block.
     fn walk<M: std::borrow::Borrow<Matrix>>(
         levels: &[&PreparedModel],
         order: &mut [usize],
         images: &[M],
+        mut hook: Hook<impl FnMut(&mut [f32]), impl FnMut(&Matrix)>,
         mut finish: impl FnMut(usize, Matrix),
     ) {
         let mut next = 0;
@@ -366,13 +387,15 @@ impl PreparedModel {
                     match carried {
                         None => carried = Some((end, block, tokens)),
                         Some(_) => {
-                            split_off.push((part, end, block.infer_batch(&x, tokens), b + 1))
+                            let mut copy = x.clone();
+                            hook.run(block, &mut copy, tokens);
+                            split_off.push((part, end, copy, b + 1))
                         }
                     }
                     part = end;
                 }
                 let (end, block, tokens) = carried.expect("a group that is not done has a part");
-                block.infer_batch_in_place(&mut x, tokens);
+                hook.run(block, &mut x, tokens);
                 (hi, b) = (end, b + 1);
             }
         }
@@ -445,6 +468,34 @@ impl PreparedModel {
     }
 }
 
+/// What [`PreparedModel::walk`] runs at every encoder block besides the
+/// block itself: the attention score `mask`, and an `observe`r that sees
+/// the residual stream after the block's attention and again after its
+/// MLP. Both reach the block through
+/// [`PreparedEncoderBlock::infer_batch_in_place`].
+struct Hook<K, O> {
+    mask: K,
+    observe: O,
+}
+
+impl<K: FnMut(&mut [f32]), O: FnMut(&Matrix)> Hook<K, O> {
+    /// Runs `block` in place on the residual stream `x` under this hook.
+    fn run(&mut self, block: &PreparedEncoderBlock, x: &mut Matrix, tokens: usize) {
+        block.infer_batch_in_place(x, tokens, &mut self.mask, |h| (self.observe)(h));
+        (self.observe)(x);
+    }
+}
+
+/// The hook of every forward that wants only logits: no mask, no
+/// observer. It is zero-sized, so the walk under it compiles to the
+/// blocks alone.
+fn untraced() -> Hook<impl FnMut(&mut [f32]), impl FnMut(&Matrix)> {
+    Hook {
+        mask: |_: &mut [f32]| {},
+        observe: |_: &Matrix| {},
+    }
+}
+
 /// Moves the items of `run` that `pick` selects to its front, keeping the
 /// order within both parts, and returns how many it moved.
 fn gather(run: &mut [usize], pick: impl Fn(usize) -> bool) -> usize {
@@ -510,6 +561,19 @@ pub(crate) mod tests {
         m
     }
 
+    /// The reference that is not the walk: `embed_tokens`, each block's
+    /// own `infer`, then the final norm and the head on the class token —
+    /// the schedule baselines with modified encoder stacks run. Returns
+    /// `(logits, class feature)` of the one image.
+    fn composed(prepared: &PreparedModel, image: &Matrix) -> (Matrix, Matrix) {
+        let mut x = prepared.embed_tokens(image);
+        for block in prepared.encoder_blocks() {
+            x = block.infer(&x);
+        }
+        let cls = prepared.norm.infer(&x).slice_rows(0, 1);
+        (prepared.classify_tokens(&x), cls)
+    }
+
     #[test]
     fn forward_batch_is_bit_identical_to_per_sample_infer() {
         // Every skip pattern a ladder uses (partial, full, none), each on
@@ -533,16 +597,19 @@ pub(crate) mod tests {
                     assert_eq!(logits.shape(), (batch_size, 4));
                     let cls = prepared.cls_features(&images, |cls| cls);
                     for (i, img) in images.iter().enumerate() {
+                        let (want, want_cls) = composed(&prepared, img);
+                        let row = logits.slice_rows(i, i + 1);
                         assert_eq!(
-                            logits.slice_rows(i, i + 1),
-                            prepared.infer(img),
+                            bits(&row),
+                            bits(&want),
                             "{quant:?}, seed {seed}: sample {i} of batch {batch_size} diverged"
                         );
+                        assert_eq!(row, prepared.infer(img));
                         // The distillation target the trainer batches is
-                        // the traced feature, bit for bit.
+                        // the composed class feature, bit for bit.
                         assert_eq!(
                             bits(&cls.slice_rows(i, i + 1)),
-                            bits(&prepared.infer_traced(img).cls_feature),
+                            bits(&want_cls),
                             "{quant:?}, seed {seed}: class feature {i} of batch {batch_size}"
                         );
                     }
@@ -620,11 +687,11 @@ pub(crate) mod tests {
                     assert_eq!(b.shared_prefix(a), *prefix, "{quant:?} case {case}");
                 }
                 let refs: Vec<&PreparedModel> = levels.iter().collect();
-                // `forward_batch` is the same walk over one level, so the
-                // reference is per-sample `infer`: `infer_traced`'s walk.
+                // `forward_batch` and `infer` are the same walk over one
+                // level, so the reference is the block-by-block composition.
                 let want: Vec<Vec<Matrix>> = levels
                     .iter()
-                    .map(|level| images.iter().map(|im| level.infer(im)).collect())
+                    .map(|level| images.iter().map(|im| composed(level, im).0).collect())
                     .collect();
                 // A ragged batch of 33, a batch of one and no images.
                 for n in [33, 1, 0] {
@@ -651,7 +718,8 @@ pub(crate) mod tests {
     fn concurrent_forward_batches_still_equal_per_sample_infer() {
         // The attention scratch is per thread: two workers inside
         // `forward_batch` at the same moment, on different images and
-        // batch sizes, must each reproduce single-threaded `infer`.
+        // batch sizes, must each reproduce the single-threaded
+        // block-by-block composition.
         let prepared = model(36, QuantMode::None, &[0, 1, 3]).prepare();
         let mut rng = Rng::new(37);
         let batches: Vec<Vec<Matrix>> = [5usize, 2]
@@ -664,7 +732,7 @@ pub(crate) mod tests {
             .collect();
         let want: Vec<Vec<Matrix>> = batches
             .iter()
-            .map(|b| b.iter().map(|img| prepared.infer(img)).collect())
+            .map(|b| b.iter().map(|img| composed(&prepared, img).0).collect())
             .collect();
         let barrier = std::sync::Barrier::new(batches.len());
         std::thread::scope(|scope| {
@@ -748,12 +816,6 @@ pub(crate) mod tests {
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(33));
         assert_eq!(m.infer(&img), prepared.infer(&img));
         assert_eq!(m.embed_tokens(&img), prepared.embed_tokens(&img));
-        let (a, b) = (m.infer_traced(&img), prepared.infer_traced(&img));
-        assert_eq!(a.cls_feature, b.cls_feature);
-        assert_eq!(a.attention_out, b.attention_out);
-        assert_eq!(a.mlp_out, b.mlp_out);
-        assert_eq!(a.attention_out.len(), 4);
-        assert_eq!(a.cls_feature.shape(), (1, 32));
     }
 
     #[test]
@@ -763,15 +825,54 @@ pub(crate) mod tests {
         // full-density sparse attention masks nothing.
         let prepared = model(31, QuantMode::None, &[0, 2]).prepare();
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(32));
-        let mut x = prepared.embed_tokens(&img);
-        for block in prepared.encoder_blocks() {
-            x = block.infer(&x);
+        let dense = prepared.infer(&img);
+        assert_eq!(composed(&prepared, &img).0, dense);
+        assert_eq!(prepared.infer_sparse_attention(&img, 1.0), dense);
+        let sparse = prepared.infer_sparse_attention(&img, 0.1);
+        assert!(sparse.is_all_finite(), "one score per row always survives");
+        assert!(!sparse.approx_eq(&dense, 1e-6));
+    }
+
+    #[test]
+    fn block_streams_are_per_image_calls_row_for_row() {
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng::new(90);
+        for quant in [QuantMode::None, QuantMode::Int8] {
+            // Blocks 1 and 3 skip their attention.
+            let prepared = model(91, quant, &[0, 2]).prepare();
+            let (depth, width) = (4, prepared.config.tokens() * prepared.config.dim);
+            let images: Vec<Matrix> = (0..5)
+                .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
+                .collect();
+            let streams = prepared.block_streams(&images);
+            assert_eq!(streams.len(), depth);
+            for (a, m) in &streams {
+                assert_eq!((a.shape(), m.shape()), ((5, width), (5, width)));
+            }
+            for (a, m) in prepared.block_streams::<Matrix>(&[]) {
+                assert_eq!((a.shape(), m.shape()), ((0, width), (0, width)));
+            }
+            for (i, img) in images.iter().enumerate() {
+                let alone = prepared.block_streams(&[img]);
+                let mut x = prepared.embed_tokens(img);
+                for (b, ((a, m), (a1, m1))) in streams.iter().zip(&alone).enumerate() {
+                    let at = format!("{quant:?}, image {i}, block {b}");
+                    assert_eq!(bits(a.row(i)), bits(a1.row(0)), "{at}");
+                    assert_eq!(bits(m.row(i)), bits(m1.row(0)), "{at}");
+                    let block = &prepared.encoder_blocks()[b];
+                    if !block.attention_active() {
+                        assert_eq!(bits(a.row(i)), bits(x.as_slice()), "{at}: skipped");
+                    }
+                    x = block.infer(&x);
+                    assert_eq!(bits(m.row(i)), bits(x.as_slice()), "{at}: composition");
+                }
+            }
         }
-        assert_eq!(prepared.classify_tokens(&x), prepared.infer(&img));
-        assert_eq!(
-            prepared.infer_sparse_attention(&img, 1.0),
-            prepared.infer(&img)
-        );
+    }
+
+    #[test]
+    fn the_untraced_hook_is_zero_sized() {
+        assert_eq!(std::mem::size_of_val(&untraced()), 0);
     }
 
     #[test]

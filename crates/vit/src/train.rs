@@ -122,7 +122,7 @@ impl Trainer {
             for batch in data.train_batches(cfg.batch_size, &mut rng) {
                 model.zero_grad();
                 // One batched teacher forward per mini-batch; row `i` is
-                // sample `i`'s traced class feature, bit for bit. The
+                // sample `i`'s class feature alone, bit for bit. The
                 // student steps stay per sample: batching them would
                 // change the order gradients are summed in.
                 let targets = teacher.as_ref().map(|t| {
@@ -321,16 +321,12 @@ mod tests {
         .train(&mut teacher, None, &data);
 
         // Students: same init, one with and one without distillation.
-        let teacher_view = teacher.prepare();
+        let images: Vec<&Matrix> = data.test.iter().map(|s| &s.image).collect();
+        let teacher_features = teacher.prepare().cls_features(&images, |cls| cls);
         let feature_gap = |student: &VisionTransformer| {
-            let (student, teacher) = (student.prepare(), &teacher_view);
-            data.test
-                .iter()
-                .map(|s| {
-                    let sf = student.infer_traced(&s.image).cls_feature;
-                    let tf = teacher.infer_traced(&s.image).cls_feature;
-                    (&sf - &tf).frobenius_norm()
-                })
+            let gap = &student.prepare().cls_features(&images, |cls| cls) - &teacher_features;
+            (0..images.len())
+                .map(|i| gap.slice_rows(i, i + 1).frobenius_norm())
                 .sum::<f32>()
         };
         let cfg = TrainConfig {

@@ -1,8 +1,9 @@
 //! Allocation budget of the lean forward: warm inference allocates only
 //! its outputs, whatever the batch and head count; an encoder block runs
 //! in place on per-thread buffers and allocates nothing; and the encoder
-//! walk behind `forward_batch` allocates the same few buffers at any
-//! depth, effort and batch, so a warm batch takes no page faults.
+//! walk behind `forward_batch` and per-sample `infer` allocates the same
+//! few buffers at any depth, effort and batch, so a warm batch takes no
+//! page faults.
 //!
 //! Both counters are per thread, so the test harness's other threads
 //! cannot disturb a reading.
@@ -125,9 +126,10 @@ fn warm_block_in_place_allocates_nothing() {
         let prepared = block.prepare();
         for batch in [1, 16, 32] {
             let mut x = Matrix::randn(batch * tokens, dim, 1.0, &mut rng);
-            prepared.infer_batch_in_place(&mut x, tokens);
+            let run = |x: &mut Matrix| prepared.infer_batch_in_place(x, tokens, |_| {}, |_| {});
+            run(&mut x);
             assert_eq!(
-                allocations_of(|| prepared.infer_batch_in_place(&mut x, tokens)),
+                allocations_of(|| run(&mut x)),
                 0,
                 "attention active {active}, batch {batch}"
             );
@@ -169,6 +171,15 @@ fn warm_forward_batch_allocation_count_is_independent_of_depth_effort_and_batch(
                     config.depth
                 );
             }
+            // Per-sample `infer` is the same walk over one image.
+            let image = &images(&config, 1, &mut rng)[0];
+            let _ = model.infer(image);
+            assert_eq!(
+                allocations_of(|| model.infer(image)),
+                6,
+                "depth {}, {active} active attentions, per-sample infer",
+                config.depth
+            );
         }
     }
 }
