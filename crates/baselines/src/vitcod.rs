@@ -8,8 +8,9 @@
 //! [`pivot_nn::sparse_mask`], the attention score mask of
 //! [`PreparedModel::infer_sparse_attention`].
 
+use pivot_data::Sample;
 use pivot_tensor::Matrix;
-use pivot_vit::PreparedModel;
+use pivot_vit::{chunked_accuracy, PreparedModel};
 
 /// ViTCOD-style sparse-attention inference wrapper.
 ///
@@ -51,29 +52,28 @@ impl VitCod {
         1.0 - self.sparsity
     }
 
-    /// Runs sparse-attention inference on a trained model's view.
+    /// Runs sparse-attention inference of one image on a trained model's
+    /// view.
     pub fn infer(&self, model: &PreparedModel, image: &Matrix) -> Matrix {
-        model.infer_sparse_attention(image, self.density())
+        model.infer_sparse_attention(&[image], self.density())
     }
 
-    /// Classification accuracy over labeled samples.
-    pub fn accuracy(&self, model: &PreparedModel, samples: &[pivot_data::Sample]) -> f32 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let correct = samples
-            .iter()
-            .filter(|s| self.infer(model, &s.image).row_argmax(0) == s.label)
-            .count();
-        correct as f32 / samples.len() as f32
+    /// Classification accuracy over labeled samples: [`chunked_accuracy`]
+    /// of the batched [`PreparedModel::infer_sparse_attention`].
+    pub fn accuracy(&self, model: &PreparedModel, samples: &[Sample]) -> f32 {
+        chunked_accuracy(samples, |images| {
+            model.infer_sparse_attention(images, self.density())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_data::{Dataset, DatasetConfig};
+    use pivot_nn::sparse_mask;
     use pivot_tensor::Rng;
-    use pivot_vit::{VisionTransformer, VitConfig};
+    use pivot_vit::{VisionTransformer, VitConfig, EVAL_BATCH};
 
     #[test]
     fn zero_sparsity_matches_dense() {
@@ -115,6 +115,62 @@ mod tests {
             dist_mild < dist_hard,
             "mild {dist_mild} vs hard {dist_hard}"
         );
+    }
+
+    #[test]
+    fn batched_forward_is_bit_identical_to_the_per_image_composition() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cfg = VitConfig::tiny();
+        let mut source = VisionTransformer::new(&cfg, &mut Rng::new(6));
+        source.set_active_attentions(&[0, 2, 3, 7, 11]);
+        let model = source.prepare();
+        let mut rng = Rng::new(7);
+        let images: Vec<Matrix> = (0..EVAL_BATCH + 1)
+            .map(|_| Matrix::rand_uniform(32, 32, 0.0, 1.0, &mut rng))
+            .collect();
+        let t = cfg.tokens();
+        for vitcod in [VitCod::new(0.9), VitCod::new(0.3)] {
+            // `embed_tokens`, each block under the score mask on the one
+            // image, then `classify_tokens`.
+            let composed = |image: &Matrix| {
+                let mut x = model.embed_tokens(image);
+                for block in model.encoder_blocks() {
+                    block.infer_batch_in_place(&mut x, t, sparse_mask(t, vitcod.density()), |_| {});
+                }
+                model.classify_tokens(&x)
+            };
+            for n in [1, 5, EVAL_BATCH + 1] {
+                let logits = model.infer_sparse_attention(&images[..n], vitcod.density());
+                for (i, image) in images[..n].iter().enumerate() {
+                    let row = logits.slice_rows(i, i + 1);
+                    assert_eq!(bits(&row), bits(&composed(image)), "image {i} of {n}");
+                    assert_eq!(bits(&row), bits(&vitcod.infer(&model, image)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accuracy_is_the_per_image_argmax_count() {
+        let cfg = VitConfig::test_small();
+        let config = DatasetConfig {
+            classes: 4,
+            image_size: 16,
+            train_per_class: 1,
+            test_per_class: 18,
+            difficulty: (0.0, 1.0),
+        };
+        let test = Dataset::generate(&config, 8).test;
+        let model = VisionTransformer::new(&cfg, &mut Rng::new(9)).prepare();
+        let vitcod = VitCod::new(0.6);
+        assert!(test.len() > 2 * EVAL_BATCH);
+        let correct = test
+            .iter()
+            .filter(|s| vitcod.infer(&model, &s.image).row_argmax(0) == s.label)
+            .count();
+        let want = correct as f32 / test.len() as f32;
+        assert_eq!(vitcod.accuracy(&model, &test), want);
+        assert_eq!(vitcod.accuracy(&model, &[]), 0.0);
     }
 
     #[test]

@@ -149,11 +149,7 @@ pub fn table4(repro: &Reproduction) -> Vec<ComparisonRow> {
     let vitcod_acc = vitcod.accuracy(teacher, test) as f64;
 
     let heatvit = HeatVit::new(HeatVitConfig::deit_s(), teacher.config().depth);
-    let heatvit_correct = test
-        .iter()
-        .filter(|s| heatvit.infer(teacher, &s.image).row_argmax(0) == s.label)
-        .count();
-    let heatvit_acc = heatvit_correct as f64 / test.len() as f64;
+    let heatvit_acc = heatvit.accuracy(teacher, test) as f64;
 
     let pvds = super::pvds50(repro);
     let pivot_acc = cascade_test_accuracy(repro, &repro.deit, &pvds);

@@ -20,13 +20,7 @@
 use crate::parallel::{par_map, Parallelism};
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
-
-/// Samples per batched forward call.
-///
-/// Large enough to feed the blocked matmul kernel multi-tile row counts;
-/// small enough that a chunk's activations stay cache-resident and
-/// [`par_map`] has chunks to balance across threads.
-pub const EVAL_BATCH: usize = 32;
+pub use pivot_vit::EVAL_BATCH;
 
 /// Per-sample logits (`1 x num_classes` each, in item order) for arbitrary
 /// items carrying an image, computed in [`EVAL_BATCH`]-sized chunks on

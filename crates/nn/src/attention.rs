@@ -63,11 +63,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.wq.in_dim()
@@ -301,7 +296,10 @@ mod tests {
         let mut attn = MultiHeadAttention::new(8, 2, QuantMode::Int8, &mut rng);
         let x = Matrix::randn(4, 8, 1.0, &mut rng);
         let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(attn.prepare().infer(&x)), bits(attn.forward(&x)));
+        assert_eq!(
+            bits(attn.prepare().infer_batch(&x, 4)),
+            bits(attn.forward(&x))
+        );
     }
 
     #[test]
@@ -346,7 +344,9 @@ mod tests {
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
         let target = Matrix::randn(3, 4, 1.0, &mut rng);
         let loss = |m: &MultiHeadAttention, x: &Matrix| {
-            0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2)
+            0.5 * (&m.prepare().infer_batch(x, 3) - &target)
+                .frobenius_norm()
+                .powi(2)
         };
 
         let y = attn.forward(&x);
@@ -374,7 +374,9 @@ mod tests {
         let x = Matrix::randn(3, 4, 1.0, &mut rng);
         let target = Matrix::randn(3, 4, 1.0, &mut rng);
         let loss = |m: &MultiHeadAttention, x: &Matrix| {
-            0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2)
+            0.5 * (&m.prepare().infer_batch(x, 3) - &target)
+                .frobenius_norm()
+                .powi(2)
         };
 
         let y = attn.forward(&x);

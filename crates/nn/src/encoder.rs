@@ -153,7 +153,7 @@ mod tests {
             let x = Matrix::randn(4, 6, 1.0, &mut rng);
             let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                bits(enc.prepare().infer(&x)),
+                bits(enc.prepare().infer_batch(&x, 4)),
                 bits(enc.forward(&x)),
                 "{active}"
             );
@@ -169,7 +169,9 @@ mod tests {
             let x = Matrix::randn(3, 6, 1.0, &mut rng);
             let target = Matrix::randn(3, 6, 1.0, &mut rng);
             let loss = |m: &EncoderBlock, x: &Matrix| {
-                0.5 * (&m.prepare().infer(x) - &target).frobenius_norm().powi(2)
+                0.5 * (&m.prepare().infer_batch(x, 3) - &target)
+                    .frobenius_norm()
+                    .powi(2)
             };
 
             let y = enc.forward(&x);

@@ -6,11 +6,10 @@
 //! `forward` / `backward`): built once from a trained layer by the
 //! `prepare()` methods, they hold the `f32` effective weight — the latent
 //! weight, or under [`QuantMode::Int8`] its snap to the 8-bit fake-quant
-//! grid — packed once
-//! into the panel layout of the `f32` GEMM, and the quantizer that produced
-//! it, as plain immutable data: repeated inference does zero per-call
-//! weight work and the whole view is `Send + Sync` for free sharing across
-//! worker threads. Every view runs the one `f32` GEMM of the host; there
+//! grid — packed once into the panel layout of the `f32` GEMM, as plain
+//! immutable data: repeated inference does zero per-call weight work and
+//! the whole view is `Send + Sync` for free sharing across worker
+//! threads. Every view runs the one `f32` GEMM of the host; there
 //! is no integer compute path and no second weight layout.
 //!
 //! A prepared view is a *snapshot*: any mutation of the source layer
@@ -58,9 +57,9 @@ thread_local! {
 /// Frozen inference view of a [`crate::Linear`] layer.
 ///
 /// Holds the `f32` effective weight (full precision or fake-quantized), the
-/// bias row, the quantizer that produced the weight and the saturation
-/// count computed from those same parameters — so health checks report
-/// exactly what the forward pass runs on.
+/// bias row and the saturation count computed from the quantizer that
+/// produced the weight — so health checks report exactly what the forward
+/// pass runs on.
 ///
 /// The weight is resident once, pre-packed into the panel layout the GEMM
 /// reads ([`pivot_tensor::PackedF32`]), so repeated forwards skip the
@@ -74,7 +73,6 @@ thread_local! {
 pub struct PreparedLinear {
     pub(crate) panels: Arc<PackedF32>,
     pub(crate) bias: Matrix,
-    pub(crate) params: Option<QuantParams>,
     pub(crate) saturation: usize,
 }
 
@@ -100,23 +98,20 @@ impl PreparedLinear {
         );
         // Full precision runs on the latent weight itself; only the
         // fake-quantized grid has to be materialized.
-        let (fake_quant, params) = match quant {
-            QuantMode::None => (None, None),
+        let (fake_quant, saturation) = match quant {
+            QuantMode::None => (None, 0),
             QuantMode::Int8 => {
                 let qp = QuantParams::fit_symmetric(weight);
-                (Some(qp.fake_quant_matrix(weight)), Some(qp))
+                let saturation = qp.saturation_count(weight.as_slice());
+                (Some(qp.fake_quant_matrix(weight)), saturation)
             }
         };
-        let saturation = params
-            .map(|qp| qp.saturation_count(weight.as_slice()))
-            .unwrap_or(0);
         // Packed once, hoisting the per-call pack out of every forward;
         // the dense copy is not kept.
         let panels = Arc::new(PackedF32::pack(fake_quant.as_ref().unwrap_or(weight)));
         Self {
             panels,
             bias: bias.clone(),
-            params,
             saturation,
         }
     }
@@ -198,12 +193,6 @@ impl PreparedLinear {
         self.panels.n()
     }
 
-    /// The quantizer the effective weight was materialized with (`None` in
-    /// full-precision mode).
-    pub fn quant_params(&self) -> Option<QuantParams> {
-        self.params
-    }
-
     /// Number of latent weights the quantizer could not represent in-range,
     /// computed at prepare time from the same [`QuantParams`] the forward
     /// pass uses. Always 0 in full-precision mode.
@@ -260,56 +249,9 @@ impl PreparedAttention {
         }
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.wq.in_dim()
-    }
-
-    /// Per-head dimensionality `d_h = dim / heads`.
-    pub fn head_dim(&self) -> usize {
-        self.dim() / self.heads
-    }
-
-    /// Total saturated weights across the four projections.
-    pub fn weight_saturation(&self) -> usize {
-        self.wq.saturation + self.wk.saturation + self.wv.saturation + self.proj.saturation
-    }
-
-    /// Weight bytes streamed per forward across the four projections.
-    pub fn weight_bytes(&self) -> usize {
-        self.wq.weight_bytes()
-            + self.wk.weight_bytes()
-            + self.wv.weight_bytes()
-            + self.proj.weight_bytes()
-    }
-
-    /// Weight bytes not already counted in `seen` (see
-    /// [`PreparedLinear::unique_weight_bytes_into`]).
-    pub fn unique_weight_bytes_into(&self, seen: &mut HashSet<usize>) -> usize {
-        self.wq.unique_weight_bytes_into(seen)
-            + self.wk.unique_weight_bytes_into(seen)
-            + self.wv.unique_weight_bytes_into(seen)
-            + self.proj.unique_weight_bytes_into(seen)
-    }
-
-    /// The same head count and four projections that each
-    /// [`PreparedLinear::computes_same_as`].
-    fn computes_same_as(&self, other: &Self) -> bool {
-        self.heads == other.heads
-            && self.wq.computes_same_as(&other.wq)
-            && self.wk.computes_same_as(&other.wk)
-            && self.wv.computes_same_as(&other.wv)
-            && self.proj.computes_same_as(&other.proj)
-    }
-
-    /// Per-sample inference: [`Self::infer_batch`] over a batch of one.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_batch(x, x.rows())
     }
 
     /// Batched inference over `x.rows() / tokens` samples stacked along rows
@@ -419,22 +361,6 @@ impl PreparedMlp {
         Self { fc1, fc2 }
     }
 
-    /// Total saturated weights across both projections.
-    pub fn weight_saturation(&self) -> usize {
-        self.fc1.saturation + self.fc2.saturation
-    }
-
-    /// Weight bytes streamed per forward across both projections.
-    pub fn weight_bytes(&self) -> usize {
-        self.fc1.weight_bytes() + self.fc2.weight_bytes()
-    }
-
-    /// Weight bytes not already counted in `seen` (see
-    /// [`PreparedLinear::unique_weight_bytes_into`]).
-    pub fn unique_weight_bytes_into(&self, seen: &mut HashSet<usize>) -> usize {
-        self.fc1.unique_weight_bytes_into(seen) + self.fc2.unique_weight_bytes_into(seen)
-    }
-
     /// Inference forward `fc2(gelu(fc1(x)))`, row-wise: `fc1`'s bias and
     /// the GELU are one pass over its product. The hidden layer lives in
     /// the calling thread's activation buffers; only the result is
@@ -520,12 +446,22 @@ impl PreparedEncoderBlock {
     /// layer norms with bitwise-equal γ, β and ε. A shared forward over
     /// several effort levels runs such a block once for all of them.
     pub fn computes_same_as(&self, other: &Self) -> bool {
+        let mut pairs = self.linears().into_iter().zip(other.linears());
         self.attention_active == other.attention_active
+            && self.attn.heads == other.attn.heads
             && self.ln1.computes_same_as(&other.ln1)
-            && self.attn.computes_same_as(&other.attn)
             && self.ln2.computes_same_as(&other.ln2)
-            && self.mlp.fc1.computes_same_as(&other.mlp.fc1)
-            && self.mlp.fc2.computes_same_as(&other.mlp.fc2)
+            && pairs.all(|(a, b)| a.computes_same_as(b))
+    }
+
+    /// The block's six projections: the attention's `Q`, `K`, `V` and
+    /// output projection, then the MLP's two. A skipped attention's
+    /// weights count in every sum over them: they stay resident in
+    /// (simulated) SRAM, and a corrupted value there matters as soon as
+    /// the effort level rises.
+    fn linears(&self) -> [&PreparedLinear; 6] {
+        let (a, m) = (&self.attn, &self.mlp);
+        [&a.wq, &a.wk, &a.wv, &a.proj, &m.fc1, &m.fc2]
     }
 
     /// Embedding dimensionality.
@@ -533,28 +469,23 @@ impl PreparedEncoderBlock {
         self.attn.dim()
     }
 
-    /// Total saturated weights. Skipped attentions still count — their
-    /// weights stay resident in (simulated) SRAM and a corrupted value there
-    /// matters as soon as the effort level rises.
+    /// Total saturated weights of the six projections, a skipped attention's too.
     pub fn weight_saturation(&self) -> usize {
-        self.attn.weight_saturation() + self.mlp.weight_saturation()
+        self.linears().iter().map(|l| l.saturation).sum()
     }
 
-    /// Weight bytes resident for the block (skipped attentions included —
-    /// their weights stay in simulated SRAM).
+    /// Weight bytes resident for the six projections, a skipped attention's too.
     pub fn weight_bytes(&self) -> usize {
-        self.attn.weight_bytes() + self.mlp.weight_bytes()
+        self.linears().iter().map(|l| l.weight_bytes()).sum()
     }
 
     /// Weight bytes not already counted in `seen` (see
     /// [`PreparedLinear::unique_weight_bytes_into`]).
     pub fn unique_weight_bytes_into(&self, seen: &mut HashSet<usize>) -> usize {
-        self.attn.unique_weight_bytes_into(seen) + self.mlp.unique_weight_bytes_into(seen)
-    }
-
-    /// Per-sample inference.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_batch(x, x.rows())
+        self.linears()
+            .iter()
+            .map(|l| l.unique_weight_bytes_into(seen))
+            .sum()
     }
 
     /// Batched inference over samples stacked along rows (`tokens` rows
@@ -579,7 +510,7 @@ impl PreparedEncoderBlock {
     /// skipped attention never calls it. Layer norms and the MLP are
     /// row-wise and run directly on the stack; attention runs the body of
     /// [`PreparedAttention::infer_batch`]. Each sample's rows are
-    /// bit-identical to [`Self::infer`] on it alone. The temporaries live
+    /// bit-identical to the same call on it alone. The temporaries live
     /// in per-thread buffers that persist across calls, so once they have
     /// grown to a thread's largest batch, a call with no-op hooks
     /// allocates nothing. Each sum is the out-of-place block's sum with
@@ -640,7 +571,7 @@ mod tests {
             for (i, s) in samples.iter().enumerate() {
                 assert_eq!(
                     batched.slice_rows(i * 5, (i + 1) * 5),
-                    attn.infer(s),
+                    attn.infer_batch(s, 5),
                     "sample {i} diverged under {quant:?}"
                 );
             }
@@ -733,7 +664,7 @@ mod tests {
             attn.wk.infer(&normed),
             attn.wv.infer(&normed),
         );
-        let dh = attn.head_dim();
+        let dh = attn.dim() / heads;
         let keep = ((t as f32 * density).ceil() as usize).max(1);
         let mut context = Matrix::zeros(t, dim);
         for h in 0..heads {
@@ -771,12 +702,20 @@ mod tests {
             let a = Matrix::randn(4, 6, 1.0, &mut rng);
             let b = Matrix::randn(4, 6, 1.0, &mut rng);
             let batched = prepared.infer_batch(&a.vcat(&b), 4);
-            assert_eq!(batched.slice_rows(0, 4), prepared.infer(&a), "{active}");
-            assert_eq!(batched.slice_rows(4, 8), prepared.infer(&b), "{active}");
+            assert_eq!(
+                batched.slice_rows(0, 4),
+                prepared.infer_batch(&a, 4),
+                "{active}"
+            );
+            assert_eq!(
+                batched.slice_rows(4, 8),
+                prepared.infer_batch(&b, 4),
+                "{active}"
+            );
             // Full-density sparse attention is the dense block.
             assert_eq!(
                 streams(&prepared, &a, sparse_mask(4, 1.0)).1,
-                prepared.infer(&a)
+                prepared.infer_batch(&a, 4)
             );
         }
     }
@@ -786,13 +725,16 @@ mod tests {
         let mut rng = Rng::new(25);
         let mut enc = EncoderBlock::new(6, 2, 12, QuantMode::None, &mut rng);
         let x = Matrix::randn(4, 6, 1.0, &mut rng);
-        let with_attn = enc.prepare().infer(&x);
+        let with_attn = enc.prepare().infer_batch(&x, 4);
         enc.set_attention_active(false);
         let skipped = enc.prepare();
         assert_eq!(streams(&skipped, &x, |_| {}).0, x);
-        assert!(!with_attn.approx_eq(&skipped.infer(&x), 1e-6));
+        assert!(!with_attn.approx_eq(&skipped.infer_batch(&x, 4), 1e-6));
         // The re-view under the other switch is the re-prepared block.
-        assert_eq!(skipped.with_attention_active(true).infer(&x), with_attn);
+        assert_eq!(
+            skipped.with_attention_active(true).infer_batch(&x, 4),
+            with_attn
+        );
     }
 
     #[test]

@@ -201,8 +201,8 @@ mod tests {
         let fa = a.prepare_in(&store);
         let fb = b.prepare_in(&store);
         assert_ne!(
-            fa.quant_params().is_some(),
-            fb.quant_params().is_some(),
+            fa.panels.content_hash(),
+            fb.panels.content_hash(),
             "modes must prepare differently"
         );
         assert_eq!(store.stats().hits, 0);

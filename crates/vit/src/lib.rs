@@ -27,7 +27,7 @@ mod train;
 pub use config::{ConfigError, VitConfig};
 pub use io::{crc32, CheckpointError};
 pub use model::VisionTransformer;
-pub use prepared::PreparedModel;
+pub use prepared::{chunked_accuracy, PreparedModel, EVAL_BATCH};
 pub use train::{EpochStats, TrainConfig, Trainer};
 
 // Re-exported so effort-ladder builders (pivot-core, pivot-bench) can share

@@ -11,8 +11,10 @@
 
 use crate::model::patchify_into;
 use crate::VitConfig;
+use pivot_data::Sample;
 use pivot_nn::{sparse_mask, LayerNorm, PreparedEncoderBlock, PreparedLinear};
 use pivot_tensor::Matrix;
+use std::borrow::Borrow;
 
 /// Immutable inference view of a [`VisionTransformer`](crate::VisionTransformer).
 ///
@@ -138,15 +140,13 @@ impl PreparedModel {
     }
 
     /// Embeds an image into the token matrix the encoder stack consumes
-    /// (class token + patch embeddings + positional embeddings).
-    ///
-    /// Exposed so baselines (token pruning) can run modified encoder
-    /// schedules.
+    /// (class token + patch embeddings + positional embeddings): the first
+    /// piece of a block-by-block composition.
     pub fn embed_tokens(&self, image: &Matrix) -> Matrix {
         self.embed(&[image])
     }
 
-    fn embed<M: std::borrow::Borrow<Matrix>>(&self, images: &[M]) -> Matrix {
+    fn embed<M: Borrow<Matrix>>(&self, images: &[M]) -> Matrix {
         embed_batch(
             &self.config,
             &self.patch_embed,
@@ -172,19 +172,38 @@ impl PreparedModel {
         self.forward_batch(&[image])
     }
 
-    /// Inference with ViTCOD-style attention sparsification in every active
-    /// attention: the walk of [`Self::infer`] with [`sparse_mask`] as its
-    /// attention score mask.
+    /// [`Self::forward_batch`] with ViTCOD-style attention sparsification
+    /// in every active attention: the walk with [`sparse_mask`] as its
+    /// attention score mask. The mask ranks each (image, head) score block
+    /// on its own, so row `i` is bit-identical to the same call on
+    /// `images[i]` alone.
     ///
     /// # Panics
     ///
     /// Panics if `density` is not in `(0, 1]`.
-    pub fn infer_sparse_attention(&self, image: &Matrix, density: f32) -> Matrix {
-        let hook = Hook {
-            mask: sparse_mask(self.config.tokens(), density),
-            observe: |_: &Matrix| {},
-        };
-        self.walk_one(&[image], hook, |cls| self.head.infer(&cls))
+    pub fn infer_sparse_attention<M: Borrow<Matrix>>(&self, images: &[M], density: f32) -> Matrix {
+        let mask = sparse_mask(self.config.tokens(), density);
+        self.logits(images, quiet(mask, |_, _: &mut Matrix, t| t))
+    }
+
+    /// [`Self::forward_batch`] with a restaging step between blocks: before
+    /// encoder block `b`, `restage(b, x, t)` may rewrite the residual
+    /// stream `x` (each image's `t` token rows in turn, class token first)
+    /// in place to `t′` rows per image, and returns `t′`, which every later
+    /// block and the head run on. HeatViT's token pruning is such a step.
+    /// Row `i` is bit-identical to the same call on `images[i]` alone when
+    /// the step treats each image on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `restage` returns 0 or leaves other than `t′` rows per
+    /// image (the blocks reject 0 tokens).
+    pub fn forward_batch_restaged<M: Borrow<Matrix>>(
+        &self,
+        images: &[M],
+        restage: impl FnMut(usize, &mut Matrix, usize) -> usize,
+    ) -> Matrix {
+        self.logits(images, quiet(|_: &mut [f32]| {}, restage))
     }
 
     /// The residual stream of every image after each encoder block's
@@ -195,14 +214,12 @@ impl PreparedModel {
     /// row `s` is image `s`'s `tokens x dim` stream flattened, bit-identical
     /// to the same call on that image alone. A skipped attention's `A_i`
     /// is its block's input.
-    pub fn block_streams<M: std::borrow::Borrow<Matrix>>(
-        &self,
-        images: &[M],
-    ) -> Vec<(Matrix, Matrix)> {
+    pub fn block_streams<M: Borrow<Matrix>>(&self, images: &[M]) -> Vec<(Matrix, Matrix)> {
         let mut streams = Vec::with_capacity(2 * self.blocks.len());
         let hook = Hook {
             mask: |_: &mut [f32]| {},
             observe: |x: &Matrix| streams.push(x.clone()),
+            restage: |_, _: &mut Matrix, t| t,
         };
         self.walk_one(images, hook, |_| ());
         let width = self.config.tokens() * self.config.dim;
@@ -213,29 +230,29 @@ impl PreparedModel {
         std::iter::from_fn(|| Some((rows.next()?, rows.next()?))).collect()
     }
 
-    /// Batched inference: runs every image through the encoder stack at
-    /// once, returning one logits row per image (`images.len() x
-    /// num_classes`).
-    ///
-    /// Samples are stacked along rows, so the patch embedding,
-    /// Q/K/V and output projections, MLPs and classifier head each run as
-    /// one wide GEMM per layer instead of one GEMM per sample. Attention
-    /// scores are still computed per sample (they must not mix samples).
+    /// Batched inference, one logits row per image (`images.len() x
+    /// num_classes`): the images are stacked along rows, so every linear
+    /// layer runs as one wide GEMM, while attention scores stay per image.
     ///
     /// Every kernel on the batched path is row-wise with a fixed
-    /// accumulation order, so row `i` of the result is bit-identical to
-    /// `self.infer(&images[i])` — for any batch size, including ragged
-    /// tails and a batch of one. Takes `&self`: one view can be shared
-    /// across worker threads without cloning.
-    ///
-    /// Accepts owned (`&[Matrix]`) or borrowed (`&[&Matrix]`) rows, so
-    /// chunked evaluators can pass references into their dataset instead of
-    /// cloning every image.
-    pub fn forward_batch<M: std::borrow::Borrow<Matrix>>(&self, images: &[M]) -> Matrix {
+    /// accumulation order, so row `i` is bit-identical to
+    /// `self.infer(&images[i])` for any batch size. Takes owned
+    /// (`&[Matrix]`) or borrowed (`&[&Matrix]`) images, so chunked
+    /// evaluators pass references into their dataset.
+    pub fn forward_batch<M: Borrow<Matrix>>(&self, images: &[M]) -> Matrix {
+        self.logits(images, untraced())
+    }
+
+    /// The logits of [`Self::walk_one`] under `hook`, one row per image.
+    fn logits<M: Borrow<Matrix>>(
+        &self,
+        images: &[M],
+        hook: Hook<impl Mask, impl Observe, impl Restage>,
+    ) -> Matrix {
         if images.is_empty() {
             return Matrix::zeros(0, self.config.num_classes);
         }
-        self.cls_features(images, |cls| self.head.infer(&cls))
+        self.walk_one(images, hook, |cls| self.head.infer(&cls))
     }
 
     /// The class-feature stage of [`Self::forward_batch`]: hands `then` the
@@ -250,7 +267,7 @@ impl PreparedModel {
     /// returning the rows first, which frees the activations before the
     /// head allocates, read about a fifth slower on the Phase-2 sweep
     /// benchmark, with a lower peak RSS.
-    pub(crate) fn cls_features<M: std::borrow::Borrow<Matrix>, R>(
+    pub(crate) fn cls_features<M: Borrow<Matrix>, R>(
         &self,
         images: &[M],
         then: impl FnOnce(Matrix) -> R,
@@ -260,10 +277,10 @@ impl PreparedModel {
 
     /// [`Self::walk`] over this one level under `hook`, with `then` as its
     /// finish.
-    fn walk_one<M: std::borrow::Borrow<Matrix>, R>(
+    fn walk_one<M: Borrow<Matrix>, R>(
         &self,
         images: &[M],
-        hook: Hook<impl FnMut(&mut [f32]), impl FnMut(&Matrix)>,
+        hook: Hook<impl Mask, impl Observe, impl Restage>,
         then: impl FnOnce(Matrix) -> R,
     ) -> R {
         let (mut then, mut out) = (Some(then), None);
@@ -273,14 +290,13 @@ impl PreparedModel {
         out.expect("the level's walk reaches its head")
     }
 
-    /// The tail after the encoder stack: gathers each of the `samples`
-    /// stacked in `x` by its class token (row 0 of its `tokens` rows),
-    /// then runs the final norm over them as one batch.
-    fn class_features(&self, x: &Matrix, samples: usize) -> Matrix {
-        let t = self.config.tokens();
-        let mut cls = Matrix::zeros(samples, self.config.dim);
-        for s in 0..samples {
-            cls.row_mut(s).copy_from_slice(x.row(s * t));
+    /// The tail after the encoder stack: gathers each image stacked in `x`
+    /// by its class token (row 0 of its `tokens` rows), then runs the
+    /// final norm over them as one batch.
+    fn class_features(&self, x: &Matrix, tokens: usize) -> Matrix {
+        let mut cls = Matrix::zeros(x.rows() / tokens, self.config.dim);
+        for s in 0..cls.rows() {
+            cls.row_mut(s).copy_from_slice(x.row(s * tokens));
         }
         self.norm.infer(&cls)
     }
@@ -297,7 +313,7 @@ impl PreparedModel {
     /// allocation (prepared separately, without a
     /// [`pivot_nn::PreparedStore`]) share nothing and cost what separate
     /// calls cost.
-    pub fn forward_batch_shared<M: std::borrow::Borrow<Matrix>>(
+    pub fn forward_batch_shared<M: Borrow<Matrix>>(
         levels: &[&PreparedModel],
         images: &[M],
     ) -> Vec<Matrix> {
@@ -324,7 +340,9 @@ impl PreparedModel {
     /// `l`'s final-norm class-token rows while the encoder activations
     /// are still allocated. The forwards that want only logits pass the
     /// zero-sized [`untraced`] hook; with several levels, an observer sees
-    /// every part a block runs on, in the order the walk runs them.
+    /// every part a block runs on, in the order the walk runs them. The
+    /// walk carries its stream's token count, which the hook's restaging
+    /// step may change before each block (once per group, before a split).
     ///
     /// A group of levels runs a stage once when all of them compute it
     /// alike: the embedding for levels whose embedding stages match
@@ -343,11 +361,11 @@ impl PreparedModel {
     /// split-off part on a copy taken before the carried part moves it on.
     /// A single level never splits, so its walk under [`untraced`]
     /// allocates the embedding and the finish and nothing per block.
-    fn walk<M: std::borrow::Borrow<Matrix>>(
+    fn walk<M: Borrow<Matrix>>(
         levels: &[&PreparedModel],
         order: &mut [usize],
         images: &[M],
-        mut hook: Hook<impl FnMut(&mut [f32]), impl FnMut(&Matrix)>,
+        mut hook: Hook<impl Mask, impl Observe, impl Restage>,
         mut finish: impl FnMut(usize, Matrix),
     ) {
         let mut next = 0;
@@ -355,23 +373,26 @@ impl PreparedModel {
             let first = levels[order[next]];
             let embedded_alike =
                 gather(&mut order[next + 1..], |l| first.embeds_same_as(levels[l]));
-            // The group in `order[lo..hi]`, with `x` its input to block `b`.
+            // The group in `order[lo..hi]`, with `x` its input to block `b`,
+            // `t` rows per image.
             let (mut lo, mut hi, mut b) = (next, next + 1 + embedded_alike, 0);
-            let mut x = first.embed(images);
+            let (mut x, mut t) = (first.embed(images), first.config.tokens());
             next = hi;
             // Groups split off, in the same form, still to run.
             let mut split_off = Vec::new();
             loop {
                 let done = gather(&mut order[lo..hi], |l| levels[l].blocks.len() == b);
                 for &l in &order[lo..lo + done] {
-                    finish(l, levels[l].class_features(&x, images.len()));
+                    finish(l, levels[l].class_features(&x, t));
                 }
                 lo += done;
                 if lo == hi {
                     let Some(group) = split_off.pop() else { break };
-                    (lo, hi, x, b) = group;
+                    (lo, hi, x, b, t) = group;
                     continue;
                 }
+                t = (hook.restage)(b, &mut x, t);
+                assert_eq!(x.rows(), images.len() * t, "restaged to {t} tokens");
                 // One part per class of block `b`; the first carries on.
                 let mut carried = None;
                 let mut part = lo;
@@ -383,19 +404,18 @@ impl PreparedModel {
                         + gather(&mut order[part + 1..hi], |l| {
                             block.computes_same_as(&levels[l].blocks[b])
                         });
-                    let tokens = level.config.tokens();
                     match carried {
-                        None => carried = Some((end, block, tokens)),
+                        None => carried = Some((end, block)),
                         Some(_) => {
                             let mut copy = x.clone();
-                            hook.run(block, &mut copy, tokens);
-                            split_off.push((part, end, copy, b + 1))
+                            hook.run(block, &mut copy, t);
+                            split_off.push((part, end, copy, b + 1, t))
                         }
                     }
                     part = end;
                 }
-                let (end, block, tokens) = carried.expect("a group that is not done has a part");
-                hook.run(block, &mut x, tokens);
+                let (end, block) = carried.expect("a group that is not done has a part");
+                hook.run(block, &mut x, t);
                 (hi, b) = (end, b + 1);
             }
         }
@@ -454,31 +474,54 @@ impl PreparedModel {
         self.quant_saturation_report().iter().map(|(_, n)| n).sum()
     }
 
-    /// Classification accuracy over labeled samples (per-sample loop; use
-    /// the batched evaluators in `pivot-core` for large sets).
-    pub fn accuracy(&self, samples: &[pivot_data::Sample]) -> f32 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let correct = samples
-            .iter()
-            .filter(|s| self.infer(&s.image).row_argmax(0) == s.label)
-            .count();
-        correct as f32 / samples.len() as f32
+    /// Classification accuracy over labeled samples: [`chunked_accuracy`]
+    /// of [`Self::forward_batch`].
+    pub fn accuracy(&self, samples: &[Sample]) -> f32 {
+        chunked_accuracy(samples, |images| self.forward_batch(images))
     }
 }
 
-/// What [`PreparedModel::walk`] runs at every encoder block besides the
-/// block itself: the attention score `mask`, and an `observe`r that sees
-/// the residual stream after the block's attention and again after its
-/// MLP. Both reach the block through
-/// [`PreparedEncoderBlock::infer_batch_in_place`].
-struct Hook<K, O> {
-    mask: K,
-    observe: O,
+/// Images per batched forward of every chunked evaluation (the accuracy
+/// walks, `pivot-core`'s cache builds): enough rows for multi-tile GEMMs,
+/// few enough that a chunk's activations stay cache-resident.
+pub const EVAL_BATCH: usize = 32;
+
+/// The share of `samples` whose label is the argmax of its logits row,
+/// `forward` giving one row per image of each [`EVAL_BATCH`]-sized chunk.
+/// 0 for no samples.
+pub fn chunked_accuracy(samples: &[Sample], mut forward: impl FnMut(&[&Matrix]) -> Matrix) -> f32 {
+    let mut correct = 0;
+    for chunk in samples.chunks(EVAL_BATCH) {
+        let logits = forward(&chunk.iter().map(|s| &s.image).collect::<Vec<_>>());
+        correct += (0..chunk.len())
+            .filter(|&i| logits.row_argmax(i) == chunk[i].label)
+            .count();
+    }
+    correct as f32 / samples.len().max(1) as f32
 }
 
-impl<K: FnMut(&mut [f32]), O: FnMut(&Matrix)> Hook<K, O> {
+/// What [`PreparedModel::walk`] runs around every encoder block besides
+/// the block itself: the attention score `mask`, an `observe`r that sees
+/// the residual stream after the block's attention and again after its
+/// MLP (both reach the block through
+/// [`PreparedEncoderBlock::infer_batch_in_place`]), and the `restage`
+/// step before it (see [`PreparedModel::forward_batch_restaged`]).
+struct Hook<K, O, R> {
+    mask: K,
+    observe: O,
+    restage: R,
+}
+
+/// A [`Hook`]'s score mask, observer and restaging step
+/// (`(block, stream, tokens) -> tokens`).
+trait Mask: FnMut(&mut [f32]) {}
+impl<F: FnMut(&mut [f32])> Mask for F {}
+trait Observe: FnMut(&Matrix) {}
+impl<F: FnMut(&Matrix)> Observe for F {}
+trait Restage: FnMut(usize, &mut Matrix, usize) -> usize {}
+impl<F: FnMut(usize, &mut Matrix, usize) -> usize> Restage for F {}
+
+impl<K: Mask, O: Observe, R> Hook<K, O, R> {
     /// Runs `block` in place on the residual stream `x` under this hook.
     fn run(&mut self, block: &PreparedEncoderBlock, x: &mut Matrix, tokens: usize) {
         block.infer_batch_in_place(x, tokens, &mut self.mask, |h| (self.observe)(h));
@@ -486,14 +529,21 @@ impl<K: FnMut(&mut [f32]), O: FnMut(&Matrix)> Hook<K, O> {
     }
 }
 
-/// The hook of every forward that wants only logits: no mask, no
-/// observer. It is zero-sized, so the walk under it compiles to the
-/// blocks alone.
-fn untraced() -> Hook<impl FnMut(&mut [f32]), impl FnMut(&Matrix)> {
+/// A hook with no observer.
+fn quiet<K: Mask, R: Restage>(mask: K, restage: R) -> Hook<K, impl Observe, R> {
+    let observe = |_: &Matrix| {};
     Hook {
-        mask: |_: &mut [f32]| {},
-        observe: |_: &Matrix| {},
+        mask,
+        observe,
+        restage,
     }
+}
+
+/// The hook of every forward that wants only logits: no mask, no
+/// observer, no restaging. It is zero-sized, so the walk under it
+/// compiles to the blocks alone.
+fn untraced() -> Hook<impl Mask, impl Observe, impl Restage> {
+    quiet(|_: &mut [f32]| {}, |_, _: &mut Matrix, t| t)
 }
 
 /// Moves the items of `run` that `pick` selects to its front, keeping the
@@ -516,7 +566,7 @@ fn gather(run: &mut [usize], pick: impl Fn(usize) -> bool) -> usize {
 /// the stage's operands rather than a whole view so
 /// [`VisionTransformer::embed_tokens`](crate::VisionTransformer::embed_tokens)
 /// can run it over a view of the one layer it needs.
-pub(crate) fn embed_batch<M: std::borrow::Borrow<Matrix>>(
+pub(crate) fn embed_batch<M: Borrow<Matrix>>(
     config: &VitConfig,
     patch_embed: &PreparedLinear,
     cls_token: &Matrix,
@@ -561,14 +611,13 @@ pub(crate) mod tests {
         m
     }
 
-    /// The reference that is not the walk: `embed_tokens`, each block's
-    /// own `infer`, then the final norm and the head on the class token —
-    /// the schedule baselines with modified encoder stacks run. Returns
-    /// `(logits, class feature)` of the one image.
+    /// The reference that is not the walk: `embed_tokens`, each block on
+    /// the one image, then the final norm and the head on the class
+    /// token. Returns `(logits, class feature)` of the one image.
     fn composed(prepared: &PreparedModel, image: &Matrix) -> (Matrix, Matrix) {
         let mut x = prepared.embed_tokens(image);
         for block in prepared.encoder_blocks() {
-            x = block.infer(&x);
+            x = block.infer_batch(&x, x.rows());
         }
         let cls = prepared.norm.infer(&x).slice_rows(0, 1);
         (prepared.classify_tokens(&x), cls)
@@ -827,8 +876,8 @@ pub(crate) mod tests {
         let img = Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut Rng::new(32));
         let dense = prepared.infer(&img);
         assert_eq!(composed(&prepared, &img).0, dense);
-        assert_eq!(prepared.infer_sparse_attention(&img, 1.0), dense);
-        let sparse = prepared.infer_sparse_attention(&img, 0.1);
+        assert_eq!(prepared.infer_sparse_attention(&[&img], 1.0), dense);
+        let sparse = prepared.infer_sparse_attention(&[&img], 0.1);
         assert!(sparse.is_all_finite(), "one score per row always survives");
         assert!(!sparse.approx_eq(&dense, 1e-6));
     }
@@ -863,11 +912,97 @@ pub(crate) mod tests {
                     if !block.attention_active() {
                         assert_eq!(bits(a.row(i)), bits(x.as_slice()), "{at}: skipped");
                     }
-                    x = block.infer(&x);
+                    x = block.infer_batch(&x, x.rows());
                     assert_eq!(bits(m.row(i)), bits(x.as_slice()), "{at}: composition");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_restaged_walk_carries_its_token_count_to_every_later_block_and_the_head() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let prepared = model(92, QuantMode::Int8, &[0, 1, 3]).prepare();
+        // Each image keeps its first 4 of 5 tokens before block 1 and its
+        // first 2 before block 3.
+        let keep_before = |b: usize| [(1, 4), (3, 2)].into_iter().find(|&(at, _)| at == b);
+        let mut rng = Rng::new(93);
+        let images: Vec<Matrix> = (0..EVAL_BATCH + 1)
+            .map(|_| Matrix::rand_uniform(16, 16, 0.0, 1.0, &mut rng))
+            .collect();
+        for n in [1, 3, EVAL_BATCH + 1] {
+            let mut seen = Vec::new();
+            let logits = prepared.forward_batch_restaged(&images[..n], |b, x, t| {
+                let t = match keep_before(b) {
+                    Some((_, keep)) => {
+                        let dim = x.cols();
+                        for s in 0..n {
+                            let from = s * t * dim;
+                            x.as_mut_slice()
+                                .copy_within(from..from + keep * dim, s * keep * dim);
+                        }
+                        x.reuse_as(n * keep, dim);
+                        keep
+                    }
+                    None => t,
+                };
+                seen.push(t);
+                t
+            });
+            assert_eq!(seen, [5, 4, 4, 2], "batch {n}");
+            for (i, image) in images[..n].iter().enumerate() {
+                let mut x = prepared.embed_tokens(image);
+                for (b, block) in prepared.encoder_blocks().iter().enumerate() {
+                    if let Some((_, keep)) = keep_before(b) {
+                        x = x.slice_rows(0, keep);
+                    }
+                    x = block.infer_batch(&x, x.rows());
+                }
+                assert_eq!(
+                    bits(&logits.slice_rows(i, i + 1)),
+                    bits(&prepared.classify_tokens(&x)),
+                    "image {i} of {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "restaged to 4 tokens")]
+    fn a_restage_that_leaves_a_ragged_stream_panics() {
+        let prepared = model(94, QuantMode::None, &[0]).prepare();
+        let images = vec![Matrix::zeros(16, 16); 2];
+        let _ = prepared.forward_batch_restaged(&images, |_, x, _| {
+            x.reuse_as(6, x.cols());
+            4
+        });
+    }
+
+    #[test]
+    fn accuracy_is_the_per_image_argmax_count() {
+        let data = pivot_data::Dataset::generate(
+            &pivot_data::DatasetConfig {
+                classes: 4,
+                image_size: 16,
+                train_per_class: 1,
+                test_per_class: 18,
+                difficulty: (0.0, 1.0),
+            },
+            95,
+        );
+        let prepared = model(96, QuantMode::None, &[0, 2]).prepare();
+        let samples = &data.test;
+        assert!(samples.len() > 2 * EVAL_BATCH);
+        let correct = samples
+            .iter()
+            .filter(|s| prepared.infer(&s.image).row_argmax(0) == s.label)
+            .count();
+        assert!(correct > 0 && correct < samples.len());
+        assert_eq!(
+            prepared.accuracy(samples),
+            correct as f32 / samples.len() as f32
+        );
+        assert_eq!(prepared.accuracy(&[]), 0.0);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Allocation budget of the lean forward: warm inference allocates only
 //! its outputs, whatever the batch and head count; an encoder block runs
 //! in place on per-thread buffers and allocates nothing; and the encoder
-//! walk behind `forward_batch` and per-sample `infer` allocates the same
-//! few buffers at any depth, effort and batch, so a warm batch takes no
-//! page faults.
+//! walk behind `forward_batch`, per-sample `infer` and HeatViT's pruned
+//! forward allocates the same few buffers at any depth, effort and batch,
+//! so a warm batch takes no page faults.
 //!
 //! Both counters are per thread, so the test harness's other threads
 //! cannot disturb a reading.
 
-use pivot_nn::{
+use pivot::baselines::{HeatVit, HeatVitConfig};
+use pivot::nn::{
     EncoderBlock, LayerNorm, PreparedAttention, PreparedLinear, PreparedMlp, QuantMode,
 };
-use pivot_tensor::{Matrix, Rng};
-use pivot_vit::{PreparedModel, VisionTransformer, VitConfig};
+use pivot::tensor::{Matrix, Rng};
+use pivot::vit::{PreparedModel, VisionTransformer, VitConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -181,6 +182,26 @@ fn warm_forward_batch_allocation_count_is_independent_of_depth_effort_and_batch(
                 config.depth
             );
         }
+    }
+}
+
+#[test]
+fn warm_heatvit_forward_allocation_count_is_independent_of_batch() {
+    let config = VitConfig::tiny();
+    let mut rng = Rng::new(7);
+    let model = prepared(&config, 3, &mut rng);
+    let heatvit = HeatVit::new(HeatVitConfig::deit_s(), config.depth);
+    for batch in [1, 16, 32] {
+        let images = images(&config, batch, &mut rng);
+        let _ = heatvit.forward_batch(&model, &images);
+        // The walk's six, plus the pruning's two scratch buffers (token
+        // norms, package sum); every image is pruned in place on the
+        // residual stream.
+        assert_eq!(
+            allocations_of(|| heatvit.forward_batch(&model, &images)),
+            8,
+            "batch {batch}"
+        );
     }
 }
 

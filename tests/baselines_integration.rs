@@ -49,13 +49,7 @@ fn baseline_accuracy_ordering_on_trained_model() {
     assert!(dense_acc > 0.5, "model must be trained (acc {dense_acc})");
 
     let vitcod_acc = VitCod::new(0.9).accuracy(&model, &data.test) as f64;
-    let heatvit = HeatVit::new(HeatVitConfig::deit_s(), 12);
-    let heatvit_acc = data
-        .test
-        .iter()
-        .filter(|s| heatvit.infer(&model, &s.image).row_argmax(0) == s.label)
-        .count() as f64
-        / data.test.len() as f64;
+    let heatvit_acc = HeatVit::new(HeatVitConfig::deit_s(), 12).accuracy(&model, &data.test) as f64;
 
     // Both post-hoc compressions lose some accuracy vs dense; 90% attention
     // sparsity is the harsher intervention (paper: ViTCOD 78.1 < HeatViT
