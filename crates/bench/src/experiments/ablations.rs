@@ -8,7 +8,7 @@ use crate::harness::Reproduction;
 use crate::Table;
 use pivot_core::{batched_logits, CascadeStats, EffortLadder, Parallelism, PathConfig};
 use pivot_data::Sample;
-use pivot_nn::{normalized_entropy, QuantMode};
+use pivot_nn::QuantMode;
 use pivot_sim::{AcceleratorConfig, Dataflow, Simulator, VitGeometry};
 use pivot_vit::{TrainConfig, Trainer};
 
@@ -89,16 +89,11 @@ pub fn ablation_entropy_regularizer(repro: &Reproduction) -> ((f64, f64), (f64, 
             seed: 66,
         })
         .train(&mut model, Some(teacher), &repro.dataset);
-        let model = model.prepare();
-        let mut total_entropy = 0.0f64;
-        let mut below = 0usize;
-        for s in &repro.dataset.test {
-            let e = normalized_entropy(&model.infer(&s.image));
-            total_entropy += e as f64;
-            below += (e < threshold) as usize;
-        }
-        let n = repro.dataset.test.len();
-        (total_entropy / n as f64, below as f64 / n as f64)
+        let test = &repro.dataset.test;
+        let cache =
+            pivot_core::CascadeCache::build_prepared(&model.prepare(), test, Parallelism::Auto);
+        let total_entropy: f64 = cache.entropies().iter().map(|&e| e as f64).sum();
+        (total_entropy / test.len() as f64, cache.f_low_at(threshold))
     };
 
     let with_len = run(0.2);

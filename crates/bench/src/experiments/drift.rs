@@ -24,15 +24,15 @@
 //! attention layers active vs all 4) maps onto DeiT-S as a 3-of-12 vs
 //! 12-of-12 attention mask on the ZCU102 config, so a level-1 exit is
 //! charged the paper's re-computation overhead `E_L + E_H`
-//! ([`LadderEnergy`]). The headline `ramp` scenario hardens 0.05 → 0.95;
-//! the acceptance bar is the issue's: adaptive back-half `F_L` within
-//! ±5% of the LEC while static degrades ≥ 15%, at equal or better
-//! energy-per-request.
+//! ([`LadderEnergy`]) by the engine itself, into its [`HealthStats`].
+//! The headline `ramp` scenario hardens 0.05 → 0.95; the acceptance bar:
+//! adaptive back-half `F_L` within ±5% of the LEC while static degrades
+//! ≥ 15%, at equal or better energy-per-request.
 
 use crate::Table;
 use pivot_core::{CascadeCache, Parallelism};
 use pivot_data::{Dataset, DatasetConfig, DriftSchedule, Sample};
-use pivot_serve::{ChaosConfig, ReplayEngine, ServeConfig, ThresholdPolicy};
+use pivot_serve::{ChaosConfig, HealthStats, ReplayEngine, ServeConfig, ThresholdPolicy};
 use pivot_sim::{AcceleratorConfig, EnergyLedger, LadderEnergy, Simulator, VitGeometry};
 use pivot_tensor::{Matrix, Rng};
 use pivot_vit::{PreparedModel, TrainConfig, Trainer, VisionTransformer, VitConfig};
@@ -55,21 +55,19 @@ pub const CALIBRATION: usize = 128;
 pub struct DriftPolicyRun {
     /// `static` or `adaptive`.
     pub policy: &'static str,
-    /// Level-0 exit fraction over the whole stream.
-    pub f_low: f64,
     /// Level-0 exit fraction over the back half of the stream — the
     /// region the drift has moved away from the calibration mix.
     pub back_f_low: f64,
-    /// Simulated mean energy per request, joules.
-    pub mean_energy_j: f64,
-    /// Simulated mean delay per request, ms.
-    pub mean_delay_ms: f64,
-    /// Gate threshold in force after the last batch.
-    pub final_th: f32,
-    /// Controller retunes applied (0 for the static policy).
-    pub retunes: u64,
-    /// Whether the health ledger balanced at drain.
-    pub accounted: bool,
+    /// The engine's ledger at drain: the final threshold, the retunes,
+    /// and in `energy` the exits, joules and delay of every request.
+    pub health: HealthStats,
+}
+
+impl DriftPolicyRun {
+    /// The run's energy ledger (every drift engine is priced).
+    fn energy(&self) -> &EnergyLedger {
+        self.health.energy.as_ref().expect("priced engine")
+    }
 }
 
 /// Static-vs-adaptive comparison on one drift schedule.
@@ -154,54 +152,36 @@ fn energy_ladder() -> LadderEnergy {
     LadderEnergy::from_masks(&sim, &geom, &[low, high])
 }
 
-/// Replays `stream` through one policy and folds exits into the energy
-/// ledger. `adaptive` is `None` for the frozen-threshold baseline.
+/// Replays `stream` through one policy: `levels` gated at `static_th` on
+/// an engine built from `config`, which prices the ladder and carries the
+/// adaptive threshold policy, if any.
 fn run_policy(
     policy: &'static str,
-    levels: Vec<PreparedModel>,
+    levels: &[PreparedModel],
     static_th: f32,
-    adaptive: Option<ThresholdPolicy>,
+    config: ServeConfig,
     stream: &[Sample],
-    costs: &LadderEnergy,
 ) -> DriftPolicyRun {
-    let config = ServeConfig {
-        parallelism: Parallelism::Off,
-        threshold: adaptive,
-        ..ServeConfig::default()
-    };
+    let levels = levels.to_vec();
     let mut eng = ReplayEngine::new(levels, vec![static_th], config, ChaosConfig::default());
-    let mut ledger = EnergyLedger::new();
-    let half = stream.len() / 2;
-    let (mut back_low, mut back_total, mut seen) = (0u64, 0u64, 0usize);
-    for chunk in stream.chunks(BATCH) {
-        let images: Vec<Matrix> = chunk.iter().map(|s| s.image.clone()).collect();
-        let responses = eng.process(&images, Duration::from_secs(60));
-        eng.clock().advance(Duration::from_millis(1));
-        for r in &responses {
-            let served = r
-                .outcome
-                .served()
-                .expect("healthy unloaded replay serves every request");
-            ledger.charge(costs, served.level);
-            if seen >= half {
-                back_total += 1;
-                if served.level == 0 {
-                    back_low += 1;
-                }
-            }
-            seen += 1;
+    let mut feed = |part: &[Sample]| {
+        for chunk in part.chunks(BATCH) {
+            let images: Vec<Matrix> = chunk.iter().map(|s| s.image.clone()).collect();
+            eng.process(&images, Duration::from_secs(60));
+            eng.clock().advance(Duration::from_millis(1));
         }
-    }
-    let h = eng.health();
+        let ledger = eng.health().energy.expect("priced engine");
+        (ledger.exits()[0], ledger.requests())
+    };
+    // The back half starts on a batch boundary, so two snapshots split it off.
+    let (front, back) = stream.split_at(stream.len() / 2);
+    assert_eq!(front.len() % BATCH, 0, "the back half must start a batch");
+    let (front_low, front_total) = feed(front);
+    let (low, total) = feed(back);
     DriftPolicyRun {
         policy,
-        f_low: ledger.f_low(),
-        back_f_low: back_low as f64 / back_total.max(1) as f64,
-        mean_energy_j: ledger.mean_energy_j(),
-        mean_delay_ms: ledger.mean_delay_ms(),
-        final_th: h.threshold,
-        retunes: h.retunes,
-        accounted: h.accounted(),
+        back_f_low: (low - front_low) as f64 / (total - front_total).max(1) as f64,
+        health: eng.health(),
     }
 }
 
@@ -230,21 +210,18 @@ fn run_scenario(
         floor: 0.0,
         ceil: 1.0,
     };
-    let static_run = run_policy("static", levels.to_vec(), static_th, None, &stream, costs);
-    let adaptive_run = run_policy(
-        "adaptive",
-        levels.to_vec(),
-        static_th,
-        Some(policy),
-        &stream,
-        costs,
-    );
+    let config = |threshold| ServeConfig {
+        parallelism: Parallelism::Off,
+        threshold,
+        costs: Some(costs.clone()),
+        ..ServeConfig::default()
+    };
     DriftScenario {
         name,
         requests: n,
         static_th,
-        static_run,
-        adaptive_run,
+        static_run: run_policy("static", levels, static_th, config(None), &stream),
+        adaptive_run: run_policy("adaptive", levels, static_th, config(Some(policy)), &stream),
     }
 }
 
@@ -337,16 +314,17 @@ pub fn drift_bench() -> DriftBench {
     ]);
     for s in &report.scenarios {
         for r in [&s.static_run, &s.adaptive_run] {
+            let (h, e) = (&r.health, r.energy());
             table.row_owned(vec![
                 s.name.to_string(),
                 r.policy.to_string(),
-                format!("{:.3}", r.final_th),
-                format!("{:.3}", r.f_low),
+                format!("{:.3}", h.threshold),
+                format!("{:.3}", e.f_low()),
                 format!("{:.3}", r.back_f_low),
-                format!("{:.4}", r.mean_energy_j),
-                format!("{:.2}", r.mean_delay_ms),
-                format!("{}", r.retunes),
-                if r.accounted { "balanced" } else { "LEAKED" }.to_string(),
+                format!("{:.4}", e.mean_energy_j()),
+                format!("{:.2}", e.mean_delay_ms()),
+                format!("{}", h.retunes),
+                if h.accounted() { "balanced" } else { "LEAKED" }.to_string(),
             ]);
         }
     }
@@ -360,8 +338,8 @@ pub fn drift_bench() -> DriftBench {
         ramp.static_run.back_f_low,
         DriftScenario::back_shortfall(&ramp.static_run) * 100.0,
         ramp.adaptive_run.back_f_low,
-        ramp.adaptive_run.mean_energy_j,
-        ramp.static_run.mean_energy_j,
+        ramp.adaptive_run.energy().mean_energy_j(),
+        ramp.static_run.energy().mean_energy_j(),
     );
     report
 }
@@ -382,15 +360,27 @@ mod tests {
     fn drift_bench_meets_the_acceptance_bar() {
         let report = drift_bench();
         for s in &report.scenarios {
-            assert!(s.static_run.accounted, "{}: static ledger leaked", s.name);
-            assert!(
-                s.adaptive_run.accounted,
-                "{}: adaptive ledger leaked",
-                s.name
-            );
-            assert_eq!(s.static_run.retunes, 0, "static policy never retunes");
+            for run in [&s.static_run, &s.adaptive_run] {
+                assert!(
+                    run.health.accounted(),
+                    "{} {}: ledger leaked",
+                    s.name,
+                    run.policy
+                );
+                assert_eq!(
+                    run.energy().requests(),
+                    s.requests as u64,
+                    "{} {}: the healthy unloaded replay serves every request",
+                    s.name,
+                    run.policy
+                );
+            }
             assert_eq!(
-                s.static_run.final_th, s.static_th,
+                s.static_run.health.retunes, 0,
+                "static policy never retunes"
+            );
+            assert_eq!(
+                s.static_run.health.threshold, s.static_th,
                 "static Th must stay frozen"
             );
         }
@@ -407,27 +397,27 @@ mod tests {
             ramp.adaptive_run.back_f_low
         );
         assert!(
-            ramp.adaptive_run.retunes > 0,
+            ramp.adaptive_run.health.retunes > 0,
             "the controller must actually retune under drift"
         );
         assert!(
-            ramp.adaptive_run.final_th > ramp.static_th,
+            ramp.adaptive_run.health.threshold > ramp.static_th,
             "hardening inputs must push the gate up"
         );
         assert!(
-            ramp.adaptive_run.mean_energy_j <= ramp.static_run.mean_energy_j,
-            "holding F_L must not cost energy: adaptive {:.4} J vs static {:.4} J",
-            ramp.adaptive_run.mean_energy_j,
-            ramp.static_run.mean_energy_j
+            ramp.adaptive_run.energy().mean_energy_j() <= ramp.static_run.energy().mean_energy_j(),
+            "holding F_L must not cost energy: {} vs {}",
+            ramp.adaptive_run.health,
+            ramp.static_run.health
         );
 
         // No drift, nothing to chase: the adaptive policy stays near the
         // calibrated point and matches the static baseline's F_L.
         let flat = report.scenario("stationary");
         assert!(
-            (flat.adaptive_run.final_th - flat.static_th).abs() <= 4.0 * STEP + 1e-6,
+            (flat.adaptive_run.health.threshold - flat.static_th).abs() <= 4.0 * STEP + 1e-6,
             "stationary adaptive Th {:.3} wandered from calibrated {:.3}",
-            flat.adaptive_run.final_th,
+            flat.adaptive_run.health.threshold,
             flat.static_th
         );
         assert!(

@@ -19,7 +19,7 @@
 //! typed [`CheckpointError`], never loaded silently and never a panic.
 
 use crate::Table;
-use pivot_core::{EffortLadder, FaultInjector, FaultKind, Parallelism};
+use pivot_core::{batched_logits, EffortLadder, FaultInjector, FaultKind, Parallelism};
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_tensor::Rng;
 use pivot_vit::{CheckpointError, VisionTransformer, VitConfig};
@@ -71,11 +71,9 @@ fn build_models(seed: u64) -> (VisionTransformer, VisionTransformer) {
 /// Baseline evaluation of one (possibly faulted) model: non-finite logits
 /// have no meaningful prediction, so those samples count as wrong.
 fn baseline_accuracy(model: &VisionTransformer, samples: &[Sample]) -> (f64, usize) {
-    let model = model.prepare();
-    let mut correct = 0usize;
-    let mut non_finite = 0usize;
-    for s in samples {
-        let logits = model.infer(&s.image);
+    let logits = batched_logits(&model.prepare(), samples, |s| &s.image, Parallelism::Auto);
+    let (mut correct, mut non_finite) = (0usize, 0usize);
+    for (s, logits) in samples.iter().zip(&logits) {
         if logits.is_all_finite() {
             correct += (logits.row_argmax(0) == s.label) as usize;
         } else {

@@ -77,3 +77,5 @@ pub use phase2::{EffortModel, Phase2Config, Phase2Result, Phase2Search};
 pub use pipeline::{compute_cka_matrix, PipelineConfig, PivotArtifacts, PivotPipeline};
 pub use score::path_score;
 pub use train_cost::TrainCostModel;
+// A serving cost table and what builds it, so `pivot-serve` needs no crate edge to `pivot-sim`.
+pub use pivot_sim::{AcceleratorConfig, EnergyLedger, LadderEnergy, Simulator, VitGeometry};

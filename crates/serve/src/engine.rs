@@ -21,7 +21,8 @@ use crate::request::{Request, ServeError, ServeOutcome, ServeResponse, Served};
 use crate::server::ServeConfig;
 use crate::threshold::{ThresholdController, Tick};
 use pivot_core::{
-    check_ladder, evaluate_guarded_slice, GuardedOutcome, Parallelism, StallSchedule,
+    check_ladder, evaluate_guarded_slice, EnergyLedger, GuardedOutcome, LadderEnergy, Parallelism,
+    StallSchedule,
 };
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
@@ -55,6 +56,7 @@ pub(crate) struct EngineCore {
     thresholds: Vec<f32>,
     controller: OverloadController,
     tuner: Option<ThresholdController>,
+    costs: Option<LadderEnergy>,
     par: Parallelism,
     chaos: ChaosConfig,
     clock: ServeClock,
@@ -66,14 +68,16 @@ impl EngineCore {
     /// Validates the ladder and builds the engine over it, returning the
     /// core and its health ledger — seeded with the full effort cap and
     /// the first gate's threshold — for the caller to share. `config`'s
-    /// overload, threshold and parallelism fields are honored; its queue
-    /// fields are the caller's business.
+    /// overload, threshold, cost and parallelism fields are honored; its
+    /// queue fields are the caller's business.
     ///
     /// # Panics
     ///
-    /// Panics unless `levels` and `thresholds` pass [`check_ladder`], or if
+    /// Panics unless `levels` and `thresholds` pass [`check_ladder`], if
     /// adaptive threshold control is requested on a ladder deeper than two
-    /// levels: the tuner moves gate 0 alone and could cross gate 1 mid-run.
+    /// levels: the tuner moves gate 0 alone and could cross gate 1 mid-run,
+    /// or unless `config.costs` prices each level once: the charge runs
+    /// outside the panic firewall.
     pub fn new(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
@@ -87,10 +91,14 @@ impl EngineCore {
             "adaptive threshold control needs a two-level ladder, got {} levels",
             levels.len()
         );
+        if let Some(costs) = &config.costs {
+            assert_eq!(costs.levels(), levels.len(), "one cost per ladder level");
+        }
         let (top, initial_th) = (levels.len() - 1, thresholds[0]);
         let health = Arc::new(Mutex::new(HealthStats {
             effort_cap: top,
             threshold: initial_th,
+            energy: config.costs.as_ref().map(|_| EnergyLedger::new()),
             ..HealthStats::default()
         }));
         let core = Self {
@@ -100,6 +108,7 @@ impl EngineCore {
             tuner: config
                 .threshold
                 .map(|policy| ThresholdController::new(initial_th, policy)),
+            costs: config.costs.clone(),
             par: config.parallelism,
             chaos,
             clock,
@@ -235,6 +244,11 @@ impl EngineCore {
                 ServeOutcome::TimedOut { .. } => &mut health.timed_out,
                 ServeOutcome::Failed(_) => &mut health.failed,
             } += 1;
+        }
+        if let (Some(costs), Some(ledger)) = (&self.costs, health.energy.as_mut()) {
+            for served in responses.iter().filter_map(|r| r.outcome.served()) {
+                ledger.charge(costs, served.level);
+            }
         }
         drop(health);
         responses

@@ -11,7 +11,7 @@
 //! and its fault escalations — folding the offline fault-accounting
 //! vocabulary (DESIGN.md §5) into the online one at a fixed size.
 
-use pivot_core::write_degradation_summary;
+use pivot_core::{write_degradation_summary, EnergyLedger};
 use std::fmt;
 
 /// Snapshot of the server's cumulative counters.
@@ -58,6 +58,10 @@ pub struct HealthStats {
     /// Degradation events without a substituted prediction: the sum of
     /// every executed batch's `DegradationReport::escalations`.
     pub fault_escalations: u64,
+    /// Every completed or degraded request, charged at its exit level when
+    /// [`ServeConfig::costs`](crate::ServeConfig::costs) is set. Timed-out,
+    /// failed and shed requests are not charged.
+    pub energy: Option<EnergyLedger>,
 }
 
 impl HealthStats {
@@ -96,13 +100,18 @@ impl fmt::Display for HealthStats {
             self.retunes,
             self.th_holds,
         )?;
-        write_degradation_summary(f, self.fault_escalations, self.fallbacks)
+        write_degradation_summary(f, self.fault_escalations, self.fallbacks)?;
+        match &self.energy {
+            Some(ledger) => write!(f, ", {:.4} J/request", ledger.mean_energy_j()),
+            None => Ok(()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_core::{AcceleratorConfig, LadderEnergy, Simulator, VitGeometry};
 
     #[test]
     fn accounting_identity_detects_leaks() {
@@ -135,5 +144,24 @@ mod tests {
         assert!(line.contains("submitted 3"), "{line}");
         assert!(line.contains("completed 3"), "{line}");
         assert!(line.contains("no degradation events"), "{line}");
+        assert!(!line.contains("J/request"), "unpriced: {line}");
+
+        let geom = VitGeometry::deit_s();
+        let costs = LadderEnergy::from_masks(
+            &Simulator::new(AcceleratorConfig::zcu102()),
+            &geom,
+            &[vec![true; geom.depth]],
+        );
+        let mut ledger = EnergyLedger::new();
+        for _ in 0..3 {
+            ledger.charge(&costs, 0);
+        }
+        let mean = format!("{:.4} J/request", ledger.mean_energy_j());
+        let priced = HealthStats {
+            energy: Some(ledger),
+            ..h
+        }
+        .to_string();
+        assert_eq!(priced, format!("{line}, {mean}"));
     }
 }

@@ -34,16 +34,16 @@ pub struct ReplayEngine {
 
 impl ReplayEngine {
     /// Builds a replay engine over an effort ladder on a fresh manual
-    /// clock. `config`'s overload, threshold and parallelism fields are
-    /// honored; its queue fields (`queue_capacity`, `max_batch`,
+    /// clock. `config`'s overload, threshold, cost and parallelism fields
+    /// are honored; its queue fields (`queue_capacity`, `max_batch`,
     /// `batch_window`) are ignored — the caller forms batches explicitly.
     ///
     /// # Panics
     ///
     /// Same ladder validation as [`Server::spawn`](crate::Server::spawn):
     /// panics if the ladder breaks
-    /// [`check_ladder`](pivot_core::check_ladder), or adaptive threshold
-    /// control is requested over more than two levels.
+    /// [`check_ladder`](pivot_core::check_ladder), adaptive threshold
+    /// control is requested over more than two levels, or a cost is missed.
     pub fn new(
         levels: Vec<PreparedModel>,
         thresholds: Vec<f32>,
@@ -270,6 +270,92 @@ mod tests {
         assert_eq!((h.batches, h.panics, h.stalls), (3, 1, 3));
         assert_eq!((h.failed, h.completed), (4, 8));
         assert!(h.accounted(), "{h}");
+    }
+
+    /// The energy oracle: the engine charges exactly its served answers,
+    /// each at its exit level, in response order. The trace stalls every
+    /// executed batch, panics one, sheds one that expired in the queue,
+    /// runs one past its deadline and downshifts under queue pressure, so
+    /// capped answers come back degraded at level 0.
+    #[test]
+    fn the_engine_charges_every_served_response_and_nothing_else() {
+        use crate::request::ServeOutcome;
+        use pivot_core::{AcceleratorConfig, FaultInjector, LadderEnergy, Simulator, VitGeometry};
+
+        let geom = VitGeometry::deit_s();
+        let low: Vec<bool> = (0..geom.depth).map(|i| i < geom.depth / 4).collect();
+        let costs = LadderEnergy::from_masks(
+            &Simulator::new(AcceleratorConfig::zcu102()),
+            &geom,
+            &[low, vec![true; geom.depth]],
+        );
+        let images: Vec<Matrix> = samples(32, 68).into_iter().map(|s| s.image).collect();
+        let trace = |costs: Option<LadderEnergy>| {
+            let config = ServeConfig {
+                costs,
+                overload: crate::OverloadPolicy {
+                    queue_budget: Duration::from_millis(10),
+                    recover_ratio: 0.5,
+                    recover_after: 2,
+                },
+                ..config()
+            };
+            // permille 1000: every executed batch stalls 2 ms.
+            let stall = FaultInjector::new(9).stall_schedule(
+                1000,
+                Duration::from_millis(2),
+                Duration::from_millis(2),
+            );
+            let chaos = ChaosConfig {
+                stall: Some(stall),
+                panic_batches: vec![1],
+            };
+            let (levels, ths) = ladder();
+            let mut eng = ReplayEngine::new(levels, ths, config, chaos);
+            let long = Duration::from_secs(1);
+            let mut out = eng.process(&images[..4], long);
+            out.extend(eng.process(&images[4..8], long)); // panics
+            out.extend(eng.process(&images[8..12], Duration::ZERO)); // shed in the queue
+            out.extend(eng.process(&images[12..16], Duration::from_millis(1))); // ran, too late
+            eng.clock().advance(Duration::from_millis(100));
+            out.extend(eng.process_aged(&images[16..24], Duration::from_millis(20), long));
+            out.extend(eng.process(&images[24..32], long)); // still capped
+            out.extend(eng.process(&images[..8], long)); // recovered
+            (out, eng.health())
+        };
+
+        let (responses, h) = trace(Some(costs.clone()));
+        let levels: Vec<usize> = responses
+            .iter()
+            .filter_map(|r| r.outcome.served().map(|s| s.level))
+            .collect();
+        let capped = responses
+            .iter()
+            .filter(|r| matches!(r.outcome, ServeOutcome::Degraded(s) if s.effort_cap == 0))
+            .count();
+        assert!(capped > 0 && h.downshifts == 1 && h.upshifts == 1, "{h}");
+        assert_eq!((h.panics, h.stalls, h.failed, h.timed_out), (1, 6, 4, 8));
+        let n = levels.len();
+        let ledger = h.energy.as_ref().expect("a priced engine keeps a ledger");
+        let at = |level| levels.iter().filter(|&&l| l == level).count() as u64;
+        assert_eq!(ledger.exits(), [at(0), at(1)]);
+        assert!(at(1) > 0, "some requests escalated: {h}");
+        assert_eq!(ledger.requests(), h.completed + h.degraded);
+        assert_eq!(ledger.requests(), n as u64);
+        // The per-response sums, in response order.
+        let mean = |cost: fn(&LadderEnergy, usize) -> f64| {
+            levels.iter().fold(0.0, |sum, &l| sum + cost(&costs, l)) / n as f64
+        };
+        let energy = mean(LadderEnergy::request_energy_j);
+        let delay = mean(LadderEnergy::request_delay_ms);
+        assert_eq!(ledger.mean_energy_j().to_bits(), energy.to_bits());
+        assert_eq!(ledger.mean_delay_ms().to_bits(), delay.to_bits());
+
+        // Pricing changes nothing else, and an unpriced engine keeps no ledger.
+        let (unpriced, u) = trace(None);
+        assert_eq!(unpriced, responses);
+        assert_eq!(u.energy, None);
+        assert_eq!(HealthStats { energy: None, ..h }, u);
     }
 
     fn tuned_config(lec: f64, window: usize, min_fill: usize) -> ServeConfig {

@@ -14,7 +14,7 @@ use crate::overload::OverloadPolicy;
 use crate::queue::{AdmissionQueue, Pending};
 use crate::request::{Request, SubmitError, Ticket};
 use crate::threshold::ThresholdPolicy;
-use pivot_core::Parallelism;
+use pivot_core::{LadderEnergy, Parallelism};
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +48,10 @@ pub struct ServeConfig {
     /// `F_L >= lec` as traffic drifts (see [`ThresholdPolicy`]). It needs
     /// a two-level ladder: the tuner moves one gate.
     pub threshold: Option<ThresholdPolicy>,
+    /// Simulated per-level cost, one entry per ladder level. `Some` charges
+    /// every served request its exit level's joules and delay into
+    /// [`HealthStats::energy`]; `None` (the default) keeps no ledger.
+    pub costs: Option<LadderEnergy>,
 }
 
 impl Default for ServeConfig {
@@ -59,6 +63,7 @@ impl Default for ServeConfig {
             parallelism: Parallelism::Auto,
             overload: OverloadPolicy::default(),
             threshold: None,
+            costs: None,
         }
     }
 }
@@ -81,8 +86,8 @@ impl Server {
     ///
     /// Panics if the ladder breaks
     /// [`check_ladder`](pivot_core::check_ladder), adaptive threshold
-    /// control is requested over more than two levels, or the config's
-    /// capacity or `max_batch` is zero.
+    /// control is requested over more than two levels, a level's cost is
+    /// missing or extra, or the config's capacity or `max_batch` is zero.
     pub fn spawn(levels: Vec<PreparedModel>, thresholds: Vec<f32>, config: ServeConfig) -> Self {
         Self::spawn_with(
             levels,

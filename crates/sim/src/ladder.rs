@@ -91,7 +91,7 @@ impl LadderEnergy {
 }
 
 /// Accumulator folding a request stream into per-request hardware means.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyLedger {
     exits: Vec<u64>,
     energy_j: f64,

@@ -7,6 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use pivot::core::{evaluate_guarded_slice, CascadeCache, EffortLadder, Parallelism};
 use pivot::data::{Dataset, DatasetConfig, Sample};
 use pivot::serve::{ChaosConfig, ReplayEngine, ServeConfig, Server, ThresholdPolicy};
+use pivot::sim::{AcceleratorConfig, LadderEnergy, Simulator, VitGeometry};
 use pivot::tensor::{Matrix, Rng};
 use pivot::vit::{PreparedModel, VisionTransformer, VitConfig};
 
@@ -232,6 +233,53 @@ fn adaptive_control_is_served_over_two_levels_only() {
         assert_eq!(
             verdict, [*accepted; 2],
             "{n} levels, adaptive {adaptive}: [spawn, replay]"
+        );
+    }
+}
+
+#[test]
+fn a_cost_table_must_price_every_ladder_level() {
+    // The engine charges outside its panic firewall, so both serving
+    // constructors reject a table that could not price some exit level.
+    let (ladder, _) = models();
+    let prepared = || ladder[..2].iter().map(|m| m.prepare()).collect();
+    let geom = VitGeometry::deit_s();
+    let sim = Simulator::new(AcceleratorConfig::zcu102());
+    let table = |levels: usize| {
+        let masks: Vec<Vec<bool>> = (1..=levels)
+            .map(|l| {
+                (0..geom.depth)
+                    .map(|i| i < geom.depth * l / levels)
+                    .collect()
+            })
+            .collect();
+        LadderEnergy::from_masks(&sim, &geom, &masks)
+    };
+    // (cost levels, accepted)
+    let cases = [(1, false), (2, true), (3, false)];
+
+    let verdicts: Vec<[bool; 2]> = cases
+        .iter()
+        .map(|&(levels, _)| {
+            let config = || ServeConfig {
+                costs: Some(table(levels)),
+                ..serve_config(false)
+            };
+            [
+                accepts(|| {
+                    Server::spawn(prepared(), vec![0.5], config());
+                }),
+                accepts(|| {
+                    ReplayEngine::new(prepared(), vec![0.5], config(), ChaosConfig::default());
+                }),
+            ]
+        })
+        .collect();
+
+    for ((levels, accepted), verdict) in cases.iter().zip(verdicts) {
+        assert_eq!(
+            verdict, [*accepted; 2],
+            "{levels}-level cost table over 2 levels: [spawn, replay]"
         );
     }
 }
