@@ -3,7 +3,7 @@
 //! regularizer, the input-aware gate, the input-stationary dataflow, the
 //! two-level ladder and the 8-bit deployment numerics.
 
-use super::pvds50;
+use super::{finetuned_accuracy, pair_ladder, pvds50};
 use crate::harness::Reproduction;
 use crate::Table;
 use pivot_core::{batched_logits, CascadeStats, EffortLadder, Parallelism, PathConfig};
@@ -17,28 +17,10 @@ use pivot_vit::{TrainConfig, Trainer};
 /// Returns `(best, median, worst)` accuracies.
 pub fn ablation_path_selection(repro: &Reproduction, effort: usize) -> (f64, f64, f64) {
     println!("\n=== Ablation: CKA path selection vs random/worst (effort {effort}) ===");
-    let family = &repro.deit;
     let ranked =
-        pivot_core::select_optimal_path(effort, &family.artifacts.cka, Parallelism::Auto).ranked;
-    let teacher = &family.artifacts.teacher;
-    let eval: Vec<_> = repro.dataset.test.to_vec();
-
-    let finetune = |path: &PathConfig| -> f64 {
-        let mut student = teacher.clone();
-        student.set_active_attentions(path.active());
-        Trainer::new(TrainConfig {
-            epochs: 2,
-            batch_size: 16,
-            lr: 1e-3,
-            distill_weight: 0.5,
-            entropy_weight: 0.0,
-            grad_clip: 1.0,
-            warmup_fraction: 0.1,
-            seed: 55,
-        })
-        .train(&mut student, Some(teacher), &repro.dataset);
-        student.accuracy(&eval) as f64
-    };
+        pivot_core::select_optimal_path(effort, &repro.deit.artifacts.cka, Parallelism::Auto)
+            .ranked;
+    let finetune = |path: &PathConfig| finetuned_accuracy(repro, path, 55);
 
     let best = finetune(&ranked.first().expect("paths").path);
     let median = finetune(&ranked[ranked.len() / 2].path);
@@ -119,22 +101,8 @@ pub fn ablation_entropy_regularizer(repro: &Reproduction) -> ((f64, f64), (f64, 
 /// Returns `(policy, accuracy, mean_efforts)` rows.
 pub fn ablation_gating(repro: &Reproduction) -> Vec<(String, f64, f64)> {
     println!("\n=== Ablation: entropy gate vs difficulty oracle vs static ===");
-    let family = &repro.deit;
     let pvds = pvds50(repro);
-    let low = family
-        .efforts()
-        .iter()
-        .find(|e| e.effort == pvds.low_effort)
-        .expect("low effort");
-    let high = family
-        .efforts()
-        .iter()
-        .find(|e| e.effort == pvds.high_effort)
-        .expect("high effort");
-    let cascade = EffortLadder::new(
-        vec![low.model.clone(), high.model.clone()],
-        vec![pvds.threshold],
-    );
+    let cascade = pair_ladder(&repro.deit, &pvds);
     let test = &repro.dataset.test;
 
     let (entropy_stats, _) = cascade.evaluate(test, Parallelism::Auto);
@@ -145,8 +113,11 @@ pub fn ablation_gating(repro: &Reproduction) -> Vec<(String, f64, f64)> {
     let oracle_threshold = difficulties[idx];
     let oracle_stats = route_by_difficulty(&cascade, test, oracle_threshold);
 
-    let low_acc = low.model.accuracy(test) as f64;
-    let high_acc = high.model.accuracy(test) as f64;
+    let [low, high] = cascade.prepared_levels() else {
+        unreachable!("a pair ladder has two levels")
+    };
+    let low_acc = low.accuracy(test) as f64;
+    let high_acc = high.accuracy(test) as f64;
 
     let rows = vec![
         (
@@ -159,8 +130,12 @@ pub fn ablation_gating(repro: &Reproduction) -> Vec<(String, f64, f64)> {
             oracle_stats.accuracy(),
             1.0 + oracle_stats.f_high(),
         ),
-        (format!("always low (E{})", low.effort), low_acc, 1.0),
-        (format!("always high (E{})", high.effort), high_acc, 1.0),
+        (format!("always low (E{})", pvds.low_effort), low_acc, 1.0),
+        (
+            format!("always high (E{})", pvds.high_effort),
+            high_acc,
+            1.0,
+        ),
     ];
     let mut table = Table::new(&["Policy", "Accuracy (%)", "Inferences/input"]);
     for (name, acc, cost) in &rows {

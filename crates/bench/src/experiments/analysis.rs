@@ -2,12 +2,11 @@
 //! score), Fig. 4b (design space), Fig. 4c (training cost), Fig. 8 (LEC
 //! sweep) and Fig. 9 (effort combinations vs delay target).
 
-use super::phase2_at;
+use super::{finetuned_accuracy, phase2_at};
 use crate::harness::Reproduction;
 use crate::Table;
 use pivot_core::{search_space, PathConfig};
 use pivot_core::{CascadeCache, Parallelism, Phase2Config, Phase2Search, TrainCostModel};
-use pivot_vit::Trainer;
 
 /// Fig. 3a: the CKA matrix `CKA(MLP_i, A_{i+1})` of the trained DeiT-S
 /// stand-in. The paper's observation: CKA grows toward deeper encoders,
@@ -70,26 +69,10 @@ pub fn fig4a(repro: &Reproduction, effort: usize, n_paths: usize) -> (Vec<PathAc
         .map(|i| ranked[(i * step).min(ranked.len() - 1)].clone())
         .collect();
 
-    let teacher = &family.artifacts.teacher;
-    let eval: Vec<_> = repro.dataset.test.to_vec();
-
     let mut points = Vec::with_capacity(sampled.len());
     let mut table = Table::new(&["Path", "Score S", "Accuracy (%)"]);
     for sp in &sampled {
-        let mut student = teacher.clone();
-        student.set_active_attentions(sp.path.active());
-        let cfg = pivot_vit::TrainConfig {
-            epochs: 2,
-            batch_size: 16,
-            lr: 1e-3,
-            distill_weight: 0.5,
-            entropy_weight: 0.0,
-            grad_clip: 1.0,
-            warmup_fraction: 0.1,
-            seed: 77,
-        };
-        Trainer::new(cfg).train(&mut student, Some(teacher), &repro.dataset);
-        let acc = student.accuracy(&eval) as f64;
+        let acc = finetuned_accuracy(repro, &sp.path, 77);
         table.row_owned(vec![
             sp.path.to_string(),
             format!("{:.3}", sp.score),

@@ -166,7 +166,7 @@ fn run_policy(
     let mut eng = ReplayEngine::new(levels, vec![static_th], config, ChaosConfig::default());
     let mut feed = |part: &[Sample]| {
         for chunk in part.chunks(BATCH) {
-            let images: Vec<Matrix> = chunk.iter().map(|s| s.image.clone()).collect();
+            let images: Vec<&Matrix> = chunk.iter().map(|s| &s.image).collect();
             eng.process(&images, Duration::from_secs(60));
             eng.clock().advance(Duration::from_millis(1));
         }

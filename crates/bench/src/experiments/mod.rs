@@ -26,7 +26,8 @@ pub use faults::{fault_injection, FaultReport, FaultSweepPoint};
 pub use gpp::{fig1c, fig7, GppMethodResult};
 
 use crate::harness::{FamilyArtifacts, Reproduction};
-use pivot_core::{EffortLadder, Parallelism, Phase2Config, Phase2Result, Phase2Search};
+use pivot_core::{EffortLadder, Parallelism, PathConfig, Phase2Config, Phase2Result, Phase2Search};
+use pivot_vit::{TrainConfig, Trainer};
 
 /// Runs Phase 2 for one family at a delay target, returning the chosen
 /// combination (or `None` when infeasible).
@@ -68,22 +69,45 @@ pub fn cascade_test_accuracy(
     family: &FamilyArtifacts,
     result: &Phase2Result,
 ) -> f64 {
-    let low = family
-        .efforts()
-        .iter()
-        .find(|e| e.effort == result.low_effort)
-        .expect("low effort exists");
-    let high = family
-        .efforts()
-        .iter()
-        .find(|e| e.effort == result.high_effort)
-        .expect("high effort exists");
-    let cascade = EffortLadder::new(
-        vec![low.model.clone(), high.model.clone()],
-        vec![result.threshold],
-    );
-    cascade
+    pair_ladder(family, result)
         .evaluate(&repro.dataset.test, Parallelism::Auto)
         .0
         .accuracy()
+}
+
+/// The two-level cascade a Phase-2 result picks: `family`'s models at its
+/// low and high efforts, gated at its threshold.
+fn pair_ladder(family: &FamilyArtifacts, result: &Phase2Result) -> EffortLadder {
+    let model = |effort| {
+        let level = family.efforts().iter().find(|e| e.effort == effort);
+        level
+            .unwrap_or_else(|| panic!("effort {effort} exists"))
+            .model
+            .clone()
+    };
+    EffortLadder::new(
+        vec![model(result.low_effort), model(result.high_effort)],
+        vec![result.threshold],
+    )
+}
+
+/// Test accuracy of the DeiT-S teacher after a 2-epoch distillation
+/// fine-tune on `path`, shuffled with `seed` (Fig. 4a, the path-selection
+/// ablation).
+fn finetuned_accuracy(repro: &Reproduction, path: &PathConfig, seed: u64) -> f64 {
+    let teacher = &repro.deit.artifacts.teacher;
+    let mut student = teacher.clone();
+    student.set_active_attentions(path.active());
+    Trainer::new(TrainConfig {
+        epochs: 2,
+        batch_size: 16,
+        lr: 1e-3,
+        distill_weight: 0.5,
+        entropy_weight: 0.0,
+        grad_clip: 1.0,
+        warmup_fraction: 0.1,
+        seed,
+    })
+    .train(&mut student, Some(teacher), &repro.dataset);
+    student.accuracy(&repro.dataset.test) as f64
 }

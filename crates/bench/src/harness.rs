@@ -1,10 +1,10 @@
 //! Shared experiment state: datasets, trained model families, simulator.
 
-use pivot_core::{compute_cka_matrix, EffortModel, PipelineConfig, PivotArtifacts, PivotPipeline};
+use pivot_core::{EffortModel, PipelineConfig, PivotArtifacts, PivotPipeline};
 use pivot_data::{Dataset, DatasetConfig, Sample};
 use pivot_sim::{AcceleratorConfig, Simulator, VitGeometry};
-use pivot_vit::{TrainConfig, VisionTransformer, VitConfig};
-use std::path::{Path, PathBuf};
+use pivot_vit::{TrainConfig, VitConfig};
+use std::path::PathBuf;
 
 /// Experiment scale, selected with `PIVOT_PROFILE=fast|full` (default
 /// `fast`; any other value is an error). `full` trains larger stand-ins
@@ -242,103 +242,26 @@ impl Reproduction {
     }
 }
 
-fn cache_dir(profile: Profile) -> PathBuf {
-    PathBuf::from("target")
+/// Trains `family` at `profile`'s scale, or loads whatever of it is
+/// checkpointed under `target/pivot-cache/<profile>/<family>/`.
+fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> FamilyArtifacts {
+    let dir = PathBuf::from("target")
         .join("pivot-cache")
         .join(profile.name())
-}
-
-fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> FamilyArtifacts {
-    let dir = cache_dir(profile);
-    let tag = family.cache_tag();
-    let teacher_path = dir.join(format!("{tag}_teacher.bin"));
+        .join(family.cache_tag());
+    eprintln!(
+        "[harness] {} family (profile {}): checkpoints in {}, missing models are trained",
+        family.cache_tag(),
+        profile.name(),
+        dir.display()
+    );
     let config = profile.pipeline_config(family, dataset.config.classes);
-    let effort_paths: Vec<PathBuf> = config
-        .efforts
-        .iter()
-        .map(|e| dir.join(format!("{tag}_effort_{e}.bin")))
-        .collect();
-
-    let cached = teacher_path.exists() && effort_paths.iter().all(|p| p.exists());
-    let artifacts = if cached {
-        eprintln!(
-            "[harness] loading cached {tag} family from {}",
-            dir.display()
-        );
-        rebuild_from_cache(&teacher_path, &effort_paths, &config, dataset)
-    } else {
-        eprintln!(
-            "[harness] training {tag} family (profile {})...",
-            profile.name()
-        );
-        let artifacts = PivotPipeline::new(config).run(dataset);
-        std::fs::create_dir_all(&dir).ok();
-        if artifacts.teacher.save(&teacher_path).is_err() {
-            eprintln!("[harness] warning: could not cache teacher");
-        }
-        for (em, path) in artifacts.efforts.iter().zip(&effort_paths) {
-            em.model.save(path).ok();
-        }
-        artifacts
-    };
-
     FamilyArtifacts {
         label: family.geometry().name.clone(),
         geometry: family.geometry(),
-        artifacts,
-    }
-}
-
-/// Rebuilds pipeline artifacts from cached checkpoints: models are loaded,
-/// the CKA matrix and Phase-1 rankings are recomputed (cheap) from the
-/// cached teacher over the same `config.cka_batch` training images the
-/// training run used, so a warm run reproduces the cold one. Each effort's
-/// path and score are its Phase-1 optimum, as in [`PivotPipeline::run`].
-///
-/// # Panics
-///
-/// Panics, naming the effort, if a cached effort's active attentions are
-/// not its Phase-1 path (a stale cache).
-fn rebuild_from_cache(
-    teacher_path: &Path,
-    effort_paths: &[PathBuf],
-    config: &PipelineConfig,
-    dataset: &Dataset,
-) -> PivotArtifacts {
-    let teacher = VisionTransformer::load(teacher_path).expect("cached teacher readable");
-    let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
-    let cka = compute_cka_matrix(&teacher, &batch);
-    let phase1: Vec<_> = config
-        .efforts
-        .iter()
-        .map(|&e| pivot_core::select_optimal_path(e, &cka, pivot_core::Parallelism::Auto))
-        .collect();
-    let effort_models: Vec<EffortModel> = effort_paths
-        .iter()
-        .zip(&phase1)
-        .map(|(path, result)| {
-            let model = VisionTransformer::load(path).expect("cached effort readable");
-            let optimal = &result.optimal;
-            assert_eq!(
-                model.active_attentions(),
-                optimal.path.active(),
-                "cached effort {} does not run its Phase-1 path: stale cache at {}",
-                result.effort,
-                path.display()
-            );
-            EffortModel {
-                effort: result.effort,
-                path: optimal.path.clone(),
-                score: optimal.score,
-                model,
-            }
-        })
-        .collect();
-    PivotArtifacts {
-        teacher,
-        cka,
-        phase1,
-        efforts: effort_models,
+        artifacts: PivotPipeline::new(config)
+            .with_checkpoints(dir)
+            .run(dataset),
     }
 }
 
@@ -381,80 +304,5 @@ mod tests {
                 profile.pipeline_config(family, 8).validate();
             }
         }
-    }
-
-    /// Writes a cache of an untrained teacher and one effort per
-    /// `config.efforts` entry, each effort running `path(effort, &cka)`,
-    /// rebuilds from it, and returns the teacher and the rebuilt artifacts.
-    fn rebuild_a_cache(
-        name: &str,
-        path: impl Fn(usize, &pivot_cka::CkaMatrix) -> Vec<usize>,
-    ) -> (VisionTransformer, PipelineConfig, Dataset, PivotArtifacts) {
-        let vit = VitConfig::test_small();
-        let config = PipelineConfig {
-            vit: vit.clone(),
-            efforts: vec![2, 4],
-            ..Profile::Full.pipeline_config(Family::Deit, vit.num_classes)
-        };
-        let dataset = Dataset::generate(
-            &DatasetConfig {
-                classes: vit.num_classes,
-                image_size: vit.image_size,
-                train_per_class: 70,
-                test_per_class: 1,
-                difficulty: (0.0, 1.0),
-            },
-            3,
-        );
-        let dir = std::env::temp_dir().join(format!("pivot_harness_{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let teacher = VisionTransformer::new(&vit, &mut pivot_tensor::Rng::new(5));
-        let teacher_path = dir.join("teacher.bin");
-        teacher.save(&teacher_path).expect("save teacher");
-        let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
-        let cka = compute_cka_matrix(&teacher, &batch);
-        let effort_paths: Vec<PathBuf> = config
-            .efforts
-            .iter()
-            .map(|&e| {
-                let mut model = teacher.clone();
-                model.set_active_attentions(&path(e, &cka));
-                let path = dir.join(format!("effort_{e}.bin"));
-                model.save(&path).expect("save effort");
-                path
-            })
-            .collect();
-        let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rebuild_from_cache(&teacher_path, &effort_paths, &config, &dataset)
-        }));
-        std::fs::remove_dir_all(&dir).ok();
-        let rebuilt = rebuilt.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (teacher, config, dataset, rebuilt)
-    }
-
-    #[test]
-    fn warm_rebuild_recomputes_cka_over_the_profiles_batch() {
-        // Full's CKA batch (256) exceeds the 96 images a warm run once
-        // hard-coded, so a mismatch shows up as a different matrix.
-        let (teacher, config, dataset, rebuilt) = rebuild_a_cache("cka", |e, cka| {
-            let phase1 = pivot_core::select_optimal_path(e, cka, pivot_core::Parallelism::Off);
-            phase1.optimal.path.active().to_vec()
-        });
-        assert!(config.cka_batch > 96 && dataset.train.len() > config.cka_batch);
-        let batch: Vec<&Sample> = dataset.train.iter().take(config.cka_batch).collect();
-        assert_eq!(rebuilt.cka, compute_cka_matrix(&teacher, &batch));
-        // Each effort's path and score are its Phase-1 optimum.
-        for (effort, phase1) in rebuilt.efforts.iter().zip(&rebuilt.phase1) {
-            assert_eq!(effort.path, phase1.optimal.path);
-            assert_eq!(effort.score.to_bits(), phase1.optimal.score.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cached effort 2 does not run its Phase-1 path")]
-    fn a_stale_cached_effort_is_rejected_by_name() {
-        // Every Phase-1 path of effort 2 over this teacher keeps two
-        // attentions; no attention at all is never one of them.
-        rebuild_a_cache("stale", |_, _| Vec::new());
     }
 }

@@ -7,8 +7,9 @@
 //! name; `experiment all` runs everything against one shared state and is
 //! what `EXPERIMENTS.md` is produced from.
 //!
-//! Trained models are checkpointed under `target/pivot-cache/` so repeated
-//! runs skip the (single-core) training.
+//! Trained models are checkpointed one file per model under
+//! `target/pivot-cache/<profile>/<family>/`, so repeated runs skip the
+//! training and a partly filled cache trains only what is missing.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -74,7 +74,7 @@ pub use parallel::{par_map, Parallelism};
 pub use path::PathConfig;
 pub use phase1::{select_optimal_path, Phase1Result, ScoredPath};
 pub use phase2::{EffortModel, Phase2Config, Phase2Result, Phase2Search};
-pub use pipeline::{compute_cka_matrix, PipelineConfig, PivotArtifacts, PivotPipeline};
+pub use pipeline::{PipelineConfig, PivotArtifacts, PivotPipeline};
 pub use score::path_score;
 pub use train_cost::TrainCostModel;
 // A serving cost table and what builds it, so `pivot-serve` needs no crate edge to `pivot-sim`.

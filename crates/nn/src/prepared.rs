@@ -122,7 +122,7 @@ impl PreparedLinear {
     /// exactly these inputs, so equal keys imply bit-identical prepared
     /// views (see [`pivot_tensor::ContentHasher`] for the collision
     /// argument).
-    pub fn content_key(weight: &Matrix, bias: &Matrix, quant: QuantMode) -> u128 {
+    pub(crate) fn content_key(weight: &Matrix, bias: &Matrix, quant: QuantMode) -> u128 {
         let mut h = ContentHasher::new();
         h.write_u64(match quant {
             QuantMode::None => 0,

@@ -53,9 +53,9 @@ impl StoreStats {
     }
 }
 
-/// Content-addressed map from
-/// [`content key`](crate::PreparedLinear::content_key) to a prepared
-/// layer whose weight payloads are shared behind `Arc`.
+/// Content-addressed map from a layer's content key (a 128-bit hash of
+/// its quant mode, shape, weight and bias bits) to a prepared layer whose
+/// weight payloads are shared behind `Arc`.
 ///
 /// Interior-mutable and `Sync`: one store can be threaded through the
 /// preparation of many models (an [`EffortLadder`]'s levels, a Phase-2
@@ -107,7 +107,7 @@ impl PreparedStore {
     /// of every input `prepare` consumes, as
     /// [`crate::PreparedLinear::content_key`] computes. Under that
     /// contract a hit is bit-identical to running `prepare`.
-    pub fn get_or_prepare(
+    pub(crate) fn get_or_prepare(
         &self,
         key: u128,
         prepare: impl FnOnce() -> PreparedLinear,

@@ -20,6 +20,7 @@ use crate::request::{Request, ServeResponse};
 use crate::server::ServeConfig;
 use pivot_tensor::Matrix;
 use pivot_vit::PreparedModel;
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -70,7 +71,13 @@ impl ReplayEngine {
     /// admitted *now* with the given relative deadline, and the returned
     /// responses are in input order, one per image. The health ledger
     /// counts each image as submitted, so it balances at every return.
-    pub fn process(&mut self, images: &[Matrix], deadline: Duration) -> Vec<ServeResponse> {
+    /// Images may be owned or borrowed (`&[Matrix]` or `&[&Matrix]`):
+    /// each request only borrows its image.
+    pub fn process<M: Borrow<Matrix>>(
+        &mut self,
+        images: &[M],
+        deadline: Duration,
+    ) -> Vec<ServeResponse> {
         self.process_aged(images, Duration::ZERO, deadline)
     }
 
@@ -79,9 +86,9 @@ impl ReplayEngine {
     /// overload controller sees exactly that age, so overload and
     /// recovery trajectories replay deterministically. The deadline is
     /// relative to *now* (not the backdated admission).
-    fn process_aged(
+    fn process_aged<M: Borrow<Matrix>>(
         &mut self,
-        images: &[Matrix],
+        images: &[M],
         queued_for: Duration,
         deadline: Duration,
     ) -> Vec<ServeResponse> {
@@ -93,7 +100,7 @@ impl ReplayEngine {
             .zip(images)
             .map(|(id, image)| Request {
                 id,
-                image,
+                image: image.borrow(),
                 enqueued_ns,
                 deadline_ns,
             })

@@ -2,8 +2,8 @@
 //!
 //! The closed-form per-fold cycle counts used by [`crate::systolic`] are
 //! validated here against an explicit cycle-by-cycle simulation of one tile
-//! ([`simulate_fold_cycles`]), in the same spirit as SCALE-Sim's validated
-//! analytical mode.
+//! (the test-only `simulate_fold_cycles`), in the same spirit as
+//! SCALE-Sim's validated analytical mode.
 
 /// Mapping of a matrix multiplication onto the PE array.
 ///
@@ -28,7 +28,7 @@ impl Dataflow {
     ///   cycles + `cols - 1` drain cycles (skewed wavefront),
     /// * output stationary: `stream` accumulation cycles + `rows + cols - 2`
     ///   skew + drain of the accumulated outputs.
-    pub fn fold_cycles(self, rows: usize, cols: usize, stream: usize) -> u64 {
+    pub(crate) fn fold_cycles(self, rows: usize, cols: usize, stream: usize) -> u64 {
         match self {
             Dataflow::InputStationary | Dataflow::WeightStationary => {
                 (rows + stream + cols - 1) as u64
@@ -55,7 +55,8 @@ impl Dataflow {
 /// `stream` cycles, and the last partial sum exits after the final skew of
 /// `cols - 1` cycles. Exists to pin the closed-form count in
 /// [`Dataflow::fold_cycles`] to an executable definition.
-pub fn simulate_fold_cycles(rows: usize, cols: usize, stream: usize) -> u64 {
+#[cfg(test)]
+fn simulate_fold_cycles(rows: usize, cols: usize, stream: usize) -> u64 {
     #[derive(PartialEq)]
     enum Phase {
         Fill { remaining: usize },

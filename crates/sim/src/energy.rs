@@ -50,7 +50,7 @@ pub struct EnergyBreakdown {
 
 impl EnergyBreakdown {
     /// Computes the breakdown from activity counters and the total delay.
-    pub fn from_activity(
+    pub(crate) fn from_activity(
         delay_ms: f64,
         macs: u64,
         sram_bytes: u64,
@@ -95,7 +95,7 @@ impl EnergyBreakdown {
     }
 
     /// Total energy in joules.
-    pub fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> f64 {
         self.per_component.values().sum()
     }
 

@@ -42,7 +42,7 @@ pub mod systolic;
 mod workload;
 
 pub use combine::{combine_efforts, CombinedPerf};
-pub use dataflow::{simulate_fold_cycles, Dataflow};
+pub use dataflow::Dataflow;
 pub use energy::{EnergyBreakdown, EnergyComponent};
 pub use ladder::{EnergyLedger, LadderEnergy};
 pub use ps::{PsConfig, PsOpKind};

@@ -3,7 +3,7 @@
 use crate::ps::PsConfig;
 use crate::report::{DelayBreakdown, EffortPerf};
 use crate::systolic::matmul_cycles;
-use crate::workload::{OpKind, VitGeometry, VitWorkload};
+use crate::workload::{LayerOp, OpKind, VitGeometry, VitWorkload};
 use crate::{Dataflow, EnergyBreakdown};
 
 /// Per-operation profile entry produced by [`Simulator::simulate_detailed`].
@@ -152,8 +152,7 @@ impl Simulator {
     ///
     /// Panics if the mask length does not match the geometry depth.
     pub fn simulate(&self, geom: &VitGeometry, active_attention: &[bool]) -> EffortPerf {
-        let workload = VitWorkload::build(geom, active_attention);
-        self.simulate_workload(geom, active_attention, &workload)
+        self.run(geom, active_attention, |_, _| {})
     }
 
     /// Like [`Simulator::simulate`], but additionally returns one
@@ -168,49 +167,30 @@ impl Simulator {
         geom: &VitGeometry,
         active_attention: &[bool],
     ) -> (EffortPerf, Vec<LayerReport>) {
-        let workload = VitWorkload::build(geom, active_attention);
-        let mut layers = Vec::with_capacity(workload.ops.len());
-        for op in &workload.ops {
-            match op.kind {
-                OpKind::Mac { dims, count } => {
-                    let stats = matmul_cycles(dims, &self.accel);
-                    let cycles = stats.total_cycles * count as u64;
-                    layers.push(LayerReport {
-                        name: op.name.clone(),
-                        module: op.module,
-                        on_ps: false,
-                        delay_ms: cycles as f64 / (self.accel.clock_mhz * 1e3),
-                        macs: stats.macs * count as u64,
-                        dram_bytes: stats.dram_bytes * count as u64,
-                        utilization: stats.utilization(self.accel.pe_rows, self.accel.pe_cols),
-                    });
-                }
-                OpKind::Ps { kind, elements } => {
-                    layers.push(LayerReport {
-                        name: op.name.clone(),
-                        module: op.module,
-                        on_ps: true,
-                        delay_ms: self.accel.ps.delay_ms(kind, elements),
-                        macs: 0,
-                        dram_bytes: 0,
-                        utilization: 0.0,
-                    });
-                }
-            }
-        }
-        (
-            self.simulate_workload(geom, active_attention, &workload),
-            layers,
-        )
+        let mut layers = Vec::new();
+        let perf = self.run(geom, active_attention, |op, cost| {
+            layers.push(LayerReport {
+                name: op.name.clone(),
+                module: op.module,
+                on_ps: matches!(op.kind, OpKind::Ps { .. }),
+                delay_ms: cost.delay_ms,
+                macs: cost.macs,
+                dram_bytes: cost.dram_bytes,
+                utilization: cost.utilization,
+            });
+        });
+        (perf, layers)
     }
 
-    /// Simulates a prebuilt workload (exposed for custom layer graphs).
-    fn simulate_workload(
+    /// Builds the workload, prices each op once, hands every op and its
+    /// cost to `visit`, and sums the costs in op order.
+    fn run(
         &self,
         geom: &VitGeometry,
         active_attention: &[bool],
-        workload: &VitWorkload,
+        mut visit: impl FnMut(&LayerOp, &OpCost),
     ) -> EffortPerf {
+        let workload = VitWorkload::build(geom, active_attention);
         let mut breakdown = DelayBreakdown::new();
         let mut macs = 0u64;
         let mut dram_bytes = 0u64;
@@ -218,22 +198,13 @@ impl Simulator {
         let mut ps_cycles = 0.0f64;
 
         for op in &workload.ops {
-            match op.kind {
-                OpKind::Mac { dims, count } => {
-                    let stats = matmul_cycles(dims, &self.accel);
-                    let cycles = stats.total_cycles * count as u64;
-                    let ms = cycles as f64 / (self.accel.clock_mhz * 1e3);
-                    breakdown.add(op.module, ms);
-                    macs += stats.macs * count as u64;
-                    dram_bytes += stats.dram_bytes * count as u64;
-                    sram_bytes += stats.sram_bytes * count as u64;
-                }
-                OpKind::Ps { kind, elements } => {
-                    let ms = self.accel.ps.delay_ms(kind, elements);
-                    breakdown.add(op.module, ms);
-                    ps_cycles += self.accel.ps.cycles(kind, elements);
-                }
-            }
+            let cost = self.price(op.kind);
+            breakdown.add(op.module, cost.delay_ms);
+            macs += cost.macs;
+            dram_bytes += cost.dram_bytes;
+            sram_bytes += cost.sram_bytes;
+            ps_cycles += cost.ps_cycles;
+            visit(op, &cost);
         }
 
         let delay_ms = breakdown.total_ms();
@@ -251,6 +222,42 @@ impl Simulator {
             ps_cycles,
         }
     }
+
+    /// The delay and activity of one op: a PL matmul group or a PS op.
+    fn price(&self, kind: OpKind) -> OpCost {
+        match kind {
+            OpKind::Mac { dims, count } => {
+                let stats = matmul_cycles(dims, &self.accel);
+                let count = count as u64;
+                OpCost {
+                    delay_ms: (stats.total_cycles * count) as f64 / (self.accel.clock_mhz * 1e3),
+                    macs: stats.macs * count,
+                    dram_bytes: stats.dram_bytes * count,
+                    sram_bytes: stats.sram_bytes * count,
+                    ps_cycles: 0.0,
+                    utilization: stats.utilization(self.accel.pe_rows, self.accel.pe_cols),
+                }
+            }
+            OpKind::Ps { kind, elements } => OpCost {
+                delay_ms: self.accel.ps.delay_ms(kind, elements),
+                macs: 0,
+                dram_bytes: 0,
+                sram_bytes: 0,
+                ps_cycles: self.accel.ps.cycles(kind, elements),
+                utilization: 0.0,
+            },
+        }
+    }
+}
+
+/// What one op costs, as [`Simulator::price`] computes it.
+struct OpCost {
+    delay_ms: f64,
+    macs: u64,
+    dram_bytes: u64,
+    sram_bytes: u64,
+    ps_cycles: f64,
+    utilization: f64,
 }
 
 #[cfg(test)]

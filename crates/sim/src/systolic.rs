@@ -4,8 +4,8 @@
 //! on the `rows x cols` PE array (Table 1: 64 x 36). For the paper's
 //! input-stationary dataflow the input tile (`K` along array rows, `M` along
 //! array columns) is pinned, and all `N` weight columns stream through per
-//! fold; the per-fold cycle count is validated against the cycle-level
-//! stepper in [`simulate_fold_cycles`](crate::simulate_fold_cycles).
+//! fold; the per-fold cycle count is validated against a cycle-level
+//! stepper in the dataflow module's tests.
 //!
 //! Memory behaviour follows the Fig. 5 hierarchy: weights travel
 //! DRAM -> GB -> WTMEM and are re-fetched from DRAM for every column fold
