@@ -243,7 +243,8 @@ impl Reproduction {
 }
 
 /// Trains `family` at `profile`'s scale, or loads whatever of it is
-/// checkpointed under `target/pivot-cache/<profile>/<family>/`.
+/// checkpointed under `target/pivot-cache/<profile>/<family>/` (in the
+/// key directory of its configuration and training set).
 fn load_or_train_family(profile: Profile, family: Family, dataset: &Dataset) -> FamilyArtifacts {
     let dir = PathBuf::from("target")
         .join("pivot-cache")

@@ -8,8 +8,9 @@
 //! what `EXPERIMENTS.md` is produced from.
 //!
 //! Trained models are checkpointed one file per model under
-//! `target/pivot-cache/<profile>/<family>/`, so repeated runs skip the
-//! training and a partly filled cache trains only what is missing.
+//! `target/pivot-cache/<profile>/<family>/<key>/` (the key hashes the
+//! pipeline configuration and the training set), so repeated runs skip
+//! the training and a partly filled cache trains only what is missing.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

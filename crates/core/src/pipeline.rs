@@ -5,9 +5,9 @@ use crate::phase1::{select_optimal_path, Phase1Result};
 use crate::{EffortModel, Parallelism};
 use pivot_cka::CkaMatrix;
 use pivot_data::{Dataset, Sample};
-use pivot_tensor::{Matrix, Rng};
+use pivot_tensor::{ContentHasher, Matrix, Rng};
 use pivot_vit::{TrainConfig, Trainer, VisionTransformer, VitConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Configuration of the full pipeline.
 #[derive(Debug, Clone)]
@@ -135,11 +135,14 @@ impl PivotPipeline {
     }
 
     /// Builder-style checkpoint directory: [`Self::run`] loads the teacher
-    /// from `dir/teacher.bin` and effort `e` from `dir/effort_{e}.bin`
-    /// when the file exists, and otherwise trains the model and writes
-    /// that file (creating `dir`). A partly filled directory trains only
-    /// what is missing. A failed write is reported on stderr and never
-    /// fails the run.
+    /// from `dir/<key>/teacher.bin` and effort `e` from
+    /// `dir/<key>/effort_{e}.bin` when the file exists, and otherwise
+    /// trains the model and writes that file (creating the directory). The
+    /// key hashes everything that trains the models — the whole
+    /// [`PipelineConfig`] and every training sample — so files written
+    /// under one configuration or training set never load under another.
+    /// A partly filled key directory trains only what is missing. A failed
+    /// write is reported on stderr and never fails the run.
     ///
     /// A loaded file must hold a model of the configured [`VitConfig`],
     /// and a loaded effort must run its Phase-1 path; [`Self::run`]
@@ -163,9 +166,14 @@ impl PivotPipeline {
     /// [`VitConfig`], or (for an effort) does not run its Phase-1 path.
     pub fn run(&self, data: &Dataset) -> PivotArtifacts {
         let cfg = &self.config;
+        let checkpoints = self
+            .checkpoints
+            .as_ref()
+            .map(|dir| dir.join(checkpoint_key(cfg, data)));
+        let checkpoints = checkpoints.as_deref();
 
         // 1. Train (or load) the teacher, the full-effort baseline.
-        let (teacher, _) = self.load_or_train("teacher.bin", || {
+        let (teacher, _) = self.load_or_train(checkpoints, "teacher.bin", || {
             let mut teacher = VisionTransformer::new(&cfg.vit, &mut Rng::new(cfg.seed));
             Trainer::new(cfg.teacher_train).train(&mut teacher, None, data);
             teacher
@@ -184,14 +192,15 @@ impl PivotPipeline {
         for &effort in &sorted_efforts {
             let result = select_optimal_path(effort, &cka, Parallelism::Auto);
             let path = &result.optimal.path;
-            let (model, loaded) = self.load_or_train(&format!("effort_{effort}.bin"), || {
-                let mut student = teacher.clone();
-                student.set_active_attentions(path.active());
-                if effort < cfg.vit.depth {
-                    Trainer::new(cfg.finetune).train(&mut student, Some(&teacher), data);
-                }
-                student
-            });
+            let (model, loaded) =
+                self.load_or_train(checkpoints, &format!("effort_{effort}.bin"), || {
+                    let mut student = teacher.clone();
+                    student.set_active_attentions(path.active());
+                    if effort < cfg.vit.depth {
+                        Trainer::new(cfg.finetune).train(&mut student, Some(&teacher), data);
+                    }
+                    student
+                });
             if let Some(file) = loaded {
                 assert_eq!(
                     model.active_attentions(),
@@ -217,15 +226,16 @@ impl PivotPipeline {
         }
     }
 
-    /// Loads checkpoint `name` when the checkpoint directory holds it
-    /// (returning its path too), and otherwise runs `train` and writes its
-    /// model there. Without a checkpoint directory it only runs `train`.
+    /// Loads checkpoint `name` when `dir` holds it (returning its path
+    /// too), and otherwise runs `train` and writes its model there. Without
+    /// a directory it only runs `train`.
     fn load_or_train(
         &self,
+        dir: Option<&Path>,
         name: &str,
         train: impl FnOnce() -> VisionTransformer,
     ) -> (VisionTransformer, Option<PathBuf>) {
-        let Some(dir) = &self.checkpoints else {
+        let Some(dir) = dir else {
             return (train(), None);
         };
         let file = dir.join(name);
@@ -249,6 +259,26 @@ impl PivotPipeline {
         }
         (model, None)
     }
+}
+
+/// The checkpoint subdirectory name of a run: a hash of `config`'s `Debug`
+/// rendering and of every training sample's image and label, as 32 hex
+/// digits.
+fn checkpoint_key(config: &PipelineConfig, data: &Dataset) -> String {
+    let mut h = ContentHasher::new();
+    let rendered = format!("{config:?}");
+    h.write_usize(rendered.len());
+    for b in rendered.bytes() {
+        h.write_u64(u64::from(b));
+    }
+    h.write_usize(data.train.len());
+    for sample in &data.train {
+        let image = sample.image.content_hash();
+        h.write_u64(image as u64);
+        h.write_u64((image >> 64) as u64);
+        h.write_usize(sample.label);
+    }
+    format!("{:032x}", h.finish())
 }
 
 /// Computes the paper's CKA matrix (`CKA(MLP_i, A_j)`) from a model's
@@ -440,13 +470,22 @@ mod tests {
         }
     }
 
+    /// The key directory a run of `cfg` on `data` checkpoints into.
+    fn key_dir(dir: &TempDir, cfg: &PipelineConfig, data: &Dataset) -> PathBuf {
+        let key_dir = dir.0.join(checkpoint_key(cfg, data));
+        std::fs::create_dir_all(&key_dir).expect("key dir");
+        key_dir
+    }
+
     #[test]
     fn cold_warm_and_partly_cached_runs_give_the_same_artifacts() {
         let data = small_data();
         let dir = TempDir::new("one_path");
         let pipeline = PivotPipeline::new(small_pipeline_config()).with_checkpoints(&dir.0);
         let cold = pipeline.run(&data);
-        let mut files: Vec<String> = std::fs::read_dir(&dir.0)
+        let key_dir = key_dir(&dir, pipeline.config(), &data);
+        assert_eq!(std::fs::read_dir(&dir.0).expect("dir").count(), 1);
+        let mut files: Vec<String> = std::fs::read_dir(&key_dir)
             .expect("checkpoint dir")
             .map(|f| f.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
@@ -465,7 +504,7 @@ mod tests {
         assert_same_artifacts(&cold, &warm);
 
         // Effort 2 is retrained from the loaded teacher, bit for bit.
-        let file = dir.0.join("effort_2.bin");
+        let file = key_dir.join("effort_2.bin");
         let written = std::fs::read(&file).expect("effort 2 written");
         std::fs::remove_file(&file).expect("remove effort 2");
         let partial = pipeline.run(&data);
@@ -474,50 +513,71 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_of_another_training_config_are_never_loaded() {
+        let data = small_data();
+        let dir = TempDir::new("rekeyed");
+        let old = small_pipeline_config();
+        let cached = PivotPipeline::new(old.clone())
+            .with_checkpoints(&dir.0)
+            .run(&data);
+        let new = PipelineConfig {
+            finetune: TrainConfig {
+                seed: old.finetune.seed + 1,
+                ..old.finetune
+            },
+            ..old
+        };
+        let rerun = PivotPipeline::new(new.clone())
+            .with_checkpoints(&dir.0)
+            .run(&data);
+        assert_same_artifacts(&rerun, &PivotPipeline::new(new).run(&data));
+        // The new seed fine-tunes effort 1 to other bits, so loading the
+        // cached model would have shown.
+        assert!(model_bits(&rerun.efforts[0].model) != model_bits(&cached.efforts[0].model));
+        assert_eq!(std::fs::read_dir(&dir.0).expect("dir").count(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "cached effort 1 does not run its Phase-1 path: stale cache at")]
     fn a_stale_effort_checkpoint_is_rejected_by_name() {
         let dir = TempDir::new("stale");
-        let cfg = small_pipeline_config();
+        let (cfg, data) = (small_pipeline_config(), small_data());
+        let key_dir = key_dir(&dir, &cfg, &data);
         let mut teacher = VisionTransformer::new(&cfg.vit, &mut Rng::new(5));
         teacher
-            .save(dir.0.join("teacher.bin"))
+            .save(key_dir.join("teacher.bin"))
             .expect("save teacher");
         // Every Phase-1 path of effort 1 keeps one attention; none at all
         // is never one of them.
         teacher.set_active_attentions(&[]);
         teacher
-            .save(dir.0.join("effort_1.bin"))
+            .save(key_dir.join("effort_1.bin"))
             .expect("save effort");
-        PivotPipeline::new(cfg)
-            .with_checkpoints(&dir.0)
-            .run(&small_data());
+        PivotPipeline::new(cfg).with_checkpoints(&dir.0).run(&data);
     }
 
     #[test]
     #[should_panic(expected = "teacher.bin holds another VitConfig")]
     fn a_checkpoint_of_another_vit_config_is_rejected_by_file() {
         let dir = TempDir::new("other_vit");
-        let cfg = small_pipeline_config();
+        let (cfg, data) = (small_pipeline_config(), small_data());
         let other = VitConfig {
             num_classes: 8,
             ..cfg.vit.clone()
         };
         VisionTransformer::new(&other, &mut Rng::new(5))
-            .save(dir.0.join("teacher.bin"))
+            .save(key_dir(&dir, &cfg, &data).join("teacher.bin"))
             .expect("save teacher");
-        PivotPipeline::new(cfg)
-            .with_checkpoints(&dir.0)
-            .run(&small_data());
+        PivotPipeline::new(cfg).with_checkpoints(&dir.0).run(&data);
     }
 
     #[test]
     #[should_panic(expected = "teacher.bin is unreadable: BadMagic")]
     fn an_unreadable_checkpoint_is_rejected_with_its_error() {
         let dir = TempDir::new("unreadable");
-        std::fs::write(dir.0.join("teacher.bin"), b"PVIT1").expect("write");
-        PivotPipeline::new(small_pipeline_config())
-            .with_checkpoints(&dir.0)
-            .run(&small_data());
+        let (cfg, data) = (small_pipeline_config(), small_data());
+        std::fs::write(key_dir(&dir, &cfg, &data).join("teacher.bin"), b"PVIT1").expect("write");
+        PivotPipeline::new(cfg).with_checkpoints(&dir.0).run(&data);
     }
 
     #[test]

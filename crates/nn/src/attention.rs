@@ -49,15 +49,37 @@ impl MultiHeadAttention {
     ///
     /// Panics if `dim` is not divisible by `heads`.
     pub fn new(dim: usize, heads: usize, quant: QuantMode, rng: &mut Rng) -> Self {
+        Self::from_parts(
+            Linear::new(dim, dim, quant, rng),
+            Linear::new(dim, dim, quant, rng),
+            Linear::new(dim, dim, quant, rng),
+            Linear::new(dim, dim, quant, rng),
+            heads,
+        )
+    }
+
+    /// Assembles the block from its four projections.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the projections are not all square `dim x dim` with the
+    /// same `dim`, or if `heads` does not divide `dim`.
+    pub fn from_parts(wq: Linear, wk: Linear, wv: Linear, proj: Linear, heads: usize) -> Self {
+        let dim = wq.in_dim();
+        let square = |p: &Linear| p.in_dim() == dim && p.out_dim() == dim;
+        assert!(
+            square(&wq) && square(&wk) && square(&wv) && square(&proj),
+            "attention projections must all be {dim}x{dim}"
+        );
         assert!(
             heads > 0 && dim.is_multiple_of(heads),
             "dim {dim} must divide into {heads} heads"
         );
         Self {
-            wq: Linear::new(dim, dim, quant, rng),
-            wk: Linear::new(dim, dim, quant, rng),
-            wv: Linear::new(dim, dim, quant, rng),
-            proj: Linear::new(dim, dim, quant, rng),
+            wq,
+            wk,
+            wv,
+            proj,
             heads,
             cache: None,
         }
@@ -288,6 +310,16 @@ mod tests {
     fn indivisible_heads_panic() {
         let mut rng = Rng::new(0);
         let _ = MultiHeadAttention::new(10, 3, QuantMode::None, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention projections must all be 8x8")]
+    fn a_non_square_projection_is_rejected() {
+        let mut rng = Rng::new(0);
+        let mut square = || Linear::new(8, 8, QuantMode::None, &mut rng);
+        let (wq, wk, wv) = (square(), square(), square());
+        let proj = Linear::new(8, 4, QuantMode::None, &mut rng);
+        let _ = MultiHeadAttention::from_parts(wq, wk, wv, proj, 2);
     }
 
     #[test]

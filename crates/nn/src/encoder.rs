@@ -40,12 +40,39 @@ impl EncoderBlock {
         quant: QuantMode,
         rng: &mut Rng,
     ) -> Self {
+        Self::from_parts(
+            LayerNorm::new(dim),
+            MultiHeadAttention::new(dim, heads, quant, rng),
+            LayerNorm::new(dim),
+            Mlp::new(dim, mlp_hidden, quant, rng),
+            true,
+        )
+    }
+
+    /// Assembles a block from its sub-layers and skip switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer norms, attention and MLP disagree on the
+    /// embedding dimension.
+    pub fn from_parts(
+        ln1: LayerNorm,
+        attn: MultiHeadAttention,
+        ln2: LayerNorm,
+        mlp: Mlp,
+        attention_active: bool,
+    ) -> Self {
+        let dim = attn.dim();
+        assert!(
+            ln1.dim() == dim && ln2.dim() == dim && mlp.dim() == dim,
+            "block parts disagree on the attention's embedding dim {dim}"
+        );
         Self {
-            ln1: LayerNorm::new(dim),
-            attn: MultiHeadAttention::new(dim, heads, quant, rng),
-            ln2: LayerNorm::new(dim),
-            mlp: Mlp::new(dim, mlp_hidden, quant, rng),
-            attention_active: true,
+            ln1,
+            attn,
+            ln2,
+            mlp,
+            attention_active,
         }
     }
 
@@ -191,6 +218,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "block parts disagree on the attention's embedding dim 6")]
+    fn from_parts_rejects_parts_of_another_width() {
+        let mut rng = Rng::new(0);
+        let _ = EncoderBlock::from_parts(
+            LayerNorm::new(6),
+            MultiHeadAttention::new(6, 2, QuantMode::None, &mut rng),
+            LayerNorm::new(6),
+            Mlp::new(4, 8, QuantMode::None, &mut rng),
+            true,
+        );
     }
 
     #[test]

@@ -54,9 +54,24 @@ impl Linear {
                 }
             }
         });
+        Self::from_weights(weight, Matrix::zeros(1, out_dim), quant)
+    }
+
+    /// Builds a layer from an explicit `in x out` weight and `1 x out`
+    /// bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` is not a single row as wide as `weight`.
+    pub fn from_weights(weight: Matrix, bias: Matrix, quant: QuantMode) -> Self {
+        assert_eq!(
+            bias.shape(),
+            (1, weight.cols()),
+            "bias must be one row as wide as the weight"
+        );
         Self {
             weight: Param::new(weight),
-            bias: Param::new(Matrix::zeros(1, out_dim)),
+            bias: Param::new(bias),
             quant,
             cache_x: None,
             cache_w_eff: None,
@@ -249,6 +264,12 @@ mod tests {
         let latent = lin.weight.value.clone();
         let err = (&latent - &lin.effective_weight()).max_abs();
         assert!(err < latent.max_abs() / 100.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias must be one row as wide as the weight")]
+    fn from_weights_rejects_a_wrong_width_bias() {
+        let _ = Linear::from_weights(Matrix::zeros(3, 4), Matrix::zeros(1, 3), QuantMode::None);
     }
 
     #[test]

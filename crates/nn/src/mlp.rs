@@ -28,11 +28,37 @@ pub struct Mlp {
 impl Mlp {
     /// Creates the block with the given embedding and hidden sizes.
     pub fn new(dim: usize, hidden: usize, quant: QuantMode, rng: &mut Rng) -> Self {
+        Self::from_parts(
+            Linear::new(dim, hidden, quant, rng),
+            Linear::new(hidden, dim, quant, rng),
+        )
+    }
+
+    /// Assembles the block from its two projections.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fc2` does not map the hidden dimension back to `fc1`'s
+    /// input dimension.
+    pub fn from_parts(fc1: Linear, fc2: Linear) -> Self {
+        assert!(
+            fc1.out_dim() == fc2.in_dim() && fc2.out_dim() == fc1.in_dim(),
+            "mlp shapes {}x{} / {}x{} are not an expansion pair",
+            fc1.in_dim(),
+            fc1.out_dim(),
+            fc2.in_dim(),
+            fc2.out_dim()
+        );
         Self {
-            fc1: Linear::new(dim, hidden, quant, rng),
-            fc2: Linear::new(hidden, dim, quant, rng),
+            fc1,
+            fc2,
             cache_pre_act: None,
         }
+    }
+
+    /// Embedding dimensionality (`fc1`'s input, `fc2`'s output).
+    pub(crate) fn dim(&self) -> usize {
+        self.fc1.in_dim()
     }
 
     /// Freezes the block into an immutable inference view (both projections
@@ -97,6 +123,15 @@ mod tests {
         let mut mlp = Mlp::new(6, 24, QuantMode::None, &mut rng);
         let x = Matrix::randn(5, 6, 1.0, &mut rng);
         assert_eq!(mlp.forward(&x).shape(), (5, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "are not an expansion pair")]
+    fn from_parts_rejects_a_pair_that_does_not_map_back() {
+        let mut rng = Rng::new(0);
+        let fc1 = Linear::new(4, 8, QuantMode::None, &mut rng);
+        let fc2 = Linear::new(8, 6, QuantMode::None, &mut rng);
+        let _ = Mlp::from_parts(fc1, fc2);
     }
 
     #[test]

@@ -35,16 +35,10 @@ struct Cache {
 impl LayerNorm {
     /// Creates a layer-norm over `dim` features with `gamma = 1`, `beta = 0`.
     pub fn new(dim: usize) -> Self {
-        Self {
-            gamma: Param::new(Matrix::filled(1, dim, 1.0)),
-            beta: Param::new(Matrix::zeros(1, dim)),
-            eps: 1e-5,
-            cache: None,
-        }
+        Self::from_parts(Matrix::filled(1, dim, 1.0), Matrix::zeros(1, dim))
     }
 
-    /// Builds a layer-norm from explicit scale/shift rows — the checkpoint
-    /// cold-start path.
+    /// Builds a layer-norm from explicit scale/shift rows.
     ///
     /// # Panics
     ///

@@ -78,8 +78,7 @@ pub struct PreparedLinear {
 
 impl PreparedLinear {
     /// Builds the view directly from a latent weight and bias — the single
-    /// implementation behind [`crate::Linear::prepare`] and the checkpoint
-    /// cold-start path, so the two can never diverge: fits the quantizer
+    /// implementation behind [`crate::Linear::prepare`]: fits the quantizer
     /// once, materializes the effective weight once and computes the
     /// saturation count from those same parameters.
     ///
@@ -212,9 +211,8 @@ pub struct PreparedAttention {
 }
 
 impl PreparedAttention {
-    /// Assembles a view from four prepared projections — the checkpoint
-    /// cold-start path, which prepares projections straight from parsed
-    /// weights without an intermediate mutable block.
+    /// Assembles a view from four prepared projections, for a caller that
+    /// prepares projections from explicit weights without a mutable block.
     ///
     /// # Panics
     ///
@@ -342,8 +340,7 @@ pub struct PreparedMlp {
 }
 
 impl PreparedMlp {
-    /// Assembles a view from two prepared projections — the checkpoint
-    /// cold-start path.
+    /// Assembles a view from two prepared projections.
     ///
     /// # Panics
     ///
@@ -394,33 +391,6 @@ pub struct PreparedEncoderBlock {
 }
 
 impl PreparedEncoderBlock {
-    /// Assembles a view from prepared sub-blocks — the checkpoint
-    /// cold-start path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attention and MLP embedding dimensions disagree.
-    pub fn from_parts(
-        ln1: LayerNorm,
-        attn: PreparedAttention,
-        ln2: LayerNorm,
-        mlp: PreparedMlp,
-        attention_active: bool,
-    ) -> Self {
-        assert_eq!(
-            attn.dim(),
-            mlp.fc1.in_dim(),
-            "attention and mlp embedding dims disagree"
-        );
-        Self {
-            ln1,
-            attn,
-            ln2,
-            mlp,
-            attention_active,
-        }
-    }
-
     /// Whether the attention sub-block participates in the forward pass
     /// (captured when the view was prepared).
     pub fn attention_active(&self) -> bool {

@@ -114,7 +114,7 @@ impl ContentHasher {
     }
 
     /// Absorbs a slice of `usize` (index lists, e.g. poisoned columns).
-    pub fn write_usize_slice(&mut self, values: &[usize]) {
+    pub(crate) fn write_usize_slice(&mut self, values: &[usize]) {
         self.write_usize(values.len());
         for &v in values {
             self.write_usize(v);

@@ -181,7 +181,7 @@ pub fn matmul_quantized(x: &Matrix, w: &PackedInt8) -> Matrix {
 /// `x * W` through the packed int8 pipeline into a caller-owned buffer.
 ///
 /// Per activation row: a symmetric quantizer is fitted to the row (the same
-/// `max_abs / 127` grid as [`QuantParams::fit_symmetric_slice`]), the row
+/// `max_abs / 127` grid as [`QuantParams::fit_symmetric`]), the row
 /// is quantized into a reusable widened (`i16`) scratch, and each output
 /// element is one `i8 x i8 -> i32` dot product against a contiguous weight
 /// panel. Accumulators are requantized to `f32` through the combined
@@ -266,7 +266,7 @@ pub fn matmul_quantized_into(x: &Matrix, w: &PackedInt8, out: &mut Matrix) {
 /// Portable activation-row preparation: one pass computing the finite check
 /// and `max_abs`, then (for healthy rows) the symmetric fit
 /// `scale = (max_abs / 127).max(MIN_SCALE)` — the identical grid to
-/// [`QuantParams::fit_symmetric_slice`] — and the quantization of the row
+/// [`QuantParams::fit_symmetric`] — and the quantization of the row
 /// into the widened `i16` scratch via [`quantize_activation`].
 ///
 /// Returns `None` when the row contains any non-finite value (the caller

@@ -19,7 +19,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Range, Sub};
 ///
 /// let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
 /// assert_eq!(m[(1, 2)], 5.0);
-/// assert_eq!(m.transpose()[(2, 1)], 5.0);
+/// assert_eq!(m.row(1), &[3.0, 4.0, 5.0]);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -253,17 +253,6 @@ impl Matrix {
         &mut self.data[start * self.cols..end * self.cols]
     }
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Matrix product `self * rhs` (see [`Self::matmul_into`]).
     ///
     /// # Panics
@@ -272,39 +261,6 @@ impl Matrix {
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Reference ikj matmul with no blocking — the ground truth every
-    /// other kernel is validated against. Accumulates each output element
-    /// in ascending-`k` order with one scalar accumulator (round after
-    /// every multiply, no fusing). Every arm of the kernel behind
-    /// [`Self::matmul_into`] — scalar, AVX2 and AVX-512, which agree bit
-    /// for bit — fuses each multiply-add and is pinned to it within the
-    /// fused-rounding tolerance documented in `crate::microkernel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul shape mismatch: {:?} x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                let b_row = rhs.row(k);
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
-                }
-            }
-        }
         out
     }
 
@@ -320,7 +276,7 @@ impl Matrix {
     /// Every element is one ascending-`k` chain of fused multiply-adds
     /// (one rounding per term) with a single accumulator, the same bits on
     /// every host — scalar == AVX2 == AVX-512 — and within the documented
-    /// tolerance of [`Self::matmul_naive`]. Each row is a pure function of
+    /// tolerance of the reference `matmul_naive`. Each row is a pure function of
     /// `(a_row, rhs)`: results never depend on the output's row count, on
     /// batching, or on how callers parallelize around the kernel.
     ///
@@ -374,24 +330,13 @@ impl Matrix {
     }
 
     /// Matrix product against an operand packed once with
-    /// [`PackedF32::pack`] — the panel-cached fast path for weight
-    /// operands that are reused across many calls (see
-    /// `pivot_nn::PreparedLinear`).
+    /// [`PackedF32::pack`], into a caller-owned output buffer — the
+    /// panel-cached fast path for weight operands that are reused across
+    /// many calls (see `pivot_nn::PreparedLinear`).
     ///
     /// Bit-identical to [`Self::matmul`] against the unpacked operand on
     /// every machine: it is the same kernel, and packing is the only work
     /// hoisted out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != packed.k()`.
-    pub fn matmul_prepacked(&self, packed: &PackedF32) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, packed.n());
-        self.matmul_prepacked_into(packed, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_prepacked`] into a caller-owned output buffer.
     ///
     /// # Panics
     ///
@@ -878,6 +823,61 @@ impl fmt::Debug for Matrix {
 impl Default for Matrix {
     fn default() -> Self {
         Matrix::zeros(0, 0)
+    }
+}
+
+/// Test-only references and shorthands.
+#[cfg(test)]
+impl Matrix {
+    /// Returns the transpose.
+    pub(crate) fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out[(c, r)] = self[(r, c)];
+            }
+        }
+        out
+    }
+
+    /// Reference ikj matmul with no blocking — the ground truth every
+    /// other kernel is validated against. Accumulates each output element
+    /// in ascending-`k` order with one scalar accumulator (round after
+    /// every multiply, no fusing). Every arm of the kernel behind
+    /// [`Self::matmul_into`] — scalar, AVX2 and AVX-512, which agree bit
+    /// for bit — fuses each multiply-add and is pinned to it within the
+    /// fused-rounding tolerance documented in `crate::microkernel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`.
+    pub(crate) fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols,
+            rhs.rows,
+            "matmul shape mismatch: {:?} x {:?}",
+            self.shape(),
+            rhs.shape()
+        );
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        for i in 0..self.rows {
+            let a_row = self.row(i);
+            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+            for (k, &a_ik) in a_row.iter().enumerate() {
+                let b_row = rhs.row(k);
+                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
+                    *o += a_ik * b_kj;
+                }
+            }
+        }
+        out
+    }
+
+    /// [`Self::matmul_prepacked_into`] into a fresh output.
+    pub(crate) fn matmul_prepacked(&self, packed: &PackedF32) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, packed.n());
+        self.matmul_prepacked_into(packed, &mut out);
+        out
     }
 }
 

@@ -108,8 +108,10 @@ pub fn f32_simd_available() -> bool {
 /// let x = Matrix::randn(4, 8, 1.0, &mut rng);
 /// let w = Matrix::randn(8, 3, 1.0, &mut rng);
 /// let packed = PackedF32::pack(&w);
+/// let mut y = Matrix::zeros(4, 3);
+/// x.matmul_prepacked_into(&packed, &mut y);
 /// // Bit-identical to x.matmul(&w): same kernel, packing hoisted out.
-/// assert_eq!(x.matmul_prepacked(&packed), x.matmul(&w));
+/// assert_eq!(y, x.matmul(&w));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedF32 {

@@ -168,15 +168,8 @@ pub fn exp(x: f32) -> f32 {
 ///
 /// Maximum absolute error is about `1.5e-7`, which is far below the `f32`
 /// noise floor of the models in this workspace.
-///
-/// # Example
-///
-/// ```
-/// assert!((pivot_tensor::erf(0.0)).abs() < 1e-7);
-/// assert!((pivot_tensor::erf(10.0) - 1.0).abs() < 1e-6);
-/// ```
 #[inline(always)]
-pub fn erf(x: f32) -> f32 {
+pub(crate) fn erf(x: f32) -> f32 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -203,7 +196,7 @@ pub fn gelu(x: f32) -> f32 {
 /// `d/dx gelu(x) = Phi(x) + x * phi(x)` where `Phi`/`phi` are the standard
 /// normal CDF/PDF.
 #[inline(always)]
-pub fn gelu_derivative(x: f32) -> f32 {
+pub(crate) fn gelu_derivative(x: f32) -> f32 {
     let cdf = 0.5 * (1.0 + erf(x * std::f32::consts::FRAC_1_SQRT_2));
     let pdf = exp(-0.5 * x * x) / (2.0 * std::f32::consts::PI).sqrt();
     cdf + x * pdf
@@ -532,6 +525,12 @@ mod tests {
         // Large positive saturates to identity, large negative to zero.
         assert!((gelu(10.0) - 10.0).abs() < 1e-4);
         assert!(gelu(-10.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn erf_is_zero_at_zero_and_saturates_to_one() {
+        assert!(erf(0.0).abs() < 1e-7);
+        assert!((erf(10.0) - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -55,12 +55,10 @@ impl QuantParams {
         Self::fit_symmetric_slice(m.as_slice())
     }
 
-    /// Fits symmetric 8-bit parameters to a slice (zero point 0).
-    ///
-    /// The slice form is what the int8 GEMM uses to fit one quantizer per
-    /// activation row; the semantics are identical to
-    /// [`QuantParams::fit_symmetric`], including ignoring non-finite values.
-    pub fn fit_symmetric_slice(values: &[f32]) -> Self {
+    /// Fits symmetric 8-bit parameters to a slice (zero point 0): the body
+    /// of [`QuantParams::fit_symmetric`]. A test pins the int8 GEMM's
+    /// per-row fit to it.
+    pub(crate) fn fit_symmetric_slice(values: &[f32]) -> Self {
         let max_abs = values
             .iter()
             .filter(|v| v.is_finite())
@@ -78,7 +76,7 @@ impl QuantParams {
     }
 
     /// The integer value representing real zero.
-    pub fn zero_point(&self) -> i32 {
+    pub(crate) fn zero_point(&self) -> i32 {
         self.zero_point
     }
 

@@ -15,8 +15,10 @@
 //! Integrity and robustness guarantees:
 //!
 //! * All length/shape fields are validated against hard caps *before* any
-//!   allocation, so a corrupt or adversarial header cannot drive unbounded
-//!   `Vec` growth.
+//!   allocation, each stored shape must be the one the model expects at
+//!   that point, and no buffer is allocated larger than the bytes left in
+//!   the file, so a corrupt or adversarial header cannot make the loader
+//!   ask for memory the file does not back.
 //! * The trailing CRC-32 (pure-Rust table implementation, no dependencies)
 //!   covers every byte from the magic through the last parameter, so any
 //!   single-byte corruption is detected.
@@ -24,18 +26,11 @@
 //!   never panics on malformed input. Any other magic — including the
 //!   retired CRC-less `PVIT1` — is [`CheckpointError::BadMagic`], so no
 //!   file loads unverified.
-//!
-//! For inference-only consumers, [`VisionTransformer::load_prepared`] runs
-//! the same validation once and assembles the immutable prepared view
-//! directly from the parsed tensors, skipping the mutable model and its
-//! random initialization (the fast cold-start path).
 
 use crate::config::ConfigError;
 use crate::{VisionTransformer, VitConfig};
-use pivot_nn::{
-    LayerNorm, PreparedAttention, PreparedEncoderBlock, PreparedLinear, PreparedMlp, QuantMode,
-};
-use pivot_tensor::{Matrix, Rng};
+use pivot_nn::{EncoderBlock, LayerNorm, Linear, Mlp, MultiHeadAttention, QuantMode};
+use pivot_tensor::Matrix;
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
@@ -193,32 +188,127 @@ impl<W: Write> Write for CrcWriter<W> {
     }
 }
 
-/// Reader adapter that folds every consumed byte into a running CRC-32.
-struct CrcReader<R: Read> {
-    inner: R,
+/// The checkpoint reader: reads the file's fields and tensors, folds every
+/// byte it consumes into a running CRC-32 and counts the bytes left.
+struct CheckpointReader {
+    inner: BufReader<File>,
     crc: u32,
+    left: u64,
 }
 
-impl<R: Read> CrcReader<R> {
-    fn new(inner: R) -> Self {
-        Self { inner, crc: !0 }
+impl CheckpointReader {
+    fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let left = file.metadata()?.len();
+        Ok(Self {
+            inner: BufReader::new(file),
+            crc: !0,
+            left,
+        })
     }
 
     fn crc(&self) -> u32 {
         !self.crc
     }
 
-    /// Reads bytes *without* folding them into the CRC (used for the stored
-    /// checksum itself).
-    fn read_exact_raw(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.inner.read_exact(buf)
+    fn read_u32(&mut self) -> io::Result<u32> {
+        let mut buf = [0u8; 4];
+        self.read_exact(&mut buf)?;
+        Ok(u32::from_le_bytes(buf))
+    }
+
+    fn read_u8(&mut self) -> io::Result<u8> {
+        let mut buf = [0u8; 1];
+        self.read_exact(&mut buf)?;
+        Ok(buf[0])
+    }
+
+    /// A `u32` field, rejected as [`CheckpointError::LimitExceeded`] above
+    /// `max`.
+    fn capped(&mut self, field: &'static str, max: u64) -> Result<usize, CheckpointError> {
+        let value = u64::from(self.read_u32()?);
+        if value > max {
+            return Err(CheckpointError::LimitExceeded { field, value, max });
+        }
+        Ok(value as usize)
+    }
+
+    /// Reads `n` bytes into a fresh buffer. Fails *before* allocating when
+    /// fewer than `n` bytes are left, so no length or shape field can ask
+    /// for memory the file does not back.
+    fn read_bytes(&mut self, n: usize) -> io::Result<Vec<u8>> {
+        if n as u64 > self.left {
+            // The error `read_exact` gives at the end of the file.
+            return Err(io::empty()
+                .read_exact(&mut [0])
+                .expect_err("an empty reader has no bytes"));
+        }
+        let mut buf = vec![0u8; n];
+        self.read_exact(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Reads one tensor: its stored shape, checked against the caps and
+    /// then against the `(rows, cols)` the model expects at this point,
+    /// then its little-endian f32 values in one bulk read.
+    fn tensor(&mut self, rows: usize, cols: usize) -> Result<Matrix, CheckpointError> {
+        let stored_rows = self.capped("param rows", MAX_PARAM_SIDE)?;
+        let stored_cols = self.capped("param cols", MAX_PARAM_SIDE)?;
+        if (stored_rows, stored_cols) != (rows, cols) {
+            return Err(corrupt("parameter shape mismatch"));
+        }
+        let data = self
+            .read_bytes(rows * cols * 4)?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        Ok(Matrix::from_vec(rows, cols, data))
+    }
+
+    /// An `in_dim x out_dim` weight and its bias row, as a [`Linear`].
+    fn linear(
+        &mut self,
+        in_dim: usize,
+        out_dim: usize,
+        quant: QuantMode,
+    ) -> Result<Linear, CheckpointError> {
+        let weight = self.tensor(in_dim, out_dim)?;
+        let bias = self.tensor(1, out_dim)?;
+        Ok(Linear::from_weights(weight, bias, quant))
+    }
+
+    /// A (gamma, beta) pair, as a [`LayerNorm`].
+    fn norm(&mut self, dim: usize) -> Result<LayerNorm, CheckpointError> {
+        let gamma = self.tensor(1, dim)?;
+        let beta = self.tensor(1, dim)?;
+        Ok(LayerNorm::from_parts(gamma, beta))
+    }
+
+    /// One encoder block, in [`EncoderBlock`]'s parameter order.
+    fn block(&mut self, config: &VitConfig, active: bool) -> Result<EncoderBlock, CheckpointError> {
+        let (d, hidden, quant) = (config.dim, config.mlp_hidden(), config.quant);
+        let ln1 = self.norm(d)?;
+        let attn = MultiHeadAttention::from_parts(
+            self.linear(d, d, quant)?,
+            self.linear(d, d, quant)?,
+            self.linear(d, d, quant)?,
+            self.linear(d, d, quant)?,
+            config.heads,
+        );
+        let ln2 = self.norm(d)?;
+        let mlp = Mlp::from_parts(
+            self.linear(d, hidden, quant)?,
+            self.linear(hidden, d, quant)?,
+        );
+        Ok(EncoderBlock::from_parts(ln1, attn, ln2, mlp, active))
     }
 }
 
-impl<R: Read> Read for CrcReader<R> {
+impl Read for CheckpointReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
         self.crc = crc32_update(self.crc, &buf[..n]);
+        self.left = self.left.saturating_sub(n as u64);
         Ok(n)
     }
 }
@@ -231,28 +321,8 @@ fn write_f32(w: &mut impl Write, v: f32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(f32::from_le_bytes(buf))
-}
-
 fn corrupt(msg: &str) -> CheckpointError {
     CheckpointError::Corrupt(msg.to_string())
-}
-
-fn capped(field: &'static str, value: u64, max: u64) -> Result<usize, CheckpointError> {
-    if value > max {
-        Err(CheckpointError::LimitExceeded { field, value, max })
-    } else {
-        Ok(value as usize)
-    }
 }
 
 impl VisionTransformer {
@@ -309,9 +379,12 @@ impl VisionTransformer {
     /// Loads a model saved with [`VisionTransformer::save`].
     ///
     /// Accepts the `PVIT2` format only, always CRC-verified. Never panics
-    /// on malformed input: every header field is capped before allocation
-    /// and the decoded configuration is validated with
-    /// [`VitConfig::try_validate`] before the model is built.
+    /// on malformed input: every header field is capped before allocation,
+    /// the decoded configuration is validated with
+    /// [`VitConfig::try_validate`], and each tensor's stored shape is
+    /// checked against the shape the model expects at that point before
+    /// the tensor is allocated. The model is assembled from the tensors as
+    /// they are read.
     ///
     /// # Errors
     ///
@@ -319,256 +392,113 @@ impl VisionTransformer {
     /// magic number, fails a cap or the CRC check, or its parameter shapes
     /// do not match the stored configuration.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let RawCheckpoint {
-            config,
-            active,
-            params,
-        } = read_checkpoint(path)?;
-        let mut model = VisionTransformer::new(&config, &mut Rng::new(0));
-        model.set_active_attentions(&active);
-        let mut slots = model.params_mut();
-        debug_assert_eq!(slots.len(), params.len());
-        for (slot, value) in slots.iter_mut().zip(params) {
-            slot.value = value;
+        let mut r = CheckpointReader::open(path)?;
+        let mut magic = [0u8; 5];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC_V2 {
+            return Err(CheckpointError::BadMagic);
         }
-        drop(slots);
-        Ok(model)
+
+        let name_len = r.capped("name_len", MAX_NAME_LEN)?;
+        let name =
+            String::from_utf8(r.read_bytes(name_len)?).map_err(|_| corrupt("name is not UTF-8"))?;
+        let depth = r.capped("depth", MAX_DEPTH)?;
+        let dim = r.capped("dim", MAX_DIM)?;
+        let heads = r.capped("heads", MAX_HEADS)?;
+        let mlp_ratio = f32::from_bits(r.read_u32()?);
+        if !(mlp_ratio.is_finite() && mlp_ratio > 0.0 && mlp_ratio <= MAX_MLP_RATIO) {
+            return Err(corrupt("mlp_ratio out of range"));
+        }
+        let image_size = r.capped("image_size", MAX_IMAGE_SIZE)?;
+        let patch_size = r.capped("patch_size", MAX_IMAGE_SIZE)?;
+        let num_classes = r.capped("num_classes", MAX_NUM_CLASSES)?;
+        let quant = match r.read_u8()? {
+            0 => QuantMode::None,
+            1 => QuantMode::Int8,
+            _ => return Err(corrupt("unknown quant mode")),
+        };
+        let config = VitConfig {
+            name,
+            depth,
+            dim,
+            heads,
+            mlp_ratio,
+            image_size,
+            patch_size,
+            num_classes,
+            quant,
+        };
+        // Reject inconsistent geometry *before* deriving shapes or building
+        // a layer: the constructors assert on these and must never be
+        // reachable with unvalidated bytes.
+        config.try_validate()?;
+
+        let mut mask = Vec::with_capacity(depth);
+        for _ in 0..depth {
+            match r.read_u8()? {
+                b @ (0 | 1) => mask.push(b == 1),
+                _ => return Err(corrupt("attention mask byte is not 0/1")),
+            }
+        }
+
+        // Patch embedding (2), class token, positional embedding, final
+        // norm (2) and head (2); per block two norms (4) and six linears
+        // (12). The save -> load round trip pins this count.
+        if r.capped("n_params", MAX_N_PARAMS)? != 8 + 16 * depth {
+            return Err(corrupt("parameter count mismatch"));
+        }
+        let d = config.dim;
+        let patch_embed = r.linear(config.patch_dim(), d, quant)?;
+        let cls_token = r.tensor(1, d)?;
+        let pos_embed = r.tensor(config.tokens(), d)?;
+        let blocks = mask
+            .into_iter()
+            .map(|active| r.block(&config, active))
+            .collect::<Result<_, _>>()?;
+        let norm = r.norm(d)?;
+        let head = r.linear(d, config.num_classes, quant)?;
+        let model = Self::from_parts(
+            config,
+            patch_embed,
+            cls_token,
+            pos_embed,
+            blocks,
+            norm,
+            head,
+        );
+
+        // The stored checksum itself is read past the CRC.
+        let computed = r.crc();
+        let mut stored = [0u8; 4];
+        r.inner.read_exact(&mut stored)?;
+        let stored = u32::from_le_bytes(stored);
+        if stored != computed {
+            return Err(CheckpointError::ChecksumMismatch { stored, computed });
+        }
+        // The file must end exactly here; trailing bytes mean it is not what
+        // it claims to be.
+        match r.inner.read_exact(&mut [0u8]) {
+            Ok(()) => Err(corrupt("trailing bytes after checkpoint")),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(model),
+            Err(e) => Err(e.into()),
+        }
     }
 
-    /// Loads a checkpoint directly into an immutable [`crate::PreparedModel`],
-    /// skipping the intermediate mutable model entirely.
-    ///
-    /// This is the fast cold-start path. [`VisionTransformer::load`] first
-    /// builds a freshly initialized model (truncated-normal rejection
-    /// sampling over every weight tensor) only to immediately overwrite it,
-    /// and the caller then pays for [`VisionTransformer::prepare`] on top.
-    /// `load_prepared` performs the exact same validation (caps, CRC, shape
-    /// checks) once, then feeds the parsed tensors straight into the
-    /// prepared representation. The result is bit-identical to
-    /// `VisionTransformer::load(path)?.prepare()`.
+    /// Loads a checkpoint into an immutable [`crate::PreparedModel`]:
+    /// [`VisionTransformer::load`], then [`VisionTransformer::prepare`].
     ///
     /// # Errors
     ///
     /// Same as [`VisionTransformer::load`].
     pub fn load_prepared(path: impl AsRef<Path>) -> Result<crate::PreparedModel, CheckpointError> {
-        Ok(build_prepared(read_checkpoint(path)?))
-    }
-}
-
-/// Everything a checkpoint stores, parsed and validated: the configuration,
-/// the active-attention indices, and the parameter tensors in
-/// [`param_shapes`] order.
-struct RawCheckpoint {
-    config: VitConfig,
-    active: Vec<usize>,
-    params: Vec<Matrix>,
-}
-
-/// Parameter shapes of a model built from `config`, in the exact order
-/// `VisionTransformer::params_mut` yields them. Pinned against the model by
-/// a test, so checkpoint parsing can validate every stored shape *without*
-/// constructing (and randomly initializing) a model first.
-fn param_shapes(config: &VitConfig) -> Vec<(usize, usize)> {
-    let d = config.dim;
-    let hidden = config.mlp_hidden();
-    let mut shapes = vec![
-        (config.patch_dim(), d), // patch_embed weight
-        (1, d),                  // patch_embed bias
-        (1, d),                  // cls token
-        (config.tokens(), d),    // positional embedding
-    ];
-    for _ in 0..config.depth {
-        shapes.extend([(1, d), (1, d)]); // ln1 gamma/beta
-        for _ in 0..4 {
-            shapes.extend([(d, d), (1, d)]); // wq, wk, wv, proj
-        }
-        shapes.extend([(1, d), (1, d)]); // ln2 gamma/beta
-        shapes.extend([(d, hidden), (1, hidden)]); // fc1
-        shapes.extend([(hidden, d), (1, d)]); // fc2
-    }
-    shapes.extend([(1, d), (1, d)]); // final norm gamma/beta
-    shapes.extend([(d, config.num_classes), (1, config.num_classes)]); // head
-    shapes
-}
-
-/// Reads `len` little-endian f32 values in one bulk read.
-fn read_f32_vec(r: &mut impl Read, len: usize) -> io::Result<Vec<f32>> {
-    let mut bytes = vec![0u8; len * 4];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-/// Parses and fully validates a checkpoint file: magic, capped header
-/// fields, config validation, attention mask, parameter shapes (against
-/// [`param_shapes`], before each data allocation), CRC and the
-/// trailing-byte check. Shared by [`VisionTransformer::load`] and the
-/// `load_prepared*` cold-start paths.
-fn read_checkpoint(path: impl AsRef<Path>) -> Result<RawCheckpoint, CheckpointError> {
-    let mut r = CrcReader::new(BufReader::new(File::open(path)?));
-    let mut magic = [0u8; 5];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC_V2 {
-        return Err(CheckpointError::BadMagic);
-    }
-
-    let name_len = capped("name_len", read_u32(&mut r)? as u64, MAX_NAME_LEN)?;
-    let mut name_bytes = vec![0u8; name_len];
-    r.read_exact(&mut name_bytes)?;
-    let name = String::from_utf8(name_bytes).map_err(|_| corrupt("name is not UTF-8"))?;
-    let depth = capped("depth", read_u32(&mut r)? as u64, MAX_DEPTH)?;
-    let dim = capped("dim", read_u32(&mut r)? as u64, MAX_DIM)?;
-    let heads = capped("heads", read_u32(&mut r)? as u64, MAX_HEADS)?;
-    let mlp_ratio = read_f32(&mut r)?;
-    if !(mlp_ratio.is_finite() && mlp_ratio > 0.0 && mlp_ratio <= MAX_MLP_RATIO) {
-        return Err(corrupt("mlp_ratio out of range"));
-    }
-    let image_size = capped("image_size", read_u32(&mut r)? as u64, MAX_IMAGE_SIZE)?;
-    let patch_size = capped("patch_size", read_u32(&mut r)? as u64, MAX_IMAGE_SIZE)?;
-    let num_classes = capped("num_classes", read_u32(&mut r)? as u64, MAX_NUM_CLASSES)?;
-    let mut quant_byte = [0u8; 1];
-    r.read_exact(&mut quant_byte)?;
-    let quant = match quant_byte[0] {
-        0 => QuantMode::None,
-        1 => QuantMode::Int8,
-        _ => return Err(corrupt("unknown quant mode")),
-    };
-    let config = VitConfig {
-        name,
-        depth,
-        dim,
-        heads,
-        mlp_ratio,
-        image_size,
-        patch_size,
-        num_classes,
-        quant,
-    };
-    // Reject inconsistent geometry *before* deriving shapes or building a
-    // model: `VisionTransformer::new` asserts on these and must never be
-    // reachable with unvalidated bytes.
-    config.try_validate()?;
-
-    let mut active = Vec::new();
-    for i in 0..depth {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        match b[0] {
-            0 => {}
-            1 => active.push(i),
-            _ => return Err(corrupt("attention mask byte is not 0/1")),
-        }
-    }
-
-    let shapes = param_shapes(&config);
-    let n_params = capped("n_params", read_u32(&mut r)? as u64, MAX_N_PARAMS)?;
-    if n_params != shapes.len() {
-        return Err(corrupt("parameter count mismatch"));
-    }
-    let mut params = Vec::with_capacity(shapes.len());
-    for &(exp_rows, exp_cols) in &shapes {
-        let rows = capped("param rows", read_u32(&mut r)? as u64, MAX_PARAM_SIDE)?;
-        let cols = capped("param cols", read_u32(&mut r)? as u64, MAX_PARAM_SIDE)?;
-        if (rows, cols) != (exp_rows, exp_cols) {
-            return Err(corrupt("parameter shape mismatch"));
-        }
-        let data = read_f32_vec(&mut r, rows * cols)?;
-        params.push(Matrix::from_vec(rows, cols, data));
-    }
-
-    let computed = r.crc();
-    let mut stored_bytes = [0u8; 4];
-    r.read_exact_raw(&mut stored_bytes)?;
-    let stored = u32::from_le_bytes(stored_bytes);
-    if stored != computed {
-        return Err(CheckpointError::ChecksumMismatch { stored, computed });
-    }
-    // The file must end exactly here; trailing bytes mean it is not what
-    // it claims to be.
-    let mut extra = [0u8; 1];
-    match r.read_exact_raw(&mut extra) {
-        Ok(()) => Err(corrupt("trailing bytes after checkpoint")),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(RawCheckpoint {
-            config,
-            active,
-            params,
-        }),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Pops the next tensor off a shape-validated parameter stream.
-fn take(params: &mut std::vec::IntoIter<Matrix>) -> Matrix {
-    params.next().expect("shape-validated parameter stream")
-}
-
-/// Pops a (weight, bias) pair and prepares it.
-fn take_linear(params: &mut std::vec::IntoIter<Matrix>, quant: QuantMode) -> PreparedLinear {
-    let w = take(params);
-    let b = take(params);
-    PreparedLinear::from_weights(&w, &b, quant)
-}
-
-/// Pops a (gamma, beta) pair into a [`LayerNorm`].
-fn take_norm(params: &mut std::vec::IntoIter<Matrix>) -> LayerNorm {
-    let gamma = take(params);
-    let beta = take(params);
-    LayerNorm::from_parts(gamma, beta)
-}
-
-/// Assembles a [`crate::PreparedModel`] straight from parsed checkpoint
-/// tensors, consuming them in [`param_shapes`] order. `read_checkpoint`
-/// already validated every shape, so the constructors' assertions are
-/// unreachable here.
-fn build_prepared(raw: RawCheckpoint) -> crate::PreparedModel {
-    let RawCheckpoint {
-        config,
-        active,
-        params,
-    } = raw;
-    let mut it = params.into_iter();
-    let patch_embed = take_linear(&mut it, config.quant);
-    let cls_token = take(&mut it);
-    let pos_embed = take(&mut it);
-    let blocks = (0..config.depth)
-        .map(|i| {
-            let ln1 = take_norm(&mut it);
-            let wq = take_linear(&mut it, config.quant);
-            let wk = take_linear(&mut it, config.quant);
-            let wv = take_linear(&mut it, config.quant);
-            let proj = take_linear(&mut it, config.quant);
-            let ln2 = take_norm(&mut it);
-            let fc1 = take_linear(&mut it, config.quant);
-            let fc2 = take_linear(&mut it, config.quant);
-            PreparedEncoderBlock::from_parts(
-                ln1,
-                PreparedAttention::from_parts(wq, wk, wv, proj, config.heads),
-                ln2,
-                PreparedMlp::from_parts(fc1, fc2),
-                active.contains(&i),
-            )
-        })
-        .collect();
-    let norm = take_norm(&mut it);
-    let head = take_linear(&mut it, config.quant);
-    debug_assert!(it.next().is_none(), "parameter stream not fully consumed");
-    crate::PreparedModel {
-        config,
-        patch_embed,
-        cls_token,
-        pos_embed,
-        blocks,
-        norm,
-        head,
+        Self::load(path).map(|model| model.prepare())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pivot_tensor::Matrix;
+    use pivot_tensor::{Matrix, Rng};
     use proptest::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -699,52 +629,106 @@ mod tests {
         }
     }
 
+    /// A model's configuration, mask and parameter bits, in parameter
+    /// order.
+    fn model_bits(model: &VisionTransformer) -> (VitConfig, Vec<usize>, Vec<Vec<u32>>) {
+        let mut model = model.clone();
+        let bits = model
+            .params_mut()
+            .iter()
+            .map(|p| p.value.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (model.config().clone(), model.active_attentions(), bits)
+    }
+
     #[test]
-    fn param_shapes_pin_against_model() {
+    fn every_parameter_the_mask_and_the_config_round_trip_bit_for_bit() {
         let configs = [
-            VitConfig::test_small(),
-            VitConfig {
-                name: "pin".to_string(),
-                depth: 3,
-                dim: 48,
-                heads: 4,
-                mlp_ratio: 3.0,
-                image_size: 20,
-                patch_size: 4,
-                num_classes: 7,
-                quant: QuantMode::Int8,
-            },
+            (VitConfig::test_small(), vec![0, 2]),
+            (
+                VitConfig {
+                    name: "non-square".to_string(),
+                    depth: 3,
+                    dim: 48,
+                    heads: 4,
+                    mlp_ratio: 3.0,
+                    image_size: 20,
+                    patch_size: 4,
+                    num_classes: 7,
+                    quant: QuantMode::Int8,
+                },
+                vec![1],
+            ),
         ];
-        for cfg in configs {
-            cfg.try_validate().expect("valid config");
-            let mut model = VisionTransformer::new(&cfg, &mut Rng::new(0));
-            let actual: Vec<(usize, usize)> =
-                model.params_mut().iter().map(|p| p.value.shape()).collect();
-            assert_eq!(param_shapes(&cfg), actual, "config {}", cfg.name);
+        let mut rng = Rng::new(12);
+        for (cfg, active) in configs {
+            let mut model = VisionTransformer::new(&cfg, &mut rng);
+            model.set_active_attentions(&active);
+            // Distinct values in every tensor (biases and norms start as
+            // constants), so a swapped pair of same-shape tensors shows.
+            for p in model.params_mut() {
+                let (rows, cols) = p.value.shape();
+                p.value = Matrix::randn(rows, cols, 1.0, &mut rng);
+            }
+            let path = tmp("round_trip_bits");
+            model.save(&path).expect("save");
+            let loaded = VisionTransformer::load(&path).expect("load");
+            std::fs::remove_file(&path).ok();
+            assert!(model_bits(&loaded) == model_bits(&model), "{}", cfg.name);
+            assert_eq!(loaded.config().quant, cfg.quant);
         }
     }
 
     #[test]
-    fn load_prepared_is_bit_identical_to_load_then_prepare() {
+    fn load_prepared_logits_are_bit_equal_to_the_saved_models_view() {
         let cfg = VitConfig::test_small();
         let mut model = VisionTransformer::new(&cfg, &mut Rng::new(11));
         model.set_active_attentions(&[0, 2]);
         let path = tmp("load_prepared");
         model.save(&path).expect("save");
-
-        let via_load = VisionTransformer::load(&path).expect("load");
-        let slow = via_load.prepare();
-        let fast = VisionTransformer::load_prepared(&path).expect("load_prepared");
+        let loaded = VisionTransformer::load_prepared(&path).expect("load_prepared");
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(fast.config(), slow.config());
-        assert_eq!(fast.weight_bytes(), slow.weight_bytes());
+        let saved = model.prepare();
+        assert_eq!(loaded.config(), saved.config());
+        assert_eq!(loaded.weight_bytes(), saved.weight_bytes());
         let img = Matrix::from_fn(16, 16, |r, c| ((r * 7 + c) as f32) / 97.0 - 0.4);
-        let a = fast.infer(&img);
-        let b = slow.infer(&img);
+        let (a, b) = (loaded.infer(&img), saved.infer(&img));
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "logits must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn a_header_that_passes_every_cap_cannot_allocate_past_the_file() {
+        // Every field within its cap and a valid config, whose first
+        // tensor is (2^24, 16384) f32s: 1 TiB, in a 116-byte file.
+        let u32s = |bytes: &mut Vec<u8>, values: &[u32]| {
+            for v in values {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        let mut bytes = MAGIC_V2.to_vec();
+        u32s(&mut bytes, &[1]); // name_len
+        bytes.push(b'x');
+        u32s(&mut bytes, &[1, 16_384, 256]); // depth, dim, heads
+        bytes.extend_from_slice(&1.0f32.to_le_bytes()); // mlp_ratio
+        u32s(&mut bytes, &[4096, 4096, 2]); // image and patch size, classes
+        bytes.extend_from_slice(&[0, 1]); // quant None, one active attention
+        u32s(&mut bytes, &[24, 1 << 24, 16_384]); // n_params, first shape
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(bytes.len(), 116);
+        let path = tmp("over_allocating_header");
+        std::fs::write(&path, &bytes).expect("write");
+        let err = VisionTransformer::load(&path).expect_err("load must fail");
+        let prepared_err = VisionTransformer::load_prepared(&path).expect_err("must fail");
+        std::fs::remove_file(&path).ok();
+        for e in [err, prepared_err] {
+            assert!(
+                matches!(&e, CheckpointError::Io(io) if io.kind() == io::ErrorKind::UnexpectedEof),
+                "{e}"
+            );
         }
     }
 

@@ -54,14 +54,40 @@ impl VisionTransformer {
                 )
             })
             .collect();
-        Self {
-            patch_embed: Linear::new(config.patch_dim(), config.dim, config.quant, rng),
-            cls_token: Param::new(Matrix::randn(1, config.dim, 0.02, rng)),
-            pos_embed: Param::new(Matrix::randn(config.tokens(), config.dim, 0.02, rng)),
+        let patch_embed = Linear::new(config.patch_dim(), config.dim, config.quant, rng);
+        let cls_token = Matrix::randn(1, config.dim, 0.02, rng);
+        let pos_embed = Matrix::randn(config.tokens(), config.dim, 0.02, rng);
+        Self::from_parts(
+            config.clone(),
+            patch_embed,
+            cls_token,
+            pos_embed,
             blocks,
-            norm: LayerNorm::new(config.dim),
-            head: Linear::new(config.dim, config.num_classes, config.quant, rng),
-            config: config.clone(),
+            LayerNorm::new(config.dim),
+            Linear::new(config.dim, config.num_classes, config.quant, rng),
+        )
+    }
+
+    /// Assembles a model from its layers, in [`Self::params_mut`] order.
+    /// The caller has checked every shape against `config` (the checkpoint
+    /// reader does so before it allocates each tensor).
+    pub(crate) fn from_parts(
+        config: VitConfig,
+        patch_embed: Linear,
+        cls_token: Matrix,
+        pos_embed: Matrix,
+        blocks: Vec<EncoderBlock>,
+        norm: LayerNorm,
+        head: Linear,
+    ) -> Self {
+        Self {
+            config,
+            patch_embed,
+            cls_token: Param::new(cls_token),
+            pos_embed: Param::new(pos_embed),
+            blocks,
+            norm,
+            head,
             cache_tokens: None,
             cache_patches: None,
         }
